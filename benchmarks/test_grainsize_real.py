@@ -39,7 +39,8 @@ from repro.core.decomposition import bin_atoms
 from repro.md.cells import CellGrid
 from repro.md.integrator import VelocityVerlet
 from repro.md.nonbonded import NonbondedOptions
-from repro.md.parallel import ParallelEngine, ParallelNonbonded, _build_task_lists
+from repro.md.parallel import ParallelEngine, ParallelNonbonded
+from repro.md.tasks import build_task_lists as _build_task_lists
 from repro.util.pbc import wrap_positions
 
 RESULTS_DIR = Path(__file__).parent / "results"

@@ -5,17 +5,13 @@ speedup rows, but on this host rather than ASCI-Red): the 10,200-atom water
 box stepped by :class:`~repro.md.engine.SequentialEngine` and by
 :class:`~repro.md.parallel.ParallelEngine` at increasing worker counts.
 
-Two effects contribute to the parallel engine's advantage, and the JSON
-records the context needed to tell them apart:
-
-* **Algorithmic**: each worker keeps a *prefiltered* Verlet list (distance-
-  filtered to cutoff+skin with exclusions/1-4 removed at rebuild), so
-  between rebuilds it distance-tests ~1-2M real neighbours instead of the
-  sequential engine's ~20M+ raw cell-grid candidates every step.
-* **Hardware**: on a multi-core host the per-worker pair blocks also run
-  concurrently.  ``cpu_count`` is recorded so single-core results (where
-  only the algorithmic effect and driver/worker overlap can show) are not
-  misread as core scaling.
+Every row runs the same algorithm — the same force tasks with the same
+prefiltered per-task Verlet lists and the same reduction; the ``workers=1``
+row (and the sequential baseline it repeats) evaluates them in-process, the
+others on worker processes.  What a row can show is therefore hardware
+concurrency and pool overhead only: ``cpu_count`` is recorded so results
+from a host with fewer cores than workers (where the pool can only
+time-slice) are not misread as core scaling.
 
 Results land in ``benchmarks/results/BENCH_parallel.json`` (+ ``.txt``).
 Each pool row also records the **driver-vs-worker wall-time split**
@@ -40,6 +36,7 @@ from repro.md.engine import SequentialEngine
 from repro.md.integrator import VelocityVerlet
 from repro.md.nonbonded import NonbondedOptions
 from repro.md.parallel import ParallelEngine
+from repro.util.cpus import available_cpu_count
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -51,7 +48,9 @@ WORKER_COUNTS = [
     int(w) for w in os.environ.get("PARALLEL_BENCH_WORKERS", "1,2,4").split(",")
 ]
 #: acceptance floor for the 4-worker configuration (only asserted when 4
-#: workers are actually measured, i.e. not under a reduced CI matrix)
+#: workers are actually measured, i.e. not under a reduced CI matrix, on a
+#: host with 4 usable cores — the baseline runs the same algorithm, so
+#: fewer cores leave nothing to gain)
 MIN_SPEEDUP_4W = 1.6
 RUN_EWALD_SECTION = os.environ.get("PARALLEL_BENCH_EWALD", "1") != "0"
 #: with distribution on, the driver's compute share must at least halve
@@ -99,6 +98,9 @@ def test_parallel_benchmark():
                 {
                     "workers_requested": workers,
                     "workers_live": engine.workers,
+                    "execution": "worker processes"
+                    if engine.parallel
+                    else "in-process (same algorithm as the baseline)",
                     "parallel_pool": engine.parallel,
                     "steps_per_sec": round(rate, 4),
                     "speedup_vs_sequential": round(rate / seq_rate, 2),
@@ -157,9 +159,8 @@ def test_parallel_benchmark():
         assert abs(e_on - e_off) <= 1e-6 * abs(e_off), (
             f"distributed Ewald run diverged: {e_on} vs {e_off}"
         )
-        cores = os.cpu_count() or 1
         if (
-            cores >= 4
+            available_cpu_count() >= 4
             and w_max >= 4
             and modes["on"]["parallel_pool"]
             and modes["off"]["parallel_pool"]
@@ -201,6 +202,7 @@ def test_parallel_benchmark():
             f"  {row['workers_live']:>8} {row['steps_per_sec']:>10.4f} "
             f"{row['speedup_vs_sequential']:>7.2f}x "
             f"{row['efficiency']:>10.2f}"
+            + ("" if row["parallel_pool"] else "  (in-process, same algorithm)")
         )
     if distribution is not None:
         lines.append("")
@@ -217,7 +219,7 @@ def test_parallel_benchmark():
     (RESULTS_DIR / "BENCH_parallel.txt").write_text("\n".join(lines) + "\n")
 
     by_requested = {r["workers_requested"]: r for r in rows}
-    if 4 in by_requested:
+    if 4 in by_requested and available_cpu_count() >= 4:
         speedup4 = by_requested[4]["speedup_vs_sequential"]
         assert speedup4 >= MIN_SPEEDUP_4W, (
             f"4-worker speedup {speedup4:.2f}x below the {MIN_SPEEDUP_4W}x floor"

@@ -31,7 +31,7 @@ import pytest
 from repro.builder import small_water_box
 from repro.md.nonbonded import NonbondedOptions
 from repro.md.parallel import HAS_SHARED_MEMORY, ParallelEngine
-from repro.md.resilience import (
+from repro.pool import (
     HAS_POSIX_SIGNALS,
     RecoveryPolicy,
     WorkerFaultPlan,

@@ -5,7 +5,7 @@ PR 1 gave the simulated runtime deterministic fault injection and
 double-checkpoint recovery.  This demo does the same thing to live OS
 processes: it runs a water box on the supervised
 :class:`~repro.md.parallel.ParallelEngine`, SIGKILLs one worker and
-SIGSTOPs another mid-run via a :class:`~repro.md.resilience.WorkerFaultPlan`,
+SIGSTOPs another mid-run via a :class:`~repro.pool.WorkerFaultPlan`,
 and shows that the supervisor detects each fault, respawns the worker, and
 finishes with a trajectory **bit-identical** to an unfaulted run — the
 payoff of task-ordered force reduction plus reference-position binning
@@ -23,7 +23,7 @@ import numpy as np
 from repro.builder import small_water_box
 from repro.md.nonbonded import NonbondedOptions
 from repro.md.parallel import ParallelEngine
-from repro.md.resilience import RecoveryPolicy, WorkerFaultPlan
+from repro.pool import RecoveryPolicy, WorkerFaultPlan
 from repro.runtime.checkpoint import load_run_checkpoint, restore_run_checkpoint
 
 WATERS = 600

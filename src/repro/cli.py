@@ -110,10 +110,9 @@ def cmd_md(args) -> int:
     """Run MD on a water box and print the energy ledger."""
     from repro.backend import set_default_backend
     from repro.builder import skewed_water_box, small_water_box
-    from repro.md.engine import SequentialEngine, make_engine
+    from repro.md.engine import make_engine
     from repro.md.integrator import VelocityVerlet
     from repro.md.nonbonded import NonbondedOptions
-    from repro.md.pairlist import VerletPairList
 
     if args.pairlist_skin < 0:
         raise SystemExit("--pairlist-skin must be >= 0")
@@ -131,12 +130,7 @@ def cmd_md(args) -> int:
         raise SystemExit("--resume needs --checkpoint-path")
     fault_plan = None
     if args.fault_plan:
-        if args.workers == 1:
-            raise SystemExit(
-                "--fault-plan needs --workers > 1 (faults are injected "
-                "into live worker processes)"
-            )
-        from repro.md.resilience import WorkerFaultPlan
+        from repro.pool import WorkerFaultPlan
 
         try:
             fault_plan = WorkerFaultPlan.parse(args.fault_plan)
@@ -156,69 +150,50 @@ def cmd_md(args) -> int:
             f"electrostatics: Ewald (alpha {ewald.alpha_value():.4f}, "
             f"kmax {ewald.kmax})"
         )
-    distribute = not args.no_distribute
     if args.skew > 0:
         system = skewed_water_box(args.waters, seed=args.seed, skew=args.skew)
     else:
         system = small_water_box(args.waters, seed=args.seed)
     system.assign_velocities(args.temperature, seed=args.seed)
-    if args.workers == 1:
-        if args.rebalance_every or args.lb_strategy or args.grainsize_ms:
-            raise SystemExit(
-                "--rebalance-every/--lb-strategy/--grainsize-ms need "
-                "--workers > 1 (load balancing happens on the worker pool)"
-            )
-        pairlist = (
-            VerletPairList(args.cutoff, skin=args.pairlist_skin)
-            if args.pairlist_skin > 0
-            else None
-        )
-        engine = SequentialEngine(
+    # worker-pool flags are forwarded only when set: make_engine rejects
+    # them at --workers 1 (they would silently do nothing there)
+    pool_flags = {
+        "rebalance_every": args.rebalance_every,
+        "lb_strategy": args.lb_strategy,
+        "grainsize_ms": args.grainsize_ms,
+        "fault_plan": fault_plan,
+        "distribute": args.workers != 1 and not args.no_distribute,
+    }
+    try:
+        engine = make_engine(
             system,
             NonbondedOptions(cutoff=args.cutoff),
             VelocityVerlet(dt=args.dt),
-            pairlist=pairlist,
+            workers=args.workers,
+            skin=args.pairlist_skin,
             checkpoint_every=args.checkpoint_every,
             checkpoint_path=args.checkpoint_path,
             ewald=ewald,
+            **{flag: value for flag, value in pool_flags.items() if value},
         )
-    else:
-        pairlist = None
-        try:
-            engine = make_engine(
-                system,
-                NonbondedOptions(cutoff=args.cutoff),
-                VelocityVerlet(dt=args.dt),
-                workers=args.workers,
-                skin=args.pairlist_skin,
-                rebalance_every=args.rebalance_every,
-                lb_strategy=args.lb_strategy,
-                grainsize_ms=args.grainsize_ms,
-                fault_plan=fault_plan,
-                checkpoint_every=args.checkpoint_every,
-                checkpoint_path=args.checkpoint_path,
-                ewald=ewald,
-                distribute=distribute,
-            )
-        except ValueError as exc:
-            raise SystemExit(str(exc))
-        print(
-            f"parallel engine: {engine.workers} worker processes"
-            if engine.parallel
-            else "parallel pool unavailable; running sequentially"
-        )
-        if engine.parallel and distribute:
+    except (TypeError, ValueError) as exc:
+        raise SystemExit(str(exc))
+    if engine.parallel:
+        print(f"parallel engine: {engine.workers} worker processes")
+        if engine.distribute:
             extra = " and Ewald k-space shards" if ewald is not None else ""
             print(f"distributing bonded term groups{extra} onto the pool")
-        if engine.parallel and args.grainsize_ms:
-            rep = engine._nb.split_report()
-            print(
-                f"grainsize {args.grainsize_ms:g} ms: "
-                f"{rep['n_parent_tasks']} cell tasks -> "
-                f"{rep['n_subtasks']} sub-tasks "
-                f"({rep['n_split_parents']} split, "
-                f"largest {rep['max_parts']} parts)"
-            )
+    elif args.workers != 1:
+        print("worker pool unavailable; the force tasks run in-process")
+    if args.grainsize_ms:
+        rep = engine._nb.split_report()
+        print(
+            f"grainsize {args.grainsize_ms:g} ms: "
+            f"{rep['n_parent_tasks']} cell tasks -> "
+            f"{rep['n_subtasks']} sub-tasks "
+            f"({rep['n_split_parents']} split, "
+            f"largest {rep['max_parts']} parts)"
+        )
     with engine:
         if args.resume:
             from repro.runtime.checkpoint import (
@@ -244,18 +219,13 @@ def cmd_md(args) -> int:
                 f"{rep.step:>5} {rep.kinetic:>10.2f} {rep.potential:>12.2f} "
                 f"{rep.total:>12.4f} {system.temperature():>7.1f}"
             )
-        if pairlist is not None:
-            print(
-                f"pairlist: {pairlist.n_builds} builds, "
-                f"reuse fraction {pairlist.reuse_fraction:.2f} "
-                f"(skin {pairlist.skin:.1f} A)"
-            )
-        elif getattr(engine, "parallel", False):
-            nb = engine._nb
-            print(
-                f"pairlist: {nb.n_rebuilds} rebuilds, {nb.n_reuses} reuses "
-                f"across {nb.n_workers} workers (skin {nb.skin:.1f} A)"
-            )
+        pairlist = engine.pairlist
+        print(
+            f"pairlist: {pairlist.n_builds} builds, "
+            f"reuse fraction {pairlist.reuse_fraction:.2f} "
+            f"(skin {pairlist.skin:.1f} A)"
+        )
+        if engine.parallel:
             for rec in engine.rebalance_log:
                 print(
                     f"rebalance @step {rec['step']} ({rec['strategy']}): "
@@ -287,8 +257,8 @@ def cmd_md(args) -> int:
                     f"{ks['driver']['hits']} hits, workers "
                     f"{ks['worker_builds']} builds/{ks['worker_hits']} hits"
                 )
-        res = getattr(engine, "resilience", None)
-        if res is not None and (res.events or res.mode != "full"):
+        res = engine.resilience
+        if res.events or res.mode != "full":
             print(
                 f"resilience: mode {res.mode}; "
                 f"{res.kills_detected} killed, {res.hangs_detected} hung, "
@@ -317,15 +287,8 @@ def cmd_md(args) -> int:
                 f"{args.checkpoint_path} (every {args.checkpoint_every} steps)"
             )
         if args.workdb_dump:
-            db = getattr(engine, "workdb", None)
-            if db is None or not db.tasks:
-                print(
-                    "no WorkDB to dump (measurements need --workers > 1)",
-                    file=sys.stderr,
-                )
-            else:
-                db.dump(args.workdb_dump)
-                print(f"WorkDB written to {args.workdb_dump}")
+            engine.workdb.dump(args.workdb_dump)
+            print(f"WorkDB written to {args.workdb_dump}")
     return 0
 
 
@@ -376,9 +339,18 @@ def cmd_serve(args) -> int:
 
         threading.Thread(target=server.stop, daemon=True).start()
 
-    signal.signal(signal.SIGINT, _stop)
-    signal.signal(signal.SIGTERM, _stop)
-    server.wait()
+    previous = {
+        signum: signal.signal(signum, _stop)
+        for signum in (signal.SIGINT, signal.SIGTERM)
+    }
+    try:
+        server.wait()
+    finally:
+        # the handlers close over this server; the process outlives it
+        # when cmd_serve is called in-process
+        for signum, handler in previous.items():
+            signal.signal(signum, handler)
+        server.stop()
     print("service stopped", flush=True)
     return 0
 

@@ -1,28 +1,45 @@
-"""The sequential MD engine.
+"""The MD engine.
 
-:class:`SequentialEngine` is the single-processor reference implementation
-the paper's speedups are measured against ("the impressive speedups were not
-attained by using a 'bad sequential algorithm'", §4.3).  It evaluates the
-full force field each step and advances with velocity Verlet.
+:class:`SequentialEngine` evaluates the full force field each step and
+advances with velocity Verlet.  It is the single-processor baseline the
+paper's speedups are measured against ("the impressive speedups were not
+attained by using a 'bad sequential algorithm'", §4.3) — and it is that
+literally: the non-bonded work is the same cell-task decomposition the
+worker pool of :class:`repro.md.parallel.ParallelEngine` runs, evaluated
+in-process by the same per-step loop, so trajectories are bit-identical at
+any worker count.
 
-It also serves as the ground truth the parallel decomposition is validated
-against: tests compare forces/energies from the patch-wise parallel
-evaluation to this engine.
+The independent ground truth is not an engine but the reference functions
+:func:`~repro.md.nonbonded.compute_nonbonded`,
+:func:`~repro.md.bonded.compute_bonded` and
+:func:`~repro.md.ewald.compute_ewald`; tests hold every engine to them.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.md.bonded import BondedEnergies, compute_bonded
 from repro.md.integrator import VelocityVerlet
-from repro.md.nonbonded import NonbondedOptions, compute_nonbonded
-from repro.md.pairlist import VerletPairList
+
+# compute_nonbonded is not called here: the perf harness
+# (benchmarks/perf/spans.py) binds a span to this module attribute by name
+from repro.md.nonbonded import NonbondedOptions, compute_nonbonded  # noqa: F401
 from repro.md.system import MolecularSystem
 
 __all__ = ["SequentialEngine", "StepReport", "make_engine"]
+
+#: make_engine keywords that configure the worker pool (its supervision,
+#: balancing, and the task partition handed to it)
+_POOL_KEYWORDS = frozenset(
+    {
+        "fault_plan", "timeout", "recovery", "slowdown", "rebalance_every",
+        "lb_strategy", "distribute", "grainsize_ms", "cost_model",
+    }
+)
 
 
 @dataclass
@@ -48,7 +65,7 @@ class StepReport:
 
 
 class SequentialEngine:
-    """Full-force-field MD on one (real) processor.
+    """Full-force-field MD with the force tasks evaluated in-process.
 
     Parameters
     ----------
@@ -66,17 +83,15 @@ class SequentialEngine:
         system: MolecularSystem,
         options: NonbondedOptions | None = None,
         integrator: VelocityVerlet | None = None,
-        pairlist="auto",
+        skin: float = 1.5,
         checkpoint_every: int = 0,
         checkpoint_path=None,
         backend=None,
         ewald=None,
     ) -> None:
-        """``pairlist`` may be a :class:`repro.md.pairlist.VerletPairList`
-        (built for this engine's cutoff) to amortize pair enumeration.  The
-        default ``"auto"`` constructs one with the standard skin — Verlet
-        reuse is the production path; pass ``None`` to re-enumerate from the
-        cell grid every step (reference behaviour for equivalence tests).
+        """``skin`` is the Verlet margin of the pair lists (see
+        :class:`repro.md.pairlist.VerletPairList`, exposed as
+        :attr:`pairlist`); 0 rebuilds them at every evaluation.
 
         ``checkpoint_every=N`` (with ``checkpoint_path``) writes an atomic
         run checkpoint every N completed steps; a run restarted with
@@ -97,7 +112,22 @@ class SequentialEngine:
         term is dropped (the Ewald sum includes those pairs at full
         strength), and the reported ``elec`` energy is the total over all
         Ewald components."""
+        # kspace=False: the reciprocal sum stays with the driver's Ewald
+        # remainder, as in ParallelEngine(distribute=False)
+        self._setup(
+            system, options, integrator, checkpoint_every, checkpoint_path,
+            backend, ewald, n_workers=1, skin=skin, kspace=False,
+        )
+
+    def _setup(
+        self, system, options, integrator, checkpoint_every, checkpoint_path,
+        backend, ewald, **nonbonded,
+    ) -> None:
+        """Shared constructor body; ``nonbonded`` goes to the force-task
+        front end (:class:`repro.md.parallel.ParallelNonbonded`)."""
         from repro.backend import get_backend
+        from repro.md.parallel import ParallelNonbonded
+
         if checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
         if checkpoint_every > 0 and checkpoint_path is None:
@@ -106,13 +136,7 @@ class SequentialEngine:
         self.options = options or NonbondedOptions()
         self.integrator = integrator or VelocityVerlet(dt=1.0)
         self.backend = get_backend(backend)
-        if isinstance(pairlist, str):
-            if pairlist != "auto":
-                raise ValueError(f"unknown pairlist mode {pairlist!r}")
-            pairlist = VerletPairList(self.options.cutoff)
-        self.pairlist = pairlist
         self.ewald = ewald
-        self._last_ewald = None
         self.checkpoint_every = int(checkpoint_every)
         self.checkpoint_path = checkpoint_path
         self.n_checkpoints = 0
@@ -120,44 +144,38 @@ class SequentialEngine:
         self._forces: np.ndarray | None = None
         self._last_nonbonded = None
         self._last_bonded: BondedEnergies | None = None
-        if ewald is not None:
-            # per-engine accounting over the shared k-space LRU: another
-            # engine in the same process clearing the cache must not zero
-            # or negate this engine's builds/hits (the multi-job service
-            # runs many engines side by side)
-            from repro.md.ewald import KspaceCacheView
-
-            self._kspace_view = KspaceCacheView()
-        else:
-            self._kspace_view = None
+        self._last_ewald = None
+        self._nb = ParallelNonbonded(
+            system, self.options, backend=self.backend, ewald=ewald,
+            **nonbonded,
+        )
+        #: the list-lifetime object (skin, builds, reuses) of the force tasks
+        self.pairlist = self._nb.pairlist
+        #: bonded terms (and Ewald k-space shards) ride the force tasks
+        self.distribute = self._nb.bonded_tasks
 
     # ------------------------------------------------------------------ #
     def compute_forces(self) -> np.ndarray:
         """Evaluate the full force field at the current positions."""
         self.system.wrap()
-        nb = compute_nonbonded(
-            self.system,
-            self.options,
-            pairlist=self.pairlist,
-            backend=self.backend,
-            coulomb=self.ewald is None,
-        )
-        bonded_e, forces = compute_bonded(self.system, backend=self.backend)
-        forces += nb.forces
-        if self.ewald is not None:
-            from repro.md.ewald import compute_ewald
-
-            ew = compute_ewald(
-                self.system,
-                self.ewald,
-                backend=self.backend,
-                kspace_stats=self._kspace_view.counters,
-            )
-            forces += ew.forces
-            nb.energy_elec += ew.energy
-            self._last_ewald = ew
+        self._nb.dispatch()
+        if self.distribute:
+            # bonded terms (and the k-space sum, with Ewald) arrive inside
+            # the reduced task result; collect() separates their energies
+            nb = self._nb.collect()
+            forces = nb.forces
+            self._last_bonded = self._nb.last_bonded
+        else:
+            # with workers attached this overlaps their pair blocks;
+            # charge the time to the driver share
+            t0 = time.monotonic()
+            bonded_e, forces = compute_bonded(self.system, backend=self.backend)
+            self._nb.note_driver_time(time.monotonic() - t0)
+            nb = self._nb.collect()
+            forces += nb.forces
+            self._last_bonded = bonded_e
         self._last_nonbonded = nb
-        self._last_bonded = bonded_e
+        self._last_ewald = self._nb.last_ewald
         return forces
 
     def report(self) -> StepReport:
@@ -196,17 +214,6 @@ class SequentialEngine:
         return self.report()
 
     # ------------------------------------------------------------------ #
-    def _checkpoint_invalidate(self) -> None:
-        """Pin a pair-list rebuild at the evaluation after a checkpoint.
-
-        The writing run and any run resumed from the checkpoint both pass
-        through this, so their rebuild schedules — and therefore their
-        trajectories — stay bit-identical.  The parallel engine overrides
-        this to force a rebuild on its worker pool as well.
-        """
-        if self.pairlist is not None:
-            self.pairlist.invalidate()
-
     def _maybe_checkpoint(self) -> None:
         if self.checkpoint_every <= 0:
             return
@@ -214,31 +221,12 @@ class SequentialEngine:
             return
         from repro.runtime.checkpoint import save_run_checkpoint
 
-        self._checkpoint_invalidate()
+        # pin a list rebuild at the evaluation after the checkpoint: the
+        # writing run and any run resumed from it both pass through one,
+        # so their rebuild schedules — and trajectories — stay bit-identical
+        self.pairlist.invalidate()
         save_run_checkpoint(self.checkpoint_path, self)
         self.n_checkpoints += 1
-
-    def kspace_cache_stats(self) -> dict:
-        """Ewald k-space table cache counters (``builds``/``hits``) caused
-        by *this* engine — robust to other engines in the same process
-        clearing the shared cache.  Falls back to the process-wide view
-        when the engine runs without Ewald.  The parallel engine overrides
-        this to fold in per-worker counters from the shared stats segment."""
-        if self._kspace_view is not None:
-            return self._kspace_view.stats()
-        from repro.md.ewald import kspace_cache_stats
-
-        return kspace_cache_stats()
-
-    def clear_kspace_cache(self) -> None:
-        """Drop the memoized k-space tables and reset this engine's
-        counters (other engines' accounting is unaffected)."""
-        if self._kspace_view is not None:
-            self._kspace_view.clear()
-            return
-        from repro.md.ewald import clear_kspace_cache
-
-        clear_kspace_cache()
 
     def run(self, n_steps: int) -> list[StepReport]:
         """Advance ``n_steps`` and return the per-step reports."""
@@ -249,10 +237,55 @@ class SequentialEngine:
         """Number of completed timesteps."""
         return self._step
 
+    # -- the force-task front end's accounting ------------------------- #
+    @property
+    def parallel(self) -> bool:
+        """True while the force tasks run on live worker processes."""
+        return self._nb.active
+
+    @property
+    def workers(self) -> int:
+        """Live worker-process count (1 = the tasks run in-process)."""
+        return self._nb.n_live
+
+    @property
+    def resilience(self):
+        """Recovery accounting: detections, respawns, reassignments, mode."""
+        return self._nb.resilience
+
+    @property
+    def workdb(self):
+        """The engine's measurement database (:class:`repro.instrument.WorkDB`)."""
+        return self._nb.workdb
+
+    @property
+    def remap_steps(self) -> list[int]:
+        """Evaluation indices at which a changed task→worker map took effect."""
+        return self._nb.remap_steps
+
+    @property
+    def rebalance_log(self) -> list[dict]:
+        """One record per LB decision: strategy, moves, predicted loads."""
+        return self._nb.rebalance_log
+
+    def driver_report(self) -> dict:
+        """See :meth:`repro.md.parallel.ParallelNonbonded.driver_report`."""
+        return self._nb.driver_report()
+
+    def kspace_cache_stats(self) -> dict:
+        """Ewald k-space table cache counters caused by *this* engine; see
+        :meth:`repro.md.parallel.ParallelNonbonded.kspace_cache_stats`."""
+        return self._nb.kspace_cache_stats()
+
+    def clear_kspace_cache(self) -> None:
+        """Drop the memoized k-space tables and reset this engine's
+        counters (other engines' accounting is unaffected)."""
+        self._nb.clear_kspace_cache()
+
     def close(self) -> None:
-        """Release engine resources.  No-op here; the parallel engine
-        overrides this to stop its worker pool, so callers can treat any
-        engine uniformly (``with make_engine(...) as eng``)."""
+        """Stop the worker processes, if any (idempotent).  The engine
+        stays usable: later steps run the same tasks in-process."""
+        self._nb.close()
 
     def __enter__(self) -> "SequentialEngine":
         return self
@@ -266,50 +299,27 @@ def make_engine(
     options: NonbondedOptions | None = None,
     integrator: VelocityVerlet | None = None,
     workers: int = 1,
-    backend=None,
-    ewald=None,
-    **parallel_kwargs,
+    **kwargs,
 ) -> SequentialEngine:
-    """Engine factory: sequential for ``workers == 1``, parallel otherwise.
+    """Engine factory: in-process for ``workers == 1``, pooled otherwise.
 
     ``workers == 0`` requests one worker per CPU (respecting cgroup/affinity
-    limits).  ``backend`` selects the kernel backend for either engine and
-    ``ewald`` enables full periodic electrostatics on either engine.
-
-    Keyword arguments both engines understand (``skin``,
-    ``checkpoint_every``, ``checkpoint_path``) are honoured on the
-    sequential path too — ``skin`` configures its Verlet pair list.
-    Parallel-only keywords (``timeout``, ``cost_model``, ``fault_plan``,
-    ``distribute``, ...) raise ``TypeError`` when ``workers == 1`` instead
-    of being silently dropped, so a config typed for the pool cannot
-    quietly change meaning on a one-worker run.  Both returned engines
-    share the :class:`SequentialEngine` interface and work as context
-    managers, so callers need no engine-specific cleanup logic.
+    limits).  Every keyword is forwarded to the engine's constructor (see
+    :class:`repro.md.parallel.ParallelEngine` for the full set).  Keywords
+    that configure live worker processes raise ``TypeError`` when
+    ``workers == 1`` instead of being silently dropped, so a config typed
+    for the pool cannot quietly change meaning on a one-worker run.
+    Either engine is a context manager, so callers need no engine-specific
+    cleanup logic.
     """
     if workers == 1:
-        seq_kwargs = {}
-        skin = parallel_kwargs.pop("skin", None)
-        if skin is not None:
-            opts = options or NonbondedOptions()
-            seq_kwargs["pairlist"] = (
-                VerletPairList(opts.cutoff, skin=skin) if skin > 0 else None
-            )
-        for key in ("pairlist", "checkpoint_every", "checkpoint_path"):
-            if key in parallel_kwargs:
-                seq_kwargs[key] = parallel_kwargs.pop(key)
-        if parallel_kwargs:
-            names = ", ".join(sorted(parallel_kwargs))
+        pool_only = sorted(_POOL_KEYWORDS.intersection(kwargs))
+        if pool_only:
             raise TypeError(
-                f"make_engine(workers=1) got parallel-only keyword "
-                f"argument(s): {names}"
+                "make_engine(workers=1) got keyword argument(s) that need "
+                f"worker processes: {', '.join(pool_only)}"
             )
-        return SequentialEngine(
-            system, options, integrator, backend=backend, ewald=ewald,
-            **seq_kwargs
-        )
+        return SequentialEngine(system, options, integrator, **kwargs)
     from repro.md.parallel import ParallelEngine
 
-    return ParallelEngine(
-        system, options, integrator, workers=workers, backend=backend,
-        ewald=ewald, **parallel_kwargs
-    )
+    return ParallelEngine(system, options, integrator, workers=workers, **kwargs)

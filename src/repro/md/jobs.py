@@ -53,7 +53,7 @@ _NON_NEGATIVE = (
 class SimSpec:
     """One simulation run, as a declarative JSON-friendly record.
 
-    ``workers == 1`` runs on the sequential engine (no worker processes);
+    ``workers == 1`` runs the force tasks in-process (no worker processes);
     ``workers >= 2`` runs a :class:`~repro.md.parallel.ParallelEngine`
     whose worker-process count the service leases from the shared
     :class:`~repro.pool.lease.WorkerBudget`.
@@ -110,7 +110,7 @@ class SimSpec:
 
     @property
     def worker_slots(self) -> int:
-        """Worker processes this spec will spawn (0 on the sequential path)."""
+        """Worker processes this spec will spawn (0 when the tasks run in-process)."""
         return 0 if self.workers == 1 else max(self.workers, 2)
 
 
@@ -286,18 +286,16 @@ class SimJob:
     # ------------------------------------------------------------------ #
     def backend_provenance(self) -> dict:
         """Which kernel backend this job actually ran (per-engine, plus
-        the parallel engine's WorkDB provenance when present).
+        the provenance its WorkDB recorded with the task timings).
 
         Snapshotted while the engine is live so the answer survives the
         engine's teardown — a completed job still reports its backend.
         """
         if self.engine is not None:
-            out: dict = {"backend": self.engine.backend.name,
-                         "workdb_backend": None}
-            nb = getattr(self.engine, "_nb", None)
-            if nb is not None:
-                out["workdb_backend"] = nb.workdb.backend
-            self._provenance = out
+            self._provenance = {
+                "backend": self.engine.backend.name,
+                "workdb_backend": self.engine.workdb.backend,
+            }
         if self._provenance is None:
             return {"backend": None, "workdb_backend": None}
         return dict(self._provenance)
@@ -321,15 +319,11 @@ class SimJob:
         # not (replayed steps are suppressed in step_slice)
         self.steps_done = cp_step
         self.engine = None
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close()
+        engine.close()
 
     def close(self) -> None:
         """Tear the engine down without touching progress accounting."""
         if self.engine is None:
             return
         engine, self.engine = self.engine, None
-        close = getattr(engine, "close", None)
-        if close is not None:
-            close()
+        engine.close()

@@ -21,7 +21,8 @@ import numpy as np
 
 from repro.md.bonded import compute_bonded
 from repro.md.constants import ACC_CONVERSION
-from repro.md.nonbonded import NonbondedOptions, compute_nonbonded
+from repro.md.nonbonded import NonbondedOptions
+from repro.md.parallel import ParallelNonbonded
 from repro.md.system import MolecularSystem
 
 __all__ = ["MTSEngine", "MTSReport"]
@@ -61,17 +62,17 @@ class MTSEngine:
         Optional evaluator for the slow forces — any object with the
         :meth:`repro.md.parallel.ParallelNonbonded.compute` interface
         (returns a :class:`~repro.md.nonbonded.NonbondedResult` at the
-        system's current positions).  Defaults to the in-process
-        :func:`~repro.md.nonbonded.compute_nonbonded`; pass a
-        ``ParallelNonbonded`` to evaluate the slow impulse on a worker
-        pool.  The engine adopts it: :meth:`close` shuts it down.
+        system's current positions).  Defaults to a ``ParallelNonbonded``
+        without workers (the force tasks run in-process); pass one with
+        ``n_workers > 1`` to evaluate the slow impulse on a worker pool.
+        The engine adopts it: :meth:`close` shuts it down.
     backend:
-        Kernel backend spec for the in-process slow-force path (see
+        Kernel backend spec for the default evaluator (see
         :mod:`repro.backend`); ignored when an external ``nonbonded``
         evaluator is supplied (that evaluator carries its own backend).
     ewald:
         Optional :class:`repro.md.ewald.EwaldOptions`; replaces the cutoff
-        point-charge electrostatics of the in-process slow path with the
+        point-charge electrostatics of the default evaluator with the
         full periodic Ewald sum (as the slow component — standard r-RESPA
         practice).  Ignored when an external ``nonbonded`` evaluator is
         supplied: construct that evaluator with its own ``ewald``.
@@ -97,9 +98,12 @@ class MTSEngine:
         self.dt = float(dt)
         self.n_inner = int(n_inner)
         self.options = options or NonbondedOptions()
-        self.nonbonded = nonbonded
         self.backend = get_backend(backend)
         self.ewald = ewald if nonbonded is None else None
+        self.nonbonded = nonbonded or ParallelNonbonded(
+            system, self.options, n_workers=1, backend=self.backend,
+            ewald=ewald,
+        )
         self._outer = 0
         self._slow_forces: np.ndarray | None = None
         self._last: MTSReport | None = None
@@ -111,20 +115,7 @@ class MTSEngine:
 
     def _slow(self) -> tuple[float, float, np.ndarray]:
         self.system.wrap()
-        if self.nonbonded is not None:
-            res = self.nonbonded.compute()
-            return res.energy_lj, res.energy_elec, res.forces
-        res = compute_nonbonded(
-            self.system,
-            self.options,
-            backend=self.backend,
-            coulomb=self.ewald is None,
-        )
-        if self.ewald is not None:
-            from repro.md.ewald import compute_ewald
-
-            ew = compute_ewald(self.system, self.ewald, backend=self.backend)
-            return res.energy_lj, ew.energy, res.forces + ew.forces
+        res = self.nonbonded.compute()
         return res.energy_lj, res.energy_elec, res.forces
 
     def _kick(self, forces: np.ndarray, dt: float) -> None:
@@ -176,8 +167,8 @@ class MTSEngine:
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Release the adopted non-bonded evaluator (worker pool), if any."""
-        if self.nonbonded is not None and hasattr(self.nonbonded, "close"):
+        """Release the non-bonded evaluator (its worker pool, if any)."""
+        if hasattr(self.nonbonded, "close"):
             self.nonbonded.close()
 
     def __enter__(self) -> "MTSEngine":

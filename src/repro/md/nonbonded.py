@@ -144,9 +144,9 @@ def filter_candidates(
 
     Applies exactly the filters of the main loop of :func:`nonbonded_kernel`
     (distance, 1-2/1-3 exclusions, 1-4 removal) but returns only the
-    surviving index arrays.  The parallel engine uses this at pairlist-build
-    time — with ``cutoff + skin`` — so the per-step hot loop touches only
-    pairs that can actually interact during the list's lifetime.
+    surviving index arrays.  The force tasks use this at list-build time —
+    with ``cutoff + skin`` — so the per-step hot loop touches only pairs
+    that can actually interact during the list's lifetime.
 
     ``return_kept=True`` additionally returns the positions (into the input
     candidate arrays) of the surviving pairs, so callers carrying parallel
@@ -285,11 +285,15 @@ def nonbonded_14(
 def compute_nonbonded(
     system: MolecularSystem,
     options: NonbondedOptions | None = None,
-    pairlist=None,
     backend: KernelBackend | str | None = None,
     coulomb: bool = True,
 ) -> NonbondedResult:
     """Full non-bonded evaluation for a system (cell-list based).
+
+    The reference implementation: every call enumerates the cell
+    candidates afresh and filters them, with nothing carried between
+    calls.  The engines evaluate the same quantity through the force
+    tasks of :mod:`repro.md.tasks`; tests hold them to this function.
 
     ``coulomb=False`` evaluates the LJ terms only (main loop and scaled
     1-4 pass) — the pairing mode for engines whose electrostatics come
@@ -299,10 +303,6 @@ def compute_nonbonded(
     (computed with the force field's ``scale14_*`` factors regardless of
     whether they currently fall inside the cutoff — they always do for sane
     geometries, but the unconditional treatment matches CHARMM).
-
-    ``pairlist`` may be a :class:`repro.md.pairlist.VerletPairList`; the
-    candidate enumeration is then served from (and maintained in) the list
-    instead of rebuilding the cell grid every call.
     """
     options = options or NonbondedOptions()
     n = system.n_atoms
@@ -310,13 +310,9 @@ def compute_nonbonded(
     if n < 2:
         return NonbondedResult(0.0, 0.0, forces, 0)
 
-    pos = system.positions
-    box = system.box
-
-    if pairlist is not None:
-        i_cand, j_cand = pairlist.pairs(pos, box)
-    else:
-        i_cand, j_cand = candidate_pairs(pos, box, options.cutoff)
+    i_cand, j_cand = candidate_pairs(
+        system.positions, system.box, options.cutoff
+    )
     e_lj_total, e_el_total, n_pairs = nonbonded_kernel(
         system, i_cand, j_cand, options, forces, backend=backend, coulomb=coulomb
     )

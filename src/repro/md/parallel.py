@@ -1,29 +1,35 @@
-"""Real shared-memory parallel MD: a patch-based multiprocessing engine.
+"""Real shared-memory parallel MD: the force tasks and who runs them.
 
 Everything else in this repository *models* the paper's parallelism on a
-simulated machine; this module actually runs it.  :class:`ParallelEngine`
-is API-compatible with :class:`~repro.md.engine.SequentialEngine` but
-evaluates the non-bonded force field — "eighty percent or more" of a step,
-paper §4.2.1 — across a persistent pool of worker *processes*.
+simulated machine; this module actually runs it.  The non-bonded force
+field — "eighty percent or more" of a step, paper §4.2.1 — is evaluated
+as the cell tasks of :mod:`repro.md.tasks`, by one implementation
+(:class:`repro.md.tasks.ForceTaskEvaluator`) on one of two executors of
+:mod:`repro.pool`: a persistent pool of worker *processes*
+(:class:`ParallelEngine`), or — without workers: ``workers == 1``, pool
+failed to start, pool closed, recovery ladder at its bottom rung — the
+calling process itself, through the same per-step loop the workers run.
 
 The implementation is layered (see DESIGN.md): :mod:`repro.pool` is the
-generic supervised pool runtime (spawn/respawn, collision-free segments,
-the epoch'd dispatch/collect protocol, the respawn → reassign → degrade
-recovery ladder; MD-free by contract); :mod:`repro.md.tasks` holds the
-MD force tasks behind the :class:`repro.pool.protocol.TaskProvider`
-interface; :mod:`repro.md.lb_driver` makes the measurement-driven
-placement decisions; this module is the orchestration — the cost-seeded
-partition, WorkDB-fed load balancing (§2.2), the pack-once position
-multicast (§4.2.3), the driver-overlapped remainder, and the
-task-ordered assignment-independent reduction.
+generic runtime (spawn/respawn, collision-free segments, the epoch'd
+dispatch/collect protocol, the respawn → reassign → degrade recovery
+ladder, the in-process executor; MD-free by contract);
+:mod:`repro.md.tasks` holds the MD force tasks behind the
+:class:`repro.pool.protocol.TaskProvider` interface;
+:mod:`repro.md.lb_driver` makes the measurement-driven placement
+decisions; this module is the orchestration — the cost-seeded partition,
+WorkDB-fed load balancing (§2.2), the pack-once position multicast
+(§4.2.3), the driver-overlapped remainder, and the task-ordered
+assignment-independent reduction.
 
 Determinism, in brief: task structure is fixed at construction from
-deterministic priors only; both sides derive the task-ordered scratch
-layout from the same published *reference* positions; the driver reduces
-with a task-ordered segment-sum, so who computed a block never matters.
-Recovery re-issues work against the same reference data and is therefore
-bit-identical on the respawn and reassign rungs; only the sequential
-fallback reduces in a different order and is equivalent to ~1e-9.
+deterministic priors only; every executor derives the task-ordered
+scratch layout from the same *reference* positions (the snapshot of
+:class:`repro.md.pairlist.VerletPairList`); the driver reduces with a
+task-ordered segment-sum, so who computed a block never matters.
+Trajectories are therefore bit-identical across worker counts (1
+included), remaps, and every rung of the recovery ladder — the bottom
+rung re-runs the same tasks against the same reference data in-process.
 """
 
 from __future__ import annotations
@@ -35,7 +41,10 @@ import numpy as np
 
 from repro.backend import get_backend
 from repro.md import lb_driver as _lb_driver
-from repro.md.bonded import BondedEnergies, BONDED_KINDS, compute_bonded
+
+# compute_bonded is not called here: the perf harness
+# (benchmarks/perf/spans.py) binds a span to this module attribute by name
+from repro.md.bonded import BondedEnergies, BONDED_KINDS, compute_bonded  # noqa: F401
 from repro.md.engine import SequentialEngine
 from repro.md.ewald import (
     EwaldOptions,
@@ -49,59 +58,40 @@ from repro.md.nonbonded import (
     nonbonded_14,
 )
 from repro.md.pairlist import VerletPairList
-from repro.md.resilience import (
-    RecoveryPolicy,
-    ResilienceStats,
-    WorkerFaultPlan,
-)
-from repro.md.tasks import (
-    KSHARD_MAX as _KSHARD_MAX,  # noqa: F401  (back-compat re-export)
-    KSHARD_TARGET as _KSHARD_TARGET,  # noqa: F401
-    MAX_SPLIT_PARTS as _MAX_SPLIT_PARTS,  # noqa: F401
-    build_force_tasks,
-    build_task_lists as _build_task_lists,  # noqa: F401
-    build_xtask_entries as _build_xtask_entries,  # noqa: F401
-    eval_xtask as _eval_xtask,  # noqa: F401
-    kspace_shards as _kspace_shards,  # noqa: F401
-    scratch_rows_bound as _scratch_rows_bound,  # noqa: F401
-    task_kernel as _task_kernel,  # noqa: F401
-    task_layout as _task_layout,  # noqa: F401
-    xtask_rows as _xtask_rows,  # noqa: F401
-)
+from repro.md.tasks import build_force_tasks
 from repro.pool import (
     HAS_SHARED_MEMORY,
+    InProcessExecutor,
+    RecoveryPolicy,
+    ResilienceStats,
     SupervisedPool,
-    attach_segment as _attach_shared,  # noqa: F401
-    contiguous_partition as _contiguous_partition,
-    normalize_slowdown as _normalize_slowdown,
-    slowdown_factor as _slowdown_factor,  # noqa: F401
+    WorkerFaultPlan,
+    contiguous_partition,
+    normalize_slowdown,
 )
 from repro.pool.protocol import (
-    STAT_TIME_NS as _STAT_TIME_NS,
-    STAT_V0 as _STAT_E_LJ,
-    STAT_V1 as _STAT_E_EL,
-    STAT_V2 as _STAT_N_PAIRS,
+    STAT_TIME_NS,
+    STAT_V0 as STAT_E_LJ,
+    STAT_V1 as STAT_E_EL,
+    STAT_V2 as STAT_N_PAIRS,
 )
 from repro.util.cpus import available_cpu_count
-from repro.util.pbc import minimum_image
 
 __all__ = ["ParallelEngine", "ParallelNonbonded", "HAS_SHARED_MEMORY"]
 
-# Back-compat note: the underscore aliases above re-export helpers that
-# lived here before the pool/tasks split; external imports keep working.
-
 
 class ParallelNonbonded:
-    """Pool-backed non-bonded evaluator over one molecular system.
+    """The engines' non-bonded front end: force tasks, pooled or in-process.
 
-    Same quantity as :func:`repro.md.nonbonded.compute_nonbonded`, but the
-    pair work is distributed across ``n_workers`` processes.  Split
-    :meth:`dispatch`/:meth:`collect` calls let the caller overlap its own
-    work; :meth:`compute` is the one-shot form.  Every evaluation feeds
-    per-task timings into :attr:`workdb`, which drives the paper's
-    balancers when ``rebalance_every > 0``.  Falls back to an in-process
-    Verlet-pairlist evaluation when workers are unavailable;
-    :attr:`active` tells which mode is live.
+    Same quantity as the reference :func:`repro.md.nonbonded.
+    compute_nonbonded`, evaluated as the force tasks of
+    :mod:`repro.md.tasks` — on ``n_workers`` processes while a pool is
+    attached (:attr:`active`), in the calling process otherwise; the bits
+    do not depend on which.  Split :meth:`dispatch`/:meth:`collect` calls
+    let the caller overlap its own work with the workers; :meth:`compute`
+    is the one-shot form.  Every evaluation feeds per-task timings into
+    :attr:`workdb`, which drives the paper's balancers when
+    ``rebalance_every > 0``.
     """
 
     #: teardown latency bound, mirrored from the pool runtime
@@ -127,26 +117,25 @@ class ParallelNonbonded:
         ewald: EwaldOptions | None = None,
         kspace: bool = True,
     ) -> None:
-        """``n_workers <= 0`` means "one per CPU"; ``timeout`` (seconds)
-        bounds every wait on the pool.  ``bonded=True`` distributes the
-        bonded terms onto the pool as extra tasks; ``ewald`` makes this
-        evaluator own the *full* electrostatics, with ``kspace=True``
-        sharding the reciprocal sum over the pool.  ``rebalance_every=N``
-        runs an LB decision every N evaluations; ``lb_strategy``
-        overrides the greedy-then-refine schedule; ``slowdown`` injects
-        per-worker slowdowns; ``grainsize_ms > 0`` splits expensive cell
-        tasks into row stripes; ``fault_plan`` schedules deterministic
-        fault injection (string form ``"kill=1@3,hang=0@2x1.5"``);
-        ``recovery`` configures the supervision ladder; ``backend``
-        names the kernel set for driver and workers alike.  All modes
-        keep the task-ordered reduction, so trajectories stay
-        bit-identical across repeats, remaps, worker counts and recovery.
+        """``n_workers <= 0`` means "one per CPU", 1 means none (the tasks
+        run in-process); ``timeout`` (seconds) bounds every wait on the
+        pool.  ``bonded=True`` adds the bonded terms as extra tasks;
+        ``ewald`` makes this evaluator own the *full* electrostatics, with
+        ``kspace=True`` sharding the reciprocal sum into tasks.
+        ``rebalance_every=N`` runs an LB decision every N evaluations;
+        ``lb_strategy`` overrides the greedy-then-refine schedule;
+        ``slowdown`` injects per-worker slowdowns; ``grainsize_ms > 0``
+        splits expensive cell tasks into row stripes; ``fault_plan``
+        schedules deterministic fault injection (string form
+        ``"kill=1@3,hang=0@2x1.5"``); ``recovery`` configures the
+        supervision ladder; ``backend`` names the kernel set for driver
+        and workers alike.  All modes keep the task-ordered reduction, so
+        trajectories stay bit-identical across repeats, remaps, worker
+        counts and recovery.
         """
         from repro.balancer.strategies import STRATEGIES
         from repro.instrument import WorkDB
 
-        if skin < 0:
-            raise ValueError("skin must be non-negative")
         if timeout <= 0:
             raise ValueError("timeout must be positive")
         if rebalance_every < 0:
@@ -165,12 +154,11 @@ class ParallelNonbonded:
         self.system = system
         self.options = options or NonbondedOptions()
         self.backend = get_backend(backend)
-        self.skin = float(skin)
         self.timeout = float(timeout)
         self.rebalance_every = int(rebalance_every)
         self.lb_strategy = lb_strategy
         self.grainsize_ms = float(grainsize_ms)
-        self._slow_windows = _normalize_slowdown(slowdown)
+        self._slow_windows = normalize_slowdown(slowdown)
         if fault_plan is not None and fault_plan.slowdowns:
             for w in fault_plan.slowdowns:
                 self._slow_windows.setdefault(int(w.proc), []).append(
@@ -188,48 +176,49 @@ class ParallelNonbonded:
         self.last_bonded: BondedEnergies | None = None
         self.last_ewald: EwaldResult | None = None
         self._pool: SupervisedPool | None = None
-        self._provider = None
-        self._n_nb = self._n_total = 0
-        self._bonded_ids: dict[int, np.ndarray] = {}
-        self._kspace_ids: np.ndarray = np.zeros(0, dtype=np.int64)
+        self._local: InProcessExecutor | None = None
+        #: ``(pool or None, rebuild, start time)`` of the evaluation
+        #: awaiting collect()
+        self._dispatched: tuple | None = None
         self._kspace_stat_base: np.ndarray | None = None
         # per-engine driver-side builds/hits: isolated from other engines
         # (and their clear_kspace_cache) sharing the process-global LRU
         self._kspace_view = KspaceCacheView()
         self.driver_compute_s = self.pool_wall_s = 0.0
         self.n_evals = 0
-        self.n_workers = 1
-        self.task_bounds: np.ndarray | None = None
-        self.n_rebuilds = self.n_reuses = self.n_rebalances = 0
+        self.n_rebalances = 0
         self.remap_steps: list[int] = []
         self.rebalance_log: list[dict] = []
-        self._seq_fallback = 0
         self._pending_assignment = None
-        self._ref_positions = self._ref_box = None
-        self._force_rebuild = self._degraded_dispatch = False
-        self._pending_box: tuple | None = None
         self._offsets = self._gather = None
-        self._fallback_pairlist: VerletPairList | None = None
         self._closed = False
 
         # "one per CPU" must mean CPUs this process may *run on* — on
         # cgroup/affinity-restricted hosts os.cpu_count() oversubscribes
         requested = int(n_workers) if n_workers else available_cpu_count()
-        if requested > 1 and HAS_SHARED_MEMORY and system.n_atoms >= 2:
+        assignment = self._build_tasks(requested, skin, cost_model)
+        #: the one list-lifetime object: its snapshot is what every
+        #: executor bins and builds from, its ``pairs`` the task-ordered
+        #: reduction layout ``(offsets, gather)`` at that snapshot
+        self.pairlist = VerletPairList(
+            self.options.cutoff, skin, self._provider.layout
+        )
+        if self.n_workers > 1 and HAS_SHARED_MEMORY:
             try:
-                self._start_pool(requested, cost_model, start_method)
+                self._start_pool(assignment, start_method)
             except Exception as exc:  # pragma: no cover - platform dependent
                 if self._pool is not None:
                     self._pool.close()
                     self._pool = None
                 warnings.warn(
                     f"parallel worker pool unavailable ({exc!r}); "
-                    "falling back to the sequential non-bonded path",
+                    "the force tasks run in-process",
                     RuntimeWarning,
                     stacklevel=2,
                 )
-                self.n_workers = 1
-        if self.n_workers > 1 and self.fault_plan and self.fault_plan.active:
+        if self._pool is None:
+            self.n_workers = 1
+        elif self.fault_plan and self.fault_plan.active:
             if self.fault_plan.max_worker() >= self.n_workers:
                 self.close()
                 raise ValueError(
@@ -240,48 +229,38 @@ class ParallelNonbonded:
 
     @property
     def active(self) -> bool:
-        """True when the worker pool is live (not fallback, not closed)."""
+        """True while worker processes are attached (pool started, not
+        degraded, not closed); otherwise the tasks run in-process."""
         return (
             not self._closed
             and self._pool is not None
             and self._pool.active
         )
 
-    # --- supervised-pool state, exposed under the historical names ----- #
     @property
-    def _pending(self) -> int | None:
-        return self._pool.pending if self._pool is not None else None
+    def n_rebuilds(self) -> int:
+        """Evaluations that rebuilt the pair lists."""
+        return self.pairlist.n_builds
 
     @property
-    def _deadline(self) -> float | None:
-        return self._pool.deadline if self._pool is not None else None
+    def seq(self) -> int:
+        """The pool's evaluation counter (0 without workers)."""
+        return self._pool.seq if self.active else 0
 
-    @property
-    def _procs(self) -> list:
-        return self._pool.procs if self._pool is not None else []
-
-    @property
-    def _assignment(self) -> np.ndarray | None:
-        return self._pool.assignment if self._pool is not None else None
-
-    @property
-    def _seq(self) -> int:
-        return self._pool.seq if self._pool is not None else self._seq_fallback
-
-    @_seq.setter
-    def _seq(self, value: int) -> None:
-        # checkpoint restore realigns the evaluation counter so
-        # step-indexed events land on the same absolute steps
-        if self._pool is not None:
+    @seq.setter
+    def seq(self, value: int) -> None:
+        # checkpoint restore realigns the counter so step-indexed events
+        # (LB remaps, fault plans) land on the same absolute steps
+        if self.active:
             self._pool.seq = int(value)
-        else:
-            self._seq_fallback = int(value)
 
-    def _start_pool(self, requested, cost_model, start_method) -> None:
+    def _build_tasks(self, requested: int, skin, cost_model) -> np.ndarray:
+        """Fix the task structure; returns the initial task→worker map."""
         spec = build_force_tasks(
             self.system,
             self.options,
-            skin=self.skin,
+            skin=skin,
+            n_workers=requested,
             grainsize_ms=self.grainsize_ms,
             cost_model=cost_model,
             bonded=self.bonded_tasks,
@@ -289,33 +268,23 @@ class ParallelNonbonded:
             kspace=self.kspace_tasks,
             backend=self.backend,
         )
-        n_total = spec.n_total
-        n_workers = min(requested, n_total)
-        if n_workers <= 1:
-            self.n_workers = 1
-            return
-
         provider = spec.provider
         tasks = provider.tasks
-        self._dims = spec.dims_array.copy()
-        self._init_box = spec.box.copy()
         self._provider = provider
         self._tasks = tasks
-        self._xtasks = provider.xtasks
-        self._term_data = provider.term_data
         self._n_nb = len(tasks)
-        self._n_total = n_total
+        self._n_total = n_total = spec.n_total
         self._parents = spec.parents
-        self._n_cells = spec.n_cells
         self._self_task_of = {
             a: t
             for t, (a, b, part, _np) in enumerate(tasks)
             if a == b and part == 0
         }
+        self.n_workers = n_workers = max(min(requested, n_total), 1)
 
         # static, cost-model-seeded block assignment: contiguous
         # near-equal-cost runs over the deterministic prior
-        bounds = _contiguous_partition(spec.all_costs, n_workers)
+        bounds = contiguous_partition(spec.all_costs, n_workers)
         assignment = np.repeat(
             np.arange(n_workers, dtype=np.int64), np.diff(bounds)
         )
@@ -351,10 +320,12 @@ class ParallelNonbonded:
             for k, v in spec.bonded_ids.items()
         }
         self._kspace_ids = np.asarray(spec.kspace_ids, dtype=np.int64)
+        return assignment
 
+    def _start_pool(self, assignment, start_method) -> None:
         self._pool = SupervisedPool(
-            provider,
-            n_workers,
+            self._provider,
+            self.n_workers,
             assignment,
             timeout=self.timeout,
             policy=self.policy,
@@ -366,145 +337,78 @@ class ParallelNonbonded:
         # the pool's accounting is the engine's accounting — one object,
         # surviving pool close so post-degrade reports still read it
         self.resilience = self._pool.resilience
-        self.n_workers = n_workers
-        self.task_bounds = bounds
-        for w in range(n_workers):
+        for w in range(self.n_workers):
             self.workdb.note_worker_backend(w, self.backend.name)
-
-    def _needs_rebuild(self) -> bool:
-        pos = self.system.positions
-        box = np.asarray(self.system.box, dtype=np.float64)
-        if self._ref_positions is None:
-            return True
-        if not np.array_equal(box, self._ref_box):
-            # the task grid is fixed at construction; a changed box is only
-            # admissible while its patches still cover the list cutoff
-            edge = box / self._dims
-            r_list = self.options.cutoff + self.skin
-            if np.any((self._dims > 1) & (edge < r_list)):
-                raise RuntimeError(
-                    f"box {box.tolist()} shrank below the task grid's "
-                    f"coverage (edge {edge.tolist()} < cutoff+skin {r_list}); "
-                    "recreate the parallel engine for the new box"
-                )
-            return True
-        if len(pos) != len(self._ref_positions):
-            raise RuntimeError(
-                "atom count changed under a live worker pool; "
-                "recreate the parallel engine"
-            )
-        delta = minimum_image(pos - self._ref_positions, box)
-        max_disp2 = float(np.einsum("ij,ij->i", delta, delta).max())
-        return max_disp2 > (0.5 * self.skin) ** 2
 
     @property
     def n_live(self) -> int:
         """Workers still serving tasks (``n_workers`` minus permanent dead)."""
         return self._pool.n_live if self.active else 1
 
-    def force_rebuild_next(self) -> None:
-        """Force a pair-list rebuild at the next dispatch (checkpoint
-        restore pins the rebuild schedule with this, keeping resumed
-        trajectories bit-identical)."""
-        self._force_rebuild = True
-
     def dispatch(self) -> None:
-        """Publish positions and start the workers on one evaluation.
+        """Start one evaluation at the system's current positions: refresh
+        the pair-list lifetime, publish positions, start the workers.
 
         The caller must have wrapped positions into the primary cell (the
-        engines do).  Exactly one :meth:`collect` must follow.
+        engines do).  Exactly one :meth:`collect` must follow.  Without
+        workers this only stages the evaluation; :meth:`collect` runs it.
         """
-        if not self.active:
-            raise RuntimeError("worker pool is not active")
-        pool = self._pool
-        if pool.pending is not None:
+        if self._dispatched is not None:
             raise RuntimeError("dispatch() called with a collect() outstanding")
-        if not pool.begin_step():
-            # pool degraded to sequential between steps; the paired
-            # collect() serves the evaluation on the fallback path
-            self._degraded_dispatch = True
-            return
-        rebuild = (
-            self._needs_rebuild()
-            or self._pending_assignment is not None
-            or self._force_rebuild
-        )
-        self._force_rebuild = False
+        # begin_step heals or degrades: a pool it cannot heal has closed
+        pool = self._pool if self.active and self._pool.begin_step() else None
         pos = self.system.positions
+        if self._pending_assignment is not None:
+            self.pairlist.invalidate()  # a new map installs at a rebuild
+        builds = self.pairlist.n_builds
+        self._offsets, self._gather = self.pairlist.pairs(pos, self.system.box)
+        rebuild = self.pairlist.n_builds != builds
+        self._dispatched = (pool, rebuild, time.monotonic())
+        if pool is None:
+            self._pending_assignment = None
+            return
         pool.view("pos")[...] = pos  # pack once; every worker maps it
         assignment_payload = None
         if rebuild:
-            self._ref_positions = pos.copy()
-            self._ref_box = np.asarray(self.system.box, dtype=np.float64).copy()
             pool.view("ref")[...] = pos  # workers bin/build from this
-            self.n_rebuilds += 1
+            assignment_payload = pool.assignment
             if self._pending_assignment is not None:
                 if not np.array_equal(self._pending_assignment, pool.assignment):
                     self.remap_steps.append(pool.seq + 1)
                 assignment_payload = self._pending_assignment
                 self._pending_assignment = None
-            else:
-                assignment_payload = pool.assignment
-            # the driver's reduction layout must match the workers' blocks:
-            # both bin the same published reference positions
-            self._offsets, self._gather = self._provider.layout(
-                pos, self.system.box
-            )
-        else:
-            self.n_reuses += 1
-        self._pending_box = tuple(float(x) for x in self.system.box)
-        pool.dispatch(rebuild, self._pending_box, assignment_payload)
+        pool.dispatch(rebuild, self._box_payload(), assignment_payload)
 
-    def _fallback_compute(self) -> NonbondedResult:
-        """One complete evaluation on the in-process path.
+    def _box_payload(self) -> tuple:
+        return tuple(float(x) for x in self.system.box)
 
-        Serves :meth:`collect`'s contract under the current configuration
-        (bonded fold-in, full Ewald when enabled).  Equivalent to the pool
-        result to ~1e-9 — the sequential reduction order differs, the
-        documented caveat of the ladder's bottom rung.
-        """
-        from repro.md.nonbonded import compute_nonbonded
-
-        if self._fallback_pairlist is None:
-            self._fallback_pairlist = VerletPairList(
-                self.options.cutoff, skin=self.skin
-            )
-        nb = compute_nonbonded(
-            self.system, self.options,
-            pairlist=self._fallback_pairlist, backend=self.backend,
-            coulomb=self._coulomb,
-        )
-        forces = nb.forces
-        e_el = nb.energy_elec
-        if self.bonded_tasks:
-            self.last_bonded, _ = compute_bonded(
-                self.system, forces, backend=self.backend
-            )
-        if self.ewald is not None:
-            ew = compute_ewald(
-                self.system, self.ewald, backend=self.backend,
-                kspace_stats=self._kspace_view.counters,
-            )
-            forces += ew.forces
-            e_el += ew.energy
-            self.last_ewald = ew
-        return NonbondedResult(nb.energy_lj, e_el, forces, nb.n_pairs)
+    def _run_in_process(self, rebuild: bool) -> InProcessExecutor:
+        """The outstanding evaluation's tasks — all of them — run here by
+        the loop the workers run.  The first run (construction without
+        workers, or the moment a pool is lost, possibly mid-step) builds
+        its lists from the pair list's reference snapshot — the data the
+        lost workers built theirs from."""
+        if self._local is None:
+            self._local = InProcessExecutor(self._provider)
+            rebuild = True
+        local = self._local
+        local.view("pos")[...] = self.system.positions
+        if rebuild:
+            local.view("ref")[...] = self.pairlist.ref_positions
+        local.run(rebuild, self._box_payload())
+        return local
 
     def collect(self) -> NonbondedResult:
         """Finish the outstanding evaluation: driver remainder (1-4 pass,
         Ewald real-space — overlapped with the workers), gather, reduce.
         Worker death, hang, or error during the wait is *recovered*, not
-        fatal — the result stays bit-identical; only when the whole
-        ladder is exhausted does the evaluation complete on the
-        sequential fallback."""
-        pool = self._pool
-        if pool is None or pool.pending is None:
-            if self._degraded_dispatch:
-                # dispatch() found the pool unhealable; honor the
-                # dispatch/collect pairing by serving sequentially
-                self._degraded_dispatch = False
-                return self._fallback_compute()
+        fatal; when the whole ladder is exhausted — as when no workers
+        were attached in the first place — the tasks run in-process.  The
+        result is bit-identical in every case."""
+        if self._dispatched is None:
             raise RuntimeError("collect() called without a dispatch()")
+        pool, rebuild, t_dispatch = self._dispatched
+        self._dispatched = None
         n = self.system.n_atoms
         forces = np.zeros((n, 3), dtype=np.float64)
         # overlap with the workers: the scaled 1-4 pass (and the Ewald
@@ -516,8 +420,7 @@ class ParallelNonbonded:
         )
         ew_rem = None
         if self.ewald is not None:
-            # recip=False with distributed shards: the workers are summing
-            # the reciprocal component right now
+            # recip=False with k-space shards: they are force tasks
             ew_rem = compute_ewald(
                 self.system, self.ewald, backend=self.backend,
                 recip=not self.kspace_tasks,
@@ -525,31 +428,32 @@ class ParallelNonbonded:
             )
         driver_s = time.monotonic() - t_d0
 
-        if not pool.collect():
-            # degraded to sequential mid-step: recompute the whole
-            # evaluation on the fallback path (includes the driver terms)
-            return self._fallback_compute()
-        step_wall = pool.finish_step()
+        if pool is not None and pool.collect():
+            executor = pool
+            step_wall = pool.finish_step()
+        else:
+            executor = self._run_in_process(rebuild)
+            step_wall = time.monotonic() - t_dispatch
 
         # task-ordered segment-sum reduction: bitwise independent of the
         # task→worker assignment (see module docstring)
         t_r0 = time.monotonic()
         used = int(self._offsets[-1])
-        scratch = pool.scratch[:used]
+        scratch = executor.scratch[:used]
         for k in range(3):
             forces[:, k] += np.bincount(
                 self._gather, weights=scratch[:, k], minlength=n
             )
-        stats = pool.stats[: self._n_total]
+        stats = executor.stats[: self._n_total]
         n_nb = self._n_nb
-        e_lj = float(stats[:n_nb, _STAT_E_LJ].sum())
-        e_el = float(stats[:n_nb, _STAT_E_EL].sum())
-        n_pairs = int(round(float(stats[:n_nb, _STAT_N_PAIRS].sum())))
+        e_lj = float(stats[:n_nb, STAT_E_LJ].sum())
+        e_el = float(stats[:n_nb, STAT_E_EL].sum())
+        n_pairs = int(round(float(stats[:n_nb, STAT_N_PAIRS].sum())))
         if self.bonded_tasks:
             self.last_bonded = BondedEnergies(
                 **{
                     name: float(
-                        stats[self._bonded_ids[kind], _STAT_E_LJ].sum()
+                        stats[self._bonded_ids[kind], STAT_E_LJ].sum()
                     )
                     if kind in self._bonded_ids
                     else 0.0
@@ -559,7 +463,7 @@ class ParallelNonbonded:
         e_el_total = e_el + e_el14
         if ew_rem is not None:
             e_recip = (
-                float(stats[self._kspace_ids, _STAT_E_EL].sum())
+                float(stats[self._kspace_ids, STAT_E_EL].sum())
                 if len(self._kspace_ids)
                 else ew_rem.energy_recip
             )
@@ -577,11 +481,15 @@ class ParallelNonbonded:
         # feed the measurement database and run the LB schedule
         self.workdb.record_many(
             range(self._n_total),
-            stats[:, _STAT_TIME_NS] * 1e-9,
-            pool.assignment,
+            stats[:, STAT_TIME_NS] * 1e-9,
+            executor.assignment,
         )
         self.workdb.mark_step()
-        if self.rebalance_every > 0 and self._seq % self.rebalance_every == 0:
+        if (
+            self.rebalance_every > 0
+            and executor is pool
+            and pool.seq % self.rebalance_every == 0
+        ):
             self._plan_rebalance()
         t_red = time.monotonic() - t_r0
         driver_s += t_red
@@ -610,8 +518,6 @@ class ParallelNonbonded:
 
     def compute(self) -> NonbondedResult:
         """One full force-task evaluation at the system's current positions."""
-        if not self.active:
-            return self._fallback_compute()
         self.dispatch()
         return self.collect()
 
@@ -676,14 +582,12 @@ class ParallelNonbonded:
 
     # -- measurement-based load balancing -- #
     def build_lb_problem(self):
-        """The strategy-facing problem at the current measurement state."""
-        dead = (
-            frozenset(self._pool._dead_workers)
-            if self._pool is not None
-            else frozenset()
-        )
+        """The strategy-facing problem at the current measurement state
+        (needs attached workers: the problem is their task→worker map)."""
+        pool = self._pool
         return _lb_driver.build_driver_problem(
-            self.workdb, self.n_workers, self._assignment, self._self_task_of, dead
+            self.workdb, self.n_workers, pool.assignment, self._self_task_of,
+            frozenset(pool._dead_workers),
         )
 
     def _plan_rebalance(self) -> None:
@@ -697,7 +601,8 @@ class ParallelNonbonded:
             "greedy" if self.n_rebalances == 0 else "refine"
         )
         new_assignment, record = _lb_driver.plan_rebalance(
-            self.build_lb_problem(), self._assignment, self._seq, schedule
+            self.build_lb_problem(), self._pool.assignment, self._pool.seq,
+            schedule,
         )
         self.rebalance_log.append(record)
         self.n_rebalances += 1
@@ -705,32 +610,26 @@ class ParallelNonbonded:
 
     def worker_loads(self) -> np.ndarray:
         """Predicted per-worker load (seconds/step) under the current map."""
-        if not self.active:
-            return np.zeros(1)
         return self.workdb.owner_loads(self.n_workers)
 
     # -- grainsize diagnostics -- #
     @property
     def n_parent_tasks(self) -> int:
-        """Half-shell cell tasks before grainsize splitting (0 = fallback)."""
-        return len(self._parents) if self.active else 0
+        """Half-shell cell tasks before grainsize splitting."""
+        return len(self._parents)
 
     @property
     def n_subtasks(self) -> int:
-        """Schedulable sub-tasks after grainsize splitting (0 = fallback)."""
-        return len(self._tasks) if self.active else 0
+        """Schedulable sub-tasks after grainsize splitting."""
+        return len(self._tasks)
 
     def split_report(self) -> dict:
         """Summary of the construction-time grainsize decision."""
-        parts = (
-            [n for (_a, _b, part, n) in self._tasks if part == 0]
-            if self.active
-            else []
-        )
+        parts = [n for (_a, _b, part, n) in self._tasks if part == 0]
         return {
             "grainsize_ms": self.grainsize_ms,
-            "n_parent_tasks": len(self._parents) if self.active else 0,
-            "n_subtasks": len(self._tasks) if self.active else 0,
+            "n_parent_tasks": len(self._parents),
+            "n_subtasks": len(self._tasks),
             "n_split_parents": sum(1 for p in parts if p > 1),
             "max_parts": max(parts) if parts else 0,
         }
@@ -738,18 +637,14 @@ class ParallelNonbonded:
     def close(self) -> None:
         """Stop the workers and release shared memory (idempotent; safe
         under close-during-dispatch — an outstanding evaluation is
-        dropped so a later :meth:`compute` routes to the fallback)."""
+        dropped).  The evaluator stays usable: later evaluations run the
+        same tasks in-process."""
         if self._closed:
             return
         self._closed = True
+        self._dispatched = None
         if self._pool is not None:
             self._pool.close()
-
-    def __enter__(self) -> "ParallelNonbonded":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def __del__(self) -> None:  # pragma: no cover - finalizer timing varies
         try:
@@ -759,13 +654,13 @@ class ParallelNonbonded:
 
 
 class ParallelEngine(SequentialEngine):
-    """Wall-clock-parallel MD engine, API-compatible with the sequential one.
+    """The MD engine with its force tasks on a pool of worker processes.
 
-    Only the non-bonded evaluation differs — it runs on a persistent
-    ``workers``-process pool (see the module docstring); with
-    ``workers <= 1`` the engine *is* the sequential engine.  Use as a
-    context manager — or call :meth:`close` — to stop the pool; it is
-    also stopped at interpreter exit, so stray engines never leak.
+    Everything but the constructor is :class:`~repro.md.engine.
+    SequentialEngine`: the same tasks, lists and reduction, so the
+    trajectory does not depend on ``workers``.  Use as a context manager —
+    or call :meth:`close` — to stop the pool; it is also stopped at
+    interpreter exit, so stray engines never leak.
     """
 
     def __init__(
@@ -792,22 +687,11 @@ class ParallelEngine(SequentialEngine):
         """``workers <= 0`` means one worker per CPU; the other knobs are
         those of :class:`ParallelNonbonded` / :class:`SequentialEngine`.
         ``distribute=True`` moves the bonded terms — and, with ``ewald``,
-        the reciprocal-space sum — onto the pool as additional force
-        tasks (off by default: existing configurations stay bitwise
-        unchanged)."""
-        super().__init__(
-            system, options, integrator, pairlist=VerletPairList(
-                (options or NonbondedOptions()).cutoff, skin=skin
-            ) if skin > 0 else None,
-            checkpoint_every=checkpoint_every,
-            checkpoint_path=checkpoint_path,
-            backend=backend,
-            ewald=ewald,
-        )
-        self.distribute = bool(distribute)
-        self._nb = ParallelNonbonded(
-            system,
-            self.options,
+        the reciprocal-space sum — into the force tasks (off by default:
+        existing configurations stay bitwise unchanged)."""
+        self._setup(
+            system, options, integrator, checkpoint_every, checkpoint_path,
+            backend, ewald,
             n_workers=workers,
             skin=skin,
             timeout=timeout,
@@ -818,91 +702,6 @@ class ParallelEngine(SequentialEngine):
             grainsize_ms=grainsize_ms,
             fault_plan=fault_plan,
             recovery=recovery,
-            backend=self.backend,
-            bonded=self.distribute,
-            ewald=ewald,
-            kspace=self.distribute,
+            bonded=distribute,
+            kspace=distribute,
         )
-
-    @property
-    def workers(self) -> int:
-        """Live worker-process count (1 = sequential fallback)."""
-        return self._nb.n_live if self._nb.active else 1
-
-    @property
-    def resilience(self) -> "ResilienceStats":
-        """Recovery accounting: detections, respawns, reassignments, mode."""
-        return self._nb.resilience
-
-    def _checkpoint_invalidate(self) -> None:
-        super()._checkpoint_invalidate()
-        if self._nb.active:
-            self._nb.force_rebuild_next()
-
-    @property
-    def parallel(self) -> bool:
-        """True when forces are evaluated on the worker pool."""
-        return self._nb.active
-
-    @property
-    def workdb(self):
-        """The engine's measurement database (:class:`repro.instrument.WorkDB`)."""
-        return self._nb.workdb
-
-    @property
-    def remap_steps(self) -> list[int]:
-        """Evaluation indices at which a changed task→worker map took effect."""
-        return self._nb.remap_steps
-
-    @property
-    def rebalance_log(self) -> list[dict]:
-        """One record per LB decision: strategy, moves, predicted loads."""
-        return self._nb.rebalance_log
-
-    def driver_report(self) -> dict:
-        """See :meth:`ParallelNonbonded.driver_report`."""
-        return self._nb.driver_report()
-
-    def kspace_cache_stats(self) -> dict:
-        """See :meth:`ParallelNonbonded.kspace_cache_stats`."""
-        return self._nb.kspace_cache_stats()
-
-    def clear_kspace_cache(self) -> None:
-        """See :meth:`ParallelNonbonded.clear_kspace_cache`."""
-        self._nb.clear_kspace_cache()
-
-    def compute_forces(self) -> np.ndarray:
-        """Evaluate the force field; force tasks run on the worker pool."""
-        if not self._nb.active:
-            return super().compute_forces()
-        self.system.wrap()
-        self._nb.dispatch()
-        if self.distribute:
-            # bonded terms (and the k-space sum, with Ewald) arrive inside
-            # the pool's reduced result; collect() separates their energies
-            nb = self._nb.collect()
-            forces = nb.forces
-            self._last_bonded = self._nb.last_bonded
-        else:
-            # overlap: bonded terms run on the driver while the workers
-            # evaluate the pair blocks; charge the time to the driver share
-            t0 = time.monotonic()
-            bonded_e, forces = compute_bonded(self.system, backend=self.backend)
-            self._nb.note_driver_time(time.monotonic() - t0)
-            nb = self._nb.collect()
-            forces += nb.forces
-            self._last_bonded = bonded_e
-        self._last_nonbonded = nb
-        self._last_ewald = self._nb.last_ewald
-        return forces
-
-    def close(self) -> None:
-        """Shut down the worker pool (idempotent; engine stays usable —
-        subsequent steps run on the sequential fallback path)."""
-        self._nb.close()
-
-    def __enter__(self) -> "ParallelEngine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -21,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend import get_backend
-from repro.backend.reference import _BINCOUNT_MIN_FILL  # noqa: F401  (back-compat)
 
 __all__ = ["segment_add", "accumulate_pair_forces"]
 

@@ -39,6 +39,7 @@ pair/term/k-vector count; the driver separates them by task-id range.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -385,14 +386,17 @@ def eval_xtask(system, entry, ewald_cfg, block, backend):
 # the TaskProvider / TaskEvaluator pair
 # --------------------------------------------------------------------------- #
 class ForceTaskEvaluator:
-    """Worker-process-side evaluator of the MD force tasks.
+    """The evaluator of the MD force tasks — the engines' one non-bonded
+    implementation.
 
-    Built by :meth:`ForceTaskProvider.make_evaluator` inside each worker.
-    The worker's system aliases the shared ``"pos"`` segment (the driver
-    owns the contents and guarantees they are wrapped before each
-    command); :meth:`rebuild` temporarily aliases the ``"ref"`` segment so
+    Built by :meth:`ForceTaskProvider.make_evaluator`, inside each pool
+    worker or, for an engine without workers, in the driver process by
+    :class:`repro.pool.InProcessExecutor`.  It works on a private shallow
+    copy of the system whose positions alias the ``"pos"`` view (the
+    driver owns the contents and guarantees they are wrapped before each
+    step); :meth:`rebuild` temporarily aliases the ``"ref"`` view so
     binning and pair-list construction are independent of *when* this
-    worker (re)built.  Bonded group energies land in the first stats
+    evaluator (re)built.  Bonded group energies land in the first stats
     column, shard energies in the second; the per-worker stats row gets
     the process-local k-space table cache counters (as deltas from the
     spawn-time baseline — under fork the child inherits the parent's
@@ -406,7 +410,8 @@ class ForceTaskEvaluator:
         # this worker runs the same kernels for its whole life
         self.backend = get_backend(provider.backend_name)
         self.provider = provider
-        self.system = provider.system
+        # a copy: in-process the provider's system is the engine's own
+        self.system = copy.copy(provider.system)
         self.positions = views["pos"]
         self.ref_positions = views["ref"]
         self.system.positions = self.positions
@@ -532,16 +537,28 @@ class ForceTaskProvider:
     def layout(self, positions, box) -> tuple[np.ndarray, np.ndarray]:
         """Driver-side reduction layout for the given reference positions.
 
-        Must match the workers' blocks: both bin the same published
-        reference positions with the same grid.
+        Must match the evaluators' blocks: both bin the same reference
+        positions with the same grid.  The grid is fixed for the
+        provider's life, so a changed box is only admissible while its
+        cells still cover the list cutoff.
         """
         from repro.core.decomposition import bin_atoms
 
-        _, flat, buckets = bin_atoms(
-            positions,
-            np.asarray(box, dtype=np.float64),
-            np.asarray(self.dims, dtype=np.int64),
-        )
+        box = np.asarray(box, dtype=np.float64)
+        dims = np.asarray(self.dims, dtype=np.int64)
+        edge = box / dims
+        if np.any((dims > 1) & (edge < self.r_list)):
+            raise RuntimeError(
+                f"box {box.tolist()} shrank below the task grid's "
+                f"coverage (edge {edge.tolist()} < cutoff+skin {self.r_list}); "
+                "recreate the engine for the new box"
+            )
+        if len(positions) != self.system.n_atoms:
+            raise RuntimeError(
+                "atom count changed under the force tasks; "
+                "recreate the engine"
+            )
+        _, flat, buckets = bin_atoms(positions, box, dims)
         xrows: list = []
         if self.xtasks:
             _, xrows = xtask_rows(
@@ -563,10 +580,7 @@ class ForceTaskSpec:
     """
 
     provider: ForceTaskProvider
-    box: np.ndarray
-    dims_array: np.ndarray
     parents: list[tuple[int, int]]
-    n_cells: int
     sub_cost_arr: np.ndarray
     sub_parents: list[int]
     x_costs: list[float]
@@ -584,6 +598,7 @@ def build_force_tasks(
     options: NonbondedOptions,
     *,
     skin: float,
+    n_workers: int,
     grainsize_ms: float = 0.0,
     cost_model=None,
     bonded: bool = False,
@@ -595,13 +610,13 @@ def build_force_tasks(
 
     Builds the half-shell cell grid sized to ``cutoff + skin``, seeds
     per-task costs from the cost model (the paper's "before the first
-    measurement" rule), applies grainsize splitting from the deterministic
+    measurement" rule; skipped when ``n_workers == 1`` leaves nothing to
+    partition), applies grainsize splitting from the deterministic
     prior, and appends the bonded groups and k-space shards.  Everything
     is decided here, once — the structure never depends on the worker
     count or on measurements.  Construction must not mutate the caller's
-    system (the sequential engine's does not): the grid build and cost
-    model see a wrapped *copy*; the engines wrap before every dispatch as
-    usual.
+    system: the grid build and cost model see a wrapped *copy*; the
+    engines wrap before every dispatch as usual.
     """
     from repro.core.decomposition import bin_atoms
     from repro.costmodel.model import estimate_block_costs
@@ -624,14 +639,19 @@ def build_force_tasks(
         from repro.core.simulation import DEFAULT_COST_MODEL
 
         model = DEFAULT_COST_MODEL
-    costs = estimate_block_costs(
-        wrapped,
-        box,
-        options.cutoff,
-        buckets,
-        parents,
-        model=model,
-    )
+    if grainsize_ms > 0 or n_workers > 1:
+        costs = estimate_block_costs(
+            wrapped,
+            box,
+            options.cutoff,
+            buckets,
+            parents,
+            model=model,
+        )
+    else:
+        # one executor and nothing to split: no one reads the prior, and
+        # counting in-cutoff pairs per block is most of this function
+        costs = np.ones(len(parents))
 
     # grainsize control (§4.2.1–2): split oversized parents into row
     # stripes — structure decided here, once, from the deterministic
@@ -738,10 +758,7 @@ def build_force_tasks(
             bonded_ids.setdefault(xt[1], []).append(t)
     return ForceTaskSpec(
         provider=provider,
-        box=box.copy(),
-        dims_array=dims,
         parents=parents,
-        n_cells=n_cells,
         sub_cost_arr=sub_cost_arr,
         sub_parents=sub_parents,
         x_costs=x_costs,

@@ -4,7 +4,9 @@ A reusable process-pool layer extracted from the MD parallel engine:
 worker supervision (spawn/respawn with pipes and sentinels), a
 collision-free shared-memory segment registry, an epoch'd
 dispatch/collect step protocol with per-task timing, deterministic
-fault injection, and the respawn → reassign → degrade recovery ladder.
+fault injection, the respawn → reassign → degrade recovery ladder, and an
+in-process executor that runs the same tasks through the same per-step
+loop when no workers are attached.
 
 The runtime is domain-agnostic: it schedules opaque task ids described
 by a :class:`TaskProvider` (see :mod:`repro.pool.protocol`) and imports
@@ -36,6 +38,7 @@ from repro.pool.resilience import (
     WorkerKill,
 )
 from repro.pool.runtime import (
+    InProcessExecutor,
     SupervisedPool,
     normalize_slowdown,
     slowdown_factor,
@@ -50,6 +53,7 @@ __all__ = [
     "HAS_POSIX_SIGNALS",
     "HAS_SHARED_MEMORY",
     "FaultInjector",
+    "InProcessExecutor",
     "RecoveryEventLog",
     "RecoveryPolicy",
     "ResilienceStats",

@@ -264,8 +264,8 @@ class RecoveryPolicy:
     reassigned to survivors through the WorkDB → LBProblem path (the same
     ``dead_procs`` marking the simulated balancer uses).  When no workers
     survive — or one evaluation needs more than ``max_recovery_rounds``
-    recovery episodes — the pool degrades to the sequential path instead
-    of raising.
+    recovery episodes — the pool degrades (closes; its client runs the
+    tasks in-process) instead of raising.
 
     ``hang_timeout_s`` is the no-progress threshold after which a live but
     silent worker is declared hung and killed; ``None`` derives it per step

@@ -30,7 +30,8 @@ ids.  It owns:
   then permanent reassignment of the dead slot's tasks to survivors
   (via a client-supplied ``reassign`` hook or a deterministic built-in),
   and finally *degradation*: the pool closes and reports failure so the
-  client can serve the evaluation some other way instead of raising.
+  client can run the tasks on an :class:`InProcessExecutor` instead of
+  raising.
 * **Deterministic fault injection** — a
   :class:`~repro.pool.resilience.WorkerFaultPlan` fired against the
   pool's own children right after each dispatch, plus measured
@@ -55,6 +56,7 @@ import traceback
 import warnings
 import weakref
 from collections import defaultdict
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -82,6 +84,7 @@ from repro.pool.segments import (
 
 __all__ = [
     "HAS_SHARED_MEMORY",
+    "InProcessExecutor",
     "SupervisedPool",
     "normalize_slowdown",
     "slowdown_factor",
@@ -156,6 +159,108 @@ def slowdown_factor(
 
 
 # --------------------------------------------------------------------------- #
+# the per-step task loop, shared by pool workers and the in-process executor
+# --------------------------------------------------------------------------- #
+@dataclass
+class StepState:
+    """What one task executor carries from step to step."""
+
+    worker_id: int
+    assignment: np.ndarray
+    slow_windows: list = field(default_factory=list)
+    my_tasks: list[int] = field(default_factory=list)
+    offsets: np.ndarray | None = None
+
+
+def run_step(
+    evaluator, state, scratch, stats, seq, rebuild, payload, new_assignment=None
+) -> None:
+    """One evaluation of ``state.worker_id``'s tasks into ``scratch``/``stats``.
+
+    The calling order of :mod:`repro.pool.protocol` — ``begin_step``,
+    ``rebuild`` when asked for or when the assignment changed, ``eval_task``
+    per owned task with its wall time (slowdown injection inclusive),
+    ``end_step`` with the executor's private stats row.  A pool worker runs
+    it on shared-memory views, :class:`InProcessExecutor` on plain arrays;
+    nothing else differs between the two.
+    """
+    n_tasks = len(state.assignment)
+    perf = time.perf_counter_ns
+    evaluator.begin_step(payload)
+    changed = False
+    if new_assignment is not None:
+        new_assignment = np.asarray(new_assignment, dtype=np.int64)
+        changed = not np.array_equal(new_assignment, state.assignment)
+        state.assignment = new_assignment
+    if rebuild or changed or state.offsets is None:
+        state.my_tasks = np.flatnonzero(
+            state.assignment == state.worker_id
+        ).tolist()
+        state.offsets = np.asarray(
+            evaluator.rebuild(state.my_tasks), dtype=np.int64
+        )
+    offsets = state.offsets
+    factor = slowdown_factor(state.slow_windows, seq)
+    for t in state.my_tasks:
+        t0 = perf()
+        block = scratch[offsets[t] : offsets[t + 1]]
+        block[...] = 0.0
+        v0, v1, v2 = evaluator.eval_task(t, block)
+        elapsed = perf() - t0
+        if factor > 1.0:
+            # busy-spin: the CPU "runs factor times slower", so
+            # the extra time is real, measurable load
+            target = t0 + elapsed * factor
+            while perf() < target:
+                pass
+            elapsed = perf() - t0
+        stats[t, STAT_V0] = v0
+        stats[t, STAT_V1] = v1
+        stats[t, STAT_V2] = v2
+        stats[t, STAT_TIME_NS] = elapsed
+    evaluator.end_step(stats[n_tasks + state.worker_id])
+
+
+class InProcessExecutor:
+    """Every task of a provider, evaluated in the calling process.
+
+    The worker-less twin of :class:`SupervisedPool`: the same ``scratch`` /
+    ``stats`` / :meth:`view` surface over plain arrays and the same
+    :func:`run_step`, so a client reduces either result with the same code
+    and gets the same bits.
+    """
+
+    def __init__(self, provider: TaskProvider) -> None:
+        n_tasks = int(provider.n_tasks)
+        self.scratch = np.zeros(provider.scratch_shape(), dtype=np.float64)
+        self.stats = np.zeros((n_tasks + 1, STAT_COLS), dtype=np.float64)
+        self._views = {
+            label: np.zeros(shape, dtype=np.dtype(dtype))
+            for label, (shape, dtype) in provider.segments().items()
+        }
+        self._evaluator = provider.make_evaluator(
+            0, 1, {**self._views, "scratch": self.scratch, "stats": self.stats}
+        )
+        self._state = StepState(0, np.zeros(n_tasks, dtype=np.int64))
+
+    @property
+    def assignment(self) -> np.ndarray:
+        """The task→executor map: every task on executor 0."""
+        return self._state.assignment
+
+    def view(self, label: str) -> np.ndarray:
+        """The provider data segment ``label`` (a plain array here)."""
+        return self._views[label]
+
+    def run(self, rebuild: bool, payload) -> None:
+        """Evaluate all tasks once; ``payload`` goes to ``begin_step``."""
+        run_step(
+            self._evaluator, self._state, self.scratch, self.stats,
+            0, rebuild, payload,
+        )
+
+
+# --------------------------------------------------------------------------- #
 # worker side: the generic command loop
 # --------------------------------------------------------------------------- #
 def _pool_worker_main(
@@ -173,10 +278,9 @@ def _pool_worker_main(
 ):
     """Worker loop: attach shared segments, then serve step/stop commands.
 
-    All domain work is delegated to the provider's evaluator; this loop
-    owns the protocol (epochs, acks, error replies), the rebuild
-    trigger, per-task timing, and slowdown injection.  See
-    :mod:`repro.pool.protocol` for the exact calling order.
+    All domain work is delegated to the provider's evaluator and the step
+    body to :func:`run_step`; this loop owns the protocol (epochs, acks,
+    error replies).
     """
     segs = {label: attach_segment(name) for label, name in seg_names.items()}
     scratch = np.ndarray(
@@ -193,10 +297,9 @@ def _pool_worker_main(
             shape, dtype=np.dtype(dtype), buffer=segs[label].buf
         )
     evaluator = provider.make_evaluator(worker_id, n_workers, views)
-    assignment = np.asarray(assignment, dtype=np.int64)
-    my_tasks: list[int] = []
-    offsets = None
-    perf = time.perf_counter_ns
+    state = StepState(
+        worker_id, np.asarray(assignment, dtype=np.int64), slow_windows
+    )
     try:
         while True:
             try:
@@ -208,38 +311,10 @@ def _pool_worker_main(
             seq = epoch = -1
             try:
                 _, seq, epoch, rebuild, payload, new_assignment = cmd
-                evaluator.begin_step(payload)
-                changed = False
-                if new_assignment is not None:
-                    new_assignment = np.asarray(new_assignment, dtype=np.int64)
-                    changed = not np.array_equal(new_assignment, assignment)
-                    assignment = new_assignment
-                if rebuild or changed or offsets is None:
-                    my_tasks = np.flatnonzero(
-                        assignment == worker_id
-                    ).tolist()
-                    offsets = np.asarray(
-                        evaluator.rebuild(my_tasks), dtype=np.int64
-                    )
-                factor = slowdown_factor(slow_windows, seq)
-                for t in my_tasks:
-                    t0 = perf()
-                    block = scratch[offsets[t] : offsets[t + 1]]
-                    block[...] = 0.0
-                    v0, v1, v2 = evaluator.eval_task(t, block)
-                    elapsed = perf() - t0
-                    if factor > 1.0:
-                        # busy-spin: the CPU "runs factor times slower", so
-                        # the extra time is real, measurable load
-                        target = t0 + elapsed * factor
-                        while perf() < target:
-                            pass
-                        elapsed = perf() - t0
-                    stats[t, STAT_V0] = v0
-                    stats[t, STAT_V1] = v1
-                    stats[t, STAT_V2] = v2
-                    stats[t, STAT_TIME_NS] = elapsed
-                evaluator.end_step(stats[n_tasks + worker_id])
+                run_step(
+                    evaluator, state, scratch, stats,
+                    seq, rebuild, payload, new_assignment,
+                )
                 res_conn.send(("ok", worker_id, seq, epoch))
             except Exception:
                 try:
@@ -343,6 +418,7 @@ class SupervisedPool:
         self._step_wall_ewma = 0.0
         self._recovery_rounds = 0
         self._last_reassign_moved = 0
+        self._unsent_reassignment = False
         self._degraded_reason: str | None = None
         self._closed = False
 
@@ -570,6 +646,11 @@ class SupervisedPool:
         self._seq += 1
         if new_assignment is not None:
             self._assignment = np.asarray(new_assignment, dtype=np.int64)
+        elif self._unsent_reassignment:
+            # a worker found dead between steps: the survivors that took
+            # its tasks learn of them now (a changed map makes them rebuild)
+            new_assignment = self._assignment
+        self._unsent_reassignment = False
         self._pending = self._seq
         self._payload = payload
         self._acked = set()
@@ -911,6 +992,8 @@ class SupervisedPool:
             # survivors that did not gain tasks still need the new map for
             # their *next* rebuild; it rides along at the next rebuild via
             # the normal assignment payload (their current blocks are valid)
+        else:
+            self._unsent_reassignment = True
         return True
 
     def _degrade(self, reason: str) -> bool:
@@ -932,7 +1015,7 @@ class SupervisedPool:
         )
         self._degraded_reason = reason
         warnings.warn(
-            f"parallel worker pool degraded to the sequential path: {reason}",
+            f"worker pool degraded ({reason}); its tasks continue in-process",
             RuntimeWarning,
             stacklevel=4,
         )

@@ -19,8 +19,8 @@ an atomic ``.npz`` snapshot of the dynamical state (positions, velocities,
 forces, box, step counter) written through
 :func:`repro.util.atomic_write_bytes`, so a run killed mid-write never
 corrupts its restart file.  The bit-identical-resume contract: writing a
-checkpoint pins a pair-list rebuild at the *next* evaluation (the engine's
-``_checkpoint_invalidate``), and :func:`restore_run_checkpoint` pins the
+checkpoint pins a pair-list rebuild at the *next* evaluation (the engine
+invalidates its ``pairlist``), and :func:`restore_run_checkpoint` pins the
 same rebuild in the resumed engine — so the original run past the
 checkpoint and the resumed run share the rebuild schedule step for step,
 which with the engines' deterministic reductions gives bit-identical
@@ -348,15 +348,13 @@ class RunCheckpoint:
 def save_run_checkpoint(path, engine) -> RunCheckpoint:
     """Atomically write ``engine``'s current state as a run checkpoint.
 
-    The engine is any :class:`repro.md.engine.SequentialEngine` (including
-    the parallel subclass).  The write is atomic (same-directory temp file,
+    The engine is any :class:`repro.md.engine.SequentialEngine`.  The write is atomic (same-directory temp file,
     fsync, rename), so a crash mid-checkpoint leaves the previous complete
     checkpoint in place — the disk analog of keeping the older cut in
     double checkpointing.
     """
     from repro.util import atomic_write_bytes
 
-    nb = getattr(engine, "_nb", None)
     cp = RunCheckpoint(
         step=int(engine.current_step),
         positions=np.asarray(engine.system.positions, dtype=np.float64).copy(),
@@ -367,7 +365,7 @@ def save_run_checkpoint(path, engine) -> RunCheckpoint:
             else None
         ),
         box=np.asarray(engine.system.box, dtype=np.float64).copy(),
-        nb_seq=int(nb._seq) if nb is not None and nb.active else 0,
+        nb_seq=engine._nb.seq,
     )
     atomic_write_bytes(path, cp.to_npz_bytes())
     return cp
@@ -416,9 +414,7 @@ def restore_run_checkpoint(engine, cp: RunCheckpoint) -> None:
     engine._last_nonbonded = None
     engine._last_bonded = None
     engine._last_ewald = None
-    nb = getattr(engine, "_nb", None)
-    if nb is not None and nb.active:
-        # align the pool's evaluation counter so step-indexed events
-        # (LB remaps force rebuilds) land on the same absolute steps
-        nb._seq = int(cp.nb_seq)
-    engine._checkpoint_invalidate()
+    # align the pool's evaluation counter so step-indexed events
+    # (LB remaps force rebuilds) land on the same absolute steps
+    engine._nb.seq = cp.nb_seq
+    engine.pairlist.invalidate()

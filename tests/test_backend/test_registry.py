@@ -179,18 +179,13 @@ class TestSelfCheck:
 # duplicated constants (cycle-free import discipline)
 # --------------------------------------------------------------------- #
 class TestConstantGuards:
-    """repro.backend must not import repro.md, so two md constants are
-    duplicated in the reference module; these guards pin them together."""
+    """repro.backend must not import repro.md, so an md constant is
+    duplicated in the reference module; this guard pins the two together."""
 
     def test_coulomb_constant_matches_md(self):
         from repro.md.constants import COULOMB_CONSTANT
 
         assert ref.COULOMB_CONSTANT == COULOMB_CONSTANT
-
-    def test_bincount_heuristic_matches_scatter(self):
-        from repro.md import scatter
-
-        assert scatter._BINCOUNT_MIN_FILL == ref._BINCOUNT_MIN_FILL
 
     def test_backend_package_imports_standalone(self):
         # the real check is in the subprocess-free form: the package's own

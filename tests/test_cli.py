@@ -37,8 +37,8 @@ class TestCommands:
              "--pairlist-skin", "0"]
         ) == 0
         out = capsys.readouterr().out
-        assert "pairlist:" not in out
-        assert len(out.strip().splitlines()) == 4
+        # no reuse: every evaluation (the initial one + 3 steps) rebuilds
+        assert "pairlist: 4 builds, reuse fraction 0.00" in out
 
     def test_md_rejects_negative_skin(self):
         with pytest.raises(SystemExit):
@@ -123,3 +123,26 @@ class TestResilienceFlags:
         path.write_bytes(b"garbage")
         with pytest.raises(SystemExit, match="resume"):
             main(self.MD27 + ["--resume", "--checkpoint-path", str(path)])
+
+
+class TestServe:
+    def test_serve_restores_signal_handlers(self, monkeypatch, tmp_path, capsys):
+        # regression: cmd_serve installed SIGINT/SIGTERM handlers bound to
+        # its server and left them in place after the server was gone
+        import signal
+
+        from repro.service import ServiceServer
+
+        signums = (signal.SIGINT, signal.SIGTERM)
+        while_serving = []
+
+        def wait(self, timeout=None):
+            while_serving.extend(signal.getsignal(s) for s in signums)
+            return True
+
+        monkeypatch.setattr(ServiceServer, "wait", wait)
+        before = [signal.getsignal(s) for s in signums]
+        assert main(["serve", "--port", "0", "--workdir", str(tmp_path)]) == 0
+        assert "service stopped" in capsys.readouterr().out
+        assert all(h not in before for h in while_serving)  # were installed
+        assert [signal.getsignal(s) for s in signums] == before

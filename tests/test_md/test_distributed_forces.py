@@ -1,9 +1,10 @@
 """Distributed bonded and Ewald k-space force tasks.
 
 The generalized force-task protocol moves bonded term groups and the Ewald
-reciprocal sum onto the worker pool.  Coverage here: cross-engine agreement
-with full electrostatics at several worker counts (1e-9 vs the sequential
-engine), bit-identical repeats and worker-count invariance, bit-identical
+reciprocal sum onto the worker pool.  Coverage here: agreement with the
+reference functions under full electrostatics at several worker counts
+(1e-9; see ``oracle.py``), distribution on against off, bit-identical
+repeats and worker-count invariance, bit-identical
 recovery after a mid-run worker kill (respawn and reassignment rungs), and
 bit-identical resume from a run checkpoint — plus unit tests for the task
 decomposition helpers and the ``make_engine`` keyword normalization.
@@ -19,13 +20,12 @@ from repro.md.bonded import BONDED_KINDS, bonded_term_arrays
 from repro.md.engine import SequentialEngine, make_engine
 from repro.md.ewald import EwaldOptions, _kspace_tables, compute_ewald
 from repro.md.nonbonded import NonbondedOptions
-from repro.md.parallel import (
-    HAS_SHARED_MEMORY,
-    ParallelEngine,
-    _kspace_shards,
-    _xtask_rows,
-)
-from repro.md.resilience import RecoveryPolicy
+from repro.md.parallel import HAS_SHARED_MEMORY, ParallelEngine
+from repro.md.tasks import kspace_shards as _kspace_shards
+from repro.md.tasks import xtask_rows as _xtask_rows
+from repro.pool import RecoveryPolicy
+
+from .oracle import assert_matches_reference
 
 pytestmark = pytest.mark.skipif(
     not HAS_SHARED_MEMORY, reason="platform lacks multiprocessing.shared_memory"
@@ -48,53 +48,32 @@ def run_trajectory(engine, n_steps=3):
 
 
 class TestCrossEngineAgreement:
-    """Distributed bonded + k-space vs the sequential engine at 1e-9."""
+    """Distributed bonded + k-space against the reference functions at
+    1e-9, and against the same engine with distribution off."""
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_forces_and_energies_with_ewald(self, workers):
-        base = fresh_water()
-        seq = SequentialEngine(base.copy(), OPTS, pairlist=None, ewald=EWALD)
-        f_ref = seq.compute_forces()
-        rep_ref = seq.report()
-
         with ParallelEngine(
-            base.copy(), OPTS, workers=workers, ewald=EWALD, distribute=True
+            fresh_water(), OPTS, workers=workers, ewald=EWALD, distribute=True
         ) as eng:
             assert eng.parallel
-            f_par = eng.compute_forces()
-            rep_par = eng.report()
-        scale = np.abs(f_ref).max()
-        assert np.allclose(f_par, f_ref, rtol=1e-9, atol=1e-9 * scale)
-        assert rep_par.lj == pytest.approx(rep_ref.lj, rel=1e-9)
-        assert rep_par.elec == pytest.approx(rep_ref.elec, rel=1e-9)
-        assert rep_par.bonded.total == pytest.approx(
-            rep_ref.bonded.total, rel=1e-9
-        )
+            assert_matches_reference(eng)
 
     def test_all_bonded_kinds_on_the_assembly(self, assembly):
         """Dihedrals and impropers (present in the protein) distribute too."""
-        opts = NonbondedOptions(cutoff=8.0)
-        seq = SequentialEngine(assembly.copy(), opts, pairlist=None)
-        f_ref = seq.compute_forces()
-        rep_ref = seq.report()
-        assert rep_ref.bonded.dihedral != 0.0  # the case exercises them
-
         with ParallelEngine(
-            assembly.copy(), opts, workers=3, distribute=True
+            assembly.copy(), NonbondedOptions(cutoff=8.0), workers=3,
+            distribute=True,
         ) as eng:
             assert eng.parallel
-            f_par = eng.compute_forces()
-            rep_par = eng.report()
-        scale = np.abs(f_ref).max()
-        assert np.allclose(f_par, f_ref, rtol=1e-9, atol=1e-9 * scale)
-        for name in ("bond", "angle", "dihedral", "improper"):
-            assert getattr(rep_par.bonded, name) == pytest.approx(
-                getattr(rep_ref.bonded, name), rel=1e-9, abs=1e-12
-            )
+            assert_matches_reference(eng)
+            assert eng.report().bonded.dihedral != 0.0  # the case has them
 
     def test_trajectory_tracks_sequential(self):
+        """Bonded groups and k-space shards reduce in another order than
+        the driver's own sums: 1e-9, not bits."""
         p_seq, r_seq = run_trajectory(
-            SequentialEngine(fresh_water(), OPTS, pairlist=None, ewald=EWALD)
+            SequentialEngine(fresh_water(), OPTS, skin=0.0, ewald=EWALD)
         )
         p_par, r_par = run_trajectory(
             ParallelEngine(
@@ -106,9 +85,10 @@ class TestCrossEngineAgreement:
         assert r_par.total == pytest.approx(r_seq.total, rel=1e-9)
 
     def test_ewald_without_distribution_also_agrees(self):
-        """distribute=False keeps the full Ewald sum on the driver."""
+        """distribute=False keeps the full Ewald sum on the driver — the
+        very computation of the engine without workers."""
         p_seq, r_seq = run_trajectory(
-            SequentialEngine(fresh_water(), OPTS, pairlist=None, ewald=EWALD)
+            SequentialEngine(fresh_water(), OPTS, skin=0.0, ewald=EWALD)
         )
         p_par, r_par = run_trajectory(
             ParallelEngine(
@@ -116,8 +96,8 @@ class TestCrossEngineAgreement:
                 ewald=EWALD, distribute=False,
             )
         )
-        assert np.allclose(p_par, p_seq, rtol=0, atol=1e-9)
-        assert r_par.total == pytest.approx(r_seq.total, rel=1e-9)
+        assert np.array_equal(p_par, p_seq)
+        assert r_par.total == r_seq.total
 
 
 class TestDeterminism:
@@ -284,9 +264,9 @@ class TestEngineFactory:
     def test_sequential_honours_skin(self):
         s = fresh_water()
         eng = make_engine(s, OPTS, workers=1, skin=2.5)
-        assert eng.pairlist is not None and eng.pairlist.skin == 2.5
+        assert eng.pairlist.skin == 2.5
         eng = make_engine(s, OPTS, workers=1, skin=0.0)
-        assert eng.pairlist is None
+        assert eng.pairlist.skin == 0.0
 
     def test_sequential_accepts_checkpoint_kwargs(self, tmp_path):
         s = fresh_water()

@@ -62,13 +62,15 @@ class TestEngine:
 
         auto = SequentialEngine(water64.copy(), NonbondedOptions(cutoff=6.0))
         assert isinstance(auto.pairlist, VerletPairList)
-        assert auto.pairlist.cutoff == 6.0
-        off = SequentialEngine(
-            water64.copy(), NonbondedOptions(cutoff=6.0), pairlist=None
-        )
-        assert off.pairlist is None
+        assert auto.pairlist.cutoff == 6.0 and auto.pairlist.skin == 1.5
+        system = water64.copy()
+        system.assign_velocities(300.0, seed=1)
+        off = SequentialEngine(system, NonbondedOptions(cutoff=6.0), skin=0.0)
+        off.run(3)
+        # skin 0 opts out of reuse: every evaluation rebuilds the lists
+        assert off.pairlist.n_builds == 4 and off.pairlist.n_reuses == 0
         with pytest.raises(ValueError):
-            SequentialEngine(water64.copy(), pairlist="bogus")
+            SequentialEngine(water64.copy(), skin=-1.0)
 
 
 class CopyingVerlet(VelocityVerlet):
@@ -93,8 +95,8 @@ class TestForceFnHonorsPositions:
         a.assign_velocities(300.0, seed=2)
         b = a.copy()
         opts = NonbondedOptions(cutoff=5.0, switch_dist=4.0)
-        e_ref = SequentialEngine(a, opts, VelocityVerlet(dt=0.5), pairlist=None)
-        e_copy = SequentialEngine(b, opts, CopyingVerlet(dt=0.5), pairlist=None)
+        e_ref = SequentialEngine(a, opts, VelocityVerlet(dt=0.5), skin=0.0)
+        e_copy = SequentialEngine(b, opts, CopyingVerlet(dt=0.5), skin=0.0)
         for _ in range(5):
             r_ref = e_ref.step()
             r_copy = e_copy.step()

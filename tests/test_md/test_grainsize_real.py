@@ -15,16 +15,13 @@ from repro.builder import small_water_box
 from repro.core.decomposition import bin_atoms
 from repro.instrument import WorkDB
 from repro.md.cells import CellGrid
-from repro.md.engine import SequentialEngine
 from repro.md.nonbonded import NonbondedOptions
-from repro.md.parallel import (
-    HAS_SHARED_MEMORY,
-    ParallelEngine,
-    ParallelNonbonded,
-    _build_task_lists,
-    _scratch_rows_bound,
-    _task_layout,
-)
+from repro.md.parallel import HAS_SHARED_MEMORY, ParallelEngine, ParallelNonbonded
+from repro.md.tasks import build_task_lists as _build_task_lists
+from repro.md.tasks import scratch_rows_bound as _scratch_rows_bound
+from repro.md.tasks import task_layout as _task_layout
+
+from .oracle import assert_matches_reference
 
 pytestmark = pytest.mark.skipif(
     not HAS_SHARED_MEMORY, reason="platform lacks multiprocessing.shared_memory"
@@ -153,18 +150,13 @@ class TestPairSetPartition:
 
 class TestSplitEngine:
     def test_split_forces_match_sequential(self, water600):
-        ref_eng = SequentialEngine(water600.copy(), OPTS, pairlist=None)
-        f_ref = ref_eng.compute_forces()
-        sys_par = water600.copy()
         with ParallelEngine(
-            sys_par, options=OPTS, workers=3, grainsize_ms=1.0
+            water600.copy(), options=OPTS, workers=3, grainsize_ms=1.0
         ) as eng:
             assert eng.parallel
             rep = eng._nb.split_report()
             assert rep["n_subtasks"] > rep["n_parent_tasks"] > 0
-            f_par = eng.compute_forces()
-        scale = np.abs(f_ref).max()
-        assert np.allclose(f_par, f_ref, rtol=1e-9, atol=1e-9 * scale)
+            assert_matches_reference(eng)
 
     def test_split_repeat_runs_bit_identical(self, water600):
         trajectories = []
@@ -207,15 +199,12 @@ class TestSplitEngine:
         assert remaps0 == remaps1
 
     def test_split_enables_pool_on_single_cell_box(self):
-        # a box with one task cell used to force the sequential fallback;
+        # a box with one task cell gets no pool (nothing to distribute);
         # splitting turns the lone self task into schedulable slices
         s = small_water_box(200, seed=7, relax=False)
-        ref = SequentialEngine(s.copy(), OPTS, pairlist=None).compute_forces()
         with ParallelEngine(s, options=OPTS, workers=3, grainsize_ms=1.0) as eng:
             assert eng.parallel
-            f = eng.compute_forces()
-        scale = np.abs(ref).max()
-        assert np.allclose(f, ref, rtol=1e-9, atol=1e-9 * scale)
+            assert_matches_reference(eng)
 
     def test_grainsize_validation(self, water600):
         with pytest.raises(ValueError, match="grainsize_ms"):

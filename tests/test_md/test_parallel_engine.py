@@ -1,9 +1,10 @@
 """The real shared-memory parallel engine.
 
-Cross-engine agreement (parallel == sequential within 1e-9 at every worker
-count), determinism (same worker count -> bit-identical trajectories), NVE
-energy conservation on the parallel path, and pool lifecycle (fallback,
-close, context manager).
+Agreement with the reference functions (1e-9 at every worker count; see
+``oracle.py``), determinism (same worker count -> bit-identical
+trajectories), NVE energy conservation on the pool, and pool lifecycle
+(no pool, close, context manager): without workers the same tasks run
+in-process, bit-identically.
 """
 
 import time
@@ -21,8 +22,10 @@ from repro.md.parallel import (
     HAS_SHARED_MEMORY,
     ParallelEngine,
     ParallelNonbonded,
-    _contiguous_partition,
 )
+from repro.pool import contiguous_partition as _contiguous_partition
+
+from .oracle import assert_matches_reference
 
 pytestmark = pytest.mark.skipif(
     not HAS_SHARED_MEMORY, reason="platform lacks multiprocessing.shared_memory"
@@ -37,57 +40,30 @@ def water600():
     return small_water_box(600, seed=7, relax=False)
 
 
-def sequential_reference(system, options=OPTS):
-    eng = SequentialEngine(system.copy(), options, pairlist=None)
-    forces = eng.compute_forces()
-    return forces, eng.report()
-
-
 class TestCrossEngineAgreement:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_water_box_forces_and_energies(self, water600, workers):
-        f_ref, rep_ref = sequential_reference(water600)
-        sys_par = water600.copy()
-        with ParallelEngine(sys_par, options=OPTS, workers=workers) as eng:
-            if workers > 1:
-                assert eng.parallel and eng.workers == workers
-            f_par = eng.compute_forces()
-            rep_par = eng.report()
-        scale = np.abs(f_ref).max()
-        assert np.allclose(f_par, f_ref, rtol=1e-9, atol=1e-9 * scale)
-        assert rep_par.lj == pytest.approx(rep_ref.lj, rel=1e-9)
-        assert rep_par.elec == pytest.approx(rep_ref.elec, rel=1e-9)
-        assert rep_par.n_pairs == rep_ref.n_pairs
+        with ParallelEngine(water600.copy(), options=OPTS, workers=workers) as eng:
+            assert eng.parallel == (workers > 1) and eng.workers == workers
+            assert_matches_reference(eng)
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_protein_ion_assembly(self, assembly, workers):
-        f_ref, rep_ref = sequential_reference(assembly)
-        sys_par = assembly.copy()
-        with ParallelEngine(sys_par, options=OPTS, workers=workers) as eng:
+        with ParallelEngine(assembly.copy(), options=OPTS, workers=workers) as eng:
             assert eng.parallel
-            f_par = eng.compute_forces()
-            rep_par = eng.report()
-        scale = np.abs(f_ref).max()
-        assert np.allclose(f_par, f_ref, rtol=1e-9, atol=1e-9 * scale)
-        assert rep_par.lj == pytest.approx(rep_ref.lj, rel=1e-9)
-        assert rep_par.elec == pytest.approx(rep_ref.elec, rel=1e-9)
-        assert rep_par.n_pairs == rep_ref.n_pairs
+            assert_matches_reference(eng)
 
     def test_agreement_holds_across_steps(self, water600):
-        """Pairlist reuse and rebuilds on both paths stay in agreement."""
-        a = water600.copy()
-        b = water600.copy()
-        a.assign_velocities(300.0, seed=5)
-        b.assign_velocities(300.0, seed=5)
-        seq = SequentialEngine(a, OPTS, VelocityVerlet(dt=1.0), pairlist=None)
-        with ParallelEngine(b, OPTS, VelocityVerlet(dt=1.0), workers=2) as par:
+        """Pairlist reuse and rebuilds stay in agreement with per-call
+        enumeration."""
+        s = water600.copy()
+        s.assign_velocities(300.0, seed=5)
+        with ParallelEngine(s, OPTS, VelocityVerlet(dt=1.0), workers=2) as par:
             assert par.parallel
             for _ in range(5):
-                rs = seq.step()
-                rp = par.step()
-                assert rp.total == pytest.approx(rs.total, rel=1e-9)
-            assert par._nb.n_reuses > 0  # the Verlet lists actually amortize
-        assert np.allclose(a.positions, b.positions, rtol=0, atol=1e-9)
+                par.step()
+                assert_matches_reference(par, par._forces)
+            assert par.pairlist.n_reuses > 0  # the Verlet lists actually amortize
 
 
 class TestDeterminism:
@@ -133,24 +109,21 @@ class TestLifecycle:
         eng.close()  # no-op, must not raise
 
     def test_small_box_falls_back(self):
-        # one task cell only -> nothing to distribute -> sequential fallback
+        # one task cell only -> nothing to distribute -> no pool
         s = small_water_box(50, seed=1, relax=False)
         with ParallelEngine(s, options=OPTS, workers=4) as eng:
             assert not eng.parallel
-            f = eng.compute_forces()
-        ref, _ = sequential_reference(s)
-        assert np.allclose(f, ref, rtol=1e-12, atol=1e-12)
+            assert_matches_reference(eng)
 
     def test_close_is_idempotent_and_degrades_gracefully(self, water600):
         eng = ParallelEngine(water600.copy(), options=OPTS, workers=2)
         assert eng.parallel
+        pooled = eng.compute_forces()
         eng.close()
         eng.close()
         assert not eng.parallel
-        # the engine still works after close, on the sequential path
-        f = eng.compute_forces()
-        ref, _ = sequential_reference(water600)
-        assert np.allclose(f, ref, rtol=1e-9, atol=1e-9)
+        # the engine still works after close: same tasks, in-process
+        assert np.array_equal(eng.compute_forces(), pooled)
 
     def test_evaluator_protocol_errors(self, water600):
         nb = ParallelNonbonded(water600.copy(), OPTS, n_workers=2)
@@ -164,8 +137,13 @@ class TestLifecycle:
             nb.collect()
         finally:
             nb.close()
-        with pytest.raises(RuntimeError, match="not active"):
+        # the pairing holds without workers too
+        with pytest.raises(RuntimeError, match="without a dispatch"):
+            nb.collect()
+        nb.dispatch()
+        with pytest.raises(RuntimeError, match="outstanding"):
             nb.dispatch()
+        nb.collect()
 
     def test_make_engine_factory(self, water600):
         seq = make_engine(water600.copy(), OPTS, workers=1)
@@ -179,10 +157,7 @@ class TestLifecycle:
         with ParallelEngine(water600.copy(), options=OPTS, workers=64) as eng:
             assert eng.parallel
             assert 1 < eng.workers <= 64
-            f = eng.compute_forces()
-        ref, _ = sequential_reference(water600)
-        scale = np.abs(ref).max()
-        assert np.allclose(f, ref, rtol=1e-9, atol=1e-9 * scale)
+            assert_matches_reference(eng)
 
 
 class TestPartition:
@@ -281,10 +256,10 @@ class TestPoolFailure:
         try:
             t0 = time.monotonic()
             nb.dispatch()
-            assert nb._deadline is not None
-            assert nb._deadline <= t0 + 30.0 + 1.0
+            assert nb._pool.deadline is not None
+            assert nb._pool.deadline <= t0 + 30.0 + 1.0
             nb.collect()
-            assert nb._deadline is None
+            assert nb._pool.deadline is None
         finally:
             nb.close()
 
@@ -296,11 +271,11 @@ class TestPoolFailure:
         try:
             assert nb.active
             first = nb.compute()
-            nb._procs[0].terminate()
-            nb._procs[0].join(timeout=5.0)
+            nb._pool.procs[0].terminate()
+            nb._pool.procs[0].join(timeout=5.0)
             again = nb.compute()
             assert nb.active  # recovered, not degraded to the fallback
-            assert nb._pending is None
+            assert nb._pool.pending is None
             assert nb.resilience.kills_detected == 1
             assert nb.resilience.respawns == 1
             assert nb.resilience.mode == "full"
@@ -316,8 +291,8 @@ class TestPoolFailure:
         try:
             assert nb.active
             nb.compute()
-            nb._procs[1].kill()
-            nb._procs[1].join(timeout=5.0)
+            nb._pool.procs[1].kill()
+            nb._pool.procs[1].join(timeout=5.0)
             nb.compute()
             assert nb.resilience.kills_detected == 1
             assert nb.resilience.respawns == 1
@@ -327,14 +302,15 @@ class TestPoolFailure:
     def test_double_close_is_idempotent(self, water600):
         nb = ParallelNonbonded(water600.copy(), OPTS, n_workers=2, timeout=60.0)
         assert nb.active
-        nb.compute()
+        first = nb.compute()
         nb.close()
         assert not nb.active
         nb.close()  # second close must be a no-op, not an error
         assert not nb.active
-        # the evaluator stays usable on the sequential fallback
-        res = nb.compute()
-        assert np.isfinite(res.energy_lj)
+        # the evaluator stays usable: the same tasks, in-process
+        again = nb.compute()
+        assert np.array_equal(again.forces, first.forces)
+        assert again.energy_lj == first.energy_lj
 
     def test_close_during_dispatch_is_safe(self, water600):
         # close() with a collect() outstanding must drop the pending
@@ -343,9 +319,9 @@ class TestPoolFailure:
         assert nb.active
         nb.dispatch()
         nb.close()
-        assert nb._pending is None
+        assert nb._pool.pending is None
         assert not nb.active
-        res = nb.compute()  # serves from the sequential fallback
+        res = nb.compute()  # the dropped evaluation's tasks, in-process
         assert np.isfinite(res.energy_lj)
 
     def test_teardown_latency_is_bounded(self, water600):
@@ -360,7 +336,7 @@ class TestPoolFailure:
         try:
             assert nb.active
             nb.compute()
-            for proc in nb._procs:
+            for proc in nb._pool.procs:
                 os.kill(proc.pid, signal.SIGSTOP)
             t0 = time.monotonic()
             nb.close()
@@ -419,5 +395,5 @@ class TestWrapSemantics:
 
         p_seq, e_seq = run(1)
         p_par, e_par = run(3)
-        assert np.allclose(p_par, p_seq, rtol=1e-9, atol=1e-9)
-        assert e_par == pytest.approx(e_seq, rel=1e-9)
+        assert np.array_equal(p_par, p_seq)
+        assert e_par == e_seq

@@ -18,7 +18,7 @@ from repro.builder import small_water_box
 from repro.md.engine import SequentialEngine
 from repro.md.nonbonded import NonbondedOptions
 from repro.md.parallel import HAS_SHARED_MEMORY, ParallelEngine, ParallelNonbonded
-from repro.md.resilience import (
+from repro.pool import (
     HAS_POSIX_SIGNALS,
     FaultInjector,
     RecoveryPolicy,
@@ -187,15 +187,15 @@ class TestKillRecovery:
     def test_all_workers_lost_degrades_to_sequential(self, water600):
         p_ref, _, _, _ = run_trajectory(water600)
         pol = RecoveryPolicy(max_respawns=0)
-        with pytest.warns(RuntimeWarning, match="degraded to the sequential"):
+        with pytest.warns(RuntimeWarning, match="pool degraded"):
             p, _, _, facts = run_trajectory(
                 water600, fault="kill=0@2,kill=1@4", policy=pol
             )
         res = facts["resilience"]
         assert res.mode == "sequential"
         assert not facts["parallel_at_end"]
-        # sequential fallback is numerically (not bitwise) the same physics
-        assert np.allclose(p, p_ref, rtol=0, atol=1e-9)
+        # the bottom rung runs the lost workers' tasks in-process: same bits
+        assert np.array_equal(p, p_ref)
 
 
 @needs_signals
@@ -304,15 +304,15 @@ class TestRecoveryProperty:
 
         seq = base.copy()
         seq.assign_velocities(300.0, seed=5)
-        with SequentialEngine(seq, OPTS, pairlist=None) as eng:
+        with SequentialEngine(seq, OPTS) as eng:
             for _ in range(5):
                 eng.step()
 
         p1, v1, e1, facts = run_trajectory(base, steps=5, fault=spec)
         assert facts["parallel_at_end"]
         assert facts["resilience"].n_failures == 1
-        # recovered forces integrate to the sequential trajectory (1e-9)
-        assert np.allclose(p1, seq.positions, rtol=0, atol=1e-9)
+        # recovered forces integrate to the worker-less trajectory, bitwise
+        assert np.array_equal(p1, seq.positions)
         # and the faulted run is exactly repeatable
         p2, v2, e2, _ = run_trajectory(base, steps=5, fault=spec)
         assert np.array_equal(p1, p2)

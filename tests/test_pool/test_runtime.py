@@ -17,6 +17,7 @@ import pytest
 
 from repro.pool import (
     HAS_SHARED_MEMORY,
+    InProcessExecutor,
     RecoveryPolicy,
     SupervisedPool,
 )
@@ -117,6 +118,32 @@ def kill_worker(pool, w):
     assert not proc.is_alive()
 
 
+class TestInProcessExecutor:
+    """No workers: the same tasks through the same per-step function."""
+
+    def test_same_scratch_and_stats_as_a_two_process_pool(self):
+        provider = SyntheticProvider(N_TASKS)
+        data = np.linspace(0.5, 6.0, N_TASKS)
+        local = InProcessExecutor(provider)
+        local.view("data")[...] = data
+        with make_pool(provider=provider) as pool:
+            pool.view("data")[...] = data
+            for scale, rebuild in ((3.0, True), (0.7, False), (1.9, True)):
+                run_step(pool, scale, rebuild)
+                local.run(rebuild, scale)
+                np.testing.assert_array_equal(local.scratch, pool.scratch)
+                values = [STAT_V0, STAT_V1, STAT_V2]
+                np.testing.assert_array_equal(
+                    local.stats[:N_TASKS, values], pool.stats[:N_TASKS, values]
+                )
+                assert (local.stats[:N_TASKS, STAT_TIME_NS] > 0).all()
+            # one executor rebuilt as often as each worker did (end_step
+            # publishes the count into the private row after the tasks)
+            assert local.stats[N_TASKS, 0] == 2.0
+            np.testing.assert_array_equal(pool.stats[N_TASKS:, 0], 2.0)
+        assert (local.assignment == 0).all()
+
+
 class TestRecovery:
     def test_midstep_kill_respawned_same_result(self):
         # ~20 ms/task leaves a wide window to land the kill in flight
@@ -162,6 +189,19 @@ class TestRecovery:
             pool.dispatch(True, 3.0, pool.assignment)
             assert pool.collect()
             pool.finish_step()
+            np.testing.assert_array_equal(pool.scratch[:, 0], 3.0)
+
+    def test_reassignment_between_steps_reaches_the_next_plain_step(self):
+        # regression: a worker found dead by begin_step had its tasks moved,
+        # but a following dispatch without rebuild or assignment told no
+        # survivor, so the moved tasks' blocks kept the previous step's values
+        policy = RecoveryPolicy(max_respawns=0)
+        with make_pool(n_workers=3, policy=policy) as pool:
+            pool.view("data")[...] = 1.0
+            run_step(pool, 2.0, rebuild=True)
+            kill_worker(pool, 1)
+            run_step(pool, 3.0)
+            assert pool.resilience.tasks_reassigned > 0
             np.testing.assert_array_equal(pool.scratch[:, 0], 3.0)
 
     def test_reassign_callback_controls_placement(self):

@@ -159,14 +159,14 @@ class TestLifecycle:
         with pytest.raises(ValueError, match="not suspended"):
             svc.resume(job.id)  # already re-queued
 
-    def test_failed_job_carries_traceback(self, tmp_path):
+    def test_failed_job_carries_traceback(self, tmp_path, monkeypatch):
+        def boom(self):
+            raise RuntimeError("engine exploded")
+
+        # patched before submit: the scheduler may open the job at once
+        monkeypatch.setattr(SimJob, "open", boom)
         with make_service(workdir=tmp_path) as svc:
             job = svc.submit(SMALL)
-
-            def boom():
-                raise RuntimeError("engine exploded")
-
-            job.sim.open = boom
             svc.wait(job.id, [JobState.FAILED], timeout=60)
             assert "engine exploded" in job.error
             assert svc.budget.leased == 0
