@@ -16,10 +16,12 @@ time-slice) are not misread as core scaling.
 Results land in ``benchmarks/results/BENCH_parallel.json`` (+ ``.txt``).
 Each pool row also records the **driver-vs-worker wall-time split**
 (``driver_report``), and a second section measures the Ewald-enabled run
-with and without ``distribute=True`` — the driver's per-step compute share
-must drop by >= 50% with distribution on (asserted only on hosts with 4+
-cores and 4+ workers; on fewer cores driver and workers time-slice one CPU
-and the share is not meaningful).
+with and without ``distribute=True``.  The real-space term rides the cell
+tasks in both modes; with distribution on the bonded terms and the
+reciprocal sum are tasks too, and the driver's compute share of the force
+wall must stay below one half — asserted wherever the pool engages, 2
+workers included (driver compute is compared with wall time, so
+time-slicing on few cores only lowers it).
 
 Environment knobs for CI: ``PARALLEL_BENCH_WORKERS`` (default ``1,2,4``),
 ``PARALLEL_BENCH_STEPS`` (default ``3``), and ``PARALLEL_BENCH_EWALD``
@@ -53,9 +55,8 @@ WORKER_COUNTS = [
 #: fewer cores leave nothing to gain)
 MIN_SPEEDUP_4W = 1.6
 RUN_EWALD_SECTION = os.environ.get("PARALLEL_BENCH_EWALD", "1") != "0"
-#: with distribution on, the driver's compute share must at least halve
-#: (gated on >= 4 cores and >= 4 workers; meaningless when time-slicing)
-MAX_DISTRIBUTED_SHARE_RATIO = 0.5
+#: with distribution on, the driver must not be the Ewald run's bottleneck
+MAX_DISTRIBUTED_DRIVER_SHARE = 0.5
 
 
 def _fresh_system():
@@ -122,6 +123,7 @@ def test_parallel_benchmark():
 
     # distribution section: the Ewald-enabled run, driver keeping bonded +
     # k-space (distribute=False) vs shipping them to the pool as force tasks
+    # (the real-space term is in the cell tasks either way)
     distribution = None
     w_max = max(WORKER_COUNTS)
     if RUN_EWALD_SECTION and w_max >= 2:
@@ -159,18 +161,12 @@ def test_parallel_benchmark():
         assert abs(e_on - e_off) <= 1e-6 * abs(e_off), (
             f"distributed Ewald run diverged: {e_on} vs {e_off}"
         )
-        if (
-            available_cpu_count() >= 4
-            and w_max >= 4
-            and modes["on"]["parallel_pool"]
-            and modes["off"]["parallel_pool"]
-        ):
+        if modes["on"]["parallel_pool"]:
             share_on = modes["on"]["driver_share"]
-            share_off = modes["off"]["driver_share"]
-            assert share_on <= MAX_DISTRIBUTED_SHARE_RATIO * share_off, (
-                f"distribution left the driver share at {share_on:.3f} "
-                f"(undistributed {share_off:.3f}); expected at least a "
-                f"{1 - MAX_DISTRIBUTED_SHARE_RATIO:.0%} drop"
+            assert share_on < MAX_DISTRIBUTED_DRIVER_SHARE, (
+                f"distributed Ewald run at {w_max} workers is driver-bound: "
+                f"driver share {share_on:.3f} (undistributed "
+                f"{modes['off']['driver_share']:.3f})"
             )
 
     payload = {

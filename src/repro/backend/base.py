@@ -1,7 +1,7 @@
 """Kernel-backend contract and the parity self-check.
 
-A :class:`KernelBackend` bundles the five hot-path kernels every backend
-must provide.  The contract is deliberately scalar/array-only (no dataclass
+A :class:`KernelBackend` bundles the seven kernels every backend must
+provide.  The contract is deliberately scalar/array-only (no dataclass
 options, no ``repro.md`` types) so this package never imports from
 ``repro.md`` at module scope — the md modules import :mod:`repro.backend`
 themselves, and a module-level import back into md would be circular.
@@ -9,11 +9,22 @@ themselves, and a module-level import back into md would be circular.
 Kernel contract (all arrays are numpy, ``forces`` is accumulated in place):
 
 ``nb_pairs(pos, box, i_idx, j_idx, eps, rmin, qq, cutoff, switch, forces,
-si, sj) -> (e_lj, e_elec, n_pairs)``
-    Fused distance test + switched-LJ/shifted-Coulomb pair kernel with
-    Newton's-third-law scatter.  ``qq`` is the raw charge product (the
-    kernel applies the Coulomb constant); positions are read through
-    ``i_idx``/``j_idx`` while forces accumulate at ``si``/``sj``.
+si, sj, alpha=None, ewald_cutoff=None) -> (e_lj, e_elec, n_pairs)``
+    Fused distance test + switched-LJ/electrostatics pair kernel with
+    Newton's-third-law scatter — the engines' one pair kernel.  ``qq`` is
+    the raw charge product (the kernel applies the Coulomb constant);
+    positions are read through ``i_idx``/``j_idx`` while forces accumulate
+    at ``si``/``sj``.  The electrostatic term has two modes:
+
+    * *cutoff mode* (``alpha`` unset, the 12-argument call): the shifted
+      point-charge form ``(C qq / r)(1 - r²/c²)²`` inside ``cutoff``;
+    * *Ewald mode* (both trailing scalars set): the real-space term of the
+      Ewald sum, ``C qq erfc(alpha r) / r`` inside ``ewald_cutoff``, and
+      ``e_elec`` is that sum.  The two terms keep their own cutoffs: a
+      pair is evaluated inside ``max(cutoff, ewald_cutoff)``, the LJ term
+      vanishes beyond ``cutoff`` and the erfc term beyond ``ewald_cutoff``.
+
+    ``n_pairs`` counts the pairs inside ``cutoff`` in either mode.
 
 ``pair_mask(pos, box, i_idx, j_idx, cutoff) -> bool[m]``
     Minimum-image distance test only.
@@ -23,8 +34,10 @@ si, sj) -> (e_lj, e_elec, n_pairs)``
     once in :func:`repro.md.scatter.segment_add`, not here.
 
 ``ewald_real(pos, box, i_idx, j_idx, qq, alpha, cutoff, forces) -> energy``
-    Ewald real-space sum.  ``qq`` here *includes* the Coulomb constant
-    (matching the historical call site).
+    Ewald real-space sum on its own.  ``qq`` here *includes* the Coulomb
+    constant (matching the historical call site).  No engine calls it: it
+    is the kernel of the oracle :func:`repro.md.ewald.compute_ewald`, which
+    the engines' Ewald-mode ``nb_pairs`` is held to.
 
 ``ewald_recip(pos, q, kvecs, ak, pref, forces) -> energy``
     Ewald reciprocal-space sum over precomputed ``(kvecs, ak)`` tables
@@ -61,13 +74,7 @@ __all__ = ["KernelBackend", "bonded_cases", "parity_selfcheck", "synthetic_probl
 
 @dataclass(frozen=True)
 class KernelBackend:
-    """One named implementation of the hot-path kernels.
-
-    ``bonded_terms`` and ``ewald_recip_shard`` default to ``None`` so
-    hand-built test doubles predating them still construct; a candidate
-    that omits a kernel the reference provides fails the parity
-    self-check (missing kernels are a contract violation, not a feature).
-    """
+    """One named implementation of the contract's kernels, all required."""
 
     name: str
     compiled: bool
@@ -76,8 +83,8 @@ class KernelBackend:
     segment_add: Callable[..., None]
     ewald_real: Callable[..., float]
     ewald_recip: Callable[..., float]
-    bonded_terms: Callable[..., float] | None = None
-    ewald_recip_shard: Callable[..., float] | None = None
+    bonded_terms: Callable[..., float]
+    ewald_recip_shard: Callable[..., float]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = "compiled" if self.compiled else "interpreted"
@@ -218,24 +225,33 @@ def parity_selfcheck(
         reference = candidate
     p = synthetic_problem()
     try:
-        # nb_pairs
-        f_c = np.zeros((p["n"], 3))
-        f_r = np.zeros((p["n"], 3))
-        args = (p["pos"], p["box"], p["i_idx"], p["j_idx"], p["eps"], p["rmin"],
-                p["qq"], p["cutoff"], p["switch"])
-        out_c = candidate.nb_pairs(*args, f_c, p["i_idx"], p["j_idx"])
-        out_r = reference.nb_pairs(*args, f_r, p["i_idx"], p["j_idx"])
-        if out_c[2] == 0:
-            return False, "nb_pairs: synthetic problem produced no pairs"
-        if out_c[2] != out_r[2]:
-            return False, f"nb_pairs: pair count {out_c[2]} != {out_r[2]}"
-        if not _close(out_c[:2], out_r[:2], tol):
-            return False, f"nb_pairs: energies {out_c[:2]} != {out_r[:2]}"
-        if not _close(f_c, f_r, tol):
-            return False, "nb_pairs: forces disagree"
-        net = np.abs(f_c.sum(axis=0))
-        if not np.all(net <= 1e-8 * max(1.0, float(np.max(np.abs(f_c))))):
-            return False, f"nb_pairs: Newton's third law violated (net {net})"
+        # nb_pairs: cutoff mode, then Ewald mode with the erfc cutoff
+        # inside and beyond the LJ cutoff.  The synthetic contacts make LJ
+        # forces ~1e5 times the electrostatic ones, so the Ewald cases run
+        # with LJ off: the erfc term is held to ``tol`` of its own scale.
+        geom = (p["pos"], p["box"], p["i_idx"], p["j_idx"])
+        for eps, mode in (
+            (p["eps"], ()),
+            (0.0 * p["eps"], (p["alpha"], 0.8 * p["cutoff"])),
+            (0.0 * p["eps"], (p["alpha"], 1.2 * p["cutoff"])),
+        ):
+            label = "nb_pairs[ewald]" if mode else "nb_pairs"
+            args = (*geom, eps, p["rmin"], p["qq"], p["cutoff"], p["switch"])
+            f_c = np.zeros((p["n"], 3))
+            f_r = np.zeros((p["n"], 3))
+            out_c = candidate.nb_pairs(*args, f_c, p["i_idx"], p["j_idx"], *mode)
+            out_r = reference.nb_pairs(*args, f_r, p["i_idx"], p["j_idx"], *mode)
+            if out_c[2] == 0:
+                return False, f"{label}: synthetic problem produced no pairs"
+            if out_c[2] != out_r[2]:
+                return False, f"{label}: pair count {out_c[2]} != {out_r[2]}"
+            if not all(_close(out_c[k], out_r[k], tol) for k in (0, 1)):
+                return False, f"{label}: energies {out_c[:2]} != {out_r[:2]}"
+            if not _close(f_c, f_r, tol):
+                return False, f"{label}: forces disagree"
+            net = np.abs(f_c.sum(axis=0))
+            if not np.all(net <= 1e-8 * max(1.0, float(np.max(np.abs(f_c))))):
+                return False, f"{label}: Newton's third law violated (net {net})"
 
         # pair_mask
         mask_c = candidate.pair_mask(p["pos"], p["box"], p["i_idx"], p["j_idx"],
@@ -274,49 +290,38 @@ def parity_selfcheck(
         if not _close(ek_c, ek_r, tol) or not _close(fk_c, fk_r, tol):
             return False, "ewald_recip: results disagree"
 
-        # newer contract entries: a candidate missing a kernel the
-        # reference provides is a contract violation, not a degraded mode
-        for kern in ("bonded_terms", "ewald_recip_shard"):
-            if getattr(reference, kern) is not None and getattr(candidate, kern) is None:
-                return False, f"{kern}: kernel missing from candidate"
-
         # bonded_terms (all four kinds)
-        if reference.bonded_terms is not None and candidate.bonded_terms is not None:
-            kind_names = ("bond", "angle", "dihedral", "improper")
-            for kind, idx, kpar, p1, p2 in bonded_cases(p):
-                fb_c = np.zeros((p["n"], 3))
-                fb_r = np.zeros((p["n"], 3))
-                eb_c = candidate.bonded_terms(
-                    p["pos"], p["box"], kind, idx, kpar, p1, p2, fb_c, idx
-                )
-                eb_r = reference.bonded_terms(
-                    p["pos"], p["box"], kind, idx, kpar, p1, p2, fb_r, idx
-                )
-                label = f"bonded_terms[{kind_names[kind]}]"
-                if not _close(eb_c, eb_r, tol):
-                    return False, f"{label}: energies {eb_c} != {eb_r}"
-                if not _close(fb_c, fb_r, tol):
-                    return False, f"{label}: forces disagree"
-                # bonded terms are translation invariant: net force ~ 0
-                net = np.abs(fb_c.sum(axis=0))
-                if not np.all(net <= 1e-8 * max(1.0, float(np.max(np.abs(fb_c))))):
-                    return False, f"{label}: net force nonzero ({net})"
+        kind_names = ("bond", "angle", "dihedral", "improper")
+        for kind, idx, kpar, p1, p2 in bonded_cases(p):
+            fb_c = np.zeros((p["n"], 3))
+            fb_r = np.zeros((p["n"], 3))
+            eb_c = candidate.bonded_terms(
+                p["pos"], p["box"], kind, idx, kpar, p1, p2, fb_c, idx
+            )
+            eb_r = reference.bonded_terms(
+                p["pos"], p["box"], kind, idx, kpar, p1, p2, fb_r, idx
+            )
+            label = f"bonded_terms[{kind_names[kind]}]"
+            if not _close(eb_c, eb_r, tol):
+                return False, f"{label}: energies {eb_c} != {eb_r}"
+            if not _close(fb_c, fb_r, tol):
+                return False, f"{label}: forces disagree"
+            # bonded terms are translation invariant: net force ~ 0
+            net = np.abs(fb_c.sum(axis=0))
+            if not np.all(net <= 1e-8 * max(1.0, float(np.max(np.abs(fb_c))))):
+                return False, f"{label}: net force nonzero ({net})"
 
         # ewald_recip_shard: two shards must reproduce the full recip sum
-        if (
-            reference.ewald_recip_shard is not None
-            and candidate.ewald_recip_shard is not None
-        ):
-            lo = int(p["shard_split"])
-            fs_c = np.zeros((p["n"], 3))
-            es_c = 0.0
-            for sl in (slice(0, lo), slice(lo, len(p["kvecs"]))):
-                es_c += candidate.ewald_recip_shard(
-                    p["pos"], p["charges"], p["kvecs"][sl], p["ak"][sl],
-                    p["pref"], fs_c,
-                )
-            if not _close(es_c, ek_r, tol) or not _close(fs_c, fk_r, tol):
-                return False, "ewald_recip_shard: sharded sum != full recip sum"
+        lo = int(p["shard_split"])
+        fs_c = np.zeros((p["n"], 3))
+        es_c = 0.0
+        for sl in (slice(0, lo), slice(lo, len(p["kvecs"]))):
+            es_c += candidate.ewald_recip_shard(
+                p["pos"], p["charges"], p["kvecs"][sl], p["ak"][sl],
+                p["pref"], fs_c,
+            )
+        if not _close(es_c, ek_r, tol) or not _close(fs_c, fk_r, tol):
+            return False, "ewald_recip_shard: sharded sum != full recip sum"
     except Exception as exc:  # noqa: BLE001 - fold any kernel failure into fallback
         return False, f"{type(exc).__name__}: {exc}"
     return True, "ok"

@@ -75,10 +75,17 @@ if HAS_NUMBA:
 
     @njit(cache=True)
     def _nb_pairs_jit(pos, box, i_idx, j_idx, eps, rmin, qq, cutoff, switch,
-                      coulomb, forces, si, sj):
+                      coulomb, forces, si, sj, alpha, ewald_cutoff):
+        # alpha <= 0 selects the shifted point-charge term, alpha > 0 the
+        # Ewald real-space term inside ewald_cutoff
         c2 = cutoff * cutoff
         s2 = switch * switch
         denom = (c2 - s2) ** 3
+        ec2 = ewald_cutoff * ewald_cutoff
+        reach2 = c2
+        if alpha > 0.0 and ec2 > c2:
+            reach2 = ec2
+        two_a_rtpi = 2.0 * alpha / math.sqrt(math.pi)
         bx, by, bz = box[0], box[1], box[2]
         e_lj_tot = 0.0
         e_el_tot = 0.0
@@ -90,34 +97,49 @@ if HAS_NUMBA:
             dy = _min_image_1d(pos[j, 1] - pos[i, 1], by)
             dz = _min_image_1d(pos[j, 2] - pos[i, 2], bz)
             r2 = dx * dx + dy * dy + dz * dz
-            if r2 >= c2:
+            if r2 >= reach2:
                 continue
-            n_pairs += 1
             r = math.sqrt(r2)
             inv_r = 1.0 / r
             inv_r2 = inv_r * inv_r
 
-            rm = rmin[p]
-            sr2 = (rm * rm) * inv_r2
-            sr6 = sr2 * sr2 * sr2
-            sr12 = sr6 * sr6
-            e_lj_raw = eps[p] * (sr12 - 2.0 * sr6)
-            dE_lj_dr = -12.0 * eps[p] * inv_r * (sr12 - sr6)
-            if r2 > s2:
-                S = (c2 - r2) ** 2 * (c2 + 2.0 * r2 - 3.0 * s2) / denom
-                dS_dr2 = 6.0 * (c2 - r2) * (s2 - r2) / denom
-            else:
-                S = 1.0
-                dS_dr2 = 0.0
-            e_lj = e_lj_raw * S
-            dE_lj_total_dr = dE_lj_dr * S + e_lj_raw * dS_dr2 * 2.0 * r
+            e_lj = 0.0
+            dE_lj_total_dr = 0.0
+            if r2 < c2:
+                n_pairs += 1
+                rm = rmin[p]
+                sr2 = (rm * rm) * inv_r2
+                sr6 = sr2 * sr2 * sr2
+                sr12 = sr6 * sr6
+                e_lj_raw = eps[p] * (sr12 - 2.0 * sr6)
+                dE_lj_dr = -12.0 * eps[p] * inv_r * (sr12 - sr6)
+                if r2 > s2:
+                    S = (c2 - r2) ** 2 * (c2 + 2.0 * r2 - 3.0 * s2) / denom
+                    dS_dr2 = 6.0 * (c2 - r2) * (s2 - r2) / denom
+                else:
+                    S = 1.0
+                    dS_dr2 = 0.0
+                e_lj = e_lj_raw * S
+                dE_lj_total_dr = dE_lj_dr * S + e_lj_raw * dS_dr2 * 2.0 * r
 
-            shift = 1.0 - r2 / c2
-            e_el_raw = coulomb * qq[p] * inv_r
-            e_el = e_el_raw * shift * shift
-            dE_el_dr = coulomb * qq[p] * (
-                -inv_r2 * shift * shift + inv_r * 2.0 * shift * (-2.0 * r / c2)
-            )
+            if alpha > 0.0:
+                e_el = 0.0
+                dE_el_dr = 0.0
+                if r2 < ec2:
+                    cqq = coulomb * qq[p]
+                    erfc_term = math.erfc(alpha * r)
+                    e_el = cqq * erfc_term * inv_r
+                    dE_el_dr = -cqq * (
+                        erfc_term * inv_r2
+                        + two_a_rtpi * math.exp(-(alpha * alpha) * r2) * inv_r
+                    )
+            else:
+                shift = 1.0 - r2 / c2
+                e_el_raw = coulomb * qq[p] * inv_r
+                e_el = e_el_raw * shift * shift
+                dE_el_dr = coulomb * qq[p] * (
+                    -inv_r2 * shift * shift + inv_r * 2.0 * shift * (-2.0 * r / c2)
+                )
 
             f = (dE_lj_total_dr + dE_el_dr) * inv_r
             fx = f * dx
@@ -395,14 +417,16 @@ if HAS_NUMBA:
 
 
 def _nb_pairs(pos, box, i_idx, j_idx, eps, rmin, qq, cutoff, switch,
-              forces, si, sj):
+              forces, si, sj, alpha=None, ewald_cutoff=None):
     if len(i_idx) == 0:
         return 0.0, 0.0, 0
+    if alpha is None:  # the jitted kernel's "unset" is alpha <= 0
+        alpha = ewald_cutoff = 0.0
     e_lj, e_el, n_pairs = _nb_pairs_jit(
         _as_f8(pos), _as_f8(box), _as_i8(i_idx), _as_i8(j_idx),
         _as_f8(eps), _as_f8(rmin), _as_f8(qq),
         float(cutoff), float(switch), COULOMB_CONSTANT,
-        forces, _as_i8(si), _as_i8(sj),
+        forces, _as_i8(si), _as_i8(sj), float(alpha), float(ewald_cutoff),
     )
     return float(e_lj), float(e_el), int(n_pairs)
 

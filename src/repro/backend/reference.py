@@ -95,12 +95,17 @@ def pair_terms(
     qq: np.ndarray,
     cutoff: float,
     switch: float,
+    alpha: float | None = None,
+    ewald_cutoff: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Switched-LJ + shifted-Coulomb math for pre-combined pair parameters.
+    """Switched-LJ + electrostatics math for pre-combined pair parameters.
 
     Returns ``(e_lj, e_elec, fvec)`` where ``fvec[p]`` is the force on atom
     ``i`` of pair ``p`` (atom ``j`` receives ``-fvec[p]``), consistent with
-    ``delta = x_j - x_i``.  ``qq`` excludes the Coulomb constant.
+    ``delta = x_j - x_i``.  ``qq`` excludes the Coulomb constant.  The
+    electrostatic term is the shifted point-charge form, or — with
+    ``alpha`` set — the Ewald real-space term ``erfc(alpha r)/r`` inside
+    ``ewald_cutoff`` (see ``nb_pairs`` in :mod:`repro.backend.base`).
     """
     r = np.sqrt(r2)
     inv_r = 1.0 / r
@@ -117,15 +122,28 @@ def pair_terms(
     e_lj = e_lj_raw * S
     dE_lj_total_dr = dE_lj_dr * S + e_lj_raw * dS_dr2 * 2.0 * r
 
-    # shifted electrostatics
-    c2 = cutoff * cutoff
-    shift = 1.0 - r2 / c2
-    e_el_raw = COULOMB_CONSTANT * qq * inv_r
-    e_elec = e_el_raw * shift * shift
-    # d/dr [ (C qq / r)(1 - r²/c²)² ]
-    dE_el_dr = COULOMB_CONSTANT * qq * (
-        -inv_r2 * shift * shift + inv_r * 2.0 * shift * (-2.0 * r / c2)
-    )
+    if alpha is None:
+        # shifted electrostatics
+        c2 = cutoff * cutoff
+        shift = 1.0 - r2 / c2
+        e_el_raw = COULOMB_CONSTANT * qq * inv_r
+        e_elec = e_el_raw * shift * shift
+        # d/dr [ (C qq / r)(1 - r²/c²)² ]
+        dE_el_dr = COULOMB_CONSTANT * qq * (
+            -inv_r2 * shift * shift + inv_r * 2.0 * shift * (-2.0 * r / c2)
+        )
+    else:
+        # Ewald real space, truncated at its own cutoff
+        from scipy.special import erfc
+
+        cqq = COULOMB_CONSTANT * qq * (r2 < ewald_cutoff * ewald_cutoff)
+        erfc_term = erfc(alpha * r)
+        e_elec = cqq * erfc_term * inv_r
+        # d/dr [ C qq erfc(ar)/r ]
+        dE_el_dr = -cqq * (
+            erfc_term * inv_r2
+            + (2.0 * alpha / np.sqrt(np.pi)) * np.exp(-(alpha * alpha) * r2) * inv_r
+        )
 
     dE_dr = dE_lj_total_dr + dE_el_dr
     # force on i = -dE/dx_i = +dE/dr * (delta / r)  given  delta = x_j - x_i
@@ -148,22 +166,29 @@ def nb_pairs(
     forces: np.ndarray,
     si: np.ndarray,
     sj: np.ndarray,
+    alpha: float | None = None,
+    ewald_cutoff: float | None = None,
 ) -> tuple[float, float, int]:
     """Fused distance filter + pair kernel + Newton's-third-law scatter."""
     if len(i_idx) == 0:
         return 0.0, 0.0, 0
     delta = minimum_image(pos[j_idx] - pos[i_idx], box)
     r2 = np.einsum("ij,ij->i", delta, delta)
-    within = r2 < cutoff * cutoff
+    # Ewald mode: either term may reach further than the other
+    reach = cutoff if alpha is None else max(cutoff, ewald_cutoff)
+    within = r2 < reach * reach
     n_pairs = int(np.count_nonzero(within))
     if n_pairs == 0:
         return 0.0, 0.0, 0
+    r2 = r2[within]
     e_lj, e_el, fvec = pair_terms(
-        delta[within], r2[within], eps[within], rmin[within], qq[within],
-        cutoff, switch,
+        delta[within], r2, eps[within], rmin[within], qq[within],
+        cutoff, switch, alpha, ewald_cutoff,
     )
     segment_add(forces, si[within], fvec)
     segment_add(forces, sj[within], -fvec)
+    if reach > cutoff:  # the count stays the pairs inside the LJ cutoff
+        n_pairs = int(np.count_nonzero(r2 < cutoff * cutoff))
     return float(e_lj.sum()), float(e_el.sum()), n_pairs
 
 

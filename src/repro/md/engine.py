@@ -108,10 +108,10 @@ class SequentialEngine:
 
         ``ewald`` (an :class:`repro.md.ewald.EwaldOptions`) *replaces* the
         cutoff point-charge electrostatics with the full periodic Ewald sum:
-        the pair kernel then computes LJ only, the scaled 1-4 electrostatic
-        term is dropped (the Ewald sum includes those pairs at full
-        strength), and the reported ``elec`` energy is the total over all
-        Ewald components."""
+        the pair kernel then evaluates the real-space ``erfc`` term in
+        place of the shifted point-charge one (for 1-4 pairs too, at full
+        strength — the scaled 1-4 electrostatic term is dropped), and the
+        reported ``elec`` energy is the total over all Ewald components."""
         # kspace=False: the reciprocal sum stays with the driver's Ewald
         # remainder, as in ParallelEngine(distribute=False)
         self._setup(
@@ -144,7 +144,6 @@ class SequentialEngine:
         self._forces: np.ndarray | None = None
         self._last_nonbonded = None
         self._last_bonded: BondedEnergies | None = None
-        self._last_ewald = None
         self._nb = ParallelNonbonded(
             system, self.options, backend=self.backend, ewald=ewald,
             **nonbonded,
@@ -175,7 +174,6 @@ class SequentialEngine:
             forces += nb.forces
             self._last_bonded = bonded_e
         self._last_nonbonded = nb
-        self._last_ewald = self._nb.last_ewald
         return forces
 
     def report(self) -> StepReport:

@@ -20,6 +20,12 @@ Ewald summation (the exact O(N^{3/2}) method PME approximates), with
 
 Validated in the tests against the NaCl Madelung constant and numerical
 force differentiation.
+
+:func:`compute_ewald` is the self-contained reference evaluation.  The
+engines split it along the paper's line: the atom-based real-space term is
+a mode of their force tasks' pair kernel (``backend.nb_pairs`` with
+``alpha`` set), over the tasks' Verlet lists, and :func:`ewald_remainder`
+supplies the rest.
 """
 
 from __future__ import annotations
@@ -36,10 +42,12 @@ from repro.md.system import MolecularSystem
 from repro.util.pbc import minimum_image
 
 __all__ = [
+    "EwaldEnergies",
     "EwaldOptions",
     "EwaldResult",
     "KspaceCacheView",
     "compute_ewald",
+    "ewald_remainder",
     "clear_kspace_cache",
     "kspace_cache_stats",
 ]
@@ -64,15 +72,14 @@ class EwaldOptions:
 
 
 @dataclass
-class EwaldResult:
-    """Energy components (kcal/mol) and forces (kcal/mol/Å)."""
+class EwaldEnergies:
+    """The five energy components of one Ewald evaluation (kcal/mol)."""
 
     energy_real: float
     energy_recip: float
     energy_self: float
     energy_background: float
     energy_exclusion: float
-    forces: np.ndarray
 
     @property
     def energy(self) -> float:
@@ -84,6 +91,13 @@ class EwaldResult:
             + self.energy_background
             + self.energy_exclusion
         )
+
+
+@dataclass
+class EwaldResult(EwaldEnergies):
+    """Energy components (kcal/mol) and forces (kcal/mol/Å)."""
+
+    forces: np.ndarray
 
 
 def _real_space(
@@ -289,35 +303,32 @@ def _exclusion_correction(
     return energy
 
 
-def compute_ewald(
+def ewald_remainder(
     system: MolecularSystem,
-    options: EwaldOptions | None = None,
-    backend: KernelBackend | str | None = None,
+    options: EwaldOptions,
+    forces: np.ndarray,
+    backend: KernelBackend,
     recip: bool = True,
     kspace_stats: dict[str, int] | None = None,
-) -> EwaldResult:
-    """Full periodic electrostatic energy and forces via Ewald summation.
+) -> EwaldEnergies:
+    """Every Ewald component but the real-space pair sum, into ``forces``.
 
-    ``recip=False`` skips the reciprocal-space sum (``energy_recip`` is 0
-    and its forces are absent): the parallel engine computes that component
-    on the worker pool as sharded k-space tasks and combines it with this
-    driver-side remainder.  ``kspace_stats`` is an optional per-caller
-    builds/hits sink (see :class:`KspaceCacheView`): the shared LRU counts
-    are attributed to the engine that caused them.
+    The reciprocal sum (skipped with ``recip=False``: ``energy_recip`` is 0
+    and its forces are absent — the caller has it evaluated as sharded
+    k-space tasks), the O(n_excluded) exclusion correction, and the
+    constant self and charged-background terms.  ``energy_real`` is left 0
+    for the caller's real-space sum: :func:`compute_ewald` adds
+    :func:`_real_space`, the engines their force tasks' fused pair kernel.
+    ``kspace_stats`` is an optional per-caller builds/hits sink (see
+    :class:`KspaceCacheView`): the shared LRU counts are attributed to the
+    engine that caused them.
     """
-    options = options or EwaldOptions()
-    be = get_backend(backend)
     alpha = options.alpha_value()
-    n = system.n_atoms
-    forces = np.zeros((n, 3))
     q = system.charges
     volume = float(np.prod(system.box))
-
-    system.wrap()
-    e_real = _real_space(system, alpha, options.cutoff, forces, be)
     e_recip = (
         _reciprocal_space(
-            system, alpha, options.kmax, forces, be, kspace_stats=kspace_stats
+            system, alpha, options.kmax, forces, backend, kspace_stats=kspace_stats
         )
         if recip
         else 0.0
@@ -328,11 +339,36 @@ def compute_ewald(
     e_bg = float(
         -COULOMB_CONSTANT * np.pi / (2.0 * volume * alpha * alpha) * total_charge**2
     )
-    return EwaldResult(
-        energy_real=e_real,
+    return EwaldEnergies(
+        energy_real=0.0,
         energy_recip=e_recip,
         energy_self=e_self,
         energy_background=e_bg,
         energy_exclusion=e_excl,
-        forces=forces,
     )
+
+
+def compute_ewald(
+    system: MolecularSystem,
+    options: EwaldOptions | None = None,
+    backend: KernelBackend | str | None = None,
+    recip: bool = True,
+    kspace_stats: dict[str, int] | None = None,
+) -> EwaldResult:
+    """Full periodic electrostatic energy and forces via Ewald summation.
+
+    The reference implementation: the real-space sum enumerates the cell
+    candidates afresh on every call (:func:`_real_space`), with nothing
+    carried between calls.  The engines evaluate the same quantity with the
+    real-space term fused into their force tasks' pair kernel and
+    :func:`ewald_remainder` for the rest; tests hold them to this function.
+    ``recip`` and ``kspace_stats`` are those of :func:`ewald_remainder`.
+    """
+    options = options or EwaldOptions()
+    be = get_backend(backend)
+    forces = np.zeros((system.n_atoms, 3))
+    system.wrap()
+    e_real = _real_space(system, options.alpha_value(), options.cutoff, forces, be)
+    energies = ewald_remainder(system, options, forces, be, recip, kspace_stats)
+    energies.energy_real = e_real
+    return EwaldResult(**vars(energies), forces=forces)

@@ -249,17 +249,28 @@ def nonbonded_kernel(
     )
 
 
+def ewald_pair_mode(ewald) -> tuple:
+    """The trailing ``backend.nb_pairs`` scalars for an engine's
+    electrostatics: none (cutoff mode) without ``ewald``, else the
+    ``(alpha, cutoff)`` of the :class:`repro.md.ewald.EwaldOptions`."""
+    return () if ewald is None else (ewald.alpha_value(), ewald.cutoff)
+
+
 def nonbonded_14(
     system: MolecularSystem,
     options: NonbondedOptions,
     forces: np.ndarray,
     backend: KernelBackend | str | None = None,
     coulomb: bool = True,
+    ewald=None,
 ) -> tuple[float, float, int]:
     """Scaled 1-4 pass: modified pairs with the ``scale14_*`` factors.
 
-    ``coulomb=False`` drops the scaled 1-4 electrostatics (the Ewald sum
-    covers 1-4 pairs at full strength); the scaled 1-4 LJ term remains.
+    ``coulomb=False`` drops the scaled 1-4 electrostatics; the scaled 1-4
+    LJ term remains.  ``ewald`` (an :class:`repro.md.ewald.EwaldOptions`)
+    replaces them with the Ewald real-space term at full strength — the
+    periodic sum includes 1-4 pairs unscaled, and the engines' pair lists
+    leave them to this pass.
 
     Always computed with the plain (unswitched at short range, but the
     switching/shift factors still apply) kernel; scatters into ``forces``
@@ -269,16 +280,22 @@ def nonbonded_14(
     """
     excl = system.exclusions
     ff = system.forcefield
-    if not len(excl.pairs14) or (ff.scale14_lj == 0.0 and ff.scale14_elec == 0.0):
+    if not len(excl.pairs14) or (
+        ewald is None and ff.scale14_lj == 0.0 and ff.scale14_elec == 0.0
+    ):
         return 0.0, 0.0, 0
+    if ewald is not None:
+        scale_el = 1.0
+    else:
+        scale_el = ff.scale14_elec if coulomb else 0.0
     i14 = excl.pairs14[:, 0]
     j14 = excl.pairs14[:, 1]
     eps_ij, rmin_ij, qq = _combined_params(system, i14, j14)
-    scale_el = ff.scale14_elec if coulomb else 0.0
     return get_backend(backend).nb_pairs(
         system.positions, system.box, i14, j14,
         eps_ij * ff.scale14_lj, rmin_ij, qq * scale_el,
         options.cutoff, options.switch, forces, i14, j14,
+        *ewald_pair_mode(ewald),
     )
 
 

@@ -9,6 +9,9 @@ as the cell tasks of :mod:`repro.md.tasks`, by one implementation
 (:class:`ParallelEngine`), or — without workers: ``workers == 1``, pool
 failed to start, pool closed, recovery ladder at its bottom rung — the
 calling process itself, through the same per-step loop the workers run.
+Under Ewald the same tasks carry the real-space term (a mode of their pair
+kernel), so the driver's share of the electrostatics is the O(n_excluded)
+remainder of :func:`repro.md.ewald.ewald_remainder`.
 
 The implementation is layered (see DESIGN.md): :mod:`repro.pool` is the
 generic runtime (spawn/respawn, collision-free segments, the epoch'd
@@ -46,11 +49,15 @@ from repro.md import lb_driver as _lb_driver
 # (benchmarks/perf/spans.py) binds a span to this module attribute by name
 from repro.md.bonded import BondedEnergies, BONDED_KINDS, compute_bonded  # noqa: F401
 from repro.md.engine import SequentialEngine
-from repro.md.ewald import (
+
+# compute_ewald is the oracle, not called here: the perf harness binds its
+# ``ewald.eval`` span to this module attribute by name, as above
+from repro.md.ewald import (  # noqa: F401
+    EwaldEnergies,
     EwaldOptions,
-    EwaldResult,
     KspaceCacheView,
     compute_ewald,
+    ewald_remainder,
 )
 from repro.md.nonbonded import (
     NonbondedOptions,
@@ -58,7 +65,7 @@ from repro.md.nonbonded import (
     nonbonded_14,
 )
 from repro.md.pairlist import VerletPairList
-from repro.md.tasks import build_force_tasks
+from repro.md.tasks import build_force_tasks, pair_reach
 from repro.pool import (
     HAS_SHARED_MEMORY,
     InProcessExecutor,
@@ -172,9 +179,8 @@ class ParallelNonbonded:
         self.bonded_tasks = bool(bonded)
         self.ewald = ewald
         self.kspace_tasks = bool(kspace) and ewald is not None
-        self._coulomb = ewald is None
         self.last_bonded: BondedEnergies | None = None
-        self.last_ewald: EwaldResult | None = None
+        self.last_ewald: EwaldEnergies | None = None
         self._pool: SupervisedPool | None = None
         self._local: InProcessExecutor | None = None
         #: ``(pool or None, rebuild, start time)`` of the evaluation
@@ -201,7 +207,7 @@ class ParallelNonbonded:
         #: executor bins and builds from, its ``pairs`` the task-ordered
         #: reduction layout ``(offsets, gather)`` at that snapshot
         self.pairlist = VerletPairList(
-            self.options.cutoff, skin, self._provider.layout
+            pair_reach(self.options, ewald), skin, self._provider.layout
         )
         if self.n_workers > 1 and HAS_SHARED_MEMORY:
             try:
@@ -400,7 +406,8 @@ class ParallelNonbonded:
 
     def collect(self) -> NonbondedResult:
         """Finish the outstanding evaluation: driver remainder (1-4 pass,
-        Ewald real-space — overlapped with the workers), gather, reduce.
+        Ewald exclusion/self/background terms and an unsharded reciprocal
+        sum — overlapped with the workers), gather, reduce.
         Worker death, hang, or error during the wait is *recovered*, not
         fatal; when the whole ladder is exhausted — as when no workers
         were attached in the first place — the tasks run in-process.  The
@@ -411,18 +418,19 @@ class ParallelNonbonded:
         self._dispatched = None
         n = self.system.n_atoms
         forces = np.zeros((n, 3), dtype=np.float64)
-        # overlap with the workers: the scaled 1-4 pass (and the Ewald
-        # remainder) runs on the driver
+        # overlap with the workers: the 1-4 pass (under Ewald it carries
+        # those pairs' real-space term) and the Ewald remainder run on the
+        # driver
         t_d0 = time.monotonic()
         e_lj14, e_el14, n14 = nonbonded_14(
             self.system, self.options, forces, backend=self.backend,
-            coulomb=self._coulomb,
+            ewald=self.ewald,
         )
-        ew_rem = None
+        ew = None
         if self.ewald is not None:
             # recip=False with k-space shards: they are force tasks
-            ew_rem = compute_ewald(
-                self.system, self.ewald, backend=self.backend,
+            ew = ewald_remainder(
+                self.system, self.ewald, forces, self.backend,
                 recip=not self.kspace_tasks,
                 kspace_stats=self._kspace_view.counters,
             )
@@ -461,22 +469,13 @@ class ParallelNonbonded:
                 }
             )
         e_el_total = e_el + e_el14
-        if ew_rem is not None:
-            e_recip = (
-                float(stats[self._kspace_ids, STAT_E_EL].sum())
-                if len(self._kspace_ids)
-                else ew_rem.energy_recip
-            )
-            forces += ew_rem.forces
-            self.last_ewald = EwaldResult(
-                energy_real=ew_rem.energy_real,
-                energy_recip=e_recip,
-                energy_self=ew_rem.energy_self,
-                energy_background=ew_rem.energy_background,
-                energy_exclusion=ew_rem.energy_exclusion,
-                forces=ew_rem.forces,
-            )
-            e_el_total += self.last_ewald.energy
+        if ew is not None:
+            # the pair tasks' electrostatic column is the real-space sum
+            ew.energy_real = e_el_total
+            if len(self._kspace_ids):
+                ew.energy_recip = float(stats[self._kspace_ids, STAT_E_EL].sum())
+            self.last_ewald = ew
+            e_el_total = ew.energy
 
         # feed the measurement database and run the LB schedule
         self.workdb.record_many(

@@ -10,7 +10,9 @@ force-field work as a family of schedulable tasks behind the
   blocks and 13-per-cell neighbour pair blocks of the paper's spatial
   decomposition, optionally split into row-stripe sub-tasks by grainsize
   control (§4.2.1–2); evaluated with per-task prefiltered Verlet lists
-  and pre-combined Lorentz-Berthelot parameters;
+  and pre-combined Lorentz-Berthelot parameters by the one fused pair
+  kernel — LJ plus the shifted point-charge term or, under Ewald, the
+  erfc real-space term;
 * **bonded groups** ``("bonded", kind, cell, intra)`` — the bonded terms
   of one kind whose home cell (under the reference binning) is ``cell``,
   split into intra/inter groups that partition the term list exactly;
@@ -33,8 +35,10 @@ live positions.
 
 Stats-column semantics for these tasks: ``STAT_V0`` carries the LJ
 energy (bonded group energies land here too), ``STAT_V1`` the
-electrostatic energy (k-space shard energies land here), ``STAT_V2`` the
-pair/term/k-vector count; the driver separates them by task-id range.
+electrostatic energy — of a cell task the shifted point-charge sum or,
+under Ewald, its share of ``energy_real``; of a k-space shard its share of
+``energy_recip`` —, ``STAT_V2`` the pair/term/k-vector count; the driver
+separates them by task-id range.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from repro.md.ewald import EwaldOptions, _kspace_tables, kspace_cache_stats
 from repro.md.nonbonded import (
     NonbondedOptions,
     _combined_params,
+    ewald_pair_mode,
     filter_candidates,
 )
 from repro.core.grainsize import GrainsizeConfig, stripe_candidate_counts
@@ -87,6 +92,24 @@ MAX_SPLIT_PARTS = 16
 #: worker counts with k-space distribution on.
 KSHARD_TARGET = 512
 KSHARD_MAX = 8
+
+#: Cost priors of the Ewald work, in the unit of the cell tasks' prior (one
+#: in-cutoff pair of the fused kernel in cutoff mode).  Only the initial
+#: task→worker map reads them, so a factor matters and a percent does not.
+#: Both are measured on the numpy backend with the perf harness's probes:
+#: one atom × k-vector term of a reciprocal shard costs
+#: ``backend.ewald_recip_ns_per_atom_k / backend.nb_pairs_ns_per_pair`` =
+#: 37 ns / 196 ns of a pair, and a pair costs 169 ns with ``erfc`` and
+#: ``exp`` against 159 ns with the shifted point-charge term.
+KTERM_PAIR_RATIO = 0.19
+EWALD_PAIR_RATIO = 1.06
+
+
+def pair_reach(options: NonbondedOptions, ewald: EwaldOptions | None) -> float:
+    """The distance inside which some pair term acts: the LJ cutoff or,
+    under Ewald, the larger of it and the real-space cutoff.  Lists, task
+    grid and skin test size to this, so either cutoff may be the longer."""
+    return options.cutoff if ewald is None else max(options.cutoff, ewald.cutoff)
 
 
 def kspace_shards(nk: int) -> list[tuple[str, int, int]]:
@@ -233,9 +256,7 @@ def scratch_rows_bound(
 # --------------------------------------------------------------------------- #
 # worker-side kernels
 # --------------------------------------------------------------------------- #
-def build_task_lists(
-    system, tasks, my_tasks, buckets, r_list, backend=None, coulomb=True
-):
+def build_task_lists(system, tasks, my_tasks, buckets, r_list, backend=None):
     """Per-task prefiltered pair lists with local scatter indices.
 
     For each owned sub-task ``(a, b, part, n_parts)``: global candidate
@@ -248,10 +269,6 @@ def build_task_lists(
     stripe's rows (block rows ``0..ns-1``) against all of cell ``b``
     (rows ``ns..``).  The slices are an exact partition of the parent
     task's candidate set.
-
-    ``coulomb=False`` zeroes the combined charge products so the pair
-    kernel runs LJ-only — the Ewald path owns the full electrostatics and
-    the shifted point-charge term must not double count it.
     """
     triu_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     lists: dict[int, tuple | None] = {}
@@ -295,8 +312,6 @@ def build_task_lists(
             lists[t] = None
             continue
         eps, rmin, qq = _combined_params(system, i_f, j_f)
-        if not coulomb:
-            qq = np.zeros_like(qq)
         lists[t] = (
             i_f,
             j_f,
@@ -309,18 +324,23 @@ def build_task_lists(
     return lists
 
 
-def task_kernel(system, entry, options, block, backend) -> tuple[float, float, int]:
-    """One task's switched LJ + shifted Coulomb into its compact block.
+def task_kernel(
+    system, entry, options, block, backend, ewald=None
+) -> tuple[float, float, int]:
+    """One task's switched LJ + electrostatics into its compact block.
 
     Identical per-pair arithmetic to :func:`repro.md.nonbonded.
     nonbonded_kernel` (same fused ``backend.nb_pairs`` kernel, same
     segment-sum scatter), but over a prefiltered list with pre-combined
-    parameters and local scatter indices — the parallel hot loop.
+    parameters and local scatter indices — the parallel hot loop.  With
+    ``ewald`` the kernel runs in its Ewald mode: the electrostatic term is
+    the real-space ``erfc`` sum of :class:`repro.md.ewald.EwaldOptions`.
     """
     i_g, j_g, si, sj, eps, rmin, qq = entry
     return backend.nb_pairs(
         system.positions, system.box, i_g, j_g, eps, rmin, qq,
         options.cutoff, options.switch, block, si, sj,
+        *ewald_pair_mode(ewald),
     )
 
 
@@ -352,7 +372,7 @@ def build_xtask_entries(xtasks, xsels, term_data, my_tasks, n_nb):
     return entries
 
 
-def eval_xtask(system, entry, ewald_cfg, block, backend):
+def eval_xtask(system, entry, ewald, block, backend):
     """One extra task into its block; returns ``(energy, n_items)``.
 
     Bonded groups report their term count, k-space shards their k-vector
@@ -362,9 +382,8 @@ def eval_xtask(system, entry, ewald_cfg, block, backend):
     """
     if entry[0] == "kspace":
         _, lo, hi = entry
-        alpha, kmax = ewald_cfg
         box = np.asarray(system.box, dtype=np.float64)
-        k_tab, _k2, ak = _kspace_tables(box, kmax, alpha)
+        k_tab, _k2, ak = _kspace_tables(box, ewald.kmax, ewald.alpha_value())
         if hi <= lo or len(k_tab) == 0:
             return 0.0, 0
         pref = COULOMB_CONSTANT * 2.0 * np.pi / float(np.prod(box))
@@ -422,7 +441,7 @@ class ForceTaskEvaluator:
         # cache counters are cumulative per process; under fork the child
         # inherits the parent's, so report deltas from this baseline
         self.cache_base = (
-            kspace_cache_stats() if provider.ewald_cfg is not None else None
+            kspace_cache_stats() if provider.ewald is not None else None
         )
 
     def begin_step(self, payload) -> None:
@@ -446,8 +465,7 @@ class ForceTaskEvaluator:
             self.lists = build_task_lists(
                 self.system, p.tasks,
                 [t for t in my_tasks if t < self.n_nb],
-                buckets, p.r_list,
-                backend=self.backend, coulomb=p.coulomb,
+                buckets, p.r_list, backend=self.backend,
             )
             self.xentries = build_xtask_entries(
                 p.xtasks, xsels, p.term_data, my_tasks, self.n_nb
@@ -460,7 +478,7 @@ class ForceTaskEvaluator:
         p = self.provider
         if t >= self.n_nb:
             energy, n_items = eval_xtask(
-                self.system, self.xentries[t], p.ewald_cfg, block, self.backend
+                self.system, self.xentries[t], p.ewald, block, self.backend
             )
             if self.xentries[t][0] == "kspace":
                 return 0.0, energy, n_items
@@ -469,7 +487,7 @@ class ForceTaskEvaluator:
         if entry is None:
             return 0.0, 0.0, 0
         return task_kernel(
-            self.system, entry, p.options, block, self.backend
+            self.system, entry, p.options, block, self.backend, p.ewald
         )
 
     def end_step(self, out_row) -> None:
@@ -507,8 +525,7 @@ class ForceTaskProvider:
     term_data: dict[int, tuple]
     r_list: float
     backend_name: str
-    ewald_cfg: tuple[float, int] | None
-    coulomb: bool
+    ewald: EwaldOptions | None
     scratch_rows: int
 
     @property
@@ -608,7 +625,7 @@ def build_force_tasks(
 ) -> ForceTaskSpec:
     """Deterministic construction of the force-task family.
 
-    Builds the half-shell cell grid sized to ``cutoff + skin``, seeds
+    Builds the half-shell cell grid sized to ``pair_reach + skin``, seeds
     per-task costs from the cost model (the paper's "before the first
     measurement" rule; skipped when ``n_workers == 1`` leaves nothing to
     partition), applies grainsize splitting from the deterministic
@@ -623,7 +640,8 @@ def build_force_tasks(
 
     backend = get_backend(backend)
     system.exclusions  # build once, before workers copy the system
-    r_list = options.cutoff + skin
+    reach = pair_reach(options, ewald)
+    r_list = reach + skin
     box = np.asarray(system.box, dtype=np.float64)
     wrapped = wrap_positions(system.positions, box)
     grid = CellGrid.build(wrapped, box, r_list)
@@ -643,7 +661,7 @@ def build_force_tasks(
         costs = estimate_block_costs(
             wrapped,
             box,
-            options.cutoff,
+            reach,
             buckets,
             parents,
             model=model,
@@ -692,6 +710,10 @@ def build_force_tasks(
     x_costs: list[float] = []
     term_data: dict[int, tuple] = {}
     mean_nb = float(sub_cost_arr.mean()) if len(sub_costs) else 1.0
+    if ewald is not None:
+        # after the split decision and the bonded unit: the erfc cost may
+        # move the initial task→worker map only, never the task list
+        sub_cost_arr *= EWALD_PAIR_RATIO
     if bonded:
         for kind in range(len(BONDED_KINDS)):
             idx, kpar, p1, p2 = bonded_term_arrays(system, kind)
@@ -711,12 +733,13 @@ def build_force_tasks(
                     # cell block); measurements take over after the first
                     # step
                     x_costs.append(mean_nb * (n_terms / 64.0) + mean_nb * 1e-3)
-    kspace_tasks = bool(kspace) and ewald is not None
-    if kspace_tasks:
+    if kspace and ewald is not None:
         nk = (2 * ewald.kmax + 1) ** 3 - 1
-        for lo_hi in kspace_shards(nk):
-            xtasks.append(lo_hi)
-            x_costs.append(mean_nb)
+        t_pair = model.t_pair if model is not None else 1.0
+        for shard in kspace_shards(nk):
+            xtasks.append(shard)
+            n_terms = system.n_atoms * (shard[2] - shard[1])
+            x_costs.append(t_pair * KTERM_PAIR_RATIO * n_terms)
     all_costs = (
         np.concatenate([sub_cost_arr, np.asarray(x_costs)])
         if x_costs
@@ -732,9 +755,6 @@ def build_force_tasks(
     x_rows += n_kshards * n
     scratch_rows = scratch_rows_bound(tasks, n_cells, n) + x_rows
 
-    ewald_cfg = (
-        (ewald.alpha_value(), int(ewald.kmax)) if kspace_tasks else None
-    )
     provider = ForceTaskProvider(
         system=system,
         options=options,
@@ -744,8 +764,7 @@ def build_force_tasks(
         term_data=term_data,
         r_list=r_list,
         backend_name=backend.name,
-        ewald_cfg=ewald_cfg,
-        coulomb=ewald is None,
+        ewald=ewald,
         scratch_rows=scratch_rows,
     )
     bonded_ids: dict[int, list[int]] = {}

@@ -413,7 +413,6 @@ def restore_run_checkpoint(engine, cp: RunCheckpoint) -> None:
     )
     engine._last_nonbonded = None
     engine._last_bonded = None
-    engine._last_ewald = None
     # align the pool's evaluation counter so step-indexed events
     # (LB remaps force rebuilds) land on the same absolute steps
     engine._nb.seq = cp.nb_seq

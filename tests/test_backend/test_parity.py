@@ -95,6 +95,69 @@ class TestEwaldParity:
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("ewald_cutoff", [5.0, 6.0, 7.5], ids=["below", "equal", "above"])
+class TestFusedEwaldPairKernel:
+    """``nb_pairs`` in Ewald mode, over a prefiltered water list with the
+    erfc cutoff below, at and above the LJ cutoff (6 A)."""
+
+    ALPHA = 0.4
+
+    def _evaluate(self, backend, ewald_cutoff, lj=True, elec=True):
+        from repro.md.cells import candidate_pairs
+        from repro.md.nonbonded import _combined_params, filter_candidates
+
+        system = small_water_box(50, seed=3, relax=False)
+        pos, box = system.positions, system.box
+        reach = max(6.0, ewald_cutoff) + 1.0  # a skin's worth of extra pairs
+        i, j = filter_candidates(system, *candidate_pairs(pos, box, reach), reach)
+        eps, rmin, qq = _combined_params(system, i, j)
+        forces = np.zeros_like(pos)
+        out = get_backend(backend).nb_pairs(
+            pos, box, i, j, eps * lj, rmin, qq * elec, 6.0, 5.1, forces, i, j,
+            self.ALPHA, ewald_cutoff,
+        )
+        return out, forces, (system, i, j, eps, rmin, qq)
+
+    def test_matches_reference(self, backend, ewald_cutoff):
+        out, forces, _ = self._evaluate(backend, ewald_cutoff)
+        ref, ref_forces, _ = self._evaluate(NUMPY, ewald_cutoff)
+        assert out[2] == ref[2] > 0
+        assert _rel_close(out[0], ref[0]) and _rel_close(out[1], ref[1])
+        assert _rel_close(forces, ref_forces)
+
+    def test_newtons_third_law(self, backend, ewald_cutoff):
+        _, forces, _ = self._evaluate(backend, ewald_cutoff)
+        assert np.all(np.abs(forces.sum(axis=0)) <= 1e-9 * np.abs(forces).max())
+
+    def test_is_lj_plus_the_oracle_real_space_kernel(self, backend, ewald_cutoff):
+        """Fused = the cutoff-mode LJ term + ``ewald_real`` on the same pairs."""
+        from repro.md.constants import COULOMB_CONSTANT
+
+        out, forces, (system, i, j, eps, rmin, qq) = self._evaluate(
+            backend, ewald_cutoff
+        )
+        be = get_backend(backend)
+        lj_only, lj_forces, _ = self._evaluate(backend, ewald_cutoff, elec=False)
+        real_forces = np.zeros_like(forces)
+        e_real = be.ewald_real(
+            system.positions, system.box, i, j, COULOMB_CONSTANT * qq,
+            self.ALPHA, ewald_cutoff, real_forces,
+        )
+        assert out[2] == lj_only[2]  # the count is the LJ cutoff's
+        assert _rel_close(out[0], lj_only[0]) and lj_only[1] == 0.0
+        assert _rel_close(out[1], e_real)
+        assert _rel_close(forces, lj_forces + real_forces)
+        # and the LJ term is the cutoff-mode kernel's, whatever the erfc reach
+        cut_forces = np.zeros_like(forces)
+        cut = be.nb_pairs(
+            system.positions, system.box, i, j, eps, rmin, 0.0 * qq, 6.0, 5.1,
+            cut_forces, i, j,
+        )
+        assert cut[2] == out[2] and _rel_close(cut[0], out[0])
+        assert _rel_close(cut_forces, lj_forces)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestEdgeCases:
     def test_zero_pair_box(self, backend):
         # two far-apart atoms: candidate enumeration finds nothing in range

@@ -6,6 +6,7 @@ every test that touches selection state goes through
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -112,46 +113,45 @@ class TestSelfCheck:
     def test_broken_energy_detected(self):
         good = ref.build_backend()
 
-        def bad_nb(pos, box, i, j, eps, rmin, qq, cut, sw, forces, si, sj):
+        def bad_nb(pos, box, i, j, eps, rmin, qq, cut, sw, forces, si, sj, *mode):
             e_lj, e_el, n = ref.nb_pairs(
-                pos, box, i, j, eps, rmin, qq, cut, sw, forces, si, sj
+                pos, box, i, j, eps, rmin, qq, cut, sw, forces, si, sj, *mode
             )
             return e_lj * (1.0 + 1e-6), e_el, n  # 1e-6 relative >> 1e-9 tol
 
-        broken = KernelBackend(
-            name="broken",
-            compiled=True,
-            nb_pairs=bad_nb,
-            pair_mask=good.pair_mask,
-            segment_add=good.segment_add,
-            ewald_real=good.ewald_real,
-            ewald_recip=good.ewald_recip,
-        )
+        broken = replace(good, name="broken", compiled=True, nb_pairs=bad_nb)
         ok, detail = parity_selfcheck(broken, good)
         assert not ok
         assert detail  # says *what* diverged
 
+    def test_broken_ewald_mode_detected(self):
+        """A kernel right in cutoff mode and wrong in Ewald mode fails."""
+        good = ref.build_backend()
+
+        def bad_nb(pos, box, i, j, eps, rmin, qq, cut, sw, forces, si, sj, *mode):
+            e_lj, e_el, n = ref.nb_pairs(
+                pos, box, i, j, eps, rmin, qq, cut, sw, forces, si, sj, *mode
+            )
+            return e_lj, e_el * (1.0 + 1e-6) if mode else e_el, n
+
+        broken = replace(good, name="broken", compiled=True, nb_pairs=bad_nb)
+        ok, detail = parity_selfcheck(broken, good)
+        assert not ok
+        assert "ewald" in detail
+
     def test_broken_forces_detected(self):
         good = ref.build_backend()
 
-        def bad_nb(pos, box, i, j, eps, rmin, qq, cut, sw, forces, si, sj):
+        def bad_nb(pos, box, i, j, eps, rmin, qq, cut, sw, forces, si, sj, *mode):
             out = ref.nb_pairs(
-                pos, box, i, j, eps, rmin, qq, cut, sw, forces, si, sj
+                pos, box, i, j, eps, rmin, qq, cut, sw, forces, si, sj, *mode
             )
             # skew one row by 1e-6 of the global force scale (the self-check
             # tolerance is relative to the largest force component)
             forces[0, 0] += 1e-6 * float(np.abs(forces).max())
             return out
 
-        broken = KernelBackend(
-            name="broken",
-            compiled=True,
-            nb_pairs=bad_nb,
-            pair_mask=good.pair_mask,
-            segment_add=good.segment_add,
-            ewald_real=good.ewald_real,
-            ewald_recip=good.ewald_recip,
-        )
+        broken = replace(good, name="broken", compiled=True, nb_pairs=bad_nb)
         ok, _ = parity_selfcheck(broken, good)
         assert not ok
 
@@ -161,18 +161,17 @@ class TestSelfCheck:
         def explode(*_a, **_k):
             raise RuntimeError("compile error")
 
-        broken = KernelBackend(
-            name="broken",
-            compiled=True,
-            nb_pairs=explode,
-            pair_mask=good.pair_mask,
-            segment_add=good.segment_add,
-            ewald_real=good.ewald_real,
-            ewald_recip=good.ewald_recip,
-        )
+        broken = replace(good, name="broken", compiled=True, nb_pairs=explode)
         ok, detail = parity_selfcheck(broken)
         assert not ok
         assert "compile error" in detail or "RuntimeError" in detail
+
+    def test_every_kernel_is_required(self):
+        good = ref.build_backend()
+        fields = {f: getattr(good, f) for f in good.__dataclass_fields__}
+        del fields["ewald_recip_shard"]
+        with pytest.raises(TypeError, match="ewald_recip_shard"):
+            KernelBackend(**fields)
 
 
 # --------------------------------------------------------------------- #

@@ -4,20 +4,25 @@ tasks run, and the path agrees with the reference functions.
 An engine without workers evaluates the workers' tasks in-process through
 the same per-step loop, so ``workers`` 1 / 2 / 3 give bit-identical
 trajectories; against the independent oracle (``oracle.py``) the path
-holds 1e-9 on every system the engines are used on.
+holds 1e-9 on every system the engines are used on.  Under Ewald the
+real-space term rides the same tasks, lists and kernel: same guarantees.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.builder import skewed_water_box, small_water_box
 from repro.md.engine import make_engine
-from repro.md.ewald import EwaldOptions
+from repro.md.ewald import EwaldOptions, compute_ewald
 from repro.md.integrator import VelocityVerlet
 from repro.md.nonbonded import NonbondedOptions
-from repro.md.parallel import HAS_SHARED_MEMORY
+from repro.md.parallel import HAS_SHARED_MEMORY, ParallelEngine
+from repro.pool import HAS_POSIX_SIGNALS, RecoveryPolicy
+from repro.runtime.checkpoint import load_run_checkpoint, restore_run_checkpoint
 
-from .oracle import assert_matches_reference
+from .oracle import RTOL, assert_matches_reference
 
 pytestmark = pytest.mark.skipif(
     not HAS_SHARED_MEMORY, reason="platform lacks multiprocessing.shared_memory"
@@ -38,12 +43,19 @@ def systems(assembly):
     }
 
 
-def engine_for(systems, name, ewald, workers, **kwargs):
+def fresh(systems, name):
     system, cutoff = systems[name]
     system = system.copy()
     system.assign_velocities(300.0, seed=5)
+    return system, cutoff
+
+
+def engine_for(systems, name, ewald, workers, **kwargs):
+    """``ewald``: falsy, True (its cutoff the LJ one), or that cutoff's
+    ratio to the LJ one."""
+    system, cutoff = fresh(systems, name)
     if ewald:
-        kwargs["ewald"] = EwaldOptions(cutoff=cutoff, kmax=3)
+        kwargs["ewald"] = EwaldOptions(cutoff=cutoff * float(ewald), kmax=3)
     return make_engine(
         system, NonbondedOptions(cutoff=cutoff), VelocityVerlet(dt=1.0),
         workers=workers, **kwargs,
@@ -88,3 +100,137 @@ def test_engine_matches_reference_functions(
             engine.run(4)
             assert engine.pairlist.n_reuses > 0
             assert_matches_reference(engine, engine._forces)
+
+
+@pytest.mark.parametrize("ratio", [0.75, 1.25], ids=["below", "above"])
+@pytest.mark.parametrize("name", ["water", "assembly", "skewed"])
+def test_ewald_cutoff_below_and_above_the_lj_cutoff(systems, name, ratio):
+    """Lists and grid size to the longer of the two, each term keeps its own."""
+    with engine_for(systems, name, ratio, 2, distribute=True) as engine:
+        assert engine.parallel
+        cutoff = engine.options.cutoff
+        assert engine.ewald.cutoff == ratio * cutoff
+        assert engine.pairlist.cutoff == max(1.0, ratio) * cutoff
+        assert_matches_reference(engine)
+        if name != "assembly":
+            engine.run(4)
+            assert engine.pairlist.n_reuses > 0
+            assert_matches_reference(engine, engine._forces)
+
+
+def test_ewald_components_on_the_assembly(systems):
+    """The assembly has 1-4 pairs: the task lists leave them out, the 1-4
+    pass carries their erfc term at full strength.  Every component agrees
+    with the oracle, on fresh lists and on reused ones."""
+    with engine_for(systems, "assembly", True, 2, distribute=True) as engine:
+        system = engine.system
+        assert len(system.exclusions.pairs14) > 0
+        rng = np.random.default_rng(7)
+        for reused in (False, True):
+            if reused:  # well inside skin/2, so the lists stay
+                system.positions += rng.uniform(-0.05, 0.05, system.positions.shape)
+            assert_matches_reference(engine, engine.compute_forces())
+            oracle = compute_ewald(system, engine.ewald)
+            for component in (
+                "energy_real", "energy_recip", "energy_exclusion",
+                "energy_self", "energy_background",
+            ):
+                assert getattr(engine._nb.last_ewald, component) == pytest.approx(
+                    getattr(oracle, component), rel=RTOL, abs=1e-12
+                ), component
+        assert (engine.pairlist.n_builds, engine.pairlist.n_reuses) == (1, 1)
+
+
+def test_ewald_list_reuse_step_enumerates_and_filters_nothing(systems, monkeypatch):
+    """No per-step candidate sweep or exclusion test is left on an Ewald
+    engine's path: both happen at list rebuilds only."""
+    import repro.md.cells
+    import repro.md.nonbonded
+    from repro.md.topology import Exclusions
+
+    calls = Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    # without workers the tasks run in this process, where the patches are
+    with engine_for(systems, "water", True, 1) as engine:
+        engine.step()
+        for module in (repro.md.cells, repro.md.nonbonded):
+            monkeypatch.setattr(
+                module, "candidate_pairs",
+                counted("candidate_pairs", module.candidate_pairs),
+            )
+        monkeypatch.setattr(
+            Exclusions, "is_excluded", counted("is_excluded", Exclusions.is_excluded)
+        )
+        builds = engine.pairlist.n_builds
+        engine.step()
+        assert engine.pairlist.n_builds == builds  # a reuse step
+        assert not calls
+        engine.pairlist.invalidate()
+        engine.step()
+        assert calls["is_excluded"] > 0 and not calls["candidate_pairs"]
+
+
+def ewald_trajectory(systems, workers, distribute, steps=12, restore=None, **kwargs):
+    """``(engine, (positions, velocities, total energies))`` of an Ewald run
+    on the water box, optionally continuing a checkpoint."""
+    system, cutoff = fresh(systems, "water")
+    engine = ParallelEngine(
+        system, NonbondedOptions(cutoff=cutoff), VelocityVerlet(dt=1.0),
+        workers=workers, ewald=EwaldOptions(cutoff=cutoff, kmax=3),
+        distribute=distribute, **kwargs,
+    )
+    with engine:
+        if restore is not None:
+            restore_run_checkpoint(engine, restore)
+        totals = [report.total for report in engine.run(steps)]
+    return engine, (system.positions.copy(), system.velocities.copy(), totals)
+
+
+def assert_same_bits(run, base):
+    for got, expected in zip(run, base):
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("distribute", [False, True], ids=["driver-recip", "sharded"])
+class TestEwaldBitsDoNotDependOnWhoRunsTheTasks:
+    def test_worker_counts(self, systems, distribute):
+        engine, base = ewald_trajectory(systems, 1, distribute)
+        assert not engine.parallel and engine.pairlist.n_reuses > 0
+        for workers in (2, 3):
+            engine, run = ewald_trajectory(systems, workers, distribute)
+            assert engine.resilience.mode == "full"
+            assert_same_bits(run, base)
+
+    @pytest.mark.skipif(not HAS_POSIX_SIGNALS, reason="platform lacks SIGKILL")
+    def test_degrade_rung(self, systems, distribute):
+        """Both workers lost mid-run: the tasks finish in-process."""
+        _, base = ewald_trajectory(systems, 1, distribute)
+        with pytest.warns(RuntimeWarning, match="pool degraded"):
+            engine, run = ewald_trajectory(
+                systems, 2, distribute, fault_plan="kill=0@2,kill=1@4",
+                recovery=RecoveryPolicy(max_respawns=0),
+            )
+        assert engine.resilience.mode == "sequential"
+        assert_same_bits(run, base)
+
+    def test_checkpoint_resume(self, systems, distribute, tmp_path):
+        """... and a resumed run need not even have the writer's workers."""
+        path = tmp_path / "ewald.ckpt"
+        _, written = ewald_trajectory(
+            systems, 2, distribute, steps=10, checkpoint_every=4,
+            checkpoint_path=path,
+        )
+        checkpoint = load_run_checkpoint(path)
+        assert checkpoint.step == 8
+        _, resumed = ewald_trajectory(
+            systems, 1, distribute, steps=2, restore=checkpoint
+        )
+        assert_same_bits(resumed[:2], written[:2])
+        assert resumed[2] == written[2][-2:]
