@@ -4,8 +4,8 @@ The md modules run their inner loops through a :class:`KernelBackend` — a
 bundle of five kernels (see :mod:`repro.backend.base`).  Two implementations
 ship:
 
-* ``numpy`` — the vectorized reference, bit-for-bit identical to the
-  historical inline code.  Always available.
+* ``numpy`` — the vectorized reference (:mod:`repro.backend.reference`),
+  the ground truth by definition.  Always available.
 * ``numba`` — serial JIT-compiled loops (:mod:`repro.backend.numba_backend`).
   Loaded lazily; on first use it must pass a parity self-check against the
   reference (1e-9 on energies/forces, exact pair masks).  If numba is

@@ -1,11 +1,17 @@
 """Pure-numpy reference kernels — the ground truth every backend must match.
 
-These are the exact vectorized implementations the md modules ran inline
-before the backend layer existed, factored out unchanged: the numpy backend
-is bit-for-bit identical to the historical code paths, which is what keeps
-default-path trajectories (and checkpoint resume) bit-identical across this
-refactor.  Compiled backends must agree to 1e-9 (enforced by
-:func:`repro.backend.base.parity_selfcheck` and the parity-sweep tests).
+Ground truth by definition: compiled backends must agree with these
+kernels to 1e-9 (enforced by :func:`repro.backend.base.parity_selfcheck`
+and the parity-sweep tests).  The physics is written once, readably, in
+:func:`pair_terms` and :func:`switching_terms` — the formulas behind
+``repro.md.nonbonded.pair_interactions`` / ``switching_function`` and the
+finite-difference tests.  :func:`nb_pairs`, the engines' pair kernel,
+evaluates the same formulas arranged for numpy (component-major
+displacements, index selection, in-place updates, the switching polynomial
+on its band only); tests hold it to ``pair_terms`` + ``segment_add`` at
+1e-12.  The numpy backend is deterministic — one reduction order per
+kernel — which is what keeps trajectories and checkpoint resume
+bit-identical run to run.
 
 Import discipline: numpy and :mod:`repro.util` only.  ``repro.md`` modules
 import :mod:`repro.backend` at module scope, so importing md back from here
@@ -28,29 +34,36 @@ COULOMB_CONSTANT = 332.0636
 
 #: Below this many contributions per output row (on average), the bincount
 #: pass over the whole output array costs more than the generic scatter.
-#: Duplicated from the historical ``repro.md.scatter`` value (guarded by
-#: tests) so the scatter heuristic — and therefore the exact rounding of
-#: accumulated forces — is unchanged.
+#: The two strategies round accumulated forces differently, so the value
+#: is part of the numpy backend's bits (tests import it).
 _BINCOUNT_MIN_FILL = 0.25
 
 
-def segment_add(out: np.ndarray, idx: np.ndarray, contrib: np.ndarray) -> None:
+def segment_add(
+    out: np.ndarray, idx: np.ndarray, contrib: np.ndarray, subtract: bool = False
+) -> None:
     """Accumulate ``contrib[p]`` into ``out[idx[p]]`` (duplicates summed).
 
     ``out`` has shape ``(n, k)`` and ``contrib`` shape ``(m, k)`` for small
     ``k``.  Uses one ``np.bincount`` per component; falls back to
     ``np.add.at`` when the contribution count is small relative to ``n``
-    (bincount would be dominated by its O(n) output pass).  Raw kernel:
+    (bincount would be dominated by its O(n) output pass).  ``subtract``
+    accumulates ``-contrib`` without materialising it (the same bits:
+    negation commutes with every rounding on the way).  Raw kernel:
     indices must already be validated (see ``repro.md.scatter``).
     """
     if len(idx) == 0:
         return
     n = out.shape[0]
     if len(idx) < _BINCOUNT_MIN_FILL * n:
-        np.add.at(out, idx, contrib)
+        (np.subtract if subtract else np.add).at(out, idx, contrib)
         return
     for k in range(out.shape[1]):
-        out[:, k] += np.bincount(idx, weights=contrib[:, k], minlength=n)
+        col = np.bincount(idx, weights=contrib[:, k], minlength=n)
+        if subtract:
+            out[:, k] -= col
+        else:
+            out[:, k] += col
 
 
 def pair_mask(
@@ -169,26 +182,114 @@ def nb_pairs(
     alpha: float | None = None,
     ewald_cutoff: float | None = None,
 ) -> tuple[float, float, int]:
-    """Fused distance filter + pair kernel + Newton's-third-law scatter."""
-    if len(i_idx) == 0:
+    """Fused distance filter + pair kernel + Newton's-third-law scatter.
+
+    The formulas are those of :func:`pair_terms` (tests hold this kernel to
+    it at 1e-12); what differs is the data movement.  Displacements live
+    component-major, ``(3, m)``, so every pass is a contiguous run against
+    a scalar box edge; a listed pair costs two row gathers, an in-place
+    minimum image and a squared norm.  Survivors are selected once, by
+    index, and everything after that updates per-survivor arrays in place:
+    the force is carried as ``dE/dr / r`` so the unit vector is never
+    formed, and the switching polynomial is evaluated on the ``r > switch``
+    band only.
+    """
+    m = len(i_idx)
+    if m == 0:
         return 0.0, 0.0, 0
-    delta = minimum_image(pos[j_idx] - pos[i_idx], box)
-    r2 = np.einsum("ij,ij->i", delta, delta)
+    delta = np.empty((3, m))
+    np.subtract(
+        np.take(pos, j_idx, axis=0).T, np.take(pos, i_idx, axis=0).T, out=delta
+    )
+    edge = np.asarray(box, dtype=np.float64).reshape(3, 1)
+    image = delta / edge
+    np.rint(image, out=image)
+    image *= edge
+    delta -= image
+    r2 = np.einsum("km,km->m", delta, delta)
     # Ewald mode: either term may reach further than the other
     reach = cutoff if alpha is None else max(cutoff, ewald_cutoff)
-    within = r2 < reach * reach
-    n_pairs = int(np.count_nonzero(within))
-    if n_pairs == 0:
+    keep = np.flatnonzero(r2 < reach * reach)
+    if len(keep) == 0:
         return 0.0, 0.0, 0
-    r2 = r2[within]
-    e_lj, e_el, fvec = pair_terms(
-        delta[within], r2, eps[within], rmin[within], qq[within],
-        cutoff, switch, alpha, ewald_cutoff,
-    )
-    segment_add(forces, si[within], fvec)
-    segment_add(forces, sj[within], -fvec)
+    r2 = r2.take(keep)
+    delta = delta.take(keep, axis=1)
+    c2 = cutoff * cutoff
+    s2 = switch * switch
+
+    inv_r2 = 1.0 / r2
+    # Lennard-Jones: e = eps (sr12 - 2 sr6), dE/dr / r = -12 eps (sr12 - sr6) / r²
+    sr6 = rmin.take(keep)
+    sr6 *= sr6
+    sr6 *= inv_r2
+    sr6 = sr6 * sr6 * sr6
+    eps_k = eps.take(keep)
+    e_lj = sr6 - 2.0
+    e_lj *= sr6
+    e_lj *= eps_k
+    f_r = sr6 - 1.0
+    f_r *= sr6
+    f_r *= eps_k
+    f_r *= inv_r2
+    f_r *= -12.0
+    # switching: S = 1 and dS/dr² = 0 below the band; beyond the LJ cutoff
+    # (Ewald mode with the longer real-space reach) the clamp zeroes both
+    band = np.flatnonzero(r2 > s2)
+    if len(band):
+        rb = r2.take(band)
+        gap = c2 - rb
+        if reach > cutoff:
+            np.maximum(gap, 0.0, out=gap)
+        denom = (c2 - s2) ** 3
+        S = gap * gap * (c2 + 2.0 * rb - 3.0 * s2) / denom
+        dS = 6.0 * gap * (s2 - rb) / denom
+        eb = e_lj.take(band)
+        # (dE/dr S + e dS/dr² 2r) / r
+        f_r[band] = f_r.take(band) * S + 2.0 * eb * dS
+        e_lj[band] = eb * S
+
+    cqq = qq.take(keep)
+    cqq *= COULOMB_CONSTANT
+    inv_r = np.sqrt(inv_r2)
+    if alpha is None:
+        # shifted point charges: e = (C qq / r)(1 - r²/c²)²
+        shift = r2 / (-c2)
+        shift += 1.0
+        e_el = cqq * inv_r
+        e_el *= shift
+        # dE/dr / r = -(C qq / r)(shift² / r² + 4 shift / c²)
+        f_el = shift * inv_r2
+        f_el += 4.0 / c2
+        f_el *= e_el
+        f_r -= f_el
+        e_el *= shift
+    else:
+        # Ewald real space, truncated at its own cutoff
+        from scipy.special import erfc
+
+        if reach > ewald_cutoff:
+            cqq *= r2 < ewald_cutoff * ewald_cutoff
+        r = r2 * inv_r
+        e_el = erfc(alpha * r)
+        e_el *= inv_r
+        e_el *= cqq
+        # dE/dr / r = -(e + C qq 2a/sqrt(pi) exp(-a² r²)) / r²
+        f_el = np.exp(r2 * (-alpha * alpha))
+        f_el *= cqq
+        f_el *= 2.0 * alpha / np.sqrt(np.pi)
+        f_el += e_el
+        f_el *= inv_r2
+        f_r -= f_el
+
+    # force on i = +dE/dr (delta / r) given delta = x_j - x_i; j gets the
+    # negative
+    delta *= f_r
+    segment_add(forces, si.take(keep), delta.T)
+    segment_add(forces, sj.take(keep), delta.T, subtract=True)
     if reach > cutoff:  # the count stays the pairs inside the LJ cutoff
-        n_pairs = int(np.count_nonzero(r2 < cutoff * cutoff))
+        n_pairs = int(np.count_nonzero(r2 < c2))
+    else:
+        n_pairs = len(keep)
     return float(e_lj.sum()), float(e_el.sum()), n_pairs
 
 

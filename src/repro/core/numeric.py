@@ -74,11 +74,6 @@ class NumericBackend:
         self.forces = np.zeros_like(self.positions)
         self.masses = self.system.masses
         self.exclusions = self.system.exclusions
-        self._keys14 = np.sort(
-            self.exclusions.pair_key(
-                self.exclusions.pairs14[:, 0], self.exclusions.pairs14[:, 1]
-            )
-        ) if len(self.exclusions.pairs14) else np.zeros(0, dtype=np.int64)
         # per-step scalar energy tallies, keyed by step
         self.energy_by_step: dict[int, dict[str, float]] = {}
         self.pairlist_skin = float(pairlist_skin)
@@ -216,16 +211,8 @@ class NumericBackend:
         if len(ii) == 0:
             return
         excl = self.exclusions
-        keys = excl.pair_key(ii, jj)
-        is_excluded = excl.is_excluded(ii, jj)
-        if len(self._keys14):
-            pos14 = np.minimum(
-                np.searchsorted(self._keys14, keys), len(self._keys14) - 1
-            )
-            is14 = self._keys14[pos14] == keys
-        else:
-            is14 = np.zeros(len(ii), dtype=bool)
-        normal = ~(is_excluded | is14)
+        is14 = excl.is_pair14(ii, jj)
+        normal = ~(excl.is_excluded(ii, jj) | is14)
 
         ff = self.system.forcefield
         for mask, lj_scale, el_scale in (

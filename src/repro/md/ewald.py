@@ -200,7 +200,9 @@ def _kspace_tables(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The ``(k, k2, ak)`` reciprocal-space tables for one (box, kmax, alpha).
 
-    ``k`` are the nonzero reciprocal vectors with ``|m| <= kmax`` per axis,
+    ``k`` are the reciprocal vectors with ``|m| <= kmax`` per axis in one
+    half space — one of every ``±k`` pair, ``((2 kmax + 1)³ - 1) / 2`` of
+    them; a sum over the table is half the sum over all nonzero vectors —
     ``k2`` their squared norms, ``ak`` the ``exp(-k2/4a^2)/k2`` prefactors.
     Cached: a box change (or different kmax/alpha) misses and rebuilds,
     identical parameters hit and share the same read-only arrays.
@@ -236,7 +238,10 @@ def _kspace_tables(
         indexing="ij",
     )
     m = np.stack([mx.ravel(), my.ravel(), mz.ravel()], axis=1).astype(np.float64)
-    m = m[np.any(m != 0, axis=1)]
+    # k and -k contribute identically (callers double the prefactor): keep
+    # the half space whose first nonzero index is positive — in this
+    # lexicographic order, everything after the origin in the middle
+    m = m[len(m) // 2 + 1 :]
     k = 2.0 * np.pi * m / box_snap[None, :]
     k2 = np.einsum("ij,ij->i", k, k)
     ak = np.exp(-k2 / (4.0 * alpha * alpha)) / k2  # (nk,)
@@ -265,7 +270,8 @@ def _reciprocal_space(
     if len(k) == 0:  # kmax=0: only the excluded m=0 term — nothing to sum
         return 0.0
 
-    pref = COULOMB_CONSTANT * 2.0 * np.pi / volume
+    # twice C 2π/V: the table holds one of every ±k pair
+    pref = COULOMB_CONSTANT * 4.0 * np.pi / volume
     return backend.ewald_recip(pos, q, k, ak, pref, forces)
 
 

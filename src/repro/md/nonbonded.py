@@ -162,12 +162,7 @@ def filter_candidates(
         return empty
     within = get_backend(backend).pair_mask(pos, system.box, i_cand, j_cand, cutoff)
     i_c, j_c = i_cand[within], j_cand[within]
-    mask = ~excl.is_excluded(i_c, j_c)
-    if len(excl.pairs14):
-        keys14 = np.sort(excl.pair_key(excl.pairs14[:, 0], excl.pairs14[:, 1]))
-        keys = excl.pair_key(i_c, j_c)
-        pos14 = np.minimum(np.searchsorted(keys14, keys), len(keys14) - 1)
-        mask &= keys14[pos14] != keys
+    mask = ~(excl.is_excluded(i_c, j_c) | excl.is_pair14(i_c, j_c))
     out = np.ascontiguousarray(i_c[mask]), np.ascontiguousarray(j_c[mask])
     if return_kept:
         kept = np.flatnonzero(within)[mask]
@@ -213,9 +208,7 @@ def nonbonded_kernel(
 
     The distance test, pair math, and force scatter are fused in
     ``backend.nb_pairs``; exclusion bookkeeping (searchsorted over pair
-    keys) stays vectorized numpy here.  Kept pairs and their evaluation
-    order are identical to the historical inline code, so the numpy
-    backend reproduces it bit-for-bit.
+    keys) stays vectorized numpy here.
     """
     excl = system.exclusions
     be = get_backend(backend)
@@ -225,14 +218,7 @@ def nonbonded_kernel(
     s_i, s_j = scatter_i, scatter_j
     if not prefiltered:
         # remove excluded (1-2, 1-3) and modified (1-4) pairs from main loop
-        mask = ~excl.is_excluded(i_c, j_c)
-        if len(excl.pairs14):
-            keys14 = excl.pair_key(excl.pairs14[:, 0], excl.pairs14[:, 1])
-            keys14 = np.sort(keys14)
-            keys = excl.pair_key(i_c, j_c)
-            pos14 = np.searchsorted(keys14, keys)
-            pos14 = np.minimum(pos14, len(keys14) - 1)
-            mask &= keys14[pos14] != keys
+        mask = ~(excl.is_excluded(i_c, j_c) | excl.is_pair14(i_c, j_c))
         i_c, j_c = i_c[mask], j_c[mask]
         if s_i is not None:
             s_i, s_j = s_i[mask], s_j[mask]

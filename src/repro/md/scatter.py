@@ -3,10 +3,9 @@
 ``np.add.at`` is correct for duplicate indices but dispatches through the
 generic ufunc inner loop, which is an order of magnitude slower than a
 vectorized pass.  ``np.bincount`` computes the same segment sums with a
-single C loop per component.  The actual scatter now lives in the kernel
-backend (:mod:`repro.backend`); the numpy reference keeps the historical
-bincount/``add.at`` heuristic bit-for-bit, the numba backend runs one
-compiled loop.
+single C loop per component.  The actual scatter lives in the kernel
+backend (:mod:`repro.backend`): the numpy reference picks bincount or
+``add.at`` by fill ratio, the numba backend runs one compiled loop.
 
 Index validation happens once here, at the public entry point.  The two
 numpy paths used to disagree on bad input — ``np.add.at`` silently *wraps*

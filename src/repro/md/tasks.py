@@ -57,7 +57,6 @@ from repro.md.nonbonded import (
     NonbondedOptions,
     _combined_params,
     ewald_pair_mode,
-    filter_candidates,
 )
 from repro.core.grainsize import GrainsizeConfig, stripe_candidate_counts
 from repro.util.pbc import wrap_positions
@@ -90,19 +89,29 @@ MAX_SPLIT_PARTS = 16
 #: so the task structure (and with it the reduction order) is identical at
 #: any pool size; that is what keeps trajectories bit-identical across
 #: worker counts with k-space distribution on.
-KSHARD_TARGET = 512
+KSHARD_TARGET = 128
 KSHARD_MAX = 8
 
-#: Cost priors of the Ewald work, in the unit of the cell tasks' prior (one
-#: in-cutoff pair of the fused kernel in cutoff mode).  Only the initial
-#: task→worker map reads them, so a factor matters and a percent does not.
-#: Both are measured on the numpy backend with the perf harness's probes:
-#: one atom × k-vector term of a reciprocal shard costs
-#: ``backend.ewald_recip_ns_per_atom_k / backend.nb_pairs_ns_per_pair`` =
-#: 37 ns / 196 ns of a pair, and a pair costs 169 ns with ``erfc`` and
-#: ``exp`` against 159 ns with the shifted point-charge term.
-KTERM_PAIR_RATIO = 0.19
-EWALD_PAIR_RATIO = 1.06
+#: Cost priors of the work that is not a cutoff-mode cell task, in the unit
+#: of the cell tasks' prior (one in-cutoff pair of the fused kernel in cutoff
+#: mode).  Only the initial task→worker map reads them — and with the
+#: default ``rebalance_every=0`` that map is the only balancing a run gets —
+#: so a factor matters and a percent does not.  All are measured on the
+#: numpy backend, from the task times the engine's WorkDB collects on the
+#: perf harness's 343-water Ewald row at 2 workers:
+#:
+#: * a pair costs ~1.2x as much with ``erfc`` and ``exp`` as with the
+#:   shifted point-charge term (the 36 cell tasks: 27.6 ms against 22.7);
+#: * one atom x k-vector term of a reciprocal shard costs ~55 ns against
+#:   ~120 ns per pair unit of a cell task (the harness's single-process
+#:   probes, ``backend.ewald_recip_ns_per_atom_k`` over
+#:   ``backend.nb_pairs_ns_per_pair`` per in-range pair, give 38 / 92);
+#: * a bonded group is one kernel call of a few dozen small numpy
+#:   operations, 30-250 us whatever its size, plus 0.1-0.5 us per term.
+EWALD_PAIR_RATIO = 1.2
+KTERM_PAIR_RATIO = 0.55
+BONDED_CALL_PAIRS = 600.0
+BONDED_TERM_PAIRS = 3.0
 
 
 def pair_reach(options: NonbondedOptions, ewald: EwaldOptions | None) -> float:
@@ -256,71 +265,72 @@ def scratch_rows_bound(
 # --------------------------------------------------------------------------- #
 # worker-side kernels
 # --------------------------------------------------------------------------- #
-def build_task_lists(system, tasks, my_tasks, buckets, r_list, backend=None):
+def _block_within(xa: np.ndarray, xb: np.ndarray, box: np.ndarray, r_list: float):
+    """Dense minimum-image test ``|xb[c] - xa[r]| < r_list`` as a
+    ``(len(xa), len(xb))`` mask, one axis at a time."""
+    r2 = None
+    for k in range(3):
+        d = np.subtract.outer(xa[:, k], xb[:, k])
+        fold = d / box[k]
+        np.rint(fold, out=fold)
+        fold *= box[k]
+        d -= fold
+        d *= d
+        if r2 is None:
+            r2 = d
+        else:
+            r2 += d
+    return r2 < r_list * r_list
+
+
+def build_task_lists(system, tasks, my_tasks, buckets, r_list):
     """Per-task prefiltered pair lists with local scatter indices.
 
-    For each owned sub-task ``(a, b, part, n_parts)``: global candidate
-    index arrays filtered to ``r < r_list`` minus exclusions/1-4, the
-    matching *local* block-row indices, and the pre-combined LJ/charge
-    parameters (position-independent, so combined once per rebuild instead
-    of every step).  A self sub-task keeps the triu pairs whose row ``i``
+    For each owned sub-task ``(a, b, part, n_parts)``: global pair index
+    arrays filtered to ``r < r_list`` minus exclusions/1-4, the matching
+    *local* block-row indices, and the pre-combined LJ/charge parameters
+    (position-independent, so combined once per rebuild instead of every
+    step).  A self sub-task keeps the upper-triangle pairs whose row ``i``
     lands in the stripe (rows ``0..na-1`` of the block, so all slices of
-    one self cell share scatter indexing); a pair sub-task enumerates its
+    one self cell share scatter indexing); a pair sub-task tests its
     stripe's rows (block rows ``0..ns-1``) against all of cell ``b``
     (rows ``ns..``).  The slices are an exact partition of the parent
     task's candidate set.
+
+    The distance test runs on the task's dense block of cell-local
+    coordinates (:func:`_block_within`); the in-range entries, read in
+    row-major order, *are* the local scatter indices, so no per-candidate
+    index array is ever formed and the exclusion lookups see in-range
+    pairs only.
     """
-    triu_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    pos = system.positions
+    box = np.asarray(system.box, dtype=np.float64)
+    excl = system.exclusions
     lists: dict[int, tuple | None] = {}
     for t in my_tasks:
         a, b, part, n_parts = tasks[t]
-        atoms_a = buckets[a]
-        na = len(atoms_a)
-        if a == b:
-            if na < 2:
-                lists[t] = None
-                continue
-            if na not in triu_cache:
-                triu_cache[na] = np.triu_indices(na, k=1)
-            si, sj = triu_cache[na]
-            if n_parts > 1:
-                keep = si % n_parts == part
-                si = np.ascontiguousarray(si[keep])
-                sj = np.ascontiguousarray(sj[keep])
-                if len(si) == 0:
-                    lists[t] = None
-                    continue
-            i_g = atoms_a[si]
-            j_g = atoms_a[sj]
-        else:
-            atoms_b = buckets[b]
-            nb = len(atoms_b)
-            rows_a = np.arange(part, na, n_parts, dtype=np.int64)
-            ns = len(rows_a)
-            if ns == 0 or nb == 0:
-                lists[t] = None
-                continue
-            i_g = np.repeat(atoms_a[rows_a], nb)
-            j_g = np.tile(atoms_b, ns)
-            si = np.repeat(np.arange(ns, dtype=np.int64), nb)
-            sj = np.tile(np.arange(nb, dtype=np.int64) + ns, ns)
-        i_f, j_f, kept = filter_candidates(
-            system, i_g.astype(np.int32), j_g.astype(np.int32), r_list,
-            return_kept=True, backend=backend,
-        )
-        if len(i_f) == 0:
-            lists[t] = None
+        atoms_a, atoms_b = buckets[a], buckets[b]
+        rows = np.arange(part, len(atoms_a), n_parts)
+        lists[t] = None
+        if len(rows) == 0 or len(atoms_b) == 0:
             continue
-        eps, rmin, qq = _combined_params(system, i_f, j_f)
-        lists[t] = (
-            i_f,
-            j_f,
-            np.ascontiguousarray(si[kept], dtype=np.int64),
-            np.ascontiguousarray(sj[kept], dtype=np.int64),
-            eps,
-            rmin,
-            qq,
-        )
+        rows_a = atoms_a[rows]
+        within = _block_within(pos[rows_a], pos[atoms_b], box, r_list)
+        if a == b:  # each pair once: the upper triangle of the cell's block
+            within &= rows[:, None] < np.arange(len(atoms_b))
+        si, sj = np.divmod(np.flatnonzero(within), len(atoms_b))
+        i_g = rows_a[si]
+        j_g = atoms_b[sj]
+        keep = ~(excl.is_excluded(i_g, j_g) | excl.is_pair14(i_g, j_g))
+        if not keep.any():
+            continue
+        i_g = i_g[keep].astype(np.int32)
+        j_g = j_g[keep].astype(np.int32)
+        # block rows: a self task's are the cell's own, a pair task's the
+        # stripe followed by cell b
+        si = rows[si[keep]] if a == b else si[keep]
+        sj = sj[keep] if a == b else sj[keep] + len(rows)
+        lists[t] = (i_g, j_g, si, sj, *_combined_params(system, i_g, j_g))
     return lists
 
 
@@ -386,7 +396,8 @@ def eval_xtask(system, entry, ewald, block, backend):
         k_tab, _k2, ak = _kspace_tables(box, ewald.kmax, ewald.alpha_value())
         if hi <= lo or len(k_tab) == 0:
             return 0.0, 0
-        pref = COULOMB_CONSTANT * 2.0 * np.pi / float(np.prod(box))
+        # twice C 2π/V: the table holds one of every ±k pair
+        pref = COULOMB_CONSTANT * 4.0 * np.pi / float(np.prod(box))
         energy = backend.ewald_recip_shard(
             system.positions, system.charges, k_tab[lo:hi], ak[lo:hi],
             pref, block,
@@ -465,7 +476,7 @@ class ForceTaskEvaluator:
             self.lists = build_task_lists(
                 self.system, p.tasks,
                 [t for t in my_tasks if t < self.n_nb],
-                buckets, p.r_list, backend=self.backend,
+                buckets, p.r_list,
             )
             self.xentries = build_xtask_entries(
                 p.xtasks, xsels, p.term_data, my_tasks, self.n_nb
@@ -709,10 +720,10 @@ def build_force_tasks(
     xtasks: list[tuple] = []
     x_costs: list[float] = []
     term_data: dict[int, tuple] = {}
-    mean_nb = float(sub_cost_arr.mean()) if len(sub_costs) else 1.0
+    t_pair = model.t_pair if model is not None else 1.0
     if ewald is not None:
-        # after the split decision and the bonded unit: the erfc cost may
-        # move the initial task→worker map only, never the task list
+        # after the split decision: the erfc cost may move the initial
+        # task→worker map only, never the task list
         sub_cost_arr *= EWALD_PAIR_RATIO
     if bonded:
         for kind in range(len(BONDED_KINDS)):
@@ -729,13 +740,14 @@ def build_force_tasks(
                         np.count_nonzero(in_cell & (same == bool(intra)))
                     )
                     xtasks.append(("bonded", kind, cell, intra))
-                    # heuristic prior (a bonded term is far cheaper than a
-                    # cell block); measurements take over after the first
-                    # step
-                    x_costs.append(mean_nb * (n_terms / 64.0) + mean_nb * 1e-3)
+                    # an empty group returns before its kernel call
+                    x_costs.append(
+                        t_pair * (BONDED_CALL_PAIRS + BONDED_TERM_PAIRS * n_terms)
+                        if n_terms
+                        else 0.0
+                    )
     if kspace and ewald is not None:
-        nk = (2 * ewald.kmax + 1) ** 3 - 1
-        t_pair = model.t_pair if model is not None else 1.0
+        nk = ((2 * ewald.kmax + 1) ** 3 - 1) // 2  # the half-space table
         for shard in kspace_shards(nk):
             xtasks.append(shard)
             n_terms = system.n_atoms * (shard[2] - shard[1])

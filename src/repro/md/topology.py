@@ -83,6 +83,23 @@ class Exclusions:
             object.__setattr__(self, "_pair_table", cached)
         return cached
 
+    def is_pair14(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Boolean mask: True where the (i, j) pair is a modified 1-4 pair.
+
+        The sorted key table is built once per instance and cached
+        (read-only), like :meth:`excluded_pairs`.
+        """
+        keys14 = getattr(self, "_keys14", None)
+        if keys14 is None:
+            keys14 = np.sort(self.pair_key(self.pairs14[:, 0], self.pairs14[:, 1]))
+            keys14.setflags(write=False)
+            object.__setattr__(self, "_keys14", keys14)
+        if len(keys14) == 0:
+            return np.zeros(np.shape(i), dtype=bool)
+        keys = self.pair_key(np.asarray(i), np.asarray(j))
+        pos = np.minimum(np.searchsorted(keys14, keys), len(keys14) - 1)
+        return keys14[pos] == keys
+
     @property
     def n_excluded(self) -> int:
         """Number of fully excluded (1-2/1-3) pairs."""

@@ -4,6 +4,11 @@
 between calls), ``compute_bonded`` and ``compute_ewald`` share no list,
 task or reduction code with the engines' force-task path, so agreement to
 1e-9 (summation order differs) checks that path end to end.
+
+:func:`candidate_task_lists` is the list oracle: the per-candidate
+``repeat``/``tile`` enumeration the force tasks used before they built
+their lists from dense cell blocks, kept here so the lists can be held to
+it array for array.
 """
 
 import numpy as np
@@ -11,7 +16,7 @@ import pytest
 
 from repro.md.bonded import BONDED_KINDS, compute_bonded
 from repro.md.ewald import compute_ewald
-from repro.md.nonbonded import compute_nonbonded
+from repro.md.nonbonded import _combined_params, compute_nonbonded, filter_candidates
 
 RTOL = 1e-9
 
@@ -47,3 +52,43 @@ def assert_matches_reference(engine, forces=None):
             getattr(bonded, name), rel=RTOL, abs=1e-12
         )
     assert report.n_pairs == n_pairs
+
+
+def candidate_task_lists(system, tasks, my_tasks, buckets, r_list):
+    """``build_task_lists`` the slow way: every candidate index pair of a
+    block materialised, then ``filter_candidates`` over them."""
+    lists = {}
+    for t in my_tasks:
+        a, b, part, n_parts = tasks[t]
+        atoms_a = buckets[a]
+        na = len(atoms_a)
+        lists[t] = None
+        if a == b:
+            if na < 2:
+                continue
+            si, sj = np.triu_indices(na, k=1)
+            stripe = si % n_parts == part
+            si, sj = si[stripe], sj[stripe]
+            i_g, j_g = atoms_a[si], atoms_a[sj]
+        else:
+            atoms_b = buckets[b]
+            nb = len(atoms_b)
+            rows_a = np.arange(part, na, n_parts, dtype=np.int64)
+            ns = len(rows_a)
+            i_g = np.repeat(atoms_a[rows_a], nb)
+            j_g = np.tile(atoms_b, ns)
+            si = np.repeat(np.arange(ns, dtype=np.int64), nb)
+            sj = np.tile(np.arange(nb, dtype=np.int64) + ns, ns)
+        i_f, j_f, kept = filter_candidates(
+            system, i_g.astype(np.int32), j_g.astype(np.int32), r_list,
+            return_kept=True,
+        )
+        if len(i_f) == 0:
+            continue
+        lists[t] = (
+            i_f, j_f,
+            np.ascontiguousarray(si[kept], dtype=np.int64),
+            np.ascontiguousarray(sj[kept], dtype=np.int64),
+            *_combined_params(system, i_f, j_f),
+        )
+    return lists

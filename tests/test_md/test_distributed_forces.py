@@ -192,7 +192,7 @@ class TestTaskDecomposition:
     """Unit coverage for the shard and bonded-group helpers."""
 
     def test_kspace_shards_cover_exactly(self):
-        for nk in (0, 1, 511, 512, 513, 4096, 100000):
+        for nk in (0, 1, 127, 128, 129, 4096, 100000):
             shards = _kspace_shards(nk)
             if nk == 0:
                 assert shards == []
@@ -225,6 +225,30 @@ class TestTaskDecomposition:
             f_sum += block
         assert e_sum == pytest.approx(e_full, rel=1e-12)
         assert np.allclose(f_sum, f_full, rtol=1e-12, atol=1e-12)
+
+    def test_static_prior_balances_an_ewald_water_box(self):
+        """With the default ``rebalance_every=0`` the priors' contiguous
+        partition is all the balancing a run gets: on the harness's Ewald
+        row (343 waters, kmax 4, 2 workers) it must be able to balance.
+        Deterministic — priors only, no timing."""
+        from repro.md.tasks import build_force_tasks
+        from repro.pool import contiguous_partition
+
+        spec = build_force_tasks(
+            fresh_water(343, seed=41), NonbondedOptions(cutoff=8.0), skin=1.5,
+            n_workers=2, bonded=True, kspace=True,
+            ewald=EwaldOptions(cutoff=8.0, kmax=4),
+        )
+        costs = spec.all_costs
+        cells = float(spec.sub_cost_arr.sum())
+        bonded = sum(costs[t] for ids in spec.bonded_ids.values() for t in ids)
+        shards = costs[spec.kspace_ids]
+        assert len(shards) >= 2
+        assert 0 < bonded < 0.15 * cells
+        assert shards.max() < cells / 3.0
+        bounds = contiguous_partition(costs, 2)
+        loads = np.add.reduceat(costs, bounds[:-1])
+        assert loads.max() / loads.mean() <= 1.25
 
     def test_bonded_groups_partition_every_term(self):
         """(kind, cell, intra) groups are disjoint and exhaustive under any

@@ -73,6 +73,57 @@ class TestMadelung:
         assert np.abs(res.forces).max() < 1e-9
 
 
+class TestHalfSpaceReciprocalSum:
+    """The k-table keeps one of every ``±k`` pair and the callers double
+    the prefactor; the sum over every nonzero vector is the reference."""
+
+    @staticmethod
+    def full_space(system, alpha, kmax):
+        from repro.backend import reference
+
+        grid = np.arange(-kmax, kmax + 1)
+        m = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), axis=-1)
+        m = m.reshape(-1, 3).astype(np.float64)
+        k = 2.0 * np.pi * m[np.any(m != 0, axis=1)] / system.box
+        k2 = np.einsum("ij,ij->i", k, k)
+        ak = np.exp(-k2 / (4.0 * alpha * alpha)) / k2
+        pref = COULOMB_CONSTANT * 2.0 * np.pi / float(np.prod(system.box))
+        forces = np.zeros((system.n_atoms, 3))
+        energy = reference.ewald_recip(
+            system.positions, system.charges, k, ak, pref, forces
+        )
+        return energy, forces
+
+    @pytest.mark.parametrize("case", ["nacl", "water"])
+    def test_matches_the_full_space_sum(self, case):
+        from repro.builder import small_water_box
+        from repro.md.ewald import _kspace_tables
+
+        if case == "nacl":
+            s = rock_salt(ncell=2)
+            s.positions = s.positions + np.random.default_rng(1).normal(
+                0.0, 0.2, s.positions.shape
+            )  # off the lattice, so the forces are not zero by symmetry
+            opts = EwaldOptions(cutoff=5.6, kmax=6)
+        else:
+            s = small_water_box(40, seed=6, relax=False)
+            opts = EwaldOptions(cutoff=5.0, kmax=5)
+        alpha = opts.alpha_value()
+        e_full, f_full = self.full_space(s, alpha, opts.kmax)
+        k_tab, _k2, _ak = _kspace_tables(s.box, opts.kmax, alpha)
+        assert len(k_tab) == ((2 * opts.kmax + 1) ** 3 - 1) // 2
+        # no vector of the table is the negative of another
+        both = np.vstack([k_tab, -k_tab]).round(9)
+        assert len({tuple(v) for v in both}) == 2 * len(k_tab)
+
+        res = compute_ewald(s, opts)
+        rest = compute_ewald(s, opts, recip=False)
+        assert res.energy_recip == pytest.approx(e_full, rel=1e-10)
+        scale = np.abs(f_full).max()
+        assert scale > 0
+        assert np.abs(res.forces - rest.forces - f_full).max() <= 1e-10 * scale
+
+
 class TestAlphaIndependence:
     def test_energy_independent_of_split(self):
         """The real/reciprocal split parameter must not change the total."""

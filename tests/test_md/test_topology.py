@@ -135,6 +135,21 @@ class TestExclusions:
         assert e.is_excluded(np.array([2]), np.array([1]))[0]
         assert e.is_excluded(np.array([1]), np.array([2]))[0]
 
+    def test_pair14_lookup(self):
+        ex = linear_chain(6).build_exclusions(6)
+        assert len(ex.pairs14) == 3
+        i, j = np.meshgrid(np.arange(6), np.arange(6), indexing="ij")
+        is14 = ex.is_pair14(i.ravel(), j.ravel()).reshape(6, 6)
+        want = np.zeros((6, 6), dtype=bool)
+        want[ex.pairs14[:, 0], ex.pairs14[:, 1]] = True
+        assert np.array_equal(is14, want | want.T)
+        keys14 = ex._keys14  # built once, shared read-only
+        ex.is_pair14(np.array([0]), np.array([3]))
+        assert ex._keys14 is keys14 and not keys14.flags.writeable
+        assert not Topology().build_exclusions(3).is_pair14(
+            np.array([0, 1]), np.array([1, 2])
+        ).any()
+
     def test_empty_topology(self):
         e = Topology().build_exclusions(5)
         assert e.n_excluded == 0
