@@ -54,7 +54,7 @@ SKIN = 1.5
 # Whole-cell placement then cannot beat max/mean ~1.5 no matter how tasks
 # are measured or moved, while 1 ms slices rebalance to ~1.02.
 SKEW = 10.0
-SLOWDOWN = {0: 2.0}
+FAULT_PLAN = "slow=0@0-infx2"  # worker 0 runs 2x slower throughout
 WORKERS = 8
 GRAINSIZE_MS = 1.0
 WARMUP_STEPS = 1
@@ -136,7 +136,7 @@ def _measure(rebalance_every: int, grainsize_ms: float) -> dict:
         workers=WORKERS,
         skin=SKIN,
         rebalance_every=rebalance_every,
-        slowdown=SLOWDOWN,
+        fault_plan=FAULT_PLAN,
         grainsize_ms=grainsize_ms,
     ) as engine:
         assert engine.parallel, "worker pool failed to start"
@@ -219,7 +219,7 @@ def test_grainsize_real_benchmark():
             "workers": WORKERS,
             "rebalance_every": REBALANCE_EVERY,
             "grainsize_ms": GRAINSIZE_MS,
-            "injected_slowdown": {str(k): v for k, v in SLOWDOWN.items()},
+            "injected_slowdown": FAULT_PLAN,
         },
         "host": {"cpu_count": os.cpu_count()},
         "split": split_info,

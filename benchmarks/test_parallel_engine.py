@@ -15,9 +15,8 @@ time-slice) are not misread as core scaling.
 
 Results land in ``benchmarks/results/BENCH_parallel.json`` (+ ``.txt``).
 Each pool row also records the **driver-vs-worker wall-time split**
-(``driver_report``), and a second section measures the Ewald-enabled run
-with and without ``distribute=True``.  The real-space term rides the cell
-tasks in both modes; with distribution on the bonded terms and the
+(``driver_report``), and a second section measures the Ewald-enabled run.
+The real-space term rides the cell tasks, the bonded terms and the
 reciprocal sum are tasks too, and the driver's compute share of the force
 wall must stay below one half — asserted wherever the pool engages, 2
 workers included (driver compute is compared with wall time, so
@@ -25,7 +24,7 @@ time-slicing on few cores only lowers it).
 
 Environment knobs for CI: ``PARALLEL_BENCH_WORKERS`` (default ``1,2,4``),
 ``PARALLEL_BENCH_STEPS`` (default ``3``), and ``PARALLEL_BENCH_EWALD``
-(default ``1``; ``0`` skips the distribution section).
+(default ``1``; ``0`` skips the Ewald section).
 """
 
 import json
@@ -55,8 +54,8 @@ WORKER_COUNTS = [
 #: fewer cores leave nothing to gain)
 MIN_SPEEDUP_4W = 1.6
 RUN_EWALD_SECTION = os.environ.get("PARALLEL_BENCH_EWALD", "1") != "0"
-#: with distribution on, the driver must not be the Ewald run's bottleneck
-MAX_DISTRIBUTED_DRIVER_SHARE = 0.5
+#: the driver must not be the Ewald run's bottleneck
+MAX_EWALD_DRIVER_SHARE = 0.5
 
 
 def _fresh_system():
@@ -121,52 +120,38 @@ def test_parallel_benchmark():
             f"workers={workers} diverged: {energy} vs sequential {seq_energy}"
         )
 
-    # distribution section: the Ewald-enabled run, driver keeping bonded +
-    # k-space (distribute=False) vs shipping them to the pool as force tasks
-    # (the real-space term is in the cell tasks either way)
-    distribution = None
+    # Ewald section: the run whose driver share the force tasks exist to
+    # keep small (real space in the cell tasks, reciprocal sum in shards)
+    ewald_run = None
     w_max = max(WORKER_COUNTS)
     if RUN_EWALD_SECTION and w_max >= 2:
         from repro.md.ewald import EwaldOptions
 
         ewald = EwaldOptions(cutoff=CUTOFF, kmax=6)
-        modes = {}
-        for distribute in (False, True):
-            with ParallelEngine(
-                _fresh_system(),
-                NonbondedOptions(cutoff=CUTOFF),
-                VelocityVerlet(dt=1.0),
-                workers=w_max,
-                ewald=ewald,
-                distribute=distribute,
-            ) as engine:
-                rate, energy = _measure(engine)
-                pool_ok = engine.parallel
-                drep = engine.driver_report()
-            modes["on" if distribute else "off"] = {
-                "parallel_pool": pool_ok,
-                "steps_per_sec": round(rate, 4),
-                "total_energy": energy,
-                "driver_compute_s": round(drep["driver_s"], 4),
-                "force_wall_s": round(drep["wall_s"], 4),
-                "driver_share": round(drep["driver_share"], 4),
-            }
-        distribution = {
+        with ParallelEngine(
+            _fresh_system(),
+            NonbondedOptions(cutoff=CUTOFF),
+            VelocityVerlet(dt=1.0),
+            workers=w_max,
+            ewald=ewald,
+        ) as engine:
+            rate, energy = _measure(engine)
+            pool_ok = engine.parallel
+            drep = engine.driver_report()
+        ewald_run = {
             "workers": w_max,
             "ewald_kmax": ewald.kmax,
-            "modes": modes,
+            "parallel_pool": pool_ok,
+            "steps_per_sec": round(rate, 4),
+            "total_energy": energy,
+            "driver_compute_s": round(drep["driver_s"], 4),
+            "force_wall_s": round(drep["wall_s"], 4),
+            "driver_share": round(drep["driver_share"], 4),
         }
-        # both modes integrate the same physics
-        e_on, e_off = modes["on"]["total_energy"], modes["off"]["total_energy"]
-        assert abs(e_on - e_off) <= 1e-6 * abs(e_off), (
-            f"distributed Ewald run diverged: {e_on} vs {e_off}"
-        )
-        if modes["on"]["parallel_pool"]:
-            share_on = modes["on"]["driver_share"]
-            assert share_on < MAX_DISTRIBUTED_DRIVER_SHARE, (
-                f"distributed Ewald run at {w_max} workers is driver-bound: "
-                f"driver share {share_on:.3f} (undistributed "
-                f"{modes['off']['driver_share']:.3f})"
+        if pool_ok:
+            assert ewald_run["driver_share"] < MAX_EWALD_DRIVER_SHARE, (
+                f"Ewald run at {w_max} workers is driver-bound: "
+                f"driver share {ewald_run['driver_share']:.3f}"
             )
 
     payload = {
@@ -178,7 +163,7 @@ def test_parallel_benchmark():
         "host": {"cpu_count": os.cpu_count()},
         "sequential_steps_per_sec": round(seq_rate, 4),
         "workers": rows,
-        "distribution": distribution,
+        "ewald": ewald_run,
     }
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_parallel.json").write_text(
@@ -200,18 +185,15 @@ def test_parallel_benchmark():
             f"{row['efficiency']:>10.2f}"
             + ("" if row["parallel_pool"] else "  (in-process, same algorithm)")
         )
-    if distribution is not None:
+    if ewald_run is not None:
+        m = ewald_run
         lines.append("")
         lines.append(
-            f"Ewald run at {distribution['workers']} workers "
-            f"(kmax {distribution['ewald_kmax']}): driver share"
+            f"Ewald run at {m['workers']} workers (kmax {m['ewald_kmax']}): "
+            f"driver share {m['driver_share'] * 100:.1f}% "
+            f"({m['driver_compute_s']:.3f}s of {m['force_wall_s']:.3f}s), "
+            f"{m['steps_per_sec']:.4f} steps/sec"
         )
-        for mode, m in distribution["modes"].items():
-            lines.append(
-                f"  distribute {mode:>3}: {m['driver_share'] * 100:6.1f}% "
-                f"({m['driver_compute_s']:.3f}s of {m['force_wall_s']:.3f}s), "
-                f"{m['steps_per_sec']:.4f} steps/sec"
-            )
     (RESULTS_DIR / "BENCH_parallel.txt").write_text("\n".join(lines) + "\n")
 
     by_requested = {r["workers_requested"]: r for r in rows}

@@ -35,7 +35,7 @@ RESULTS_DIR = Path(__file__).parent / "results"
 WATERS = int(os.environ.get("REBALANCE_BENCH_WATERS", "400"))
 CUTOFF = 8.0
 SKEW = 2.0
-SLOWDOWN = {0: 2.0}
+FAULT_PLAN = "slow=0@0-infx2"  # worker 0 runs 2x slower throughout
 WORKERS = 2
 WARMUP_STEPS = 1
 MEASURE_STEPS = int(os.environ.get("REBALANCE_BENCH_STEPS", "100"))
@@ -57,7 +57,7 @@ def _measure(rebalance_every: int) -> dict:
         VelocityVerlet(dt=1.0),
         workers=WORKERS,
         rebalance_every=rebalance_every,
-        slowdown=SLOWDOWN,
+        fault_plan=FAULT_PLAN,
     ) as engine:
         engine.run(WARMUP_STEPS)
         t0 = time.perf_counter()
@@ -94,7 +94,7 @@ def test_rebalance_benchmark():
             "warmup_steps": WARMUP_STEPS,
             "measured_steps": MEASURE_STEPS,
             "workers": WORKERS,
-            "injected_slowdown": {str(k): v for k, v in SLOWDOWN.items()},
+            "injected_slowdown": FAULT_PLAN,
         },
         "host": {"cpu_count": os.cpu_count()},
         "static": static,

@@ -162,7 +162,6 @@ def cmd_md(args) -> int:
         "lb_strategy": args.lb_strategy,
         "grainsize_ms": args.grainsize_ms,
         "fault_plan": fault_plan,
-        "distribute": args.workers != 1 and not args.no_distribute,
     }
     try:
         engine = make_engine(
@@ -180,9 +179,6 @@ def cmd_md(args) -> int:
         raise SystemExit(str(exc))
     if engine.parallel:
         print(f"parallel engine: {engine.workers} worker processes")
-        if engine.distribute:
-            extra = " and Ewald k-space shards" if ewald is not None else ""
-            print(f"distributing bonded term groups{extra} onto the pool")
     elif args.workers != 1:
         print("worker pool unavailable; the force tasks run in-process")
     if args.grainsize_ms:
@@ -253,9 +249,8 @@ def cmd_md(args) -> int:
             if ewald is not None:
                 ks = engine.kspace_cache_stats()
                 print(
-                    f"k-space cache: driver {ks['driver']['builds']} builds/"
-                    f"{ks['driver']['hits']} hits, workers "
-                    f"{ks['worker_builds']} builds/{ks['worker_hits']} hits"
+                    f"k-space cache: {ks['builds']} builds/{ks['hits']} hits "
+                    f"on {len(ks['workers'])} workers"
                 )
         res = engine.resilience
         if res.events or res.mode != "full":
@@ -553,20 +548,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--ewald", action="store_true",
         help="replace the cutoff point-charge electrostatics with full "
              "periodic Ewald summation (real-space within --cutoff, "
-             "reciprocal sum to --kmax); with --workers > 1 the k-space "
-             "sum runs as sharded tasks on the pool unless "
-             "--no-distribute",
+             "reciprocal sum to --kmax, as sharded force tasks)",
     )
     p_md.add_argument(
         "--kmax", type=int, default=8, metavar="K",
         help="Ewald reciprocal-space extent: k-vectors with |m| <= K per "
              "axis (only with --ewald)",
-    )
-    p_md.add_argument(
-        "--no-distribute", action="store_true",
-        help="keep bonded terms (and the Ewald k-space sum) on the driver "
-             "instead of distributing them onto the worker pool; only "
-             "meaningful with --workers > 1",
     )
 
     p_sc = sub.add_parser("scaling", help="scaling table for one system")

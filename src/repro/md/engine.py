@@ -4,10 +4,10 @@
 advances with velocity Verlet.  It is the single-processor baseline the
 paper's speedups are measured against ("the impressive speedups were not
 attained by using a 'bad sequential algorithm'", §4.3) — and it is that
-literally: the non-bonded work is the same cell-task decomposition the
-worker pool of :class:`repro.md.parallel.ParallelEngine` runs, evaluated
-in-process by the same per-step loop, so trajectories are bit-identical at
-any worker count.
+literally: every force term is the same task family the worker pool of
+:class:`repro.md.parallel.ParallelEngine` runs (cell tasks, bonded groups
+and, under Ewald, k-space shards), evaluated in-process by the same
+per-step loop, so trajectories are bit-identical at any worker count.
 
 The independent ground truth is not an engine but the reference functions
 :func:`~repro.md.nonbonded.compute_nonbonded`,
@@ -17,16 +17,16 @@ The independent ground truth is not an engine but the reference functions
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.md.bonded import BondedEnergies, compute_bonded
+# compute_bonded and compute_nonbonded are not called here: the perf harness
+# (benchmarks/perf/spans.py) binds spans to these module attributes by name.
+# ROADMAP item 1 rebinds the spans and deletes both with the other
+# kept-for-binding names.
+from repro.md.bonded import BondedEnergies, compute_bonded  # noqa: F401
 from repro.md.integrator import VelocityVerlet
-
-# compute_nonbonded is not called here: the perf harness
-# (benchmarks/perf/spans.py) binds a span to this module attribute by name
 from repro.md.nonbonded import NonbondedOptions, compute_nonbonded  # noqa: F401
 from repro.md.system import MolecularSystem
 
@@ -36,8 +36,8 @@ __all__ = ["SequentialEngine", "StepReport", "make_engine"]
 #: balancing, and the task partition handed to it)
 _POOL_KEYWORDS = frozenset(
     {
-        "fault_plan", "timeout", "recovery", "slowdown", "rebalance_every",
-        "lb_strategy", "distribute", "grainsize_ms", "cost_model",
+        "fault_plan", "timeout", "recovery", "rebalance_every",
+        "lb_strategy", "grainsize_ms",
     }
 )
 
@@ -112,11 +112,9 @@ class SequentialEngine:
         place of the shifted point-charge one (for 1-4 pairs too, at full
         strength — the scaled 1-4 electrostatic term is dropped), and the
         reported ``elec`` energy is the total over all Ewald components."""
-        # kspace=False: the reciprocal sum stays with the driver's Ewald
-        # remainder, as in ParallelEngine(distribute=False)
         self._setup(
             system, options, integrator, checkpoint_every, checkpoint_path,
-            backend, ewald, n_workers=1, skin=skin, kspace=False,
+            backend, ewald, n_workers=1, skin=skin,
         )
 
     def _setup(
@@ -145,36 +143,23 @@ class SequentialEngine:
         self._last_nonbonded = None
         self._last_bonded: BondedEnergies | None = None
         self._nb = ParallelNonbonded(
-            system, self.options, backend=self.backend, ewald=ewald,
-            **nonbonded,
+            system, self.options, backend=self.backend, bonded=True,
+            ewald=ewald, **nonbonded,
         )
         #: the list-lifetime object (skin, builds, reuses) of the force tasks
         self.pairlist = self._nb.pairlist
-        #: bonded terms (and Ewald k-space shards) ride the force tasks
-        self.distribute = self._nb.bonded_tasks
 
     # ------------------------------------------------------------------ #
     def compute_forces(self) -> np.ndarray:
         """Evaluate the full force field at the current positions."""
         self.system.wrap()
         self._nb.dispatch()
-        if self.distribute:
-            # bonded terms (and the k-space sum, with Ewald) arrive inside
-            # the reduced task result; collect() separates their energies
-            nb = self._nb.collect()
-            forces = nb.forces
-            self._last_bonded = self._nb.last_bonded
-        else:
-            # with workers attached this overlaps their pair blocks;
-            # charge the time to the driver share
-            t0 = time.monotonic()
-            bonded_e, forces = compute_bonded(self.system, backend=self.backend)
-            self._nb.note_driver_time(time.monotonic() - t0)
-            nb = self._nb.collect()
-            forces += nb.forces
-            self._last_bonded = bonded_e
+        # bonded terms (and the k-space sum, with Ewald) arrive inside the
+        # reduced task result; collect() separates their energies
+        nb = self._nb.collect()
         self._last_nonbonded = nb
-        return forces
+        self._last_bonded = self._nb.last_bonded
+        return nb.forces
 
     def report(self) -> StepReport:
         """Energy report for the most recent force evaluation."""
@@ -297,6 +282,7 @@ def make_engine(
     options: NonbondedOptions | None = None,
     integrator: VelocityVerlet | None = None,
     workers: int = 1,
+    distribute=None,
     **kwargs,
 ) -> SequentialEngine:
     """Engine factory: in-process for ``workers == 1``, pooled otherwise.
@@ -310,6 +296,9 @@ def make_engine(
     Either engine is a context manager, so callers need no engine-specific
     cleanup logic.
     """
+    # ``distribute`` has no effect (bonded groups and k-space shards are
+    # always force tasks); accepted because benchmarks/perf/workloads.py
+    # still passes it — ROADMAP item 1 deletes it with the harness's use
     if workers == 1:
         pool_only = sorted(_POOL_KEYWORDS.intersection(kwargs))
         if pool_only:

@@ -24,8 +24,8 @@ force differentiation.
 :func:`compute_ewald` is the self-contained reference evaluation.  The
 engines split it along the paper's line: the atom-based real-space term is
 a mode of their force tasks' pair kernel (``backend.nb_pairs`` with
-``alpha`` set), over the tasks' Verlet lists, and :func:`ewald_remainder`
-supplies the rest.
+``alpha`` set), over the tasks' Verlet lists, the reciprocal sum is
+sharded into k-space tasks, and :func:`ewald_remainder` supplies the rest.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ __all__ = [
     "EwaldEnergies",
     "EwaldOptions",
     "EwaldResult",
-    "KspaceCacheView",
     "compute_ewald",
     "ewald_remainder",
     "clear_kspace_cache",
@@ -131,10 +130,11 @@ def _real_space(
 # every step rebuilds identical meshgrids, so memoize them.  Bounded LRU;
 # entries are marked read-only because callers share the cached arrays.
 # The table cache is deliberately process-global (concurrent engines — the
-# multi-job service case — share identical tables), but the *counters* are
-# monotonic raw totals: every per-client view (the module-level functions
-# below, or a per-engine KspaceCacheView) subtracts its own baseline, so
-# one client's clear can never zero or negate another's accounting.
+# multi-job service case — share identical tables).  The module-level
+# counters are monotonic raw totals read against a baseline; a caller that
+# wants its own accounting (every force-task evaluator does) passes
+# ``_kspace_tables`` a ``{"builds", "hits"}`` sink, which nobody else's
+# clear can zero or negate.
 _KSPACE_CACHE: OrderedDict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = (
     OrderedDict()
 )
@@ -146,9 +146,8 @@ _KSPACE_BASE = {"builds": 0, "hits": 0}
 def clear_kspace_cache() -> None:
     """Drop all memoized k-space tables and reset the hit/build counters.
 
-    Only the *module-level* counter view resets; per-engine
-    :class:`KspaceCacheView` handles keep their own baselines and stay
-    monotone (their next evaluation simply rebuilds the dropped tables).
+    Only the *module-level* counter view resets; per-caller sinks keep
+    counting (their next evaluation simply rebuilds the dropped tables).
     """
     _KSPACE_CACHE.clear()
     _KSPACE_BASE.update(_KSPACE_RAW)
@@ -158,38 +157,12 @@ def kspace_cache_stats() -> dict[str, int]:
     """Copy of the k-space cache counters (``builds``, ``hits``).
 
     Counts activity since the last module-level :func:`clear_kspace_cache`,
-    clamped at zero, across every engine in the process.
+    clamped at zero, across every caller in the process.
     """
     return {
         key: max(_KSPACE_RAW[key] - _KSPACE_BASE[key], 0)
         for key in ("builds", "hits")
     }
-
-
-class KspaceCacheView:
-    """Per-engine accounting handle over the shared k-space table LRU.
-
-    The tables themselves stay process-global on purpose — concurrent jobs
-    simulating same-shaped boxes share them — but each engine threads its
-    view's ``counters`` dict into :func:`_kspace_tables` as a sink, so
-    builds/hits are attributed exactly to the engine that caused them.
-    Another engine (or the module-level function) clearing the cache can
-    therefore never make this view's numbers go backwards or negative.
-    """
-
-    __slots__ = ("counters",)
-
-    def __init__(self) -> None:
-        self.counters = {"builds": 0, "hits": 0}
-
-    def stats(self) -> dict[str, int]:
-        return dict(self.counters)
-
-    def clear(self) -> None:
-        """Drop the shared tables and reset only *this* view's counters."""
-        _KSPACE_CACHE.clear()
-        self.counters["builds"] = 0
-        self.counters["hits"] = 0
 
 
 def _kspace_tables(
@@ -259,14 +232,13 @@ def _reciprocal_space(
     kmax: int,
     forces: np.ndarray,
     backend: KernelBackend,
-    kspace_stats: dict[str, int] | None = None,
 ) -> float:
     pos = system.positions
     box = system.box
     q = system.charges
     volume = float(np.prod(box))
 
-    k, _k2, ak = _kspace_tables(box, kmax, alpha, stats=kspace_stats)
+    k, _k2, ak = _kspace_tables(box, kmax, alpha)
     if len(k) == 0:  # kmax=0: only the excluded m=0 term — nothing to sum
         return 0.0
 
@@ -313,32 +285,18 @@ def ewald_remainder(
     system: MolecularSystem,
     options: EwaldOptions,
     forces: np.ndarray,
-    backend: KernelBackend,
-    recip: bool = True,
-    kspace_stats: dict[str, int] | None = None,
 ) -> EwaldEnergies:
-    """Every Ewald component but the real-space pair sum, into ``forces``.
+    """The Ewald components that are neither pair sum nor k-space sum.
 
-    The reciprocal sum (skipped with ``recip=False``: ``energy_recip`` is 0
-    and its forces are absent — the caller has it evaluated as sharded
-    k-space tasks), the O(n_excluded) exclusion correction, and the
-    constant self and charged-background terms.  ``energy_real`` is left 0
-    for the caller's real-space sum: :func:`compute_ewald` adds
-    :func:`_real_space`, the engines their force tasks' fused pair kernel.
-    ``kspace_stats`` is an optional per-caller builds/hits sink (see
-    :class:`KspaceCacheView`): the shared LRU counts are attributed to the
-    engine that caused them.
+    The O(n_excluded) exclusion correction (into ``forces``) and the
+    constant self and charged-background terms.  ``energy_real`` and
+    ``energy_recip`` are left 0 for the caller's sums: :func:`compute_ewald`
+    adds :func:`_real_space` and :func:`_reciprocal_space`, the engines
+    their force tasks' fused pair kernel and k-space shards.
     """
     alpha = options.alpha_value()
     q = system.charges
     volume = float(np.prod(system.box))
-    e_recip = (
-        _reciprocal_space(
-            system, alpha, options.kmax, forces, backend, kspace_stats=kspace_stats
-        )
-        if recip
-        else 0.0
-    )
     e_excl = _exclusion_correction(system, alpha, forces)
     e_self = float(-COULOMB_CONSTANT * alpha / np.sqrt(np.pi) * np.sum(q * q))
     total_charge = float(q.sum())
@@ -347,7 +305,7 @@ def ewald_remainder(
     )
     return EwaldEnergies(
         energy_real=0.0,
-        energy_recip=e_recip,
+        energy_recip=0.0,
         energy_self=e_self,
         energy_background=e_bg,
         energy_exclusion=e_excl,
@@ -359,22 +317,29 @@ def compute_ewald(
     options: EwaldOptions | None = None,
     backend: KernelBackend | str | None = None,
     recip: bool = True,
-    kspace_stats: dict[str, int] | None = None,
 ) -> EwaldResult:
     """Full periodic electrostatic energy and forces via Ewald summation.
 
     The reference implementation: the real-space sum enumerates the cell
-    candidates afresh on every call (:func:`_real_space`), with nothing
-    carried between calls.  The engines evaluate the same quantity with the
-    real-space term fused into their force tasks' pair kernel and
-    :func:`ewald_remainder` for the rest; tests hold them to this function.
-    ``recip`` and ``kspace_stats`` are those of :func:`ewald_remainder`.
+    candidates afresh on every call (:func:`_real_space`) and the
+    reciprocal sum runs unsharded (:func:`_reciprocal_space`; skipped with
+    ``recip=False``, leaving ``energy_recip`` 0 and its forces absent), with
+    nothing carried between calls.  The engines evaluate the same quantity
+    as force tasks plus :func:`ewald_remainder`; tests hold them to this
+    function.
     """
     options = options or EwaldOptions()
     be = get_backend(backend)
+    alpha = options.alpha_value()
     forces = np.zeros((system.n_atoms, 3))
     system.wrap()
-    e_real = _real_space(system, options.alpha_value(), options.cutoff, forces, be)
-    energies = ewald_remainder(system, options, forces, be, recip, kspace_stats)
+    e_real = _real_space(system, alpha, options.cutoff, forces, be)
+    e_recip = (
+        _reciprocal_space(system, alpha, options.kmax, forces, be)
+        if recip
+        else 0.0
+    )
+    energies = ewald_remainder(system, options, forces)
     energies.energy_real = e_real
+    energies.energy_recip = e_recip
     return EwaldResult(**vars(energies), forces=forces)

@@ -31,6 +31,7 @@ keeps its own ``backend`` provenance).
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -47,6 +48,24 @@ _NON_NEGATIVE = (
     "traj_every",
     "rebalance_every",
 )
+
+#: spec fields that configure live worker processes
+_POOL_ONLY = ("rebalance_every", "lb_strategy", "fault_plan", "timeout")
+
+#: every spec field under the type it takes, as ``(type, label, names)``
+_FIELD_TYPES = (
+    (bool, "bool", ("relax", "ewald", "distribute")),
+    (numbers.Integral, "int", ("waters", "workers", *_NON_NEGATIVE)),
+    (
+        numbers.Real,
+        "float",
+        ("skew", "temperature", "dt", "cutoff", "skin", "timeout"),
+    ),
+    (str, "str", ("backend", "lb_strategy", "fault_plan")),
+)
+
+#: spec fields that may be null
+_NULLABLE = ("skin", "timeout", "backend", "lb_strategy", "fault_plan")
 
 
 @dataclass(frozen=True)
@@ -72,6 +91,9 @@ class SimSpec:
     backend: str | None = None
     ewald: bool = False
     kmax: int = 4
+    # no effect (bonded groups and k-space shards are always force tasks);
+    # accepted because benchmarks/perf/workloads.py still sets it — ROADMAP
+    # item 1 deletes it with the harness's use
     distribute: bool = False
     rebalance_every: int = 0
     lb_strategy: str | None = None
@@ -81,6 +103,18 @@ class SimSpec:
     timeout: float | None = None
 
     def __post_init__(self) -> None:
+        # everything wrong with a spec is a ValueError here — HTTP 400 at
+        # submit — never a job that fails inside a scheduler lane
+        for kind, label, names in _FIELD_TYPES:
+            for name in names:
+                value = getattr(self, name)
+                if value is None and name in _NULLABLE:
+                    continue
+                # a bool is an Integral to isinstance; JSON true is no count
+                if not isinstance(value, kind) or (
+                    isinstance(value, bool) and kind is not bool
+                ):
+                    raise ValueError(f"{name} must be {label}, got {value!r}")
         if self.waters < 1:
             raise ValueError("waters must be >= 1")
         if self.steps < 1:
@@ -90,8 +124,30 @@ class SimSpec:
         for name in _NON_NEGATIVE:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.fault_plan and self.workers == 1:
-            raise ValueError("fault_plan needs workers >= 2")
+        if self.workers == 1:
+            for name in _POOL_ONLY:
+                if getattr(self, name):
+                    raise ValueError(f"{name} needs workers >= 2")
+        for name in ("dt", "cutoff", "timeout"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:  # "not >" rejects NaN too
+                raise ValueError(f"{name} must be positive")
+        if self.lb_strategy:
+            from repro.md.lb_driver import check_schedule
+
+            check_schedule(self.lb_strategy)
+        if self.fault_plan:
+            from repro.pool import WorkerFaultPlan
+
+            try:
+                target = WorkerFaultPlan.parse(self.fault_plan).max_worker()
+            except ValueError as exc:
+                raise ValueError(f"bad fault_plan: {exc}") from None
+            if target >= self.workers > 0:
+                raise ValueError(
+                    f"fault_plan targets worker {target}, "
+                    f"but the spec has {self.workers} workers"
+                )
 
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict:
@@ -187,18 +243,10 @@ class SimJob:
         if spec.checkpoint_every > 0:
             kwargs["checkpoint_every"] = spec.checkpoint_every
             kwargs["checkpoint_path"] = self.checkpoint_path
-        if spec.workers != 1:
-            kwargs["distribute"] = spec.distribute
-            if spec.rebalance_every:
-                kwargs["rebalance_every"] = spec.rebalance_every
-            if spec.lb_strategy:
-                kwargs["lb_strategy"] = spec.lb_strategy
-            if spec.timeout is not None:
-                kwargs["timeout"] = spec.timeout
-            if spec.fault_plan:
-                from repro.pool import WorkerFaultPlan
-
-                kwargs["fault_plan"] = WorkerFaultPlan.parse(spec.fault_plan)
+        # unset pool fields stay out: make_engine rejects them at workers == 1
+        for name in _POOL_ONLY:
+            if getattr(spec, name):
+                kwargs[name] = getattr(spec, name)
         return make_engine(
             system,
             NonbondedOptions(cutoff=spec.cutoff),

@@ -40,6 +40,18 @@ def build_driver_problem(workdb, n_workers, assignment, self_task_of, dead_procs
     )
 
 
+def check_schedule(schedule: str) -> None:
+    """Raise ``ValueError`` unless every ``+``-joined part of ``schedule``
+    names a registered balancer strategy."""
+    from repro.balancer.strategies import STRATEGIES
+
+    for part in schedule.split("+"):
+        if part not in STRATEGIES:
+            raise ValueError(
+                f"unknown LB strategy {part!r}; choose from {sorted(STRATEGIES)}"
+            )
+
+
 def plan_rebalance(problem, assignment, step, schedule):
     """One LB decision: run ``schedule`` on ``problem`` and return the
     new assignment plus a log record of the before/after placement."""

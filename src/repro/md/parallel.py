@@ -9,9 +9,11 @@ as the cell tasks of :mod:`repro.md.tasks`, by one implementation
 (:class:`ParallelEngine`), or — without workers: ``workers == 1``, pool
 failed to start, pool closed, recovery ladder at its bottom rung — the
 calling process itself, through the same per-step loop the workers run.
-Under Ewald the same tasks carry the real-space term (a mode of their pair
-kernel), so the driver's share of the electrostatics is the O(n_excluded)
-remainder of :func:`repro.md.ewald.ewald_remainder`.
+The engines' bonded terms are task groups of the same family, and under
+Ewald the cell tasks carry the real-space term (a mode of their pair
+kernel) and k-space shards the reciprocal sum, so the driver's share of a
+step is the 1-4 pass and the O(n_excluded) remainder of
+:func:`repro.md.ewald.ewald_remainder`.
 
 The implementation is layered (see DESIGN.md): :mod:`repro.pool` is the
 generic runtime (spawn/respawn, collision-free segments, the epoch'd
@@ -53,9 +55,9 @@ from repro.md.engine import SequentialEngine
 # compute_ewald is the oracle, not called here: the perf harness binds its
 # ``ewald.eval`` span to this module attribute by name, as above
 from repro.md.ewald import (  # noqa: F401
+    _KSPACE_CACHE,
     EwaldEnergies,
     EwaldOptions,
-    KspaceCacheView,
     compute_ewald,
     ewald_remainder,
 )
@@ -111,36 +113,32 @@ class ParallelNonbonded:
         n_workers: int = 0,
         skin: float = 1.5,
         timeout: float = 120.0,
-        cost_model=None,
-        start_method: str | None = None,
         rebalance_every: int = 0,
         lb_strategy: str | None = None,
-        slowdown=None,
         grainsize_ms: float = 0.0,
         fault_plan: WorkerFaultPlan | str | None = None,
         recovery: RecoveryPolicy | None = None,
         backend=None,
         bonded: bool = False,
         ewald: EwaldOptions | None = None,
-        kspace: bool = True,
     ) -> None:
         """``n_workers <= 0`` means "one per CPU", 1 means none (the tasks
         run in-process); ``timeout`` (seconds) bounds every wait on the
-        pool.  ``bonded=True`` adds the bonded terms as extra tasks;
-        ``ewald`` makes this evaluator own the *full* electrostatics, with
-        ``kspace=True`` sharding the reciprocal sum into tasks.
+        pool.  ``bonded=True`` adds the bonded terms as extra tasks (the
+        engines do; :class:`repro.md.mts.MTSEngine` integrates them on its
+        own faster cycle); ``ewald`` makes this evaluator own the *full*
+        electrostatics, the reciprocal sum sharded into tasks.
         ``rebalance_every=N`` runs an LB decision every N evaluations;
         ``lb_strategy`` overrides the greedy-then-refine schedule;
-        ``slowdown`` injects per-worker slowdowns; ``grainsize_ms > 0``
-        splits expensive cell tasks into row stripes; ``fault_plan``
-        schedules deterministic fault injection (string form
-        ``"kill=1@3,hang=0@2x1.5"``); ``recovery`` configures the
-        supervision ladder; ``backend`` names the kernel set for driver
+        ``grainsize_ms > 0`` splits expensive cell tasks into row stripes;
+        ``fault_plan`` schedules deterministic fault injection — kills,
+        hangs and per-worker slowdown windows (string form
+        ``"kill=1@3,hang=0@2x1.5,slow=0@2-8x4"``); ``recovery`` configures
+        the supervision ladder; ``backend`` names the kernel set for driver
         and workers alike.  All modes keep the task-ordered reduction, so
         trajectories stay bit-identical across repeats, remaps, worker
         counts and recovery.
         """
-        from repro.balancer.strategies import STRATEGIES
         from repro.instrument import WorkDB
 
         if timeout <= 0:
@@ -150,12 +148,7 @@ class ParallelNonbonded:
         if grainsize_ms < 0:
             raise ValueError("grainsize_ms must be >= 0")
         if lb_strategy is not None:
-            for part in lb_strategy.split("+"):
-                if part not in STRATEGIES:
-                    raise ValueError(
-                        f"unknown LB strategy {part!r}; "
-                        f"choose from {sorted(STRATEGIES)}"
-                    )
+            _lb_driver.check_schedule(lb_strategy)
         if isinstance(fault_plan, str):
             fault_plan = WorkerFaultPlan.parse(fault_plan)
         self.system = system
@@ -165,12 +158,6 @@ class ParallelNonbonded:
         self.rebalance_every = int(rebalance_every)
         self.lb_strategy = lb_strategy
         self.grainsize_ms = float(grainsize_ms)
-        self._slow_windows = normalize_slowdown(slowdown)
-        if fault_plan is not None and fault_plan.slowdowns:
-            for w in fault_plan.slowdowns:
-                self._slow_windows.setdefault(int(w.proc), []).append(
-                    (float(w.start), float(w.end), float(w.factor))
-                )
         self.fault_plan = fault_plan
         self.policy = recovery or RecoveryPolicy()
         self.resilience = ResilienceStats()
@@ -178,7 +165,6 @@ class ParallelNonbonded:
         self.workdb.set_backend(self.backend.name)
         self.bonded_tasks = bool(bonded)
         self.ewald = ewald
-        self.kspace_tasks = bool(kspace) and ewald is not None
         self.last_bonded: BondedEnergies | None = None
         self.last_ewald: EwaldEnergies | None = None
         self._pool: SupervisedPool | None = None
@@ -187,9 +173,9 @@ class ParallelNonbonded:
         #: awaiting collect()
         self._dispatched: tuple | None = None
         self._kspace_stat_base: np.ndarray | None = None
-        # per-engine driver-side builds/hits: isolated from other engines
-        # (and their clear_kspace_cache) sharing the process-global LRU
-        self._kspace_view = KspaceCacheView()
+        #: the pool's ``(builds, hits)`` rows at its last collect, and the
+        #: counts of a pool since lost
+        self._pool_kspace_rows = self._kspace_lost = np.zeros((1, 2))
         self.driver_compute_s = self.pool_wall_s = 0.0
         self.n_evals = 0
         self.n_rebalances = 0
@@ -202,7 +188,7 @@ class ParallelNonbonded:
         # "one per CPU" must mean CPUs this process may *run on* — on
         # cgroup/affinity-restricted hosts os.cpu_count() oversubscribes
         requested = int(n_workers) if n_workers else available_cpu_count()
-        assignment = self._build_tasks(requested, skin, cost_model)
+        assignment = self._build_tasks(requested, skin)
         #: the one list-lifetime object: its snapshot is what every
         #: executor bins and builds from, its ``pairs`` the task-ordered
         #: reduction layout ``(offsets, gather)`` at that snapshot
@@ -211,7 +197,7 @@ class ParallelNonbonded:
         )
         if self.n_workers > 1 and HAS_SHARED_MEMORY:
             try:
-                self._start_pool(assignment, start_method)
+                self._start_pool(assignment)
             except Exception as exc:  # pragma: no cover - platform dependent
                 if self._pool is not None:
                     self._pool.close()
@@ -260,7 +246,7 @@ class ParallelNonbonded:
         if self.active:
             self._pool.seq = int(value)
 
-    def _build_tasks(self, requested: int, skin, cost_model) -> np.ndarray:
+    def _build_tasks(self, requested: int, skin) -> np.ndarray:
         """Fix the task structure; returns the initial task→worker map."""
         spec = build_force_tasks(
             self.system,
@@ -268,10 +254,8 @@ class ParallelNonbonded:
             skin=skin,
             n_workers=requested,
             grainsize_ms=self.grainsize_ms,
-            cost_model=cost_model,
             bonded=self.bonded_tasks,
             ewald=self.ewald,
-            kspace=self.kspace_tasks,
             backend=self.backend,
         )
         provider = spec.provider
@@ -279,21 +263,36 @@ class ParallelNonbonded:
         self._provider = provider
         self._tasks = tasks
         self._n_nb = len(tasks)
-        self._n_total = n_total = spec.n_total
+        self._n_total = spec.n_total
         self._parents = spec.parents
         self._self_task_of = {
             a: t
             for t, (a, b, part, _np) in enumerate(tasks)
             if a == b and part == 0
         }
-        self.n_workers = n_workers = max(min(requested, n_total), 1)
+        # bonded groups do not count: none is worth a process of its own
+        self.n_workers = n_workers = max(
+            min(requested, self._n_nb + len(spec.kspace_ids)), 1
+        )
 
         # static, cost-model-seeded block assignment: contiguous
-        # near-equal-cost runs over the deterministic prior
-        bounds = contiguous_partition(spec.all_costs, n_workers)
+        # near-equal-cost runs over the deterministic prior.  A bonded
+        # group weighs nothing here and starts with its first cell's self
+        # task instead — so which worker is home to a cell, the balancers'
+        # first criterion, does not hinge on where a few percent of
+        # bonded cost happened to land.
+        costs = spec.all_costs.copy()
+        n_bonded = sum(len(ids) for ids in spec.bonded_ids.values())
+        costs[self._n_nb : self._n_nb + n_bonded] = 0.0
+        bounds = contiguous_partition(costs, n_workers)
         assignment = np.repeat(
             np.arange(n_workers, dtype=np.int64), np.diff(bounds)
         )
+        stride = provider.bonded_stride
+        for x, xt in enumerate(provider.xtasks[:n_bonded]):
+            assignment[self._n_nb + x] = assignment[
+                self._self_task_of[xt[2] * stride]
+            ]
         for t, (a, b, part, n_parts) in enumerate(tasks):
             patches = (a,) if a == b else (a, b)
             self.workdb.ensure_task(
@@ -314,10 +313,12 @@ class ParallelNonbonded:
                 )
             else:
                 _, kind, cell, intra = xt
-                # inter-cell groups stay with their initial owner: the
-                # balancer sees their load as background (fixed_owner_loads)
+                # the one patch a group declares is its run's first cell,
+                # where it starts; inter-cell groups stay with their
+                # initial owner: the balancer sees their load as
+                # background (fixed_owner_loads)
                 self.workdb.ensure_task(
-                    t, (cell,), prior=float(spec.x_costs[x]),
+                    t, (cell * stride,), prior=float(spec.x_costs[x]),
                     owner=int(assignment[t]), migratable=bool(intra),
                     kind="bonded",
                 )
@@ -328,15 +329,16 @@ class ParallelNonbonded:
         self._kspace_ids = np.asarray(spec.kspace_ids, dtype=np.int64)
         return assignment
 
-    def _start_pool(self, assignment, start_method) -> None:
+    def _start_pool(self, assignment) -> None:
         self._pool = SupervisedPool(
             self._provider,
             self.n_workers,
             assignment,
             timeout=self.timeout,
             policy=self.policy,
-            slow_windows=self._slow_windows,
-            start_method=start_method,
+            slow_windows=normalize_slowdown(
+                self.fault_plan.slowdowns if self.fault_plan else ()
+            ),
             reassign=self._reassign_orphans,
             on_recovery_note=self.workdb.note_recovery,
         )
@@ -396,6 +398,9 @@ class ParallelNonbonded:
         lost workers built theirs from."""
         if self._local is None:
             self._local = InProcessExecutor(self._provider)
+            # a lost pool's k-table counts stay in the totals
+            self._kspace_lost = self._kspace_counts(self._pool_kspace_rows)
+            self._kspace_stat_base = None
             rebuild = True
         local = self._local
         local.view("pos")[...] = self.system.positions
@@ -405,9 +410,9 @@ class ParallelNonbonded:
         return local
 
     def collect(self) -> NonbondedResult:
-        """Finish the outstanding evaluation: driver remainder (1-4 pass,
-        Ewald exclusion/self/background terms and an unsharded reciprocal
-        sum — overlapped with the workers), gather, reduce.
+        """Finish the outstanding evaluation: driver remainder (1-4 pass
+        and the Ewald exclusion/self/background terms — overlapped with
+        the workers), gather, reduce.
         Worker death, hang, or error during the wait is *recovered*, not
         fatal; when the whole ladder is exhausted — as when no workers
         were attached in the first place — the tasks run in-process.  The
@@ -428,17 +433,13 @@ class ParallelNonbonded:
         )
         ew = None
         if self.ewald is not None:
-            # recip=False with k-space shards: they are force tasks
-            ew = ewald_remainder(
-                self.system, self.ewald, forces, self.backend,
-                recip=not self.kspace_tasks,
-                kspace_stats=self._kspace_view.counters,
-            )
+            ew = ewald_remainder(self.system, self.ewald, forces)
         driver_s = time.monotonic() - t_d0
 
         if pool is not None and pool.collect():
             executor = pool
             step_wall = pool.finish_step()
+            self._pool_kspace_rows = pool.stats[self._n_total :, :2].copy()
         else:
             executor = self._run_in_process(rebuild)
             step_wall = time.monotonic() - t_dispatch
@@ -472,8 +473,7 @@ class ParallelNonbonded:
         if ew is not None:
             # the pair tasks' electrostatic column is the real-space sum
             ew.energy_real = e_el_total
-            if len(self._kspace_ids):
-                ew.energy_recip = float(stats[self._kspace_ids, STAT_E_EL].sum())
+            ew.energy_recip = float(stats[self._kspace_ids, STAT_E_EL].sum())
             self.last_ewald = ew
             e_el_total = ew.energy
 
@@ -521,17 +521,11 @@ class ParallelNonbonded:
         return self.collect()
 
     # -- driver-share and k-space cache instrumentation -- #
-    def note_driver_time(self, seconds: float) -> None:
-        """Charge driver-side compute done *outside* collect() (e.g.
-        non-distributed bonded terms) to the driver share, so
-        :meth:`driver_report` compares like with like across modes."""
-        self.driver_compute_s += float(seconds)
-
     def driver_report(self) -> dict:
         """Cumulative driver-vs-pool wall-time split: ``driver_s`` is
         driver *compute* time, ``wall_s`` the dispatch→collect wall time,
-        ``driver_share`` their ratio — the serial fraction the
-        distribution work is trying to kill."""
+        ``driver_share`` their ratio — the serial fraction the force tasks
+        leave behind."""
         wall = self.pool_wall_s
         return {
             "n_evals": self.n_evals,
@@ -540,44 +534,48 @@ class ParallelNonbonded:
             "driver_share": self.driver_compute_s / wall if wall > 0 else 0.0,
         }
 
-    def kspace_cache_stats(self) -> dict:
-        """Driver (per-engine) and per-worker k-space cache counters;
-        driver counts are this engine's own :class:`KspaceCacheView` (other
-        engines sharing the process cannot perturb them), worker counters
-        come from the shared stats rows each worker publishes after its
-        step, minus any :meth:`clear_kspace_cache` baseline."""
-        out: dict = {
-            "driver": self._kspace_view.stats(),
-            "workers": {},
-            "worker_builds": 0,
-            "worker_hits": 0,
-        }
-        if self.active and self.ewald is not None:
-            rows = self._worker_stat_rows()
-            if self._kspace_stat_base is not None:
-                rows = np.maximum(rows - self._kspace_stat_base, 0.0)
-            for w in range(self.n_workers):
-                out["workers"][w] = {
-                    "builds": int(rows[w, 0]),
-                    "hits": int(rows[w, 1]),
-                }
-            out["worker_builds"] = int(rows[:, 0].sum())
-            out["worker_hits"] = int(rows[:, 1].sum())
-        return out
+    def _kspace_counts(self, rows: np.ndarray) -> np.ndarray:
+        """Per-evaluator ``(builds, hits)`` rows since the last clear."""
+        if self._kspace_stat_base is not None:
+            rows = np.maximum(rows - self._kspace_stat_base, 0.0)
+        return rows
 
-    def _worker_stat_rows(self) -> np.ndarray:
-        """The per-worker (builds, hits) rows of the shared stats table."""
-        return self._pool.stats[self._n_total : self._n_total + self.n_workers, :2]
+    def _kspace_stat_rows(self) -> np.ndarray:
+        """The current executor's per-evaluator ``(builds, hits)`` rows —
+        each evaluator publishes its own counts after its step."""
+        if self._local is None:
+            return self._pool_kspace_rows
+        return self._local.stats[self._n_total :, :2]
+
+    def kspace_cache_stats(self) -> dict:
+        """K-space table ``builds``/``hits`` caused by this engine's
+        evaluators since construction or :meth:`clear_kspace_cache`: the
+        totals (a degraded pool's included), and under ``"workers"`` the
+        split by current evaluator (worker id; 0 alone when the tasks run
+        in-process).  Each evaluator counts its own lookups, so engines
+        sharing a process — and its table cache — cannot perturb each
+        other's numbers."""
+        rows = self._kspace_counts(self._kspace_stat_rows())
+        builds, hits = rows.sum(axis=0) + self._kspace_lost.sum(axis=0)
+        return {
+            "builds": int(builds),
+            "hits": int(hits),
+            "workers": {
+                w: {"builds": int(b), "hits": int(h)}
+                for w, (b, h) in enumerate(rows)
+            },
+        }
 
     def clear_kspace_cache(self) -> None:
-        """Reset the cache counters as seen by this engine: clear the
-        driver's memoized tables (only this engine's counters reset — a
-        concurrent engine's accounting is untouched) and snapshot the
-        worker counters as a baseline (worker caches are per-process LRUs,
-        rebuilt on demand and dropped on respawn)."""
-        self._kspace_view.clear()
-        if self.active:
-            self._kspace_stat_base = self._worker_stat_rows().copy()
+        """Reset the cache counters as seen by this engine: drop this
+        process's memoized tables (what in-process evaluators look up;
+        worker caches are per-process LRUs, rebuilt on demand and dropped
+        on respawn) and take the evaluators' counts as the new baseline.
+        Another engine's accounting, and the module-level counters of
+        :func:`repro.md.ewald.kspace_cache_stats`, are untouched."""
+        _KSPACE_CACHE.clear()
+        self._kspace_stat_base = self._kspace_stat_rows().copy()
+        self._kspace_lost = np.zeros((1, 2))
 
     # -- measurement-based load balancing -- #
     def build_lb_problem(self):
@@ -670,10 +668,8 @@ class ParallelEngine(SequentialEngine):
         workers: int = 0,
         skin: float = 1.5,
         timeout: float = 120.0,
-        cost_model=None,
         rebalance_every: int = 0,
         lb_strategy: str | None = None,
-        slowdown=None,
         grainsize_ms: float = 0.0,
         fault_plan: WorkerFaultPlan | str | None = None,
         recovery: RecoveryPolicy | None = None,
@@ -681,26 +677,18 @@ class ParallelEngine(SequentialEngine):
         checkpoint_path=None,
         backend=None,
         ewald: EwaldOptions | None = None,
-        distribute: bool = False,
     ) -> None:
         """``workers <= 0`` means one worker per CPU; the other knobs are
-        those of :class:`ParallelNonbonded` / :class:`SequentialEngine`.
-        ``distribute=True`` moves the bonded terms — and, with ``ewald``,
-        the reciprocal-space sum — into the force tasks (off by default:
-        existing configurations stay bitwise unchanged)."""
+        those of :class:`ParallelNonbonded` / :class:`SequentialEngine`."""
         self._setup(
             system, options, integrator, checkpoint_every, checkpoint_path,
             backend, ewald,
             n_workers=workers,
             skin=skin,
             timeout=timeout,
-            cost_model=cost_model,
             rebalance_every=rebalance_every,
             lb_strategy=lb_strategy,
-            slowdown=slowdown,
             grainsize_ms=grainsize_ms,
             fault_plan=fault_plan,
             recovery=recovery,
-            bonded=distribute,
-            kspace=distribute,
         )

@@ -14,8 +14,9 @@ force-field work as a family of schedulable tasks behind the
   kernel — LJ plus the shifted point-charge term or, under Ewald, the
   erfc real-space term;
 * **bonded groups** ``("bonded", kind, cell, intra)`` — the bonded terms
-  of one kind whose home cell (under the reference binning) is ``cell``,
-  split into intra/inter groups that partition the term list exactly;
+  of one kind whose home cell (under the reference binning) lies in run
+  ``cell`` of consecutive cells, split into intra/inter groups that
+  partition the term list exactly;
 * **k-space shards** ``("kspace", lo, hi)`` — ranges of the Ewald
   reciprocal sum's k-vector table.
 
@@ -52,7 +53,7 @@ from repro.backend import get_backend
 from repro.md.bonded import BONDED_KINDS, bonded_term_arrays
 from repro.md.cells import CellGrid
 from repro.md.constants import COULOMB_CONSTANT
-from repro.md.ewald import EwaldOptions, _kspace_tables, kspace_cache_stats
+from repro.md.ewald import EwaldOptions, _kspace_tables
 from repro.md.nonbonded import (
     NonbondedOptions,
     _combined_params,
@@ -68,6 +69,7 @@ __all__ = [
     "ForceTaskEvaluator",
     "ForceTaskProvider",
     "ForceTaskSpec",
+    "bonded_cell_stride",
     "build_force_tasks",
     "build_task_lists",
     "build_xtask_entries",
@@ -88,7 +90,7 @@ MAX_SPLIT_PARTS = 16
 #: Both derive from the k-table size only — never from the worker count —
 #: so the task structure (and with it the reduction order) is identical at
 #: any pool size; that is what keeps trajectories bit-identical across
-#: worker counts with k-space distribution on.
+#: worker counts.
 KSHARD_TARGET = 128
 KSHARD_MAX = 8
 
@@ -113,6 +115,13 @@ KTERM_PAIR_RATIO = 0.55
 BONDED_CALL_PAIRS = 600.0
 BONDED_TERM_PAIRS = 3.0
 
+#: Terms of the largest kind a bonded group should carry: about a cell
+#: task's worth of work, so the per-call cost above stays a small part of
+#: it.  Groups span runs of consecutive cells sized to this (one run — four
+#: groups of water — below twice the target); like the k-space shards the
+#: runs derive from topology and grid only, never from the worker count.
+BONDED_GROUP_TERMS = 2048
+
 
 def pair_reach(options: NonbondedOptions, ewald: EwaldOptions | None) -> float:
     """The distance inside which some pair term acts: the LJ cutoff or,
@@ -134,6 +143,15 @@ def kspace_shards(nk: int) -> list[tuple[str, int, int]]:
     ]
 
 
+def bonded_cell_stride(term_data: dict[int, tuple], n_cells: int) -> int:
+    """Cells per bonded-group run: as many runs as keep the largest kind at
+    :data:`BONDED_GROUP_TERMS` terms a run, at least one, at most one a
+    cell.  Atom ``i`` belongs to run ``flat[i] // stride``."""
+    n_terms = max((len(td[0]) for td in term_data.values()), default=0)
+    n_runs = min(max(n_terms // BONDED_GROUP_TERMS, 1), max(n_cells, 1))
+    return -(-max(n_cells, 1) // n_runs)
+
+
 def xtask_rows(
     xtasks: list[tuple],
     term_data: dict[int, tuple],
@@ -145,13 +163,15 @@ def xtask_rows(
     Extra tasks ride after the cell tasks in the global task order:
 
     * ``("bonded", kind, cell, intra)`` — the bonded terms of ``kind``
-      whose *home cell* (the cell of the term's first atom under the
-      reference binning) is ``cell``, split into the intra group (every
-      atom of the term in that cell, ``intra=1``) and the inter group
-      (``intra=0``).  For each kind the groups partition the term list
-      exactly, so energies and forces are independent of the binning; the
-      block rows are the flattened global atom indices of the selected
-      terms (duplicates are fine — the driver reduces with a segment sum).
+      whose *home cell* (``flat`` of the term's first atom) is ``cell``,
+      split into the intra group (every atom of the term in that cell,
+      ``intra=1``) and the inter group (``intra=0``).  ``flat`` is the
+      caller's atom → cell map: the engines pass the reference binning
+      coarsened to runs of cells (:func:`bonded_cell_stride`).  For each
+      kind the groups partition the term list exactly, so energies and
+      forces are independent of the binning; the block rows are the
+      flattened global atom indices of the selected terms (duplicates are
+      fine — the driver reduces with a segment sum).
     * ``("kspace", lo, hi)`` — a reciprocal-vector shard; its forces touch
       every atom, so the block is a full ``(n_atoms, 3)`` slab.
 
@@ -162,6 +182,7 @@ def xtask_rows(
     sels: list = []
     rows: list = []
     all_rows = np.arange(n_atoms, dtype=np.int64)
+    homes: dict[int, tuple] = {}  # kind -> (home cell, all atoms in it) per term
     for xt in xtasks:
         if xt[0] == "kspace":
             sels.append(None)
@@ -169,8 +190,10 @@ def xtask_rows(
             continue
         _, kind, cell, intra = xt
         idx = term_data[kind][0]
-        home = flat[idx[:, 0]]
-        same = np.all(flat[idx] == home[:, None], axis=1)
+        if kind not in homes:
+            home = flat[idx[:, 0]]
+            homes[kind] = home, np.all(flat[idx] == home[:, None], axis=1)
+        home, same = homes[kind]
         sel = np.flatnonzero((home == cell) & (same == bool(intra)))
         sels.append(sel)
         rows.append(idx[sel].reshape(-1))
@@ -382,18 +405,21 @@ def build_xtask_entries(xtasks, xsels, term_data, my_tasks, n_nb):
     return entries
 
 
-def eval_xtask(system, entry, ewald, block, backend):
+def eval_xtask(system, entry, ewald, block, backend, kspace_stats):
     """One extra task into its block; returns ``(energy, n_items)``.
 
     Bonded groups report their term count, k-space shards their k-vector
     count — measurement context for the WorkDB, never added to the pair
     total.  The shard prefactor uses the *current* box (the driver forces a
-    rebuild on any box change, so tables and volume always agree).
+    rebuild on any box change, so tables and volume always agree);
+    ``kspace_stats`` is the caller's builds/hits sink for the table lookup.
     """
     if entry[0] == "kspace":
         _, lo, hi = entry
         box = np.asarray(system.box, dtype=np.float64)
-        k_tab, _k2, ak = _kspace_tables(box, ewald.kmax, ewald.alpha_value())
+        k_tab, _k2, ak = _kspace_tables(
+            box, ewald.kmax, ewald.alpha_value(), kspace_stats
+        )
         if hi <= lo or len(k_tab) == 0:
             return 0.0, 0
         # twice C 2π/V: the table holds one of every ±k pair
@@ -427,10 +453,10 @@ class ForceTaskEvaluator:
     step); :meth:`rebuild` temporarily aliases the ``"ref"`` view so
     binning and pair-list construction are independent of *when* this
     evaluator (re)built.  Bonded group energies land in the first stats
-    column, shard energies in the second; the per-worker stats row gets
-    the process-local k-space table cache counters (as deltas from the
-    spawn-time baseline — under fork the child inherits the parent's
-    cumulative counters).
+    column, shard energies in the second; the per-executor stats row gets
+    this evaluator's own k-space table builds/hits (:attr:`kspace_stats`,
+    the sink of its shards' table lookups — exact whoever else shares the
+    process's table cache).
     """
 
     def __init__(self, provider: "ForceTaskProvider", worker_id, n_workers, views):
@@ -449,11 +475,7 @@ class ForceTaskEvaluator:
         self.n_nb = len(provider.tasks)
         self.lists: dict[int, tuple | None] = {}
         self.xentries: dict[int, tuple] = {}
-        # cache counters are cumulative per process; under fork the child
-        # inherits the parent's, so report deltas from this baseline
-        self.cache_base = (
-            kspace_cache_stats() if provider.ewald is not None else None
-        )
+        self.kspace_stats = {"builds": 0, "hits": 0}
 
     def begin_step(self, payload) -> None:
         self.system.box = np.asarray(payload, dtype=np.float64)
@@ -470,7 +492,8 @@ class ForceTaskEvaluator:
                 self.ref_positions, self.system.box, self.dims
             )
             xsels, xrows = xtask_rows(
-                p.xtasks, p.term_data, flat, len(self.positions)
+                p.xtasks, p.term_data, flat // p.bonded_stride,
+                len(self.positions),
             )
             offsets, _ = task_layout(buckets, p.tasks, xrows)
             self.lists = build_task_lists(
@@ -489,7 +512,8 @@ class ForceTaskEvaluator:
         p = self.provider
         if t >= self.n_nb:
             energy, n_items = eval_xtask(
-                self.system, self.xentries[t], p.ewald, block, self.backend
+                self.system, self.xentries[t], p.ewald, block, self.backend,
+                self.kspace_stats,
             )
             if self.xentries[t][0] == "kspace":
                 return 0.0, energy, n_items
@@ -502,10 +526,8 @@ class ForceTaskEvaluator:
         )
 
     def end_step(self, out_row) -> None:
-        if self.cache_base is not None:
-            cs = kspace_cache_stats()
-            out_row[0] = cs["builds"] - self.cache_base["builds"]
-            out_row[1] = cs["hits"] - self.cache_base["hits"]
+        out_row[0] = self.kspace_stats["builds"]
+        out_row[1] = self.kspace_stats["hits"]
 
     def close(self) -> None:
         system = self.system
@@ -538,6 +560,8 @@ class ForceTaskProvider:
     backend_name: str
     ewald: EwaldOptions | None
     scratch_rows: int
+    #: cells per bonded-group run (:func:`bonded_cell_stride`)
+    bonded_stride: int = 1
 
     @property
     def n_tasks(self) -> int:
@@ -590,7 +614,8 @@ class ForceTaskProvider:
         xrows: list = []
         if self.xtasks:
             _, xrows = xtask_rows(
-                self.xtasks, self.term_data, flat, len(positions)
+                self.xtasks, self.term_data, flat // self.bonded_stride,
+                len(positions),
             )
         return task_layout(buckets, self.tasks, xrows)
 
@@ -628,10 +653,8 @@ def build_force_tasks(
     skin: float,
     n_workers: int,
     grainsize_ms: float = 0.0,
-    cost_model=None,
     bonded: bool = False,
     ewald: EwaldOptions | None = None,
-    kspace: bool = True,
     backend=None,
 ) -> ForceTaskSpec:
     """Deterministic construction of the force-task family.
@@ -640,11 +663,12 @@ def build_force_tasks(
     per-task costs from the cost model (the paper's "before the first
     measurement" rule; skipped when ``n_workers == 1`` leaves nothing to
     partition), applies grainsize splitting from the deterministic
-    prior, and appends the bonded groups and k-space shards.  Everything
-    is decided here, once — the structure never depends on the worker
-    count or on measurements.  Construction must not mutate the caller's
-    system: the grid build and cost model see a wrapped *copy*; the
-    engines wrap before every dispatch as usual.
+    prior, and appends the bonded groups (with ``bonded``) and, under
+    ``ewald``, the k-space shards.  Everything is decided here, once — the
+    structure never depends on the worker count or on measurements.
+    Construction must not mutate the caller's system: the grid build and
+    cost model see a wrapped *copy*; the engines wrap before every dispatch
+    as usual.
     """
     from repro.core.decomposition import bin_atoms
     from repro.costmodel.model import estimate_block_costs
@@ -661,8 +685,8 @@ def build_force_tasks(
     parents = list(zip(ca.tolist(), cb.tolist()))
 
     _, flat0, buckets = bin_atoms(wrapped, box, dims)
-    model = cost_model
-    if model is None and grainsize_ms > 0:
+    model = None
+    if grainsize_ms > 0:
         # grainsize_ms is a physical target: need real (reference-
         # machine) seconds, not the unitless pair-count default
         from repro.core.simulation import DEFAULT_COST_MODEL
@@ -718,7 +742,6 @@ def build_force_tasks(
     # layout — and the reduction order — is identical at any pool size.
     n_cells = int(np.prod(dims))
     xtasks: list[tuple] = []
-    x_costs: list[float] = []
     term_data: dict[int, tuple] = {}
     t_pair = model.t_pair if model is not None else 1.0
     if ewald is not None:
@@ -727,26 +750,20 @@ def build_force_tasks(
         sub_cost_arr *= EWALD_PAIR_RATIO
     if bonded:
         for kind in range(len(BONDED_KINDS)):
-            idx, kpar, p1, p2 = bonded_term_arrays(system, kind)
-            if len(idx) == 0:
-                continue
-            term_data[kind] = (idx, kpar, p1, p2)
-            home = flat0[idx[:, 0]]
-            same = np.all(flat0[idx] == home[:, None], axis=1)
-            for cell in range(n_cells):
-                in_cell = home == cell
-                for intra in (1, 0):
-                    n_terms = int(
-                        np.count_nonzero(in_cell & (same == bool(intra)))
-                    )
-                    xtasks.append(("bonded", kind, cell, intra))
-                    # an empty group returns before its kernel call
-                    x_costs.append(
-                        t_pair * (BONDED_CALL_PAIRS + BONDED_TERM_PAIRS * n_terms)
-                        if n_terms
-                        else 0.0
-                    )
-    if kspace and ewald is not None:
+            arrays = bonded_term_arrays(system, kind)
+            if len(arrays[0]):
+                term_data[kind] = arrays
+    stride = bonded_cell_stride(term_data, n_cells)
+    for kind in term_data:
+        for cell in range(-(-n_cells // stride)):
+            xtasks += [("bonded", kind, cell, 1), ("bonded", kind, cell, 0)]
+    sels, _ = xtask_rows(xtasks, term_data, flat0 // stride, system.n_atoms)
+    # an empty group returns before its kernel call
+    x_costs = [
+        t_pair * (BONDED_CALL_PAIRS + BONDED_TERM_PAIRS * len(sel)) * bool(len(sel))
+        for sel in sels
+    ]
+    if ewald is not None:
         nk = ((2 * ewald.kmax + 1) ** 3 - 1) // 2  # the half-space table
         for shard in kspace_shards(nk):
             xtasks.append(shard)
@@ -778,6 +795,7 @@ def build_force_tasks(
         backend_name=backend.name,
         ewald=ewald,
         scratch_rows=scratch_rows,
+        bonded_stride=stride,
     )
     bonded_ids: dict[int, list[int]] = {}
     kspace_ids: list[int] = []

@@ -122,27 +122,15 @@ def _track_pool(pool: "SupervisedPool") -> None:
 # slowdown injection helpers
 # --------------------------------------------------------------------------- #
 def normalize_slowdown(slowdown) -> dict[int, list[tuple[float, float, float]]]:
-    """Per-worker slowdown windows ``(start_step, end_step, factor)``.
-
-    Accepts ``{worker: factor}`` (permanent slowdown) or an iterable of
-    :class:`repro.runtime.faults.SlowdownWindow`-like objects whose
-    ``start``/``end`` are *step* indices (1-based evaluation sequence).
-    """
+    """Per-worker slowdown windows ``(start_step, end_step, factor)`` from
+    an iterable of :class:`repro.runtime.faults.SlowdownWindow` (a fault
+    plan's ``slow=`` clauses) whose ``start``/``end`` are *step* indices
+    (1-based evaluation sequence)."""
     windows: dict[int, list[tuple[float, float, float]]] = defaultdict(list)
-    if not slowdown:
-        return {}
-    if isinstance(slowdown, dict):
-        for proc, factor in slowdown.items():
-            if float(factor) <= 0:
-                raise ValueError("slowdown factor must be positive")
-            windows[int(proc)].append((0.0, float("inf"), float(factor)))
-    else:
-        for w in slowdown:
-            if w.factor <= 0:
-                raise ValueError("slowdown factor must be positive")
-            windows[int(w.proc)].append(
-                (float(w.start), float(w.end), float(w.factor))
-            )
+    for w in slowdown:
+        windows[int(w.proc)].append(
+            (float(w.start), float(w.end), float(w.factor))
+        )
     return dict(windows)
 
 

@@ -1,9 +1,9 @@
-"""Distributed bonded and Ewald k-space force tasks.
+"""Bonded and Ewald k-space force tasks.
 
-The generalized force-task protocol moves bonded term groups and the Ewald
-reciprocal sum onto the worker pool.  Coverage here: agreement with the
-reference functions under full electrostatics at several worker counts
-(1e-9; see ``oracle.py``), distribution on against off, bit-identical
+Bonded term groups and the shards of the Ewald reciprocal sum are force
+tasks of every engine.  Coverage here: agreement with the reference
+functions under full electrostatics at several worker counts (1e-9; see
+``oracle.py``), the sequential engine's bits on a pool, bit-identical
 repeats and worker-count invariance, bit-identical
 recovery after a mid-run worker kill (respawn and reassignment rungs), and
 bit-identical resume from a run checkpoint — plus unit tests for the task
@@ -48,52 +48,35 @@ def run_trajectory(engine, n_steps=3):
 
 
 class TestCrossEngineAgreement:
-    """Distributed bonded + k-space against the reference functions at
-    1e-9, and against the same engine with distribution off."""
+    """Bonded + k-space tasks against the reference functions at 1e-9,
+    and a pool against the engine without workers."""
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_forces_and_energies_with_ewald(self, workers):
         with ParallelEngine(
-            fresh_water(), OPTS, workers=workers, ewald=EWALD, distribute=True
+            fresh_water(), OPTS, workers=workers, ewald=EWALD
         ) as eng:
             assert eng.parallel
             assert_matches_reference(eng)
 
     def test_all_bonded_kinds_on_the_assembly(self, assembly):
-        """Dihedrals and impropers (present in the protein) distribute too."""
+        """Dihedrals and impropers (present in the protein) are groups too."""
         with ParallelEngine(
-            assembly.copy(), NonbondedOptions(cutoff=8.0), workers=3,
-            distribute=True,
+            assembly.copy(), NonbondedOptions(cutoff=8.0), workers=3
         ) as eng:
             assert eng.parallel
             assert_matches_reference(eng)
             assert eng.report().bonded.dihedral != 0.0  # the case has them
 
     def test_trajectory_tracks_sequential(self):
-        """Bonded groups and k-space shards reduce in another order than
-        the driver's own sums: 1e-9, not bits."""
+        """The engine without workers runs the same bonded groups and
+        k-space shards through the same reduction: bits, not 1e-9."""
         p_seq, r_seq = run_trajectory(
             SequentialEngine(fresh_water(), OPTS, skin=0.0, ewald=EWALD)
         )
         p_par, r_par = run_trajectory(
             ParallelEngine(
-                fresh_water(), OPTS, workers=2, skin=0.0,
-                ewald=EWALD, distribute=True,
-            )
-        )
-        assert np.allclose(p_par, p_seq, rtol=0, atol=1e-9)
-        assert r_par.total == pytest.approx(r_seq.total, rel=1e-9)
-
-    def test_ewald_without_distribution_also_agrees(self):
-        """distribute=False keeps the full Ewald sum on the driver — the
-        very computation of the engine without workers."""
-        p_seq, r_seq = run_trajectory(
-            SequentialEngine(fresh_water(), OPTS, skin=0.0, ewald=EWALD)
-        )
-        p_par, r_par = run_trajectory(
-            ParallelEngine(
-                fresh_water(), OPTS, workers=2, skin=0.0,
-                ewald=EWALD, distribute=False,
+                fresh_water(), OPTS, workers=2, skin=0.0, ewald=EWALD
             )
         )
         assert np.array_equal(p_par, p_seq)
@@ -103,7 +86,7 @@ class TestCrossEngineAgreement:
 class TestDeterminism:
     def _run(self, **kw):
         eng = ParallelEngine(
-            fresh_water(), OPTS, ewald=EWALD, distribute=True, **kw
+            fresh_water(), OPTS, ewald=EWALD, **kw
         )
         return run_trajectory(eng, n_steps=4)[0]
 
@@ -130,7 +113,7 @@ class TestDeterminism:
 class TestRecovery:
     def _run(self, **kw):
         eng = ParallelEngine(
-            fresh_water(), OPTS, workers=3, ewald=EWALD, distribute=True, **kw
+            fresh_water(), OPTS, workers=3, ewald=EWALD, **kw
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -167,7 +150,7 @@ class TestCheckpointResume:
         path = tmp_path / "dist.ckpt"
         s_a = fresh_water()
         with ParallelEngine(
-            s_a, OPTS, workers=2, ewald=EWALD, distribute=True,
+            s_a, OPTS, workers=2, ewald=EWALD,
             checkpoint_every=3, checkpoint_path=path,
         ) as eng:
             for _ in range(5):
@@ -178,7 +161,7 @@ class TestCheckpointResume:
         assert cp.step == 3
         s_b = fresh_water()
         with ParallelEngine(
-            s_b, OPTS, workers=2, ewald=EWALD, distribute=True
+            s_b, OPTS, workers=2, ewald=EWALD
         ) as eng:
             restore_run_checkpoint(eng, cp)
             for _ in range(2):
@@ -236,7 +219,7 @@ class TestTaskDecomposition:
 
         spec = build_force_tasks(
             fresh_water(343, seed=41), NonbondedOptions(cutoff=8.0), skin=1.5,
-            n_workers=2, bonded=True, kspace=True,
+            n_workers=2, bonded=True,
             ewald=EwaldOptions(cutoff=8.0, kmax=4),
         )
         costs = spec.all_costs
@@ -273,6 +256,29 @@ class TestTaskDecomposition:
             assert len(combined) == len(idx)
             np.testing.assert_array_equal(np.sort(combined), np.arange(len(idx)))
 
+    @pytest.mark.parametrize("target, runs", [(2048, 1), (300, 3), (1, 8)])
+    def test_bonded_groups_span_runs_of_cells(self, monkeypatch, target, runs):
+        """A group carries about ``BONDED_GROUP_TERMS`` terms of the largest
+        kind: one run of all cells on a small system, one run a cell at
+        most — whatever the worker count, and the forces do not care."""
+        import repro.md.tasks as tasks
+
+        monkeypatch.setattr(tasks, "BONDED_GROUP_TERMS", target)
+        s = fresh_water(500, seed=11)  # 1000 bonds over 2 x 2 x 2 cells
+        specs = [
+            tasks.build_force_tasks(
+                s, NonbondedOptions(cutoff=8.0), skin=1.5, n_workers=n, bonded=True
+            )
+            for n in (1, 3)
+        ]
+        assert specs[0].provider.xtasks == specs[1].provider.xtasks
+        assert specs[0].provider.dims == (2, 2, 2)
+        cells = sorted({xt[2] for xt in specs[0].provider.xtasks})
+        assert cells == list(range(runs))
+        with ParallelEngine(s, NonbondedOptions(cutoff=8.0), workers=2) as eng:
+            assert eng.parallel
+            assert_matches_reference(eng)
+
     def test_kspace_rows_span_all_atoms(self):
         s = fresh_water()
         sels, rows = _xtask_rows(
@@ -304,17 +310,19 @@ class TestEngineFactory:
         s = fresh_water()
         with pytest.raises(TypeError, match="timeout"):
             make_engine(s, OPTS, workers=1, timeout=5.0)
-        with pytest.raises(TypeError, match="distribute"):
-            make_engine(s, OPTS, workers=1, distribute=True)
+        with pytest.raises(TypeError, match="grainsize_ms"):
+            make_engine(s, OPTS, workers=1, grainsize_ms=1.0)
 
     def test_ewald_accepted_on_both_paths(self):
         seq = make_engine(fresh_water(), OPTS, workers=1, ewald=EWALD)
         assert isinstance(seq, SequentialEngine) and seq.ewald is EWALD
+        # distribute= is what the perf harness still passes: no effect
         with make_engine(
-            fresh_water(), OPTS, workers=2, ewald=EWALD, distribute=True
+            fresh_water(), OPTS, workers=2, ewald=EWALD, distribute=False
         ) as par:
             assert isinstance(par, ParallelEngine)
-            assert par.ewald is EWALD and par.distribute
+            assert par.ewald is EWALD and not hasattr(par, "distribute")
+            assert len(par._nb._kspace_ids) > 0
 
     def test_constructor_parity_across_engines(self):
         """Every engine entry point accepts the shared configuration
@@ -357,7 +365,7 @@ class TestMTSEwald:
 class TestDriverShareInstrumentation:
     def test_driver_report_accumulates(self):
         with ParallelEngine(
-            fresh_water(), OPTS, workers=2, ewald=EWALD, distribute=True
+            fresh_water(), OPTS, workers=2, ewald=EWALD
         ) as eng:
             eng.run(2)
             rep = eng.driver_report()
@@ -367,17 +375,17 @@ class TestDriverShareInstrumentation:
 
     def test_kspace_cache_stats_aggregate_workers(self):
         with ParallelEngine(
-            fresh_water(), OPTS, workers=2, ewald=EWALD, distribute=True
+            fresh_water(), OPTS, workers=2, ewald=EWALD
         ) as eng:
             eng.run(2)
             stats = eng.kspace_cache_stats()
-            total = (
-                stats["driver"]["builds"] + stats["driver"]["hits"]
-                + stats["worker_builds"] + stats["worker_hits"]
-            )
-            assert total > 0
+            # three evaluations, one table lookup per shard each
+            n_shards = len(eng._nb._kspace_ids)
+            assert stats["builds"] + stats["hits"] == 3 * n_shards
             assert set(stats["workers"]) == set(range(eng.workers))
+            for key in ("builds", "hits"):
+                assert stats[key] == sum(w[key] for w in stats["workers"].values())
             eng.clear_kspace_cache()
             cleared = eng.kspace_cache_stats()
-            assert cleared["worker_builds"] == 0
-            assert cleared["worker_hits"] == 0
+            assert cleared["builds"] == 0
+            assert cleared["hits"] == 0

@@ -185,7 +185,7 @@ class TestSplitEngine:
                 workers=2,
                 grainsize_ms=1.0,
                 rebalance_every=2,
-                slowdown={0: 3.0},
+                fault_plan="slow=0@0-infx3",
             ) as eng:
                 assert eng.parallel
                 reports = eng.run(6)

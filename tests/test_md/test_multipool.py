@@ -64,12 +64,17 @@ def test_closing_one_engine_leaves_the_other_live(water600, water400):
         eng_b.close()
 
 
+def counts(engine) -> dict:
+    stats = engine.kspace_cache_stats()
+    return {"builds": stats["builds"], "hits": stats["hits"]}
+
+
 def test_sequential_engines_kspace_accounting_isolated():
     # regression: the k-space LRU counters were process-global, so one
     # engine's clear_kspace_cache() yanked another engine's stats backwards
-    # (the exact multi-job service hazard).  Per-engine views must stay
-    # monotone, non-negative, and exactly attributed.
-    from repro.md.ewald import EwaldOptions
+    # (the exact multi-job service hazard).  Each engine's evaluators count
+    # their own lookups: monotone, non-negative, and exactly attributed.
+    from repro.md.ewald import EwaldOptions, kspace_cache_stats
 
     ew = EwaldOptions(cutoff=6.0, kmax=4)
     opts = NonbondedOptions(cutoff=6.0)
@@ -79,24 +84,27 @@ def test_sequential_engines_kspace_accounting_isolated():
     eng_b = SequentialEngine(
         small_water_box(30, seed=5, relax=False), opts, skin=0.0, ewald=ew
     )
+    shards = len(eng_a._nb._kspace_ids)
+    eng_a.clear_kspace_cache()  # whatever earlier tests left in the LRU
     eng_a.compute_forces()
-    eng_a.compute_forces()  # same box: second evaluation hits the cache
-    before = eng_a.kspace_cache_stats()["driver"]
-    assert before == {"builds": 1, "hits": 1}
+    eng_a.compute_forces()  # same box: every later lookup hits the cache
+    before = counts(eng_a)
+    assert before == {"builds": 1, "hits": 2 * shards - 1}
     eng_b.compute_forces()
+    module_view = kspace_cache_stats()
     eng_b.clear_kspace_cache()  # job B resets *its* accounting
-    after = eng_a.kspace_cache_stats()["driver"]
-    assert after == before  # B's clear is invisible to A
+    assert counts(eng_a) == before  # B's clear is invisible to A
+    assert kspace_cache_stats() == module_view  # ... and to the module's view
     # the shared tables really were dropped: A's next evaluation rebuilds,
     # and the build lands in A's accounting only
     eng_a.compute_forces()
-    assert eng_a.kspace_cache_stats()["driver"]["builds"] == before["builds"] + 1
-    assert eng_b.kspace_cache_stats()["driver"] == {"builds": 0, "hits": 0}
+    assert counts(eng_a)["builds"] == before["builds"] + 1
+    assert counts(eng_b) == {"builds": 0, "hits": 0}
 
 
 def test_parallel_engines_kspace_accounting_isolated(water600, water400):
-    # same hazard, through the parallel engine's driver-side accounting
-    # (distribute=False keeps the reciprocal sum on the driver)
+    # same hazard with the lookups in worker processes: each engine reads
+    # its own workers' published counts
     from repro.md.ewald import EwaldOptions
 
     ew = EwaldOptions(cutoff=8.0, kmax=4)
@@ -106,24 +114,20 @@ def test_parallel_engines_kspace_accounting_isolated(water600, water400):
         with ParallelEngine(
             water400.copy(), options=OPTS, workers=2, ewald=ew
         ) as eng_b:
+            shards = len(eng_a._nb._kspace_ids)
             eng_a.compute_forces()
             eng_a.compute_forces()
             before = eng_a.kspace_cache_stats()
-            assert before["driver"]["builds"] >= 1
-            assert before["driver"]["hits"] >= 1
+            assert before["builds"] + before["hits"] == 2 * shards
+            assert before["hits"] >= 1
             eng_b.compute_forces()
             eng_b.clear_kspace_cache()
-            after = eng_a.kspace_cache_stats()
-            assert after["driver"] == before["driver"]
-            assert after["worker_builds"] >= 0
-            assert after["worker_hits"] >= 0
+            assert eng_a.kspace_cache_stats() == before
             eng_a.compute_forces()
             final = eng_a.kspace_cache_stats()
-            assert final["driver"]["builds"] == before["driver"]["builds"] + 1
-            assert eng_b.kspace_cache_stats()["driver"] == {
-                "builds": 0,
-                "hits": 0,
-            }
+            assert final["builds"] + final["hits"] == 3 * shards
+            assert counts(eng_b) == {"builds": 0, "hits": 0}
+            assert set(final["workers"]) == {0, 1}
 
 
 def test_segments_unlinked_after_close(water400):

@@ -1,11 +1,13 @@
-"""One non-bonded path: the trajectory does not depend on where the force
-tasks run, and the path agrees with the reference functions.
+"""One force path: the trajectory does not depend on where the force tasks
+run, and the path agrees with the reference functions.
 
-An engine without workers evaluates the workers' tasks in-process through
-the same per-step loop, so ``workers`` 1 / 2 / 3 give bit-identical
-trajectories; against the independent oracle (``oracle.py``) the path
-holds 1e-9 on every system the engines are used on.  Under Ewald the
-real-space term rides the same tasks, lists and kernel: same guarantees.
+Every force term is a task — cell pair blocks, bonded groups and, under
+Ewald, k-space shards — and an engine without workers (``SequentialEngine``)
+evaluates the workers' tasks in-process through the same per-step loop, so
+``workers`` 1 / 2 / 3 give bit-identical trajectories, as do the degrade
+rung, an LB remap and a checkpoint resume; against the independent oracle
+(``oracle.py``) the path holds 1e-9 on every system the engines are used
+on.
 """
 
 from collections import Counter
@@ -14,11 +16,11 @@ import numpy as np
 import pytest
 
 from repro.builder import skewed_water_box, small_water_box
-from repro.md.engine import make_engine
+from repro.md.engine import SequentialEngine, make_engine
 from repro.md.ewald import EwaldOptions, compute_ewald
 from repro.md.integrator import VelocityVerlet
 from repro.md.nonbonded import NonbondedOptions
-from repro.md.parallel import HAS_SHARED_MEMORY, ParallelEngine
+from repro.md.parallel import HAS_SHARED_MEMORY
 from repro.pool import HAS_POSIX_SIGNALS, RecoveryPolicy
 from repro.runtime.checkpoint import load_run_checkpoint, restore_run_checkpoint
 
@@ -69,6 +71,7 @@ def test_trajectory_bit_identical_across_worker_counts(systems, name, ewald):
     for workers in (1, 2, 3):
         with engine_for(systems, name, ewald, workers) as engine:
             assert engine.parallel == (workers > 1)
+            assert (type(engine) is SequentialEngine) == (workers == 1)
             reports = engine.run(STEPS[name])
             runs[workers] = (
                 engine.system.positions.copy(),
@@ -85,15 +88,13 @@ def test_trajectory_bit_identical_across_worker_counts(systems, name, ewald):
 
 @pytest.mark.parametrize("ewald", [False, True], ids=["cutoff", "ewald"])
 @pytest.mark.parametrize("name", ["water", "assembly", "skewed"])
-@pytest.mark.parametrize(
-    "workers, distribute", [(1, False), (2, False), (3, True)]
-)
-def test_engine_matches_reference_functions(
-    systems, name, ewald, workers, distribute
-):
-    kwargs = {"distribute": True} if distribute else {}
+@pytest.mark.parametrize("workers, split", [(1, False), (2, False), (3, True)])
+def test_engine_matches_reference_functions(systems, name, ewald, workers, split):
+    """``split``: with grainsize control cutting cell tasks into stripes."""
+    kwargs = {"grainsize_ms": 1.0} if split else {}
     with engine_for(systems, name, ewald, workers, **kwargs) as engine:
         assert engine.parallel == (workers > 1)
+        assert (engine._nb.n_subtasks > engine._nb.n_parent_tasks) == split
         assert_matches_reference(engine)
         if name != "assembly":  # its unrelaxed contacts blow up under dt = 1
             # ... and still does on lists built some steps ago
@@ -106,7 +107,7 @@ def test_engine_matches_reference_functions(
 @pytest.mark.parametrize("name", ["water", "assembly", "skewed"])
 def test_ewald_cutoff_below_and_above_the_lj_cutoff(systems, name, ratio):
     """Lists and grid size to the longer of the two, each term keeps its own."""
-    with engine_for(systems, name, ratio, 2, distribute=True) as engine:
+    with engine_for(systems, name, ratio, 2) as engine:
         assert engine.parallel
         cutoff = engine.options.cutoff
         assert engine.ewald.cutoff == ratio * cutoff
@@ -120,9 +121,10 @@ def test_ewald_cutoff_below_and_above_the_lj_cutoff(systems, name, ratio):
 
 def test_ewald_components_on_the_assembly(systems):
     """The assembly has 1-4 pairs: the task lists leave them out, the 1-4
-    pass carries their erfc term at full strength.  Every component agrees
-    with the oracle, on fresh lists and on reused ones."""
-    with engine_for(systems, "assembly", True, 2, distribute=True) as engine:
+    pass carries their erfc term at full strength.  Every component — the
+    k-space shards' sum included — agrees with the oracle, on fresh lists
+    and on reused ones."""
+    with engine_for(systems, "assembly", True, 2) as engine:
         system = engine.system
         assert len(system.exclusions.pairs14) > 0
         rng = np.random.default_rng(7)
@@ -177,19 +179,22 @@ def test_ewald_list_reuse_step_enumerates_and_filters_nothing(systems, monkeypat
         assert calls["is_excluded"] > 0 and not calls["candidate_pairs"]
 
 
-def ewald_trajectory(systems, workers, distribute, steps=12, restore=None, **kwargs):
-    """``(engine, (positions, velocities, total energies))`` of an Ewald run
-    on the water box, optionally continuing a checkpoint."""
-    system, cutoff = fresh(systems, "water")
-    engine = ParallelEngine(
-        system, NonbondedOptions(cutoff=cutoff), VelocityVerlet(dt=1.0),
-        workers=workers, ewald=EwaldOptions(cutoff=cutoff, kmax=3),
-        distribute=distribute, **kwargs,
-    )
+#: the two kinds of task beside the cell blocks, each on the system that
+#: has them: bonds, angles, dihedrals and impropers in groups; Ewald water
+#: with its reciprocal sum in shards
+CASES = {"bonded": ("assembly", False), "sharded": ("water", True)}
+
+
+def trajectory(systems, case, workers, steps=None, restore=None, **kwargs):
+    """``(engine, (positions, velocities, total energies))`` of a run of
+    ``case``, optionally continuing a checkpoint."""
+    name, ewald = CASES[case]
+    engine = engine_for(systems, name, ewald, workers, **kwargs)
     with engine:
         if restore is not None:
             restore_run_checkpoint(engine, restore)
-        totals = [report.total for report in engine.run(steps)]
+        totals = [report.total for report in engine.run(steps or STEPS[name])]
+    system = engine.system
     return engine, (system.positions.copy(), system.velocities.copy(), totals)
 
 
@@ -198,39 +203,70 @@ def assert_same_bits(run, base):
         assert np.array_equal(got, expected)
 
 
-@pytest.mark.parametrize("distribute", [False, True], ids=["driver-recip", "sharded"])
+@pytest.fixture(scope="module")
+def sequential(systems):
+    """case -> ``trajectory(systems, case, 1)``, run once per module."""
+    runs = {}
+
+    def run(case):
+        if case not in runs:
+            runs[case] = trajectory(systems, case, 1)
+        return runs[case]
+
+    return run
+
+
+@pytest.mark.parametrize("case", list(CASES))
 class TestEwaldBitsDoNotDependOnWhoRunsTheTasks:
-    def test_worker_counts(self, systems, distribute):
-        engine, base = ewald_trajectory(systems, 1, distribute)
-        assert not engine.parallel and engine.pairlist.n_reuses > 0
+    """Not only Ewald's: the bonded groups' too (class name kept)."""
+
+    def test_worker_counts(self, systems, sequential, case):
+        engine, base = sequential(case)
+        assert type(engine) is SequentialEngine and not engine.parallel
+        if case == "sharded":
+            assert engine.pairlist.n_reuses > 0
+        else:
+            assert base[2][0] != 0.0 and engine.report().bonded.dihedral != 0.0
         for workers in (2, 3):
-            engine, run = ewald_trajectory(systems, workers, distribute)
+            engine, run = trajectory(systems, case, workers)
             assert engine.resilience.mode == "full"
             assert_same_bits(run, base)
 
     @pytest.mark.skipif(not HAS_POSIX_SIGNALS, reason="platform lacks SIGKILL")
-    def test_degrade_rung(self, systems, distribute):
+    def test_degrade_rung(self, systems, sequential, case):
         """Both workers lost mid-run: the tasks finish in-process."""
-        _, base = ewald_trajectory(systems, 1, distribute)
+        _, base = sequential(case)
         with pytest.warns(RuntimeWarning, match="pool degraded"):
-            engine, run = ewald_trajectory(
-                systems, 2, distribute, fault_plan="kill=0@2,kill=1@4",
+            engine, run = trajectory(
+                systems, case, 2, fault_plan="kill=0@2,kill=1@4",
                 recovery=RecoveryPolicy(max_respawns=0),
             )
         assert engine.resilience.mode == "sequential"
         assert_same_bits(run, base)
+        if case == "sharded":
+            # the lost workers' k-table lookups stay in the engine's totals
+            stats = engine.kspace_cache_stats()
+            assert stats["builds"] + stats["hits"] > sum(stats["workers"][0].values())
 
-    def test_checkpoint_resume(self, systems, distribute, tmp_path):
+    def test_lb_remap(self, systems, case):
+        """Tasks change workers mid-run.  A remap pins a list rebuild, so
+        the comparison is made where every step rebuilds anyway."""
+        _, base = trajectory(systems, case, 1, skin=0.0)
+        engine, run = trajectory(
+            systems, case, 3, skin=0.0, rebalance_every=3,
+            fault_plan="slow=0@0-infx3",
+        )
+        assert engine.remap_steps
+        assert_same_bits(run, base)
+
+    def test_checkpoint_resume(self, systems, case, tmp_path):
         """... and a resumed run need not even have the writer's workers."""
-        path = tmp_path / "ewald.ckpt"
-        _, written = ewald_trajectory(
-            systems, 2, distribute, steps=10, checkpoint_every=4,
-            checkpoint_path=path,
+        path = tmp_path / "run.ckpt"
+        _, written = trajectory(
+            systems, case, 2, steps=10, checkpoint_every=4, checkpoint_path=path
         )
         checkpoint = load_run_checkpoint(path)
         assert checkpoint.step == 8
-        _, resumed = ewald_trajectory(
-            systems, 1, distribute, steps=2, restore=checkpoint
-        )
+        _, resumed = trajectory(systems, case, 1, steps=2, restore=checkpoint)
         assert_same_bits(resumed[:2], written[:2])
         assert resumed[2] == written[2][-2:]

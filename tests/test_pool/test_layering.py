@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import pathlib
 import subprocess
 import sys
@@ -9,16 +10,34 @@ import sys
 REPO = pathlib.Path(__file__).resolve().parents[2]
 
 
-def test_pool_package_imports_no_domain_layer():
-    # static AST sweep over every repro.pool module (catches lazy imports)
-    import importlib.util
-
+def load_checker():
     spec = importlib.util.spec_from_file_location(
         "check_layering", REPO / "tools" / "check_layering.py"
     )
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
+    return mod
+
+
+def test_pool_package_imports_no_domain_layer():
+    # static AST sweep over every repro.pool module (catches lazy imports)
+    mod = load_checker()
     assert mod.check() == []
+
+
+def test_checker_catches_a_driver_side_force_call(tmp_path, monkeypatch):
+    mod = load_checker()
+    engine = tmp_path / "repro" / "md" / "engine.py"
+    engine.parent.mkdir(parents=True)
+    engine.write_text(
+        "from repro.md.bonded import compute_bonded  # noqa: F401\n"
+        "def compute_forces(system):\n"
+        "    return compute_bonded(system)\n"
+    )
+    monkeypatch.setattr(mod, "SRC", tmp_path)
+    monkeypatch.setattr(mod, "FORBIDDEN", {})
+    (violation,) = mod.check()
+    assert "engine.py:3" in violation and "compute_bonded" in violation
 
 
 def test_pool_package_imports_standalone():

@@ -87,6 +87,15 @@ class TestEndpoints:
         assert code == 400 and "unknown spec field" in body["error"]
         code, body = request(server, "POST", "/jobs", {})
         assert code == 400 and "spec" in body["error"]
+        for spec, message in (
+            ({"waters": "abc"}, "waters must be int"),
+            ({"workers": 2, "lb_strategy": "nope"}, "unknown LB strategy"),
+            ({"workers": 2, "fault_plan": "kill=zz"}, "bad fault_plan"),
+            ({"workers": 2, "fault_plan": "kill=5@1"}, "targets worker 5"),
+            ({"rebalance_every": 3}, "needs workers >= 2"),
+        ):
+            code, body = request(server, "POST", "/jobs", {"spec": spec})
+            assert code == 400 and message in body["error"], (spec, body)
 
     def test_unknown_job_maps_to_404(self, server):
         code, body = request(server, "GET", "/jobs/nope")

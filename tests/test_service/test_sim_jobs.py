@@ -5,6 +5,7 @@ bit-identical to a solo uninterrupted run of the same spec, whatever the
 slice boundaries and however many suspend/resume cycles happen.
 """
 
+import numpy as np
 import pytest
 
 from repro.md.jobs import SimJob, SimSpec
@@ -43,11 +44,57 @@ class TestSimSpec:
             {"seed": -1},
             {"checkpoint_every": -1},
             {"fault_plan": "kill=0@1", "workers": 1},
+            # what used to surface as a failed job inside a scheduler lane
+            # (or a TypeError) instead of a ValueError at submit
+            {"waters": "abc"},
+            {"waters": True},
+            {"ewald": "yes"},
+            {"cutoff": "8"},
+            {"dt": 0.0},
+            {"timeout": 0.0, "workers": 2},
+            {"lb_strategy": "nope", "workers": 2},
+            {"lb_strategy": "greedy+nope", "workers": 2},
+            {"fault_plan": "kill=zz", "workers": 2},
+            {"fault_plan": "kill", "workers": 2},
+            {"fault_plan": "slow=0@0-infx0", "workers": 2},
+            {"fault_plan": "kill=2@1", "workers": 2},  # workers are 0 and 1
+            # pool-only fields must not be silently dropped at workers == 1
+            {"rebalance_every": 4},
+            {"lb_strategy": "greedy"},
+            {"timeout": 30.0},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SimSpec(**kwargs)
+        with pytest.raises(ValueError):
+            SimSpec.from_dict(kwargs)
+
+    def test_every_field_is_type_checked(self):
+        from repro.md.jobs import _FIELD_TYPES
+
+        checked = [name for _kind, _label, names in _FIELD_TYPES for name in names]
+        assert sorted(checked) == sorted(SimSpec.__dataclass_fields__)
+        # a caller's numpy scalars are numbers too
+        spec = SimSpec(waters=np.int64(12), cutoff=np.float32(8.0), dt=1)
+        assert spec.waters == 12 and spec.cutoff == 8.0
+
+    def test_pool_fields_accepted_with_workers(self):
+        spec = SimSpec(
+            workers=2, rebalance_every=4, lb_strategy="greedy+refine",
+            timeout=30, fault_plan="kill=1@2,slow=0@1-infx2", cutoff=8,
+        )
+        assert SimSpec.from_dict(spec.to_dict()) == spec
+        # one worker per CPU: the count is unknown until the engine starts
+        SimSpec(workers=0, fault_plan="kill=3@2")
+
+    def test_distribute_is_accepted_and_ignored(self, tmp_path):
+        """The perf harness still sets it; either value is the one path."""
+        on, off = (
+            run_solo(SimSpec(waters=15, steps=3, distribute=flag), tmp_path / name)
+            for flag, name in ((True, "on"), (False, "off"))
+        )
+        assert on == off
 
     def test_worker_slots(self):
         assert SimSpec(workers=1).worker_slots == 0  # sequential: no pool

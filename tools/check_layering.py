@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Import-contract check: the generic pool layer must not know about MD.
+"""Layering check: the pool layer knows no MD, the engine calls no kernel.
 
 Layering (DESIGN.md, "The real parallel engine"):
 
@@ -7,9 +7,13 @@ Layering (DESIGN.md, "The real parallel engine"):
   from ``repro.md`` (or any other domain layer listed below).
 * ``repro.md.tasks`` / ``repro.md.parallel`` — the MD workload and its
   orchestration; these may import ``repro.pool``, never the reverse.
+* ``repro.md.engine`` — steps with ``wrap → dispatch → collect`` only:
+  every force term is a task, so the reference force functions are never
+  *used* there (they may be imported: the perf harness binds spans to
+  those module attributes).
 
-The check is static (AST walk over every module in the forbidden-import
-table), so it catches lazy/function-local imports too.  Run directly or
+The check is static (AST walk over every module in the tables below),
+so it catches lazy/function-local imports too.  Run directly or
 via ``tests/test_pool/test_layering.py``; CI runs it in the lint step.
 
 Exit status: 0 clean, 1 violation(s) found.
@@ -26,6 +30,12 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 #: package -> import prefixes it must never reference
 FORBIDDEN: dict[str, tuple[str, ...]] = {
     "repro/pool": ("repro.md", "repro.balancer", "repro.instrument"),
+}
+
+#: module -> names it may import but must never reference: a driver-side
+#: force branch cannot quietly regrow
+UNUSED: dict[str, tuple[str, ...]] = {
+    "repro/md/engine.py": ("compute_bonded", "compute_nonbonded", "compute_ewald"),
 }
 
 
@@ -51,6 +61,16 @@ def check() -> list[str]:
                         f"{path.relative_to(SRC.parent)}:{lineno}: "
                         f"{package} must not import {name}"
                     )
+    for module, banned in UNUSED.items():
+        path = SRC / module
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            # a bare name (ast.Name.id) or the tail of a dotted one
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name in banned:
+                violations.append(
+                    f"{path.relative_to(SRC.parent)}:{node.lineno}: "
+                    f"{module} must not call {name} (force terms are tasks)"
+                )
     return violations
 
 
@@ -60,7 +80,10 @@ def main() -> int:
         print(v, file=sys.stderr)
     if violations:
         return 1
-    print("layering OK: repro.pool imports no domain layer")
+    print(
+        "layering OK: repro.pool imports no domain layer, "
+        "repro.md.engine calls no force kernel"
+    )
     return 0
 
 
