@@ -1,23 +1,26 @@
 """Pluggable kernel backends for the hot paths (non-bonded, scatter, Ewald).
 
 The md modules run their inner loops through a :class:`KernelBackend` — a
-bundle of five kernels (see :mod:`repro.backend.base`).  Two implementations
-ship:
+bundle of seven kernels (see :mod:`repro.backend.base`).  Two
+implementations ship:
 
 * ``numpy`` — the vectorized reference (:mod:`repro.backend.reference`),
   the ground truth by definition.  Always available.
-* ``numba`` — serial JIT-compiled loops (:mod:`repro.backend.numba_backend`).
-  Loaded lazily; on first use it must pass a parity self-check against the
-  reference (1e-9 on energies/forces, exact pair masks).  If numba is
-  missing, fails to compile, or fails the self-check, the registry falls
-  back to numpy — with a warning when ``numba`` was requested explicitly,
-  silently under ``auto``.
+* ``c`` — the pair kernel and the Ewald reciprocal sum as serial C loops
+  (``kernels.c``, built with the host's ``cc`` on first use and loaded
+  through ctypes by :mod:`repro.backend.c_backend`); the other kernels are
+  the reference's.  On first use it must pass a parity self-check against
+  the reference (1e-9 on energies/forces, exact pair counts).  If there is
+  no compiler, the build or the load fails, or the self-check misses, the
+  registry falls back to numpy — with a warning when ``c`` was requested
+  explicitly, silently under ``auto`` — and :func:`backend_status` keeps
+  the reason.
 
 Selection:
 
 * ``get_backend(spec)`` with ``spec`` one of ``None`` (session default),
-  ``"auto"``, ``"numpy"``, ``"numba"``, or an existing
-  :class:`KernelBackend` (passed through).
+  a name from :data:`BACKEND_NAMES`, or an existing :class:`KernelBackend`
+  (passed through).
 * The session default resolves once from the ``REPRO_BACKEND`` environment
   variable (``auto`` when unset) and can be overridden with
   :func:`set_default_backend` (the CLI ``--backend`` flag does this).
@@ -31,13 +34,16 @@ measurements from different backends are never blended.
 
 from __future__ import annotations
 
+import logging
 import os
 import warnings
 
+from repro.backend import c_backend
 from repro.backend import reference as _reference
 from repro.backend.base import KernelBackend, parity_selfcheck, synthetic_problem
 
 __all__ = [
+    "BACKEND_NAMES",
     "KernelBackend",
     "ENV_VAR",
     "available_backends",
@@ -51,78 +57,80 @@ __all__ = [
 
 ENV_VAR = "REPRO_BACKEND"
 
+#: every legal backend spec by name — the CLI's choices and ``SimSpec``'s
+#: validation read this tuple
+BACKEND_NAMES = ("auto", "numpy", "c")
+
+_log = logging.getLogger("repro.backend")
+
 _instances: dict[str, KernelBackend] = {"numpy": _reference.build_backend()}
-_numba_error: str | None = None
+_c_error: str | None = None
 _default: KernelBackend | None = None
 
 
-def available_backends() -> tuple[str, ...]:
-    """Backend names that could be requested (numba listed if importable)."""
-    import importlib.util
-
-    names = ["numpy"]
-    try:
-        if importlib.util.find_spec("numba") is not None:
-            names.append("numba")
-    except (ImportError, ValueError):  # pragma: no cover - broken installs
-        pass
-    return tuple(names)
-
-
-def _try_numba() -> KernelBackend | None:
-    """Load + self-check the numba backend once; None (cached) on failure."""
-    global _numba_error
-    cached = _instances.get("numba")
+def _try_c() -> KernelBackend | None:
+    """Build + self-check the C backend once; None (cached) on failure."""
+    global _c_error
+    cached = _instances.get("c")
     if cached is not None:
         return cached
-    if _numba_error is not None:
+    if _c_error is not None:
         return None
     try:
-        from repro.backend.numba_backend import build_backend
-
-        candidate = build_backend()
+        candidate = c_backend.build_backend()
         ok, detail = parity_selfcheck(candidate, _instances["numpy"])
         if not ok:
             raise RuntimeError(f"parity self-check failed: {detail}")
     except Exception as exc:  # noqa: BLE001 - any failure means fallback
-        _numba_error = f"{type(exc).__name__}: {exc}"
+        _c_error = f"{type(exc).__name__}: {exc}"
+        _log.info("kernel backend c unavailable (%s); using numpy", _c_error)
         return None
-    _instances["numba"] = candidate
+    info = c_backend.build_info
+    _log.info(
+        "kernel backend c: %s %s in %.3f s", info["cache_file"], info["source"],
+        info["seconds"],
+    )
+    _instances["c"] = candidate
     return candidate
+
+
+def available_backends() -> tuple[str, ...]:
+    """Backend names that resolve to themselves here: numpy, and ``c`` when
+    it builds, loads and passes its self-check."""
+    return ("numpy", "c") if _try_c() is not None else ("numpy",)
 
 
 def get_backend(spec: KernelBackend | str | None = None) -> KernelBackend:
     """Resolve a backend spec to a concrete :class:`KernelBackend`.
 
-    ``None`` → the session default; ``"auto"`` → numba when it loads and
-    passes its self-check, else numpy; ``"numpy"``/``"numba"`` by name
-    (an unavailable numba falls back to numpy with a warning); an existing
+    ``None`` → the session default; ``"auto"`` → ``c`` when it loads and
+    passes its self-check, else numpy; ``"numpy"``/``"c"`` by name (an
+    unavailable ``c`` falls back to numpy with a warning); an existing
     instance is returned unchanged.
     """
     if spec is None:
         return default_backend()
     if isinstance(spec, KernelBackend):
         return spec
-    name = str(spec).strip().lower()
-    if name in ("", "auto"):
-        loaded = _try_numba()
-        return loaded if loaded is not None else _instances["numpy"]
+    name = str(spec).strip().lower() or "auto"
+    if name not in BACKEND_NAMES:
+        raise ValueError(
+            f"unknown kernel backend {spec!r}; choose one of "
+            + ", ".join(repr(n) for n in BACKEND_NAMES)
+        )
     if name == "numpy":
         return _instances["numpy"]
-    if name == "numba":
-        loaded = _try_numba()
-        if loaded is None:
+    loaded = _try_c()
+    if loaded is None:
+        if name == "c":
             warnings.warn(
-                f"numba backend unavailable ({_numba_error}); "
+                f"c backend unavailable ({_c_error}); "
                 "falling back to the numpy reference backend",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            return _instances["numpy"]
-        return loaded
-    raise ValueError(
-        f"unknown kernel backend {spec!r}; choose 'auto', 'numpy', or 'numba'"
-    )
+        return _instances["numpy"]
+    return loaded
 
 
 def default_backend() -> KernelBackend:
@@ -144,30 +152,26 @@ def set_default_backend(spec: KernelBackend | str | None) -> KernelBackend:
 
 
 def backend_status() -> dict[str, object]:
-    """Diagnostic snapshot for the CLI: availability, errors, default."""
-    avail = available_backends()
-    status: dict[str, object] = {
-        "available": list(avail),
+    """Diagnostic snapshot for the CLI: availability, the default, and what
+    the C build did (compiler, flags, cache file, compiled or cache hit,
+    seconds) or why it fell back."""
+    loaded = _try_c()
+    return {
+        "available": list(available_backends()),
         "default": default_backend().name,
         "env": os.environ.get(ENV_VAR),
+        "c_ok": loaded is not None,
+        "c_error": _c_error,
+        "c_build": dict(c_backend.build_info),
     }
-    if "numba" in avail:
-        loaded = _try_numba()
-        status["numba_ok"] = loaded is not None
-        if loaded is None:
-            status["numba_error"] = _numba_error
-    else:
-        status["numba_ok"] = False
-        status["numba_error"] = "numba is not installed"
-    return status
 
 
 def _reset_for_testing() -> None:
-    """Drop cached default/numba state so selection logic re-runs."""
-    global _default, _numba_error
+    """Drop cached default/C state so selection logic re-runs."""
+    global _default, _c_error
     _default = None
-    _numba_error = None
-    _instances.pop("numba", None)
+    _c_error = None
+    _instances.pop("c", None)
 
 
 # Import-time smoke check: the reference backend must produce finite,

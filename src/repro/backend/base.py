@@ -39,9 +39,12 @@ si, sj, alpha=None, ewald_cutoff=None) -> (e_lj, e_elec, n_pairs)``
     is the kernel of the oracle :func:`repro.md.ewald.compute_ewald`, which
     the engines' Ewald-mode ``nb_pairs`` is held to.
 
-``ewald_recip(pos, q, kvecs, ak, pref, forces) -> energy``
+``ewald_recip(pos, q, kvecs, ak, pref, forces, mvecs=None) -> energy``
     Ewald reciprocal-space sum over precomputed ``(kvecs, ak)`` tables
-    with prefactor ``pref = C * 2π / V``.
+    with prefactor ``pref = C * 2π / V``.  ``mvecs`` are the integer
+    triplets the vectors were built from (``kvecs = 2π mvecs / box``, int32,
+    same rows): a backend may use them to factorise the phase factors per
+    axis, and must give the same sum without them.
 
 ``bonded_terms(pos, box, kind, idx, kpar, p1, p2, forces, sidx) -> energy``
     Vectorized bonded-term kernel for one term kind: ``kind`` is 0 (bond),
@@ -54,9 +57,9 @@ si, sj, alpha=None, ewald_cutoff=None) -> (e_lj, e_elec, n_pairs)``
     evaluation) so the parallel engine can scatter each task into a
     compact slab of a shared buffer.
 
-``ewald_recip_shard(pos, q, kvecs, ak, pref, forces) -> energy``
+``ewald_recip_shard(pos, q, kvecs, ak, pref, forces, mvecs=None) -> energy``
     Same contract as ``ewald_recip`` evaluated over a contiguous *shard*
-    of the tables (the caller slices ``kvecs``/``ak``).  Because every
+    of the tables (the caller slices ``kvecs``/``ak``/``mvecs``).  Because every
     k-vector's contribution is independent, summing shard results over a
     partition of the tables must reproduce ``ewald_recip`` of the full
     tables to rounding error — the parity self-check enforces this.
@@ -112,9 +115,9 @@ def synthetic_problem(seed: int = 2026) -> dict[str, Any]:
     kmax = 2
     grid = np.arange(-kmax, kmax + 1)
     mx, my, mz = np.meshgrid(grid, grid, grid, indexing="ij")
-    mvec = np.stack([mx.ravel(), my.ravel(), mz.ravel()], axis=1).astype(np.float64)
-    mvec = mvec[np.any(mvec != 0, axis=1)]
-    kvecs = 2.0 * np.pi * mvec / box[None, :]
+    mvecs = np.stack([mx.ravel(), my.ravel(), mz.ravel()], axis=1).astype(np.int32)
+    mvecs = mvecs[np.any(mvecs != 0, axis=1)]
+    kvecs = 2.0 * np.pi * mvecs / box[None, :]
     k2 = np.einsum("ij,ij->i", kvecs, kvecs)
     alpha = 0.45
     ak = np.exp(-k2 / (4.0 * alpha * alpha)) / k2
@@ -161,6 +164,7 @@ def synthetic_problem(seed: int = 2026) -> dict[str, Any]:
         "switch": 4.0,
         "alpha": alpha,
         "kvecs": kvecs,
+        "mvecs": mvecs,
         "ak": ak,
         "pref": pref,
         "scatter_idx": scatter_idx,
@@ -216,8 +220,7 @@ def parity_selfcheck(
     """Check ``candidate`` against ``reference`` on the synthetic problem.
 
     Returns ``(ok, detail)``; never raises — any exception inside a kernel
-    (including JIT compilation failures, since compilation is lazy) is
-    folded into a ``(False, ...)`` result so callers can fall back.
+    is folded into a ``(False, ...)`` result so callers can fall back.
     Checking a backend against itself still catches NaNs, crashes, and
     Newton's-third-law violations.
     """
@@ -280,15 +283,15 @@ def parity_selfcheck(
         if not _close(e_c, e_r, tol) or not _close(fe_c, fe_r, tol):
             return False, "ewald_real: results disagree"
 
-        # ewald_recip
-        fk_c = np.zeros((p["n"], 3))
+        # ewald_recip, without and with the integer triplets
+        recip = (p["pos"], p["charges"], p["kvecs"], p["ak"], p["pref"])
         fk_r = np.zeros((p["n"], 3))
-        ek_c = candidate.ewald_recip(p["pos"], p["charges"], p["kvecs"], p["ak"],
-                                     p["pref"], fk_c)
-        ek_r = reference.ewald_recip(p["pos"], p["charges"], p["kvecs"], p["ak"],
-                                     p["pref"], fk_r)
-        if not _close(ek_c, ek_r, tol) or not _close(fk_c, fk_r, tol):
-            return False, "ewald_recip: results disagree"
+        ek_r = reference.ewald_recip(*recip, fk_r)
+        for triplets in ((), (p["mvecs"],)):
+            fk_c = np.zeros((p["n"], 3))
+            ek_c = candidate.ewald_recip(*recip, fk_c, *triplets)
+            if not _close(ek_c, ek_r, tol) or not _close(fk_c, fk_r, tol):
+                return False, "ewald_recip: results disagree"
 
         # bonded_terms (all four kinds)
         kind_names = ("bond", "angle", "dihedral", "improper")
@@ -318,7 +321,7 @@ def parity_selfcheck(
         for sl in (slice(0, lo), slice(lo, len(p["kvecs"]))):
             es_c += candidate.ewald_recip_shard(
                 p["pos"], p["charges"], p["kvecs"][sl], p["ak"][sl],
-                p["pref"], fs_c,
+                p["pref"], fs_c, p["mvecs"][sl],
             )
         if not _close(es_c, ek_r, tol) or not _close(fs_c, fk_r, tol):
             return False, "ewald_recip_shard: sharded sum != full recip sum"

@@ -1,0 +1,222 @@
+"""The ``c`` backend: ``kernels.c`` built with the host's ``cc``, through ctypes.
+
+The shared object is compiled on first use and cached under
+``${XDG_CACHE_HOME:-~/.cache}/repro/``, keyed by a hash of the source, the
+flags and ``cc --version`` — a new compiler or an edited kernel is a new
+file, never a stale one.  The flags are fixed: ``-O2`` with
+``-ffp-contract=off`` and neither ``-ffast-math`` nor ``-march=native``,
+because hosts sharing a home directory share the cache and a result must
+not depend on which of them compiled it.
+
+:func:`build_backend` is the numpy reference with ``nb_pairs`` and the two
+reciprocal-sum kernels replaced.  It raises on any failure (no compiler,
+compile error or timeout, load error); the registry turns that — and a
+failed parity self-check — into the numpy fallback.  :data:`build_info`
+says what the last build did, for ``repro backends``.
+"""
+
+from __future__ import annotations
+
+import atexit
+import ctypes
+import dataclasses
+import hashlib
+import os
+import platform
+import shutil
+import subprocess
+import tempfile
+import time
+from importlib import resources
+from pathlib import Path
+
+import numpy as np
+
+from repro.backend import reference
+from repro.backend.base import KernelBackend
+
+__all__ = ["FLAGS", "build_backend", "build_info"]
+
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+COMPILE_TIMEOUT_S = 120.0
+
+#: compiler path, flags, cache file, "compiled" / "cache hit" and seconds of
+#: the last :func:`build_backend` in this process
+build_info: dict[str, object] = {}
+
+
+def _cache_dir() -> Path:
+    """The shared cache directory or, when it cannot be had, a private
+    temporary one for the life of the process."""
+    root = os.environ.get("XDG_CACHE_HOME") or os.path.join("~", ".cache")
+    shared = Path(root).expanduser() / "repro"
+    try:
+        shared.mkdir(mode=0o700, parents=True, exist_ok=True)
+        if os.access(shared, os.W_OK | os.X_OK):
+            return shared
+    except OSError:
+        pass
+    private = tempfile.mkdtemp(prefix="repro-backend-")
+    atexit.register(shutil.rmtree, private, ignore_errors=True)
+    return Path(private)
+
+
+def _load(path: Path) -> ctypes.CDLL:
+    """``path`` as a library with both kernels' signatures declared."""
+    lib = ctypes.CDLL(str(path))
+    ptr, f8, i8 = ctypes.c_void_p, ctypes.c_double, ctypes.c_int64
+    lib.nb_pairs.restype = i8
+    lib.nb_pairs.argtypes = [
+        ptr, i8, ptr, ptr, ptr, ctypes.c_int, i8, ptr, ptr, ptr,
+        f8, f8, f8, f8, ptr, i8, ptr, ptr, ctypes.c_int, ptr,
+    ]
+    lib.ewald_recip.restype = ctypes.c_int
+    lib.ewald_recip.argtypes = [ptr, ptr, i8, ptr, ptr, ptr, i8, f8, ptr, ptr, ptr]
+    return lib
+
+
+def _sealed(path: Path) -> bool:
+    """Whether ``path`` holds a whole object: its last 32 bytes are the
+    sha256 of the rest.  Checked before every load, because the dynamic
+    loader answers a truncated file with a bus error, not an exception."""
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return False
+    return len(data) > 32 and hashlib.sha256(data[:-32]).digest() == data[-32:]
+
+
+def _library() -> ctypes.CDLL:
+    """Load the cached object for this source, flags, compiler and machine,
+    building it first when it is missing or torn."""
+    started = time.perf_counter()
+    build_info.clear()
+    cc = shutil.which("cc")
+    if cc is None:
+        raise RuntimeError("no C compiler ('cc') on PATH")
+    source = resources.files("repro.backend").joinpath("kernels.c").read_bytes()
+    version = subprocess.run(
+        [cc, "--version"], capture_output=True, check=True, timeout=COMPILE_TIMEOUT_S
+    ).stdout
+    stamp = f"{' '.join(FLAGS)} {platform.machine()} ".encode()
+    key = hashlib.sha256(source + stamp + version).hexdigest()[:16]
+    path = _cache_dir() / f"kernels-{key}.so"
+    build_info.update(
+        compiler=cc, flags=" ".join(FLAGS), cache_file=str(path), source="cache hit"
+    )
+    if not _sealed(path):
+        # build under a private name and rename: of two processes racing on
+        # an empty cache, each ends with a complete file
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        os.close(fd)
+        try:
+            subprocess.run(
+                [cc, *FLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
+                input=source, capture_output=True, check=True,
+                timeout=COMPILE_TIMEOUT_S,
+            )
+            with open(tmp, "r+b") as built:
+                digest = hashlib.sha256(built.read()).digest()
+                built.write(digest)  # trailing bytes the loader ignores
+            os.replace(tmp, path)
+        except subprocess.CalledProcessError as exc:
+            raise RuntimeError(
+                f"{cc} failed: {exc.stderr.decode(errors='replace').strip()[-500:]}"
+            ) from None
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        build_info["source"] = "compiled"
+    lib = _load(path)
+    build_info["seconds"] = time.perf_counter() - started
+    return lib
+
+
+def _f8(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float64)
+
+
+def _i8(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.int64)
+
+
+def _index_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Two index arrays as the kernels read them: both int32, when that is
+    how they are stored, or both int64."""
+    as_stored = np.int32 == a.dtype == b.dtype
+    if as_stored and a.flags.c_contiguous and b.flags.c_contiguous:
+        return a, b
+    return _i8(a), _i8(b)
+
+
+def _force_rows(forces: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """``forces`` itself when the kernels can accumulate into it, else a
+    zeroed stand-in for the caller to add back; both arrays ``(rows, 3)``."""
+    if not (pos.ndim == forces.ndim == 2 and pos.shape[1] == forces.shape[1] == 3):
+        raise ValueError("positions and forces must have shape (rows, 3)")
+    if forces.dtype == np.float64 and forces.flags.c_contiguous:
+        return forces
+    return np.zeros(forces.shape)
+
+
+def build_backend() -> KernelBackend:
+    """The ``c`` backend instance; raises when the library cannot be had."""
+    lib = _library()
+
+    def nb_pairs(pos, box, i_idx, j_idx, eps, rmin, qq, cutoff, switch,
+                 forces, si, sj, alpha=None, ewald_cutoff=None):
+        m = len(i_idx)
+        if m == 0:
+            return 0.0, 0.0, 0
+        if alpha is None:  # the kernel's "unset" is alpha <= 0
+            alpha = ewald_cutoff = 0.0
+        pos, box, eps, rmin, qq = _f8(pos), _f8(box), _f8(eps), _f8(rmin), _f8(qq)
+        i_idx, j_idx = _index_pair(i_idx, j_idx)
+        si, sj = _index_pair(si, sj)
+        if {len(j_idx), len(si), len(sj), len(eps), len(rmin), len(qq)} != {m}:
+            raise ValueError("pair list arrays differ in length")
+        if len(box) != 3:
+            raise ValueError("box must have three edges")
+        out = _force_rows(forces, pos)
+        energies = (ctypes.c_double * 2)()
+        n_pairs = lib.nb_pairs(
+            pos.ctypes.data, len(pos), box.ctypes.data,
+            i_idx.ctypes.data, j_idx.ctypes.data, i_idx.itemsize == 8, m,
+            eps.ctypes.data, rmin.ctypes.data, qq.ctypes.data,
+            cutoff, switch, alpha, ewald_cutoff,
+            out.ctypes.data, len(out), si.ctypes.data, sj.ctypes.data,
+            si.itemsize == 8, energies,
+        )
+        if n_pairs < 0:
+            raise IndexError("pair list index out of range")
+        if out is not forces:
+            forces += out
+        return energies[0], energies[1], n_pairs
+
+    def ewald_recip(pos, q, kvecs, ak, pref, forces, mvecs=None):
+        nk = len(kvecs)
+        if mvecs is None or nk == 0:  # no triplets to factorise over
+            return reference.ewald_recip(pos, q, kvecs, ak, pref, forces)
+        pos, q, kvecs, ak = _f8(pos), _f8(q), _f8(kvecs), _f8(ak)
+        mvecs = np.ascontiguousarray(mvecs, dtype=np.int32)
+        if kvecs.shape != (nk, 3) or mvecs.shape != (nk, 3) or ak.shape != (nk,):
+            raise ValueError("k-space tables differ in length")
+        if forces.shape != pos.shape or q.shape != (len(pos),):
+            raise ValueError("positions, charges and forces differ in length")
+        out = _force_rows(forces, pos)
+        work = np.empty(2 * nk)
+        energy = ctypes.c_double()
+        if lib.ewald_recip(
+            pos.ctypes.data, q.ctypes.data, len(pos), kvecs.ctypes.data,
+            ak.ctypes.data, mvecs.ctypes.data, nk, pref, out.ctypes.data,
+            work.ctypes.data, ctypes.byref(energy),
+        ):  # an |m| beyond the kernel's tables
+            return reference.ewald_recip(pos, q, kvecs, ak, pref, forces)
+        if out is not forces:
+            forces += out
+        return energy.value
+
+    return dataclasses.replace(
+        reference.build_backend(), name="c", compiled=True, nb_pairs=nb_pairs,
+        ewald_recip=ewald_recip, ewald_recip_shard=ewald_recip,
+    )

@@ -1,0 +1,252 @@
+/* Compiled kernels of the "c" backend: the fused pair kernel and the Ewald
+ * reciprocal sum.  Built on first use and loaded through ctypes by
+ * repro/backend/c_backend.py; the contracts are those of
+ * repro/backend/base.py and the arithmetic is held to the numpy reference
+ * at 1e-9 by the registry's parity self-check.
+ *
+ * Rules this file keeps:
+ *   - re-entrant: no static or global state, no allocation (scratch comes
+ *     from the caller), because ctypes drops the GIL for the call and the
+ *     service steps several jobs from threads;
+ *   - serial loops in list order, compiled with -ffp-contract=off and no
+ *     target flags: one reduction order and no fused multiply-adds, so a
+ *     result depends on the inputs only, not on the host that built the
+ *     object;
+ *   - arrays are C-contiguous float64; index arrays are int32 or int64 as
+ *     the caller stores them (a flag says which), so no call converts;
+ *   - the caller checks array lengths, the kernels check every index they
+ *     are about to follow (a corrupt list is an error, not a wild write).
+ */
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+
+static const double COULOMB_CONSTANT = 332.0636; /* repro.md.constants */
+static const double PI = 3.14159265358979323846;
+
+static inline int64_t index_at(const void *idx, int wide, int64_t k)
+{
+    return wide ? ((const int64_t *)idx)[k] : (int64_t)((const int32_t *)idx)[k];
+}
+
+/* Minimum image of one displacement component.  The reference folds every
+ * component with d - L rint(d / L); for |d| <= L/2 that is d bit for bit
+ * (rint(+-0.5) is +-0), so the division and the libm call are skipped for
+ * the ~90 % of components that need no fold.  nearbyint rounds half to
+ * even like numpy's rint: lattice pairs sit at exactly half a box. */
+static inline double min_image(double d, double length, double half)
+{
+    if (fabs(d) > half)
+        d -= length * nearbyint(d / length);
+    return d;
+}
+
+/* Switched LJ + electrostatics over a pair list with Newton's-third-law
+ * scatter.  alpha <= 0 selects the shifted point-charge term, alpha > 0
+ * the Ewald real-space term inside ewald_cutoff.  energies[0] is the LJ
+ * sum, energies[1] the electrostatic sum; returns the pairs inside the LJ
+ * cutoff, or -1 at the first index outside pos (n_atoms rows) or forces
+ * (n_rows rows). */
+int64_t nb_pairs(const double *pos, int64_t n_atoms, const double *box,
+                 const void *i_idx, const void *j_idx, int idx_wide, int64_t m,
+                 const double *eps, const double *rmin, const double *qq,
+                 double cutoff, double switch_dist,
+                 double alpha, double ewald_cutoff,
+                 double *forces, int64_t n_rows,
+                 const void *si, const void *sj, int s_wide,
+                 double *energies)
+{
+    const double c2 = cutoff * cutoff;
+    const double s2 = switch_dist * switch_dist;
+    const double denom = (c2 - s2) * (c2 - s2) * (c2 - s2);
+    const double ec2 = ewald_cutoff * ewald_cutoff;
+    const double reach2 = (alpha > 0.0 && ec2 > c2) ? ec2 : c2;
+    const double two_a_rtpi = 2.0 * alpha / sqrt(PI);
+    const double bx = box[0], by = box[1], bz = box[2];
+    const double hx = 0.5 * bx, hy = 0.5 * by, hz = 0.5 * bz;
+    double e_lj_tot = 0.0, e_el_tot = 0.0;
+    int64_t n_pairs = 0;
+
+    for (int64_t p = 0; p < m; p++) {
+        const int64_t i = index_at(i_idx, idx_wide, p);
+        const int64_t j = index_at(j_idx, idx_wide, p);
+        const int64_t a = index_at(si, s_wide, p);
+        const int64_t b = index_at(sj, s_wide, p);
+        /* unsigned compare: negative indices are out of range too */
+        if ((uint64_t)i >= (uint64_t)n_atoms || (uint64_t)j >= (uint64_t)n_atoms
+            || (uint64_t)a >= (uint64_t)n_rows || (uint64_t)b >= (uint64_t)n_rows)
+            return -1;
+        const double *xi = pos + 3 * i;
+        const double *xj = pos + 3 * j;
+        const double dx = min_image(xj[0] - xi[0], bx, hx);
+        const double dy = min_image(xj[1] - xi[1], by, hy);
+        const double dz = min_image(xj[2] - xi[2], bz, hz);
+        const double r2 = dx * dx + dy * dy + dz * dz;
+        if (r2 >= reach2)
+            continue;
+        const double r = sqrt(r2);
+        const double inv_r = 1.0 / r;
+        const double inv_r2 = inv_r * inv_r;
+
+        double e_lj = 0.0, de_lj_dr = 0.0;
+        if (r2 < c2) {
+            n_pairs++;
+            const double sr2 = (rmin[p] * rmin[p]) * inv_r2;
+            const double sr6 = sr2 * sr2 * sr2;
+            const double sr12 = sr6 * sr6;
+            const double e_raw = eps[p] * (sr12 - 2.0 * sr6);
+            const double de_raw = -12.0 * eps[p] * inv_r * (sr12 - sr6);
+            double sw = 1.0, dsw_dr2 = 0.0;
+            if (r2 > s2) {
+                sw = (c2 - r2) * (c2 - r2) * (c2 + 2.0 * r2 - 3.0 * s2) / denom;
+                dsw_dr2 = 6.0 * (c2 - r2) * (s2 - r2) / denom;
+            }
+            e_lj = e_raw * sw;
+            de_lj_dr = de_raw * sw + e_raw * dsw_dr2 * 2.0 * r;
+        }
+
+        double e_el = 0.0, de_el_dr = 0.0;
+        if (alpha > 0.0) {
+            if (r2 < ec2) {
+                const double cqq = COULOMB_CONSTANT * qq[p];
+                const double erfc_term = erfc(alpha * r);
+                e_el = cqq * erfc_term * inv_r;
+                de_el_dr = -cqq * (erfc_term * inv_r2
+                                   + two_a_rtpi * exp(-(alpha * alpha) * r2) * inv_r);
+            }
+        } else {
+            /* (C qq / r)(1 - r^2/c^2)^2 and its derivative */
+            const double shift = 1.0 - r2 / c2;
+            const double cqq = COULOMB_CONSTANT * qq[p];
+            e_el = cqq * inv_r * shift * shift;
+            de_el_dr = cqq * (-inv_r2 * shift * shift
+                              + inv_r * 2.0 * shift * (-2.0 * r / c2));
+        }
+
+        /* force on i = +dE/dr (delta / r) given delta = x_j - x_i */
+        const double f = (de_lj_dr + de_el_dr) * inv_r;
+        const double fx = f * dx, fy = f * dy, fz = f * dz;
+        double *fa = forces + 3 * a;
+        double *fb = forces + 3 * b;
+        fa[0] += fx;
+        fa[1] += fy;
+        fa[2] += fz;
+        fb[0] -= fx;
+        fb[1] -= fy;
+        fb[2] -= fz;
+        e_lj_tot += e_lj;
+        e_el_tot += e_el;
+    }
+    energies[0] = e_lj_tot;
+    energies[1] = e_el_tot;
+    return n_pairs;
+}
+
+/* ---- Ewald reciprocal sum with factorised phase factors ----------------
+ *
+ * k = 2 pi (mx/Lx, my/Ly, mz/Lz), so e^{i k.r} is a product of three
+ * per-axis factors e^{i m theta}, theta = 2 pi x / L.  Each atom pays one
+ * sin/cos per axis and a complex-multiply recurrence up to the largest
+ * |m|; every k-vector is then two complex products of table entries
+ * instead of a sin/cos of its own.
+ */
+#define M_CAP 64 /* largest |m| per axis the tables hold */
+
+typedef struct {
+    double c[3][2 * M_CAP + 1];
+    double s[3][2 * M_CAP + 1];
+} phase_tables;
+
+static void fill_tables(phase_tables *t, const double *x, const double *base,
+                        const int *mmax)
+{
+    for (int d = 0; d < 3; d++) {
+        double *c = t->c[d] + M_CAP, *s = t->s[d] + M_CAP;
+        const double theta = base[d] * x[d];
+        const double c1 = cos(theta), s1 = sin(theta);
+        c[0] = 1.0;
+        s[0] = 0.0;
+        for (int m = 1; m <= mmax[d]; m++) {
+            c[m] = c[m - 1] * c1 - s[m - 1] * s1;
+            s[m] = s[m - 1] * c1 + c[m - 1] * s1;
+            c[-m] = c[m];
+            s[-m] = -s[m];
+        }
+    }
+}
+
+static inline void phase(const phase_tables *t, const int32_t *m,
+                         double *c, double *s)
+{
+    const double cx = t->c[0][m[0] + M_CAP], sx = t->s[0][m[0] + M_CAP];
+    const double cy = t->c[1][m[1] + M_CAP], sy = t->s[1][m[1] + M_CAP];
+    const double cz = t->c[2][m[2] + M_CAP], sz = t->s[2][m[2] + M_CAP];
+    const double cxy = cx * cy - sx * sy, sxy = sx * cy + cx * sy;
+    *c = cxy * cz - sxy * sz;
+    *s = sxy * cz + cxy * sz;
+}
+
+/* Reciprocal sum over the nk vectors kvecs = 2 pi mvecs / box (any
+ * contiguous shard of the table).  work holds 2 nk doubles.  Returns 0
+ * with the energy stored, or 1 having touched nothing when some |m|
+ * exceeds M_CAP (the caller evaluates the direct sum instead). */
+int ewald_recip(const double *pos, const double *q, int64_t n,
+                const double *kvecs, const double *ak, const int32_t *mvecs,
+                int64_t nk, double pref, double *forces, double *work,
+                double *energy)
+{
+    double *s_re = work, *s_im = work + nk;
+    double base[3] = {0.0, 0.0, 0.0}; /* 2 pi / L per axis */
+    int mmax[3] = {0, 0, 0};
+    phase_tables t;
+
+    for (int64_t k = 0; k < nk; k++) {
+        for (int d = 0; d < 3; d++) {
+            const int mm = mvecs[3 * k + d];
+            if (abs(mm) > mmax[d]) {
+                mmax[d] = abs(mm);
+                base[d] = kvecs[3 * k + d] / mm;
+            }
+        }
+        s_re[k] = 0.0;
+        s_im[k] = 0.0;
+    }
+    if (mmax[0] > M_CAP || mmax[1] > M_CAP || mmax[2] > M_CAP)
+        return 1;
+
+    /* structure factors S(k) = sum_a q_a e^{i k.r_a} */
+    for (int64_t a = 0; a < n; a++) {
+        double c, s;
+        fill_tables(&t, pos + 3 * a, base, mmax);
+        for (int64_t k = 0; k < nk; k++) {
+            phase(&t, mvecs + 3 * k, &c, &s);
+            s_re[k] += q[a] * c;
+            s_im[k] += q[a] * s;
+        }
+    }
+    double e = 0.0;
+    for (int64_t k = 0; k < nk; k++) {
+        e += ak[k] * (s_re[k] * s_re[k] + s_im[k] * s_im[k]);
+        s_re[k] *= ak[k];
+        s_im[k] *= ak[k];
+    }
+    *energy = pref * e;
+
+    /* F_a = 2 pref q_a sum_k ak k [ sin(k.r_a) S_re - cos(k.r_a) S_im ] */
+    for (int64_t a = 0; a < n; a++) {
+        double c, s, fx = 0.0, fy = 0.0, fz = 0.0;
+        fill_tables(&t, pos + 3 * a, base, mmax);
+        for (int64_t k = 0; k < nk; k++) {
+            phase(&t, mvecs + 3 * k, &c, &s);
+            const double coeff = s * s_re[k] - c * s_im[k];
+            fx += coeff * kvecs[3 * k];
+            fy += coeff * kvecs[3 * k + 1];
+            fz += coeff * kvecs[3 * k + 2];
+        }
+        const double scale = 2.0 * pref * q[a];
+        forces[3 * a] += scale * fx;
+        forces[3 * a + 1] += scale * fy;
+        forces[3 * a + 2] += scale * fz;
+    }
+    return 0;
+}

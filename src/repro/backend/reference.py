@@ -440,8 +440,12 @@ def ewald_recip(
     ak: np.ndarray,
     pref: np.ndarray,
     forces: np.ndarray,
+    mvecs: np.ndarray | None = None,
 ) -> float:
-    """Ewald reciprocal-space sum over precomputed ``(kvecs, ak)`` tables."""
+    """Ewald reciprocal-space sum over precomputed ``(kvecs, ak)`` tables.
+
+    One ``sin``/``cos`` per atom and k-vector, so the integer triplets
+    ``mvecs`` behind ``kvecs`` are not needed and are ignored."""
     if len(kvecs) == 0:
         return 0.0
     phase = pos @ kvecs.T  # (n, nk)

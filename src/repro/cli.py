@@ -14,8 +14,8 @@ Commands
 ``grainsize``
     Print Figure-1/2-style grainsize histograms (before/after splitting).
 ``backends``
-    Print the kernel backend inventory (numpy reference / numba JIT) and
-    which one the session resolves to.
+    Print the kernel backend inventory (numpy reference / compiled C),
+    which one the session resolves to, and what the C build did.
 ``serve``
     Run the simulation service: a REST front end multiplexing many
     concurrent jobs onto one shared worker budget (see README "Running
@@ -99,10 +99,16 @@ def cmd_backends(_args) -> int:
         f"  default:   {status['default']}"
         + (f"  (from {ENV_VAR}={env})" if env else "  (auto)")
     )
-    if status["numba_ok"]:
-        print("  numba:     ok (passed parity self-check vs numpy)")
+    if status["c_ok"]:
+        print("  c:         ok (passed parity self-check vs numpy)")
     else:
-        print(f"  numba:     unavailable — {status['numba_error']}")
+        print(f"  c:         unavailable — {status['c_error']}")
+    build = status["c_build"]
+    if "compiler" in build:
+        print(f"    compiler:   {build['compiler']} {build['flags']}")
+        print(f"    cache file: {build['cache_file']}")
+    if "seconds" in build:
+        print(f"    this run:   {build['source']} in {build['seconds']:.3f} s")
     return 0
 
 
@@ -136,9 +142,7 @@ def cmd_md(args) -> int:
             fault_plan = WorkerFaultPlan.parse(args.fault_plan)
         except ValueError as exc:
             raise SystemExit(f"bad --fault-plan: {exc}")
-    backend = set_default_backend(args.backend)
-    if args.backend != "auto" or backend.name != "numpy":
-        print(f"kernel backend: {backend.name}")
+    print(f"kernel backend: {set_default_backend(args.backend).name}")
     ewald = None
     if args.kmax < 0:
         raise SystemExit("--kmax must be >= 0")
@@ -449,6 +453,8 @@ def cmd_report(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for all subcommands."""
+    from repro.backend import BACKEND_NAMES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="SC 2000 NAMD parallelization reproduction toolkit",
@@ -478,11 +484,12 @@ def build_parser() -> argparse.ArgumentParser:
              "candidate pairs from the cell grid every step",
     )
     p_md.add_argument(
-        "--backend", choices=("auto", "numpy", "numba"), default="auto",
+        "--backend", choices=BACKEND_NAMES, default="auto",
         help="kernel backend for the hot loops: 'numpy' is the always-"
-             "available reference, 'numba' the JIT-compiled loops (falls "
-             "back to numpy with a warning when unavailable), 'auto' "
-             "prefers numba silently; see `repro backends`",
+             "available reference, 'c' the pair kernel and reciprocal sum "
+             "compiled with the host's cc on first use (falls back to "
+             "numpy with a warning when unavailable), 'auto' prefers c "
+             "silently; see `repro backends`",
     )
     p_md.add_argument(
         "--workers", type=int, default=1, metavar="N",
@@ -580,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gs.add_argument("--system", choices=_SYSTEMS, default="br")
 
     sub.add_parser(
-        "backends", help="kernel backend inventory (numpy / numba JIT)"
+        "backends", help="kernel backend inventory (numpy / compiled C)"
     )
 
     p_sv = sub.add_parser(

@@ -114,7 +114,7 @@ class WorkDB:
         #: "reassigned", "degraded", ...); empty on a fault-free run
         self.recovery: dict[str, int] = {}
         #: kernel backend the samples were measured under (``None`` until
-        #: declared); a numba sample is not comparable to a numpy one, so
+        #: declared); a compiled kernel's sample is not comparable to a numpy one, so
         #: switching backends resets the measurement state
         self.backend: str | None = None
         #: backend resolved by each worker at spawn, keyed by worker id
@@ -258,7 +258,7 @@ class WorkDB:
     def set_backend(self, name: str) -> None:
         """Declare the kernel backend the coming samples run under.
 
-        Timings taken under different backends are not comparable (a JIT
+        Timings taken under different backends are not comparable (a compiled
         kernel can be an order of magnitude faster than the numpy
         reference), so if measurements already exist for a *different*
         backend the per-task measurement state (EWMA, windows, totals,

@@ -11,10 +11,10 @@ terms owned by one patch (paper §3: the upstream-ownership rule assigns each
 term to a unique patch).  Forces are *accumulated* into the caller's array,
 matching how home patches combine force messages.
 
-The per-term math lives in the backend layer (``backend.bonded_terms``, with
-a numpy reference bit-identical to the historical inline code and a numba
-JIT twin) so the parallel engine's worker processes can evaluate bonded
-tasks through the same kernel registry as the pair kernel.  These wrappers
+The per-term math lives in the backend layer (``backend.bonded_terms``, a
+numpy reference bit-identical to the historical inline code) so the
+parallel engine's worker processes can evaluate bonded tasks through the
+same kernel registry as the pair kernel.  These wrappers
 keep the md-facing API: term arrays come from the topology, forces scatter
 at the global atom indices.
 """

@@ -101,7 +101,7 @@ class SequentialEngine:
         and the resumed run alike — see
         :func:`~repro.runtime.checkpoint.save_run_checkpoint`).
 
-        ``backend`` selects the kernel backend (``"numpy"``/``"numba"``/
+        ``backend`` selects the kernel backend (``"numpy"``/``"c"``/
         ``"auto"``/instance); ``None`` uses the session default (see
         :mod:`repro.backend`).  Resolved once here so every evaluation of
         this engine runs the same kernels.

@@ -135,9 +135,7 @@ def _real_space(
 # wants its own accounting (every force-task evaluator does) passes
 # ``_kspace_tables`` a ``{"builds", "hits"}`` sink, which nobody else's
 # clear can zero or negate.
-_KSPACE_CACHE: OrderedDict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = (
-    OrderedDict()
-)
+_KSPACE_CACHE: OrderedDict[tuple, tuple[np.ndarray, ...]] = OrderedDict()
 _KSPACE_CACHE_MAX = 8
 _KSPACE_RAW = {"builds": 0, "hits": 0}
 _KSPACE_BASE = {"builds": 0, "hits": 0}
@@ -170,13 +168,15 @@ def _kspace_tables(
     kmax: int,
     alpha: float,
     stats: dict[str, int] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``(k, k2, ak)`` reciprocal-space tables for one (box, kmax, alpha).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(k, k2, ak, m)`` reciprocal-space tables for one (box, kmax, alpha).
 
     ``k`` are the reciprocal vectors with ``|m| <= kmax`` per axis in one
     half space — one of every ``±k`` pair, ``((2 kmax + 1)³ - 1) / 2`` of
     them; a sum over the table is half the sum over all nonzero vectors —
-    ``k2`` their squared norms, ``ak`` the ``exp(-k2/4a^2)/k2`` prefactors.
+    ``k2`` their squared norms, ``ak`` the ``exp(-k2/4a^2)/k2`` prefactors,
+    ``m`` the int32 triplets ``k`` was built from (a shard's own vectors do
+    not determine them: its smallest component is no common divisor).
     Cached: a box change (or different kmax/alpha) misses and rebuilds,
     identical parameters hit and share the same read-only arrays.
 
@@ -210,7 +210,7 @@ def _kspace_tables(
         np.arange(-kmax, kmax + 1),
         indexing="ij",
     )
-    m = np.stack([mx.ravel(), my.ravel(), mz.ravel()], axis=1).astype(np.float64)
+    m = np.stack([mx.ravel(), my.ravel(), mz.ravel()], axis=1).astype(np.int32)
     # k and -k contribute identically (callers double the prefactor): keep
     # the half space whose first nonzero index is positive — in this
     # lexicographic order, everything after the origin in the middle
@@ -218,12 +218,13 @@ def _kspace_tables(
     k = 2.0 * np.pi * m / box_snap[None, :]
     k2 = np.einsum("ij,ij->i", k, k)
     ak = np.exp(-k2 / (4.0 * alpha * alpha)) / k2  # (nk,)
-    for arr in (k, k2, ak):
+    tables = (k, k2, ak, m)
+    for arr in tables:
         arr.setflags(write=False)
-    _KSPACE_CACHE[key] = (k, k2, ak)
+    _KSPACE_CACHE[key] = tables
     while len(_KSPACE_CACHE) > _KSPACE_CACHE_MAX:
         _KSPACE_CACHE.popitem(last=False)
-    return k, k2, ak
+    return tables
 
 
 def _reciprocal_space(
@@ -238,13 +239,13 @@ def _reciprocal_space(
     q = system.charges
     volume = float(np.prod(box))
 
-    k, _k2, ak = _kspace_tables(box, kmax, alpha)
+    k, _k2, ak, m = _kspace_tables(box, kmax, alpha)
     if len(k) == 0:  # kmax=0: only the excluded m=0 term — nothing to sum
         return 0.0
 
     # twice C 2π/V: the table holds one of every ±k pair
     pref = COULOMB_CONSTANT * 4.0 * np.pi / volume
-    return backend.ewald_recip(pos, q, k, ak, pref, forces)
+    return backend.ewald_recip(pos, q, k, ak, pref, forces, m)
 
 
 def _exclusion_correction(

@@ -23,7 +23,7 @@ still suspendable; it simply replays from step 0.
 
 Backend isolation: the spec's ``backend`` is resolved per engine and
 passed to :func:`repro.md.engine.make_engine` — never through
-:func:`repro.backend.set_default_backend` — so one job requesting the JIT
+:func:`repro.backend.set_default_backend` — so one job requesting the C
 backend cannot flip another job's kernels mid-run (each engine's WorkDB
 keeps its own ``backend`` provenance).
 """
@@ -36,6 +36,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from repro.backend import BACKEND_NAMES
 
 __all__ = ["SimSpec", "SimJob"]
 
@@ -132,6 +134,11 @@ class SimSpec:
             value = getattr(self, name)
             if value is not None and not value > 0:  # "not >" rejects NaN too
                 raise ValueError(f"{name} must be positive")
+        if self.backend is not None and self.backend not in BACKEND_NAMES:
+            raise ValueError(
+                f"backend must be one of {', '.join(BACKEND_NAMES)}, "
+                f"got {self.backend!r}"
+            )
         if self.lb_strategy:
             from repro.md.lb_driver import check_schedule
 

@@ -5,7 +5,7 @@ generic ufunc inner loop, which is an order of magnitude slower than a
 vectorized pass.  ``np.bincount`` computes the same segment sums with a
 single C loop per component.  The actual scatter lives in the kernel
 backend (:mod:`repro.backend`): the numpy reference picks bincount or
-``add.at`` by fill ratio, the numba backend runs one compiled loop.
+``add.at`` by fill ratio (the ``c`` backend keeps the reference's).
 
 Index validation happens once here, at the public entry point.  The two
 numpy paths used to disagree on bad input — ``np.add.at`` silently *wraps*

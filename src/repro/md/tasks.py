@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,26 +95,46 @@ MAX_SPLIT_PARTS = 16
 KSHARD_TARGET = 128
 KSHARD_MAX = 8
 
-#: Cost priors of the work that is not a cutoff-mode cell task, in the unit
-#: of the cell tasks' prior (one in-cutoff pair of the fused kernel in cutoff
-#: mode).  Only the initial task→worker map reads them — and with the
-#: default ``rebalance_every=0`` that map is the only balancing a run gets —
-#: so a factor matters and a percent does not.  All are measured on the
-#: numpy backend, from the task times the engine's WorkDB collects on the
-#: perf harness's 343-water Ewald row at 2 workers:
+class CostPriors(NamedTuple):
+    """Cost priors of the work that is not a cutoff-mode cell task, in the
+    unit of the cell tasks' prior (one in-cutoff pair of the fused kernel in
+    cutoff mode)."""
+
+    #: a pair with ``erfc`` and ``exp`` against one with the shifted
+    #: point-charge term
+    ewald_pair: float
+    #: one atom x k-vector term of a reciprocal shard
+    kterm_pair: float
+    #: a bonded group's kernel call, whatever its size, and each of its terms
+    bonded_call: float
+    bonded_term: float
+
+
+#: Only the initial task→worker map reads the priors — and with the default
+#: ``rebalance_every=0`` that map is the only balancing a run gets — so a
+#: factor matters and a percent does not.  They are a property of backend
+#: and host: one row per ``backend.compiled``, each measured from the task
+#: times the engine's WorkDB collects on the perf harness's 343-water Ewald
+#: row at 2 workers.
 #:
-#: * a pair costs ~1.2x as much with ``erfc`` and ``exp`` as with the
-#:   shifted point-charge term (the 36 cell tasks: 27.6 ms against 22.7);
-#: * one atom x k-vector term of a reciprocal shard costs ~55 ns against
-#:   ~120 ns per pair unit of a cell task (the harness's single-process
-#:   probes, ``backend.ewald_recip_ns_per_atom_k`` over
-#:   ``backend.nb_pairs_ns_per_pair`` per in-range pair, give 38 / 92);
-#: * a bonded group is one kernel call of a few dozen small numpy
-#:   operations, 30-250 us whatever its size, plus 0.1-0.5 us per term.
-EWALD_PAIR_RATIO = 1.2
-KTERM_PAIR_RATIO = 0.55
-BONDED_CALL_PAIRS = 600.0
-BONDED_TERM_PAIRS = 3.0
+#: numpy: the 36 cell tasks take 27.6 ms with ``erfc`` against 22.7 without;
+#: a shard term ~55 ns against ~120 ns per pair unit; a bonded group is one
+#: call of a few dozen small numpy operations, 30-250 us whatever its size,
+#: plus 0.1-0.5 us per term.
+#:
+#: c: the pair unit falls to ~26 ns, so everything the C kernels do not
+#: touch grows in it.  The cell tasks take 6.9 ms against 4.65 (scalar libm
+#: ``erfc`` + ``exp`` on every pair); a factorised shard term ~7.3 ns; the
+#: bonded groups are still the reference's, ~110 us a call and ~0.2 us a
+#: term (210 us for 686 bonds or 343 angles).
+COST_PRIORS = {
+    False: CostPriors(
+        ewald_pair=1.2, kterm_pair=0.55, bonded_call=600.0, bonded_term=3.0
+    ),
+    True: CostPriors(
+        ewald_pair=1.5, kterm_pair=0.28, bonded_call=4000.0, bonded_term=8.0
+    ),
+}
 
 #: Terms of the largest kind a bonded group should carry: about a cell
 #: task's worth of work, so the per-call cost above stays a small part of
@@ -417,7 +438,7 @@ def eval_xtask(system, entry, ewald, block, backend, kspace_stats):
     if entry[0] == "kspace":
         _, lo, hi = entry
         box = np.asarray(system.box, dtype=np.float64)
-        k_tab, _k2, ak = _kspace_tables(
+        k_tab, _k2, ak, m_tab = _kspace_tables(
             box, ewald.kmax, ewald.alpha_value(), kspace_stats
         )
         if hi <= lo or len(k_tab) == 0:
@@ -426,7 +447,7 @@ def eval_xtask(system, entry, ewald, block, backend, kspace_stats):
         pref = COULOMB_CONSTANT * 4.0 * np.pi / float(np.prod(box))
         energy = backend.ewald_recip_shard(
             system.positions, system.charges, k_tab[lo:hi], ak[lo:hi],
-            pref, block,
+            pref, block, m_tab[lo:hi],
         )
         return float(energy), hi - lo
     _, kind, idx, kpar, p1, p2, sidx = entry
@@ -461,9 +482,9 @@ class ForceTaskEvaluator:
 
     def __init__(self, provider: "ForceTaskProvider", worker_id, n_workers, views):
         # resolve the kernel backend once per worker process; forked
-        # workers inherit the parent's compiled state, spawned ones
-        # recompile from the on-disk JIT cache — either way every task of
-        # this worker runs the same kernels for its whole life
+        # workers inherit the driver's loaded library, spawned ones load
+        # the cached object — either way every task of this worker runs
+        # the same kernels for its whole life
         self.backend = get_backend(provider.backend_name)
         self.provider = provider
         # a copy: in-process the provider's system is the engine's own
@@ -674,6 +695,7 @@ def build_force_tasks(
     from repro.costmodel.model import estimate_block_costs
 
     backend = get_backend(backend)
+    priors = COST_PRIORS[backend.compiled]
     system.exclusions  # build once, before workers copy the system
     reach = pair_reach(options, ewald)
     r_list = reach + skin
@@ -747,7 +769,7 @@ def build_force_tasks(
     if ewald is not None:
         # after the split decision: the erfc cost may move the initial
         # task→worker map only, never the task list
-        sub_cost_arr *= EWALD_PAIR_RATIO
+        sub_cost_arr *= priors.ewald_pair
     if bonded:
         for kind in range(len(BONDED_KINDS)):
             arrays = bonded_term_arrays(system, kind)
@@ -760,7 +782,7 @@ def build_force_tasks(
     sels, _ = xtask_rows(xtasks, term_data, flat0 // stride, system.n_atoms)
     # an empty group returns before its kernel call
     x_costs = [
-        t_pair * (BONDED_CALL_PAIRS + BONDED_TERM_PAIRS * len(sel)) * bool(len(sel))
+        t_pair * (priors.bonded_call + priors.bonded_term * len(sel)) * bool(len(sel))
         for sel in sels
     ]
     if ewald is not None:
@@ -768,7 +790,7 @@ def build_force_tasks(
         for shard in kspace_shards(nk):
             xtasks.append(shard)
             n_terms = system.n_atoms * (shard[2] - shard[1])
-            x_costs.append(t_pair * KTERM_PAIR_RATIO * n_terms)
+            x_costs.append(t_pair * priors.kterm_pair * n_terms)
     all_costs = (
         np.concatenate([sub_cost_arr, np.asarray(x_costs)])
         if x_costs

@@ -1,10 +1,11 @@
 """Backend registry semantics: selection, fallback, self-check, constants.
 
-The registry caches its resolved default and its numba load attempt, so
+The registry caches its resolved default and its C build attempt, so
 every test that touches selection state goes through
 ``repro.backend._reset_for_testing`` on both sides (the autouse fixture).
 """
 
+import shutil
 import warnings
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ import pytest
 
 import repro.backend as B
 from repro.backend import (
+    BACKEND_NAMES,
     ENV_VAR,
     KernelBackend,
     available_backends,
@@ -24,7 +26,7 @@ from repro.backend import (
 )
 from repro.backend import reference as ref
 
-HAS_NUMBA = "numba" in available_backends()
+HAS_C = "c" in available_backends()
 
 
 @pytest.fixture(autouse=True)
@@ -33,6 +35,12 @@ def _clean_registry(monkeypatch):
     B._reset_for_testing()
     yield
     B._reset_for_testing()
+
+
+@pytest.fixture
+def no_compiler(monkeypatch):
+    """A host without ``cc`` (the loader's other failures: test_loader.py)."""
+    monkeypatch.setattr(shutil, "which", lambda name: None)
 
 
 # --------------------------------------------------------------------- #
@@ -58,6 +66,11 @@ class TestSelection:
         with pytest.raises(ValueError, match="unknown kernel backend"):
             get_backend("fortran")
 
+    def test_retired_numba_name_is_unknown(self):
+        assert BACKEND_NAMES == ("auto", "numpy", "c")
+        with pytest.raises(ValueError, match="'auto', 'numpy', 'c'"):
+            get_backend("numba")
+
     def test_env_var_selects_default(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "numpy")
         B._reset_for_testing()
@@ -73,33 +86,49 @@ class TestSelection:
         assert again is default_backend()
 
     def test_auto_never_raises(self):
-        # regardless of whether numba is installed, auto must resolve
-        assert get_backend("auto").name in ("numpy", "numba")
+        # whether or not the host has a compiler, auto must resolve
+        assert get_backend("auto").name in ("numpy", "c")
 
-    @pytest.mark.skipif(HAS_NUMBA, reason="numba installed on this host")
-    def test_explicit_numba_warns_and_falls_back(self):
-        with pytest.warns(RuntimeWarning, match="numba backend unavailable"):
-            be = get_backend("numba")
+    def test_explicit_c_warns_and_falls_back(self, no_compiler):
+        with pytest.warns(RuntimeWarning, match="c backend unavailable"):
+            be = get_backend("c")
         assert be.name == "numpy"
 
-    @pytest.mark.skipif(HAS_NUMBA, reason="numba installed on this host")
-    def test_auto_falls_back_silently(self):
+    def test_auto_falls_back_silently(self, no_compiler):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert get_backend("auto").name == "numpy"
+        assert available_backends() == ("numpy",)
 
-    @pytest.mark.skipif(not HAS_NUMBA, reason="needs numba")
-    def test_numba_selected_when_available(self):
-        be = get_backend("numba")
-        assert be.name == "numba"
+    @pytest.mark.skipif(not HAS_C, reason="no C compiler on this host")
+    def test_c_selected_when_available(self):
+        be = get_backend("c")
+        assert be.name == "c"
         assert be.compiled
         assert get_backend("auto") is be
+        # only the pair kernel and the reciprocal sums are compiled
+        numpy = get_backend("numpy")
+        replaced = {
+            f for f in be.__dataclass_fields__ if getattr(be, f) != getattr(numpy, f)
+        }
+        assert replaced == {
+            "name", "compiled", "nb_pairs", "ewald_recip", "ewald_recip_shard"
+        }
 
     def test_backend_status_shape(self):
         status = backend_status()
         assert "numpy" in status["available"]
-        assert status["default"] in ("numpy", "numba")
-        assert isinstance(status["numba_ok"], bool)
+        assert status["default"] in ("numpy", "c")
+        assert status["c_ok"] == HAS_C == (status["c_error"] is None)
+        if HAS_C:
+            assert {"compiler", "flags", "cache_file", "source", "seconds"} <= set(
+                status["c_build"]
+            )
+
+    def test_backend_status_keeps_the_fallback_reason(self, no_compiler):
+        status = backend_status()
+        assert status["default"] == "numpy" and not status["c_ok"]
+        assert "no C compiler" in status["c_error"]
 
 
 # --------------------------------------------------------------------- #

@@ -27,8 +27,9 @@ class TestCommands:
         assert main(["md", "--waters", "27", "--steps", "3", "--cutoff", "5"]) == 0
         out = capsys.readouterr().out
         assert "kinetic" in out
-        # header + 3 steps + pairlist summary
-        assert len(out.strip().splitlines()) == 5
+        # backend line + header + 3 steps + pairlist summary
+        assert len(out.strip().splitlines()) == 6
+        assert out.startswith("kernel backend: ")
         assert "pairlist:" in out
 
     def test_md_pairlist_disabled(self, capsys):

@@ -193,7 +193,7 @@ class TestTaskDecomposition:
         s = fresh_water()
         be = get_backend("numpy")
         alpha = EWALD.alpha_value()
-        k_tab, _k2, ak = _kspace_tables(s.box, EWALD.kmax, alpha)
+        k_tab, _k2, ak, _m = _kspace_tables(s.box, EWALD.kmax, alpha)
         pref = COULOMB_CONSTANT * 2.0 * np.pi / float(np.prod(s.box))
 
         f_full = np.zeros((s.n_atoms, 3))

@@ -110,7 +110,7 @@ class TestHalfSpaceReciprocalSum:
             opts = EwaldOptions(cutoff=5.0, kmax=5)
         alpha = opts.alpha_value()
         e_full, f_full = self.full_space(s, alpha, opts.kmax)
-        k_tab, _k2, _ak = _kspace_tables(s.box, opts.kmax, alpha)
+        k_tab, _k2, _ak, _m = _kspace_tables(s.box, opts.kmax, alpha)
         assert len(k_tab) == ((2 * opts.kmax + 1) ** 3 - 1) // 2
         # no vector of the table is the negative of another
         both = np.vstack([k_tab, -k_tab]).round(9)

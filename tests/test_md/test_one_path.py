@@ -5,9 +5,9 @@ Every force term is a task — cell pair blocks, bonded groups and, under
 Ewald, k-space shards — and an engine without workers (``SequentialEngine``)
 evaluates the workers' tasks in-process through the same per-step loop, so
 ``workers`` 1 / 2 / 3 give bit-identical trajectories, as do the degrade
-rung, an LB remap and a checkpoint resume; against the independent oracle
-(``oracle.py``) the path holds 1e-9 on every system the engines are used
-on.
+rung, an LB remap and a checkpoint resume — on each kernel backend, whose
+bits differ from one another; against the independent oracle (``oracle.py``)
+the path holds 1e-9 on every system the engines are used on.
 """
 
 from collections import Counter
@@ -15,6 +15,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.backend import available_backends
 from repro.builder import skewed_water_box, small_water_box
 from repro.md.engine import SequentialEngine, make_engine
 from repro.md.ewald import EwaldOptions, compute_ewald
@@ -205,39 +206,50 @@ def assert_same_bits(run, base):
 
 @pytest.fixture(scope="module")
 def sequential(systems):
-    """case -> ``trajectory(systems, case, 1)``, run once per module."""
+    """(case, backend) -> ``trajectory(systems, case, 1, backend=backend)``,
+    run once per module."""
     runs = {}
 
-    def run(case):
-        if case not in runs:
-            runs[case] = trajectory(systems, case, 1)
-        return runs[case]
+    def run(case, backend):
+        if (case, backend) not in runs:
+            runs[case, backend] = trajectory(systems, case, 1, backend=backend)
+        return runs[case, backend]
 
     return run
 
 
 @pytest.mark.parametrize("case", list(CASES))
 class TestEwaldBitsDoNotDependOnWhoRunsTheTasks:
-    """Not only Ewald's: the bonded groups' too (class name kept)."""
+    """Not only Ewald's: the bonded groups' too (class name kept).  On the
+    numpy backend; the subclass below repeats the matrix on ``c``."""
+
+    backend = "numpy"
+
+    def trajectory(self, systems, case, workers, **kwargs):
+        engine, run = trajectory(
+            systems, case, workers, backend=self.backend, **kwargs
+        )
+        assert engine.backend.name == self.backend
+        return engine, run
 
     def test_worker_counts(self, systems, sequential, case):
-        engine, base = sequential(case)
+        engine, base = sequential(case, self.backend)
         assert type(engine) is SequentialEngine and not engine.parallel
         if case == "sharded":
             assert engine.pairlist.n_reuses > 0
         else:
             assert base[2][0] != 0.0 and engine.report().bonded.dihedral != 0.0
         for workers in (2, 3):
-            engine, run = trajectory(systems, case, workers)
+            engine, run = self.trajectory(systems, case, workers)
             assert engine.resilience.mode == "full"
             assert_same_bits(run, base)
 
     @pytest.mark.skipif(not HAS_POSIX_SIGNALS, reason="platform lacks SIGKILL")
     def test_degrade_rung(self, systems, sequential, case):
         """Both workers lost mid-run: the tasks finish in-process."""
-        _, base = sequential(case)
+        _, base = sequential(case, self.backend)
         with pytest.warns(RuntimeWarning, match="pool degraded"):
-            engine, run = trajectory(
+            engine, run = self.trajectory(
                 systems, case, 2, fault_plan="kill=0@2,kill=1@4",
                 recovery=RecoveryPolicy(max_respawns=0),
             )
@@ -251,8 +263,8 @@ class TestEwaldBitsDoNotDependOnWhoRunsTheTasks:
     def test_lb_remap(self, systems, case):
         """Tasks change workers mid-run.  A remap pins a list rebuild, so
         the comparison is made where every step rebuilds anyway."""
-        _, base = trajectory(systems, case, 1, skin=0.0)
-        engine, run = trajectory(
+        _, base = self.trajectory(systems, case, 1, skin=0.0)
+        engine, run = self.trajectory(
             systems, case, 3, skin=0.0, rebalance_every=3,
             fault_plan="slow=0@0-infx3",
         )
@@ -262,11 +274,35 @@ class TestEwaldBitsDoNotDependOnWhoRunsTheTasks:
     def test_checkpoint_resume(self, systems, case, tmp_path):
         """... and a resumed run need not even have the writer's workers."""
         path = tmp_path / "run.ckpt"
-        _, written = trajectory(
+        _, written = self.trajectory(
             systems, case, 2, steps=10, checkpoint_every=4, checkpoint_path=path
         )
         checkpoint = load_run_checkpoint(path)
         assert checkpoint.step == 8
-        _, resumed = trajectory(systems, case, 1, steps=2, restore=checkpoint)
+        _, resumed = self.trajectory(
+            systems, case, 1, steps=2, restore=checkpoint
+        )
         assert_same_bits(resumed[:2], written[:2])
         assert resumed[2] == written[2][-2:]
+
+
+@pytest.mark.skipif(
+    "c" not in available_backends(), reason="no C compiler on this host"
+)
+class TestBitsDoNotDependOnWhoRunsTheTasksOnTheCBackend(
+    TestEwaldBitsDoNotDependOnWhoRunsTheTasks
+):
+    backend = "c"
+
+
+@pytest.mark.skipif(
+    "c" not in available_backends(), reason="no C compiler on this host"
+)
+def test_backends_agree_but_not_bit_for_bit(sequential):
+    """1e-9 between the backends over the Ewald water trajectory, not
+    equality — which is why the matrix is held on each."""
+    _, (pos_c, _, totals_c) = sequential("sharded", "c")
+    _, (pos_n, _, totals_n) = sequential("sharded", "numpy")
+    assert totals_c == pytest.approx(totals_n, rel=1e-9)
+    assert np.abs(pos_c - pos_n).max() <= 1e-9 * np.abs(pos_n).max()
+    assert not np.array_equal(pos_c, pos_n)

@@ -93,6 +93,8 @@ class TestEndpoints:
             ({"workers": 2, "fault_plan": "kill=zz"}, "bad fault_plan"),
             ({"workers": 2, "fault_plan": "kill=5@1"}, "targets worker 5"),
             ({"rebalance_every": 3}, "needs workers >= 2"),
+            ({"backend": "bogus"}, "backend must be one of auto, numpy, c"),
+            ({"backend": "numba"}, "backend must be one of auto, numpy, c"),
         ):
             code, body = request(server, "POST", "/jobs", {"spec": spec})
             assert code == 400 and message in body["error"], (spec, body)

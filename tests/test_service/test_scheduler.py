@@ -183,27 +183,30 @@ class TestLifecycle:
 
 class TestBackendIsolation:
     """Bugfix regression: per-job backends must ride the engine adapter,
-    never the process-global default — one job requesting the JIT backend
+    never the process-global default — one job requesting the compiled backend
     must not flip another job's kernels or blur WorkDB provenance."""
 
     @pytest.fixture
-    def fake_numba(self, monkeypatch):
-        """A renamed copy of the numpy backend standing in for numba.
+    def second_backend(self, monkeypatch):
+        """A renamed copy of the numpy backend registered as the second
+        backend, so the test does not need a compiler (a spec may only name
+        a backend of ``BACKEND_NAMES``).
 
         The copy pickles by reference (module-level kernel functions), so
         spawned worker processes resolve it too, exactly like a real
         alternative backend."""
         fake = dataclasses.replace(
             backend_registry.get_backend("numpy"),
-            name="numba",
+            name=backend_registry.BACKEND_NAMES[-1],
             compiled=True,
         )
-        monkeypatch.setitem(backend_registry._instances, "numba", fake)
+        monkeypatch.setitem(backend_registry._instances, fake.name, fake)
         yield fake
 
     def test_concurrent_jobs_keep_backend_provenance_distinct(
-        self, tmp_path, fake_numba
+        self, tmp_path, second_backend
     ):
+        second = second_backend.name
         default_before = backend_registry.default_backend().name
         # waters=120 at cutoff 6.0 is the smallest box whose task count
         # sustains a real 2-worker pool (smaller boxes fall back)
@@ -214,7 +217,7 @@ class TestBackendIsolation:
             )
             b = svc.submit(
                 {"waters": 120, "cutoff": 6.0, "steps": 3, "seed": 2,
-                 "workers": 2, "backend": "numba"}
+                 "workers": 2, "backend": second}
             )
             svc.wait(a.id, [JobState.COMPLETED], timeout=300)
             svc.wait(b.id, [JobState.COMPLETED], timeout=300)
@@ -223,8 +226,8 @@ class TestBackendIsolation:
         # pre-fix code routed the request through set_default_backend, so
         # whichever job opened last stamped *both* engines and both WorkDBs
         assert prov_a["backend"] == "numpy"
-        assert prov_b["backend"] == "numba"
+        assert prov_b["backend"] == second
         assert prov_a["workdb_backend"] == "numpy"
-        assert prov_b["workdb_backend"] == "numba"
+        assert prov_b["workdb_backend"] == second
         # and the process-wide default never moved
         assert backend_registry.default_backend().name == default_before

@@ -62,6 +62,9 @@ class TestSimSpec:
             {"rebalance_every": 4},
             {"lb_strategy": "greedy"},
             {"timeout": 30.0},
+            # used to fail inside a scheduler lane, when get_backend raised
+            {"backend": "bogus"},
+            {"backend": "numba"},  # retired with its module
         ],
     )
     def test_validation(self, kwargs):
@@ -69,6 +72,12 @@ class TestSimSpec:
             SimSpec(**kwargs)
         with pytest.raises(ValueError):
             SimSpec.from_dict(kwargs)
+
+    def test_every_backend_name_is_a_legal_spec(self):
+        from repro.backend import BACKEND_NAMES
+
+        for name in (None, *BACKEND_NAMES):
+            assert SimSpec(backend=name).backend == name
 
     def test_every_field_is_type_checked(self):
         from repro.md.jobs import _FIELD_TYPES
