@@ -8,6 +8,9 @@ Times, per available backend, the kernels the ``c`` backend replaces:
   1,029-atom water box, as the direct sum (no integer triplets) and with
   the triplets (factorised phase factors on ``c``; the reference ignores
   them);
+* the pair-list build (``block_pairs`` in list mode) over the 36 cell
+  blocks of the perf harness's 2,187-atom water box at cutoff + skin, into
+  a pre-sized arena — per candidate tested and per pair listed;
 
 plus end-to-end :class:`SequentialEngine` steps/sec on a 648-atom box.  The
 header of the text artifact names the atom count each line actually timed.
@@ -27,12 +30,14 @@ from pathlib import Path
 import numpy as np
 
 from repro.backend import available_backends, backend_status, get_backend
+from repro.backend.base import block_arena
 from repro.builder import small_water_box
-from repro.md.cells import candidate_pairs
+from repro.core.decomposition import bin_atoms
+from repro.md.cells import CellGrid, candidate_pairs
 from repro.md.engine import SequentialEngine
 from repro.md.ewald import _kspace_tables
 from repro.md.integrator import VelocityVerlet
-from repro.md.nonbonded import NonbondedOptions, _combined_params
+from repro.md.nonbonded import NonbondedOptions, _combined_params, block_pair_tables
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -42,18 +47,22 @@ KERNEL_CUTOFF = 6.0
 RECIP_WATERS = 343
 RECIP_KMAX = 4
 ALPHA = 0.35
+LIST_WATERS = 729
+LIST_R = 9.5  # the harness rows' 8 A cutoff + 1.5 A skin
 MD_WATERS = 216
 MD_CUTOFF = 8.0
 MD_STEPS = 20
 SPEEDUP_GATE = 3.0
 
-#: timing key -> (label, work items: "pairs" or "atom_k")
-KERNELS = {
-    "nb_pairs_cutoff_s": ("nb_pairs cutoff", "pairs"),
-    "nb_pairs_ewald_s": ("nb_pairs ewald", "pairs"),
-    "ewald_recip_direct_s": ("recip direct", "atom_k"),
-    "ewald_recip_factorised_s": ("recip triplets", "atom_k"),
-}
+#: rows of the table: (label, timing key, work items the time is divided by)
+KERNELS = (
+    ("nb_pairs cutoff", "nb_pairs_cutoff_s", "pairs"),
+    ("nb_pairs ewald", "nb_pairs_ewald_s", "pairs"),
+    ("recip direct", "ewald_recip_direct_s", "atom_k"),
+    ("recip triplets", "ewald_recip_factorised_s", "atom_k"),
+    ("list /candidate", "block_pairs_list_s", "candidates"),
+    ("list /listed", "block_pairs_list_s", "listed"),
+)
 
 
 def _best_of(fn, repeats=3):
@@ -74,6 +83,20 @@ def _pair_inputs(system):
     return (i_c, j_c, *_combined_params(system, i_c, j_c))
 
 
+def _list_inputs(system):
+    """The half-shell cell blocks of the list-build box, its kernel tables,
+    and how many candidate pairs the blocks hold."""
+    system.wrap()
+    grid = CellGrid.build(system.positions, system.box, LIST_R)
+    _, _, buckets = bin_atoms(system.positions, system.box, grid.dims)
+    blocks, candidates = [], 0
+    for a, b in zip(*(c.tolist() for c in grid.neighbor_cell_pair_arrays())):
+        blocks.append((buckets[a], None if a == b else buckets[b], 0, 1))
+        na, nb = len(buckets[a]), len(buckets[b])
+        candidates += na * (na - 1) // 2 if a == b else na * nb
+    return blocks, block_pair_tables(system), candidates
+
+
 def test_backend_benchmark():
     status = backend_status()
     backends = [get_backend(name) for name in available_backends()]
@@ -84,6 +107,9 @@ def test_backend_benchmark():
     assert m > 0
     recip = small_water_box(RECIP_WATERS, seed=11, relax=False)
     k_tab, _k2, ak, m_tab = _kspace_tables(recip.box, RECIP_KMAX, ALPHA)
+    lists = small_water_box(LIST_WATERS, seed=7, relax=False)
+    blocks, tables, n_candidates = _list_inputs(lists)
+    arena = block_arena(n_candidates // 4)
 
     per_backend: dict[str, dict] = {}
     reference = None
@@ -103,11 +129,22 @@ def test_backend_benchmark():
                 *triplets,
             )
 
+        def build_lists():
+            used = 0
+            for block in blocks:
+                n = be.block_pairs(
+                    lists.positions, lists.box, *block, LIST_R, tables, arena, used
+                )
+                assert n >= 0
+                used += n
+            return used
+
         runs = {
             "nb_pairs_cutoff_s": lambda: nb(),
             "nb_pairs_ewald_s": lambda: nb(ALPHA, KERNEL_CUTOFF),
             "ewald_recip_direct_s": lambda: rec(),
             "ewald_recip_factorised_s": lambda: rec(m_tab),
+            "block_pairs_list_s": build_lists,
         }
         # correctness gate before timing anything
         outputs = [np.asarray(run()[:2] if "nb" in key else run())
@@ -140,16 +177,23 @@ def test_backend_benchmark():
             key.removesuffix("_s"): round(
                 per_backend["numpy"][key] / per_backend["c"][key], 2
             )
-            for key in KERNELS
+            for key in dict.fromkeys(key for _, key, _ in KERNELS)
         }
 
-    items = {"pairs": m, "atom_k": recip.n_atoms * len(k_tab)}
+    items = {
+        "pairs": m, "atom_k": recip.n_atoms * len(k_tab),
+        "candidates": n_candidates, "listed": build_lists(),
+    }
     payload = {
         "pair_kernel_atoms": system.n_atoms,
         "n_pairs": m,
         "cutoff_A": KERNEL_CUTOFF,
         "recip_atoms": recip.n_atoms,
         "recip_kvectors": len(k_tab),
+        "list_atoms": lists.n_atoms,
+        "list_blocks": len(blocks),
+        "list_candidates": n_candidates,
+        "list_pairs": items["listed"],
         "engine_atoms": md_system.n_atoms,
         "available": status["available"],
         "c_ok": status["c_ok"],
@@ -171,12 +215,15 @@ def test_backend_benchmark():
         f"{KERNEL_CUTOFF} A cutoff (item = pair)",
         f"recip:    {recip.n_atoms} atoms x {len(k_tab)} k-vectors, kmax "
         f"{RECIP_KMAX} (item = atom x k-vector)",
+        f"list:     {lists.n_atoms} atoms, {len(blocks)} cell blocks, "
+        f"{n_candidates} candidates, {items['listed']} listed at {LIST_R} A "
+        "(item = candidate, listed pair)",
         f"engine:   {md_system.n_atoms} atoms, cutoff {MD_CUTOFF} A, "
         f"{MD_STEPS} sequential steps",
         "",
         f"{'kernel':<16}" + "".join(f"{b:>12}" for b in per_backend),
     ]
-    for key, (label, unit) in KERNELS.items():
+    for label, key, unit in KERNELS:
         lines.append(
             f"{label:<16}"
             + "".join(

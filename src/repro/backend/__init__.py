@@ -1,16 +1,18 @@
-"""Pluggable kernel backends for the hot paths (non-bonded, scatter, Ewald).
+"""Pluggable kernel backends for the hot paths (non-bonded, pair-list build,
+scatter, Ewald).
 
 The md modules run their inner loops through a :class:`KernelBackend` — a
-bundle of seven kernels (see :mod:`repro.backend.base`).  Two
+bundle of eight kernels (see :mod:`repro.backend.base`).  Two
 implementations ship:
 
 * ``numpy`` — the vectorized reference (:mod:`repro.backend.reference`),
   the ground truth by definition.  Always available.
-* ``c`` — the pair kernel and the Ewald reciprocal sum as serial C loops
-  (``kernels.c``, built with the host's ``cc`` on first use and loaded
-  through ctypes by :mod:`repro.backend.c_backend`); the other kernels are
-  the reference's.  On first use it must pass a parity self-check against
-  the reference (1e-9 on energies/forces, exact pair counts).  If there is
+* ``c`` — the pair kernel, the Ewald reciprocal sum and the cell-block
+  list/count kernel as serial C loops (``kernels.c``, built with the
+  host's ``cc`` on first use and loaded through ctypes by
+  :mod:`repro.backend.c_backend`); the other kernels are the reference's.
+  On first use it must pass a parity self-check against the reference
+  (1e-9 on energies/forces, exact pair counts, identical pair lists).  If there is
   no compiler, the build or the load fails, or the self-check misses, the
   registry falls back to numpy — with a warning when ``c`` was requested
   explicitly, silently under ``auto`` — and :func:`backend_status` keeps
@@ -27,7 +29,9 @@ Selection:
 
 Determinism: each backend is individually deterministic (serial compiled
 loops, fixed numpy reduction order), so repeat runs on one backend are
-bit-identical; *across* backends results agree to 1e-9, not bitwise.  The
+bit-identical; *across* backends results agree to 1e-9, not bitwise (the
+pair lists are the same arrays on both; the pair arithmetic rounds
+differently).  The
 parallel engine records the backend name per run in WorkDB so timing
 measurements from different backends are never blended.
 """

@@ -1,10 +1,11 @@
 """Kernel-backend contract and the parity self-check.
 
-A :class:`KernelBackend` bundles the seven kernels every backend must
+A :class:`KernelBackend` bundles the eight kernels every backend must
 provide.  The contract is deliberately scalar/array-only (no dataclass
-options, no ``repro.md`` types) so this package never imports from
-``repro.md`` at module scope — the md modules import :mod:`repro.backend`
-themselves, and a module-level import back into md would be circular.
+options, no ``repro.md`` types: exclusions and LJ tables cross it as
+arrays) so this package never imports from ``repro.md`` — the md modules
+import :mod:`repro.backend` themselves, and an import back into md would
+be circular (``tools/check_layering.py`` holds the rule).
 
 Kernel contract (all arrays are numpy, ``forces`` is accumulated in place):
 
@@ -63,6 +64,43 @@ si, sj, alpha=None, ewald_cutoff=None) -> (e_lj, e_elec, n_pairs)``
     k-vector's contribution is independent, summing shard results over a
     partition of the tables must reproduce ``ewald_recip`` of the full
     tables to rounding error — the parity self-check enforces this.
+
+``block_pairs(pos, box, atoms_a, atoms_b, part, n_parts, r, tables=None,
+out=None, offset=0) -> int``
+    The pairs within ``r`` (minimum image, ``r2 < r*r``) of one dense cell
+    block, in one of two modes.  The block is the stripe ``part::n_parts``
+    of the rows of cell ``atoms_a`` (int64 atom indices into ``pos``)
+    against all of cell ``atoms_b`` or, with ``atoms_b=None``, the *self*
+    block of ``atoms_a``: the upper triangle, each pair ``(row, col)`` once
+    with ``row < col`` in cell order and ``row`` in the stripe.  The
+    stripes of a block partition its pairs exactly.
+
+    * *count mode* (``tables`` unset): returns how many pairs of the block
+      lie within ``r``; writes nothing.  Exact on every backend — this is
+      the cost prior's count and the size a list needs at most.
+    * *list mode*: ``tables = (excl_ptr, excl_partners, type_idx, eps_t,
+      rmin_t, charges)`` — a per-atom exclusion table (``excl_partners[
+      excl_ptr[i]:excl_ptr[i+1]]`` ascending, both directions of every
+      1-2/1-3/1-4 pair, int64), per-atom type indices (int64) into the
+      per-type LJ tables, and per-atom charges.  In-range pairs not in the
+      table are written into ``out = (i_g, j_g, si, sj, eps, rmin, qq)`` —
+      caller-owned, C-contiguous, equally long, int32/int32/int64/int64/
+      float64 x3 — starting at ``offset``: global atom indices, block rows
+      (a self block's are the cell's own rows; a pair block's are the
+      stripe's ``0..ns-1`` followed by cell b's ``ns..``), and the
+      Lorentz-Berthelot combination ``sqrt(eps_i eps_j)``, ``rmin_i +
+      rmin_j``, ``q_i q_j``.  Returns the number written, or ``-1`` — *does
+      not fit* — when ``out`` is too short, in which case nothing is
+      written past its end (what lies between ``offset`` and the end is
+      unspecified).
+
+    Pairs are emitted in row-major order — stripe rows ascending, columns
+    ascending within a row — and with the reference's arithmetic bit for
+    bit (the fold is ``d - L rint(d / L)`` per component, the sum ``(dx² +
+    dy²) + dz²``), so every backend lists exactly the reference's arrays:
+    list order is the pair kernel's accumulation order, and the self-check
+    holds this kernel to array identity, not to a tolerance.  An atom
+    index outside ``pos`` (negative included) is an ``IndexError``.
 """
 
 from __future__ import annotations
@@ -72,7 +110,13 @@ from typing import Any, Callable
 
 import numpy as np
 
-__all__ = ["KernelBackend", "bonded_cases", "parity_selfcheck", "synthetic_problem"]
+__all__ = [
+    "KernelBackend",
+    "block_arena",
+    "bonded_cases",
+    "parity_selfcheck",
+    "synthetic_problem",
+]
 
 
 @dataclass(frozen=True)
@@ -88,6 +132,7 @@ class KernelBackend:
     ewald_recip: Callable[..., float]
     bonded_terms: Callable[..., float]
     ewald_recip_shard: Callable[..., float]
+    block_pairs: Callable[..., int]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = "compiled" if self.compiled else "interpreted"
@@ -150,6 +195,17 @@ def synthetic_problem(seed: int = 2026) -> dict[str, Any]:
     imp_k = rng.uniform(5.0, 30.0, size=len(imp_idx))
     imp_psi0 = rng.uniform(-0.6, 0.6, size=len(imp_idx))
 
+    # block_pairs: three LJ types, and an exclusion table over the bonds
+    # (both directions, partners ascending per atom)
+    type_idx = rng.integers(0, 3, size=n).astype(np.int64)
+    eps_t = rng.uniform(0.05, 0.25, size=3)
+    rmin_t = rng.uniform(1.2, 2.1, size=3)
+    owner = np.concatenate([bond_idx[:, 0], bond_idx[:, 1]])
+    partner = np.concatenate([bond_idx[:, 1], bond_idx[:, 0]])
+    excl_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(owner, minlength=n), out=excl_ptr[1:])
+    excl_partners = partner[np.lexsort((partner, owner))]
+
     return {
         "n": n,
         "box": box,
@@ -183,6 +239,11 @@ def synthetic_problem(seed: int = 2026) -> dict[str, Any]:
         "imp_k": imp_k,
         "imp_psi0": imp_psi0,
         "shard_split": 17,  # shard boundary exercised by the self-check
+        "excl_ptr": excl_ptr,
+        "excl_partners": excl_partners,
+        "type_idx": type_idx,
+        "eps_t": eps_t,
+        "rmin_t": rmin_t,
     }
 
 
@@ -198,6 +259,40 @@ def bonded_cases(p: dict[str, Any]) -> list[tuple]:
         (2, p["dih_idx"], p["dih_k"], p["dih_n"], p["dih_delta"]),
         (3, p["imp_idx"], p["imp_k"], p["imp_psi0"], np.zeros(len(p["imp_k"]))),
     ]
+
+
+def block_arena(capacity: int) -> tuple[np.ndarray, ...]:
+    """The seven arrays ``block_pairs`` lists into, ``capacity`` entries
+    each — ``(i_g, j_g, si, sj, eps, rmin, qq)`` — carved from one
+    allocation (48 bytes an entry, the 8-byte arrays first), so an arena
+    is one block of memory to map, touch and give back."""
+    base = np.empty(48 * capacity, dtype=np.uint8)
+    wide = base[: 40 * capacity].reshape(5, -1)
+    narrow = base[40 * capacity :].reshape(2, -1)
+    si, sj = (wide[k].view(np.int64) for k in (0, 1))
+    eps, rmin, qq = (wide[k].view(np.float64) for k in (2, 3, 4))
+    i_g, j_g = (narrow[k].view(np.int32) for k in (0, 1))
+    return i_g, j_g, si, sj, eps, rmin, qq
+
+
+def _block_lists(backend: KernelBackend, p: dict[str, Any]):
+    """``block_pairs`` over the synthetic problem's blocks: per block the
+    count-mode result and the listed arrays (None when it did not fit)."""
+    tables = tuple(
+        p[k] for k in
+        ("excl_ptr", "excl_partners", "type_idx", "eps_t", "rmin_t", "charges")
+    )
+    cell_a = np.arange(0, p["n"], 2)
+    cell_b = np.arange(1, p["n"], 2)
+    results = []
+    for atoms_b, n_parts in ((None, 1), (None, 2), (cell_b, 1), (cell_b, 3)):
+        for part in range(n_parts):
+            block = (p["pos"], p["box"], cell_a, atoms_b, part, n_parts, p["cutoff"])
+            arena = block_arena(3 + len(cell_a) * len(cell_b))
+            n = backend.block_pairs(*block, tables, arena, 3)
+            listed = None if n < 0 else [arr[3 : 3 + n] for arr in arena]
+            results.append((backend.block_pairs(*block), listed))
+    return results
 
 
 def _close(a, b, tol: float) -> bool:
@@ -325,6 +420,19 @@ def parity_selfcheck(
             )
         if not _close(es_c, ek_r, tol) or not _close(fs_c, fk_r, tol):
             return False, "ewald_recip_shard: sharded sum != full recip sum"
+
+        # block_pairs: array identity, not a tolerance — list order is the
+        # pair kernel's accumulation order
+        blocks_r = _block_lists(reference, p)
+        if not any(listed is not None and len(listed[0]) for _, listed in blocks_r):
+            return False, "block_pairs: synthetic problem listed no pairs"
+        for (n_c, l_c), (n_r, l_r) in zip(_block_lists(candidate, p), blocks_r):
+            if n_c != n_r:
+                return False, f"block_pairs: count {n_c} != {n_r}"
+            if l_c is None or l_r is None or not all(
+                a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(l_c, l_r)
+            ):
+                return False, "block_pairs: lists differ"
     except Exception as exc:  # noqa: BLE001 - fold any kernel failure into fallback
         return False, f"{type(exc).__name__}: {exc}"
     return True, "ok"

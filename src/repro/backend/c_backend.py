@@ -8,11 +8,11 @@ file, never a stale one.  The flags are fixed: ``-O2`` with
 because hosts sharing a home directory share the cache and a result must
 not depend on which of them compiled it.
 
-:func:`build_backend` is the numpy reference with ``nb_pairs`` and the two
-reciprocal-sum kernels replaced.  It raises on any failure (no compiler,
-compile error or timeout, load error); the registry turns that — and a
-failed parity self-check — into the numpy fallback.  :data:`build_info`
-says what the last build did, for ``repro backends``.
+:func:`build_backend` is the numpy reference with ``nb_pairs``, the two
+reciprocal-sum kernels and ``block_pairs`` replaced.  It raises on any
+failure (no compiler, compile error or timeout, load error); the registry
+turns that — and a failed parity self-check — into the numpy fallback.
+:data:`build_info` says what the last build did, for ``repro backends``.
 """
 
 from __future__ import annotations
@@ -33,12 +33,22 @@ from pathlib import Path
 import numpy as np
 
 from repro.backend import reference
-from repro.backend.base import KernelBackend
+from repro.backend.base import KernelBackend, block_arena
 
 __all__ = ["FLAGS", "build_backend", "build_info"]
 
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 COMPILE_TIMEOUT_S = 120.0
+
+#: kernels.c: BLOCK_WORK doubles of scratch per atom of cell b, and its
+#: "index out of range" return (-1 is the contract's "does not fit")
+BLOCK_WORK = 8
+BLOCK_BAD_INDEX = -2
+
+ARENA_DTYPES = tuple(a.dtype for a in block_arena(0))
+#: the list-mode arguments of ``block_pairs`` in count mode: no exclusion
+#: and LJ tables (eight), no arena (seven arrays, offset, capacity)
+_COUNT_MODE = (None, None, 0, None, None, None, 0, None) + (None,) * 7 + (0, 0)
 
 #: compiler path, flags, cache file, "compiled" / "cache hit" and seconds of
 #: the last :func:`build_backend` in this process
@@ -62,7 +72,7 @@ def _cache_dir() -> Path:
 
 
 def _load(path: Path) -> ctypes.CDLL:
-    """``path`` as a library with both kernels' signatures declared."""
+    """``path`` as a library with the kernels' signatures declared."""
     lib = ctypes.CDLL(str(path))
     ptr, f8, i8 = ctypes.c_void_p, ctypes.c_double, ctypes.c_int64
     lib.nb_pairs.restype = i8
@@ -72,6 +82,12 @@ def _load(path: Path) -> ctypes.CDLL:
     ]
     lib.ewald_recip.restype = ctypes.c_int
     lib.ewald_recip.argtypes = [ptr, ptr, i8, ptr, ptr, ptr, i8, f8, ptr, ptr, ptr]
+    lib.block_pairs.restype = i8
+    lib.block_pairs.argtypes = [
+        ptr, i8, ptr, ptr, i8, ptr, i8, i8, i8, f8,
+        ptr, ptr, i8, ptr, ptr, ptr, i8, ptr,
+        ptr, ptr, ptr, ptr, ptr, ptr, ptr, i8, i8, ptr,
+    ]
     return lib
 
 
@@ -216,7 +232,53 @@ def build_backend() -> KernelBackend:
             forces += out
         return energy.value
 
+    def block_pairs(pos, box, atoms_a, atoms_b, part, n_parts, r,
+                    tables=None, out=None, offset=0):
+        pos, box, atoms_a = _f8(pos), _f8(box), _i8(atoms_a)
+        if pos.ndim != 2 or pos.shape[1] != 3 or len(box) != 3:
+            raise ValueError("positions must have shape (rows, 3), box three edges")
+        if not 0 <= part < n_parts:
+            raise ValueError("part must lie in [0, n_parts)")
+        n_atoms, nb = len(pos), len(atoms_a)
+        b_ptr = None  # the self block
+        if atoms_b is not None:
+            atoms_b = _i8(atoms_b)
+            b_ptr, nb = atoms_b.ctypes.data, len(atoms_b)
+        work = np.empty(BLOCK_WORK * nb)
+        if tables is None:
+            listing = _COUNT_MODE
+        else:
+            excl_ptr, partners, type_idx = (_i8(t) for t in tables[:3])
+            eps_t, rmin_t, charges = (_f8(t) for t in tables[3:])
+            if (len(excl_ptr), len(type_idx), len(charges)) != (n_atoms + 1, n_atoms, n_atoms):
+                raise ValueError("per-atom tables do not match the positions")
+            if len(eps_t) != len(rmin_t):
+                raise ValueError("LJ tables differ in length")
+            capacity = len(out[0])
+            for arr, dtype in zip(out, ARENA_DTYPES, strict=True):
+                flags = arr.flags
+                if (arr.dtype, arr.shape, flags.c_contiguous, flags.writeable) != (
+                    dtype, (capacity,), True, True
+                ):
+                    raise ValueError("out must be block_arena's seven arrays")
+            if offset < 0:
+                raise ValueError("offset must not be negative")
+            listing = (
+                excl_ptr.ctypes.data, partners.ctypes.data, len(partners),
+                type_idx.ctypes.data, eps_t.ctypes.data, rmin_t.ctypes.data,
+                len(eps_t), charges.ctypes.data, *(a.ctypes.data for a in out),
+                offset, capacity,
+            )
+        n = lib.block_pairs(
+            pos.ctypes.data, n_atoms, box.ctypes.data, atoms_a.ctypes.data,
+            len(atoms_a), b_ptr, nb, part, n_parts, r, *listing, work.ctypes.data,
+        )
+        if n == BLOCK_BAD_INDEX:
+            raise IndexError("block atom index out of range")
+        return n  # the count, or -1: does not fit
+
     return dataclasses.replace(
         reference.build_backend(), name="c", compiled=True, nb_pairs=nb_pairs,
         ewald_recip=ewald_recip, ewald_recip_shard=ewald_recip,
+        block_pairs=block_pairs,
     )

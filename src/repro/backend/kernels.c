@@ -1,8 +1,10 @@
-/* Compiled kernels of the "c" backend: the fused pair kernel and the Ewald
- * reciprocal sum.  Built on first use and loaded through ctypes by
+/* Compiled kernels of the "c" backend: the fused pair kernel, the Ewald
+ * reciprocal sum and the cell-block kernel that counts and lists pairs.
+ * Built on first use and loaded through ctypes by
  * repro/backend/c_backend.py; the contracts are those of
- * repro/backend/base.py and the arithmetic is held to the numpy reference
- * at 1e-9 by the registry's parity self-check.
+ * repro/backend/base.py and the registry's parity self-check holds the
+ * arithmetic to the numpy reference at 1e-9 - the lists, whose order is the
+ * pair kernel's accumulation order, to array identity.
  *
  * Rules this file keeps:
  *   - re-entrant: no static or global state, no allocation (scratch comes
@@ -249,4 +251,159 @@ int ewald_recip(const double *pos, const double *q, int64_t n,
         forces[3 * a + 2] += scale * fz;
     }
     return 0;
+}
+
+/* ---- pairs of one dense cell block: counted, or listed ------------------
+ *
+ * The block is the stripe part::n_parts of the rows of cell a against all
+ * of cell b, or (atoms_b NULL) the upper triangle of cell a against
+ * itself.  A row is three passes: squared distances of the row atom to
+ * every column, one axis at a time over contiguous column coordinates;
+ * the in-range columns compacted without a branch; then, in list mode, the
+ * exclusion lookup, the Lorentz-Berthelot combination and the stores for
+ * those columns only.  The arithmetic is the reference's bit for bit - the
+ * fold d - L rint(d / L) per component, the sum (dx^2 + dy^2) + dz^2 - so
+ * the lists are the reference's arrays exactly.
+ */
+#define BLOCK_NO_FIT (-1)
+#define BLOCK_BAD_INDEX (-2)
+#define BLOCK_WORK 8 /* doubles of scratch per atom of cell b */
+
+/* r2[c] += fold(x - xb[c])^2 for lo <= c < hi; xb lies in [bmin, bmax].
+ * The bounds pick the cheapest fold that is still d - L rint(d / L):
+ * none when every |d| <= L/2 (rint of at most a half is zero); otherwise,
+ * while every |d| < 1.49 L, rint(d / L) is the sign of d where |d| > L/2
+ * (the quotient then rounds to more than a half, and to less than 1.5)
+ * and L times it is exact, so the fold is two selects; else the general
+ * form.  Adding to a zeroed r2 leaves the sum (dx^2 + dy^2) + dz^2. */
+static void axis_r2(double *r2, const double *xb, int64_t lo, int64_t hi,
+                    double x, double length, double bmin, double bmax)
+{
+    const double half = 0.5 * length;
+    const double dlo = x - bmax, dhi = x - bmin;
+    if (dlo >= -half && dhi <= half) {
+        for (int64_t c = lo; c < hi; c++) {
+            const double d = x - xb[c];
+            r2[c] += d * d;
+        }
+    } else if (dlo > -1.49 * length && dhi < 1.49 * length) {
+        for (int64_t c = lo; c < hi; c++) {
+            double d = x - xb[c];
+            const double up = d > half ? length : 0.0;
+            const double down = d < -half ? length : 0.0;
+            d -= up - down;
+            r2[c] += d * d;
+        }
+    } else {
+        for (int64_t c = lo; c < hi; c++) {
+            const double d = min_image(x - xb[c], length, half);
+            r2[c] += d * d;
+        }
+    }
+}
+
+/* Count mode (excl_ptr NULL): returns the pairs of the block within r and
+ * writes nothing.  List mode: pairs within r and not in the per-atom
+ * exclusion table (excl_idx[excl_ptr[i] .. excl_ptr[i+1]) ascending,
+ * n_excl entries) go to the seven arrays of `capacity` entries from
+ * `offset` on, in row-major order; returns how many, or BLOCK_NO_FIT
+ * having written nothing at or beyond `capacity`.  BLOCK_BAD_INDEX at the
+ * first atom outside pos, type outside the LJ tables or table row outside
+ * excl_idx.  work holds BLOCK_WORK * nb doubles. */
+int64_t block_pairs(const double *pos, int64_t n_atoms, const double *box,
+                    const int64_t *atoms_a, int64_t na,
+                    const int64_t *atoms_b, int64_t nb,
+                    int64_t part, int64_t n_parts, double r,
+                    const int64_t *excl_ptr, const int64_t *excl_idx, int64_t n_excl,
+                    const int64_t *type_idx, const double *eps_t,
+                    const double *rmin_t, int64_t n_types, const double *charges,
+                    int32_t *i_g, int32_t *j_g, int64_t *si, int64_t *sj,
+                    double *eps, double *rmin, double *qq,
+                    int64_t offset, int64_t capacity, double *work)
+{
+    const int self = atoms_b == NULL;
+    const int listing = excl_ptr != NULL;
+    const double r2_max = r * r;
+    if (self) {
+        atoms_b = atoms_a;
+        nb = na;
+    }
+    double *xb[3] = {work, work + nb, work + 2 * nb};
+    double *r2 = work + 3 * nb;
+    double *eps_b = work + 4 * nb, *rmin_b = work + 5 * nb, *q_b = work + 6 * nb;
+    int64_t *hit = (int64_t *)(work + 7 * nb);
+    double bmin[3], bmax[3];
+
+    /* cell b gathered once, component-major: its indices are checked here */
+    for (int64_t c = 0; c < nb; c++) {
+        const int64_t j = atoms_b[c];
+        if ((uint64_t)j >= (uint64_t)n_atoms)
+            return BLOCK_BAD_INDEX;
+        for (int k = 0; k < 3; k++) {
+            const double x = pos[3 * j + k];
+            xb[k][c] = x;
+            if (c == 0 || x < bmin[k])
+                bmin[k] = x;
+            if (c == 0 || x > bmax[k])
+                bmax[k] = x;
+        }
+        if (listing) {
+            const int64_t tj = type_idx[j];
+            if ((uint64_t)tj >= (uint64_t)n_types)
+                return BLOCK_BAD_INDEX;
+            eps_b[c] = eps_t[tj];
+            rmin_b[c] = rmin_t[tj];
+            q_b[c] = charges[j];
+        }
+    }
+
+    const int64_t ns = (na - part + n_parts - 1) / n_parts; /* stripe rows */
+    int64_t n = 0;
+    for (int64_t s = 0; s < ns && nb > 0; s++) {
+        const int64_t row = part + s * n_parts;
+        const int64_t i = atoms_a[row];
+        if ((uint64_t)i >= (uint64_t)n_atoms)
+            return BLOCK_BAD_INDEX;
+        const int64_t lo = self ? row + 1 : 0;
+        for (int64_t c = lo; c < nb; c++)
+            r2[c] = 0.0;
+        for (int k = 0; k < 3; k++)
+            axis_r2(r2, xb[k], lo, nb, pos[3 * i + k], box[k], bmin[k], bmax[k]);
+        int64_t n_hit = 0;
+        for (int64_t c = lo; c < nb; c++) {
+            hit[n_hit] = c;
+            n_hit += r2[c] < r2_max;
+        }
+        if (!listing) {
+            n += n_hit;
+            continue;
+        }
+        const int64_t ti = type_idx[i];
+        const int64_t e_lo = excl_ptr[i], e_hi = excl_ptr[i + 1];
+        if ((uint64_t)ti >= (uint64_t)n_types
+            || e_lo < 0 || e_lo > e_hi || e_hi > n_excl)
+            return BLOCK_BAD_INDEX;
+        const double eps_i = eps_t[ti], rmin_i = rmin_t[ti], q_i = charges[i];
+        for (int64_t h = 0; h < n_hit; h++) {
+            const int64_t c = hit[h];
+            const int64_t j = atoms_b[c];
+            int64_t e = e_lo;
+            while (e < e_hi && excl_idx[e] < j)
+                e++;
+            if (e < e_hi && excl_idx[e] == j)
+                continue;
+            const int64_t at = offset + n;
+            if (at >= capacity)
+                return BLOCK_NO_FIT;
+            i_g[at] = (int32_t)i;
+            j_g[at] = (int32_t)j;
+            si[at] = self ? row : s;
+            sj[at] = self ? c : c + ns;
+            eps[at] = sqrt(eps_i * eps_b[c]);
+            rmin[at] = rmin_i + rmin_b[c];
+            qq[at] = q_i * q_b[c];
+            n++;
+        }
+    }
+    return n;
 }

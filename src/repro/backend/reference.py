@@ -9,7 +9,10 @@ finite-difference tests.  :func:`nb_pairs`, the engines' pair kernel,
 evaluates the same formulas arranged for numpy (component-major
 displacements, index selection, in-place updates, the switching polynomial
 on its band only); tests hold it to ``pair_terms`` + ``segment_add`` at
-1e-12.  The numpy backend is deterministic — one reduction order per
+1e-12.  :func:`block_pairs` is the pair-list build — distance mask,
+exclusion lookup, parameter combination — and the other backends must
+reproduce its arrays exactly, order included.  The numpy backend is
+deterministic — one reduction order per
 kernel — which is what keeps trajectories and checkpoint resume
 bit-identical run to run.
 
@@ -466,6 +469,100 @@ def ewald_recip(
 ewald_recip_shard = ewald_recip
 
 
+def _block_within(xa: np.ndarray, xb: np.ndarray, box: np.ndarray, r: float):
+    """Dense minimum-image test ``|xb[c] - xa[r]| < r`` as a
+    ``(len(xa), len(xb))`` mask, one axis at a time."""
+    r2 = None
+    for k in range(3):
+        d = np.subtract.outer(xa[:, k], xb[:, k])
+        fold = d / box[k]
+        np.rint(fold, out=fold)
+        fold *= box[k]
+        d -= fold
+        d *= d
+        if r2 is None:
+            r2 = d
+        else:
+            r2 += d
+    return r2 < r * r
+
+
+def _block_excluded(excl_ptr, partners, rows_a, si, j_g, n_atoms):
+    """Whether each in-range pair (stripe row ``si``, atom ``j_g``) is in
+    the per-atom exclusion table: the stripe's table rows flattened to
+    sorted ``row * n_atoms + partner`` keys, one ``searchsorted``."""
+    start = excl_ptr[rows_a]
+    count = excl_ptr[rows_a + 1] - start
+    total = int(count.sum())
+    if total == 0:
+        return np.zeros(len(si), dtype=bool)
+    owner = np.repeat(np.arange(len(rows_a)), count)
+    first = np.cumsum(count) - count  # each row's first slot in `keys`
+    keys = owner * n_atoms + partners[start[owner] + np.arange(total) - first[owner]]
+    wanted = si * n_atoms + j_g
+    slot = np.minimum(np.searchsorted(keys, wanted), total - 1)
+    return keys[slot] == wanted
+
+
+def block_pairs(
+    pos: np.ndarray,
+    box: np.ndarray,
+    atoms_a: np.ndarray,
+    atoms_b: np.ndarray | None,
+    part: int,
+    n_parts: int,
+    r: float,
+    tables: tuple | None = None,
+    out: tuple | None = None,
+    offset: int = 0,
+) -> int:
+    """Pairs of one dense cell block within ``r``: counted, or listed into
+    ``out`` at ``offset`` (see the contract in :mod:`repro.backend.base`).
+
+    The distance test runs on the block's dense coordinates
+    (:func:`_block_within`); the in-range entries, read in row-major order,
+    *are* the local scatter indices, so no per-candidate index array is
+    ever formed and the exclusion lookup sees in-range pairs only.
+    """
+    atoms_a = np.asarray(atoms_a)
+    self_block = atoms_b is None
+    atoms_b = atoms_a if self_block else np.asarray(atoms_b)
+    rows = np.arange(part, len(atoms_a), n_parts)
+    if len(rows) == 0 or len(atoms_b) == 0:
+        return 0
+    rows_a = atoms_a[rows]
+    # numpy's gather raises beyond the end but wraps a negative index
+    if rows_a.min() < 0 or atoms_b.min() < 0:
+        raise IndexError("block atom index out of range")
+    box = np.asarray(box, dtype=np.float64)
+    within = _block_within(pos[rows_a], pos[atoms_b], box, r)
+    if self_block:  # each pair once: the upper triangle of the cell's block
+        within &= rows[:, None] < np.arange(len(atoms_b))
+    if tables is None:
+        return int(np.count_nonzero(within))
+    excl_ptr, partners, type_idx, eps_t, rmin_t, charges = tables
+    si, sj = np.divmod(np.flatnonzero(within), len(atoms_b))
+    j_g = atoms_b[sj]
+    keep = ~_block_excluded(excl_ptr, partners, rows_a, si, j_g, len(pos))
+    n = int(np.count_nonzero(keep))
+    if offset + n > len(out[0]):
+        return -1
+    si, sj, j_g = si[keep], sj[keep], j_g[keep]
+    i_g = rows_a[si]
+    at = slice(offset, offset + n)
+    out[0][at] = i_g
+    out[1][at] = j_g
+    # block rows: a self task's are the cell's own, a pair task's the
+    # stripe followed by cell b
+    out[2][at] = rows[si] if self_block else si
+    out[3][at] = sj if self_block else sj + len(rows)
+    ti, tj = type_idx[i_g], type_idx[j_g]
+    np.sqrt(eps_t[ti] * eps_t[tj], out=out[4][at])
+    np.add(rmin_t[ti], rmin_t[tj], out=out[5][at])
+    np.multiply(charges[i_g], charges[j_g], out=out[6][at])
+    return n
+
+
 def build_backend() -> KernelBackend:
     """The numpy reference backend instance."""
     return KernelBackend(
@@ -478,4 +575,5 @@ def build_backend() -> KernelBackend:
         ewald_recip=ewald_recip,
         bonded_terms=bonded_terms,
         ewald_recip_shard=ewald_recip_shard,
+        block_pairs=block_pairs,
     )

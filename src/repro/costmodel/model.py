@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.backend import get_backend
 from repro.md.cells import count_pairs_within
-from repro.md.nonbonded import count_interacting_pairs
 from repro.md.system import MolecularSystem
 
 __all__ = [
@@ -177,6 +177,7 @@ def block_pair_counts(
     cutoff: float,
     atoms_a: np.ndarray,
     atoms_b: np.ndarray | None = None,
+    backend=None,
 ) -> tuple[int, int]:
     """``(in_cutoff_pairs, candidate_pairs)`` of one compute block.
 
@@ -190,12 +191,13 @@ def block_pair_counts(
     if atoms_b is None:
         m = len(atoms_a)
         n_cand = m * (m - 1) // 2
-        n_pairs = count_interacting_pairs(positions[atoms_a], None, box, cutoff)
     else:
         n_cand = len(atoms_a) * len(atoms_b)
-        n_pairs = count_interacting_pairs(
-            positions[atoms_a], positions[atoms_b], box, cutoff
-        )
+    # the count mode of the kernel that builds the engines' pair lists, on
+    # the very block a cell task lists: prior and lists cannot disagree
+    n_pairs = get_backend(backend).block_pairs(
+        positions, box, atoms_a, atoms_b, 0, 1, cutoff
+    )
     return int(n_pairs), int(n_cand)
 
 
@@ -206,6 +208,7 @@ def estimate_block_costs(
     buckets: list[np.ndarray],
     tasks,
     model: CostModel | None = None,
+    backend=None,
 ) -> np.ndarray:
     """Measured relative cost of each self/pair compute block.
 
@@ -227,16 +230,11 @@ def estimate_block_costs(
     costs = np.zeros(len(tasks), dtype=np.float64)
     for t, (a, b) in enumerate(tasks):
         n_pairs, n_cand = block_pair_counts(
-            positions, box, cutoff, buckets[a], None if a == b else buckets[b]
+            positions, box, cutoff, buckets[a], None if a == b else buckets[b],
+            backend,
         )
         costs[t] = t_pair * n_pairs + t_cand * n_cand
     return costs
-
-
-def _count_pairs_blocked(
-    pos_a: np.ndarray, pos_b: np.ndarray | None, box: np.ndarray, cutoff: float
-) -> int:  # pragma: no cover - retained for API compatibility
-    return count_interacting_pairs(pos_a, pos_b, box, cutoff)
 
 
 def _count_work_blocked(system: MolecularSystem, decomposition) -> WorkCounts:

@@ -27,13 +27,13 @@ from repro.backend import KernelBackend, get_backend
 from repro.backend import reference as _reference
 from repro.md.cells import candidate_pairs
 from repro.md.system import MolecularSystem
-from repro.util.pbc import minimum_image
 
 __all__ = [
     "NonbondedOptions",
     "NonbondedResult",
     "switching_function",
     "pair_interactions",
+    "block_pair_tables",
     "filter_candidates",
     "nonbonded_kernel",
     "nonbonded_14",
@@ -130,6 +130,18 @@ def _combined_params(
     rmin_ij = rmin_t[ti] + rmin_t[tj]
     qq = system.charges[i] * system.charges[j]
     return eps_ij, rmin_ij, qq
+
+
+def block_pair_tables(system: MolecularSystem) -> tuple[np.ndarray, ...]:
+    """``system`` as the ``tables`` of ``backend.block_pairs``' list mode:
+    the per-atom exclusion table, type indices, per-type LJ tables and
+    charges — the arrays :func:`_combined_params` and the exclusion lookups
+    read, in the form in which they cross the kernel contract."""
+    _, eps_t, rmin_t = system.forcefield.lj_tables()
+    return (
+        *system.exclusions.atom_table(), system.type_indices, eps_t, rmin_t,
+        system.charges,
+    )
 
 
 def filter_candidates(
@@ -332,6 +344,7 @@ def count_interacting_pairs(
     pos_b: np.ndarray | None,
     box: np.ndarray,
     cutoff: float,
+    backend: KernelBackend | str | None = None,
 ) -> int:
     """Number of atom pairs within ``cutoff`` (minimum image).
 
@@ -339,20 +352,14 @@ def count_interacting_pairs(
     counts cross pairs between the two groups.  This is the quantity the cost
     model (:mod:`repro.costmodel`) uses to assign loads to non-bonded compute
     objects — the grainsize structure in the paper's Figures 1–2 is exactly
-    the distribution of this count over objects.
+    the distribution of this count over objects.  It is the count mode of
+    ``backend.block_pairs``, the kernel that builds the engines' pair lists,
+    so the prior and the lists cannot disagree on which pairs are in range.
     """
+    block_pairs = get_backend(backend).block_pairs
+    rows_a = np.arange(len(pos_a), dtype=np.int64)
     if pos_b is None:
-        m = len(pos_a)
-        if m < 2:
-            return 0
-        delta = minimum_image(
-            pos_a[np.newaxis, :, :] - pos_a[:, np.newaxis, :], box
-        )
-        r2 = np.einsum("ijk,ijk->ij", delta, delta)
-        within = r2 < cutoff * cutoff
-        return int((np.count_nonzero(within) - m) // 2)
-    if len(pos_a) == 0 or len(pos_b) == 0:
-        return 0
-    delta = minimum_image(pos_b[np.newaxis, :, :] - pos_a[:, np.newaxis, :], box)
-    r2 = np.einsum("ijk,ijk->ij", delta, delta)
-    return int(np.count_nonzero(r2 < cutoff * cutoff))
+        return block_pairs(pos_a, box, rows_a, None, 0, 1, cutoff)
+    rows_b = np.arange(len(pos_a), len(pos_a) + len(pos_b), dtype=np.int64)
+    pos = np.concatenate([pos_a, pos_b])
+    return block_pairs(pos, box, rows_a, rows_b, 0, 1, cutoff)

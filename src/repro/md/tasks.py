@@ -12,7 +12,8 @@ force-field work as a family of schedulable tasks behind the
   control (§4.2.1–2); evaluated with per-task prefiltered Verlet lists
   and pre-combined Lorentz-Berthelot parameters by the one fused pair
   kernel — LJ plus the shifted point-charge term or, under Ewald, the
-  erfc real-space term;
+  erfc real-space term.  The lists are the backend's work too
+  (``block_pairs``), written in place into one arena per evaluator;
 * **bonded groups** ``("bonded", kind, cell, intra)`` — the bonded terms
   of one kind whose home cell (under the reference binning) lies in run
   ``cell`` of consecutive cells, split into intra/inter groups that
@@ -51,15 +52,12 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.backend import get_backend
+from repro.backend.base import block_arena
 from repro.md.bonded import BONDED_KINDS, bonded_term_arrays
 from repro.md.cells import CellGrid
 from repro.md.constants import COULOMB_CONSTANT
 from repro.md.ewald import EwaldOptions, _kspace_tables
-from repro.md.nonbonded import (
-    NonbondedOptions,
-    _combined_params,
-    ewald_pair_mode,
-)
+from repro.md.nonbonded import NonbondedOptions, block_pair_tables, ewald_pair_mode
 from repro.core.grainsize import GrainsizeConfig, stripe_candidate_counts
 from repro.util.pbc import wrap_positions
 
@@ -74,11 +72,13 @@ __all__ = [
     "build_force_tasks",
     "build_task_lists",
     "build_xtask_entries",
+    "count_task_pairs",
     "eval_xtask",
     "kspace_shards",
     "scratch_rows_bound",
     "task_kernel",
     "task_layout",
+    "task_offsets",
     "xtask_rows",
 ]
 
@@ -202,10 +202,12 @@ def xtask_rows(
     """
     sels: list = []
     rows: list = []
-    all_rows = np.arange(n_atoms, dtype=np.int64)
+    all_rows = None  # one full slab's rows, shared by the k-space shards
     homes: dict[int, tuple] = {}  # kind -> (home cell, all atoms in it) per term
     for xt in xtasks:
         if xt[0] == "kspace":
+            if all_rows is None:
+                all_rows = np.arange(n_atoms, dtype=np.int64)
             sels.append(None)
             rows.append(all_rows)
             continue
@@ -224,6 +226,29 @@ def xtask_rows(
 # --------------------------------------------------------------------------- #
 # task layout: shared between driver (reduction) and workers (block writes)
 # --------------------------------------------------------------------------- #
+def task_offsets(
+    buckets: list[np.ndarray],
+    tasks: list[tuple[int, int, int, int]],
+    xrows: list[np.ndarray] = (),
+) -> np.ndarray:
+    """Where each task's block starts in the shared force scratch: the
+    ``n_tasks + 1`` offsets of :func:`task_layout`, which is all a worker
+    needs of the layout."""
+    n_nb = len(tasks)
+    sizes = np.zeros(n_nb + len(xrows), dtype=np.int64)
+    for t, (a, b, part, n_parts) in enumerate(tasks):
+        na = len(buckets[a])
+        if b == a:
+            sizes[t] = na
+        else:
+            sizes[t] = len(range(part, na, n_parts)) + len(buckets[b])
+    for x, rows in enumerate(xrows):
+        sizes[n_nb + x] = len(rows)
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return offsets
+
+
 def task_layout(
     buckets: list[np.ndarray],
     tasks: list[tuple[int, int, int, int]],
@@ -251,18 +276,7 @@ def task_layout(
     are exactly ``xrows[x]``.
     """
     n_nb = len(tasks)
-    n_tasks = n_nb + len(xrows)
-    sizes = np.zeros(n_tasks, dtype=np.int64)
-    for t, (a, b, part, n_parts) in enumerate(tasks):
-        na = len(buckets[a])
-        if b == a:
-            sizes[t] = na
-        else:
-            sizes[t] = len(buckets[a][part::n_parts]) + len(buckets[b])
-    for x, rows in enumerate(xrows):
-        sizes[n_nb + x] = len(rows)
-    offsets = np.zeros(n_tasks + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
+    offsets = task_offsets(buckets, tasks, xrows)
     gather = np.empty(int(offsets[-1]), dtype=np.int64)
     for t, (a, b, part, n_parts) in enumerate(tasks):
         lo = int(offsets[t])
@@ -309,30 +323,35 @@ def scratch_rows_bound(
 # --------------------------------------------------------------------------- #
 # worker-side kernels
 # --------------------------------------------------------------------------- #
-def _block_within(xa: np.ndarray, xb: np.ndarray, box: np.ndarray, r_list: float):
-    """Dense minimum-image test ``|xb[c] - xa[r]| < r_list`` as a
-    ``(len(xa), len(xb))`` mask, one axis at a time."""
-    r2 = None
-    for k in range(3):
-        d = np.subtract.outer(xa[:, k], xb[:, k])
-        fold = d / box[k]
-        np.rint(fold, out=fold)
-        fold *= box[k]
-        d -= fold
-        d *= d
-        if r2 is None:
-            r2 = d
-        else:
-            r2 += d
-    return r2 < r_list * r_list
+def _task_block(tasks, t, buckets):
+    """The ``(atoms_a, atoms_b, part, n_parts)`` of cell task ``t`` as
+    ``backend.block_pairs`` takes them (``atoms_b`` None for a self task)."""
+    a, b, part, n_parts = tasks[t]
+    return buckets[a], None if a == b else buckets[b], part, n_parts
 
 
-def build_task_lists(system, tasks, my_tasks, buckets, r_list):
-    """Per-task prefiltered pair lists with local scatter indices.
+def count_task_pairs(system, tasks, my_tasks, buckets, r_list, backend) -> int:
+    """Pairs within ``r_list`` over the blocks of ``my_tasks`` (the kernel's
+    count mode): exclusions included, so never fewer than their lists hold."""
+    return sum(
+        backend.block_pairs(
+            system.positions, system.box, *_task_block(tasks, t, buckets), r_list
+        )
+        for t in my_tasks
+    )
 
-    For each owned sub-task ``(a, b, part, n_parts)``: global pair index
-    arrays filtered to ``r < r_list`` minus exclusions/1-4, the matching
-    *local* block-row indices, and the pre-combined LJ/charge parameters
+
+def build_task_lists(
+    system, tasks, my_tasks, buckets, r_list, backend=None, arena=None
+):
+    """Per-task prefiltered pair lists with local scatter indices, built in
+    place in one arena.
+
+    For each owned sub-task ``(a, b, part, n_parts)`` one
+    ``backend.block_pairs`` call lists the block (the contract in
+    :mod:`repro.backend.base`): global pair index arrays filtered to
+    ``r < r_list`` minus exclusions/1-4, the matching *local* block-row
+    indices, and the pre-combined LJ/charge parameters
     (position-independent, so combined once per rebuild instead of every
     step).  A self sub-task keeps the upper-triangle pairs whose row ``i``
     lands in the stripe (rows ``0..na-1`` of the block, so all slices of
@@ -341,40 +360,31 @@ def build_task_lists(system, tasks, my_tasks, buckets, r_list):
     (rows ``ns..``).  The slices are an exact partition of the parent
     task's candidate set.
 
-    The distance test runs on the task's dense block of cell-local
-    coordinates (:func:`_block_within`); the in-range entries, read in
-    row-major order, *are* the local scatter indices, so no per-candidate
-    index array is ever formed and the exclusion lookups see in-range
-    pairs only.
+    The calls write one after another into ``arena`` (the seven arrays of
+    :func:`repro.backend.base.block_arena`), overwriting whatever it held:
+    a task's entry is seven slices of it — ``None`` for a task with no
+    pair — and the lists of ``my_tasks`` lie concatenated in task order.
+    Returns the entries by task id, or ``None`` when they do not fit.  A
+    one-shot caller passes no arena and gets one sized by
+    :func:`count_task_pairs`.
     """
-    pos = system.positions
-    box = np.asarray(system.box, dtype=np.float64)
-    excl = system.exclusions
+    backend = get_backend(backend)
+    if arena is None:
+        arena = block_arena(
+            count_task_pairs(system, tasks, my_tasks, buckets, r_list, backend)
+        )
+    tables = block_pair_tables(system)
     lists: dict[int, tuple | None] = {}
+    used = 0
     for t in my_tasks:
-        a, b, part, n_parts = tasks[t]
-        atoms_a, atoms_b = buckets[a], buckets[b]
-        rows = np.arange(part, len(atoms_a), n_parts)
-        lists[t] = None
-        if len(rows) == 0 or len(atoms_b) == 0:
-            continue
-        rows_a = atoms_a[rows]
-        within = _block_within(pos[rows_a], pos[atoms_b], box, r_list)
-        if a == b:  # each pair once: the upper triangle of the cell's block
-            within &= rows[:, None] < np.arange(len(atoms_b))
-        si, sj = np.divmod(np.flatnonzero(within), len(atoms_b))
-        i_g = rows_a[si]
-        j_g = atoms_b[sj]
-        keep = ~(excl.is_excluded(i_g, j_g) | excl.is_pair14(i_g, j_g))
-        if not keep.any():
-            continue
-        i_g = i_g[keep].astype(np.int32)
-        j_g = j_g[keep].astype(np.int32)
-        # block rows: a self task's are the cell's own, a pair task's the
-        # stripe followed by cell b
-        si = rows[si[keep]] if a == b else si[keep]
-        sj = sj[keep] if a == b else sj[keep] + len(rows)
-        lists[t] = (i_g, j_g, si, sj, *_combined_params(system, i_g, j_g))
+        n = backend.block_pairs(
+            system.positions, system.box, *_task_block(tasks, t, buckets), r_list,
+            tables, arena, used,
+        )
+        if n < 0:
+            return None
+        lists[t] = tuple(arr[used : used + n] for arr in arena) if n else None
+        used += n
     return lists
 
 
@@ -495,6 +505,9 @@ class ForceTaskEvaluator:
         self.dims = np.asarray(provider.dims, dtype=np.int64)
         self.n_nb = len(provider.tasks)
         self.lists: dict[int, tuple | None] = {}
+        #: the seven arrays every entry of ``lists`` is a slice of, for
+        #: this evaluator's life (regrown only when a rebuild outgrows it)
+        self.arena: tuple | None = None
         self.xentries: dict[int, tuple] = {}
         self.kspace_stats = {"builds": 0, "hits": 0}
 
@@ -505,6 +518,11 @@ class ForceTaskEvaluator:
         from repro.core.decomposition import bin_atoms
 
         p = self.provider
+        # the arena is overwritten in place (an evaluator never evaluates
+        # during its own rebuild): hold no entry into it meanwhile, so a
+        # rebuild that raises leaves no lists rather than half-written ones
+        self.lists = {}
+        self.xentries = {}
         # derive everything from the reference positions so the result is
         # independent of when this worker (re)built
         self.system.positions = self.ref_positions
@@ -516,11 +534,9 @@ class ForceTaskEvaluator:
                 p.xtasks, p.term_data, flat // p.bonded_stride,
                 len(self.positions),
             )
-            offsets, _ = task_layout(buckets, p.tasks, xrows)
-            self.lists = build_task_lists(
-                self.system, p.tasks,
-                [t for t in my_tasks if t < self.n_nb],
-                buckets, p.r_list,
+            offsets = task_offsets(buckets, p.tasks, xrows)
+            self.lists = self._build_lists(
+                [t for t in my_tasks if t < self.n_nb], buckets
             )
             self.xentries = build_xtask_entries(
                 p.xtasks, xsels, p.term_data, my_tasks, self.n_nb
@@ -528,6 +544,22 @@ class ForceTaskEvaluator:
         finally:
             self.system.positions = self.positions
         return offsets
+
+    def _build_lists(self, mine: list[int], buckets) -> dict:
+        p = self.provider
+        args = (self.system, p.tasks, mine, buckets, p.r_list, self.backend)
+        lists = None if self.arena is None else build_task_lists(*args, self.arena)
+        if lists is None:
+            # none yet, or outgrown (a remap enlarged this worker's task
+            # set): sized from a count plus a few percent, so the next
+            # rebuilds of a liquid fit without counting — never by
+            # doubling-and-copy, and the old arena goes before the new one
+            # is allocated, so two list generations never coexist
+            self.arena = None
+            n = count_task_pairs(*args)
+            self.arena = block_arena(n + n // 32 + 64)
+            lists = build_task_lists(*args, self.arena)
+        return lists
 
     def eval_task(self, t: int, block) -> tuple[float, float, float]:
         p = self.provider
@@ -555,6 +587,7 @@ class ForceTaskEvaluator:
         self.positions = None
         self.ref_positions = None
         self.lists = {}
+        self.arena = None
         self.xentries = {}
         del system.positions
         system.positions = np.zeros((0, 3))
@@ -696,7 +729,8 @@ def build_force_tasks(
 
     backend = get_backend(backend)
     priors = COST_PRIORS[backend.compiled]
-    system.exclusions  # build once, before workers copy the system
+    # built once, before workers copy the system
+    system.exclusions.atom_table()
     reach = pair_reach(options, ewald)
     r_list = reach + skin
     box = np.asarray(system.box, dtype=np.float64)
@@ -722,6 +756,7 @@ def build_force_tasks(
             buckets,
             parents,
             model=model,
+            backend=backend,
         )
     else:
         # one executor and nothing to split: no one reads the prior, and

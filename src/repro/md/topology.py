@@ -83,6 +83,33 @@ class Exclusions:
             object.__setattr__(self, "_pair_table", cached)
         return cached
 
+    def atom_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every excluded and 1-4 pair as a per-atom table ``(ptr, partners)``.
+
+        ``partners[ptr[i]:ptr[i + 1]]`` are, in ascending order, the atoms
+        the pair lists must not pair with ``i`` (both directions of each
+        pair, so a lookup never orders its arguments) — the form in which
+        exclusions cross the kernel contract (``backend.block_pairs``).
+        Both arrays int64; built once per instance and cached (read-only),
+        like :meth:`excluded_pairs`.
+        """
+        cached = getattr(self, "_atom_table", None)
+        if cached is None:
+            i_c, j_c = self.excluded_pairs()
+            lo = np.concatenate([i_c, self.pairs14[:, 0]]).astype(np.int64)
+            hi = np.concatenate([j_c, self.pairs14[:, 1]]).astype(np.int64)
+            owner = np.concatenate([lo, hi])
+            partners = np.concatenate([hi, lo])
+            order = np.lexsort((partners, owner))
+            ptr = np.zeros(self.n_atoms + 1, dtype=np.int64)
+            np.cumsum(np.bincount(owner, minlength=self.n_atoms), out=ptr[1:])
+            partners = np.ascontiguousarray(partners[order])
+            for arr in (ptr, partners):
+                arr.setflags(write=False)
+            cached = (ptr, partners)
+            object.__setattr__(self, "_atom_table", cached)
+        return cached
+
     def is_pair14(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Boolean mask: True where the (i, j) pair is a modified 1-4 pair.
 

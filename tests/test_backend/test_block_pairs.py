@@ -1,0 +1,328 @@
+"""``block_pairs``, the cell-block kernel behind the pair lists and the cost
+prior: the ``c`` backend against the numpy reference array for array —
+list order is the pair kernel's accumulation order, so the two must agree
+exactly, dtypes included — and the count mode against the dense count it
+replaced.
+"""
+
+import threading
+
+import numpy as np
+import pytest
+
+from repro.backend import available_backends, get_backend
+from repro.backend.base import block_arena
+from repro.builder import mini_assembly, small_water_box
+from repro.core.decomposition import bin_atoms
+from repro.md.nonbonded import block_pair_tables as tables_of
+from repro.md.nonbonded import count_interacting_pairs
+from repro.util.pbc import minimum_image
+from tests.test_md.test_ewald import rock_salt
+
+NUMPY = get_backend("numpy")
+BACKENDS = [NUMPY] + ([get_backend("c")] if "c" in available_backends() else [])
+needs_c = pytest.mark.skipif(len(BACKENDS) < 2, reason="no C compiler on this host")
+
+R = 7.5
+
+
+def no_exclusions(system):
+    empty = np.zeros(system.n_atoms + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    return (*empty, *tables_of(system)[2:])
+
+
+def blocks_of(buckets, n_parts):
+    """Every self block and every ``a < b`` pair block, ``n_parts`` stripes."""
+    return [
+        (buckets[a], None if a == b else buckets[b], part, n_parts)
+        for a in range(len(buckets))
+        for b in range(a, len(buckets))
+        for part in range(n_parts)
+    ]
+
+
+def listed(backend, system, block, r=R, tables=None, offset=2):
+    """The block's list on ``backend``: seven arrays trimmed to the count."""
+    tables = tables_of(system) if tables is None else tables
+    geometry = (system.positions, system.box, *block, r)
+    arena = block_arena(offset + backend.block_pairs(*geometry))
+    n = backend.block_pairs(*geometry, tables, arena, offset)
+    assert n >= 0
+    return [arr[offset : offset + n] for arr in arena]
+
+
+def assert_same_lists(system, buckets, n_parts, r=R):
+    """``c`` == numpy on every block; returns the pairs listed in total."""
+    total = 0
+    for block in blocks_of(buckets, n_parts):
+        want = listed(NUMPY, system, block, r)
+        for backend in BACKENDS[1:]:
+            got = listed(backend, system, block, r)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert [a.dtype for a in want] == [
+            np.int32, np.int32, np.int64, np.int64, np.float64, np.float64, np.float64
+        ]
+        total += len(want[0])
+    return total
+
+
+def binned(system, dims):
+    _, _, buckets = bin_atoms(system.positions, system.box, np.asarray(dims))
+    return buckets
+
+
+def dense_count(pos_a, pos_b, box, cutoff):
+    """``count_interacting_pairs`` as it was before the kernel: dense
+    ``(m, m, 3)`` minimum-image deltas."""
+    if pos_b is None:
+        m = len(pos_a)
+        if m < 2:
+            return 0
+        delta = minimum_image(pos_a[np.newaxis] - pos_a[:, np.newaxis], box)
+        r2 = np.einsum("ijk,ijk->ij", delta, delta)
+        return int((np.count_nonzero(r2 < cutoff * cutoff) - m) // 2)
+    if len(pos_a) == 0 or len(pos_b) == 0:
+        return 0
+    delta = minimum_image(pos_b[np.newaxis] - pos_a[:, np.newaxis], box)
+    r2 = np.einsum("ijk,ijk->ij", delta, delta)
+    return int(np.count_nonzero(r2 < cutoff * cutoff))
+
+
+@pytest.fixture(scope="module")
+def water():
+    system = small_water_box(216, seed=2, relax=False)
+    system.wrap()
+    return system
+
+
+@needs_c
+@pytest.mark.parametrize("n_parts", [1, 3])
+class TestListsMatchTheReference:
+    def test_water_self_and_pair_blocks(self, water, n_parts):
+        assert assert_same_lists(water, binned(water, (2, 2, 2)), n_parts) > 0
+
+    def test_empty_and_one_atom_cells(self, water, n_parts):
+        order = np.arange(water.n_atoms, dtype=np.int64)
+        buckets = [order[:0], order[:1], order[1:90], order[90:]]
+        assert assert_same_lists(water, buckets, n_parts) > 0
+
+    def test_non_cubic_box(self, n_parts):
+        system = small_water_box(216, seed=3, relax=False)
+        system.box = system.box * np.array([1.0, 1.25, 1.6])
+        system.positions = system.positions * np.array([1.0, 1.25, 1.6])
+        system.wrap()
+        assert assert_same_lists(system, binned(system, (1, 2, 3)), n_parts) > 0
+
+    def test_one_cell_box_folds_every_image(self, n_parts):
+        """A box barely two cutoffs wide, one cell: pairs reach each other
+        through every face."""
+        system = small_water_box(64, seed=5, relax=False)
+        system.wrap()
+        assert system.box.min() < 2.5 * 6.0
+        buckets = [np.arange(system.n_atoms, dtype=np.int64)]
+        assert assert_same_lists(system, buckets, n_parts, r=6.0) > 0
+
+    def test_rock_salt_half_box_ties(self, n_parts):
+        """Pairs at exactly half a box: round-half-to-even leaves them
+        unfolded; either way r2 is the same, and so must the lists be."""
+        system = rock_salt(ncell=2)
+        pos = system.positions
+        assert np.any(np.abs(pos[:, None] - pos[None]) == system.box / 2)
+        buckets = binned(system, (2, 1, 1))
+        # through the lattice's own distances: 2.82, 5.64 (the half box), ...
+        for r in (3.0, 5.64, 5.64 + 1e-9, 6.0):
+            assert assert_same_lists(system, buckets, n_parts, r=r) > 0
+
+    def test_coordinates_outside_the_primary_cell(self, water, n_parts):
+        """The fold is ``d - L rint(d / L)`` at any distance: atoms moved by
+        whole boxes list exactly the pairs they listed at home."""
+        buckets = binned(water, (2, 2, 1))
+        moved = water.copy()
+        rng = np.random.default_rng(8)
+        moved.positions = water.positions + water.box * rng.integers(
+            -3, 4, size=water.positions.shape
+        )
+        assert_same_lists(moved, buckets, n_parts)
+        for block in blocks_of(buckets, n_parts)[:6]:
+            home = listed(NUMPY, water, block)
+            away = listed(BACKENDS[-1], moved, block)
+            assert np.array_equal(home[0], away[0]) and np.array_equal(home[1], away[1])
+
+    def test_assembly_with_14_pairs_and_rings(self, n_parts):
+        system = mini_assembly(seed=1)
+        system.wrap()
+        excl = system.exclusions
+        assert len(excl.pairs14) > 0
+        total = assert_same_lists(system, binned(system, (2, 2, 2)), n_parts, r=6.0)
+        assert total > 0
+        for block in blocks_of(binned(system, (2, 2, 2)), n_parts)[:8]:
+            i_g, j_g = listed(BACKENDS[-1], system, block, r=6.0)[:2]
+            assert not excl.is_excluded(i_g, j_g).any()
+            assert not excl.is_pair14(i_g, j_g).any()
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
+class TestCountMode:
+    def test_equals_the_list_with_no_exclusions(self, water, backend):
+        for n_parts in (1, 3):
+            for block in blocks_of(binned(water, (2, 2, 1)), n_parts):
+                n = backend.block_pairs(water.positions, water.box, *block, R)
+                lists = listed(backend, water, block, tables=no_exclusions(water))
+                assert n == len(lists[0])
+                # and exclusions only ever remove
+                assert len(listed(backend, water, block)[0]) <= n
+
+    def test_equals_the_dense_count_it_replaced(self, water, backend):
+        pos, box = water.positions, water.box
+        buckets = binned(water, (2, 2, 2))
+        for a in range(3):
+            pa = pos[buckets[a]]
+            assert count_interacting_pairs(pa, None, box, R, backend) == dense_count(
+                pa, None, box, R
+            )
+            for b in range(a + 1, 4):
+                pb = pos[buckets[b]]
+                assert count_interacting_pairs(pa, pb, box, R, backend) == dense_count(
+                    pa, pb, box, R
+                )
+        assert count_interacting_pairs(pos, None, box, R, backend) == dense_count(
+            pos, None, box, R
+        )
+
+    def test_writes_nothing(self, water, backend):
+        """Count mode takes no arena at all; list mode leaves the entries
+        before ``offset`` alone."""
+        block = blocks_of(binned(water, (2, 1, 1)), 1)[1]
+        arena = block_arena(50_000)
+        for arr in arena:
+            arr[:] = 7
+        n = backend.block_pairs(
+            water.positions, water.box, *block, R, tables_of(water), arena, 5
+        )
+        assert n > 0
+        for arr in arena:
+            assert np.all(arr[:5] == 7) and np.all(arr[5 + n :] == 7)
+
+
+@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
+class TestEdges:
+    @pytest.mark.parametrize("bad", [-1, 10**6])
+    @pytest.mark.parametrize("slot", [0, 1], ids=["rows", "columns"])
+    @pytest.mark.parametrize("mode", ["count", "list"])
+    def test_index_out_of_range_is_an_error_not_a_wild_read(
+        self, water, backend, bad, slot, mode
+    ):
+        buckets = binned(water, (2, 1, 1))
+        block = [buckets[0].copy(), buckets[1].copy(), 0, 1]
+        block[slot][3] = bad
+        extra = (tables_of(water), block_arena(100_000), 0) if mode == "list" else ()
+        with pytest.raises(IndexError):
+            backend.block_pairs(water.positions, water.box, *block, R, *extra)
+        with pytest.raises(IndexError):  # the self block of the bad cell
+            backend.block_pairs(
+                water.positions, water.box, block[slot], None, 0, 1, R, *extra
+            )
+
+    def test_an_arena_one_entry_short_does_not_fit(self, water, backend):
+        block = blocks_of(binned(water, (2, 1, 1)), 1)[1]
+        want = listed(backend, water, block, offset=0)
+        n = len(want[0])
+        assert n > 10
+        geometry = (water.positions, water.box, *block, R, tables_of(water))
+        exact = block_arena(n + 4)
+        assert backend.block_pairs(*geometry, exact, 4) == n
+        assert all(np.array_equal(arr[4:], w) for arr, w in zip(exact, want))
+        # one short: views into a longer allocation, guard entries behind
+        long = block_arena(n + 4)
+        for arr in long:
+            arr[:] = 7
+        short = tuple(arr[: n + 3] for arr in long)
+        assert backend.block_pairs(*geometry, short, 4) == -1
+        assert all(arr[n + 3] == 7 and np.all(arr[:4] == 7) for arr in long)
+        # nothing to write, nothing to fit
+        empty = water.positions, water.box, block[0][:0], block[1], 0, 1, R
+        assert backend.block_pairs(*empty, tables_of(water), block_arena(0), 0) == 0
+
+    def test_stripes_partition_the_block(self, water, backend):
+        buckets = binned(water, (2, 1, 1))
+        for cell_b in (None, buckets[1]):
+            whole = listed(backend, water, (buckets[0], cell_b, 0, 1))
+            keys = np.sort(whole[0].astype(np.int64) * water.n_atoms + whole[1])
+            parts = [listed(backend, water, (buckets[0], cell_b, p, 4)) for p in range(4)]
+            got = np.concatenate(
+                [p[0].astype(np.int64) * water.n_atoms + p[1] for p in parts]
+            )
+            assert np.array_equal(np.sort(got), keys)
+
+
+@needs_c
+def test_malformed_arguments_are_rejected_before_any_pointer_is_passed(water):
+    c = BACKENDS[-1]
+    block = blocks_of(binned(water, (2, 1, 1)), 1)[1]
+    geometry = (water.positions, water.box, *block, R)
+    tables, arena = tables_of(water), block_arena(50_000)
+    frozen = tuple(arr.copy() for arr in arena)
+    frozen[4].setflags(write=False)
+    for bad_arena in (
+        (arena[0].astype(np.int64), *arena[1:]),  # a dtype the kernel would misread
+        (*arena[:6], arena[6][:-1]),  # one array shorter than the rest
+        tuple(arr[::2] for arr in arena),  # strided
+        frozen,
+    ):
+        with pytest.raises(ValueError, match="seven arrays"):
+            c.block_pairs(*geometry, tables, bad_arena, 0)
+    with pytest.raises(ValueError):
+        c.block_pairs(*geometry, tables, arena[:6], 0)
+    with pytest.raises(ValueError, match="offset"):
+        c.block_pairs(*geometry, tables, arena, -1)
+    with pytest.raises(ValueError, match="do not match"):
+        c.block_pairs(*geometry, (tables[0][:-1], *tables[1:]), arena, 0)
+    with pytest.raises(ValueError, match="do not match"):
+        c.block_pairs(*geometry, (*tables[:5], tables[5][:-1]), arena, 0)
+    with pytest.raises(ValueError, match="LJ tables"):
+        c.block_pairs(*geometry, (*tables[:3], tables[3][:-1], *tables[4:]), arena, 0)
+    with pytest.raises(ValueError, match="part"):
+        c.block_pairs(water.positions, water.box, block[0], block[1], 3, 3, R)
+    # a table row that points outside the partner array is an index error
+    ptr = tables[0].copy()
+    ptr[1:] += len(tables[1])
+    with pytest.raises(IndexError):
+        c.block_pairs(*geometry[:2], block[0], None, 0, 1, R, (ptr, *tables[1:]), arena, 0)
+
+
+@needs_c
+def test_threads_on_disjoint_arenas_reproduce_the_serial_arrays(water):
+    """The kernel keeps no state between calls and takes its scratch from
+    the caller: ctypes drops the GIL, and the service rebuilds several
+    jobs' lists from threads."""
+    c = BACKENDS[-1]
+    blocks = blocks_of(binned(water, (2, 2, 1)), 1)[:4]
+    serial = [listed(c, water, block) for block in blocks]
+    results = [None] * len(blocks)
+
+    def build(k):
+        for _ in range(20):
+            results[k] = listed(c, water, blocks[k])
+
+    threads = [threading.Thread(target=build, args=(k,)) for k in range(len(blocks))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for got, want in zip(results, serial):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_atom_table_is_both_directions_of_every_excluded_and_14_pair():
+    system = mini_assembly(seed=1)
+    excl = system.exclusions
+    ptr, partners = excl.atom_table()
+    assert ptr.dtype == partners.dtype == np.int64
+    assert excl.atom_table()[0] is ptr  # cached
+    owner = np.repeat(np.arange(system.n_atoms), np.diff(ptr))
+    assert len(partners) == 2 * (excl.n_excluded + len(excl.pairs14))
+    assert np.all(excl.is_excluded(owner, partners) | excl.is_pair14(owner, partners))
+    for i in (0, 17, system.n_atoms - 1):
+        row = partners[ptr[i] : ptr[i + 1]]
+        assert np.all(np.diff(row) > 0)

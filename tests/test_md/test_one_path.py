@@ -168,16 +168,18 @@ def test_ewald_list_reuse_step_enumerates_and_filters_nothing(systems, monkeypat
                 module, "candidate_pairs",
                 counted("candidate_pairs", module.candidate_pairs),
             )
-        monkeypatch.setattr(
-            Exclusions, "is_excluded", counted("is_excluded", Exclusions.is_excluded)
-        )
+        # the lists' exclusion test reads the per-atom table, once a rebuild
+        for name in ("is_excluded", "atom_table"):
+            monkeypatch.setattr(
+                Exclusions, name, counted(name, getattr(Exclusions, name))
+            )
         builds = engine.pairlist.n_builds
         engine.step()
         assert engine.pairlist.n_builds == builds  # a reuse step
         assert not calls
         engine.pairlist.invalidate()
         engine.step()
-        assert calls["is_excluded"] > 0 and not calls["candidate_pairs"]
+        assert calls["atom_table"] > 0 and not calls["candidate_pairs"]
 
 
 #: the two kinds of task beside the cell blocks, each on the system that

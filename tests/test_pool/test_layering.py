@@ -40,6 +40,27 @@ def test_checker_catches_a_driver_side_force_call(tmp_path, monkeypatch):
     assert "engine.py:3" in violation and "compute_bonded" in violation
 
 
+def test_checker_catches_a_backend_reaching_into_md(tmp_path, monkeypatch):
+    """Exclusions and LJ tables cross the kernel contract as arrays: a
+    kernel that imports the md types instead — lazily included — is a
+    violation."""
+    mod = load_checker()
+    kernel = tmp_path / "repro" / "backend" / "reference.py"
+    kernel.parent.mkdir(parents=True)
+    kernel.write_text(
+        "import numpy as np\n"
+        "from repro.util.pbc import minimum_image  # noqa: F401\n"
+        "def block_pairs(system):\n"
+        "    from repro.md.topology import Exclusions  # noqa: F401\n"
+        "    import repro.costmodel.model  # noqa: F401\n"
+    )
+    monkeypatch.setattr(mod, "SRC", tmp_path)
+    monkeypatch.setattr(mod, "UNUSED", {})
+    first, second = mod.check()
+    assert "reference.py:4" in first and "repro.md.topology" in first
+    assert "reference.py:5" in second and "repro.costmodel.model" in second
+
+
 def test_pool_package_imports_standalone():
     # dynamic confirmation: importing the package must not pull repro.md
     # (or the balancer/instrument layers) into sys.modules

@@ -1,10 +1,15 @@
 #!/usr/bin/env python
-"""Layering check: the pool layer knows no MD, the engine calls no kernel.
+"""Layering check: the pool layer knows no MD, the kernel backends know no
+MD either, the engine calls no kernel.
 
 Layering (DESIGN.md, "The real parallel engine"):
 
 * ``repro.pool``  — generic supervised pool runtime; imports nothing
   from ``repro.md`` (or any other domain layer listed below).
+* ``repro.backend`` — the kernels; imports nothing from ``repro.md``,
+  ``repro.pool``, ``repro.costmodel`` or ``repro.service``: exclusions and
+  LJ tables cross the kernel contract as arrays, never as md types (the
+  md modules import the backends, so the reverse would be a cycle).
 * ``repro.md.tasks`` / ``repro.md.parallel`` — the MD workload and its
   orchestration; these may import ``repro.pool``, never the reverse.
 * ``repro.md.engine`` — steps with ``wrap → dispatch → collect`` only:
@@ -30,6 +35,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 #: package -> import prefixes it must never reference
 FORBIDDEN: dict[str, tuple[str, ...]] = {
     "repro/pool": ("repro.md", "repro.balancer", "repro.instrument"),
+    "repro/backend": ("repro.md", "repro.pool", "repro.costmodel", "repro.service"),
 }
 
 #: module -> names it may import but must never reference: a driver-side
@@ -81,8 +87,9 @@ def main() -> int:
     if violations:
         return 1
     print(
-        "layering OK: repro.pool imports no domain layer, "
-        "repro.md.engine calls no force kernel"
+        "layering OK: repro.pool imports no domain layer, repro.backend "
+        "imports no md/pool/costmodel/service, repro.md.engine calls no "
+        "force kernel"
     )
     return 0
 
