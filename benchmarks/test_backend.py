@@ -3,7 +3,10 @@
 Times, per available backend, the kernels the ``c`` backend replaces:
 
 * the fused non-bonded pair kernel (``nb_pairs``) in cutoff mode and in
-  Ewald mode, over the real in-cutoff pair set of a 10,200-atom water box;
+  Ewald mode, over the real in-cutoff pair set of a 10,200-atom water box
+  (every pair in range, in global order: the arithmetic alone) and over the
+  lists an engine evaluates — the 36 cell-block lists below, built at
+  cutoff + skin and tested at the cutoff, per listed pair;
 * the Ewald reciprocal sum (``ewald_recip``) over the kmax-4 table of a
   1,029-atom water box, as the direct sum (no integer triplets) and with
   the triplets (factorised phase factors on ``c``; the reference ignores
@@ -48,7 +51,8 @@ RECIP_WATERS = 343
 RECIP_KMAX = 4
 ALPHA = 0.35
 LIST_WATERS = 729
-LIST_R = 9.5  # the harness rows' 8 A cutoff + 1.5 A skin
+LIST_CUTOFF = 8.0  # the harness rows' cutoff
+LIST_R = LIST_CUTOFF + 1.5  # ... and their lists' skin
 MD_WATERS = 216
 MD_CUTOFF = 8.0
 MD_STEPS = 20
@@ -58,6 +62,8 @@ SPEEDUP_GATE = 3.0
 KERNELS = (
     ("nb_pairs cutoff", "nb_pairs_cutoff_s", "pairs"),
     ("nb_pairs ewald", "nb_pairs_ewald_s", "pairs"),
+    ("lists cutoff", "nb_lists_cutoff_s", "listed"),
+    ("lists ewald", "nb_lists_ewald_s", "listed"),
     ("recip direct", "ewald_recip_direct_s", "atom_k"),
     ("recip triplets", "ewald_recip_factorised_s", "atom_k"),
     ("list /candidate", "block_pairs_list_s", "candidates"),
@@ -110,6 +116,9 @@ def test_backend_benchmark():
     lists = small_water_box(LIST_WATERS, seed=7, relax=False)
     blocks, tables, n_candidates = _list_inputs(lists)
     arena = block_arena(n_candidates // 4)
+    block_rows = [
+        np.zeros((len(a) + (0 if b is None else len(b)), 3)) for a, b, _, _ in blocks
+    ]
 
     per_backend: dict[str, dict] = {}
     reference = None
@@ -130,21 +139,37 @@ def test_backend_benchmark():
             )
 
         def build_lists():
-            used = 0
+            bounds = [0]
             for block in blocks:
                 n = be.block_pairs(
-                    lists.positions, lists.box, *block, LIST_R, tables, arena, used
+                    lists.positions, lists.box, *block, LIST_R, tables, arena,
+                    bounds[-1],
                 )
                 assert n >= 0
-                used += n
-            return used
+                bounds.append(bounds[-1] + n)
+            return bounds
 
+        def nb_lists(*mode):
+            """``nb_pairs`` over the lists ``build_lists`` left in the arena,
+            block-local force rows as the engine's tasks have them."""
+            total = np.zeros(3)
+            for rows, lo, hi in zip(block_rows, bounds, bounds[1:]):
+                i_g, j_g, si, sj, eps_l, rmin_l, qq_l = (x[lo:hi] for x in arena)
+                total += be.nb_pairs(
+                    lists.positions, lists.box, i_g, j_g, eps_l, rmin_l, qq_l,
+                    LIST_CUTOFF, LIST_CUTOFF - 1.0, rows, si, sj, *mode,
+                )
+            return total
+
+        bounds = build_lists()
         runs = {
             "nb_pairs_cutoff_s": lambda: nb(),
             "nb_pairs_ewald_s": lambda: nb(ALPHA, KERNEL_CUTOFF),
             "ewald_recip_direct_s": lambda: rec(),
             "ewald_recip_factorised_s": lambda: rec(m_tab),
             "block_pairs_list_s": build_lists,
+            "nb_lists_cutoff_s": nb_lists,
+            "nb_lists_ewald_s": lambda: nb_lists(ALPHA, LIST_CUTOFF),
         }
         # correctness gate before timing anything
         outputs = [np.asarray(run()[:2] if "nb" in key else run())
@@ -182,8 +207,9 @@ def test_backend_benchmark():
 
     items = {
         "pairs": m, "atom_k": recip.n_atoms * len(k_tab),
-        "candidates": n_candidates, "listed": build_lists(),
+        "candidates": n_candidates, "listed": bounds[-1],
     }
+    survivor_frac = round(nb_lists()[2] / bounds[-1], 4)
     payload = {
         "pair_kernel_atoms": system.n_atoms,
         "n_pairs": m,
@@ -194,6 +220,8 @@ def test_backend_benchmark():
         "list_blocks": len(blocks),
         "list_candidates": n_candidates,
         "list_pairs": items["listed"],
+        "list_cutoff_A": LIST_CUTOFF,
+        "list_survivor_frac": survivor_frac,
         "engine_atoms": md_system.n_atoms,
         "available": status["available"],
         "c_ok": status["c_ok"],
@@ -218,6 +246,8 @@ def test_backend_benchmark():
         f"list:     {lists.n_atoms} atoms, {len(blocks)} cell blocks, "
         f"{n_candidates} candidates, {items['listed']} listed at {LIST_R} A "
         "(item = candidate, listed pair)",
+        f"lists:    nb_pairs over those {len(blocks)} lists at {LIST_CUTOFF} A, "
+        f"{survivor_frac:.1%} of the listed pairs in range (item = listed pair)",
         f"engine:   {md_system.n_atoms} atoms, cutoff {MD_CUTOFF} A, "
         f"{MD_STEPS} sequential steps",
         "",

@@ -8,12 +8,16 @@
  *
  * Rules this file keeps:
  *   - re-entrant: no static or global state, no allocation (scratch comes
- *     from the caller), because ctypes drops the GIL for the call and the
- *     service steps several jobs from threads;
- *   - serial loops in list order, compiled with -ffp-contract=off and no
- *     target flags: one reduction order and no fused multiply-adds, so a
- *     result depends on the inputs only, not on the host that built the
- *     object;
+ *     from the caller or, fixed-size and under 16 KB a frame, from the
+ *     stack), because ctypes drops the GIL for the call and the service
+ *     steps several jobs from threads;
+ *   - one reduction order, fixed in the source: the pair kernel takes a
+ *     list a fixed number of pairs at a time, visits the in-range pairs in
+ *     list order and keeps one partial sum per run of equal force rows;
+ *     the other loops are serial in list order.  Compiled with
+ *     -ffp-contract=off and no target flags - no fused multiply-adds - so
+ *     a result depends on the inputs only, not on the host that built the
+ *     object, the worker count or the thread that ran it;
  *   - arrays are C-contiguous float64; index arrays are int32 or int64 as
  *     the caller stores them (a flag says which), so no call converts;
  *   - the caller checks array lengths, the kernels check every index they
@@ -31,11 +35,10 @@ static inline int64_t index_at(const void *idx, int wide, int64_t k)
     return wide ? ((const int64_t *)idx)[k] : (int64_t)((const int32_t *)idx)[k];
 }
 
-/* Minimum image of one displacement component.  The reference folds every
- * component with d - L rint(d / L); for |d| <= L/2 that is d bit for bit
- * (rint(+-0.5) is +-0), so the division and the libm call are skipped for
- * the ~90 % of components that need no fold.  nearbyint rounds half to
- * even like numpy's rint: lattice pairs sit at exactly half a box. */
+/* Minimum image of one displacement component, d - L rint(d / L) as the
+ * reference folds it; for |d| <= L/2 that is d bit for bit (rint(+-0.5) is
+ * +-0).  nearbyint rounds half to even like numpy's rint: lattice pairs
+ * sit at exactly half a box. */
 static inline double min_image(double d, double length, double half)
 {
     if (fabs(d) > half)
@@ -43,12 +46,60 @@ static inline double min_image(double d, double length, double half)
     return d;
 }
 
+/* The same fold as two selects, bit for bit while |d| < 1.49 L: rint(d / L)
+ * is then the sign of d where |d| > L/2 and zero elsewhere, and L times it
+ * is exact (axis_r2 below has the argument). */
+static inline double fold_near(double d, double length, double half)
+{
+    const double up = d > half ? length : 0.0;
+    const double down = d < -half ? length : 0.0;
+    return d - (up - down);
+}
+
+/* Switched LJ energy of one pair inside the cutoff; its dE/dr / r goes to
+ * *f.  The switch is taken at t = max(r2, s2) - S(s2) is 1 and S'(s2) is 0,
+ * so below the band nothing is selected - and the maximum is read from a
+ * table: written as a conditional it compiles to a branch that two fifths
+ * of the in-range pairs mispredict. */
+static inline double lj_switched(double r2, double inv_r2, double eps, double rmin,
+                                 double c2, double s2, double inv_denom, double *f)
+{
+    const double sr2 = (rmin * rmin) * inv_r2;
+    const double sr6 = sr2 * sr2 * sr2;
+    const double e_raw = eps * sr6 * (sr6 - 2.0);
+    const double f_raw = -12.0 * eps * sr6 * (sr6 - 1.0) * inv_r2;
+    const double clamp[2] = {s2, r2};
+    const double t = clamp[r2 > s2];
+    const double gap = c2 - t;
+    const double sw = gap * gap * (c2 + 2.0 * t - 3.0 * s2) * inv_denom;
+    const double dsw_dr2 = 6.0 * gap * (s2 - t) * inv_denom;
+    *f = f_raw * sw + 2.0 * e_raw * dsw_dr2;
+    return e_raw * sw;
+}
+
 /* Switched LJ + electrostatics over a pair list with Newton's-third-law
  * scatter.  alpha <= 0 selects the shifted point-charge term, alpha > 0
  * the Ewald real-space term inside ewald_cutoff.  energies[0] is the LJ
  * sum, energies[1] the electrostatic sum; returns the pairs inside the LJ
  * cutoff, or -1 at the first index outside pos (n_atoms rows) or forces
- * (n_rows rows). */
+ * (n_rows rows).
+ *
+ * A list is built at cutoff + skin and tested at the cutoff: a third or
+ * more of its pairs fail the distance test, in no learnable order.  So the
+ * list is taken NB_CHUNK pairs at a time, in two passes with the scratch
+ * on the stack.  Pass 1 checks the four indices of every pair, folds and
+ * squares its displacement and appends its place in the chunk to the hit
+ * list without a branch.  Pass 2 visits the hits alone, in list order:
+ * first dE/dr / r of each (every term is carried in that form, as the
+ * reference carries it, so a pair costs one division and one square root
+ * and the unit vector is never formed), the mode chosen outside the loop;
+ * then the scatter, where the force on row si is summed in registers for
+ * as long as si repeats - block_pairs lists row-major, so that is a whole
+ * row of a block - and added to the row once per run.  What the registers
+ * hold is a partial sum, not a copy of the row, so a list in any order, or
+ * one whose sj names the row being summed, comes out right. */
+#define NB_CHUNK 256
+
 int64_t nb_pairs(const double *pos, int64_t n_atoms, const double *box,
                  const void *i_idx, const void *j_idx, int idx_wide, int64_t m,
                  const double *eps, const double *rmin, const double *qq,
@@ -60,85 +111,126 @@ int64_t nb_pairs(const double *pos, int64_t n_atoms, const double *box,
 {
     const double c2 = cutoff * cutoff;
     const double s2 = switch_dist * switch_dist;
-    const double denom = (c2 - s2) * (c2 - s2) * (c2 - s2);
+    const double inv_c2 = 1.0 / c2;
+    const double inv_denom = 1.0 / ((c2 - s2) * (c2 - s2) * (c2 - s2));
     const double ec2 = ewald_cutoff * ewald_cutoff;
-    const double reach2 = (alpha > 0.0 && ec2 > c2) ? ec2 : c2;
+    const int ewald = alpha > 0.0;
+    const double reach2 = (ewald && ec2 > c2) ? ec2 : c2;
     const double two_a_rtpi = 2.0 * alpha / sqrt(PI);
     const double bx = box[0], by = box[1], bz = box[2];
     const double hx = 0.5 * bx, hy = 0.5 * by, hz = 0.5 * bz;
+    const double wx = 1.49 * bx, wy = 1.49 * by, wz = 1.49 * bz;
+    double dx[NB_CHUNK], dy[NB_CHUNK], dz[NB_CHUNK], r2[NB_CHUNK];
+    int32_t hit[NB_CHUNK];
     double e_lj_tot = 0.0, e_el_tot = 0.0;
     int64_t n_pairs = 0;
+    /* the run of si being summed: its row (nowhere until the first hit)
+     * and the sum */
+    double nowhere[3] = {0.0, 0.0, 0.0};
+    double *f_row = nowhere;
+    double ax = 0.0, ay = 0.0, az = 0.0;
 
-    for (int64_t p = 0; p < m; p++) {
-        const int64_t i = index_at(i_idx, idx_wide, p);
-        const int64_t j = index_at(j_idx, idx_wide, p);
-        const int64_t a = index_at(si, s_wide, p);
-        const int64_t b = index_at(sj, s_wide, p);
-        /* unsigned compare: negative indices are out of range too */
-        if ((uint64_t)i >= (uint64_t)n_atoms || (uint64_t)j >= (uint64_t)n_atoms
-            || (uint64_t)a >= (uint64_t)n_rows || (uint64_t)b >= (uint64_t)n_rows)
-            return -1;
-        const double *xi = pos + 3 * i;
-        const double *xj = pos + 3 * j;
-        const double dx = min_image(xj[0] - xi[0], bx, hx);
-        const double dy = min_image(xj[1] - xi[1], by, hy);
-        const double dz = min_image(xj[2] - xi[2], bz, hz);
-        const double r2 = dx * dx + dy * dy + dz * dz;
-        if (r2 >= reach2)
-            continue;
-        const double r = sqrt(r2);
-        const double inv_r = 1.0 / r;
-        const double inv_r2 = inv_r * inv_r;
-
-        double e_lj = 0.0, de_lj_dr = 0.0;
-        if (r2 < c2) {
-            n_pairs++;
-            const double sr2 = (rmin[p] * rmin[p]) * inv_r2;
-            const double sr6 = sr2 * sr2 * sr2;
-            const double sr12 = sr6 * sr6;
-            const double e_raw = eps[p] * (sr12 - 2.0 * sr6);
-            const double de_raw = -12.0 * eps[p] * inv_r * (sr12 - sr6);
-            double sw = 1.0, dsw_dr2 = 0.0;
-            if (r2 > s2) {
-                sw = (c2 - r2) * (c2 - r2) * (c2 + 2.0 * r2 - 3.0 * s2) / denom;
-                dsw_dr2 = 6.0 * (c2 - r2) * (s2 - r2) / denom;
+    for (int64_t base = 0; base < m; base += NB_CHUNK) {
+        const int64_t len = m - base < NB_CHUNK ? m - base : NB_CHUNK;
+        int64_t n_hit = 0;
+        for (int64_t k = 0; k < len; k++) {
+            const int64_t p = base + k;
+            const int64_t i = index_at(i_idx, idx_wide, p);
+            const int64_t j = index_at(j_idx, idx_wide, p);
+            const int64_t a = index_at(si, s_wide, p);
+            const int64_t b = index_at(sj, s_wide, p);
+            /* unsigned compare: negative indices are out of range too */
+            if ((uint64_t)i >= (uint64_t)n_atoms || (uint64_t)j >= (uint64_t)n_atoms
+                || (uint64_t)a >= (uint64_t)n_rows || (uint64_t)b >= (uint64_t)n_rows)
+                return -1;
+            const double *xi = pos + 3 * i;
+            const double *xj = pos + 3 * j;
+            double x = xj[0] - xi[0], y = xj[1] - xi[1], z = xj[2] - xi[2];
+            if (fabs(x) < wx && fabs(y) < wy && fabs(z) < wz) {
+                x = fold_near(x, bx, hx);
+                y = fold_near(y, by, hy);
+                z = fold_near(z, bz, hz);
+            } else { /* coordinates left unwrapped: never taken otherwise */
+                x = min_image(x, bx, hx);
+                y = min_image(y, by, hy);
+                z = min_image(z, bz, hz);
             }
-            e_lj = e_raw * sw;
-            de_lj_dr = de_raw * sw + e_raw * dsw_dr2 * 2.0 * r;
+            const double d2 = x * x + y * y + z * z;
+            dx[k] = x;
+            dy[k] = y;
+            dz[k] = z;
+            r2[k] = d2;
+            hit[n_hit] = (int32_t)k;
+            n_hit += d2 < reach2;
         }
 
-        double e_el = 0.0, de_el_dr = 0.0;
-        if (alpha > 0.0) {
-            if (r2 < ec2) {
-                const double cqq = COULOMB_CONSTANT * qq[p];
-                const double erfc_term = erfc(alpha * r);
-                e_el = cqq * erfc_term * inv_r;
-                de_el_dr = -cqq * (erfc_term * inv_r2
-                                   + two_a_rtpi * exp(-(alpha * alpha) * r2) * inv_r);
+        /* dE/dr / r of every hit, stored over its squared distance */
+        if (ewald) {
+            for (int64_t h = 0; h < n_hit; h++) {
+                const int64_t k = hit[h];
+                const int64_t p = base + k;
+                const double d2 = r2[k];
+                const double inv_r2 = 1.0 / d2;
+                double f = 0.0;
+                if (d2 < c2) {
+                    n_pairs++;
+                    e_lj_tot += lj_switched(d2, inv_r2, eps[p], rmin[p],
+                                            c2, s2, inv_denom, &f);
+                }
+                if (d2 < ec2) {
+                    /* e = C qq erfc(a r) / r */
+                    const double inv_r = sqrt(inv_r2);
+                    const double cqq = COULOMB_CONSTANT * qq[p];
+                    const double e_el = cqq * erfc(alpha * (d2 * inv_r)) * inv_r;
+                    f -= (e_el + cqq * two_a_rtpi * exp(-(alpha * alpha) * d2)) * inv_r2;
+                    e_el_tot += e_el;
+                }
+                r2[k] = f;
             }
         } else {
-            /* (C qq / r)(1 - r^2/c^2)^2 and its derivative */
-            const double shift = 1.0 - r2 / c2;
-            const double cqq = COULOMB_CONSTANT * qq[p];
-            e_el = cqq * inv_r * shift * shift;
-            de_el_dr = cqq * (-inv_r2 * shift * shift
-                              + inv_r * 2.0 * shift * (-2.0 * r / c2));
+            n_pairs += n_hit;
+            for (int64_t h = 0; h < n_hit; h++) {
+                const int64_t k = hit[h];
+                const int64_t p = base + k;
+                const double d2 = r2[k];
+                const double inv_r2 = 1.0 / d2;
+                double f;
+                e_lj_tot += lj_switched(d2, inv_r2, eps[p], rmin[p],
+                                        c2, s2, inv_denom, &f);
+                /* e = (C qq / r)(1 - r^2/c^2)^2 */
+                const double shift = 1.0 - d2 * inv_c2;
+                const double e0 = COULOMB_CONSTANT * qq[p] * sqrt(inv_r2) * shift;
+                f -= e0 * (shift * inv_r2 + 4.0 * inv_c2);
+                e_el_tot += e0 * shift;
+                r2[k] = f;
+            }
         }
 
-        /* force on i = +dE/dr (delta / r) given delta = x_j - x_i */
-        const double f = (de_lj_dr + de_el_dr) * inv_r;
-        const double fx = f * dx, fy = f * dy, fz = f * dz;
-        double *fa = forces + 3 * a;
-        double *fb = forces + 3 * b;
-        fa[0] += fx;
-        fa[1] += fy;
-        fa[2] += fz;
-        fb[0] -= fx;
-        fb[1] -= fy;
-        fb[2] -= fz;
-        e_lj_tot += e_lj;
-        e_el_tot += e_el;
+        /* force on i = (dE/dr / r) delta given delta = x_j - x_i */
+        for (int64_t h = 0; h < n_hit; h++) {
+            const int64_t k = hit[h];
+            const int64_t p = base + k;
+            const double fx = r2[k] * dx[k], fy = r2[k] * dy[k], fz = r2[k] * dz[k];
+            double *f_si = forces + 3 * index_at(si, s_wide, p);
+            if (f_si != f_row) {
+                f_row[0] += ax;
+                f_row[1] += ay;
+                f_row[2] += az;
+                f_row = f_si;
+                ax = ay = az = 0.0;
+            }
+            ax += fx;
+            ay += fy;
+            az += fz;
+            double *f_sj = forces + 3 * index_at(sj, s_wide, p);
+            f_sj[0] -= fx;
+            f_sj[1] -= fy;
+            f_sj[2] -= fz;
+        }
     }
+    f_row[0] += ax;
+    f_row[1] += ay;
+    f_row[2] += az;
     energies[0] = e_lj_tot;
     energies[1] = e_el_tot;
     return n_pairs;
@@ -288,10 +380,7 @@ static void axis_r2(double *r2, const double *xb, int64_t lo, int64_t hi,
         }
     } else if (dlo > -1.49 * length && dhi < 1.49 * length) {
         for (int64_t c = lo; c < hi; c++) {
-            double d = x - xb[c];
-            const double up = d > half ? length : 0.0;
-            const double down = d < -half ? length : 0.0;
-            d -= up - down;
+            const double d = fold_near(x - xb[c], length, half);
             r2[c] += d * d;
         }
     } else {

@@ -122,17 +122,20 @@ class CostPriors(NamedTuple):
 #: call of a few dozen small numpy operations, 30-250 us whatever its size,
 #: plus 0.1-0.5 us per term.
 #:
-#: c: the pair unit falls to ~26 ns, so everything the C kernels do not
-#: touch grows in it.  The cell tasks take 6.9 ms against 4.65 (scalar libm
-#: ``erfc`` + ``exp`` on every pair); a factorised shard term ~7.3 ns; the
-#: bonded groups are still the reference's, ~110 us a call and ~0.2 us a
-#: term (210 us for 686 bonds or 343 angles).
+#: c: the pair unit falls to ~20 ns (the 36 cell tasks over their summed
+#: prior, each task's fastest evaluation of the window), so everything the
+#: C pair kernel does not touch grows in it.  The cell tasks take 7.4 ms
+#: against 3.7 (scalar libm ``erfc`` + ``exp`` on every pair, and the
+#: two-pass kernel took more out of the cutoff-mode pair than out of
+#: those); a factorised shard term 7-8 ns; the bonded groups are still the
+#: reference's, ~110 us a call and ~0.2 us a term (210 us for 686 bonds or
+#: 343 angles).
 COST_PRIORS = {
     False: CostPriors(
         ewald_pair=1.2, kterm_pair=0.55, bonded_call=600.0, bonded_term=3.0
     ),
     True: CostPriors(
-        ewald_pair=1.5, kterm_pair=0.28, bonded_call=4000.0, bonded_term=8.0
+        ewald_pair=2.0, kterm_pair=0.4, bonded_call=5500.0, bonded_term=10.0
     ),
 }
 

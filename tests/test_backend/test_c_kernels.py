@@ -3,7 +3,9 @@ not reach.  Held to the numpy reference at 1e-9 (the registry's tolerance)
 and to themselves bit for bit.
 """
 
+import re
 import threading
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -18,6 +20,14 @@ pytestmark = pytest.mark.skipif(
 
 NUMPY = get_backend("numpy")
 RTOL = 1e-9
+#: pairs the pair kernel takes per pass
+CHUNK = int(
+    re.search(
+        r"^#define NB_CHUNK (\d+)$",
+        resources.files("repro.backend").joinpath("kernels.c").read_text(),
+        re.MULTILINE,
+    ).group(1)
+)
 
 
 @pytest.fixture(scope="module")
@@ -25,8 +35,8 @@ def c():
     return get_backend("c")
 
 
-def run(backend, args, mode):
-    return evaluate(backend.nb_pairs, args, mode)
+def run(backend, args, mode, **distances):
+    return evaluate(backend.nb_pairs, args, mode, **distances)
 
 
 def assert_close(got, expected):
@@ -82,6 +92,97 @@ class TestPairKernel:
         args[slot][17] = bad
         with pytest.raises(IndexError, match="out of range"):
             run(c, args, mode)
+
+    @pytest.mark.parametrize(
+        "m", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7],
+        ids=["one", "chunk-1", "chunk", "chunk+1", "3chunks+7"],
+    )
+    def test_list_lengths_around_the_chunk(self, c, mode, m):
+        args = problem(m=m, seed=m)
+        assert_close(run(c, args, mode), run(NUMPY, args, mode))
+
+    def test_no_pair_in_range(self, c, mode):
+        args = problem(m=CHUNK + 9, r_lo=8.0, r_hi=8.4)
+        out, forces = run(c, args, mode)
+        assert out == (0.0, 0.0, 0) and not forces.any()
+
+    def test_every_pair_in_range(self, c, mode):
+        args = problem(m=2 * CHUNK + 9, r_hi=4.9)
+        got = run(c, args, mode)
+        assert got[0][2] == 2 * CHUNK + 9
+        assert_close(got, run(NUMPY, args, mode))
+
+    @pytest.mark.parametrize("slot", [2, 3, 8, 9], ids=["i", "j", "si", "sj"])
+    @pytest.mark.parametrize("far", [False, True], ids=["last-chunk", "far-pair"])
+    def test_bad_index_late_in_the_list_or_on_a_pair_out_of_range(
+        self, c, mode, slot, far
+    ):
+        """Every index is checked, not only those of the pairs that are
+        evaluated, and a chunk's are checked before any of it is."""
+        m = 3 * CHUNK + 7
+        args = list(problem(m=m, r_lo=8.0, r_hi=8.4) if far else problem(m=m))
+        args[slot] = args[slot].copy()
+        args[slot][m - 3] = 10**6
+        with pytest.raises(IndexError, match="out of range"):
+            run(c, args, mode)
+
+    @pytest.mark.parametrize(
+        "rows", ["never-repeat", "row-major", "shuffled", "own-row"]
+    )
+    def test_any_row_order_matches_the_reference(self, c, mode, rows):
+        """The force on ``si`` is summed per run of equal ``si``: runs of
+        one, whole rows, rows met again later, and an ``sj`` that names the
+        row being summed."""
+        m = CHUNK + 40
+        args = list(problem(m=m, n=m if rows == "never-repeat" else 12, r_hi=5.9))
+        if rows == "never-repeat":
+            args[8] = np.random.default_rng(1).permutation(m)
+        elif rows != "shuffled":
+            args[8] = np.sort(args[8])
+        if rows == "own-row":
+            run_of = np.flatnonzero(args[8] == args[8][m // 2])
+            assert len(run_of) > 4
+            args[9] = args[9].copy()
+            args[9][run_of[2:-1:2]] = args[8][m // 2]
+        got = run(c, args, mode)
+        assert got[0][2] == m
+        assert_close(got, run(NUMPY, args, mode))
+
+    def test_unwrapped_coordinates_take_the_general_fold(self, c, mode):
+        """More than 1.5 box lengths apart on some axis: no sign select
+        folds that; the three edges differ."""
+        args = list(problem(m=CHUNK + 40))
+        m = len(args[2])
+        shift = np.random.default_rng(2).integers(-3, 4, (m, 3))
+        shift[::7] = 0  # and pairs that need no more than the select
+        args[0] = args[0].copy()
+        args[0][m:] += shift * args[1]
+        assert np.abs(args[0][m:] - args[0][:m]).max() > 2.5 * args[1].max()
+        got = run(c, args, mode)
+        assert 0 < got[0][2] < m
+        assert_close(got, run(NUMPY, args, mode))
+
+    @pytest.mark.parametrize("switch", [5.0, 5.999], ids=["band", "sliver"])
+    def test_switching_band(self, c, mode, switch):
+        """Distances bunched around the cutoff: most in-range pairs inside
+        a one-angstrom band, or a band so thin its polynomial's denominator
+        is 1e-6."""
+        args = problem(r_lo=4.9, r_hi=6.2)
+        got = run(c, args, mode, cutoff=6.0, switch=switch)
+        assert got[0][2] > 0.5 * len(args[2])
+        assert_close(got, run(NUMPY, args, mode, cutoff=6.0, switch=switch))
+
+    def test_pair_exactly_at_the_switch_distance(self, c, mode):
+        """3-4-5: ``r2 == switch**2`` to the bit, where S is 1 and S' is 0."""
+        args = list(problem(m=1))
+        args[0] = np.array([[1.0, 1.0, 1.0], [4.0, 5.0, 1.0]])
+        got = run(c, args, mode, cutoff=6.0, switch=5.0)
+        assert got[0][2] == 1
+        assert_close(got, run(NUMPY, args, mode, cutoff=6.0, switch=5.0))
+
+    def test_n_pairs_counts_inside_the_lj_cutoff_in_every_mode(self, c, mode):
+        args = problem(m=CHUNK + 40)
+        assert run(c, args, mode)[0][2] == run(c, args, ())[0][2]
 
     def test_list_arrays_of_different_lengths(self, c, mode):
         args = list(problem())

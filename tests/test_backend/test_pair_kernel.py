@@ -59,11 +59,11 @@ def slow(pos, box, i_idx, j_idx, eps, rmin, qq, cutoff, switch, forces, si, sj, 
     return e_lj.sum(), e_el.sum(), int(np.count_nonzero(r2 < cutoff * cutoff))
 
 
-def evaluate(fn, args, mode):
+def evaluate(fn, args, mode, cutoff=CUTOFF, switch=SWITCH):
     pos, box, i_idx, j_idx, eps, rmin, qq, forces, si, sj = args
     forces = forces.copy()
     out = fn(
-        pos, box, i_idx, j_idx, eps, rmin, qq, CUTOFF, SWITCH, forces, si, sj, *mode
+        pos, box, i_idx, j_idx, eps, rmin, qq, cutoff, switch, forces, si, sj, *mode
     )
     return out, forces
 

@@ -11,6 +11,7 @@ import pytest
 
 from repro.builder import skewed_water_box, small_water_box
 from repro.instrument import WorkDB
+from repro.md import lb_driver
 from repro.md.engine import SequentialEngine
 from repro.md.nonbonded import NonbondedOptions
 from repro.md.parallel import HAS_SHARED_MEMORY, ParallelEngine, ParallelNonbonded
@@ -65,14 +66,15 @@ class TestRemapDeterminism:
         assert remaps == sorted(set(remaps))
 
     def test_repeated_runs_bit_identical(self, water150):
-        """Timing samples differ between runs; trajectories must not."""
+        """Timing samples differ between runs — and with them, possibly, the
+        steps at which a map changed; trajectories must not."""
         pos_a, rep_a, remaps_a, _ = run_parallel(
             water150, 12, rebalance_every=4, fault_plan="slow=0@0-infx3"
         )
         pos_b, rep_b, remaps_b, _ = run_parallel(
             water150, 12, rebalance_every=4, fault_plan="slow=0@0-infx3"
         )
-        assert remaps_a == remaps_b
+        assert remaps_a and remaps_b, "each run must cross a remap"
         assert np.array_equal(pos_a, pos_b)
         for a, b in zip(rep_a, rep_b):
             assert a.potential == b.potential
@@ -95,6 +97,48 @@ class TestRemapDeterminism:
         _, _, remaps, log = run_parallel(water150, 5, rebalance_every=0)
         assert remaps == []
         assert log == []
+
+
+class TestScheduleDeterminism:
+    """The remap schedule is a function of the measured task times, so it
+    repeats when the times do: the same recorded samples through ``WorkDB``
+    and ``lb_driver`` give the same decisions."""
+
+    N_CELLS = 8
+
+    def decisions(self, samples):
+        """The engine's cadence over recorded ``(step, task)`` samples: a
+        decision every fourth step, greedy first and refine after, each
+        new map installed before the next sample is taken."""
+        cells = range(self.N_CELLS)
+        pairs = [(a, b) for a in cells for b in cells if a <= b]
+        self_task_of = {a: pairs.index((a, a)) for a in cells}
+        db = WorkDB()
+        assignment = np.arange(len(pairs)) % 2
+        for tid, patches in enumerate(pairs):
+            db.ensure_task(tid, patches, prior=1.0, owner=assignment[tid])
+        out = []
+        for step, row in enumerate(samples, 1):
+            db.record_many(range(len(pairs)), row, owners=assignment)
+            db.mark_step()
+            if step % 4 == 0:
+                problem = lb_driver.build_driver_problem(
+                    db, 2, assignment, self_task_of, frozenset()
+                )
+                assignment, record = lb_driver.plan_rebalance(
+                    problem, assignment, step, "refine" if out else "greedy"
+                )
+                out.append((assignment.tolist(), record))
+        return out
+
+    def test_same_task_times_give_the_same_decisions(self):
+        rng = np.random.default_rng(5)
+        n_tasks = self.N_CELLS * (self.N_CELLS + 1) // 2
+        samples = rng.uniform(0.5e-3, 1.5e-3, (12, n_tasks))
+        samples[:, ::2] *= 3.0  # what worker 0 starts with runs slow
+        first = self.decisions(samples)
+        assert len(first) == 3 and first[0][1]["moved"] > 0
+        assert self.decisions(samples) == first
 
 
 class TestLoadShrink:
