@@ -4,16 +4,19 @@ Times, per available backend, the kernels the ``c`` backend replaces:
 
 * the fused non-bonded pair kernel (``nb_pairs``) in cutoff mode and in
   Ewald mode, over the real in-cutoff pair set of a 10,200-atom water box
-  (every pair in range, in global order: the arithmetic alone) and over the
-  lists an engine evaluates — the 36 cell-block lists below, built at
-  cutoff + skin and tested at the cutoff, per listed pair;
+  (every pair in range, in global order: the arithmetic alone);
+* the engine's real kernel, ``nb_rows``, over the lists an engine evaluates
+  — the 36 row lists below, built at cutoff + skin and tested at the
+  cutoff, one call for all of them, per listed pair — beside ``nb_pairs``
+  over the same pairs expanded to explicit arrays (36 calls);
 * the Ewald reciprocal sum (``ewald_recip``) over the kmax-4 table of a
   1,029-atom water box, as the direct sum (no integer triplets) and with
   the triplets (factorised phase factors on ``c``; the reference ignores
   them);
 * the pair-list build (``block_pairs`` in list mode) over the 36 cell
   blocks of the perf harness's 2,187-atom water box at cutoff + skin, into
-  a pre-sized arena — per candidate tested and per pair listed;
+  a pre-sized arena — per candidate tested and per pair listed, with the
+  bytes the lists take per listed pair;
 
 plus end-to-end :class:`SequentialEngine` steps/sec on a 648-atom box.  The
 header of the text artifact names the atom count each line actually timed.
@@ -23,7 +26,7 @@ artifacts, shown by ``repro report``).
 The >= 3x gate binds on cutoff-mode ``nb_pairs`` wherever the ``c``
 backend loaded; on a host without a compiler the run is informational — it
 still regenerates the artifacts, proving the fallback path stays healthy.
-Timings use best-of-N to shrug off shared-host noise.
+Timings use best-of-N over a minimum duration to shrug off shared-host noise.
 """
 
 import json
@@ -33,14 +36,14 @@ from pathlib import Path
 import numpy as np
 
 from repro.backend import available_backends, backend_status, get_backend
-from repro.backend.base import block_arena
 from repro.builder import small_water_box
 from repro.core.decomposition import bin_atoms
 from repro.md.cells import CellGrid, candidate_pairs
 from repro.md.engine import SequentialEngine
 from repro.md.ewald import _kspace_tables
 from repro.md.integrator import VelocityVerlet
-from repro.md.nonbonded import NonbondedOptions, _combined_params, block_pair_tables
+from repro.md.nonbonded import NonbondedOptions, _combined_params, pair_type_tables
+from repro.md.tasks import build_row_lists
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -62,8 +65,10 @@ SPEEDUP_GATE = 3.0
 KERNELS = (
     ("nb_pairs cutoff", "nb_pairs_cutoff_s", "pairs"),
     ("nb_pairs ewald", "nb_pairs_ewald_s", "pairs"),
-    ("lists cutoff", "nb_lists_cutoff_s", "listed"),
-    ("lists ewald", "nb_lists_ewald_s", "listed"),
+    ("lists cutoff", "nb_rows_cutoff_s", "listed"),
+    ("lists ewald", "nb_rows_ewald_s", "listed"),
+    (" as pair arrays", "nb_lists_cutoff_s", "listed"),
+    (" ... ewald", "nb_lists_ewald_s", "listed"),
     ("recip direct", "ewald_recip_direct_s", "atom_k"),
     ("recip triplets", "ewald_recip_factorised_s", "atom_k"),
     ("list /candidate", "block_pairs_list_s", "candidates"),
@@ -71,12 +76,19 @@ KERNELS = (
 )
 
 
-def _best_of(fn, repeats=3):
+def _best_of(fn, repeats=7, seconds=0.3):
+    """Fastest of at least ``repeats`` calls and ``seconds`` of calling: on
+    the shared dev host a millisecond kernel reads twice its steady time for
+    tens of milliseconds after a memory-heavy neighbour ran, which outlasts
+    any fixed handful of repeats."""
     best = float("inf")
-    for _ in range(repeats):
+    started = time.perf_counter()
+    done = 0
+    while done < repeats or time.perf_counter() - started < seconds:
         t0 = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - t0)
+        done += 1
     return best
 
 
@@ -90,17 +102,17 @@ def _pair_inputs(system):
 
 
 def _list_inputs(system):
-    """The half-shell cell blocks of the list-build box, its kernel tables,
+    """The half-shell cell tasks of the list-build box, its cell buckets,
     and how many candidate pairs the blocks hold."""
     system.wrap()
     grid = CellGrid.build(system.positions, system.box, LIST_R)
     _, _, buckets = bin_atoms(system.positions, system.box, grid.dims)
-    blocks, candidates = [], 0
+    tasks, candidates = [], 0
     for a, b in zip(*(c.tolist() for c in grid.neighbor_cell_pair_arrays())):
-        blocks.append((buckets[a], None if a == b else buckets[b], 0, 1))
+        tasks.append((a, b, 0, 1))
         na, nb = len(buckets[a]), len(buckets[b])
         candidates += na * (na - 1) // 2 if a == b else na * nb
-    return blocks, block_pair_tables(system), candidates
+    return tasks, buckets, candidates
 
 
 def test_backend_benchmark():
@@ -114,11 +126,9 @@ def test_backend_benchmark():
     recip = small_water_box(RECIP_WATERS, seed=11, relax=False)
     k_tab, _k2, ak, m_tab = _kspace_tables(recip.box, RECIP_KMAX, ALPHA)
     lists = small_water_box(LIST_WATERS, seed=7, relax=False)
-    blocks, tables, n_candidates = _list_inputs(lists)
-    arena = block_arena(n_candidates // 4)
-    block_rows = [
-        np.zeros((len(a) + (0 if b is None else len(b)), 3)) for a, b, _, _ in blocks
-    ]
+    tasks, buckets, n_candidates = _list_inputs(lists)
+    cols = np.empty(n_candidates // 4, dtype=np.int32)
+    row_tables = (lists.type_indices, lists.charges, *pair_type_tables(lists))
 
     per_backend: dict[str, dict] = {}
     reference = None
@@ -139,45 +149,61 @@ def test_backend_benchmark():
             )
 
         def build_lists():
-            bounds = [0]
-            for block in blocks:
-                n = be.block_pairs(
-                    lists.positions, lists.box, *block, LIST_R, tables, arena,
-                    bounds[-1],
-                )
-                assert n >= 0
-                bounds.append(bounds[-1] + n)
-            return bounds
+            built = build_row_lists(
+                lists, tasks, range(len(tasks)), buckets, LIST_R, be, cols
+            )
+            assert built is not None
+            return built
+
+        def nb_rows(*mode):
+            """The engine's call: every list ``build_lists`` left in the
+            arena, one kernel call, block-local force rows."""
+            be.nb_rows(
+                lists.positions, lists.box, row_tables, built, LIST_CUTOFF,
+                LIST_CUTOFF - 1.0, scratch, built.row_off[:-1], rows_out, *mode,
+            )
+            return rows_out[:, :3].sum(axis=0)
 
         def nb_lists(*mode):
-            """``nb_pairs`` over the lists ``build_lists`` left in the arena,
-            block-local force rows as the engine's tasks have them."""
+            """``nb_pairs`` over the same pairs as explicit arrays (expanded
+            outside the timing), one call a list."""
             total = np.zeros(3)
-            for rows, lo, hi in zip(block_rows, bounds, bounds[1:]):
-                i_g, j_g, si, sj, eps_l, rmin_l, qq_l = (x[lo:hi] for x in arena)
+            for k, (i_g, j_g, si, sj, eps_l, rmin_l, qq_l) in enumerate(expanded):
                 total += be.nb_pairs(
                     lists.positions, lists.box, i_g, j_g, eps_l, rmin_l, qq_l,
-                    LIST_CUTOFF, LIST_CUTOFF - 1.0, rows, si, sj, *mode,
+                    LIST_CUTOFF, LIST_CUTOFF - 1.0,
+                    scratch[built.row_off[k] : built.row_off[k + 1]], si, sj, *mode,
                 )
             return total
 
-        bounds = build_lists()
+        built = build_lists()
+        scratch = np.zeros((len(built.rows), 3))
+        rows_out = np.zeros((len(tasks), 4))
+        expanded = []
+        for k in range(len(tasks)):
+            i_g, j_g, si, sj = built.pairs(k)
+            expanded.append((i_g, j_g, si, sj, *_combined_params(lists, i_g, j_g)))
         runs = {
             "nb_pairs_cutoff_s": lambda: nb(),
             "nb_pairs_ewald_s": lambda: nb(ALPHA, KERNEL_CUTOFF),
             "ewald_recip_direct_s": lambda: rec(),
             "ewald_recip_factorised_s": lambda: rec(m_tab),
-            "block_pairs_list_s": build_lists,
+            "nb_rows_cutoff_s": nb_rows,
+            "nb_rows_ewald_s": lambda: nb_rows(ALPHA, LIST_CUTOFF),
             "nb_lists_cutoff_s": nb_lists,
             "nb_lists_ewald_s": lambda: nb_lists(ALPHA, LIST_CUTOFF),
         }
         # correctness gate before timing anything
         outputs = [np.asarray(run()[:2] if "nb" in key else run())
                    for key, run in runs.items()]
+        # ... of the lists: both kernels agree on them, every backend the same
+        assert np.array_equal(nb_rows(), nb_lists())
+        outputs.append(np.concatenate([built.cols[: built.row_ptr[-1]], built.row_ptr]))
         if reference is None:
             reference = outputs
         for got, expected in zip(outputs, reference):
             assert np.allclose(got, expected, rtol=1e-9, atol=1e-9)
+        runs["block_pairs_list_s"] = build_lists
         timings = {key: round(_best_of(run), 6) for key, run in runs.items()}
 
         md_system = small_water_box(MD_WATERS, seed=7)
@@ -205,11 +231,13 @@ def test_backend_benchmark():
             for key in dict.fromkeys(key for _, key, _ in KERNELS)
         }
 
+    listed = int(built.row_ptr[-1])
     items = {
         "pairs": m, "atom_k": recip.n_atoms * len(k_tab),
-        "candidates": n_candidates, "listed": bounds[-1],
+        "candidates": n_candidates, "listed": listed,
     }
-    survivor_frac = round(nb_lists()[2] / bounds[-1], 4)
+    survivor_frac = round(nb_rows()[2] / listed, 4)
+    list_bytes = built.cols[:listed].nbytes + built.row_ptr.nbytes + built.rows.nbytes
     payload = {
         "pair_kernel_atoms": system.n_atoms,
         "n_pairs": m,
@@ -217,11 +245,14 @@ def test_backend_benchmark():
         "recip_atoms": recip.n_atoms,
         "recip_kvectors": len(k_tab),
         "list_atoms": lists.n_atoms,
-        "list_blocks": len(blocks),
+        "list_blocks": len(tasks),
         "list_candidates": n_candidates,
         "list_pairs": items["listed"],
         "list_cutoff_A": LIST_CUTOFF,
         "list_survivor_frac": survivor_frac,
+        "list_block_rows": len(built.rows),
+        "list_bytes": list_bytes,
+        "list_bytes_per_pair": round(list_bytes / listed, 3),
         "engine_atoms": md_system.n_atoms,
         "available": status["available"],
         "c_ok": status["c_ok"],
@@ -243,11 +274,15 @@ def test_backend_benchmark():
         f"{KERNEL_CUTOFF} A cutoff (item = pair)",
         f"recip:    {recip.n_atoms} atoms x {len(k_tab)} k-vectors, kmax "
         f"{RECIP_KMAX} (item = atom x k-vector)",
-        f"list:     {lists.n_atoms} atoms, {len(blocks)} cell blocks, "
-        f"{n_candidates} candidates, {items['listed']} listed at {LIST_R} A "
-        "(item = candidate, listed pair)",
-        f"lists:    nb_pairs over those {len(blocks)} lists at {LIST_CUTOFF} A, "
-        f"{survivor_frac:.1%} of the listed pairs in range (item = listed pair)",
+        f"list:     {lists.n_atoms} atoms, {len(tasks)} cell blocks, "
+        f"{n_candidates} candidates, {listed} listed at {LIST_R} A "
+        "(item = candidate, listed pair); "
+        f"{list_bytes / listed:.2f} bytes a listed pair (4 + 16 a block row over "
+        f"{len(built.rows)} block rows; 48 as seven arrays)",
+        f"lists:    nb_rows over those {len(tasks)} row lists at {LIST_CUTOFF} A in "
+        f"one call, {survivor_frac:.1%} of the listed pairs in range; 'as pair "
+        "arrays' is nb_pairs over the same pairs expanded, a call a list "
+        "(item = listed pair)",
         f"engine:   {md_system.n_atoms} atoms, cutoff {MD_CUTOFF} A, "
         f"{MD_STEPS} sequential steps",
         "",

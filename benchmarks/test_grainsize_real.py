@@ -40,7 +40,7 @@ from repro.md.cells import CellGrid
 from repro.md.integrator import VelocityVerlet
 from repro.md.nonbonded import NonbondedOptions
 from repro.md.parallel import ParallelEngine, ParallelNonbonded
-from repro.md.tasks import build_task_lists as _build_task_lists
+from repro.md.tasks import build_row_lists as _build_row_lists
 from repro.util.pbc import wrap_positions
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -99,25 +99,18 @@ def _exact_pair_set_check() -> dict:
             subs_by_parent.setdefault((a, b, n_parts), []).append(part)
         for (a, b, n_parts), parts in subs_by_parent.items():
             assert sorted(parts) == list(range(n_parts))
-            parent_lists = _build_task_lists(
+            parent_lists = _build_row_lists(
                 probe, [(a, b, 0, 1)], [0], buckets, r_list
             )
             subs = [(a, b, p, n_parts) for p in range(n_parts)]
-            sub_lists = _build_task_lists(
+            sub_lists = _build_row_lists(
                 probe, subs, list(range(n_parts)), buckets, r_list
             )
 
             def keys(lists, count):
-                chunks = [
-                    _pair_keys(lists[t][0], lists[t][1], n)
-                    for t in range(count)
-                    if lists.get(t) is not None
-                ]
-                return (
-                    np.sort(np.concatenate(chunks))
-                    if chunks
-                    else np.zeros(0, dtype=np.int64)
-                )
+                return np.sort(np.concatenate(
+                    [_pair_keys(*lists.pairs(k)[:2], n) for k in range(count)]
+                ))
 
             assert np.array_equal(keys(sub_lists, n_parts), keys(parent_lists, 1)), (
                 f"split of task ({a},{b}) into {n_parts} parts lost or "

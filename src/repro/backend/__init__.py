@@ -2,7 +2,7 @@
 scatter, Ewald).
 
 The md modules run their inner loops through a :class:`KernelBackend` — a
-bundle of eight kernels (see :mod:`repro.backend.base`).  Two
+bundle of nine kernels (see :mod:`repro.backend.base`).  Two
 implementations ship:
 
 * ``numpy`` — the vectorized reference (:mod:`repro.backend.reference`),

@@ -1,6 +1,6 @@
 """Kernel-backend contract and the parity self-check.
 
-A :class:`KernelBackend` bundles the eight kernels every backend must
+A :class:`KernelBackend` bundles the nine kernels every backend must
 provide.  The contract is deliberately scalar/array-only (no dataclass
 options, no ``repro.md`` types: exclusions and LJ tables cross it as
 arrays) so this package never imports from ``repro.md`` — the md modules
@@ -78,21 +78,26 @@ out=None, offset=0) -> int``
     * *count mode* (``tables`` unset): returns how many pairs of the block
       lie within ``r``; writes nothing.  Exact on every backend — this is
       the cost prior's count and the size a list needs at most.
-    * *list mode*: ``tables = (excl_ptr, excl_partners, type_idx, eps_t,
-      rmin_t, charges)`` — a per-atom exclusion table (``excl_partners[
-      excl_ptr[i]:excl_ptr[i+1]]`` ascending, both directions of every
-      1-2/1-3/1-4 pair, int64), per-atom type indices (int64) into the
-      per-type LJ tables, and per-atom charges.  In-range pairs not in the
-      table are written into ``out = (i_g, j_g, si, sj, eps, rmin, qq)`` —
-      caller-owned, C-contiguous, equally long, int32/int32/int64/int64/
-      float64 x3 — starting at ``offset``: global atom indices, block rows
-      (a self block's are the cell's own rows; a pair block's are the
-      stripe's ``0..ns-1`` followed by cell b's ``ns..``), and the
-      Lorentz-Berthelot combination ``sqrt(eps_i eps_j)``, ``rmin_i +
-      rmin_j``, ``q_i q_j``.  Returns the number written, or ``-1`` — *does
-      not fit* — when ``out`` is too short, in which case nothing is
-      written past its end (what lies between ``offset`` and the end is
-      unspecified).
+    * *list mode*: ``tables = (excl_ptr, excl_partners)`` — the per-atom
+      exclusion table (``excl_partners[excl_ptr[i]:excl_ptr[i+1]]``
+      ascending, both directions of every 1-2/1-3/1-4 pair, int64).
+      In-range pairs not in the table are written as a *row list* over the
+      task's force block into ``out = (cols, row_ptr)``, caller-owned and
+      C-contiguous.  The block's rows are the rows the driver gathers: a
+      self block's are the cell's own (``len(atoms_a)`` of them), a pair
+      block's the stripe's ``0..ns-1`` followed by cell b's ``ns..``.
+      ``cols`` (int32) receives, from ``offset`` on, one entry per listed
+      pair — the block row of the pair's partner; ``row_ptr`` (int64,
+      exactly one entry per block row plus one) receives each row's range:
+      row ``r`` lists ``cols[row_ptr[r]:row_ptr[r+1]]``, absolute offsets
+      into ``cols`` starting at ``row_ptr[0] == offset``.  Rows that list
+      nothing — cell b's rows, rows outside the stripe — are empty ranges.
+      Four bytes a listed pair: the row atom, its force row, and the pair's
+      LJ and charge parameters are what the block already knows
+      (``nb_rows`` below reads them from there).  Returns the number
+      written, or ``-1`` — *does not fit* — when ``cols`` is too short, in
+      which case nothing is written past its end (what lies between
+      ``offset`` and the end, and ``row_ptr``, is unspecified).
 
     Pairs are emitted in row-major order — stripe rows ascending, columns
     ascending within a row — and with the reference's arithmetic bit for
@@ -101,6 +106,39 @@ out=None, offset=0) -> int``
     list order is the pair kernel's accumulation order, and the self-check
     holds this kernel to array identity, not to a tolerance.  An atom
     index outside ``pos`` (negative included) is an ``IndexError``.
+
+``nb_rows(pos, box, tables, lists, cutoff, switch, scratch, block_off, out,
+alpha=None, ewald_cutoff=None) -> None``
+    The cell tasks of one executor, evaluated by one call: ``nb_pairs``'
+    arithmetic — same terms, same two modes, same summation order — over a
+    *batch* of row lists.  ``lists = (cols, row_ptr, rows, row_off)``:
+    ``row_off`` (int64, ``n_tasks + 1``) partitions ``rows`` (int64, the
+    block-row → atom maps of the batch's tasks, concatenated); task ``t``
+    owns ``rows[row_off[t]:row_off[t+1]]`` and the ``row_ptr`` slots from
+    ``row_off[t] + t`` on — its block rows plus one, as ``block_pairs``
+    wrote them (so ``len(row_ptr) == len(rows) + n_tasks``), ranges into
+    ``cols`` (int32).  ``tables = (type_idx, charges, eps_tab, rmin_tab)``:
+    per-atom type indices (int64) and charges, and two ``n_types ×
+    n_types`` float64 tables holding ``sqrt(eps_a eps_b)`` and ``rmin_a +
+    rmin_b`` — a pair's parameters are ``tab[type_i, type_j]`` and ``q_i
+    q_j``, the roundings of a per-pair Lorentz-Berthelot combination.
+    ``scratch`` is the ``(rows, 3)`` float64 force scratch; task ``t``'s
+    block starts at row ``block_off[t]`` (int64) and is *zeroed, then
+    accumulated into*.  ``out`` is ``(n_tasks, 4)`` float64: per task the
+    LJ sum, the electrostatic sum, the pairs inside ``cutoff`` and the
+    nanoseconds the task took by the kernel's own monotonic clock (gather
+    and zeroing included) — so a batched step still yields a time for
+    every task.  Every index is checked before it is followed: a ``rows``
+    entry outside ``pos``, a type outside the tables, a column outside its
+    block, a ``row_ptr`` that decreases or leaves ``cols``, a block outside
+    ``scratch`` is an ``IndexError``, and nothing outside the batch's blocks
+    and ``out`` has been written.
+
+    A task's result is bit for bit that of ``nb_pairs`` over the pair
+    arrays its rows stand for (``i = rows[row]``, ``j = rows[col]``, ``si =
+    row``, ``sj = col``, parameters from the tables) into the same zeroed
+    block.  ``nb_pairs`` stays the kernel of every explicit pair array —
+    the 1-4 pass, the oracle's global list.
 """
 
 from __future__ import annotations
@@ -112,7 +150,6 @@ import numpy as np
 
 __all__ = [
     "KernelBackend",
-    "block_arena",
     "bonded_cases",
     "parity_selfcheck",
     "synthetic_problem",
@@ -133,6 +170,7 @@ class KernelBackend:
     bonded_terms: Callable[..., float]
     ewald_recip_shard: Callable[..., float]
     block_pairs: Callable[..., int]
+    nb_rows: Callable[..., None]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = "compiled" if self.compiled else "interpreted"
@@ -261,38 +299,54 @@ def bonded_cases(p: dict[str, Any]) -> list[tuple]:
     ]
 
 
-def block_arena(capacity: int) -> tuple[np.ndarray, ...]:
-    """The seven arrays ``block_pairs`` lists into, ``capacity`` entries
-    each — ``(i_g, j_g, si, sj, eps, rmin, qq)`` — carved from one
-    allocation (48 bytes an entry, the 8-byte arrays first), so an arena
-    is one block of memory to map, touch and give back."""
-    base = np.empty(48 * capacity, dtype=np.uint8)
-    wide = base[: 40 * capacity].reshape(5, -1)
-    narrow = base[40 * capacity :].reshape(2, -1)
-    si, sj = (wide[k].view(np.int64) for k in (0, 1))
-    eps, rmin, qq = (wide[k].view(np.float64) for k in (2, 3, 4))
-    i_g, j_g = (narrow[k].view(np.int32) for k in (0, 1))
-    return i_g, j_g, si, sj, eps, rmin, qq
-
-
 def _block_lists(backend: KernelBackend, p: dict[str, Any]):
-    """``block_pairs`` over the synthetic problem's blocks: per block the
-    count-mode result and the listed arrays (None when it did not fit)."""
-    tables = tuple(
-        p[k] for k in
-        ("excl_ptr", "excl_partners", "type_idx", "eps_t", "rmin_t", "charges")
-    )
+    """``block_pairs`` over the synthetic problem's blocks, listed one after
+    another into one arena from entry 3 on, as an evaluator lists its tasks:
+    ``(counts, lists)`` — per block the count-mode and the list-mode result,
+    and the batch ``(cols, row_ptr, rows, row_off)`` ``nb_rows`` takes
+    (``cols`` trimmed to what was written)."""
+    tables = p["excl_ptr"], p["excl_partners"]
     cell_a = np.arange(0, p["n"], 2)
     cell_b = np.arange(1, p["n"], 2)
-    results = []
-    for atoms_b, n_parts in ((None, 1), (None, 2), (cell_b, 1), (cell_b, 3)):
-        for part in range(n_parts):
-            block = (p["pos"], p["box"], cell_a, atoms_b, part, n_parts, p["cutoff"])
-            arena = block_arena(3 + len(cell_a) * len(cell_b))
-            n = backend.block_pairs(*block, tables, arena, 3)
-            listed = None if n < 0 else [arr[3 : 3 + n] for arr in arena]
-            results.append((backend.block_pairs(*block), listed))
-    return results
+    blocks = [
+        (cell_a, atoms_b, part, n_parts)
+        for atoms_b, n_parts in ((None, 1), (None, 2), (cell_b, 1), (cell_b, 3))
+        for part in range(n_parts)
+    ]
+    rows = [
+        cell_a if atoms_b is None else np.concatenate([cell_a[part::n_parts], atoms_b])
+        for _, atoms_b, part, n_parts in blocks
+    ]
+    row_off = np.zeros(len(blocks) + 1, dtype=np.int64)
+    np.cumsum([len(r) for r in rows], out=row_off[1:])
+    cols = np.empty(3 + len(blocks) * len(cell_a) * len(cell_b), dtype=np.int32)
+    row_ptr = np.empty(int(row_off[-1]) + len(blocks), dtype=np.int64)
+    counts, used = [], 3
+    for k, block in enumerate(blocks):
+        geometry = (p["pos"], p["box"], *block, p["cutoff"])
+        slots = row_ptr[row_off[k] + k : row_off[k + 1] + k + 1]
+        n = backend.block_pairs(*geometry, tables, (cols, slots), used)
+        counts.append((backend.block_pairs(*geometry), n))
+        used += max(n, 0)
+    return counts, (cols[:used], row_ptr, np.concatenate(rows), row_off)
+
+
+def _rows_batch(backend: KernelBackend, p: dict[str, Any], lists, mode):
+    """``nb_rows`` over the batch :func:`_block_lists` built: ``(out,
+    scratch)``, each task's block where its rows start in ``rows``."""
+    eps_t, rmin_t = p["eps_t"], p["rmin_t"]
+    tables = (
+        p["type_idx"], p["charges"],
+        np.sqrt(eps_t[:, None] * eps_t[None, :]), rmin_t[:, None] + rmin_t[None, :],
+    )
+    row_off = lists[3]
+    scratch = np.full((int(row_off[-1]), 3), np.nan)  # the kernel zeroes
+    out = np.zeros((len(row_off) - 1, 4))
+    backend.nb_rows(
+        p["pos"], p["box"], tables, lists, p["cutoff"], p["switch"],
+        scratch, row_off[:-1].copy(), out, *mode,
+    )
+    return out, scratch
 
 
 def _close(a, b, tol: float) -> bool:
@@ -422,17 +476,34 @@ def parity_selfcheck(
             return False, "ewald_recip_shard: sharded sum != full recip sum"
 
         # block_pairs: array identity, not a tolerance — list order is the
-        # pair kernel's accumulation order
-        blocks_r = _block_lists(reference, p)
-        if not any(listed is not None and len(listed[0]) for _, listed in blocks_r):
+        # pair kernels' accumulation order
+        counts_r, lists_r = _block_lists(reference, p)
+        counts_c, lists_c = _block_lists(candidate, p)
+        if len(lists_r[0]) <= 3:
             return False, "block_pairs: synthetic problem listed no pairs"
-        for (n_c, l_c), (n_r, l_r) in zip(_block_lists(candidate, p), blocks_r):
-            if n_c != n_r:
-                return False, f"block_pairs: count {n_c} != {n_r}"
-            if l_c is None or l_r is None or not all(
-                a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(l_c, l_r)
-            ):
-                return False, "block_pairs: lists differ"
+        if counts_c != counts_r or min(n for _, n in counts_r) < 0:
+            return False, f"block_pairs: counts {counts_c} != {counts_r}"
+        if not all(
+            a.dtype == b.dtype and np.array_equal(a, b)
+            for a, b in zip((lists_c[0][3:], *lists_c[1:]), (lists_r[0][3:], *lists_r[1:]))
+        ):
+            return False, "block_pairs: lists differ"
+
+        # nb_rows over those lists as one batch, both modes (LJ off in the
+        # Ewald case for the reason given above)
+        for mode in ((), (p["alpha"], 1.2 * p["cutoff"])):
+            q = {**p, "eps_t": 0.0 * p["eps_t"]} if mode else p
+            label = "nb_rows[ewald]" if mode else "nb_rows"
+            out_c, f_c = _rows_batch(candidate, q, lists_c, mode)
+            out_r, f_r = _rows_batch(reference, q, lists_r, mode)
+            if not np.array_equal(out_c[:, 2], out_r[:, 2]):
+                return False, f"{label}: pair counts differ"
+            if not _close(out_c[:, :2], out_r[:, :2], tol):
+                return False, f"{label}: energies disagree"
+            if not _close(f_c, f_r, tol):
+                return False, f"{label}: forces disagree"
+            if not np.all(out_c[:, 3] >= 0):
+                return False, f"{label}: negative task time"
     except Exception as exc:  # noqa: BLE001 - fold any kernel failure into fallback
         return False, f"{type(exc).__name__}: {exc}"
     return True, "ok"

@@ -9,9 +9,9 @@ because hosts sharing a home directory share the cache and a result must
 not depend on which of them compiled it.
 
 :func:`build_backend` is the numpy reference with ``nb_pairs``, the two
-reciprocal-sum kernels and ``block_pairs`` replaced.  It raises on any
-failure (no compiler, compile error or timeout, load error); the registry
-turns that — and a failed parity self-check — into the numpy fallback.
+reciprocal-sum kernels, ``bonded_terms``, ``block_pairs`` and ``nb_rows``
+replaced.  It raises on any failure (no compiler, compile error or timeout,
+load error); the registry turns that — and a failed parity self-check — into the numpy fallback.
 :data:`build_info` says what the last build did, for ``repro backends``.
 """
 
@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.backend import reference
-from repro.backend.base import KernelBackend, block_arena
+from repro.backend.base import KernelBackend
 
 __all__ = ["FLAGS", "build_backend", "build_info"]
 
@@ -42,13 +42,15 @@ COMPILE_TIMEOUT_S = 120.0
 
 #: kernels.c: BLOCK_WORK doubles of scratch per atom of cell b, and its
 #: "index out of range" return (-1 is the contract's "does not fit")
-BLOCK_WORK = 8
+BLOCK_WORK = 5
 BLOCK_BAD_INDEX = -2
-
-ARENA_DTYPES = tuple(a.dtype for a in block_arena(0))
 #: the list-mode arguments of ``block_pairs`` in count mode: no exclusion
-#: and LJ tables (eight), no arena (seven arrays, offset, capacity)
-_COUNT_MODE = (None, None, 0, None, None, None, 0, None) + (None,) * 7 + (0, 0)
+#: table (three), no row list (cols, row_ptr, offset, capacity)
+_COUNT_MODE = (None, None, 0, None, None, 0, 0)
+#: kernels.c: doubles of gather scratch ``nb_rows`` needs per block row
+ROWS_WORK = 5
+#: atoms per term of the bonded kinds ``kernels.c`` knows
+_BONDED_WIDTH = {0: 2, 1: 3, 2: 4, 3: 4}
 
 #: compiler path, flags, cache file, "compiled" / "cache hit" and seconds of
 #: the last :func:`build_backend` in this process
@@ -85,8 +87,16 @@ def _load(path: Path) -> ctypes.CDLL:
     lib.block_pairs.restype = i8
     lib.block_pairs.argtypes = [
         ptr, i8, ptr, ptr, i8, ptr, i8, i8, i8, f8,
-        ptr, ptr, i8, ptr, ptr, ptr, i8, ptr,
-        ptr, ptr, ptr, ptr, ptr, ptr, ptr, i8, i8, ptr,
+        ptr, ptr, i8, ptr, ptr, i8, i8, ptr,
+    ]
+    lib.bonded_terms.restype = ctypes.c_int
+    lib.bonded_terms.argtypes = [
+        ptr, i8, ptr, ctypes.c_int, ptr, ptr, i8, ptr, ptr, ptr, ptr, i8, ptr,
+    ]
+    lib.nb_rows.restype = i8
+    lib.nb_rows.argtypes = [
+        ptr, i8, ptr, ptr, ptr, ptr, ptr, i8, ptr, i8, ptr, ptr, i8, ptr, i8,
+        f8, f8, f8, f8, ptr, i8, ptr, ptr, i8, ptr,
     ]
     return lib
 
@@ -165,6 +175,14 @@ def _index_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     return _i8(a), _i8(b)
 
 
+def _writable(a, dtype, ndim: int) -> bool:
+    """Whether the kernels can write ``a`` in place as ``dtype``."""
+    return (
+        isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == ndim
+        and a.flags.c_contiguous and a.flags.writeable
+    )
+
+
 def _force_rows(forces: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """``forces`` itself when the kernels can accumulate into it, else a
     zeroed stand-in for the caller to add back; both arrays ``(rows, 3)``."""
@@ -232,6 +250,30 @@ def build_backend() -> KernelBackend:
             forces += out
         return energy.value
 
+    def bonded_terms(pos, box, kind, idx, kpar, p1, p2, forces, sidx):
+        m = len(idx)
+        if m == 0:
+            return 0.0
+        if kind not in _BONDED_WIDTH:  # the reference says what is wrong with it
+            return reference.bonded_terms(pos, box, kind, idx, kpar, p1, p2, forces, sidx)
+        pos, box, idx, sidx = _f8(pos), _f8(box), _i8(idx), _i8(sidx)
+        kpar, p1, p2 = _f8(kpar), _f8(p1), _f8(p2)
+        if idx.shape != (m, _BONDED_WIDTH[kind]) or sidx.shape != idx.shape:
+            raise ValueError("term and scatter indices must both be (m, arity)")
+        if {len(kpar), len(p1), len(p2)} != {m} or len(box) != 3:
+            raise ValueError("term parameter arrays differ in length")
+        out = _force_rows(forces, pos)
+        energy = ctypes.c_double()
+        if lib.bonded_terms(
+            pos.ctypes.data, len(pos), box.ctypes.data, kind, idx.ctypes.data,
+            sidx.ctypes.data, m, kpar.ctypes.data, p1.ctypes.data, p2.ctypes.data,
+            out.ctypes.data, len(out), ctypes.byref(energy),
+        ):
+            raise IndexError("bonded term index out of range")
+        if out is not forces:
+            forces += out
+        return energy.value
+
     def block_pairs(pos, box, atoms_a, atoms_b, part, n_parts, r,
                     tables=None, out=None, offset=0):
         pos, box, atoms_a = _f8(pos), _f8(box), _i8(atoms_a)
@@ -248,26 +290,21 @@ def build_backend() -> KernelBackend:
         if tables is None:
             listing = _COUNT_MODE
         else:
-            excl_ptr, partners, type_idx = (_i8(t) for t in tables[:3])
-            eps_t, rmin_t, charges = (_f8(t) for t in tables[3:])
-            if (len(excl_ptr), len(type_idx), len(charges)) != (n_atoms + 1, n_atoms, n_atoms):
-                raise ValueError("per-atom tables do not match the positions")
-            if len(eps_t) != len(rmin_t):
-                raise ValueError("LJ tables differ in length")
-            capacity = len(out[0])
-            for arr, dtype in zip(out, ARENA_DTYPES, strict=True):
-                flags = arr.flags
-                if (arr.dtype, arr.shape, flags.c_contiguous, flags.writeable) != (
-                    dtype, (capacity,), True, True
-                ):
-                    raise ValueError("out must be block_arena's seven arrays")
+            excl_ptr, partners = (_i8(t) for t in tables)
+            if len(excl_ptr) != n_atoms + 1:
+                raise ValueError("exclusion table does not match the positions")
+            cols, row_ptr = out
+            stripe = len(range(part, len(atoms_a), n_parts))
+            n_rows = len(atoms_a) if atoms_b is None else stripe + nb
+            if not (_writable(cols, np.int32, 1) and _writable(row_ptr, np.int64, 1)):
+                raise ValueError("out must be C-contiguous (int32 cols, int64 row_ptr)")
+            if len(row_ptr) != n_rows + 1:
+                raise ValueError("row_ptr must hold one entry per block row plus one")
             if offset < 0:
                 raise ValueError("offset must not be negative")
             listing = (
                 excl_ptr.ctypes.data, partners.ctypes.data, len(partners),
-                type_idx.ctypes.data, eps_t.ctypes.data, rmin_t.ctypes.data,
-                len(eps_t), charges.ctypes.data, *(a.ctypes.data for a in out),
-                offset, capacity,
+                cols.ctypes.data, row_ptr.ctypes.data, offset, len(cols),
             )
         n = lib.block_pairs(
             pos.ctypes.data, n_atoms, box.ctypes.data, atoms_a.ctypes.data,
@@ -277,8 +314,49 @@ def build_backend() -> KernelBackend:
             raise IndexError("block atom index out of range")
         return n  # the count, or -1: does not fit
 
+    def nb_rows(pos, box, tables, lists, cutoff, switch, scratch, block_off, out,
+                alpha=None, ewald_cutoff=None):
+        n_tasks = len(block_off)
+        if n_tasks == 0:
+            return
+        if alpha is None:  # the kernel's "unset" is alpha <= 0
+            alpha = ewald_cutoff = 0.0
+        pos, box = _f8(pos), _f8(box)
+        type_idx, charges = _i8(tables[0]), _f8(tables[1])
+        eps_tab, rmin_tab = _f8(tables[2]), _f8(tables[3])
+        cols = np.ascontiguousarray(lists[0], dtype=np.int32)
+        row_ptr, rows, row_off = (_i8(a) for a in lists[1:])
+        block_off = _i8(block_off)
+        n_types = len(eps_tab)
+        if pos.ndim != 2 or pos.shape[1] != 3 or len(box) != 3:
+            raise ValueError("positions must have shape (rows, 3), box three edges")
+        if (len(type_idx), len(charges)) != (len(pos), len(pos)):
+            raise ValueError("per-atom tables do not match the positions")
+        if eps_tab.shape != (n_types, n_types) or rmin_tab.shape != eps_tab.shape:
+            raise ValueError("LJ tables must be n_types x n_types")
+        if (len(row_off), len(row_ptr)) != (n_tasks + 1, len(rows) + n_tasks):
+            raise ValueError("row lists do not match the batch")
+        if not (_writable(scratch, np.float64, 2) and scratch.shape[1] == 3):
+            raise ValueError("scratch must be C-contiguous float64 (rows, 3)")
+        if not _writable(out, np.float64, 2) or out.shape != (n_tasks, 4):
+            raise ValueError("out must be C-contiguous float64 (n_tasks, 4)")
+        work_rows = int(np.diff(row_off).max())
+        work = np.empty(ROWS_WORK * max(work_rows, 0))
+        bad = lib.nb_rows(
+            pos.ctypes.data, len(pos), box.ctypes.data,
+            type_idx.ctypes.data, charges.ctypes.data,
+            eps_tab.ctypes.data, rmin_tab.ctypes.data, n_types,
+            cols.ctypes.data, len(cols), row_ptr.ctypes.data,
+            rows.ctypes.data, len(rows), row_off.ctypes.data, n_tasks,
+            cutoff, switch, alpha, ewald_cutoff,
+            scratch.ctypes.data, len(scratch), block_off.ctypes.data,
+            work.ctypes.data, work_rows, out.ctypes.data,
+        )
+        if bad:
+            raise IndexError(f"row list of task {-bad - 1} of the batch is corrupt")
+
     return dataclasses.replace(
         reference.build_backend(), name="c", compiled=True, nb_pairs=nb_pairs,
         ewald_recip=ewald_recip, ewald_recip_shard=ewald_recip,
-        block_pairs=block_pairs,
+        bonded_terms=bonded_terms, block_pairs=block_pairs, nb_rows=nb_rows,
     )

@@ -1,31 +1,50 @@
-/* Compiled kernels of the "c" backend: the fused pair kernel, the Ewald
- * reciprocal sum and the cell-block kernel that counts and lists pairs.
- * Built on first use and loaded through ctypes by
- * repro/backend/c_backend.py; the contracts are those of
+/* Compiled kernels of the "c" backend: the two pair kernels (nb_pairs over
+ * an explicit pair array, nb_rows over the row lists of a batch of cell
+ * tasks), the Ewald reciprocal sum and the cell-block kernel that counts
+ * pairs and lists them as rows.  Built on first use and loaded through
+ * ctypes by repro/backend/c_backend.py; the contracts are those of
  * repro/backend/base.py and the registry's parity self-check holds the
  * arithmetic to the numpy reference at 1e-9 - the lists, whose order is the
- * pair kernel's accumulation order, to array identity.
+ * pair kernels' accumulation order, to array identity.
+ *
+ * The lists: a cell task's pairs are a row list over its force block -
+ * cols, one int32 a listed pair naming the partner's block row, and
+ * row_ptr, each block row's range in cols (block_pairs below writes them).
+ * Which atom a block row is (rows), its type and its charge are per-row
+ * data; the pair's parameters are read from type tables.  nb_rows gathers a
+ * block's coordinates once and works on them in place.
  *
  * Rules this file keeps:
  *   - re-entrant: no static or global state, no allocation (scratch comes
  *     from the caller or, fixed-size and under 16 KB a frame, from the
  *     stack), because ctypes drops the GIL for the call and the service
  *     steps several jobs from threads;
- *   - one reduction order, fixed in the source: the pair kernel takes a
- *     list a fixed number of pairs at a time, visits the in-range pairs in
- *     list order and keeps one partial sum per run of equal force rows;
- *     the other loops are serial in list order.  Compiled with
- *     -ffp-contract=off and no target flags - no fused multiply-adds - so
- *     a result depends on the inputs only, not on the host that built the
- *     object, the worker count or the thread that ran it;
+ *   - one reduction order, fixed in the source: a pair kernel takes a list
+ *     a fixed number of pairs at a time, visits the in-range pairs in list
+ *     order and keeps one partial sum per run of equal force rows - one
+ *     body (chunk_pass2) for both kernels, so the same pairs in the same
+ *     order give the same bits through either; the other loops are serial
+ *     in list order.  Compiled with -ffp-contract=off and no target flags -
+ *     no fused multiply-adds - so a result depends on the inputs only, not
+ *     on the host that built the object, the worker count or the thread
+ *     that ran it;
  *   - arrays are C-contiguous float64; index arrays are int32 or int64 as
  *     the caller stores them (a flag says which), so no call converts;
  *   - the caller checks array lengths, the kernels check every index they
  *     are about to follow (a corrupt list is an error, not a wild write).
+ *     What is checked where: nb_pairs, all four indices of a pair in pass
+ *     1; nb_rows, a task's extent in its arrays and in scratch first, then
+ *     every rows entry, type and row_ptr step while it gathers the block,
+ *     then every column in pass 1 - a chunk's before any of it is
+ *     evaluated; block_pairs, cell b while it gathers it and each row atom
+ *     and table row as it reaches them.
  */
+#define _POSIX_C_SOURCE 200809L /* clock_gettime */
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
+#include <time.h>
 
 static const double COULOMB_CONSTANT = 332.0636; /* repro.md.constants */
 static const double PI = 3.14159265358979323846;
@@ -77,29 +96,219 @@ static inline double lj_switched(double r2, double inv_r2, double eps, double rm
     return e_raw * sw;
 }
 
-/* Switched LJ + electrostatics over a pair list with Newton's-third-law
- * scatter.  alpha <= 0 selects the shifted point-charge term, alpha > 0
- * the Ewald real-space term inside ewald_cutoff.  energies[0] is the LJ
- * sum, energies[1] the electrostatic sum; returns the pairs inside the LJ
- * cutoff, or -1 at the first index outside pos (n_atoms rows) or forces
- * (n_rows rows).
+/* ---- the pair kernels: nb_pairs over an explicit pair array, nb_rows over
+ * the row lists of a batch of cell tasks -----------------------------------
  *
  * A list is built at cutoff + skin and tested at the cutoff: a third or
- * more of its pairs fail the distance test, in no learnable order.  So the
- * list is taken NB_CHUNK pairs at a time, in two passes with the scratch
- * on the stack.  Pass 1 checks the four indices of every pair, folds and
- * squares its displacement and appends its place in the chunk to the hit
- * list without a branch.  Pass 2 visits the hits alone, in list order:
- * first dE/dr / r of each (every term is carried in that form, as the
- * reference carries it, so a pair costs one division and one square root
- * and the unit vector is never formed), the mode chosen outside the loop;
- * then the scatter, where the force on row si is summed in registers for
- * as long as si repeats - block_pairs lists row-major, so that is a whole
- * row of a block - and added to the row once per run.  What the registers
- * hold is a partial sum, not a copy of the row, so a list in any order, or
- * one whose sj names the row being summed, comes out right. */
+ * more of its pairs fail the distance test, in no learnable order.  So a
+ * list is taken NB_CHUNK pairs at a time, in two passes with the scratch on
+ * the stack.  Pass 1 - each kernel's own, it is where they read their list -
+ * checks every index of the chunk, folds and squares each displacement and
+ * appends the pair's place in the chunk to the hit list without a branch.
+ * Pass 2 (chunk_pass2, one body for both kernels) visits the hits alone, in
+ * list order: first dE/dr / r of each (every term is carried in that form,
+ * as the reference carries it, so a pair costs one division and one square
+ * root and the unit vector is never formed), the mode chosen outside the
+ * loop; then the scatter, where the force on row si is summed in registers
+ * for as long as si repeats - a whole row of a block - and added to the row
+ * once per run.  What the registers hold is a partial sum, not a copy of
+ * the row, so a list in any order, or one whose sj names the row being
+ * summed (a self block's column is a row flushed later), comes out right.
+ * Chunk edges fall where they fall - inside a row or on its end - and move
+ * no bit: the sums and the run carry across them. */
 #define NB_CHUNK 256
+#define ALWAYS_INLINE static inline __attribute__((always_inline))
 
+typedef struct {
+    double c2, s2, inv_c2, inv_denom, ec2, reach2, alpha, two_a_rtpi;
+    int ewald;
+} pair_consts;
+
+static pair_consts pair_setup(double cutoff, double switch_dist,
+                              double alpha, double ewald_cutoff)
+{
+    pair_consts k;
+    k.c2 = cutoff * cutoff;
+    k.s2 = switch_dist * switch_dist;
+    k.inv_c2 = 1.0 / k.c2;
+    k.inv_denom = 1.0 / ((k.c2 - k.s2) * (k.c2 - k.s2) * (k.c2 - k.s2));
+    k.ec2 = ewald_cutoff * ewald_cutoff;
+    k.ewald = alpha > 0.0;
+    k.reach2 = (k.ewald && k.ec2 > k.c2) ? k.ec2 : k.c2;
+    k.alpha = alpha;
+    k.two_a_rtpi = 2.0 * alpha / sqrt(PI);
+    return k;
+}
+
+/* What a call (nb_pairs) or a task (nb_rows) sums: the energies, the pairs
+ * inside the LJ cutoff, and the run of equal force rows being summed - its
+ * row (nowhere until the first hit) and the partial sum. */
+typedef struct {
+    double e_lj, e_el;
+    int64_t n_pairs;
+    double *f_row;
+    double ax, ay, az;
+    double nowhere[3];
+} pair_sums;
+
+ALWAYS_INLINE void sums_open(pair_sums *acc)
+{
+    acc->e_lj = acc->e_el = 0.0;
+    acc->n_pairs = 0;
+    acc->ax = acc->ay = acc->az = 0.0;
+    acc->nowhere[0] = acc->nowhere[1] = acc->nowhere[2] = 0.0;
+    acc->f_row = acc->nowhere;
+}
+
+ALWAYS_INLINE void sums_close(pair_sums *acc)
+{
+    acc->f_row[0] += acc->ax;
+    acc->f_row[1] += acc->ay;
+    acc->f_row[2] += acc->az;
+}
+
+/* Where pass 2 finds the parameters and force rows of chunk place k: in
+ * nb_pairs' arrays, or - by_rows - in nb_rows' block: the place's row and
+ * column, the parameters read from the type tables by (type[row],
+ * type[col]) and q[row] * q[col].  by_rows is a constant at both call
+ * sites and the body is inlined into each, so neither kernel tests it. */
+typedef struct {
+    const double *eps, *rmin, *qq; /* explicit pairs: entry k of the chunk's */
+    const void *si, *sj;
+    int s_wide;
+    int64_t base;
+    const int32_t *row, *col; /* row lists: per chunk place ... */
+    const int64_t *type;      /* ... and per block row */
+    const double *q;
+    const double *eps_tab, *rmin_tab;
+    int64_t n_types;
+} pair_source;
+
+ALWAYS_INLINE int64_t place_si(const pair_source *s, const int by_rows, int64_t k)
+{
+    return by_rows ? (int64_t)s->row[k] : index_at(s->si, s->s_wide, s->base + k);
+}
+
+ALWAYS_INLINE int64_t place_sj(const pair_source *s, const int by_rows, int64_t k)
+{
+    return by_rows ? (int64_t)s->col[k] : index_at(s->sj, s->s_wide, s->base + k);
+}
+
+ALWAYS_INLINE void place_lj(const pair_source *s, const int by_rows, int64_t k,
+                            double *eps, double *rmin)
+{
+    if (by_rows) {
+        const int64_t at = s->type[s->row[k]] * s->n_types + s->type[s->col[k]];
+        *eps = s->eps_tab[at];
+        *rmin = s->rmin_tab[at];
+    } else {
+        *eps = s->eps[k];
+        *rmin = s->rmin[k];
+    }
+}
+
+ALWAYS_INLINE double place_qq(const pair_source *s, const int by_rows, int64_t k)
+{
+    return by_rows ? s->q[s->row[k]] * s->q[s->col[k]] : s->qq[k];
+}
+
+/* Pass 2 over one chunk: dx, dy, dz, r2 per chunk place, the n_hit places
+ * within reach in hit[]; r2 is overwritten with dE/dr / r. */
+ALWAYS_INLINE void chunk_pass2(const pair_consts *c, const pair_source *s,
+                               const int by_rows, const double *dx,
+                               const double *dy, const double *dz, double *r2,
+                               const int32_t *hit, int64_t n_hit,
+                               double *forces, pair_sums *acc)
+{
+    const double c2 = c->c2, s2 = c->s2, inv_c2 = c->inv_c2;
+    const double inv_denom = c->inv_denom;
+    double e_lj_tot = acc->e_lj, e_el_tot = acc->e_el;
+    int64_t n_pairs = acc->n_pairs;
+
+    /* dE/dr / r of every hit, stored over its squared distance */
+    if (c->ewald) {
+        const double ec2 = c->ec2, alpha = c->alpha, two_a_rtpi = c->two_a_rtpi;
+        for (int64_t h = 0; h < n_hit; h++) {
+            const int64_t k = hit[h];
+            const double d2 = r2[k];
+            const double inv_r2 = 1.0 / d2;
+            double f = 0.0;
+            if (d2 < c2) {
+                double eps, rmin;
+                place_lj(s, by_rows, k, &eps, &rmin);
+                n_pairs++;
+                e_lj_tot += lj_switched(d2, inv_r2, eps, rmin, c2, s2, inv_denom, &f);
+            }
+            if (d2 < ec2) {
+                /* e = C qq erfc(a r) / r */
+                const double inv_r = sqrt(inv_r2);
+                const double cqq = COULOMB_CONSTANT * place_qq(s, by_rows, k);
+                const double e_el = cqq * erfc(alpha * (d2 * inv_r)) * inv_r;
+                f -= (e_el + cqq * two_a_rtpi * exp(-(alpha * alpha) * d2)) * inv_r2;
+                e_el_tot += e_el;
+            }
+            r2[k] = f;
+        }
+    } else {
+        n_pairs += n_hit;
+        for (int64_t h = 0; h < n_hit; h++) {
+            const int64_t k = hit[h];
+            const double d2 = r2[k];
+            const double inv_r2 = 1.0 / d2;
+            double f, eps, rmin;
+            place_lj(s, by_rows, k, &eps, &rmin);
+            e_lj_tot += lj_switched(d2, inv_r2, eps, rmin, c2, s2, inv_denom, &f);
+            /* e = (C qq / r)(1 - r^2/c^2)^2 */
+            const double shift = 1.0 - d2 * inv_c2;
+            const double e0 = COULOMB_CONSTANT * place_qq(s, by_rows, k)
+                              * sqrt(inv_r2) * shift;
+            f -= e0 * (shift * inv_r2 + 4.0 * inv_c2);
+            e_el_tot += e0 * shift;
+            r2[k] = f;
+        }
+    }
+    acc->e_lj = e_lj_tot;
+    acc->e_el = e_el_tot;
+    acc->n_pairs = n_pairs;
+
+    /* force on i = (dE/dr / r) delta given delta = x_j - x_i */
+    double *f_row = acc->f_row;
+    double ax = acc->ax, ay = acc->ay, az = acc->az;
+    for (int64_t h = 0; h < n_hit; h++) {
+        const int64_t k = hit[h];
+        const double fx = r2[k] * dx[k], fy = r2[k] * dy[k], fz = r2[k] * dz[k];
+        double *f_si = forces + 3 * place_si(s, by_rows, k);
+        if (f_si != f_row) {
+            f_row[0] += ax;
+            f_row[1] += ay;
+            f_row[2] += az;
+            f_row = f_si;
+            ax = ay = az = 0.0;
+        }
+        ax += fx;
+        ay += fy;
+        az += fz;
+        double *f_sj = forces + 3 * place_sj(s, by_rows, k);
+        f_sj[0] -= fx;
+        f_sj[1] -= fy;
+        f_sj[2] -= fz;
+    }
+    acc->f_row = f_row;
+    acc->ax = ax;
+    acc->ay = ay;
+    acc->az = az;
+}
+
+/* Switched LJ + electrostatics over an explicit pair array with
+ * Newton's-third-law scatter - the kernel of every list that is not a cell
+ * task's (the 1-4 pass, the oracle's global list).  alpha <= 0 selects the
+ * shifted point-charge term, alpha > 0 the Ewald real-space term inside
+ * ewald_cutoff.  energies[0] is the LJ sum, energies[1] the electrostatic
+ * sum; returns the pairs inside the LJ cutoff, or -1 at the first index
+ * outside pos (n_atoms rows) or forces (n_rows rows).  Pass 1 checks all
+ * four indices of every pair - a chunk's before any of it is evaluated -
+ * and folds with the select form, the general one behind a branch that
+ * wrapped input never takes. */
 int64_t nb_pairs(const double *pos, int64_t n_atoms, const double *box,
                  const void *i_idx, const void *j_idx, int idx_wide, int64_t m,
                  const double *eps, const double *rmin, const double *qq,
@@ -109,27 +318,20 @@ int64_t nb_pairs(const double *pos, int64_t n_atoms, const double *box,
                  const void *si, const void *sj, int s_wide,
                  double *energies)
 {
-    const double c2 = cutoff * cutoff;
-    const double s2 = switch_dist * switch_dist;
-    const double inv_c2 = 1.0 / c2;
-    const double inv_denom = 1.0 / ((c2 - s2) * (c2 - s2) * (c2 - s2));
-    const double ec2 = ewald_cutoff * ewald_cutoff;
-    const int ewald = alpha > 0.0;
-    const double reach2 = (ewald && ec2 > c2) ? ec2 : c2;
-    const double two_a_rtpi = 2.0 * alpha / sqrt(PI);
+    const pair_consts c = pair_setup(cutoff, switch_dist, alpha, ewald_cutoff);
+    const double reach2 = c.reach2;
     const double bx = box[0], by = box[1], bz = box[2];
     const double hx = 0.5 * bx, hy = 0.5 * by, hz = 0.5 * bz;
     const double wx = 1.49 * bx, wy = 1.49 * by, wz = 1.49 * bz;
     double dx[NB_CHUNK], dy[NB_CHUNK], dz[NB_CHUNK], r2[NB_CHUNK];
     int32_t hit[NB_CHUNK];
-    double e_lj_tot = 0.0, e_el_tot = 0.0;
-    int64_t n_pairs = 0;
-    /* the run of si being summed: its row (nowhere until the first hit)
-     * and the sum */
-    double nowhere[3] = {0.0, 0.0, 0.0};
-    double *f_row = nowhere;
-    double ax = 0.0, ay = 0.0, az = 0.0;
+    pair_source src = {0};
+    pair_sums acc;
 
+    src.si = si;
+    src.sj = sj;
+    src.s_wide = s_wide;
+    sums_open(&acc);
     for (int64_t base = 0; base < m; base += NB_CHUNK) {
         const int64_t len = m - base < NB_CHUNK ? m - base : NB_CHUNK;
         int64_t n_hit = 0;
@@ -163,77 +365,200 @@ int64_t nb_pairs(const double *pos, int64_t n_atoms, const double *box,
             hit[n_hit] = (int32_t)k;
             n_hit += d2 < reach2;
         }
+        src.eps = eps + base;
+        src.rmin = rmin + base;
+        src.qq = qq + base;
+        src.base = base;
+        chunk_pass2(&c, &src, 0, dx, dy, dz, r2, hit, n_hit, forces, &acc);
+    }
+    sums_close(&acc);
+    energies[0] = acc.e_lj;
+    energies[1] = acc.e_el;
+    return acc.n_pairs;
+}
 
-        /* dE/dr / r of every hit, stored over its squared distance */
-        if (ewald) {
-            for (int64_t h = 0; h < n_hit; h++) {
-                const int64_t k = hit[h];
-                const int64_t p = base + k;
-                const double d2 = r2[k];
-                const double inv_r2 = 1.0 / d2;
-                double f = 0.0;
-                if (d2 < c2) {
-                    n_pairs++;
-                    e_lj_tot += lj_switched(d2, inv_r2, eps[p], rmin[p],
-                                            c2, s2, inv_denom, &f);
-                }
-                if (d2 < ec2) {
-                    /* e = C qq erfc(a r) / r */
-                    const double inv_r = sqrt(inv_r2);
-                    const double cqq = COULOMB_CONSTANT * qq[p];
-                    const double e_el = cqq * erfc(alpha * (d2 * inv_r)) * inv_r;
-                    f -= (e_el + cqq * two_a_rtpi * exp(-(alpha * alpha) * d2)) * inv_r2;
-                    e_el_tot += e_el;
-                }
-                r2[k] = f;
-            }
+/* Pass 1 over places k0 .. k0 + take of a chunk, all of block row `row`:
+ * columns cols[0 .. take) against the row atom at (xi, yi, zi).  One int32
+ * load and one range check a listed pair (unsigned: a negative column is
+ * out of range too), three contiguous loads, the fold - the select form
+ * when the task's bounding box allows it (`near`, a constant at each call
+ * site), else the general one - and the branch-free compaction.  Returns
+ * the new hit count, or -1 at a column outside the block. */
+ALWAYS_INLINE int64_t row_pass1(const int near, const int32_t *cols, int64_t take,
+                                int64_t n_rows, const double *const *xb,
+                                const double *xi, const double *box,
+                                double reach2, int32_t row, int64_t k0,
+                                double *dx, double *dy, double *dz, double *r2,
+                                int32_t *crow, int32_t *hit, int64_t n_hit)
+{
+    const double bx = box[0], by = box[1], bz = box[2];
+    const double hx = 0.5 * bx, hy = 0.5 * by, hz = 0.5 * bz;
+    for (int64_t t = 0; t < take; t++) {
+        const int64_t k = k0 + t;
+        const int64_t col = cols[t];
+        if ((uint64_t)col >= (uint64_t)n_rows)
+            return -1;
+        double x = xb[0][col] - xi[0], y = xb[1][col] - xi[1], z = xb[2][col] - xi[2];
+        if (near) {
+            x = fold_near(x, bx, hx);
+            y = fold_near(y, by, hy);
+            z = fold_near(z, bz, hz);
         } else {
-            n_pairs += n_hit;
-            for (int64_t h = 0; h < n_hit; h++) {
-                const int64_t k = hit[h];
-                const int64_t p = base + k;
-                const double d2 = r2[k];
-                const double inv_r2 = 1.0 / d2;
-                double f;
-                e_lj_tot += lj_switched(d2, inv_r2, eps[p], rmin[p],
-                                        c2, s2, inv_denom, &f);
-                /* e = (C qq / r)(1 - r^2/c^2)^2 */
-                const double shift = 1.0 - d2 * inv_c2;
-                const double e0 = COULOMB_CONSTANT * qq[p] * sqrt(inv_r2) * shift;
-                f -= e0 * (shift * inv_r2 + 4.0 * inv_c2);
-                e_el_tot += e0 * shift;
-                r2[k] = f;
-            }
+            x = min_image(x, bx, hx);
+            y = min_image(y, by, hy);
+            z = min_image(z, bz, hz);
         }
+        const double d2 = x * x + y * y + z * z;
+        dx[k] = x;
+        dy[k] = y;
+        dz[k] = z;
+        r2[k] = d2;
+        crow[k] = row;
+        hit[n_hit] = (int32_t)k;
+        n_hit += d2 < reach2;
+    }
+    return n_hit;
+}
 
-        /* force on i = (dE/dr / r) delta given delta = x_j - x_i */
-        for (int64_t h = 0; h < n_hit; h++) {
-            const int64_t k = hit[h];
-            const int64_t p = base + k;
-            const double fx = r2[k] * dx[k], fy = r2[k] * dy[k], fz = r2[k] * dz[k];
-            double *f_si = forces + 3 * index_at(si, s_wide, p);
-            if (f_si != f_row) {
-                f_row[0] += ax;
-                f_row[1] += ay;
-                f_row[2] += az;
-                f_row = f_si;
-                ax = ay = az = 0.0;
-            }
-            ax += fx;
-            ay += fy;
-            az += fz;
-            double *f_sj = forces + 3 * index_at(sj, s_wide, p);
-            f_sj[0] -= fx;
-            f_sj[1] -= fy;
-            f_sj[2] -= fz;
+/* One cell task of nb_rows: its block's coordinates, types and charges
+ * gathered once into component-major scratch (every rows entry and type
+ * checked there, the bounding box taken), the block zeroed, then the rows
+ * walked in chunks of NB_CHUNK listed pairs that run across row ends.
+ * Returns 0, or -1 at the first index it would not follow. */
+static int rows_task(const double *pos, int64_t n_atoms, const double *box,
+                     const int64_t *type_idx, const double *charges,
+                     const double *eps_tab, const double *rmin_tab, int64_t n_types,
+                     const int32_t *cols, int64_t n_cols,
+                     const int64_t *row_ptr, const int64_t *rows, int64_t n_rows,
+                     const pair_consts *c, double *forces, double *work,
+                     int64_t work_rows, pair_sums *acc)
+{
+    double *xb[3] = {work, work + work_rows, work + 2 * work_rows};
+    double *q = work + 3 * work_rows;
+    int64_t *type = (int64_t *)(work + 4 * work_rows);
+    double dx[NB_CHUNK], dy[NB_CHUNK], dz[NB_CHUNK], r2[NB_CHUNK];
+    int32_t hit[NB_CHUNK], crow[NB_CHUNK];
+    double bmin[3] = {0.0, 0.0, 0.0}, bmax[3] = {0.0, 0.0, 0.0};
+    pair_source src = {0};
+
+    if (n_rows > work_rows || row_ptr[0] < 0 || row_ptr[n_rows] > n_cols)
+        return -1;
+    for (int64_t r = 0; r < n_rows; r++) {
+        const int64_t i = rows[r];
+        if ((uint64_t)i >= (uint64_t)n_atoms || row_ptr[r] > row_ptr[r + 1])
+            return -1;
+        const int64_t ti = type_idx[i];
+        if ((uint64_t)ti >= (uint64_t)n_types)
+            return -1;
+        type[r] = ti;
+        q[r] = charges[i];
+        for (int k = 0; k < 3; k++) {
+            const double x = pos[3 * i + k];
+            xb[k][r] = x;
+            if (r == 0 || x < bmin[k])
+                bmin[k] = x;
+            if (r == 0 || x > bmax[k])
+                bmax[k] = x;
         }
     }
-    f_row[0] += ax;
-    f_row[1] += ay;
-    f_row[2] += az;
-    energies[0] = e_lj_tot;
-    energies[1] = e_el_tot;
-    return n_pairs;
+    memset(forces, 0, 3 * (size_t)n_rows * sizeof(double));
+
+    /* the fold, decided once for the task: no displacement of the block
+     * exceeds its bounding box, and inside 1.49 box lengths the select
+     * form is the general one bit for bit (axis_r2 has the argument) */
+    const int near = bmax[0] - bmin[0] < 1.49 * box[0]
+                     && bmax[1] - bmin[1] < 1.49 * box[1]
+                     && bmax[2] - bmin[2] < 1.49 * box[2];
+    src.type = type;
+    src.q = q;
+    src.eps_tab = eps_tab;
+    src.rmin_tab = rmin_tab;
+    src.n_types = n_types;
+    src.row = crow;
+
+    const int64_t end = row_ptr[n_rows];
+    int64_t p = row_ptr[0];
+    int64_t r = 0;
+    while (p < end) {
+        const int64_t chunk_lo = p;
+        const int64_t chunk_hi = end - p < NB_CHUNK ? end : p + NB_CHUNK;
+        int64_t n_hit = 0;
+        while (p < chunk_hi) {
+            while (row_ptr[r + 1] <= p) /* rows that list nothing, or are done */
+                r++;
+            const int64_t stop = row_ptr[r + 1] < chunk_hi ? row_ptr[r + 1] : chunk_hi;
+            const double xi[3] = {xb[0][r], xb[1][r], xb[2][r]};
+            if (near)
+                n_hit = row_pass1(1, cols + p, stop - p, n_rows,
+                                  (const double *const *)xb, xi, box, c->reach2,
+                                  (int32_t)r, p - chunk_lo, dx, dy, dz, r2, crow,
+                                  hit, n_hit);
+            else
+                n_hit = row_pass1(0, cols + p, stop - p, n_rows,
+                                  (const double *const *)xb, xi, box, c->reach2,
+                                  (int32_t)r, p - chunk_lo, dx, dy, dz, r2, crow,
+                                  hit, n_hit);
+            if (n_hit < 0)
+                return -1;
+            p = stop;
+        }
+        src.col = cols + chunk_lo;
+        chunk_pass2(c, &src, 1, dx, dy, dz, r2, hit, n_hit, forces, acc);
+    }
+    return 0;
+}
+
+/* The cell tasks of one executor, one call a step.  Task t of the batch
+ * owns block rows rows[row_off[t] .. row_off[t+1]) (atom indices), the
+ * row_ptr slots from row_off[t] + t on (one per block row plus one,
+ * absolute offsets into cols, int32 block rows of the partners in
+ * block_pairs' row-major order) and the block of scratch that starts at row
+ * block_off[t].  Pair parameters come from the n_types x n_types tables by
+ * the two atoms' types and from their charges.  out holds four doubles a
+ * task: the LJ sum, the electrostatic sum, the pairs inside the LJ cutoff
+ * and the nanoseconds the task took by this function's own monotonic clock
+ * (gather and zeroing included).  work holds 5 * work_rows doubles,
+ * work_rows at least the longest block.  Returns 0, or -(t + 1) when task t
+ * holds an index that cannot be followed - a rows entry outside pos, a type
+ * outside the tables, a row_ptr that decreases or leaves cols, a column
+ * outside the block, a block outside scratch; nothing outside the batch's
+ * blocks and out has been written. */
+int64_t nb_rows(const double *pos, int64_t n_atoms, const double *box,
+                const int64_t *type_idx, const double *charges,
+                const double *eps_tab, const double *rmin_tab, int64_t n_types,
+                const int32_t *cols, int64_t n_cols, const int64_t *row_ptr,
+                const int64_t *rows, int64_t n_list_rows,
+                const int64_t *row_off, int64_t n_tasks,
+                double cutoff, double switch_dist,
+                double alpha, double ewald_cutoff,
+                double *scratch, int64_t scratch_rows, const int64_t *block_off,
+                double *work, int64_t work_rows, double *out)
+{
+    const pair_consts c = pair_setup(cutoff, switch_dist, alpha, ewald_cutoff);
+    struct timespec t0, t1;
+
+    for (int64_t t = 0; t < n_tasks; t++) {
+        clock_gettime(CLOCK_MONOTONIC, &t0);
+        const int64_t lo = row_off[t], n_rows = row_off[t + 1] - lo;
+        const int64_t at = block_off[t];
+        pair_sums acc;
+        if (lo < 0 || n_rows < 0 || lo + n_rows > n_list_rows
+            || at < 0 || at + n_rows > scratch_rows)
+            return -(t + 1);
+        sums_open(&acc);
+        if (rows_task(pos, n_atoms, box, type_idx, charges, eps_tab, rmin_tab,
+                      n_types, cols, n_cols, row_ptr + lo + t, rows + lo, n_rows,
+                      &c, scratch + 3 * at, work, work_rows, &acc))
+            return -(t + 1);
+        sums_close(&acc);
+        clock_gettime(CLOCK_MONOTONIC, &t1);
+        out[4 * t] = acc.e_lj;
+        out[4 * t + 1] = acc.e_el;
+        out[4 * t + 2] = (double)acc.n_pairs;
+        out[4 * t + 3] = 1e9 * (double)(t1.tv_sec - t0.tv_sec)
+                         + (double)(t1.tv_nsec - t0.tv_nsec);
+    }
+    return 0;
 }
 
 /* ---- Ewald reciprocal sum with factorised phase factors ----------------
@@ -345,6 +670,143 @@ int ewald_recip(const double *pos, const double *q, int64_t n,
     return 0;
 }
 
+/* ---- bonded terms of one kind ---------------------------------------------
+ *
+ * The reference's formulas term by term (repro/backend/reference.py:
+ * harmonic bond and angle, cosine torsion, harmonic improper with the
+ * Bekker torsion gradient), each displacement folded like the reference's
+ * (d - L rint(d / L)), the same guards on short vectors and collinear
+ * angles.  Terms are taken in list order: every atom and force row of a
+ * term is checked, then its energy is added and its forces accumulated at
+ * the term's sidx rows, first atom to last - one reduction order, so the
+ * bits depend on the inputs only.  The reference sums with BLAS dots and
+ * per-slot scatters instead, which is why the two agree to rounding (1e-9
+ * is the contract), not bit for bit.
+ */
+static const double MIN_SIN = 1e-8;   /* collinear-angle guard */
+static const double MIN_NORM = 1e-12; /* short-vector guard */
+
+static inline void fold3(double *d, const double *a, const double *b,
+                         const double *box)
+{
+    for (int k = 0; k < 3; k++)
+        d[k] = min_image(a[k] - b[k], box[k], 0.5 * box[k]);
+}
+
+static inline double dot3(const double *a, const double *b)
+{
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2];
+}
+
+static inline void cross3(double *c, const double *a, const double *b)
+{
+    c[0] = a[1] * b[2] - a[2] * b[1];
+    c[1] = a[2] * b[0] - a[0] * b[2];
+    c[2] = a[0] * b[1] - a[1] * b[0];
+}
+
+/* kind 0 bond (idx m x 2), 1 angle (m x 3), 2 dihedral, 3 improper (m x
+ * 4); kpar, p1, p2 as in the contract.  Forces accumulate at the sidx rows
+ * of forces (n_rows rows).  Returns 0 with the energy stored, -1 at the
+ * first atom outside pos or row outside forces (earlier terms have been
+ * accumulated), 1 for a kind it does not know having touched nothing. */
+int bonded_terms(const double *pos, int64_t n_atoms, const double *box, int kind,
+                 const int64_t *idx, const int64_t *sidx, int64_t m,
+                 const double *kpar, const double *p1, const double *p2,
+                 double *forces, int64_t n_rows, double *energy)
+{
+    if (kind < 0 || kind > 3)
+        return 1;
+    const int w = kind == 0 ? 2 : kind == 1 ? 3 : 4;
+    double e = 0.0;
+    for (int64_t t = 0; t < m; t++) {
+        const int64_t *at = idx + w * t, *row = sidx + w * t;
+        double f[4][3];
+        for (int a = 0; a < w; a++)
+            if ((uint64_t)at[a] >= (uint64_t)n_atoms
+                || (uint64_t)row[a] >= (uint64_t)n_rows)
+                return -1;
+        const double *x0 = pos + 3 * at[0], *x1 = pos + 3 * at[1];
+        if (kind == 0) { /* E = k (r - r0)^2 */
+            double d[3];
+            fold3(d, x1, x0, box);
+            const double r = sqrt(dot3(d, d));
+            const double stretch = r - p1[t];
+            e += kpar[t] * (stretch * stretch);
+            const double fmag = 2.0 * kpar[t] * stretch / (r > MIN_NORM ? r : MIN_NORM);
+            for (int k = 0; k < 3; k++) {
+                f[0][k] = fmag * d[k];
+                f[1][k] = -f[0][k];
+            }
+        } else if (kind == 1) { /* E = k (theta - theta0)^2, vertex at[1] */
+            const double *x2 = pos + 3 * at[2];
+            double a[3], b[3];
+            fold3(a, x0, x1, box);
+            fold3(b, x2, x1, box);
+            const double na = sqrt(dot3(a, a)), nb = sqrt(dot3(b, b));
+            for (int k = 0; k < 3; k++) {
+                a[k] /= na;
+                b[k] /= nb;
+            }
+            double cos_t = dot3(a, b);
+            cos_t = cos_t > 1.0 ? 1.0 : cos_t < -1.0 ? -1.0 : cos_t;
+            double sin_t = sqrt(1.0 - cos_t * cos_t);
+            sin_t = sin_t > MIN_SIN ? sin_t : MIN_SIN;
+            const double diff = acos(cos_t) - p1[t];
+            e += kpar[t] * (diff * diff);
+            const double de = 2.0 * kpar[t] * diff;
+            const double ci = -de / (na * sin_t), ck = -de / (nb * sin_t);
+            for (int k = 0; k < 3; k++) {
+                f[0][k] = ci * (cos_t * a[k] - b[k]);
+                f[2][k] = ck * (cos_t * b[k] - a[k]);
+                f[1][k] = -(f[0][k] + f[2][k]);
+            }
+        } else { /* torsions: phi = atan2((m x n).b2 / |b2|, m.n) */
+            const double *x2 = pos + 3 * at[2], *x3 = pos + 3 * at[3];
+            double b1[3], b2[3], b3[3], mv[3], nv[3], mxn[3];
+            fold3(b1, x1, x0, box);
+            fold3(b2, x2, x1, box);
+            fold3(b3, x3, x2, box);
+            cross3(mv, b1, b2);
+            cross3(nv, b2, b3);
+            cross3(mxn, mv, nv);
+            const double nb2 = sqrt(dot3(b2, b2));
+            const double phi = atan2(dot3(mxn, b2) / (nb2 > MIN_NORM ? nb2 : MIN_NORM),
+                                     dot3(mv, nv));
+            double de;
+            if (kind == 2) { /* E = k (1 + cos(n phi - delta)) */
+                const double arg = p1[t] * phi - p2[t];
+                e += kpar[t] * (1.0 + cos(arg));
+                de = -kpar[t] * p1[t] * sin(arg);
+            } else { /* E = k (psi - psi0)^2, the difference wrapped to [-pi, pi) */
+                double diff = fmod(phi - p1[t] + PI, 2.0 * PI);
+                if (diff < 0.0)
+                    diff += 2.0 * PI;
+                diff -= PI;
+                e += kpar[t] * (diff * diff);
+                de = 2.0 * kpar[t] * diff;
+            }
+            double m2 = dot3(mv, mv), n2 = dot3(nv, nv), b2sq = nb2 * nb2;
+            m2 = m2 > MIN_NORM ? m2 : MIN_NORM;
+            n2 = n2 > MIN_NORM ? n2 : MIN_NORM;
+            b2sq = b2sq > MIN_NORM ? b2sq : MIN_NORM;
+            const double ti = dot3(b1, b2) / b2sq, tl = dot3(b3, b2) / b2sq;
+            for (int k = 0; k < 3; k++) {
+                const double gi = -nb2 / m2 * mv[k], gl = nb2 / n2 * nv[k];
+                f[0][k] = -de * gi;
+                f[1][k] = -de * (-(1.0 + ti) * gi + tl * gl);
+                f[2][k] = -de * (-(1.0 + tl) * gl + ti * gi);
+                f[3][k] = -de * gl;
+            }
+        }
+        for (int a = 0; a < w; a++)
+            for (int k = 0; k < 3; k++)
+                forces[3 * row[a] + k] += f[a][k];
+    }
+    *energy = e;
+    return 0;
+}
+
 /* ---- pairs of one dense cell block: counted, or listed ------------------
  *
  * The block is the stripe part::n_parts of the rows of cell a against all
@@ -352,14 +814,23 @@ int ewald_recip(const double *pos, const double *q, int64_t n,
  * itself.  A row is three passes: squared distances of the row atom to
  * every column, one axis at a time over contiguous column coordinates;
  * the in-range columns compacted without a branch; then, in list mode, the
- * exclusion lookup, the Lorentz-Berthelot combination and the stores for
- * those columns only.  The arithmetic is the reference's bit for bit - the
- * fold d - L rint(d / L) per component, the sum (dx^2 + dy^2) + dz^2 - so
- * the lists are the reference's arrays exactly.
+ * exclusion lookup and one int32 store for those columns only.  The
+ * arithmetic is the reference's bit for bit - the fold d - L rint(d / L)
+ * per component, the sum (dx^2 + dy^2) + dz^2 - so the lists are the
+ * reference's arrays exactly.
+ *
+ * A list is a row list over the task's force block - the rows the driver
+ * gathers: a self block's are cell a's own, a pair block's the stripe
+ * (0 .. ns) followed by cell b (ns ..).  cols names, per listed pair, the
+ * partner's block row, in row-major order; row_ptr, one entry per block
+ * row plus one, holds each row's absolute range in cols.  Rows that list
+ * nothing - cell b's, rows outside the stripe - are empty ranges.  The row
+ * atom, its force row and the pair's parameters are what the block already
+ * knows; nb_rows reads them from there.
  */
 #define BLOCK_NO_FIT (-1)
 #define BLOCK_BAD_INDEX (-2)
-#define BLOCK_WORK 8 /* doubles of scratch per atom of cell b */
+#define BLOCK_WORK 5 /* doubles of scratch per atom of cell b */
 
 /* r2[c] += fold(x - xb[c])^2 for lo <= c < hi; xb lies in [bmin, bmax].
  * The bounds pick the cheapest fold that is still d - L rint(d / L):
@@ -394,20 +865,18 @@ static void axis_r2(double *r2, const double *xb, int64_t lo, int64_t hi,
 /* Count mode (excl_ptr NULL): returns the pairs of the block within r and
  * writes nothing.  List mode: pairs within r and not in the per-atom
  * exclusion table (excl_idx[excl_ptr[i] .. excl_ptr[i+1]) ascending,
- * n_excl entries) go to the seven arrays of `capacity` entries from
- * `offset` on, in row-major order; returns how many, or BLOCK_NO_FIT
- * having written nothing at or beyond `capacity`.  BLOCK_BAD_INDEX at the
- * first atom outside pos, type outside the LJ tables or table row outside
+ * n_excl entries) go to cols (`capacity` entries) from `offset` on, and
+ * row_ptr - one entry per block row plus one, the caller's to size - gets
+ * every row's range; returns how many, or BLOCK_NO_FIT having written
+ * nothing at or beyond `capacity` (row_ptr is then unspecified).
+ * BLOCK_BAD_INDEX at the first atom outside pos or table row outside
  * excl_idx.  work holds BLOCK_WORK * nb doubles. */
 int64_t block_pairs(const double *pos, int64_t n_atoms, const double *box,
                     const int64_t *atoms_a, int64_t na,
                     const int64_t *atoms_b, int64_t nb,
                     int64_t part, int64_t n_parts, double r,
                     const int64_t *excl_ptr, const int64_t *excl_idx, int64_t n_excl,
-                    const int64_t *type_idx, const double *eps_t,
-                    const double *rmin_t, int64_t n_types, const double *charges,
-                    int32_t *i_g, int32_t *j_g, int64_t *si, int64_t *sj,
-                    double *eps, double *rmin, double *qq,
+                    int32_t *cols, int64_t *row_ptr,
                     int64_t offset, int64_t capacity, double *work)
 {
     const int self = atoms_b == NULL;
@@ -419,8 +888,7 @@ int64_t block_pairs(const double *pos, int64_t n_atoms, const double *box,
     }
     double *xb[3] = {work, work + nb, work + 2 * nb};
     double *r2 = work + 3 * nb;
-    double *eps_b = work + 4 * nb, *rmin_b = work + 5 * nb, *q_b = work + 6 * nb;
-    int64_t *hit = (int64_t *)(work + 7 * nb);
+    int64_t *hit = (int64_t *)(work + 4 * nb);
     double bmin[3], bmax[3];
 
     /* cell b gathered once, component-major: its indices are checked here */
@@ -436,17 +904,12 @@ int64_t block_pairs(const double *pos, int64_t n_atoms, const double *box,
             if (c == 0 || x > bmax[k])
                 bmax[k] = x;
         }
-        if (listing) {
-            const int64_t tj = type_idx[j];
-            if ((uint64_t)tj >= (uint64_t)n_types)
-                return BLOCK_BAD_INDEX;
-            eps_b[c] = eps_t[tj];
-            rmin_b[c] = rmin_t[tj];
-            q_b[c] = charges[j];
-        }
     }
 
     const int64_t ns = (na - part + n_parts - 1) / n_parts; /* stripe rows */
+    const int64_t n_rows = self ? na : ns + nb;             /* block rows */
+    const int64_t shift = self ? 0 : ns; /* a column's block row is c + shift */
+    int64_t next = 0; /* the first block row whose range has no start yet */
     int64_t n = 0;
     for (int64_t s = 0; s < ns && nb > 0; s++) {
         const int64_t row = part + s * n_parts;
@@ -467,12 +930,11 @@ int64_t block_pairs(const double *pos, int64_t n_atoms, const double *box,
             n += n_hit;
             continue;
         }
-        const int64_t ti = type_idx[i];
         const int64_t e_lo = excl_ptr[i], e_hi = excl_ptr[i + 1];
-        if ((uint64_t)ti >= (uint64_t)n_types
-            || e_lo < 0 || e_lo > e_hi || e_hi > n_excl)
+        if (e_lo < 0 || e_lo > e_hi || e_hi > n_excl)
             return BLOCK_BAD_INDEX;
-        const double eps_i = eps_t[ti], rmin_i = rmin_t[ti], q_i = charges[i];
+        for (const int64_t mine = self ? row : s; next <= mine; next++)
+            row_ptr[next] = offset + n;
         for (int64_t h = 0; h < n_hit; h++) {
             const int64_t c = hit[h];
             const int64_t j = atoms_b[c];
@@ -481,18 +943,14 @@ int64_t block_pairs(const double *pos, int64_t n_atoms, const double *box,
                 e++;
             if (e < e_hi && excl_idx[e] == j)
                 continue;
-            const int64_t at = offset + n;
-            if (at >= capacity)
+            if (offset + n >= capacity)
                 return BLOCK_NO_FIT;
-            i_g[at] = (int32_t)i;
-            j_g[at] = (int32_t)j;
-            si[at] = self ? row : s;
-            sj[at] = self ? c : c + ns;
-            eps[at] = sqrt(eps_i * eps_b[c]);
-            rmin[at] = rmin_i + rmin_b[c];
-            qq[at] = q_i * q_b[c];
+            cols[offset + n] = (int32_t)(c + shift);
             n++;
         }
     }
+    if (listing)
+        for (; next <= n_rows; next++)
+            row_ptr[next] = offset + n;
     return n;
 }

@@ -10,10 +10,11 @@ evaluates the same formulas arranged for numpy (component-major
 displacements, index selection, in-place updates, the switching polynomial
 on its band only); tests hold it to ``pair_terms`` + ``segment_add`` at
 1e-12.  :func:`block_pairs` is the pair-list build — distance mask,
-exclusion lookup, parameter combination — and the other backends must
-reproduce its arrays exactly, order included.  The numpy backend is
-deterministic — one reduction order per
-kernel — which is what keeps trajectories and checkpoint resume
+exclusion lookup, the row list — and the other backends must reproduce its
+arrays exactly, order included; :func:`nb_rows`, the cell tasks' kernel,
+expands those rows back to pair arrays (:func:`expand_rows`) and is
+``nb_pairs`` over them.  The numpy backend is deterministic — one reduction
+order per kernel — which is what keeps trajectories and checkpoint resume
 bit-identical run to run.
 
 Import discipline: numpy and :mod:`repro.util` only.  ``repro.md`` modules
@@ -24,12 +25,14 @@ and guarded by tests against their ``repro.md`` counterparts.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
 from repro.backend.base import KernelBackend
 from repro.util.pbc import minimum_image
 
-__all__ = ["build_backend"]
+__all__ = ["build_backend", "expand_rows"]
 
 #: Duplicated from :data:`repro.md.constants.COULOMB_CONSTANT` (circular
 #: import — see module docstring); tests assert the two stay equal.
@@ -516,19 +519,27 @@ def block_pairs(
     out: tuple | None = None,
     offset: int = 0,
 ) -> int:
-    """Pairs of one dense cell block within ``r``: counted, or listed into
-    ``out`` at ``offset`` (see the contract in :mod:`repro.backend.base`).
+    """Pairs of one dense cell block within ``r``: counted, or listed as
+    rows into ``out`` at ``offset`` (see the contract in
+    :mod:`repro.backend.base`).
 
     The distance test runs on the block's dense coordinates
     (:func:`_block_within`); the in-range entries, read in row-major order,
-    *are* the local scatter indices, so no per-candidate index array is
-    ever formed and the exclusion lookup sees in-range pairs only.
+    *are* the block rows, so no per-candidate index array is ever formed
+    and the exclusion lookup sees in-range pairs only.
     """
     atoms_a = np.asarray(atoms_a)
     self_block = atoms_b is None
     atoms_b = atoms_a if self_block else np.asarray(atoms_b)
     rows = np.arange(part, len(atoms_a), n_parts)
+    if tables is not None:
+        cols, row_ptr = out
+        n_rows = len(atoms_a) if self_block else len(rows) + len(atoms_b)
+        if len(row_ptr) != n_rows + 1:
+            raise ValueError("row_ptr must hold one entry per block row plus one")
     if len(rows) == 0 or len(atoms_b) == 0:
+        if tables is not None:
+            row_ptr[:] = offset
         return 0
     rows_a = atoms_a[rows]
     # numpy's gather raises beyond the end but wraps a negative index
@@ -540,27 +551,93 @@ def block_pairs(
         within &= rows[:, None] < np.arange(len(atoms_b))
     if tables is None:
         return int(np.count_nonzero(within))
-    excl_ptr, partners, type_idx, eps_t, rmin_t, charges = tables
+    excl_ptr, partners = tables
     si, sj = np.divmod(np.flatnonzero(within), len(atoms_b))
-    j_g = atoms_b[sj]
-    keep = ~_block_excluded(excl_ptr, partners, rows_a, si, j_g, len(pos))
+    keep = ~_block_excluded(excl_ptr, partners, rows_a, si, atoms_b[sj], len(pos))
     n = int(np.count_nonzero(keep))
-    if offset + n > len(out[0]):
+    if offset + n > len(cols):
         return -1
-    si, sj, j_g = si[keep], sj[keep], j_g[keep]
-    i_g = rows_a[si]
-    at = slice(offset, offset + n)
-    out[0][at] = i_g
-    out[1][at] = j_g
+    si, sj = si[keep], sj[keep]
     # block rows: a self task's are the cell's own, a pair task's the
     # stripe followed by cell b
-    out[2][at] = rows[si] if self_block else si
-    out[3][at] = sj if self_block else sj + len(rows)
-    ti, tj = type_idx[i_g], type_idx[j_g]
-    np.sqrt(eps_t[ti] * eps_t[tj], out=out[4][at])
-    np.add(rmin_t[ti], rmin_t[tj], out=out[5][at])
-    np.multiply(charges[i_g], charges[j_g], out=out[6][at])
+    cols[offset : offset + n] = sj if self_block else sj + len(rows)
+    row_ptr[0] = offset
+    np.cumsum(
+        np.bincount(rows[si] if self_block else si, minlength=n_rows),
+        out=row_ptr[1:],
+    )
+    row_ptr[1:] += offset
     return n
+
+
+def expand_rows(cols: np.ndarray, row_ptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(si, sj)`` block-row arrays of one task's row list — the pair
+    arrays ``nb_pairs`` scatters through, in list order."""
+    si = np.repeat(np.arange(len(row_ptr) - 1, dtype=np.int64), np.diff(row_ptr))
+    return si, cols[row_ptr[0] : row_ptr[-1]].astype(np.int64)
+
+
+_CORRUPT = "row list of task {} of the batch is corrupt"
+
+
+def _check_indices(idx: np.ndarray, bound: int, t: int) -> None:
+    """numpy's gathers wrap a negative index and the kernels' contract is an
+    error: every index array of task ``t`` is range-checked before use."""
+    if len(idx) and (idx.min() < 0 or idx.max() >= bound):
+        raise IndexError(_CORRUPT.format(t))
+
+
+def nb_rows(
+    pos: np.ndarray,
+    box: np.ndarray,
+    tables: tuple,
+    lists: tuple,
+    cutoff: float,
+    switch: float,
+    scratch: np.ndarray,
+    block_off: np.ndarray,
+    out: np.ndarray,
+    alpha: float | None = None,
+    ewald_cutoff: float | None = None,
+) -> None:
+    """A batch of cell tasks over their row lists (the contract in
+    :mod:`repro.backend.base`): each task's rows expanded to the pair arrays
+    they stand for — atoms through ``rows``, parameters through the type
+    tables — and handed to :func:`nb_pairs`."""
+    type_idx, charges, eps_tab, rmin_tab = tables
+    cols, row_ptr, rows, row_off = lists
+    n_types = len(eps_tab)
+    for t in range(len(block_off)):
+        started = time.perf_counter_ns()
+        lo, hi = int(row_off[t]), int(row_off[t + 1])
+        at = int(block_off[t])
+        atoms, ptr = rows[lo:hi], row_ptr[lo + t : hi + t + 1]
+        n_rows = hi - lo
+        if (
+            not 0 <= lo <= hi <= len(rows)
+            or len(ptr) != n_rows + 1
+            or at < 0
+            or at + n_rows > len(scratch)
+            or ptr[0] < 0
+            or ptr[-1] > len(cols)
+            or np.any(ptr[1:] < ptr[:-1])
+        ):
+            raise IndexError(_CORRUPT.format(t))
+        si, sj = expand_rows(cols, ptr)
+        _check_indices(atoms, len(pos), t)
+        _check_indices(sj, n_rows, t)
+        types = type_idx[atoms]
+        _check_indices(types, n_types, t)
+        block = scratch[at : at + n_rows]
+        block[...] = 0.0
+        i_g, j_g = atoms[si], atoms[sj]
+        ti, tj = types[si], types[sj]
+        out[t, :3] = nb_pairs(
+            pos, box, i_g, j_g, eps_tab[ti, tj], rmin_tab[ti, tj],
+            charges[i_g] * charges[j_g], cutoff, switch, block, si, sj,
+            alpha, ewald_cutoff,
+        )
+        out[t, 3] = time.perf_counter_ns() - started
 
 
 def build_backend() -> KernelBackend:
@@ -576,4 +653,5 @@ def build_backend() -> KernelBackend:
         bonded_terms=bonded_terms,
         ewald_recip_shard=ewald_recip_shard,
         block_pairs=block_pairs,
+        nb_rows=nb_rows,
     )

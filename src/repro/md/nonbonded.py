@@ -33,7 +33,7 @@ __all__ = [
     "NonbondedResult",
     "switching_function",
     "pair_interactions",
-    "block_pair_tables",
+    "pair_type_tables",
     "filter_candidates",
     "nonbonded_kernel",
     "nonbonded_14",
@@ -132,16 +132,13 @@ def _combined_params(
     return eps_ij, rmin_ij, qq
 
 
-def block_pair_tables(system: MolecularSystem) -> tuple[np.ndarray, ...]:
-    """``system`` as the ``tables`` of ``backend.block_pairs``' list mode:
-    the per-atom exclusion table, type indices, per-type LJ tables and
-    charges — the arrays :func:`_combined_params` and the exclusion lookups
-    read, in the form in which they cross the kernel contract."""
+def pair_type_tables(system: MolecularSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The two ``n_types x n_types`` tables ``backend.nb_rows`` reads a
+    pair's LJ parameters from: ``sqrt(eps_a eps_b)`` and ``rmin_a + rmin_b``
+    — entry ``[type_i, type_j]`` is :func:`_combined_params`' value for the
+    pair, rounding for rounding."""
     _, eps_t, rmin_t = system.forcefield.lj_tables()
-    return (
-        *system.exclusions.atom_table(), system.type_indices, eps_t, rmin_t,
-        system.charges,
-    )
+    return np.sqrt(eps_t[:, None] * eps_t[None, :]), rmin_t[:, None] + rmin_t[None, :]
 
 
 def filter_candidates(

@@ -10,10 +10,12 @@ force-field work as a family of schedulable tasks behind the
   blocks and 13-per-cell neighbour pair blocks of the paper's spatial
   decomposition, optionally split into row-stripe sub-tasks by grainsize
   control (§4.2.1–2); evaluated with per-task prefiltered Verlet lists
-  and pre-combined Lorentz-Berthelot parameters by the one fused pair
-  kernel — LJ plus the shifted point-charge term or, under Ewald, the
-  erfc real-space term.  The lists are the backend's work too
-  (``block_pairs``), written in place into one arena per evaluator;
+  as row lists over each task's force block (four bytes a listed pair),
+  all of an executor's by one call of the batched pair kernel
+  (``backend.nb_rows``) a step — LJ plus the shifted point-charge term or,
+  under Ewald, the erfc real-space term.  The lists are the backend's
+  work too (``block_pairs``), written in place into one arena per
+  evaluator;
 * **bonded groups** ``("bonded", kind, cell, intra)`` — the bonded terms
   of one kind whose home cell (under the reference binning) lies in run
   ``cell`` of consecutive cells, split into intra/inter groups that
@@ -52,12 +54,12 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.backend import get_backend
-from repro.backend.base import block_arena
+from repro.backend.reference import expand_rows
 from repro.md.bonded import BONDED_KINDS, bonded_term_arrays
 from repro.md.cells import CellGrid
 from repro.md.constants import COULOMB_CONSTANT
 from repro.md.ewald import EwaldOptions, _kspace_tables
-from repro.md.nonbonded import NonbondedOptions, block_pair_tables, ewald_pair_mode
+from repro.md.nonbonded import NonbondedOptions, ewald_pair_mode, pair_type_tables
 from repro.core.grainsize import GrainsizeConfig, stripe_candidate_counts
 from repro.util.pbc import wrap_positions
 
@@ -68,15 +70,15 @@ __all__ = [
     "ForceTaskEvaluator",
     "ForceTaskProvider",
     "ForceTaskSpec",
+    "RowLists",
     "bonded_cell_stride",
     "build_force_tasks",
-    "build_task_lists",
+    "build_row_lists",
     "build_xtask_entries",
     "count_task_pairs",
     "eval_xtask",
     "kspace_shards",
     "scratch_rows_bound",
-    "task_kernel",
     "task_layout",
     "task_offsets",
     "xtask_rows",
@@ -122,20 +124,20 @@ class CostPriors(NamedTuple):
 #: call of a few dozen small numpy operations, 30-250 us whatever its size,
 #: plus 0.1-0.5 us per term.
 #:
-#: c: the pair unit falls to ~20 ns (the 36 cell tasks over their summed
-#: prior, each task's fastest evaluation of the window), so everything the
-#: C pair kernel does not touch grows in it.  The cell tasks take 7.4 ms
-#: against 3.7 (scalar libm ``erfc`` + ``exp`` on every pair, and the
-#: two-pass kernel took more out of the cutoff-mode pair than out of
-#: those); a factorised shard term 7-8 ns; the bonded groups are still the
-#: reference's, ~110 us a call and ~0.2 us a term (210 us for 686 bonds or
-#: 343 angles).
+#: c: the cell tasks' times are the batched kernel's own clock, and the pair
+#: unit falls to ~8 ns (the 36 cell tasks, 1.45 ms, over their summed prior,
+#: each task's fastest evaluation of the window), so everything that kernel
+#: does not touch grows in it.  The cell tasks take 3.97 ms with scalar libm
+#: ``erfc`` + ``exp`` on every pair against those 1.45; a factorised shard
+#: term 6.2-6.8 ns; a bonded group is one call of the C kernel, ~25 us of
+#: wrapper and ``ctypes`` before the first term and 2-30 ns a term (28-33 us
+#: for 686 or 1,458 bonds, 39-47 us for 343 or 729 angles).
 COST_PRIORS = {
     False: CostPriors(
         ewald_pair=1.2, kterm_pair=0.55, bonded_call=600.0, bonded_term=3.0
     ),
     True: CostPriors(
-        ewald_pair=2.0, kterm_pair=0.4, bonded_call=5500.0, bonded_term=10.0
+        ewald_pair=2.7, kterm_pair=0.77, bonded_call=3000.0, bonded_term=2.0
     ),
 }
 
@@ -281,20 +283,22 @@ def task_layout(
     n_nb = len(tasks)
     offsets = task_offsets(buckets, tasks, xrows)
     gather = np.empty(int(offsets[-1]), dtype=np.int64)
-    for t, (a, b, part, n_parts) in enumerate(tasks):
-        lo = int(offsets[t])
-        if b == a:
-            atoms_a = buckets[a]
-            gather[lo : lo + len(atoms_a)] = atoms_a
-        else:
-            rows_a = buckets[a][part::n_parts]
-            atoms_b = buckets[b]
-            gather[lo : lo + len(rows_a)] = rows_a
-            gather[lo + len(rows_a) : lo + len(rows_a) + len(atoms_b)] = atoms_b
+    for t, task in enumerate(tasks):
+        gather[offsets[t] : offsets[t + 1]] = _block_rows(buckets, task)
     for x, rows in enumerate(xrows):
         lo = int(offsets[n_nb + x])
         gather[lo : lo + len(rows)] = rows
     return offsets, gather
+
+
+def _block_rows(buckets, task) -> np.ndarray:
+    """Global atom indices of the force-block rows of one cell task: cell
+    ``a`` for a self task, the stripe of cell ``a`` then all of cell ``b``
+    for a pair task."""
+    a, b, part, n_parts = task
+    if a == b:
+        return buckets[a]
+    return np.concatenate([buckets[a][part::n_parts], buckets[b]])
 
 
 def scratch_rows_bound(
@@ -344,71 +348,88 @@ def count_task_pairs(system, tasks, my_tasks, buckets, r_list, backend) -> int:
     )
 
 
-def build_task_lists(
-    system, tasks, my_tasks, buckets, r_list, backend=None, arena=None
-):
-    """Per-task prefiltered pair lists with local scatter indices, built in
-    place in one arena.
+class RowLists(NamedTuple):
+    """The pair lists of a batch of cell tasks, in the form
+    ``backend.nb_rows`` evaluates (the contract in
+    :mod:`repro.backend.base`): four bytes a listed pair and sixteen a block
+    row, because everything else a pair needs — its row atom, both force
+    rows, its parameters — is a property of the block.
+
+    Task ``k`` of the batch owns ``rows[row_off[k]:row_off[k+1]]`` — its
+    force block's rows as global atom indices, the same indices as the
+    driver's :func:`task_layout` gather — and the ``row_ptr`` slots from
+    ``row_off[k] + k`` on, one per block row plus one: block row ``r`` lists
+    the partners ``cols[row_ptr[r]:row_ptr[r+1]]``, block rows themselves.
+    """
+
+    #: int32, one entry a listed pair, the tasks' lists concatenated in
+    #: task order from 0 (the array may run on past the last of them)
+    cols: np.ndarray
+    row_ptr: np.ndarray
+    rows: np.ndarray
+    row_off: np.ndarray
+
+    def task(self, k: int) -> "RowLists":
+        """Task ``k`` alone, as a batch of one (views, nothing copied)."""
+        lo, hi = int(self.row_off[k]), int(self.row_off[k + 1])
+        return RowLists(
+            self.cols, self.row_ptr[lo + k : hi + k + 1], self.rows[lo:hi],
+            np.array([0, hi - lo], dtype=np.int64),
+        )
+
+    def pairs(self, k: int) -> tuple[np.ndarray, ...]:
+        """The explicit pair arrays task ``k``'s rows stand for, in list
+        order: ``(i, j, si, sj)`` — global atom indices and block rows, the
+        arguments ``backend.nb_pairs`` would take."""
+        one = self.task(k)
+        si, sj = expand_rows(one.cols, one.row_ptr)
+        return one.rows[si], one.rows[sj], si, sj
+
+
+def build_row_lists(
+    system, tasks, my_tasks, buckets, r_list, backend=None, cols=None
+) -> RowLists | None:
+    """The row lists of ``my_tasks``, built in place in one arena.
 
     For each owned sub-task ``(a, b, part, n_parts)`` one
     ``backend.block_pairs`` call lists the block (the contract in
-    :mod:`repro.backend.base`): global pair index arrays filtered to
-    ``r < r_list`` minus exclusions/1-4, the matching *local* block-row
-    indices, and the pre-combined LJ/charge parameters
-    (position-independent, so combined once per rebuild instead of every
-    step).  A self sub-task keeps the upper-triangle pairs whose row ``i``
-    lands in the stripe (rows ``0..na-1`` of the block, so all slices of
-    one self cell share scatter indexing); a pair sub-task tests its
-    stripe's rows (block rows ``0..ns-1``) against all of cell ``b``
-    (rows ``ns..``).  The slices are an exact partition of the parent
-    task's candidate set.
+    :mod:`repro.backend.base`): the pairs with ``r < r_list`` minus
+    exclusions/1-4, row-major.  A self sub-task keeps the upper-triangle
+    pairs whose row ``i`` lands in the stripe (rows ``0..na-1`` of the
+    block, so all slices of one self cell share scatter indexing); a pair
+    sub-task tests its stripe's rows (block rows ``0..ns-1``) against all
+    of cell ``b`` (rows ``ns..``).  The slices are an exact partition of
+    the parent task's candidate set.
 
-    The calls write one after another into ``arena`` (the seven arrays of
-    :func:`repro.backend.base.block_arena`), overwriting whatever it held:
-    a task's entry is seven slices of it — ``None`` for a task with no
-    pair — and the lists of ``my_tasks`` lie concatenated in task order.
-    Returns the entries by task id, or ``None`` when they do not fit.  A
+    The calls write one after another into ``cols`` (int32), overwriting
+    whatever it held, so the lists of ``my_tasks`` lie concatenated in task
+    order.  Returns the batch, or ``None`` when it does not fit.  A
     one-shot caller passes no arena and gets one sized by
     :func:`count_task_pairs`.
     """
     backend = get_backend(backend)
-    if arena is None:
-        arena = block_arena(
-            count_task_pairs(system, tasks, my_tasks, buckets, r_list, backend)
+    if cols is None:
+        cols = np.empty(
+            count_task_pairs(system, tasks, my_tasks, buckets, r_list, backend),
+            dtype=np.int32,
         )
-    tables = block_pair_tables(system)
-    lists: dict[int, tuple | None] = {}
+    blocks = [_block_rows(buckets, tasks[t]) for t in my_tasks]
+    row_off = np.zeros(len(blocks) + 1, dtype=np.int64)
+    np.cumsum([len(rows) for rows in blocks], out=row_off[1:])
+    rows = np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
+    row_ptr = np.empty(len(rows) + len(blocks), dtype=np.int64)
+    # read here, at every rebuild: a table rebuilt since is the one used
+    table = system.exclusions.atom_table()
     used = 0
-    for t in my_tasks:
+    for k, t in enumerate(my_tasks):
         n = backend.block_pairs(
             system.positions, system.box, *_task_block(tasks, t, buckets), r_list,
-            tables, arena, used,
+            table, (cols, row_ptr[row_off[k] + k : row_off[k + 1] + k + 1]), used,
         )
         if n < 0:
             return None
-        lists[t] = tuple(arr[used : used + n] for arr in arena) if n else None
         used += n
-    return lists
-
-
-def task_kernel(
-    system, entry, options, block, backend, ewald=None
-) -> tuple[float, float, int]:
-    """One task's switched LJ + electrostatics into its compact block.
-
-    Identical per-pair arithmetic to :func:`repro.md.nonbonded.
-    nonbonded_kernel` (same fused ``backend.nb_pairs`` kernel, same
-    segment-sum scatter), but over a prefiltered list with pre-combined
-    parameters and local scatter indices — the parallel hot loop.  With
-    ``ewald`` the kernel runs in its Ewald mode: the electrostatic term is
-    the real-space ``erfc`` sum of :class:`repro.md.ewald.EwaldOptions`.
-    """
-    i_g, j_g, si, sj, eps, rmin, qq = entry
-    return backend.nb_pairs(
-        system.positions, system.box, i_g, j_g, eps, rmin, qq,
-        options.cutoff, options.switch, block, si, sj,
-        *ewald_pair_mode(ewald),
-    )
+    return RowLists(cols, row_ptr, rows, row_off)
 
 
 def build_xtask_entries(xtasks, xsels, term_data, my_tasks, n_nb):
@@ -507,10 +528,19 @@ class ForceTaskEvaluator:
         self.system.positions = self.positions
         self.dims = np.asarray(provider.dims, dtype=np.int64)
         self.n_nb = len(provider.tasks)
-        self.lists: dict[int, tuple | None] = {}
-        #: the seven arrays every entry of ``lists`` is a slice of, for
-        #: this evaluator's life (regrown only when a rebuild outgrows it)
-        self.arena: tuple | None = None
+        #: position-independent, so combined once for the evaluator's life
+        self.pair_tables = pair_type_tables(self.system)
+        #: this evaluator's cell tasks, their lists (None between a rebuild
+        #: that raised and the next), each one's first scratch row and place
+        #: in the batch, and the stats rows the kernel fills
+        self.cell_tasks = np.zeros(0, dtype=np.int64)
+        self.lists: RowLists | None = None
+        self.block_off = np.zeros(0, dtype=np.int64)
+        self.slot: dict[int, int] = {}
+        self.cell_out = np.zeros((0, 4))
+        #: the int32 array ``lists.cols`` is, for this evaluator's life
+        #: (regrown only when a rebuild outgrows it)
+        self.arena: np.ndarray | None = None
         self.xentries: dict[int, tuple] = {}
         self.kspace_stats = {"builds": 0, "hits": 0}
 
@@ -522,9 +552,10 @@ class ForceTaskEvaluator:
 
         p = self.provider
         # the arena is overwritten in place (an evaluator never evaluates
-        # during its own rebuild): hold no entry into it meanwhile, so a
+        # during its own rebuild): hold no list into it meanwhile, so a
         # rebuild that raises leaves no lists rather than half-written ones
-        self.lists = {}
+        self.lists = None
+        self.slot = {}
         self.xentries = {}
         # derive everything from the reference positions so the result is
         # independent of when this worker (re)built
@@ -538,20 +569,24 @@ class ForceTaskEvaluator:
                 len(self.positions),
             )
             offsets = task_offsets(buckets, p.tasks, xrows)
-            self.lists = self._build_lists(
-                [t for t in my_tasks if t < self.n_nb], buckets
-            )
+            mine = [t for t in my_tasks if t < self.n_nb]
+            lists = self._build_lists(mine, buckets)
             self.xentries = build_xtask_entries(
                 p.xtasks, xsels, p.term_data, my_tasks, self.n_nb
             )
         finally:
             self.system.positions = self.positions
+        self.cell_tasks = np.asarray(mine, dtype=np.int64)
+        self.block_off = offsets[self.cell_tasks]
+        self.cell_out = np.zeros((len(mine), 4))
+        self.slot = {t: k for k, t in enumerate(mine)}
+        self.lists = lists
         return offsets
 
-    def _build_lists(self, mine: list[int], buckets) -> dict:
+    def _build_lists(self, mine: list[int], buckets) -> RowLists:
         p = self.provider
         args = (self.system, p.tasks, mine, buckets, p.r_list, self.backend)
-        lists = None if self.arena is None else build_task_lists(*args, self.arena)
+        lists = None if self.arena is None else build_row_lists(*args, self.arena)
         if lists is None:
             # none yet, or outgrown (a remap enlarged this worker's task
             # set): sized from a count plus a few percent, so the next
@@ -560,9 +595,28 @@ class ForceTaskEvaluator:
             # is allocated, so two list generations never coexist
             self.arena = None
             n = count_task_pairs(*args)
-            self.arena = block_arena(n + n // 32 + 64)
-            lists = build_task_lists(*args, self.arena)
+            self.arena = np.empty(n + n // 32 + 64, dtype=np.int32)
+            lists = build_row_lists(*args, self.arena)
         return lists
+
+    def _nb_rows(self, lists: RowLists, scratch, block_off, out) -> None:
+        """``backend.nb_rows`` over ``lists`` at the live positions."""
+        p, system = self.provider, self.system
+        self.backend.nb_rows(
+            system.positions, system.box,
+            (system.type_indices, system.charges, *self.pair_tables),
+            lists, p.options.cutoff, p.options.switch, scratch, block_off, out,
+            *ewald_pair_mode(p.ewald),
+        )
+
+    def eval_batch(self, scratch) -> tuple[np.ndarray, np.ndarray]:
+        """Every cell task of this evaluator in one kernel call (the
+        protocol's optional batch): each into its block of ``scratch``,
+        the kernel timing each itself."""
+        if self.lists is None:
+            raise RuntimeError("no pair lists: the last rebuild did not finish")
+        self._nb_rows(self.lists, scratch, self.block_off, self.cell_out)
+        return self.cell_tasks, self.cell_out
 
     def eval_task(self, t: int, block) -> tuple[float, float, float]:
         p = self.provider
@@ -574,12 +628,11 @@ class ForceTaskEvaluator:
             if self.xentries[t][0] == "kspace":
                 return 0.0, energy, n_items
             return energy, 0.0, n_items
-        entry = self.lists[t]
-        if entry is None:
-            return 0.0, 0.0, 0
-        return task_kernel(
-            self.system, entry, p.options, block, self.backend, p.ewald
-        )
+        # a cell task on its own: the batch kernel over a batch of one
+        k = self.slot[t]  # a KeyError when there are no lists
+        out = np.empty((1, 4))
+        self._nb_rows(self.lists.task(k), block, np.zeros(1, dtype=np.int64), out)
+        return float(out[0, 0]), float(out[0, 1]), int(out[0, 2])
 
     def end_step(self, out_row) -> None:
         out_row[0] = self.kspace_stats["builds"]
@@ -589,7 +642,8 @@ class ForceTaskEvaluator:
         system = self.system
         self.positions = None
         self.ref_positions = None
-        self.lists = {}
+        self.lists = None
+        self.slot = {}
         self.arena = None
         self.xentries = {}
         del system.positions

@@ -16,9 +16,11 @@ domain-specific enters through two small interfaces:
   order: :meth:`~TaskEvaluator.begin_step` with the driver's per-step
   payload, :meth:`~TaskEvaluator.rebuild` whenever the task→worker
   assignment changed or the driver requested it (returning the scratch
-  block *offsets* that define the reduction layout), then
-  :meth:`~TaskEvaluator.eval_task` once per owned task, and finally
-  :meth:`~TaskEvaluator.end_step` with the worker's private stats row.
+  block *offsets* that define the reduction layout), then — if the
+  evaluator has one — ``eval_batch`` once, then
+  :meth:`~TaskEvaluator.eval_task` once per owned task the batch did not
+  cover, and finally :meth:`~TaskEvaluator.end_step` with the worker's
+  private stats row.
 
 Both are :class:`typing.Protocol` classes — structural, no inheritance
 required — so providers (e.g. :mod:`repro.md.tasks`) depend only on this
@@ -31,13 +33,30 @@ worker counts, remaps, and recovery (see the MD engine's docstring for
 the worked example).  The runtime guarantees in return that a respawned
 or reassigned worker re-runs ``rebuild`` before evaluating anything.
 
+**The optional batch.**  The unit of scheduling need not be the unit of
+inner-loop work: an evaluator may evaluate many of its tasks in one call.
+It does so by having a method ``eval_batch(scratch) -> (tasks, rows)`` — not
+part of :class:`TaskEvaluator`, which every evaluator must satisfy; the
+runtime looks it up on the evaluator and, when it is missing, runs the
+per-task loop over everything.  The call evaluates whichever of the
+executor's tasks (those of the last ``rebuild``) the evaluator batches, each
+into its own block of ``scratch`` (the layout that ``rebuild`` returned;
+blocks are zeroed by the evaluator here, not by the runtime), and returns
+their ids (an int array) and a ``(len(tasks), STAT_COLS)`` float64 array of
+their stats rows — the three values *and* :data:`STAT_TIME_NS`, measured
+per task by the evaluator itself, so the balancers keep a time for every
+task on every step.  The runtime copies the rows into the stats array and
+calls ``eval_task`` for the executor's remaining tasks only.
+
 Per-task statistics travel through a shared ``(n_tasks + n_workers, 4)``
 float64 array: columns :data:`STAT_V0`, :data:`STAT_V1`, :data:`STAT_V2`
 carry the three values returned by ``eval_task`` (the provider assigns
 their meaning), and :data:`STAT_TIME_NS` the measured wall time of the
-task in nanoseconds (written by the runtime, slowdown-injection
-inclusive).  Rows past ``n_tasks`` are per-worker rows handed to
-``end_step``.
+task in nanoseconds (slowdown-injection inclusive: a single task is timed
+by the runtime around ``eval_task`` and spun out to ``factor`` times its
+time; after a batch the runtime spins once for ``(factor - 1)`` times the
+sum of the batch's own task times and records each scaled by ``factor``).
+Rows past ``n_tasks`` are per-worker rows handed to ``end_step``.
 """
 
 from __future__ import annotations

@@ -193,7 +193,9 @@ class FaultInjector:
             )
         self.plan = plan
         self._fired: set[tuple[str, int, int]] = set()
-        #: (worker, pid, resume_deadline) for in-flight finite hangs
+        #: (worker, pid, resume_deadline) of every process this injector
+        #: froze and has not continued; the deadline of an indefinite hang
+        #: is ``inf`` — :meth:`poll` never resumes it, :meth:`release_all` does
         self._stopped: list[tuple[int, int, float]] = []
 
     @staticmethod
@@ -221,10 +223,9 @@ class FaultInjector:
                 pid = pids.get(h.worker)
                 if pid is not None and self._signal(pid, signal.SIGSTOP):
                     fired.append(f"SIGSTOP worker {h.worker} @step {step}")
-                    if math.isfinite(h.duration_s):
-                        self._stopped.append(
-                            (h.worker, pid, time.monotonic() + h.duration_s)
-                        )
+                    self._stopped.append(
+                        (h.worker, pid, time.monotonic() + h.duration_s)
+                    )
         return fired
 
     def poll(self) -> list[int]:

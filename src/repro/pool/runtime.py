@@ -22,9 +22,10 @@ ids.  It owns:
   traceback])`` back.  The per-worker epoch lets the driver re-issue an
   in-flight evaluation to a respawned or reassigned worker and discard
   any stale ack the previous incarnation left in the pipe.
-* **Per-task timing** — each task's wall time (``perf_counter_ns``,
-  slowdown-injection inclusive) lands in the shared stats segment next
-  to the three provider-defined result columns.
+* **Per-task timing** — each task's wall time (``perf_counter_ns`` around
+  ``eval_task``, or the evaluator's own per-task clock for the tasks it
+  batches; slowdown-injection inclusive) lands in the shared stats segment
+  next to the three provider-defined result columns.
 * **The recovery ladder** (:class:`~repro.pool.resilience.
   RecoveryPolicy`) — respawn with bounded retry and exponential backoff,
   then permanent reassignment of the dead slot's tasks to survivors
@@ -35,8 +36,9 @@ ids.  It owns:
 * **Deterministic fault injection** — a
   :class:`~repro.pool.resilience.WorkerFaultPlan` fired against the
   pool's own children right after each dispatch, plus measured
-  per-worker slowdown windows (busy-spin after each task, so injected
-  load is visible to measurement like any real background load).
+  per-worker slowdown windows (busy-spin after each task, once after a
+  batch, so injected load is visible to measurement like any real
+  background load).
 
 The driver-side client (e.g. :class:`repro.md.parallel.
 ParallelNonbonded`) composes ``begin_step`` / ``dispatch`` / its own
@@ -166,11 +168,15 @@ def run_step(
     """One evaluation of ``state.worker_id``'s tasks into ``scratch``/``stats``.
 
     The calling order of :mod:`repro.pool.protocol` — ``begin_step``,
-    ``rebuild`` when asked for or when the assignment changed, ``eval_task``
-    per owned task with its wall time (slowdown injection inclusive),
-    ``end_step`` with the executor's private stats row.  A pool worker runs
-    it on shared-memory views, :class:`InProcessExecutor` on plain arrays;
-    nothing else differs between the two.
+    ``rebuild`` when asked for or when the assignment changed, ``eval_batch``
+    when the evaluator has one, ``eval_task`` per owned task the batch did
+    not cover with its wall time, ``end_step`` with the executor's private
+    stats row.  Recorded times include slowdown injection: a batch's own
+    per-task times are scaled by the factor and one spin after it burns the
+    difference; a single task is spun out to the factor right after it.  A
+    pool worker runs this on shared-memory views,
+    :class:`InProcessExecutor` on plain arrays; nothing else differs between
+    the two.
     """
     n_tasks = len(state.assignment)
     perf = time.perf_counter_ns
@@ -189,15 +195,27 @@ def run_step(
         )
     offsets = state.offsets
     factor = slowdown_factor(state.slow_windows, seq)
-    for t in state.my_tasks:
+    rest = state.my_tasks
+    batch = getattr(evaluator, "eval_batch", None)
+    if batch is not None:
+        tasks, rows = batch(scratch)
+        if factor > 1.0:
+            # busy-spin: the CPU "runs factor times slower", so the extra
+            # time is real, measurable load
+            target = perf() + (factor - 1.0) * rows[:, STAT_TIME_NS].sum()
+            while perf() < target:
+                pass
+            rows[:, STAT_TIME_NS] *= factor
+        stats[tasks] = rows
+        batched = set(tasks.tolist())
+        rest = [t for t in rest if t not in batched]
+    for t in rest:
         t0 = perf()
         block = scratch[offsets[t] : offsets[t + 1]]
         block[...] = 0.0
         v0, v1, v2 = evaluator.eval_task(t, block)
         elapsed = perf() - t0
         if factor > 1.0:
-            # busy-spin: the CPU "runs factor times slower", so
-            # the extra time is real, measurable load
             target = t0 + elapsed * factor
             while perf() < target:
                 pass

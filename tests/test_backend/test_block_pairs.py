@@ -2,7 +2,8 @@
 prior: the ``c`` backend against the numpy reference array for array —
 list order is the pair kernel's accumulation order, so the two must agree
 exactly, dtypes included — and the count mode against the dense count it
-replaced.
+replaced.  A list is a row list over the block's force rows: ``cols`` (the
+partner's block row, int32) and ``row_ptr`` (each row's range in it).
 """
 
 import threading
@@ -11,10 +12,9 @@ import numpy as np
 import pytest
 
 from repro.backend import available_backends, get_backend
-from repro.backend.base import block_arena
+from repro.backend.reference import expand_rows
 from repro.builder import mini_assembly, small_water_box
 from repro.core.decomposition import bin_atoms
-from repro.md.nonbonded import block_pair_tables as tables_of
 from repro.md.nonbonded import count_interacting_pairs
 from repro.util.pbc import minimum_image
 from tests.test_md.test_ewald import rock_salt
@@ -26,9 +26,12 @@ needs_c = pytest.mark.skipif(len(BACKENDS) < 2, reason="no C compiler on this ho
 R = 7.5
 
 
+def tables_of(system):
+    return system.exclusions.atom_table()
+
+
 def no_exclusions(system):
-    empty = np.zeros(system.n_atoms + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    return (*empty, *tables_of(system)[2:])
+    return np.zeros(system.n_atoms + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
 
 
 def blocks_of(buckets, n_parts):
@@ -41,14 +44,42 @@ def blocks_of(buckets, n_parts):
     ]
 
 
+def block_rows(block):
+    """The block's force rows as atom indices: the cell's own for a self
+    block, the stripe then cell b for a pair block."""
+    atoms_a, atoms_b, part, n_parts = block
+    if atoms_b is None:
+        return atoms_a
+    return np.concatenate([atoms_a[part::n_parts], atoms_b])
+
+
+def arena(capacity, n_rows, fill=None):
+    """``(cols, row_ptr)`` for a block of ``n_rows`` rows."""
+    out = np.empty(capacity, dtype=np.int32), np.empty(n_rows + 1, dtype=np.int64)
+    if fill is not None:
+        for arr in out:
+            arr[:] = fill
+    return out
+
+
 def listed(backend, system, block, r=R, tables=None, offset=2):
-    """The block's list on ``backend``: seven arrays trimmed to the count."""
+    """The block's list on ``backend``: ``cols`` trimmed to the count, and
+    ``row_ptr`` rebased to it."""
     tables = tables_of(system) if tables is None else tables
     geometry = (system.positions, system.box, *block, r)
-    arena = block_arena(offset + backend.block_pairs(*geometry))
-    n = backend.block_pairs(*geometry, tables, arena, offset)
+    out = arena(offset + backend.block_pairs(*geometry), len(block_rows(block)))
+    n = backend.block_pairs(*geometry, tables, out, offset)
     assert n >= 0
-    return [arr[offset : offset + n] for arr in arena]
+    cols, row_ptr = out
+    assert row_ptr[0] == offset and row_ptr[-1] == offset + n
+    return cols[offset : offset + n], row_ptr - offset
+
+
+def pairs_of(block, lists):
+    """``(i, j)`` global atom indices of a block's listed pairs, in order."""
+    rows = block_rows(block)
+    si, sj = expand_rows(*lists)
+    return rows[si], rows[sj]
 
 
 def assert_same_lists(system, buckets, n_parts, r=R):
@@ -60,9 +91,7 @@ def assert_same_lists(system, buckets, n_parts, r=R):
             got = listed(backend, system, block, r)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and np.array_equal(g, w)
-        assert [a.dtype for a in want] == [
-            np.int32, np.int32, np.int64, np.int64, np.float64, np.float64, np.float64
-        ]
+        assert [a.dtype for a in want] == [np.int32, np.int64]
         total += len(want[0])
     return total
 
@@ -157,7 +186,7 @@ class TestListsMatchTheReference:
         total = assert_same_lists(system, binned(system, (2, 2, 2)), n_parts, r=6.0)
         assert total > 0
         for block in blocks_of(binned(system, (2, 2, 2)), n_parts)[:8]:
-            i_g, j_g = listed(BACKENDS[-1], system, block, r=6.0)[:2]
+            i_g, j_g = pairs_of(block, listed(BACKENDS[-1], system, block, r=6.0))
             assert not excl.is_excluded(i_g, j_g).any()
             assert not excl.is_pair14(i_g, j_g).any()
 
@@ -194,15 +223,12 @@ class TestCountMode:
         """Count mode takes no arena at all; list mode leaves the entries
         before ``offset`` alone."""
         block = blocks_of(binned(water, (2, 1, 1)), 1)[1]
-        arena = block_arena(50_000)
-        for arr in arena:
-            arr[:] = 7
+        cols, row_ptr = arena(50_000, len(block_rows(block)), fill=7)
         n = backend.block_pairs(
-            water.positions, water.box, *block, R, tables_of(water), arena, 5
+            water.positions, water.box, *block, R, tables_of(water), (cols, row_ptr), 5
         )
         assert n > 0
-        for arr in arena:
-            assert np.all(arr[:5] == 7) and np.all(arr[5 + n :] == 7)
+        assert np.all(cols[:5] == 7) and np.all(cols[5 + n :] == 7)
 
 
 @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
@@ -216,44 +242,70 @@ class TestEdges:
         buckets = binned(water, (2, 1, 1))
         block = [buckets[0].copy(), buckets[1].copy(), 0, 1]
         block[slot][3] = bad
-        extra = (tables_of(water), block_arena(100_000), 0) if mode == "list" else ()
+        def extra(blk):
+            if mode == "count":
+                return ()
+            return tables_of(water), arena(100_000, len(block_rows(blk))), 0
+
         with pytest.raises(IndexError):
-            backend.block_pairs(water.positions, water.box, *block, R, *extra)
-        with pytest.raises(IndexError):  # the self block of the bad cell
-            backend.block_pairs(
-                water.positions, water.box, block[slot], None, 0, 1, R, *extra
-            )
+            backend.block_pairs(water.positions, water.box, *block, R, *extra(block))
+        own = (block[slot], None, 0, 1)  # the self block of the bad cell
+        with pytest.raises(IndexError):
+            backend.block_pairs(water.positions, water.box, *own, R, *extra(own))
 
     def test_an_arena_one_entry_short_does_not_fit(self, water, backend):
         block = blocks_of(binned(water, (2, 1, 1)), 1)[1]
         want = listed(backend, water, block, offset=0)
-        n = len(want[0])
+        n, n_rows = len(want[0]), len(block_rows(block))
         assert n > 10
         geometry = (water.positions, water.box, *block, R, tables_of(water))
-        exact = block_arena(n + 4)
+        exact = arena(n + 4, n_rows)
         assert backend.block_pairs(*geometry, exact, 4) == n
-        assert all(np.array_equal(arr[4:], w) for arr, w in zip(exact, want))
-        # one short: views into a longer allocation, guard entries behind
-        long = block_arena(n + 4)
-        for arr in long:
-            arr[:] = 7
-        short = tuple(arr[: n + 3] for arr in long)
-        assert backend.block_pairs(*geometry, short, 4) == -1
-        assert all(arr[n + 3] == 7 and np.all(arr[:4] == 7) for arr in long)
-        # nothing to write, nothing to fit
-        empty = water.positions, water.box, block[0][:0], block[1], 0, 1, R
-        assert backend.block_pairs(*empty, tables_of(water), block_arena(0), 0) == 0
+        assert np.array_equal(exact[0][4:], want[0])
+        assert np.array_equal(exact[1], want[1] + 4)
+        # one short: a view into a longer allocation, a guard entry behind
+        long = arena(n + 4, n_rows, fill=7)
+        assert backend.block_pairs(*geometry, (long[0][: n + 3], long[1]), 4) == -1
+        assert long[0][n + 3] == 7 and np.all(long[0][:4] == 7)
+        # nothing to write, nothing to fit: every row an empty range
+        empty = block[0][:0], block[1], 0, 1
+        out = arena(0, len(block[1]), fill=7)
+        assert backend.block_pairs(
+            water.positions, water.box, *empty, R, tables_of(water), out, 0
+        ) == 0
+        assert np.all(out[1] == 0)
+
+    def test_row_ptr_covers_every_block_row(self, water, backend):
+        """Rows outside the stripe and cell b's rows are empty ranges; a
+        stripe row's range holds columns beyond it (self) or cell b's block
+        rows (pair), ascending."""
+        buckets = binned(water, (2, 1, 1))
+        for cell_b in (None, buckets[1]):
+            block = (buckets[0], cell_b, 1, 3)
+            cols, row_ptr = listed(backend, water, block, offset=0)
+            na = len(buckets[0])
+            ns = len(range(1, na, 3))
+            assert len(row_ptr) == (na if cell_b is None else ns + len(cell_b)) + 1
+            counts = np.diff(row_ptr)
+            assert counts.min() >= 0 and counts.sum() == len(cols) > 0
+            for r in np.flatnonzero(counts):
+                mine = cols[row_ptr[r] : row_ptr[r + 1]]
+                assert np.all(np.diff(mine) > 0)
+                if cell_b is None:
+                    assert r % 3 == 1 and mine.min() > r and mine.max() < na
+                else:
+                    assert r < ns and mine.min() >= ns and mine.max() < ns + len(cell_b)
 
     def test_stripes_partition_the_block(self, water, backend):
         buckets = binned(water, (2, 1, 1))
         for cell_b in (None, buckets[1]):
-            whole = listed(backend, water, (buckets[0], cell_b, 0, 1))
-            keys = np.sort(whole[0].astype(np.int64) * water.n_atoms + whole[1])
-            parts = [listed(backend, water, (buckets[0], cell_b, p, 4)) for p in range(4)]
-            got = np.concatenate(
-                [p[0].astype(np.int64) * water.n_atoms + p[1] for p in parts]
-            )
-            assert np.array_equal(np.sort(got), keys)
+            def keys(block):
+                i_g, j_g = pairs_of(block, listed(backend, water, block))
+                return i_g * water.n_atoms + j_g
+
+            whole = np.sort(keys((buckets[0], cell_b, 0, 1)))
+            got = np.concatenate([keys((buckets[0], cell_b, p, 4)) for p in range(4)])
+            assert np.array_equal(np.sort(got), whole)
 
 
 @needs_c
@@ -261,34 +313,37 @@ def test_malformed_arguments_are_rejected_before_any_pointer_is_passed(water):
     c = BACKENDS[-1]
     block = blocks_of(binned(water, (2, 1, 1)), 1)[1]
     geometry = (water.positions, water.box, *block, R)
-    tables, arena = tables_of(water), block_arena(50_000)
-    frozen = tuple(arr.copy() for arr in arena)
-    frozen[4].setflags(write=False)
-    for bad_arena in (
-        (arena[0].astype(np.int64), *arena[1:]),  # a dtype the kernel would misread
-        (*arena[:6], arena[6][:-1]),  # one array shorter than the rest
-        tuple(arr[::2] for arr in arena),  # strided
-        frozen,
+    tables = tables_of(water)
+    cols, row_ptr = arena(50_000, len(block_rows(block)))
+    frozen = cols.copy()
+    frozen.setflags(write=False)
+    for bad_out in (
+        (cols.astype(np.int64), row_ptr),  # a dtype the kernel would misread
+        (cols, row_ptr.astype(np.int32)),
+        (cols[::2], row_ptr),  # strided
+        (frozen, row_ptr),
     ):
-        with pytest.raises(ValueError, match="seven arrays"):
-            c.block_pairs(*geometry, tables, bad_arena, 0)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            c.block_pairs(*geometry, tables, bad_out, 0)
+    for backend in BACKENDS:  # a row_ptr of the wrong length, on either
+        with pytest.raises(ValueError, match="per block row"):
+            backend.block_pairs(*geometry, tables, (cols, row_ptr[:-1]), 0)
     with pytest.raises(ValueError):
-        c.block_pairs(*geometry, tables, arena[:6], 0)
+        c.block_pairs(*geometry, tables, (cols,), 0)
     with pytest.raises(ValueError, match="offset"):
-        c.block_pairs(*geometry, tables, arena, -1)
-    with pytest.raises(ValueError, match="do not match"):
-        c.block_pairs(*geometry, (tables[0][:-1], *tables[1:]), arena, 0)
-    with pytest.raises(ValueError, match="do not match"):
-        c.block_pairs(*geometry, (*tables[:5], tables[5][:-1]), arena, 0)
-    with pytest.raises(ValueError, match="LJ tables"):
-        c.block_pairs(*geometry, (*tables[:3], tables[3][:-1], *tables[4:]), arena, 0)
+        c.block_pairs(*geometry, tables, (cols, row_ptr), -1)
+    with pytest.raises(ValueError, match="does not match"):
+        c.block_pairs(*geometry, (tables[0][:-1], tables[1]), (cols, row_ptr), 0)
     with pytest.raises(ValueError, match="part"):
         c.block_pairs(water.positions, water.box, block[0], block[1], 3, 3, R)
     # a table row that points outside the partner array is an index error
     ptr = tables[0].copy()
     ptr[1:] += len(tables[1])
+    own = (block[0], None, 0, 1)
     with pytest.raises(IndexError):
-        c.block_pairs(*geometry[:2], block[0], None, 0, 1, R, (ptr, *tables[1:]), arena, 0)
+        c.block_pairs(
+            *geometry[:2], *own, R, (ptr, tables[1]), arena(50_000, len(block[0])), 0
+        )
 
 
 @needs_c

@@ -307,3 +307,132 @@ class TestReciprocalSum:
         system, k, ak, m = self.tables(kmax=1)
         energy, forces = self.recip(c, system, k[:0], ak[:0], m[:0])
         assert energy == 0.0 and not forces.any()
+
+
+KIND_IDS = ["bond", "angle", "dihedral", "improper"]
+
+
+@pytest.mark.parametrize("kind", range(4), ids=KIND_IDS)
+class TestBondedTerms:
+    """``bonded_terms`` in C: the reference's formulas term by term, summed
+    in list order instead of by BLAS dots and per-slot scatters — 1e-9."""
+
+    def terms(self, kind):
+        from repro.backend.base import bonded_cases, synthetic_problem
+
+        p = synthetic_problem()
+        return (p["pos"], p["box"], *bonded_cases(p)[kind])
+
+    def run(self, backend, terms, sidx=None, n_rows=None):
+        pos, box, kind, idx, kpar, p1, p2 = terms
+        forces = np.zeros((len(pos) if n_rows is None else n_rows, 3))
+        energy = backend.bonded_terms(
+            pos, box, kind, idx, kpar, p1, p2, forces, idx if sidx is None else sidx
+        )
+        return energy, forces
+
+    def assert_same(self, got, expected):
+        assert got[0] == pytest.approx(expected[0], rel=RTOL, abs=1e-12)
+        scale = max(np.abs(expected[1]).max(), 1.0)
+        assert np.abs(got[1] - expected[1]).max() <= RTOL * scale
+
+    def test_matches_reference_on_the_synthetic_terms(self, c, kind):
+        terms = self.terms(kind)
+        got = self.run(c, terms)
+        assert got[0] != 0.0 and got[1].any()
+        self.assert_same(got, self.run(NUMPY, terms))
+        # deterministic: one reduction order
+        again = self.run(c, terms)
+        assert again[0] == got[0] and np.array_equal(again[1], got[1])
+
+    def test_matches_reference_on_an_assembly_across_the_periodic_faces(self, c, kind):
+        """Real topology, wrapped coordinates: bonded atoms sit on opposite
+        faces of the box and every displacement folds."""
+        from repro.builder import mini_assembly
+        from repro.md.bonded import bonded_term_arrays
+
+        system = mini_assembly(seed=1)
+        idx, kpar, p1, p2 = bonded_term_arrays(system, kind)
+        assert len(idx) > 0
+        # the first term's second atom to the box corner, then wrap
+        system.positions = system.positions - system.positions[idx[0, 1]]
+        system.wrap()
+        spans = np.abs(system.positions[idx[:, 0]] - system.positions[idx[:, 1]])
+        assert np.any(spans > 0.5 * system.box)
+        terms = (system.positions, system.box, kind, idx, kpar, p1, p2)
+        self.assert_same(self.run(c, terms), self.run(NUMPY, terms))
+
+    def test_block_local_scatter_through_sidx(self, c, kind):
+        """The engines' form: block row ``r`` of a group holds atom
+        ``idx.ravel()[r]``; summing the block by atom gives the in-place
+        forces."""
+        terms = self.terms(kind)
+        idx = terms[3]
+        sidx = np.arange(idx.size, dtype=np.int64).reshape(idx.shape)
+        energy, block = self.run(c, terms, sidx=sidx, n_rows=idx.size)
+        want = self.run(c, terms)
+        assert energy == want[0]
+        summed = np.zeros_like(want[1])
+        np.add.at(summed, idx.ravel(), block)
+        assert np.abs(summed - want[1]).max() <= 1e-12 * np.abs(want[1]).max()
+        self.assert_same((energy, block), self.run(NUMPY, terms, sidx, idx.size))
+
+    def test_empty_group_and_strided_forces(self, c, kind):
+        pos, box, _, idx, kpar, p1, p2 = self.terms(kind)
+        none = (pos, box, kind, idx[:0], kpar[:0], p1[:0], p2[:0])
+        energy, forces = self.run(c, none)
+        assert energy == 0.0 and not forces.any()
+        wide = np.zeros((len(pos), 6))
+        energy = c.bonded_terms(pos, box, kind, idx, kpar, p1, p2, wide[:, ::2], idx)
+        want = self.run(c, self.terms(kind))
+        assert energy == want[0] and np.array_equal(wide[:, ::2], want[1])
+        assert not wide[:, 1::2].any()
+
+    @pytest.mark.parametrize("bad", [-1, 10**6])
+    @pytest.mark.parametrize("slot", ["idx", "sidx"])
+    def test_index_out_of_range_is_an_error_not_a_wild_write(self, c, kind, slot, bad):
+        pos, box, _, idx, kpar, p1, p2 = self.terms(kind)
+        broken = idx.copy()
+        broken[-1, -1] = bad
+        args = (broken, idx) if slot == "idx" else (idx, broken)
+        forces = np.zeros((len(pos) + 2, 3))  # guard rows past the atoms
+        with pytest.raises(IndexError):
+            c.bonded_terms(pos, box, kind, args[0], kpar, p1, p2, forces[:-2], args[1])
+        assert not forces[-2:].any()
+
+    def test_mismatched_arrays_are_rejected(self, c, kind):
+        pos, box, _, idx, kpar, p1, p2 = self.terms(kind)
+        forces = np.zeros_like(pos)
+        with pytest.raises(ValueError, match="arity"):
+            c.bonded_terms(pos, box, kind, idx[:, :-1], kpar, p1, p2, forces, idx)
+        with pytest.raises(ValueError, match="arity"):
+            c.bonded_terms(pos, box, kind, idx, kpar, p1, p2, forces, idx[:-1])
+        with pytest.raises(ValueError, match="differ in length"):
+            c.bonded_terms(pos, box, kind, idx, kpar[:-1], p1, p2, forces, idx)
+
+
+def test_a_bonded_kind_the_kernel_does_not_cover_is_the_references_to_refuse(c):
+    pos = np.zeros((4, 3))
+    idx = np.arange(4).reshape(1, 4)
+    one = np.ones(1)
+    with pytest.raises(ValueError, match="unknown bonded term kind"):
+        c.bonded_terms(pos, np.ones(3), 7, idx, one, one, one, np.zeros((4, 3)), idx)
+
+
+def test_collinear_angle_and_degenerate_torsion_take_the_references_guards(c):
+    """A straight angle (sin 0) and a torsion with a zero-length normal: the
+    guards, not a division by zero — and the reference's numbers."""
+    box = np.array([30.0, 30.0, 30.0])
+    pos = np.array([[1.0, 1.0, 1.0], [2.0, 1.0, 1.0], [3.0, 1.0, 1.0], [4.0, 1.0, 1.0]])
+    one, zero = np.ones(1), np.zeros(1)
+    for kind, idx, p1 in (
+        (1, np.array([[0, 1, 2]]), np.array([2.0])),
+        (2, np.array([[0, 1, 2, 3]]), np.array([2.0])),
+        (3, np.array([[0, 1, 2, 3]]), np.array([0.3])),
+    ):
+        got, want = np.zeros_like(pos), np.zeros_like(pos)
+        e_c = c.bonded_terms(pos, box, kind, idx, one, p1, zero, got, idx)
+        e_r = NUMPY.bonded_terms(pos, box, kind, idx, one, p1, zero, want, idx)
+        assert np.isfinite(got).all() and np.isfinite(e_c)
+        assert e_c == pytest.approx(e_r, rel=RTOL, abs=1e-12)
+        assert np.abs(got - want).max() <= RTOL * max(np.abs(want).max(), 1.0)

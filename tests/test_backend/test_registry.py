@@ -106,14 +106,15 @@ class TestSelection:
         assert be.name == "c"
         assert be.compiled
         assert get_backend("auto") is be
-        # the pair kernel, the reciprocal sums and the list build are compiled
+        # the pair kernels, the reciprocal sums, the bonded terms and the list
+        # build are compiled
         numpy = get_backend("numpy")
         replaced = {
             f for f in be.__dataclass_fields__ if getattr(be, f) != getattr(numpy, f)
         }
         assert replaced == {
             "name", "compiled", "nb_pairs", "ewald_recip", "ewald_recip_shard",
-            "block_pairs",
+            "bonded_terms", "block_pairs", "nb_rows",
         }
 
     def test_backend_status_shape(self):

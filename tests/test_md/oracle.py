@@ -7,8 +7,8 @@ task or reduction code with the engines' force-task path, so agreement to
 
 :func:`candidate_task_lists` is the list oracle: the per-candidate
 ``repeat``/``tile`` enumeration the force tasks used before they built
-their lists from dense cell blocks, kept here so the lists can be held to
-it array for array.
+their lists from dense cell blocks, kept here so the row lists can be held
+to it array for array.
 """
 
 import numpy as np
@@ -16,7 +16,7 @@ import pytest
 
 from repro.md.bonded import BONDED_KINDS, compute_bonded
 from repro.md.ewald import compute_ewald
-from repro.md.nonbonded import _combined_params, compute_nonbonded, filter_candidates
+from repro.md.nonbonded import compute_nonbonded, filter_candidates
 
 RTOL = 1e-9
 
@@ -55,40 +55,34 @@ def assert_matches_reference(engine, forces=None):
 
 
 def candidate_task_lists(system, tasks, my_tasks, buckets, r_list):
-    """``build_task_lists`` the slow way: every candidate index pair of a
-    block materialised, then ``filter_candidates`` over them."""
+    """``build_row_lists`` the slow way: every candidate index pair of a
+    block materialised, then ``filter_candidates`` over them.  Per task
+    ``(cols, row_ptr, rows)``: the partners' block rows (int32, row-major),
+    each block row's range in them counted from 0, and the block rows'
+    atoms."""
     lists = {}
     for t in my_tasks:
         a, b, part, n_parts = tasks[t]
         atoms_a = buckets[a]
         na = len(atoms_a)
-        lists[t] = None
         if a == b:
-            if na < 2:
-                continue
+            rows = atoms_a
             si, sj = np.triu_indices(na, k=1)
             stripe = si % n_parts == part
             si, sj = si[stripe], sj[stripe]
-            i_g, j_g = atoms_a[si], atoms_a[sj]
         else:
             atoms_b = buckets[b]
             nb = len(atoms_b)
-            rows_a = np.arange(part, na, n_parts, dtype=np.int64)
-            ns = len(rows_a)
-            i_g = np.repeat(atoms_a[rows_a], nb)
-            j_g = np.tile(atoms_b, ns)
+            ns = len(range(part, na, n_parts))
+            rows = np.concatenate([atoms_a[part::n_parts], atoms_b])
             si = np.repeat(np.arange(ns, dtype=np.int64), nb)
             sj = np.tile(np.arange(nb, dtype=np.int64) + ns, ns)
-        i_f, j_f, kept = filter_candidates(
-            system, i_g.astype(np.int32), j_g.astype(np.int32), r_list,
-            return_kept=True,
+        _, _, kept = filter_candidates(
+            system, rows[si].astype(np.int32), rows[sj].astype(np.int32),
+            r_list, return_kept=True,
         )
-        if len(i_f) == 0:
-            continue
-        lists[t] = (
-            i_f, j_f,
-            np.ascontiguousarray(si[kept], dtype=np.int64),
-            np.ascontiguousarray(sj[kept], dtype=np.int64),
-            *_combined_params(system, i_f, j_f),
-        )
+        si, sj = si[kept], sj[kept]
+        row_ptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(si, minlength=len(rows)), out=row_ptr[1:])
+        lists[t] = sj.astype(np.int32), row_ptr, rows
     return lists

@@ -17,7 +17,7 @@ from repro.instrument import WorkDB
 from repro.md.cells import CellGrid
 from repro.md.nonbonded import NonbondedOptions
 from repro.md.parallel import HAS_SHARED_MEMORY, ParallelEngine, ParallelNonbonded
-from repro.md.tasks import build_task_lists as _build_task_lists
+from repro.md.tasks import build_row_lists as _build_row_lists
 from repro.md.tasks import scratch_rows_bound as _scratch_rows_bound
 from repro.md.tasks import task_layout as _task_layout
 
@@ -56,15 +56,12 @@ def _pair_keys(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
     return np.sort(lo * n + hi)
 
 
-def _keys_of(lists, tasks, n):
-    keys = []
-    for t in range(len(tasks)):
-        entry = lists.get(t)
-        if entry is None:
-            continue
-        i_f, j_f = entry[0], entry[1]
-        keys.append(_pair_keys(i_f, j_f, n))
-    return np.sort(np.concatenate(keys)) if keys else np.zeros(0, dtype=np.int64)
+def _keys_of(lists, n):
+    """Sorted pair identities of every task of a batch of row lists."""
+    keys = [
+        _pair_keys(*lists.pairs(k)[:2], n) for k in range(len(lists.row_off) - 1)
+    ]
+    return np.sort(np.concatenate(keys))
 
 
 class TestPairSetPartition:
@@ -74,14 +71,14 @@ class TestPairSetPartition:
         n = system.n_atoms
         for a, b in parents:
             parent = [(a, b, 0, 1)]
-            parent_lists = _build_task_lists(system, parent, [0], buckets, r_list)
-            parent_keys = _keys_of(parent_lists, parent, n)
+            parent_lists = _build_row_lists(system, parent, [0], buckets, r_list)
+            parent_keys = _keys_of(parent_lists, n)
 
             subs = [(a, b, p, n_parts) for p in range(n_parts)]
-            sub_lists = _build_task_lists(
+            sub_lists = _build_row_lists(
                 system, subs, list(range(n_parts)), buckets, r_list
             )
-            sub_keys = _keys_of(sub_lists, subs, n)
+            sub_keys = _keys_of(sub_lists, n)
             assert np.array_equal(sub_keys, parent_keys), (
                 f"task ({a},{b}) split {n_parts} ways lost or duplicated pairs"
             )
@@ -91,13 +88,10 @@ class TestPairSetPartition:
         # candidate order, same local scatter indices
         system, parents, buckets, r_list = binned
         for a, b in parents[:4]:
-            lists = _build_task_lists(
+            lists = _build_row_lists(
                 system, [(a, b, 0, 1)], [0], buckets, r_list
             )
-            entry = lists[0]
-            if entry is None:
-                continue
-            i_f, j_f, si, sj = entry[0], entry[1], entry[2], entry[3]
+            _, _, si, sj = lists.pairs(0)
             na = len(buckets[a])
             if a == b:
                 ti, tj = np.triu_indices(na, k=1)
@@ -111,30 +105,29 @@ class TestPairSetPartition:
                 assert np.all(sj >= na)
 
     def test_layout_blocks_cover_kernel_rows(self, binned):
-        # every local scatter index of every sub-task must fall inside the
+        # every block row a sub-task's list names must fall inside the
         # sub-task's block, and the block's gather rows must name the atoms
-        # the kernel writes
+        # the kernel reads and writes: the list's own row map is the gather
         system, parents, buckets, r_list = binned
         for n_parts in (1, 3):
             tasks = [
                 (a, b, p, n_parts) for a, b in parents for p in range(n_parts)
             ]
             offsets, gather = _task_layout(buckets, tasks)
-            lists = _build_task_lists(
+            lists = _build_row_lists(
                 system, tasks, list(range(len(tasks))), buckets, r_list
             )
-            for t, task in enumerate(tasks):
-                entry = lists.get(t)
-                if entry is None:
-                    continue
-                i_f, j_f, si, sj = entry[0], entry[1], entry[2], entry[3]
+            assert np.array_equal(lists.rows, gather)
+            assert np.array_equal(lists.row_off, offsets)
+            for t in range(len(tasks)):
+                i_f, j_f, si, sj = lists.pairs(t)
                 block_rows = gather[offsets[t] : offsets[t + 1]]
                 size = len(block_rows)
                 assert si.max(initial=-1) < size
                 assert sj.max(initial=-1) < size
                 # local row -> global atom mapping is consistent
-                assert np.array_equal(block_rows[si], i_f.astype(np.int64))
-                assert np.array_equal(block_rows[sj], j_f.astype(np.int64))
+                assert np.array_equal(block_rows[si], i_f)
+                assert np.array_equal(block_rows[sj], j_f)
 
     def test_scratch_bound_covers_layout(self, binned):
         system, parents, buckets, _ = binned

@@ -7,6 +7,7 @@ only when nobody is left — and the recovered trajectory is **bit-identical**
 to an unfaulted run at the same worker count.
 """
 
+import os
 import time
 
 import numpy as np
@@ -363,20 +364,39 @@ class TestFaultInjector:
             proc.kill()
             proc.join(timeout=5.0)
 
-    def test_release_all_unfreezes(self):
+    @staticmethod
+    def _wait_for_state(pid, stopped: bool) -> bool:
+        """Whether ``pid``'s scheduler state (``/proc/<pid>/stat``) became
+        stopped (``T``) or not stopped; signals land asynchronously, so the
+        state is polled — a liveness bound, never the assertion itself."""
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            with open(f"/proc/{pid}/stat") as stat:
+                state = stat.read().rsplit(")", 1)[1].split()[0]
+            if (state == "T") == stopped:
+                return True
+            time.sleep(0.01)
+        return False
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+    @pytest.mark.parametrize("spec", ["hang=0@1", "hang=0@1x60"])
+    def test_release_all_unfreezes(self, spec):
+        """What the injector did, read back from the kernel and from its own
+        books: frozen after ``inject``, running and forgotten after
+        ``release_all`` — an indefinite hang as much as a finite one."""
         proc = self._spawn_sleeper()
         try:
-            inj = FaultInjector(WorkerFaultPlan.parse("hang=0@1"))
-            inj.inject(1, {0: proc.pid})
+            inj = FaultInjector(WorkerFaultPlan.parse(spec))
+            assert len(inj.inject(1, {0: proc.pid})) == 1
+            assert [(w, pid) for w, pid, _ in inj._stopped] == [(0, proc.pid)]
+            assert self._wait_for_state(proc.pid, stopped=True)
+            assert inj.poll() == []  # not due: only release_all continues it
             inj.release_all()
-            # a SIGCONT'd process accepts SIGTERM again
-            proc.terminate()
-            proc.join(timeout=5.0)
-            assert not proc.is_alive()
+            assert inj._stopped == []
+            assert self._wait_for_state(proc.pid, stopped=False)
         finally:
-            if proc.is_alive():
-                proc.kill()
-            proc.join(timeout=5.0)
+            proc.kill()
+            proc.join()
 
     def test_dead_pid_is_swallowed(self):
         proc = self._spawn_sleeper()
@@ -461,10 +481,12 @@ class TestParallelCheckpointResume:
                 eng.step()
 
         cp = load_run_checkpoint(path)
-        # evaluation indices keep counting from the restored nb_seq, so
-        # schedule the kill on the second resumed evaluation
+        # evaluation indices keep counting from the restored nb_seq.  The
+        # kill goes with the first resumed evaluation, not the last: a
+        # worker can ack its step before the signal lands, and then only
+        # the next evaluation's liveness sweep finds it dead
         fault = WorkerFaultPlan(
-            kills=(WorkerKill(worker=0, step=cp.nb_seq + 2),)
+            kills=(WorkerKill(worker=0, step=cp.nb_seq + 1),)
         )
 
         s_b = self._fresh(water600)

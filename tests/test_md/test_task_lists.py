@@ -1,12 +1,13 @@
-"""``build_task_lists`` against the per-candidate enumeration it replaced.
+"""``build_row_lists`` against the per-candidate enumeration it replaced.
 
 The force tasks build their lists from dense cell blocks
-(``backend.block_pairs``); the oracle (``oracle.candidate_task_lists``)
-materialises every candidate index pair with ``repeat``/``tile`` and
-filters them through ``filter_candidates``.  The two must agree array for
-array — same pairs, same order, same dtypes — on every backend, because the
-list order is the kernel's accumulation order.  The evaluator builds them
-in place in one arena it keeps for its life.
+(``backend.block_pairs``) as row lists over each task's force block; the
+oracle (``oracle.candidate_task_lists``) materialises every candidate index
+pair with ``repeat``/``tile`` and filters them through
+``filter_candidates``.  The two must agree array for array — same pairs,
+same order, same dtypes — on every backend, because the list order is the
+kernel's accumulation order.  The evaluator builds them in place in one
+arena it keeps for its life.
 """
 
 import dataclasses
@@ -15,10 +16,11 @@ import numpy as np
 import pytest
 
 from repro.backend import available_backends
+from repro.backend.reference import expand_rows
 from repro.builder import mini_assembly, small_water_box
 from repro.core.decomposition import bin_atoms
 from repro.md.nonbonded import NonbondedOptions
-from repro.md.tasks import build_force_tasks, build_task_lists
+from repro.md.tasks import RowLists, build_force_tasks, build_row_lists
 from repro.util.pbc import wrap_positions
 
 from .oracle import candidate_task_lists
@@ -44,17 +46,31 @@ def cell_tasks(dims, n_parts):
     ]
 
 
+def task_list(built: RowLists, k):
+    """Task ``k`` of a batch as the oracle states it: ``(cols, row_ptr,
+    rows)`` with the ranges counted from the task's first pair."""
+    lo, hi = built.row_off[k], built.row_off[k + 1]
+    ptr = built.row_ptr[lo + k : hi + k + 1]
+    return built.cols[ptr[0] : ptr[-1]], ptr - ptr[0], built.rows[lo:hi]
+
+
 def assert_same_entries(built, oracle, tasks):
-    n_lists = 0
-    for t, want in oracle.items():
-        if want is None:
-            assert built[t] is None, tasks[t]
-            continue
-        assert len(built[t]) == len(want) == 7
-        for got, exp in zip(built[t], want):
-            assert got.dtype == exp.dtype and got.flags.c_contiguous, tasks[t]
-            assert np.array_equal(got, exp), tasks[t]
-        n_lists += 1
+    """``built`` (the batch of the oracle's tasks, in order) is the oracle's
+    lists array for array; returns how many of them list anything."""
+    assert isinstance(built, RowLists)
+    assert len(built.row_off) == len(oracle) + 1
+    assert len(built.row_ptr) == len(built.rows) + len(oracle)
+    n_lists = used = 0
+    for k, (t, want) in enumerate(oracle.items()):
+        got = task_list(built, k)
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype and np.array_equal(g, w), tasks[t]
+        # concatenated in task order: each list starts where the last ended
+        assert built.row_ptr[built.row_off[k] + k] == used
+        used += len(want[0])
+        n_lists += len(want[0]) > 0
+    assert [a.dtype for a in built] == [np.int32, np.int64, np.int64, np.int64]
+    assert all(a.flags.c_contiguous for a in built)
     return n_lists
 
 
@@ -64,7 +80,7 @@ def assert_identical(system, dims, n_parts, backend, buckets=None):
         _, _, buckets = bin_atoms(system.positions, system.box, np.asarray(dims))
     tasks = cell_tasks(dims, n_parts)
     mine = list(range(len(tasks)))
-    built = build_task_lists(system, tasks, mine, buckets, R_LIST, backend)
+    built = build_row_lists(system, tasks, mine, buckets, R_LIST, backend)
     oracle = candidate_task_lists(system, tasks, mine, buckets, R_LIST)
     return assert_same_entries(built, oracle, tasks), built
 
@@ -97,7 +113,7 @@ def test_empty_and_one_atom_cells(n_parts, backend):
     tasks = cell_tasks((4, 1, 1), n_parts)
     for t, (a, b, _part, _n) in enumerate(tasks):
         if a == 0 or b == 0 or (a, b) == (1, 1):
-            assert built[t] is None
+            assert len(task_list(built, t)[0]) == 0
 
 
 @pytest.mark.parametrize("n_parts", [1, 3])
@@ -108,10 +124,21 @@ def test_assembly_with_14_pairs(n_parts, backend):
     assert n_lists > 0
     # no listed pair is excluded or 1-4: those belong to other passes
     excl = system.exclusions
-    for entry in built.values():
-        if entry is not None:
-            assert not excl.is_excluded(entry[0], entry[1]).any()
-            assert not excl.is_pair14(entry[0], entry[1]).any()
+    for k in range(len(built.row_off) - 1):
+        cols, row_ptr, rows = task_list(built, k)
+        si, sj = expand_rows(cols, row_ptr)
+        assert not excl.is_excluded(rows[si], rows[sj]).any()
+        assert not excl.is_pair14(rows[si], rows[sj]).any()
+
+
+def test_a_listed_pair_costs_four_bytes_and_a_block_row_sixteen(backend):
+    system = small_water_box(216, seed=2, relax=False)
+    _, built = assert_identical(system, (2, 2, 2), 1, backend)
+    n_pairs, n_rows, n_tasks = built.row_ptr[-1], len(built.rows), 36
+    assert n_pairs > 10 * n_rows
+    assert built.cols[:n_pairs].nbytes == 4 * n_pairs
+    assert built.row_ptr.nbytes + built.rows.nbytes == 16 * n_rows + 8 * n_tasks
+    assert built.row_off.nbytes == 8 * (n_tasks + 1)
 
 
 # --------------------------------------------------------------------- #
@@ -143,19 +170,27 @@ def oracle_of(evaluator, mine):
     return candidate_task_lists(system, p.tasks, mine, buckets, p.r_list)
 
 
-def test_entries_of_one_build_are_views_of_one_base_array(evaluator):
+def test_lists_of_one_build_lie_in_the_arena_in_task_order(evaluator):
     tasks = evaluator.provider.tasks
     mine = list(range(0, len(tasks), 2))
-    evaluator.rebuild(mine)
-    base = evaluator.arena[0].base
-    assert base is not None and base.ndim == 1
-    entries = [e for e in evaluator.lists.values() if e is not None]
-    assert len(entries) > 1
-    assert all(arr.base is base for entry in entries for arr in entry)
-    # concatenated in task order: each list starts where the last one ended
-    ends = [(e[0].ctypes.data, e[0].nbytes) for e in entries]
-    assert all(a + n == b for (a, n), (b, _) in zip(ends, ends[1:]))
-    assert_same_entries(evaluator.lists, oracle_of(evaluator, mine), tasks)
+    offsets = evaluator.rebuild(mine)
+    assert evaluator.lists.cols is evaluator.arena
+    assert evaluator.arena.dtype == np.int32 and evaluator.arena.ndim == 1
+    assert evaluator.cell_tasks.tolist() == mine
+    assert np.array_equal(evaluator.block_off, offsets[mine])
+    # a task's block rows are the rows the driver gathers for it
+    _, gather = evaluator.provider.layout(
+        evaluator.ref_positions, evaluator.system.box
+    )
+    for k, t in enumerate(mine):
+        rows = task_list(evaluator.lists, k)[2]
+        assert np.array_equal(rows, gather[offsets[t] : offsets[t + 1]])
+    assert assert_same_entries(evaluator.lists, oracle_of(evaluator, mine), tasks) > 1
+
+
+def listed_per_task(evaluator):
+    lists = evaluator.lists
+    return [len(task_list(lists, k)[0]) for k in range(len(evaluator.cell_tasks))]
 
 
 def test_rebuilds_overwrite_the_arena_in_place(evaluator):
@@ -163,7 +198,7 @@ def test_rebuilds_overwrite_the_arena_in_place(evaluator):
     mine = list(range(0, len(tasks), 2))
     evaluator.rebuild(mine)
     arena = evaluator.arena
-    before = [len(e[0]) for e in evaluator.lists.values()]
+    before = listed_per_task(evaluator)
     # the atoms moved a little: other lists, the same memory
     evaluator.ref_positions += np.random.default_rng(1).normal(
         0.0, 0.3, size=evaluator.ref_positions.shape
@@ -173,18 +208,18 @@ def test_rebuilds_overwrite_the_arena_in_place(evaluator):
     )
     evaluator.rebuild(mine)
     assert evaluator.arena is arena
-    assert before != [len(e[0]) for e in evaluator.lists.values()]
+    assert before != listed_per_task(evaluator)
     assert_same_entries(evaluator.lists, oracle_of(evaluator, mine), tasks)
 
 
 def test_remap_that_enlarges_the_task_set_regrows_from_a_count(evaluator):
     tasks = evaluator.provider.tasks
     evaluator.rebuild(list(range(0, len(tasks), 2)))
-    small = len(evaluator.arena[0])
+    small = len(evaluator.arena)
     everything = list(range(len(tasks)))
     evaluator.rebuild(everything)  # what an LB remap or a dead peer hands over
-    listed = sum(len(e[0]) for e in evaluator.lists.values() if e is not None)
-    grown = len(evaluator.arena[0])
+    listed = sum(listed_per_task(evaluator))
+    grown = len(evaluator.arena)
     assert small < listed <= grown < 1.1 * listed + 64  # a count, not a doubling
     assert_same_entries(evaluator.lists, oracle_of(evaluator, everything), tasks)
     # shrinking back keeps the arena
@@ -209,16 +244,68 @@ def test_a_rebuild_that_raises_leaves_no_lists(evaluator):
     evaluator.backend = dataclasses.replace(good, block_pairs=failing)
     with pytest.raises(MemoryError):
         evaluator.rebuild(mine)
-    assert evaluator.lists == {} and evaluator.xentries == {}
+    assert evaluator.lists is None and evaluator.xentries == {}
     with pytest.raises(KeyError):  # loud, not a half-written list
         evaluator.eval_task(mine[0], np.zeros((10, 3)))
+    with pytest.raises(RuntimeError, match="rebuild"):
+        evaluator.eval_batch(np.zeros((10, 3)))
     evaluator.backend = good
     evaluator.rebuild(mine)
     assert_same_entries(evaluator.lists, oracle_of(evaluator, mine), tasks)
+
+
+def test_eval_task_of_a_cell_task_is_its_row_of_the_batch(evaluator):
+    """One kernel either way: a task evaluated alone writes the block and
+    returns the energies and count the batch gives it."""
+    mine = list(range(0, len(evaluator.provider.tasks), 3))
+    offsets = evaluator.rebuild(mine)
+    scratch = np.full((int(offsets[-1]), 3), np.nan)
+    tasks, rows = evaluator.eval_batch(scratch)
+    assert tasks.tolist() == mine and rows.shape == (len(mine), 4)
+    assert np.all(rows[:, 3] > 0)  # the kernel's own clock, per task
+    for k, t in enumerate(mine):
+        block = np.full((int(offsets[t + 1] - offsets[t]), 3), np.nan)
+        e_lj, e_el, n_pairs = evaluator.eval_task(t, block)
+        assert (e_lj, e_el, n_pairs) == tuple(rows[k, :3])
+        assert np.array_equal(block, scratch[offsets[t] : offsets[t + 1]])
+    # nothing outside the batch's blocks was touched
+    owned = np.zeros(len(scratch), dtype=bool)
+    for t in mine:
+        owned[offsets[t] : offsets[t + 1]] = True
+    assert np.isnan(scratch[~owned]).all() and np.isfinite(scratch[owned]).all()
+
+
+def test_slowdown_window_multiplies_the_kernels_own_task_times_exactly(evaluator):
+    """``slow=0@2-4x3``: inside the window worker 0's recorded cell-task
+    times are 3 times the deltas the kernel clocked itself, to the bit;
+    outside it they are those deltas."""
+    from repro.pool import WorkerFaultPlan, normalize_slowdown
+    from repro.pool.protocol import STAT_COLS, STAT_TIME_NS
+    from repro.pool.runtime import StepState, run_step
+
+    provider = evaluator.provider
+    windows = normalize_slowdown(WorkerFaultPlan.parse("slow=0@2-4x3").slowdowns)[0]
+    state = StepState(0, np.zeros(provider.n_tasks, dtype=np.int64), windows)
+    scratch = np.zeros(provider.scratch_shape())
+    stats = np.zeros((provider.n_tasks + 1, STAT_COLS))
+    own = []
+    batch = evaluator.eval_batch
+
+    def recording(scratch):
+        tasks, rows = batch(scratch)
+        own.append(rows[:, STAT_TIME_NS].copy())
+        return tasks, rows
+
+    evaluator.eval_batch = recording
+    for seq in (1, 2, 3, 4):
+        run_step(evaluator, state, scratch, stats, seq, seq == 1, evaluator.system.box)
+        factor = 3.0 if 2 <= seq < 4 else 1.0
+        assert np.all(own[-1] > 0)
+        assert np.array_equal(stats[: provider.n_tasks, STAT_TIME_NS], own[-1] * factor)
 
 
 def test_close_drops_the_arena(evaluator):
     evaluator.rebuild([0, 1])
     assert evaluator.arena is not None
     evaluator.close()
-    assert evaluator.arena is None and evaluator.lists == {}
+    assert evaluator.arena is None and evaluator.lists is None

@@ -58,6 +58,33 @@ class SyntheticProvider:
         return SyntheticEvaluator(self.n, worker_id, views)
 
 
+class BatchingEvaluator(SyntheticEvaluator):
+    """Evaluates its even tasks in one ``eval_batch`` call (the protocol's
+    optional batch), reporting ``1000 (t + 1)`` ns for task ``t``; the odd
+    ones are left to ``eval_task``, and an even task reaching it is a bug."""
+
+    def rebuild(self, my_tasks):
+        self.batched = np.array([t for t in my_tasks if t % 2 == 0], dtype=np.int64)
+        return super().rebuild(my_tasks)
+
+    def eval_batch(self, scratch):
+        rows = np.zeros((len(self.batched), 4))
+        for k, t in enumerate(self.batched):
+            rows[k, :3] = super().eval_task(t, scratch[t : t + 1])
+            rows[k, 3] = 1000.0 * (t + 1)
+        self.last_rows = rows.copy()
+        return self.batched, rows
+
+    def eval_task(self, t, block):
+        assert t % 2 == 1, "a batched task reached the per-task loop"
+        return super().eval_task(t, block)
+
+
+class BatchingProvider(SyntheticProvider):
+    def make_evaluator(self, worker_id, n_workers, views):
+        return BatchingEvaluator(self.n, worker_id, views)
+
+
 class SleepyEvaluator(SyntheticEvaluator):
     """Each task takes ~20 ms — wide enough to land mid-step faults."""
 

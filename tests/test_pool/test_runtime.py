@@ -25,6 +25,7 @@ from repro.pool import runtime as pool_runtime
 from repro.pool.protocol import STAT_TIME_NS, STAT_V0, STAT_V1, STAT_V2
 
 from tests.test_pool.synthetic import (
+    BatchingProvider,
     ErroringProvider,
     FlappingProvider,
     SleepyProvider,
@@ -142,6 +143,52 @@ class TestInProcessExecutor:
             assert local.stats[N_TASKS, 0] == 2.0
             np.testing.assert_array_equal(pool.stats[N_TASKS:, 0], 2.0)
         assert (local.assignment == 0).all()
+
+
+
+class TestBatchedEvaluation:
+    """An evaluator with ``eval_batch``: one call for the tasks it covers,
+    the per-task loop for the rest — same scratch, same stats."""
+
+    def test_batch_then_the_rest_equals_the_per_task_loop(self):
+        data = np.linspace(0.5, 6.0, N_TASKS)
+        plain = InProcessExecutor(SyntheticProvider(N_TASKS))
+        batched = InProcessExecutor(BatchingProvider(N_TASKS))
+        values = [STAT_V0, STAT_V1, STAT_V2]
+        with make_pool(provider=BatchingProvider(N_TASKS)) as pool:
+            for executor in (plain, batched, pool):
+                executor.view("data")[...] = data
+            for scale, rebuild in ((3.0, True), (0.7, False)):
+                plain.run(rebuild, scale)
+                batched.run(rebuild, scale)
+                run_step(pool, scale, rebuild)
+                for got in (batched, pool):
+                    np.testing.assert_array_equal(got.scratch, plain.scratch)
+                    np.testing.assert_array_equal(
+                        got.stats[:N_TASKS, values], plain.stats[:N_TASKS, values]
+                    )
+                    # the evaluator's own clock for the tasks it batched
+                    np.testing.assert_array_equal(
+                        got.stats[0:N_TASKS:2, STAT_TIME_NS],
+                        1000.0 * np.arange(1, N_TASKS + 1, 2),
+                    )
+                    assert (got.stats[1:N_TASKS:2, STAT_TIME_NS] > 0).all()
+
+    def test_slowdown_scales_a_batchs_own_times_and_spins_for_the_difference(self):
+        executor = InProcessExecutor(BatchingProvider(N_TASKS))
+        executor.view("data")[...] = 1.0
+        state, evaluator = executor._state, executor._evaluator
+        state.slow_windows = [(2.0, 4.0, 3.0), (3.0, 4.0, 2.0)]
+        for seq, factor in ((1, 1.0), (2, 3.0), (3, 6.0), (4, 1.0)):
+            t0 = time.perf_counter_ns()
+            pool_runtime.run_step(
+                evaluator, state, executor.scratch, executor.stats, seq, seq == 1, 1.0
+            )
+            wall = time.perf_counter_ns() - t0
+            own = evaluator.last_rows[:, STAT_TIME_NS]
+            recorded = executor.stats[evaluator.batched, STAT_TIME_NS]
+            np.testing.assert_array_equal(recorded, own * factor)
+            assert wall >= (factor - 1.0) * own.sum()
 
 
 class TestRecovery:
