@@ -24,6 +24,16 @@ si, sj, alpha=None, ewald_cutoff=None) -> (e_lj, e_elec, n_pairs)``
       ``e_elec`` is that sum.  The two terms keep their own cutoffs: a
       pair is evaluated inside ``max(cutoff, ewald_cutoff)``, the LJ term
       vanishes beyond ``cutoff`` and the erfc term beyond ``ewald_cutoff``.
+      The term and its force factor are *read from a table in r²*
+      (:mod:`repro.backend.ewald_table`: cubic-Hermite pieces addressed by
+      the bits of ``r²``, built from ``scipy.special.erfc`` and memoised per
+      ``(alpha, ewald_cutoff)``) — the same table, evaluated in the same
+      order, by every backend, so what differs between backends is the
+      rounding of the arithmetic around it and not a library's ``erfc``.
+      The table is within 1e-9 of the term while ``alpha * ewald_cutoff <=
+      3.3`` and within 1e-11 of the bare Coulomb term always; a pair closer
+      than the table's first node (1 Å) is evaluated from the expressions
+      themselves.  The oracle (``ewald_real`` below) does not read it.
 
     ``n_pairs`` counts the pairs inside ``cutoff`` in either mode.
 
@@ -35,10 +45,11 @@ si, sj, alpha=None, ewald_cutoff=None) -> (e_lj, e_elec, n_pairs)``
     once in :func:`repro.md.scatter.segment_add`, not here.
 
 ``ewald_real(pos, box, i_idx, j_idx, qq, alpha, cutoff, forces) -> energy``
-    Ewald real-space sum on its own.  ``qq`` here *includes* the Coulomb
-    constant (matching the historical call site).  No engine calls it: it
-    is the kernel of the oracle :func:`repro.md.ewald.compute_ewald`, which
-    the engines' Ewald-mode ``nb_pairs`` is held to.
+    Ewald real-space sum on its own, from ``scipy.special.erfc`` pair by
+    pair.  ``qq`` here *includes* the Coulomb constant (matching the
+    historical call site).  No engine calls it: it is the kernel of the
+    oracle :func:`repro.md.ewald.compute_ewald`, which the engines'
+    Ewald-mode ``nb_pairs`` — and with it the table — is held to.
 
 ``ewald_recip(pos, q, kvecs, ak, pref, forces, mvecs=None) -> energy``
     Ewald reciprocal-space sum over precomputed ``(kvecs, ak)`` tables
@@ -110,8 +121,8 @@ out=None, offset=0) -> int``
 ``nb_rows(pos, box, tables, lists, cutoff, switch, scratch, block_off, out,
 alpha=None, ewald_cutoff=None) -> None``
     The cell tasks of one executor, evaluated by one call: ``nb_pairs``'
-    arithmetic — same terms, same two modes, same summation order — over a
-    *batch* of row lists.  ``lists = (cols, row_ptr, rows, row_off)``:
+    arithmetic — same terms, same two modes (the Ewald one through the same
+    table), same summation order — over a *batch* of row lists.  ``lists = (cols, row_ptr, rows, row_off)``:
     ``row_off`` (int64, ``n_tasks + 1``) partitions ``rows`` (int64, the
     block-row → atom maps of the batch's tasks, concatenated); task ``t``
     owns ``rows[row_off[t]:row_off[t+1]]`` and the ``row_ptr`` slots from

@@ -34,6 +34,7 @@ import numpy as np
 
 from repro.backend import reference
 from repro.backend.base import KernelBackend
+from repro.backend.ewald_table import ewald_table
 
 __all__ = ["FLAGS", "build_backend", "build_info"]
 
@@ -80,7 +81,7 @@ def _load(path: Path) -> ctypes.CDLL:
     lib.nb_pairs.restype = i8
     lib.nb_pairs.argtypes = [
         ptr, i8, ptr, ptr, ptr, ctypes.c_int, i8, ptr, ptr, ptr,
-        f8, f8, f8, f8, ptr, i8, ptr, ptr, ctypes.c_int, ptr,
+        f8, f8, f8, f8, ptr, i8, ptr, i8, ptr, ptr, ctypes.c_int, ptr,
     ]
     lib.ewald_recip.restype = ctypes.c_int
     lib.ewald_recip.argtypes = [ptr, ptr, i8, ptr, ptr, ptr, i8, f8, ptr, ptr, ptr]
@@ -96,7 +97,7 @@ def _load(path: Path) -> ctypes.CDLL:
     lib.nb_rows.restype = i8
     lib.nb_rows.argtypes = [
         ptr, i8, ptr, ptr, ptr, ptr, ptr, i8, ptr, i8, ptr, ptr, i8, ptr, i8,
-        f8, f8, f8, f8, ptr, i8, ptr, ptr, i8, ptr,
+        f8, f8, f8, f8, ptr, i8, ptr, i8, ptr, ptr, i8, ptr,
     ]
     return lib
 
@@ -183,6 +184,20 @@ def _writable(a, dtype, ndim: int) -> bool:
     )
 
 
+def _pair_mode(alpha, ewald_cutoff) -> tuple:
+    """The pair kernels' electrostatics arguments ``alpha, ewald_cutoff, tab,
+    n_tab``: in cutoff mode the kernel's "unset" — ``alpha <= 0`` — and no
+    table, in Ewald mode the memoised table (``data_as`` keeps the array
+    alive for as long as the pointer)."""
+    if alpha is None:
+        return 0.0, 0.0, None, 0
+    table = ewald_table(float(alpha), float(ewald_cutoff))
+    return alpha, ewald_cutoff, table.ctypes.data_as(ctypes.c_void_p), len(table)
+
+
+_SHORT_TABLE = "Ewald table stops short of the real-space cutoff"
+
+
 def _force_rows(forces: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """``forces`` itself when the kernels can accumulate into it, else a
     zeroed stand-in for the caller to add back; both arrays ``(rows, 3)``."""
@@ -202,8 +217,7 @@ def build_backend() -> KernelBackend:
         m = len(i_idx)
         if m == 0:
             return 0.0, 0.0, 0
-        if alpha is None:  # the kernel's "unset" is alpha <= 0
-            alpha = ewald_cutoff = 0.0
+        mode = _pair_mode(alpha, ewald_cutoff)
         pos, box, eps, rmin, qq = _f8(pos), _f8(box), _f8(eps), _f8(rmin), _f8(qq)
         i_idx, j_idx = _index_pair(i_idx, j_idx)
         si, sj = _index_pair(si, sj)
@@ -217,10 +231,12 @@ def build_backend() -> KernelBackend:
             pos.ctypes.data, len(pos), box.ctypes.data,
             i_idx.ctypes.data, j_idx.ctypes.data, i_idx.itemsize == 8, m,
             eps.ctypes.data, rmin.ctypes.data, qq.ctypes.data,
-            cutoff, switch, alpha, ewald_cutoff,
+            cutoff, switch, *mode,
             out.ctypes.data, len(out), si.ctypes.data, sj.ctypes.data,
             si.itemsize == 8, energies,
         )
+        if n_pairs == -2:
+            raise ValueError(_SHORT_TABLE)
         if n_pairs < 0:
             raise IndexError("pair list index out of range")
         if out is not forces:
@@ -319,8 +335,7 @@ def build_backend() -> KernelBackend:
         n_tasks = len(block_off)
         if n_tasks == 0:
             return
-        if alpha is None:  # the kernel's "unset" is alpha <= 0
-            alpha = ewald_cutoff = 0.0
+        mode = _pair_mode(alpha, ewald_cutoff)
         pos, box = _f8(pos), _f8(box)
         type_idx, charges = _i8(tables[0]), _f8(tables[1])
         eps_tab, rmin_tab = _f8(tables[2]), _f8(tables[3])
@@ -348,10 +363,12 @@ def build_backend() -> KernelBackend:
             eps_tab.ctypes.data, rmin_tab.ctypes.data, n_types,
             cols.ctypes.data, len(cols), row_ptr.ctypes.data,
             rows.ctypes.data, len(rows), row_off.ctypes.data, n_tasks,
-            cutoff, switch, alpha, ewald_cutoff,
+            cutoff, switch, *mode,
             scratch.ctypes.data, len(scratch), block_off.ctypes.data,
             work.ctypes.data, work_rows, out.ctypes.data,
         )
+        if bad > 0:
+            raise ValueError(_SHORT_TABLE)
         if bad:
             raise IndexError(f"row list of task {-bad - 1} of the batch is corrupt")
 

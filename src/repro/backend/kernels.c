@@ -1,11 +1,11 @@
 /* Compiled kernels of the "c" backend: the two pair kernels (nb_pairs over
  * an explicit pair array, nb_rows over the row lists of a batch of cell
- * tasks), the Ewald reciprocal sum and the cell-block kernel that counts
- * pairs and lists them as rows.  Built on first use and loaded through
- * ctypes by repro/backend/c_backend.py; the contracts are those of
- * repro/backend/base.py and the registry's parity self-check holds the
- * arithmetic to the numpy reference at 1e-9 - the lists, whose order is the
- * pair kernels' accumulation order, to array identity.
+ * tasks), the Ewald reciprocal sum, the bonded terms and the cell-block
+ * kernel that counts pairs and lists them as rows.  Built on first use and
+ * loaded through ctypes by repro/backend/c_backend.py; the contracts are
+ * those of repro/backend/base.py and the registry's parity self-check holds
+ * the arithmetic to the numpy reference at 1e-9 - the lists, whose order is
+ * the pair kernels' accumulation order, to array identity.
  *
  * The lists: a cell task's pairs are a row list over its force block -
  * cols, one int32 a listed pair naming the partner's block row, and
@@ -17,8 +17,9 @@
  * Rules this file keeps:
  *   - re-entrant: no static or global state, no allocation (scratch comes
  *     from the caller or, fixed-size and under 16 KB a frame, from the
- *     stack), because ctypes drops the GIL for the call and the service
- *     steps several jobs from threads;
+ *     stack; the Ewald table is the caller's, read only), because ctypes
+ *     drops the GIL for the call and the service steps several jobs from
+ *     threads;
  *   - one reduction order, fixed in the source: a pair kernel takes a list
  *     a fixed number of pairs at a time, visits the in-range pairs in list
  *     order and keeps one partial sum per run of equal force rows - one
@@ -96,6 +97,58 @@ static inline double lj_switched(double r2, double inv_r2, double eps, double rm
     return e_raw * sw;
 }
 
+/* ---- the Ewald real-space term, read from a table in r^2 -----------------
+ *
+ * repro/backend/ewald_table.py builds the table and has the scheme: every
+ * octave of r^2 from 1 A^2 up is cut into 2^TAB_OCTAVE_BITS equal
+ * intervals, so the top bits of the double are the interval number and the
+ * same bits with the rest of the mantissa cleared its lower node.  An
+ * interval is eight doubles, one 64-byte line: the cubic-Hermite
+ * coefficients, in powers of r^2 - node, of the energy erfc(a r) / r and of
+ * the force factor (erfc(a r) / r + 2a/sqrt(pi) exp(-a^2 r^2)) / r^2.  The
+ * Horner order below is the reference's, so both backends get the same
+ * bits from one table, and no libm function is called for a pair at or
+ * beyond the first node - closer than that (1 A: no liquid reaches it) the
+ * expressions themselves are evaluated.
+ *
+ * The interval number is monotonic in r^2, so a table that reaches the
+ * interval of ewald_cutoff^2 - pair_setup refuses one that does not - holds
+ * the interval of every pair inside it: the lookup needs no check of its
+ * own. */
+#define TAB_OCTAVE_BITS 9 /* ewald_table.INTERVALS_PER_OCTAVE = 512 */
+#define TAB_SHIFT (52 - TAB_OCTAVE_BITS)
+#define TAB_FIRST ((int64_t)0x3FF << TAB_OCTAVE_BITS) /* top bits of 1.0 */
+
+static inline int64_t tab_interval(double r2, double *node)
+{
+    uint64_t bits;
+    memcpy(&bits, &r2, sizeof bits);
+    const int64_t at = (int64_t)(bits >> TAB_SHIFT) - TAB_FIRST;
+    bits &= ~(((uint64_t)1 << TAB_SHIFT) - 1);
+    memcpy(node, &bits, sizeof bits);
+    return at;
+}
+
+/* erfc(a r) / r of a pair at squared distance r2; the force factor goes to
+ * *g (dE/dr / r = -g). */
+static inline double ewald_pair(const double *tab, double alpha, double two_a_rtpi,
+                                double r2, double *g)
+{
+    double node;
+    const int64_t at = tab_interval(r2, &node);
+    if (at < 0) { /* below the first node */
+        const double inv_r2 = 1.0 / r2;
+        const double inv_r = sqrt(inv_r2);
+        const double e = erfc(alpha * (r2 * inv_r)) * inv_r;
+        *g = (e + two_a_rtpi * exp(-(alpha * alpha) * r2)) * inv_r2;
+        return e;
+    }
+    const double *t = tab + 8 * at;
+    const double u = r2 - node;
+    *g = t[4] + u * (t[5] + u * (t[6] + u * t[7]));
+    return t[0] + u * (t[1] + u * (t[2] + u * t[3]));
+}
+
 /* ---- the pair kernels: nb_pairs over an explicit pair array, nb_rows over
  * the row lists of a batch of cell tasks -----------------------------------
  *
@@ -121,13 +174,18 @@ static inline double lj_switched(double r2, double inv_r2, double eps, double rm
 
 typedef struct {
     double c2, s2, inv_c2, inv_denom, ec2, reach2, alpha, two_a_rtpi;
+    const double *tab;
     int ewald;
 } pair_consts;
 
-static pair_consts pair_setup(double cutoff, double switch_dist,
-                              double alpha, double ewald_cutoff)
+/* The constants of a call.  Returns 0, or 1 in Ewald mode when the table's
+ * n_tab intervals stop short of the one that holds ewald_cutoff^2. */
+static int pair_setup(pair_consts *c, double cutoff, double switch_dist,
+                      double alpha, double ewald_cutoff,
+                      const double *tab, int64_t n_tab)
 {
     pair_consts k;
+    double node;
     k.c2 = cutoff * cutoff;
     k.s2 = switch_dist * switch_dist;
     k.inv_c2 = 1.0 / k.c2;
@@ -137,7 +195,9 @@ static pair_consts pair_setup(double cutoff, double switch_dist,
     k.reach2 = (k.ewald && k.ec2 > k.c2) ? k.ec2 : k.c2;
     k.alpha = alpha;
     k.two_a_rtpi = 2.0 * alpha / sqrt(PI);
-    return k;
+    k.tab = tab;
+    *c = k;
+    return k.ewald && (tab == NULL || tab_interval(k.ec2, &node) >= n_tab);
 }
 
 /* What a call (nb_pairs) or a task (nb_rows) sums: the energies, the pairs
@@ -228,24 +288,23 @@ ALWAYS_INLINE void chunk_pass2(const pair_consts *c, const pair_source *s,
     /* dE/dr / r of every hit, stored over its squared distance */
     if (c->ewald) {
         const double ec2 = c->ec2, alpha = c->alpha, two_a_rtpi = c->two_a_rtpi;
+        const double *tab = c->tab;
         for (int64_t h = 0; h < n_hit; h++) {
             const int64_t k = hit[h];
             const double d2 = r2[k];
-            const double inv_r2 = 1.0 / d2;
             double f = 0.0;
             if (d2 < c2) {
                 double eps, rmin;
                 place_lj(s, by_rows, k, &eps, &rmin);
                 n_pairs++;
-                e_lj_tot += lj_switched(d2, inv_r2, eps, rmin, c2, s2, inv_denom, &f);
+                e_lj_tot += lj_switched(d2, 1.0 / d2, eps, rmin, c2, s2, inv_denom, &f);
             }
             if (d2 < ec2) {
                 /* e = C qq erfc(a r) / r */
-                const double inv_r = sqrt(inv_r2);
+                double g;
                 const double cqq = COULOMB_CONSTANT * place_qq(s, by_rows, k);
-                const double e_el = cqq * erfc(alpha * (d2 * inv_r)) * inv_r;
-                f -= (e_el + cqq * two_a_rtpi * exp(-(alpha * alpha) * d2)) * inv_r2;
-                e_el_tot += e_el;
+                e_el_tot += cqq * ewald_pair(tab, alpha, two_a_rtpi, d2, &g);
+                f -= cqq * g;
             }
             r2[k] = f;
         }
@@ -303,22 +362,27 @@ ALWAYS_INLINE void chunk_pass2(const pair_consts *c, const pair_source *s,
  * Newton's-third-law scatter - the kernel of every list that is not a cell
  * task's (the 1-4 pass, the oracle's global list).  alpha <= 0 selects the
  * shifted point-charge term, alpha > 0 the Ewald real-space term inside
- * ewald_cutoff.  energies[0] is the LJ sum, energies[1] the electrostatic
- * sum; returns the pairs inside the LJ cutoff, or -1 at the first index
- * outside pos (n_atoms rows) or forces (n_rows rows).  Pass 1 checks all
- * four indices of every pair - a chunk's before any of it is evaluated -
- * and folds with the select form, the general one behind a branch that
- * wrapped input never takes. */
+ * ewald_cutoff, read from tab (n_tab intervals, ignored in cutoff mode).
+ * energies[0] is the LJ sum, energies[1] the electrostatic sum; returns the
+ * pairs inside the LJ cutoff, -1 at the first index outside pos (n_atoms
+ * rows) or forces (n_rows rows), or -2 having touched nothing when the
+ * table stops short of ewald_cutoff.  Pass 1 checks all four indices of
+ * every pair - a chunk's before any of it is evaluated - and folds with the
+ * select form, the general one behind a branch that wrapped input never
+ * takes. */
 int64_t nb_pairs(const double *pos, int64_t n_atoms, const double *box,
                  const void *i_idx, const void *j_idx, int idx_wide, int64_t m,
                  const double *eps, const double *rmin, const double *qq,
                  double cutoff, double switch_dist,
                  double alpha, double ewald_cutoff,
+                 const double *tab, int64_t n_tab,
                  double *forces, int64_t n_rows,
                  const void *si, const void *sj, int s_wide,
                  double *energies)
 {
-    const pair_consts c = pair_setup(cutoff, switch_dist, alpha, ewald_cutoff);
+    pair_consts c;
+    if (pair_setup(&c, cutoff, switch_dist, alpha, ewald_cutoff, tab, n_tab))
+        return -2;
     const double reach2 = c.reach2;
     const double bx = box[0], by = box[1], bz = box[2];
     const double hx = 0.5 * bx, hy = 0.5 * by, hz = 0.5 * bz;
@@ -518,11 +582,13 @@ static int rows_task(const double *pos, int64_t n_atoms, const double *box,
  * task: the LJ sum, the electrostatic sum, the pairs inside the LJ cutoff
  * and the nanoseconds the task took by this function's own monotonic clock
  * (gather and zeroing included).  work holds 5 * work_rows doubles,
- * work_rows at least the longest block.  Returns 0, or -(t + 1) when task t
- * holds an index that cannot be followed - a rows entry outside pos, a type
+ * work_rows at least the longest block.  tab (n_tab intervals) is the Ewald
+ * table, ignored in cutoff mode.  Returns 0; or -(t + 1) when task t holds
+ * an index that cannot be followed - a rows entry outside pos, a type
  * outside the tables, a row_ptr that decreases or leaves cols, a column
- * outside the block, a block outside scratch; nothing outside the batch's
- * blocks and out has been written. */
+ * outside the block, a block outside scratch - nothing outside the batch's
+ * blocks and out has been written; or 1 having touched nothing when the
+ * table stops short of ewald_cutoff. */
 int64_t nb_rows(const double *pos, int64_t n_atoms, const double *box,
                 const int64_t *type_idx, const double *charges,
                 const double *eps_tab, const double *rmin_tab, int64_t n_types,
@@ -531,11 +597,15 @@ int64_t nb_rows(const double *pos, int64_t n_atoms, const double *box,
                 const int64_t *row_off, int64_t n_tasks,
                 double cutoff, double switch_dist,
                 double alpha, double ewald_cutoff,
+                const double *tab, int64_t n_tab,
                 double *scratch, int64_t scratch_rows, const int64_t *block_off,
                 double *work, int64_t work_rows, double *out)
 {
-    const pair_consts c = pair_setup(cutoff, switch_dist, alpha, ewald_cutoff);
+    pair_consts c;
     struct timespec t0, t1;
+
+    if (pair_setup(&c, cutoff, switch_dist, alpha, ewald_cutoff, tab, n_tab))
+        return 1;
 
     for (int64_t t = 0; t < n_tasks; t++) {
         clock_gettime(CLOCK_MONOTONIC, &t0);
@@ -594,16 +664,35 @@ static void fill_tables(phase_tables *t, const double *x, const double *base,
     }
 }
 
-static inline void phase(const phase_tables *t, const int32_t *m,
+/* e^{i k.r} of the atom whose tables are t, for the k-vector with triplet m.
+ * The x-y product is kept in *xy, beside the (mx, my) it belongs to, from one
+ * call to the next and formed only when they change: the half-space table lists
+ * the vectors of one (mx, my) consecutively, up to 2 kmax + 1 of them.  The
+ * arithmetic of a vector is the same either way, and so are its bits. */
+typedef struct {
+    int32_t mx, my;
+    double c, s;
+} xy_phase;
+
+static inline void phase(const phase_tables *t, const int32_t *m, xy_phase *xy,
                          double *c, double *s)
 {
-    const double cx = t->c[0][m[0] + M_CAP], sx = t->s[0][m[0] + M_CAP];
-    const double cy = t->c[1][m[1] + M_CAP], sy = t->s[1][m[1] + M_CAP];
+    if (m[0] != xy->mx || m[1] != xy->my) {
+        const double cx = t->c[0][m[0] + M_CAP], sx = t->s[0][m[0] + M_CAP];
+        const double cy = t->c[1][m[1] + M_CAP], sy = t->s[1][m[1] + M_CAP];
+        xy->mx = m[0];
+        xy->my = m[1];
+        xy->c = cx * cy - sx * sy;
+        xy->s = sx * cy + cx * sy;
+    }
     const double cz = t->c[2][m[2] + M_CAP], sz = t->s[2][m[2] + M_CAP];
-    const double cxy = cx * cy - sx * sy, sxy = sx * cy + cx * sy;
-    *c = cxy * cz - sxy * sz;
-    *s = sxy * cz + cxy * sz;
+    *c = xy->c * cz - xy->s * sz;
+    *s = xy->s * cz + xy->c * sz;
 }
+
+/* no triplet has this component (|m| <= M_CAP): the first vector of an atom
+ * always forms its product */
+static const xy_phase XY_NONE = {INT32_MIN, INT32_MIN, 0.0, 0.0};
 
 /* Reciprocal sum over the nk vectors kvecs = 2 pi mvecs / box (any
  * contiguous shard of the table).  work holds 2 nk doubles.  Returns 0
@@ -636,9 +725,10 @@ int ewald_recip(const double *pos, const double *q, int64_t n,
     /* structure factors S(k) = sum_a q_a e^{i k.r_a} */
     for (int64_t a = 0; a < n; a++) {
         double c, s;
+        xy_phase xy = XY_NONE;
         fill_tables(&t, pos + 3 * a, base, mmax);
         for (int64_t k = 0; k < nk; k++) {
-            phase(&t, mvecs + 3 * k, &c, &s);
+            phase(&t, mvecs + 3 * k, &xy, &c, &s);
             s_re[k] += q[a] * c;
             s_im[k] += q[a] * s;
         }
@@ -654,9 +744,10 @@ int ewald_recip(const double *pos, const double *q, int64_t n,
     /* F_a = 2 pref q_a sum_k ak k [ sin(k.r_a) S_re - cos(k.r_a) S_im ] */
     for (int64_t a = 0; a < n; a++) {
         double c, s, fx = 0.0, fy = 0.0, fz = 0.0;
+        xy_phase xy = XY_NONE;
         fill_tables(&t, pos + 3 * a, base, mmax);
         for (int64_t k = 0; k < nk; k++) {
-            phase(&t, mvecs + 3 * k, &c, &s);
+            phase(&t, mvecs + 3 * k, &xy, &c, &s);
             const double coeff = s * s_re[k] - c * s_im[k];
             fx += coeff * kvecs[3 * k];
             fy += coeff * kvecs[3 * k + 1];

@@ -8,10 +8,12 @@ and the parity-sweep tests).  The physics is written once, readably, in
 finite-difference tests.  :func:`nb_pairs`, the engines' pair kernel,
 evaluates the same formulas arranged for numpy (component-major
 displacements, index selection, in-place updates, the switching polynomial
-on its band only); tests hold it to ``pair_terms`` + ``segment_add`` at
-1e-12.  :func:`block_pairs` is the pair-list build — distance mask,
-exclusion lookup, the row list — and the other backends must reproduce its
-arrays exactly, order included; :func:`nb_rows`, the cell tasks' kernel,
+on its band only; the Ewald real-space term read from the table of
+:mod:`repro.backend.ewald_table`, as the compiled kernel reads it); tests
+hold it to ``pair_terms`` + ``segment_add`` at 1e-12, the tabulated term at
+the table's own bound.  :func:`block_pairs` is the pair-list build —
+distance mask, exclusion lookup, the row list — and the other backends must
+reproduce its arrays exactly, order included; :func:`nb_rows`, the cell tasks' kernel,
 expands those rows back to pair arrays (:func:`expand_rows`) and is
 ``nb_pairs`` over them.  The numpy backend is deterministic — one reduction
 order per kernel — which is what keeps trajectories and checkpoint resume
@@ -30,6 +32,7 @@ import time
 import numpy as np
 
 from repro.backend.base import KernelBackend
+from repro.backend.ewald_table import ewald_table, ewald_terms
 from repro.util.pbc import minimum_image
 
 __all__ = ["build_backend", "expand_rows"]
@@ -256,12 +259,11 @@ def nb_pairs(
 
     cqq = qq.take(keep)
     cqq *= COULOMB_CONSTANT
-    inv_r = np.sqrt(inv_r2)
     if alpha is None:
         # shifted point charges: e = (C qq / r)(1 - r²/c²)²
         shift = r2 / (-c2)
         shift += 1.0
-        e_el = cqq * inv_r
+        e_el = cqq * np.sqrt(inv_r2)
         e_el *= shift
         # dE/dr / r = -(C qq / r)(shift² / r² + 4 shift / c²)
         f_el = shift * inv_r2
@@ -270,21 +272,18 @@ def nb_pairs(
         f_r -= f_el
         e_el *= shift
     else:
-        # Ewald real space, truncated at its own cutoff
-        from scipy.special import erfc
-
+        # Ewald real space, truncated at its own cutoff: e = C qq erfc(ar)/r
+        # and -dE/dr / r = C qq (erfc(ar)/r + 2a/sqrt(pi) exp(-a² r²)) / r²,
+        # both read from the table the compiled kernel reads
+        table = ewald_table(float(alpha), float(ewald_cutoff))
+        looked_up = r2
         if reach > ewald_cutoff:
-            cqq *= r2 < ewald_cutoff * ewald_cutoff
-        r = r2 * inv_r
-        e_el = erfc(alpha * r)
-        e_el *= inv_r
+            ec2 = ewald_cutoff * ewald_cutoff
+            cqq *= r2 < ec2
+            looked_up = np.minimum(r2, ec2)  # no term there: any interval will do
+        e_el, f_el = ewald_terms(table, alpha, looked_up)
         e_el *= cqq
-        # dE/dr / r = -(e + C qq 2a/sqrt(pi) exp(-a² r²)) / r²
-        f_el = np.exp(r2 * (-alpha * alpha))
         f_el *= cqq
-        f_el *= 2.0 * alpha / np.sqrt(np.pi)
-        f_el += e_el
-        f_el *= inv_r2
         f_r -= f_el
 
     # force on i = +dE/dr (delta / r) given delta = x_j - x_i; j gets the

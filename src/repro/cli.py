@@ -15,7 +15,8 @@ Commands
     Print Figure-1/2-style grainsize histograms (before/after splitting).
 ``backends``
     Print the kernel backend inventory (numpy reference / compiled C),
-    which one the session resolves to, and what the C build did.
+    which one the session resolves to, what the C build did, and the Ewald
+    real-space table of the default ``EwaldOptions`` with its measured error.
 ``serve``
     Run the simulation service: a REST front end multiplexing many
     concurrent jobs onto one shared worker budget (see README "Running
@@ -90,6 +91,10 @@ def cmd_info(_args) -> int:
 def cmd_backends(_args) -> int:
     """Print the kernel backend inventory and the resolved default."""
     from repro.backend import ENV_VAR, backend_status
+    from repro.backend.ewald_table import (
+        INTERVALS_PER_OCTAVE, R2_FIRST, ewald_table, measured_error,
+    )
+    from repro.md.ewald import EwaldOptions
 
     status = backend_status()
     print("Kernel backends (repro.backend):")
@@ -109,6 +114,21 @@ def cmd_backends(_args) -> int:
         print(f"    cache file: {build['cache_file']}")
     if "seconds" in build:
         print(f"    this run:   {build['source']} in {build['seconds']:.3f} s")
+    ewald = EwaldOptions()
+    alpha, cutoff = ewald.alpha_value(), ewald.cutoff
+    table, error = ewald_table(alpha, cutoff), measured_error(alpha, cutoff)
+    print(
+        f"  ewald table (default EwaldOptions: alpha {alpha:.4g}/A, cutoff "
+        f"{cutoff:g} A), read by both backends:"
+    )
+    print(
+        f"    intervals:  {len(table)} ({INTERVALS_PER_OCTAVE} an octave of r^2 "
+        f"from {R2_FIRST:g} A^2), {table.nbytes} bytes"
+    )
+    print(
+        f"    max error:  {error['of_term']:.1e} of the term, "
+        f"{error['of_coulomb']:.1e} of the bare Coulomb term"
+    )
     return 0
 
 

@@ -102,8 +102,8 @@ class CostPriors(NamedTuple):
     unit of the cell tasks' prior (one in-cutoff pair of the fused kernel in
     cutoff mode)."""
 
-    #: a pair with ``erfc`` and ``exp`` against one with the shifted
-    #: point-charge term
+    #: a pair with the Ewald real-space term (read from the table in r²)
+    #: against one with the shifted point-charge term
     ewald_pair: float
     #: one atom x k-vector term of a reciprocal shard
     kterm_pair: float
@@ -117,27 +117,31 @@ class CostPriors(NamedTuple):
 #: factor matters and a percent does not.  They are a property of backend
 #: and host: one row per ``backend.compiled``, each measured from the task
 #: times the engine's WorkDB collects on the perf harness's 343-water Ewald
-#: row at 2 workers.
+#: row at 2 workers (each task's fastest evaluation of 40 steps).
 #:
-#: numpy: the 36 cell tasks take 27.6 ms with ``erfc`` against 22.7 without;
-#: a shard term ~55 ns against ~120 ns per pair unit; a bonded group is one
-#: call of a few dozen small numpy operations, 30-250 us whatever its size,
-#: plus 0.1-0.5 us per term.
+#: numpy: the 36 cell tasks take 14.0-17.1 ms reading the Ewald table
+#: against 16.5-19.7 with the shifted term and its square root (21.9 when
+#: the term was ``scipy``'s ``erfc`` + ``exp``), session by session 0.85-0.9
+#: of it; a shard term ~55 ns against ~100 ns per pair unit; a bonded group
+#: is one call of a few dozen small numpy operations, 30-250 us whatever its
+#: size, plus 0.1-0.5 us per term.
 #:
 #: c: the cell tasks' times are the batched kernel's own clock, and the pair
-#: unit falls to ~8 ns (the 36 cell tasks, 1.45 ms, over their summed prior,
-#: each task's fastest evaluation of the window), so everything that kernel
-#: does not touch grows in it.  The cell tasks take 3.97 ms with scalar libm
-#: ``erfc`` + ``exp`` on every pair against those 1.45; a factorised shard
-#: term 6.2-6.8 ns; a bonded group is one call of the C kernel, ~25 us of
-#: wrapper and ``ctypes`` before the first term and 2-30 ns a term (28-33 us
-#: for 686 or 1,458 bonds, 39-47 us for 343 or 729 angles).
+#: unit is ~8.9 ns (the 36 cell tasks in cutoff mode, 1.58-1.65 ms, over
+#: their summed prior), so everything that kernel does not touch is large
+#: in it.  With the table the cell tasks take 1.80 ms under Ewald (4.32 when
+#: every pair called libm's ``erfc`` and ``exp``); a factorised shard term
+#: 5.5 ns (6.7 before the x-y phase product was kept along a run of
+#: k-vectors): the three shards' 2.07 ms are now the larger half of the
+#: row; a bonded group is one call of the C kernel, ~25 us of wrapper and
+#: ``ctypes`` before the first term and 2-30 ns a term (28-33 us for 686 or
+#: 1,458 bonds, 39-47 us for 343 or 729 angles).
 COST_PRIORS = {
     False: CostPriors(
-        ewald_pair=1.2, kterm_pair=0.55, bonded_call=600.0, bonded_term=3.0
+        ewald_pair=0.9, kterm_pair=0.55, bonded_call=600.0, bonded_term=3.0
     ),
     True: CostPriors(
-        ewald_pair=2.7, kterm_pair=0.77, bonded_call=3000.0, bonded_term=2.0
+        ewald_pair=1.15, kterm_pair=0.62, bonded_call=3000.0, bonded_term=2.0
     ),
 }
 

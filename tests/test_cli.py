@@ -23,6 +23,15 @@ class TestCommands:
         assert "92224" in out.replace(",", "")
         assert "ASCI-Red" in out
 
+    def test_backends_prints_the_default_ewald_table(self, capsys):
+        assert main(["backends"]) == 0
+        out = capsys.readouterr().out
+        assert "available: numpy" in out
+        # 512 intervals an octave over [1, 81] A^2, one 64-byte line each
+        assert "intervals:  3209 (512 an octave of r^2 from 1 A^2), 205376 bytes" in out
+        error = out.split("max error:")[1].split()
+        assert float(error[0]) <= 1e-9 and float(error[4]) <= 1e-11
+
     def test_md(self, capsys):
         assert main(["md", "--waters", "27", "--steps", "3", "--cutoff", "5"]) == 0
         out = capsys.readouterr().out

@@ -212,8 +212,9 @@ class TestTaskDecomposition:
     def test_static_prior_balances_an_ewald_water_box(self):
         """With the default ``rebalance_every=0`` the priors' contiguous
         partition is all the balancing a run gets: on the harness's Ewald
-        row (343 waters, kmax 4, 2 workers) it must be able to balance.
-        Deterministic — priors only, no timing."""
+        row (343 waters, kmax 4, 2 workers) it must be able to balance —
+        whichever of the cell tasks and the three shards is the larger half
+        on the backend at hand.  Deterministic — priors only, no timing."""
         from repro.md.tasks import build_force_tasks
         from repro.pool import contiguous_partition
 
@@ -228,7 +229,6 @@ class TestTaskDecomposition:
         shards = costs[spec.kspace_ids]
         assert len(shards) >= 2
         assert 0 < bonded < 0.15 * cells
-        assert shards.max() < cells / 3.0
         bounds = contiguous_partition(costs, 2)
         loads = np.add.reduceat(costs, bounds[:-1])
         assert loads.max() / loads.mean() <= 1.25

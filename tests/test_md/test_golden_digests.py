@@ -4,10 +4,12 @@ positions are pinned by sha256.
 A change to the list format, the task loop or the executor must leave these
 alone; a change to a kernel's arithmetic or summation order moves them, and
 then the pins are re-recorded with the reason (EXPERIMENTS.md lists every
-move).  The bits depend on the host's libm (``erfc``, ``exp``, ``acos``,
-``sin``/``cos``), so the pins hold for the platform they were recorded on
-and the test skips elsewhere — and on the numpy fallback, whose bits are its
-own.
+move).  The bits depend on the host's libm (``acos`` in the angle terms,
+``sin``/``cos`` in the reciprocal sum; the pair kernel calls none since the
+Ewald real-space term is read from a table, whose nodes are ``scipy``'s
+``erfc`` and numpy's ``exp``), so the pins hold for the platform they were
+recorded on and the test skips elsewhere — and on the numpy fallback, whose
+bits are its own.
 """
 
 import hashlib
@@ -32,9 +34,14 @@ RECORDED_ON = ("x86_64", ("glibc", "2.36"))
 #: unedited; re-recorded when ``bonded_terms`` moved to C in the same PR
 #: (list-order sums instead of BLAS dots and per-slot scatters: per-step
 #: energies within 4e-16 at step 1 and 5e-14 over 100 steps of the old bits).
+#: ``ewald`` alone (was cd5ae322a35ccad0) re-recorded when the erfc term
+#: became a table lookup in both backends' pair kernels: per-step total
+#: energy within 9e-12 relative of the libm bits over 200 steps, final
+#: positions within 2e-9 A; ``cutoff`` and ``grainsize`` never read the table
+#: and passed that change unedited.
 PINS = {
     "cutoff": "24310ccfcea6bdefaf9c01ead82c0e356864b11341cb17b6680d3ba99ccb479e",
-    "ewald": "cd5ae322a35ccad044020208e36b870c6d62e14e24580a906d69d4d15ec1aa84",
+    "ewald": "48f84cda75c362fe6710668b76ad02be9d93f5b71c774a6b14b22f1d6e4e1a5b",
     "grainsize": "5fd72b37c98f84a4e70ddf55db69bbc7f376f6942e1da1abebb6eadacac2283b",
 }
 

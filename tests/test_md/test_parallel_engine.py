@@ -172,6 +172,13 @@ class TestPartition:
         assert bounds[0] == 0 and bounds[-1] == 4
         assert np.all(np.diff(bounds) >= 0)
 
+    def test_a_cut_goes_to_the_nearer_side_of_the_task_that_straddles_it(self):
+        # ten small tasks and three large ones, the target inside the first
+        # large one: 10 | 12, not 14 | 8
+        costs = np.array([1.0] * 10 + [4.0] * 3)
+        assert _contiguous_partition(costs, 2).tolist() == [0, 10, 13]
+        assert _contiguous_partition(costs[::-1], 2).tolist() == [0, 3, 13]
+
     def test_zero_costs(self):
         bounds = _contiguous_partition(np.zeros(8), 4)
         assert bounds.tolist() == [0, 2, 4, 6, 8]
