@@ -1,6 +1,6 @@
 """Kernel-backend contract and the parity self-check.
 
-A :class:`KernelBackend` bundles the nine kernels every backend must
+A :class:`KernelBackend` bundles the ten kernels every backend must
 provide.  The contract is deliberately scalar/array-only (no dataclass
 options, no ``repro.md`` types: exclusions and LJ tables cross it as
 arrays) so this package never imports from ``repro.md`` — the md modules
@@ -69,12 +69,23 @@ si, sj, alpha=None, ewald_cutoff=None) -> (e_lj, e_elec, n_pairs)``
     evaluation) so the parallel engine can scatter each task into a
     compact slab of a shared buffer.
 
-``ewald_recip_shard(pos, q, kvecs, ak, pref, forces, mvecs=None) -> energy``
-    Same contract as ``ewald_recip`` evaluated over a contiguous *shard*
-    of the tables (the caller slices ``kvecs``/``ak``/``mvecs``).  Because every
-    k-vector's contribution is independent, summing shard results over a
-    partition of the tables must reproduce ``ewald_recip`` of the full
-    tables to rounding error — the parity self-check enforces this.
+``pme_spread(pos, q, box, grid, order) -> None``
+    The charge-assignment half of smooth PME (Essmann et al. 1995): the
+    caller-owned float64 grid ``(K0, K1, K2)`` is *overwritten* with ``Q(k)
+    = sum_a q_a M(u_a - k)``, ``M`` the product over the three axes of the
+    cardinal B-spline of ``order`` and ``u_a`` the atom's scaled fractional
+    coordinates (``K_d x_d / L_d``, folded into ``[0, K_d)``: an atom on a
+    box face or outside the box is its periodic image).  ``order`` lies in
+    ``[2, PME_MAX_ORDER]`` and every ``K_d >= order``; otherwise a
+    ``ValueError`` with nothing written.
+
+``pme_gather(pos, q, box, grid, order, forces) -> energy``
+    The interpolation half: with ``grid`` holding the potential (the
+    charges convolved with the influence function), each atom's ``phi_a =
+    sum_k M(u_a - k) grid(k)``; the forces ``-q_a grad phi_a`` accumulate
+    into ``forces`` and ``sum_a q_a phi_a / 2`` is returned.  The same
+    splines and the same errors as ``pme_spread``.  The FFT pair between the
+    two halves is not a kernel: :mod:`repro.md.ewald` calls ``scipy.fft``.
 
 ``block_pairs(pos, box, atoms_a, atoms_b, part, n_parts, r, tables=None,
 out=None, offset=0) -> int``
@@ -179,7 +190,8 @@ class KernelBackend:
     ewald_real: Callable[..., float]
     ewald_recip: Callable[..., float]
     bonded_terms: Callable[..., float]
-    ewald_recip_shard: Callable[..., float]
+    pme_spread: Callable[..., None]
+    pme_gather: Callable[..., float]
     block_pairs: Callable[..., int]
     nb_rows: Callable[..., None]
 
@@ -255,6 +267,9 @@ def synthetic_problem(seed: int = 2026) -> dict[str, Any]:
     np.cumsum(np.bincount(owner, minlength=n), out=excl_ptr[1:])
     excl_partners = partner[np.lexsort((partner, owner))]
 
+    # PME: a small non-cubic grid, and a potential on it for the gather
+    pme_potential = rng.normal(0.0, 1.0, size=(8, 9, 10))
+
     return {
         "n": n,
         "box": box,
@@ -287,7 +302,8 @@ def synthetic_problem(seed: int = 2026) -> dict[str, Any]:
         "imp_idx": imp_idx,
         "imp_k": imp_k,
         "imp_psi0": imp_psi0,
-        "shard_split": 17,  # shard boundary exercised by the self-check
+        "pme_order": 6,
+        "pme_potential": pme_potential,
         "excl_ptr": excl_ptr,
         "excl_partners": excl_partners,
         "type_idx": type_idx,
@@ -474,17 +490,26 @@ def parity_selfcheck(
             if not np.all(net <= 1e-8 * max(1.0, float(np.max(np.abs(fb_c))))):
                 return False, f"{label}: net force nonzero ({net})"
 
-        # ewald_recip_shard: two shards must reproduce the full recip sum
-        lo = int(p["shard_split"])
-        fs_c = np.zeros((p["n"], 3))
-        es_c = 0.0
-        for sl in (slice(0, lo), slice(lo, len(p["kvecs"]))):
-            es_c += candidate.ewald_recip_shard(
-                p["pos"], p["charges"], p["kvecs"][sl], p["ak"][sl],
-                p["pref"], fs_c, p["mvecs"][sl],
-            )
-        if not _close(es_c, ek_r, tol) or not _close(fs_c, fk_r, tol):
-            return False, "ewald_recip_shard: sharded sum != full recip sum"
+        # pme_spread / pme_gather on a non-cubic grid; the spread grids also
+        # hold the total charge (the splines are a partition of unity)
+        atoms = (p["pos"], p["charges"], p["box"])
+        grids = []
+        for backend in (candidate, reference):
+            grid = np.full(p["pme_potential"].shape, np.nan)  # overwritten
+            backend.pme_spread(*atoms, grid, p["pme_order"])
+            grids.append(grid)
+        if not _close(grids[0], grids[1], tol):
+            return False, "pme_spread: grids disagree"
+        if not _close(grids[0].sum(), p["charges"].sum(), tol):
+            return False, "pme_spread: the grid does not hold the total charge"
+        gathered = []
+        for backend in (candidate, reference):
+            fg = np.zeros((p["n"], 3))
+            eg = backend.pme_gather(*atoms, p["pme_potential"], p["pme_order"], fg)
+            gathered.append((eg, fg))
+        (eg_c, fg_c), (eg_r, fg_r) = gathered
+        if not _close(eg_c, eg_r, tol) or not _close(fg_c, fg_r, tol):
+            return False, "pme_gather: results disagree"
 
         # block_pairs: array identity, not a tolerance — list order is the
         # pair kernels' accumulation order

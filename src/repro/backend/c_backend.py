@@ -8,9 +8,9 @@ file, never a stale one.  The flags are fixed: ``-O2`` with
 because hosts sharing a home directory share the cache and a result must
 not depend on which of them compiled it.
 
-:func:`build_backend` is the numpy reference with ``nb_pairs``, the two
-reciprocal-sum kernels, ``bonded_terms``, ``block_pairs`` and ``nb_rows``
-replaced.  It raises on any failure (no compiler, compile error or timeout,
+:func:`build_backend` is the numpy reference with ``nb_pairs``,
+``ewald_recip``, ``bonded_terms``, the two PME halves, ``block_pairs`` and
+``nb_rows`` replaced.  It raises on any failure (no compiler, compile error or timeout,
 load error); the registry turns that — and a failed parity self-check — into the numpy fallback.
 :data:`build_info` says what the last build did, for ``repro backends``.
 """
@@ -94,6 +94,10 @@ def _load(path: Path) -> ctypes.CDLL:
     lib.bonded_terms.argtypes = [
         ptr, i8, ptr, ctypes.c_int, ptr, ptr, i8, ptr, ptr, ptr, ptr, i8, ptr,
     ]
+    lib.pme_spread.restype = ctypes.c_int
+    lib.pme_spread.argtypes = [ptr, ptr, i8, ptr, ptr, ctypes.c_int, ptr]
+    lib.pme_gather.restype = ctypes.c_int
+    lib.pme_gather.argtypes = [ptr, ptr, i8, ptr, ptr, ctypes.c_int, ptr, ptr, ptr]
     lib.nb_rows.restype = i8
     lib.nb_rows.argtypes = [
         ptr, i8, ptr, ptr, ptr, ptr, ptr, i8, ptr, i8, ptr, ptr, i8, ptr, i8,
@@ -196,6 +200,20 @@ def _pair_mode(alpha, ewald_cutoff) -> tuple:
 
 
 _SHORT_TABLE = "Ewald table stops short of the real-space cutoff"
+_PME_REFUSED = (
+    f"B-spline order outside [2, {reference.PME_MAX_ORDER}] or a grid axis "
+    "shorter than the order"
+)
+
+
+def _pme_atoms(pos, q, box, grid) -> tuple:
+    """``pos, q, box`` as the PME kernels read them, and the grid's shape."""
+    pos, q, box = _f8(pos), _f8(q), _f8(box)
+    if pos.ndim != 2 or pos.shape[1] != 3 or q.shape != (len(pos),) or box.shape != (3,):
+        raise ValueError("PME needs positions (n, 3), charges (n,) and three box edges")
+    if np.ndim(grid) != 3:
+        raise ValueError("the PME grid must have three axes")
+    return pos, q, box, np.asarray(np.shape(grid), dtype=np.int64)
 
 
 def _force_rows(forces: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -290,6 +308,33 @@ def build_backend() -> KernelBackend:
             forces += out
         return energy.value
 
+    def pme_spread(pos, q, box, grid, order):
+        pos, q, box, dims = _pme_atoms(pos, q, box, grid)
+        if not _writable(grid, np.float64, 3):
+            raise ValueError("the PME grid must be C-contiguous float64")
+        if lib.pme_spread(
+            pos.ctypes.data, q.ctypes.data, len(pos), box.ctypes.data,
+            dims.ctypes.data, order, grid.ctypes.data,
+        ):
+            raise ValueError(_PME_REFUSED)
+
+    def pme_gather(pos, q, box, grid, order, forces):
+        pos, q, box, dims = _pme_atoms(pos, q, box, grid)
+        grid = _f8(grid)
+        out = _force_rows(forces, pos)
+        if forces.shape != pos.shape:
+            raise ValueError("positions and forces differ in length")
+        energy = ctypes.c_double()
+        if lib.pme_gather(
+            pos.ctypes.data, q.ctypes.data, len(pos), box.ctypes.data,
+            dims.ctypes.data, order, grid.ctypes.data, out.ctypes.data,
+            ctypes.byref(energy),
+        ):
+            raise ValueError(_PME_REFUSED)
+        if out is not forces:
+            forces += out
+        return energy.value
+
     def block_pairs(pos, box, atoms_a, atoms_b, part, n_parts, r,
                     tables=None, out=None, offset=0):
         pos, box, atoms_a = _f8(pos), _f8(box), _i8(atoms_a)
@@ -374,6 +419,7 @@ def build_backend() -> KernelBackend:
 
     return dataclasses.replace(
         reference.build_backend(), name="c", compiled=True, nb_pairs=nb_pairs,
-        ewald_recip=ewald_recip, ewald_recip_shard=ewald_recip,
-        bonded_terms=bonded_terms, block_pairs=block_pairs, nb_rows=nb_rows,
+        ewald_recip=ewald_recip, bonded_terms=bonded_terms,
+        pme_spread=pme_spread, pme_gather=pme_gather,
+        block_pairs=block_pairs, nb_rows=nb_rows,
     )

@@ -1,7 +1,8 @@
 /* Compiled kernels of the "c" backend: the two pair kernels (nb_pairs over
  * an explicit pair array, nb_rows over the row lists of a batch of cell
- * tasks), the Ewald reciprocal sum, the bonded terms and the cell-block
- * kernel that counts pairs and lists them as rows.  Built on first use and
+ * tasks), the classic Ewald reciprocal sum, the two halves of smooth PME
+ * (pme_spread, pme_gather), the bonded terms and the cell-block kernel that
+ * counts pairs and lists them as rows.  Built on first use and
  * loaded through ctypes by repro/backend/c_backend.py; the contracts are
  * those of repro/backend/base.py and the registry's parity self-check holds
  * the arithmetic to the numpy reference at 1e-9 - the lists, whose order is
@@ -15,9 +16,9 @@
  * block's coordinates once and works on them in place.
  *
  * Rules this file keeps:
- *   - re-entrant: no static or global state, no allocation (scratch comes
- *     from the caller or, fixed-size and under 16 KB a frame, from the
- *     stack; the Ewald table is the caller's, read only), because ctypes
+ *   - re-entrant: no mutable static or global state, no allocation (scratch
+ *     comes from the caller or, fixed-size and under 16 KB a frame, from the
+ *     stack; the Ewald table and the PME grid are the caller's), because ctypes
  *     drops the GIL for the call and the service steps several jobs from
  *     threads;
  *   - one reduction order, fixed in the source: a pair kernel takes a list
@@ -38,7 +39,10 @@
  *     every rows entry, type and row_ptr step while it gathers the block,
  *     then every column in pass 1 - a chunk's before any of it is
  *     evaluated; block_pairs, cell b while it gathers it and each row atom
- *     and table row as it reaches them.
+ *     and table row as it reaches them; pme_spread and pme_gather follow no
+ *     index they were given - a grid point is a folded coordinate, in range
+ *     by construction - and refuse an order or grid they cannot serve
+ *     before they write.
  */
 #define _POSIX_C_SOURCE 200809L /* clock_gettime */
 #include <math.h>
@@ -758,6 +762,192 @@ int ewald_recip(const double *pos, const double *q, int64_t n,
         forces[3 * a + 1] += scale * fy;
         forces[3 * a + 2] += scale * fz;
     }
+    return 0;
+}
+
+/* ---- smooth PME: charges onto the grid, the potential back ---------------
+ *
+ * The two halves of smooth particle-mesh Ewald (Essmann et al. 1995) around
+ * the FFT pair repro/md/ewald.py makes with scipy.fft.  An atom's scaled
+ * fractional coordinate u = K x / L, folded into [0, K), has the grid point
+ * floor(u) - j (periodic) carry M_n(w + j), j = 0 .. n-1, w the fraction of
+ * u: the cardinal B-spline of order n, built up from M_1 by the recursion
+ * below (the reference's, rounding for rounding, so both backends spread
+ * onto the same points with the same weights).  The weights live in three
+ * rows of PME_MAX_ORDER on the stack; the grid is the caller's.  K >= n on
+ * every axis, so an atom touches each point at most once and one fold
+ * brings an index into range.  The engines' order (6) is a constant in its
+ * own copy of each loop, which the compiler unrolls.
+ */
+#define PME_MAX_ORDER 8 /* reference.PME_MAX_ORDER */
+#define PME_ORDER 6     /* repro.md.ewald.PME_ORDER */
+
+/* 1 / (p - 1): the recursion multiplies, as the reference does */
+static const double PME_INV[PME_MAX_ORDER + 1] = {
+    0.0, 0.0, 1.0, 1.0 / 2, 1.0 / 3, 1.0 / 4, 1.0 / 5, 1.0 / 6, 1.0 / 7,
+};
+
+typedef struct {
+    int64_t at[3][PME_MAX_ORDER];
+    double m[3][PME_MAX_ORDER], dm[3][PME_MAX_ORDER];
+    /* along z, in the order of the points: the first point (negative when
+     * the run wraps) and the weights and derivatives from it on */
+    int64_t z0;
+    double mz[PME_MAX_ORDER], dmz[PME_MAX_ORDER];
+} pme_atom;
+
+/* Grid points, weights and derivatives (in u) of the atom at x. */
+ALWAYS_INLINE void pme_splines(pme_atom *s, const double *x, const double *box,
+                               const int64_t *dims, const int order)
+{
+    for (int d = 0; d < 3; d++) {
+        const double size = (double)dims[d];
+        double f = x[d] / box[d];
+        f -= floor(f);
+        double u = f * size;
+        if (u >= size) /* f rounded up to 1.0 */
+            u -= size;
+        /* a non-finite coordinate reads point 0 with NaN weights: the
+         * result is NaN, as the classic sum's, and no index is wild */
+        const int64_t base = u < size ? (int64_t)u : 0;
+        const double w = u - (double)base;
+        double *m = s->m[d], *dm = s->dm[d];
+        m[0] = 1.0;
+        for (int p = 2; p <= order; p++) {
+            const double inv = PME_INV[p];
+            if (p == order) { /* M_n' = M_{n-1}(x) - M_{n-1}(x - 1) */
+                dm[0] = m[0];
+                for (int j = 1; j < p - 1; j++)
+                    dm[j] = m[j] - m[j - 1];
+                dm[p - 1] = -m[p - 2];
+            }
+            m[p - 1] = (1.0 - w) * m[p - 2] * inv;
+            for (int j = p - 2; j > 0; j--)
+                m[j] = ((w + j) * m[j] + ((p - j) - w) * m[j - 1]) * inv;
+            m[0] = w * m[0] * inv;
+        }
+        for (int j = 0; j < order; j++)
+            s->at[d][j] = base - j < 0 ? base - j + dims[d] : base - j;
+        if (d == 2) {
+            s->z0 = base - (order - 1);
+            for (int t = 0; t < order; t++) {
+                s->mz[t] = m[order - 1 - t];
+                s->dmz[t] = dm[order - 1 - t];
+            }
+        }
+    }
+}
+
+ALWAYS_INLINE void spread_atoms(const double *pos, const double *q, int64_t n,
+                                const double *box, const int64_t *dims,
+                                const int order, double *grid)
+{
+    const int64_t k1 = dims[1], k2 = dims[2];
+    pme_atom s;
+    for (int64_t a = 0; a < n; a++) {
+        pme_splines(&s, pos + 3 * a, box, dims, order);
+        for (int jx = 0; jx < order; jx++) {
+            const double qx = q[a] * s.m[0][jx];
+            for (int jy = 0; jy < order; jy++) {
+                const double qxy = qx * s.m[1][jy];
+                double *row = grid + (s.at[0][jx] * k1 + s.at[1][jy]) * k2;
+                if (s.z0 >= 0) /* the z run does not wrap: contiguous */
+                    for (int t = 0; t < order; t++)
+                        row[s.z0 + t] += qxy * s.mz[t];
+                else
+                    for (int t = 0; t < order; t++)
+                        row[s.at[2][order - 1 - t]] += qxy * s.mz[t];
+            }
+        }
+    }
+}
+
+ALWAYS_INLINE double gather_atoms(const double *pos, const double *q, int64_t n,
+                                  const double *box, const int64_t *dims,
+                                  const int order, const double *grid,
+                                  double *forces)
+{
+    const int64_t k1 = dims[1], k2 = dims[2];
+    const double scale[3] = {dims[0] / box[0], dims[1] / box[1], dims[2] / box[2]};
+    pme_atom s;
+    double e = 0.0;
+    for (int64_t a = 0; a < n; a++) {
+        pme_splines(&s, pos + 3 * a, box, dims, order);
+        /* per z point of the run, the potential summed over x and y with
+         * the weights of phi, of d/dx and of d/dy: the z points side by
+         * side, so the loop vectorises without reordering a sum */
+        double acc[PME_MAX_ORDER] = {0.0}, acc_x[PME_MAX_ORDER] = {0.0};
+        double acc_y[PME_MAX_ORDER] = {0.0}, wrapped[PME_MAX_ORDER];
+        for (int jx = 0; jx < order; jx++) {
+            for (int jy = 0; jy < order; jy++) {
+                const double *row = grid + (s.at[0][jx] * k1 + s.at[1][jy]) * k2;
+                const double *v = row + s.z0;
+                if (s.z0 < 0) {
+                    for (int t = 0; t < order; t++)
+                        wrapped[t] = row[s.at[2][order - 1 - t]];
+                    v = wrapped;
+                }
+                const double w = s.m[0][jx] * s.m[1][jy];
+                const double w_x = s.dm[0][jx] * s.m[1][jy];
+                const double w_y = s.m[0][jx] * s.dm[1][jy];
+                for (int t = 0; t < order; t++) {
+                    acc[t] += w * v[t];
+                    acc_x[t] += w_x * v[t];
+                    acc_y[t] += w_y * v[t];
+                }
+            }
+        }
+        double phi = 0.0, gx = 0.0, gy = 0.0, gz = 0.0;
+        for (int t = 0; t < order; t++) {
+            phi += s.mz[t] * acc[t];
+            gx += s.mz[t] * acc_x[t];
+            gy += s.mz[t] * acc_y[t];
+            gz += s.dmz[t] * acc[t];
+        }
+        forces[3 * a] -= q[a] * gx * scale[0];
+        forces[3 * a + 1] -= q[a] * gy * scale[1];
+        forces[3 * a + 2] -= q[a] * gz * scale[2];
+        e += q[a] * phi;
+    }
+    return 0.5 * e;
+}
+
+static int pme_bad(const int64_t *dims, int order)
+{
+    return order < 2 || order > PME_MAX_ORDER
+           || dims[0] < order || dims[1] < order || dims[2] < order;
+}
+
+/* grid (dims[0] x dims[1] x dims[2]) = sum_a q_a M(u_a - k), each point's
+ * charges summed in atom order.  Returns 0, or 1 having written nothing
+ * when order lies outside [2, PME_MAX_ORDER] or an axis is shorter than
+ * it. */
+int pme_spread(const double *pos, const double *q, int64_t n, const double *box,
+               const int64_t *dims, int order, double *grid)
+{
+    if (pme_bad(dims, order))
+        return 1;
+    memset(grid, 0, (size_t)(dims[0] * dims[1] * dims[2]) * sizeof(double));
+    if (order == PME_ORDER)
+        spread_atoms(pos, q, n, box, dims, PME_ORDER, grid);
+    else
+        spread_atoms(pos, q, n, box, dims, order, grid);
+    return 0;
+}
+
+/* phi_a = sum_k M(u_a - k) grid(k): the forces -q_a grad phi_a accumulate
+ * into forces, sum_a q_a phi_a / 2 goes to *energy.  The same refusal as
+ * pme_spread. */
+int pme_gather(const double *pos, const double *q, int64_t n, const double *box,
+               const int64_t *dims, int order, const double *grid,
+               double *forces, double *energy)
+{
+    if (pme_bad(dims, order))
+        return 1;
+    if (order == PME_ORDER)
+        *energy = gather_atoms(pos, q, n, box, dims, PME_ORDER, grid, forces);
+    else
+        *energy = gather_atoms(pos, q, n, box, dims, order, grid, forces);
     return 0;
 }
 

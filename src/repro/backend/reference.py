@@ -15,7 +15,10 @@ the table's own bound.  :func:`block_pairs` is the pair-list build —
 distance mask, exclusion lookup, the row list — and the other backends must
 reproduce its arrays exactly, order included; :func:`nb_rows`, the cell tasks' kernel,
 expands those rows back to pair arrays (:func:`expand_rows`) and is
-``nb_pairs`` over them.  The numpy backend is deterministic — one reduction
+``nb_pairs`` over them.  :func:`pme_spread` and :func:`pme_gather` are the
+two halves of smooth PME, one ``bincount`` and four ``einsum`` calls over the splines
+of :func:`pme_splines`, whose recursion and roundings ``kernels.c`` repeats:
+both backends spread the same bits.  The numpy backend is deterministic — one reduction
 order per kernel — which is what keeps trajectories and checkpoint resume
 bit-identical run to run.
 
@@ -466,9 +469,118 @@ def ewald_recip(
     return energy
 
 
-#: Reciprocal-sum shard: every k-vector contributes independently, so the
-#: reference shard kernel *is* the full kernel applied to sliced tables.
-ewald_recip_shard = ewald_recip
+#: Highest B-spline order the PME kernels take: the compiled kernels keep an
+#: atom's weights in fixed arrays of this length on the stack.
+PME_MAX_ORDER = 8
+
+
+def _pme_check(grid: np.ndarray, order: int) -> None:
+    """The PME kernels' error: an order outside ``[2, PME_MAX_ORDER]``, or a
+    grid axis shorter than the order (an atom's spline would wrap onto
+    itself), refused before anything is written."""
+    if not 2 <= order <= PME_MAX_ORDER:
+        raise ValueError(f"B-spline order must lie in [2, {PME_MAX_ORDER}]")
+    if grid.ndim != 3 or min(grid.shape) < order:
+        raise ValueError("every PME grid axis must hold at least `order` points")
+
+
+def pme_splines(
+    pos: np.ndarray, box: np.ndarray, dims, order: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each atom's cardinal B-spline weights on the grid, per axis.
+
+    Returns ``(idx, m, dm)``, all ``(n, 3, order)``: grid point
+    ``idx[a, d, j]`` (the point ``floor(u) - j``, periodic) carries weight
+    ``m[a, d, j] = M_order(w + j)`` and derivative ``dm[a, d, j]`` with
+    respect to ``u``, where ``u = dims[d] * x / L`` folded into ``[0,
+    dims[d])`` and ``w`` its fraction.  The recursion (Essmann et al.
+    1995, eq. 4.1) and every rounding are those of ``kernels.c``, so both
+    backends spread onto the same points with the same weights.
+    """
+    n = len(pos)
+    idx = np.empty((n, 3, order), dtype=np.int64)
+    m = np.empty((n, 3, order))
+    dm = np.empty((n, 3, order))
+    for d in range(3):
+        size = int(dims[d])
+        s = pos[:, d] / box[d]
+        s = s - np.floor(s)
+        u = s * size
+        u[u >= size] -= size  # s rounded up to 1.0
+        # a non-finite coordinate reads point 0 with NaN weights
+        base = np.where(u < size, u, 0.0).astype(np.int64)
+        w = u - base
+        spline = m[:, d]
+        spline[:, 0] = 1.0
+        for p in range(2, order + 1):
+            inv = 1.0 / (p - 1)
+            if p == order:  # M_n' = M_{n-1}(x) - M_{n-1}(x - 1)
+                dm[:, d, 0] = spline[:, 0]
+                dm[:, d, 1 : p - 1] = spline[:, 1 : p - 1] - spline[:, : p - 2]
+                dm[:, d, p - 1] = -spline[:, p - 2]
+            spline[:, p - 1] = (1.0 - w) * spline[:, p - 2] * inv
+            for j in range(p - 2, 0, -1):
+                spline[:, j] = (
+                    (w + j) * spline[:, j] + ((p - j) - w) * spline[:, j - 1]
+                ) * inv
+            spline[:, 0] = w * spline[:, 0] * inv
+        point = base[:, None] - np.arange(order)
+        idx[:, d] = np.where(point < 0, point + size, point)
+    return idx, m, dm
+
+
+def pme_spread(
+    pos: np.ndarray, q: np.ndarray, box: np.ndarray, grid: np.ndarray, order: int
+) -> None:
+    """Charges onto the PME grid: ``grid`` (caller-owned, ``(K0, K1, K2)``)
+    is overwritten with ``Q(k) = sum_a q_a M(u_a - k)`` over the periodic
+    grid — one ``bincount``, each point's charges summed in atom order."""
+    _pme_check(grid, order)
+    idx, m, _ = pme_splines(pos, box, grid.shape, order)
+    k1, k2 = grid.shape[1], grid.shape[2]
+    flat = (
+        idx[:, 0, :, None, None] * k1 + idx[:, 1, None, :, None]
+    ) * k2 + idx[:, 2, None, None, :]
+    weight = (
+        (q[:, None] * m[:, 0])[:, :, None] * m[:, 1, None, :]
+    )[:, :, :, None] * m[:, 2, None, None, :]
+    grid[...] = np.bincount(
+        flat.reshape(-1), weight.reshape(-1), minlength=grid.size
+    ).reshape(grid.shape)
+
+
+def pme_gather(
+    pos: np.ndarray,
+    q: np.ndarray,
+    box: np.ndarray,
+    grid: np.ndarray,
+    order: int,
+    forces: np.ndarray,
+) -> float:
+    """The potential grid back onto the atoms: ``phi_a = sum_k M(u_a - k)
+    grid(k)``; forces ``-q_a grad phi_a`` accumulate into ``forces`` and the
+    energy ``sum_a q_a phi_a / 2`` is returned."""
+    _pme_check(grid, order)
+    idx, m, dm = pme_splines(pos, box, grid.shape, order)
+    k1, k2 = grid.shape[1], grid.shape[2]
+    flat = (
+        idx[:, 0, :, None, None] * k1 + idx[:, 1, None, :, None]
+    ) * k2 + idx[:, 2, None, None, :]
+    values = grid.reshape(-1)[flat]  # (n, order, order, order)
+    mx, my, mz = m[:, 0], m[:, 1], m[:, 2]
+    dx, dy, dz = dm[:, 0], dm[:, 1], dm[:, 2]
+    phi = np.einsum("aijk,ai,aj,ak->a", values, mx, my, mz)
+    grad = np.stack(
+        [
+            np.einsum("aijk,ai,aj,ak->a", values, dx, my, mz),
+            np.einsum("aijk,ai,aj,ak->a", values, mx, dy, mz),
+            np.einsum("aijk,ai,aj,ak->a", values, mx, my, dz),
+        ],
+        axis=1,
+    )
+    # du/dx = K / L per axis
+    forces -= q[:, None] * grad * (np.asarray(grid.shape) / box)
+    return 0.5 * float(q @ phi)
 
 
 def _block_within(xa: np.ndarray, xb: np.ndarray, box: np.ndarray, r: float):
@@ -650,7 +762,8 @@ def build_backend() -> KernelBackend:
         ewald_real=ewald_real,
         ewald_recip=ewald_recip,
         bonded_terms=bonded_terms,
-        ewald_recip_shard=ewald_recip_shard,
+        pme_spread=pme_spread,
+        pme_gather=pme_gather,
         block_pairs=block_pairs,
         nb_rows=nb_rows,
     )

@@ -90,11 +90,14 @@ def cmd_info(_args) -> int:
 
 def cmd_backends(_args) -> int:
     """Print the kernel backend inventory and the resolved default."""
+    import numpy as np
+
     from repro.backend import ENV_VAR, backend_status
     from repro.backend.ewald_table import (
         INTERVALS_PER_OCTAVE, R2_FIRST, ewald_table, measured_error,
     )
-    from repro.md.ewald import EwaldOptions
+    from repro.builder import small_water_box
+    from repro.md.ewald import PME_ORDER, EwaldOptions, pme_error, pme_grid_shape
 
     status = backend_status()
     print("Kernel backends (repro.backend):")
@@ -128,6 +131,21 @@ def cmd_backends(_args) -> int:
     print(
         f"    max error:  {error['of_term']:.1e} of the term, "
         f"{error['of_coulomb']:.1e} of the bare Coulomb term"
+    )
+    water = small_water_box(216, seed=0, relax=False)
+    shape = pme_grid_shape(water.box, ewald.kmax)
+    pme = pme_error(water, ewald)
+    print(
+        f"  pme grid (default EwaldOptions: kmax {ewald.kmax}) on a 216-water "
+        f"box ({water.box[0]:.1f} A), spread and gathered by {status['default']}:"
+    )
+    print(
+        f"    grid:       {' x '.join(map(str, shape))} points, B-spline order "
+        f"{PME_ORDER}, {8 * np.prod(shape)} bytes a buffer"
+    )
+    print(
+        f"    error:      {pme['energy']:.1e} of the classic sum's energy, RMS "
+        f"force {pme['force']:.1e} of its RMS force"
     )
     return 0
 
@@ -164,11 +182,11 @@ def cmd_md(args) -> int:
             raise SystemExit(f"bad --fault-plan: {exc}")
     print(f"kernel backend: {set_default_backend(args.backend).name}")
     ewald = None
-    if args.kmax < 0:
-        raise SystemExit("--kmax must be >= 0")
-    if args.ewald:
-        from repro.md.ewald import EwaldOptions
+    from repro.md.ewald import MAX_KMAX, EwaldOptions
 
+    if not 0 <= args.kmax <= MAX_KMAX:
+        raise SystemExit(f"--kmax must lie in [0, {MAX_KMAX}]")
+    if args.ewald:
         ewald = EwaldOptions(cutoff=args.cutoff, kmax=args.kmax)
         print(
             f"electrostatics: Ewald (alpha {ewald.alpha_value():.4f}, "
@@ -575,12 +593,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--ewald", action="store_true",
         help="replace the cutoff point-charge electrostatics with full "
              "periodic Ewald summation (real-space within --cutoff, "
-             "reciprocal sum to --kmax, as sharded force tasks)",
+             "reciprocal sum to --kmax by smooth PME, one force task)",
     )
     p_md.add_argument(
         "--kmax", type=int, default=8, metavar="K",
         help="Ewald reciprocal-space extent: k-vectors with |m| <= K per "
-             "axis (only with --ewald)",
+             "axis, K <= 16 (only with --ewald)",
     )
 
     p_sc = sub.add_parser("scaling", help="scaling table for one system")

@@ -62,7 +62,7 @@ class TaskRecord:
     part: int = 0
     n_parts: int = 1
     #: task kind: "cell" (half-shell pair task), "bonded" (per-cell bonded
-    #: term group), "kspace" (Ewald reciprocal shard) — lets per-kind
+    #: term group), "kspace" (the Ewald reciprocal PME task) — lets per-kind
     #: measured times feed the balancer and analysis tooling
     kind: str = "cell"
 

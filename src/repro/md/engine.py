@@ -6,7 +6,7 @@ paper's speedups are measured against ("the impressive speedups were not
 attained by using a 'bad sequential algorithm'", §4.3) — and it is that
 literally: every force term is the same task family the worker pool of
 :class:`repro.md.parallel.ParallelEngine` runs (cell tasks, bonded groups
-and, under Ewald, k-space shards), evaluated in-process by the same
+and, under Ewald, the PME task), evaluated in-process by the same
 per-step loop, so trajectories are bit-identical at any worker count.
 
 The independent ground truth is not an engine but the reference functions
@@ -296,7 +296,7 @@ def make_engine(
     Either engine is a context manager, so callers need no engine-specific
     cleanup logic.
     """
-    # ``distribute`` has no effect (bonded groups and k-space shards are
+    # ``distribute`` has no effect (bonded groups and the PME task are
     # always force tasks); accepted because benchmarks/perf/workloads.py
     # still passes it — ROADMAP item 1 deletes it with the harness's use
     if workers == 1:

@@ -9,7 +9,7 @@ of such methods.  The remaining grid-based calculations consume a small
 fraction of the total computation time."
 
 This module provides that remaining component as an extension: classic
-Ewald summation (the exact O(N^{3/2}) method PME approximates), with
+Ewald summation, with
 
 * a real-space sum, short-ranged by ``erfc(alpha r)`` and evaluated under
   the minimum-image convention within a cutoff,
@@ -24,12 +24,16 @@ force differentiation.
 :func:`compute_ewald` is the self-contained reference evaluation.  The
 engines split it along the paper's line: the atom-based real-space term is
 a mode of their force tasks' pair kernel (``backend.nb_pairs`` with
-``alpha`` set), over the tasks' Verlet lists, the reciprocal sum is
-sharded into k-space tasks, and :func:`ewald_remainder` supplies the rest.
+``alpha`` set), over the tasks' Verlet lists; the reciprocal sum is one
+grid-based task, smooth particle-mesh Ewald (:func:`pme_reciprocal`: the
+same k-set and ``alpha``, B-spline charge spreading and force
+interpolation around one FFT pair); and :func:`ewald_remainder` supplies the
+rest.
 """
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -42,6 +46,8 @@ from repro.md.system import MolecularSystem
 from repro.util.pbc import minimum_image
 
 __all__ = [
+    "MAX_KMAX",
+    "PME_ORDER",
     "EwaldEnergies",
     "EwaldOptions",
     "EwaldResult",
@@ -49,7 +55,22 @@ __all__ = [
     "ewald_remainder",
     "clear_kspace_cache",
     "kspace_cache_stats",
+    "pme_error",
+    "pme_grid_shape",
+    "pme_reciprocal",
 ]
+
+#: Largest ``kmax`` the engines take.  It sizes the PME grid (eight points a
+#: wavelength: 128³, 16 MB a buffer, at 16 — :func:`pme_grid_shape`),
+#: allocated in a worker or a service lane from a number a request may
+#: choose.
+MAX_KMAX = 16
+
+#: Order of the cardinal B-splines PME spreads and interpolates with.
+PME_ORDER = 6
+#: The PME grid's floor, in points per axis, and its coarsest spacing (Å)
+PME_MIN_POINTS = 32
+PME_MAX_SPACING = 1.0
 
 
 @dataclass(frozen=True)
@@ -126,15 +147,15 @@ def _real_space(
     return backend.ewald_real(pos, box, i_c, j_c, qq, alpha, cutoff, forces)
 
 
-# k-space tables depend only on (box, kmax, alpha) — between box changes
-# every step rebuilds identical meshgrids, so memoize them.  Bounded LRU;
-# entries are marked read-only because callers share the cached arrays.
+# k-space tables — the classic sum's k-vectors and PME's influence function
+# — depend only on (box, kmax, alpha): between box changes every step
+# rebuilds identical arrays, so memoize them.  Bounded LRU; entries are
+# marked read-only because callers share the cached arrays.
 # The table cache is deliberately process-global (concurrent engines — the
 # multi-job service case — share identical tables).  The module-level
 # counters are monotonic raw totals read against a baseline; a caller that
-# wants its own accounting (every force-task evaluator does) passes
-# ``_kspace_tables`` a ``{"builds", "hits"}`` sink, which nobody else's
-# clear can zero or negate.
+# wants its own accounting (every force-task evaluator does) passes a
+# ``{"builds", "hits"}`` sink, which nobody else's clear can zero or negate.
 _KSPACE_CACHE: OrderedDict[tuple, tuple[np.ndarray, ...]] = OrderedDict()
 _KSPACE_CACHE_MAX = 8
 _KSPACE_RAW = {"builds": 0, "hits": 0}
@@ -163,6 +184,34 @@ def kspace_cache_stats() -> dict[str, int]:
     }
 
 
+def _memoised(kind: str, box, kmax: int, alpha: float, stats, build) -> tuple:
+    """``build(box, kmax, alpha)`` through the table cache, counted.
+
+    The key and the tables are both derived from one private snapshot of
+    the box taken on entry.  Callers routinely mutate the box ndarray in
+    place (NPT-style rescale); keying on anything that aliases the live
+    array would let a later mutation disagree with the tables the key maps
+    to, silently serving stale tables.
+    """
+    box_snap = np.array(np.asarray(box, dtype=np.float64).reshape(3), copy=True)
+    key = (kind, *(float(x) for x in box_snap), int(kmax), float(alpha))
+    cached = _KSPACE_CACHE.get(key)
+    counter = "hits" if cached is not None else "builds"
+    _KSPACE_RAW[counter] += 1
+    if stats is not None:
+        stats[counter] += 1
+    if cached is not None:
+        _KSPACE_CACHE.move_to_end(key)
+        return cached
+    tables = build(box_snap, int(kmax), float(alpha))
+    for arr in tables:
+        arr.setflags(write=False)
+    _KSPACE_CACHE[key] = tables
+    while len(_KSPACE_CACHE) > _KSPACE_CACHE_MAX:
+        _KSPACE_CACHE.popitem(last=False)
+    return tables
+
+
 def _kspace_tables(
     box: np.ndarray,
     kmax: int,
@@ -175,35 +224,14 @@ def _kspace_tables(
     half space — one of every ``±k`` pair, ``((2 kmax + 1)³ - 1) / 2`` of
     them; a sum over the table is half the sum over all nonzero vectors —
     ``k2`` their squared norms, ``ak`` the ``exp(-k2/4a^2)/k2`` prefactors,
-    ``m`` the int32 triplets ``k`` was built from (a shard's own vectors do
-    not determine them: its smallest component is no common divisor).
-    Cached: a box change (or different kmax/alpha) misses and rebuilds,
-    identical parameters hit and share the same read-only arrays.
-
-    The key and the tables are both derived from one private snapshot of
-    the box taken on entry.  Callers routinely mutate the box ndarray in
-    place (NPT-style rescale); keying on anything that aliases the live
-    array would let a later mutation disagree with the tables the key maps
-    to, silently serving stale reciprocal vectors.
+    ``m`` the int32 triplets ``k`` was built from.  Cached: a box change (or
+    different kmax/alpha) misses and rebuilds, identical parameters hit and
+    share the same read-only arrays.
     """
-    box_snap = np.array(np.asarray(box, dtype=np.float64).reshape(3), copy=True)
-    key = (
-        float(box_snap[0]),
-        float(box_snap[1]),
-        float(box_snap[2]),
-        int(kmax),
-        float(alpha),
-    )
-    cached = _KSPACE_CACHE.get(key)
-    if cached is not None:
-        _KSPACE_RAW["hits"] += 1
-        if stats is not None:
-            stats["hits"] += 1
-        _KSPACE_CACHE.move_to_end(key)
-        return cached
-    _KSPACE_RAW["builds"] += 1
-    if stats is not None:
-        stats["builds"] += 1
+    return _memoised("classic", box, kmax, alpha, stats, _build_kspace_tables)
+
+
+def _build_kspace_tables(box, kmax, alpha):
     mx, my, mz = np.meshgrid(
         np.arange(-kmax, kmax + 1),
         np.arange(-kmax, kmax + 1),
@@ -215,16 +243,139 @@ def _kspace_tables(
     # the half space whose first nonzero index is positive — in this
     # lexicographic order, everything after the origin in the middle
     m = m[len(m) // 2 + 1 :]
-    k = 2.0 * np.pi * m / box_snap[None, :]
+    k = 2.0 * np.pi * m / box[None, :]
     k2 = np.einsum("ij,ij->i", k, k)
     ak = np.exp(-k2 / (4.0 * alpha * alpha)) / k2  # (nk,)
-    tables = (k, k2, ak, m)
-    for arr in tables:
-        arr.setflags(write=False)
-    _KSPACE_CACHE[key] = tables
-    while len(_KSPACE_CACHE) > _KSPACE_CACHE_MAX:
-        _KSPACE_CACHE.popitem(last=False)
-    return tables
+    return k, k2, ak, m
+
+
+def pme_grid_shape(box: np.ndarray, kmax: int) -> tuple[int, int, int]:
+    """The PME grid for ``box`` at ``kmax``: per axis, eight points a
+    wavelength of the shortest mode kept, no coarser than
+    :data:`PME_MAX_SPACING`, never fewer than :data:`PME_MIN_POINTS`, rounded
+    up to a length ``scipy.fft`` factors fast.  Each of the three terms is
+    what holds the error to the bound DESIGN states on some system: the
+    first on dense boxes at large kmax, the floor on small boxes at small
+    kmax, the spacing on a dilute solute in a large box."""
+    from scipy.fft import next_fast_len
+
+    return tuple(
+        next_fast_len(
+            max(8 * int(kmax), PME_MIN_POINTS, math.ceil(edge / PME_MAX_SPACING))
+        )
+        for edge in np.asarray(box, dtype=np.float64).reshape(3)
+    )
+
+
+def _pme_influence(
+    box: np.ndarray,
+    kmax: int,
+    alpha: float,
+    stats: dict[str, int] | None = None,
+) -> tuple[np.ndarray, tuple[int, int, int]]:
+    """PME's influence function for one (box, kmax, alpha), memoised with the
+    classic tables, and the grid shape ``K`` it is for
+    (:func:`pme_grid_shape`); the table is ``(K0, K1, K2 // 2 + 1)``, the
+    layout of ``rfftn`` of the grid.
+
+    On the classic sum's k-set — every nonzero ``m`` with ``|m_d| <= kmax``
+    — it is ``K0 K1 K2 · C 4π/V · exp(-k²/4α²)/k² · B(m)``, ``B`` the
+    B-spline moduli of the three axes (Essmann et al. 1995, eq. 4.8), and
+    zero elsewhere: PME approximates the truncated classic sum, not a
+    different one.  The leading product undoes ``irfftn``'s normalisation,
+    so the inverse transform of the charges' spectrum times this table is
+    the potential on the grid.
+    """
+    if not 1 <= kmax <= MAX_KMAX:
+        raise ValueError(f"PME needs 1 <= kmax <= {MAX_KMAX}, got {kmax}")
+    influence, shape = _memoised(
+        "pme", box, kmax, alpha, stats, _build_pme_influence
+    )
+    return influence, tuple(int(k) for k in shape)
+
+
+def _build_pme_influence(box, kmax, alpha):
+    shape = pme_grid_shape(box, kmax)
+    # M_n at the integers 0 .. n (M_2 is 1 at 1), for the moduli
+    spline = np.zeros(PME_ORDER + 1)
+    spline[1] = 1.0
+    for p in range(3, PME_ORDER + 1):
+        j = np.arange(1, p)
+        spline[1:p] = (j * spline[1:p] + (p - j) * spline[: p - 1]) / (p - 1)
+    axes = []  # per axis: k², exp(-k²/4α²) B(m), and whether |m| <= kmax
+    for d, size in enumerate(shape):
+        m = np.arange(size // 2 + 1 if d == 2 else size)
+        m = np.where(m > size // 2, m - size, m)  # the FFT's frequency order
+        phase = np.exp(2j * np.pi * np.outer(m, np.arange(PME_ORDER + 1)) / size)
+        k2 = (2.0 * np.pi * m / box[d]) ** 2
+        factor = np.exp(-k2 / (4.0 * alpha * alpha)) / np.abs(phase @ spline) ** 2
+        axes.append((k2, factor, np.abs(m) <= kmax))
+    (k2x, fx, inx), (k2y, fy, iny), (k2z, fz, inz) = axes
+    k2 = k2x[:, None, None] + k2y[None, :, None] + k2z[None, None, :]
+    kept = inx[:, None, None] & iny[None, :, None] & inz[None, None, :]
+    kept[0, 0, 0] = False
+    k2[0, 0, 0] = 1.0  # the origin is masked; no division by zero
+    pref = math.prod(shape) * COULOMB_CONSTANT * 4.0 * np.pi / float(np.prod(box))
+    factor = fx[:, None, None] * fy[None, :, None] * fz[None, None, :]
+    influence = np.where(kept, pref * factor / k2, 0.0)
+    return influence, np.array(shape)
+
+
+def pme_reciprocal(
+    positions: np.ndarray,
+    charges: np.ndarray,
+    box: np.ndarray,
+    options: EwaldOptions,
+    forces: np.ndarray,
+    backend: KernelBackend,
+    grid: np.ndarray | None = None,
+    stats: dict[str, int] | None = None,
+) -> tuple[float, np.ndarray]:
+    """The reciprocal-space energy by smooth PME, and the charge grid it
+    used; forces accumulate into ``forces``.
+
+    ``backend.pme_spread`` puts the charges on the grid, one ``rfftn`` →
+    multiply by the influence function → ``irfftn`` (``scipy.fft`` on one
+    thread) turns them into the potential, and ``backend.pme_gather``
+    interpolates it back.  ``grid`` is the buffer the last call returned, to
+    be reused (a new one is allocated when it is None or the box changed
+    the grid's shape); ``stats`` the caller's builds/hits sink for the table
+    lookup.
+    """
+    from scipy import fft
+
+    influence, shape = _pme_influence(box, options.kmax, options.alpha_value(), stats)
+    if grid is None or grid.shape != shape:
+        grid = np.empty(shape)
+    backend.pme_spread(positions, charges, box, grid, PME_ORDER)
+    spectrum = fft.rfftn(grid)
+    spectrum *= influence
+    potential = fft.irfftn(spectrum, s=shape)
+    energy = backend.pme_gather(positions, charges, box, potential, PME_ORDER, forces)
+    return energy, grid
+
+
+def pme_error(
+    system: MolecularSystem,
+    options: EwaldOptions,
+    backend: KernelBackend | str | None = None,
+) -> dict[str, float]:
+    """PME against the classic reciprocal sum at ``system``'s positions:
+    ``energy`` is the relative energy error, ``force`` the RMS force error
+    relative to the classic forces' RMS."""
+    be = get_backend(backend)
+    classic = np.zeros((system.n_atoms, 3))
+    e_classic = _reciprocal_space(
+        system, options.alpha_value(), options.kmax, classic, be
+    )
+    pme = np.zeros_like(classic)
+    e_pme, _ = pme_reciprocal(
+        system.positions, system.charges, system.box, options, pme, be
+    )
+    return {
+        "energy": abs(e_pme - e_classic) / abs(e_classic),
+        "force": float(np.sqrt(np.mean((pme - classic) ** 2) / np.mean(classic**2))),
+    }
 
 
 def _reciprocal_space(
@@ -293,7 +444,7 @@ def ewald_remainder(
     constant self and charged-background terms.  ``energy_real`` and
     ``energy_recip`` are left 0 for the caller's sums: :func:`compute_ewald`
     adds :func:`_real_space` and :func:`_reciprocal_space`, the engines
-    their force tasks' fused pair kernel and k-space shards.
+    their force tasks' fused pair kernel and PME task.
     """
     alpha = options.alpha_value()
     q = system.charges
@@ -323,11 +474,12 @@ def compute_ewald(
 
     The reference implementation: the real-space sum enumerates the cell
     candidates afresh on every call (:func:`_real_space`) and the
-    reciprocal sum runs unsharded (:func:`_reciprocal_space`; skipped with
-    ``recip=False``, leaving ``energy_recip`` 0 and its forces absent), with
-    nothing carried between calls.  The engines evaluate the same quantity
-    as force tasks plus :func:`ewald_remainder`; tests hold them to this
-    function.
+    reciprocal sum is the classic one over every k-vector
+    (:func:`_reciprocal_space`; skipped with ``recip=False``, leaving
+    ``energy_recip`` 0 and its forces absent), with nothing carried between
+    calls.  The engines evaluate the same quantity as force tasks plus
+    :func:`ewald_remainder`, the reciprocal part by PME; tests hold them to
+    this function.
     """
     options = options or EwaldOptions()
     be = get_backend(backend)

@@ -38,8 +38,14 @@ from pathlib import Path
 import numpy as np
 
 from repro.backend import BACKEND_NAMES
+from repro.md.ewald import MAX_KMAX
 
-__all__ = ["SimSpec", "SimJob"]
+__all__ = ["MAX_WATERS", "SimSpec", "SimJob"]
+
+#: Largest box a spec may ask for: a request sizes the arrays a worker or a
+#: service lane allocates (and, under Ewald, the PME grid with the box edge,
+#: ~144 points at this cap), so the boundary refuses what no lane should try
+MAX_WATERS = 100_000
 
 #: spec fields that must be non-negative
 _NON_NEGATIVE = (
@@ -93,7 +99,7 @@ class SimSpec:
     backend: str | None = None
     ewald: bool = False
     kmax: int = 4
-    # no effect (bonded groups and k-space shards are always force tasks);
+    # no effect (bonded groups and the PME task are always force tasks);
     # accepted because benchmarks/perf/workloads.py still sets it — ROADMAP
     # item 1 deletes it with the harness's use
     distribute: bool = False
@@ -117,8 +123,10 @@ class SimSpec:
                     isinstance(value, bool) and kind is not bool
                 ):
                     raise ValueError(f"{name} must be {label}, got {value!r}")
-        if self.waters < 1:
-            raise ValueError("waters must be >= 1")
+        if not 1 <= self.waters <= MAX_WATERS:
+            raise ValueError(f"waters must lie in [1, {MAX_WATERS}]")
+        if self.kmax > MAX_KMAX:
+            raise ValueError(f"kmax must be <= {MAX_KMAX}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.workers < 0:

@@ -11,7 +11,7 @@ failed to start, pool closed, recovery ladder at its bottom rung — the
 calling process itself, through the same per-step loop the workers run.
 The engines' bonded terms are task groups of the same family, and under
 Ewald the cell tasks carry the real-space term (a mode of their pair
-kernel) and k-space shards the reciprocal sum, so the driver's share of a
+kernel) and one PME task the reciprocal sum, so the driver's share of a
 step is the 1-4 pass and the O(n_excluded) remainder of
 :func:`repro.md.ewald.ewald_remainder`.
 
@@ -127,7 +127,7 @@ class ParallelNonbonded:
         pool.  ``bonded=True`` adds the bonded terms as extra tasks (the
         engines do; :class:`repro.md.mts.MTSEngine` integrates them on its
         own faster cycle); ``ewald`` makes this evaluator own the *full*
-        electrostatics, the reciprocal sum sharded into tasks.
+        electrostatics, the reciprocal sum one PME task.
         ``rebalance_every=N`` runs an LB decision every N evaluations;
         ``lb_strategy`` overrides the greedy-then-refine schedule;
         ``grainsize_ms > 0`` splits expensive cell tasks into row stripes;

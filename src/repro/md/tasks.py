@@ -20,8 +20,9 @@ force-field work as a family of schedulable tasks behind the
   of one kind whose home cell (under the reference binning) lies in run
   ``cell`` of consecutive cells, split into intra/inter groups that
   partition the term list exactly;
-* **k-space shards** ``("kspace", lo, hi)`` — ranges of the Ewald
-  reciprocal sum's k-vector table.
+* **the reciprocal task** ``("kspace",)`` — under Ewald, the whole
+  reciprocal sum by smooth PME (:func:`repro.md.ewald.pme_reciprocal`),
+  one task whose block is every atom.
 
 The construction (:func:`build_force_tasks`) is deterministic: task
 structure derives from topology, grid, and the cost-model *prior* only —
@@ -40,8 +41,8 @@ live positions.
 Stats-column semantics for these tasks: ``STAT_V0`` carries the LJ
 energy (bonded group energies land here too), ``STAT_V1`` the
 electrostatic energy — of a cell task the shifted point-charge sum or,
-under Ewald, its share of ``energy_real``; of a k-space shard its share of
-``energy_recip`` —, ``STAT_V2`` the pair/term/k-vector count; the driver
+under Ewald, its share of ``energy_real``; of the reciprocal task
+``energy_recip`` —, ``STAT_V2`` the pair/term/atom count; the driver
 separates them by task-id range.
 """
 
@@ -54,18 +55,16 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.backend import get_backend
+from repro.backend.ewald_table import ewald_table
 from repro.backend.reference import expand_rows
 from repro.md.bonded import BONDED_KINDS, bonded_term_arrays
 from repro.md.cells import CellGrid
-from repro.md.constants import COULOMB_CONSTANT
-from repro.md.ewald import EwaldOptions, _kspace_tables
+from repro.md.ewald import EwaldOptions, _pme_influence, pme_reciprocal
 from repro.md.nonbonded import NonbondedOptions, ewald_pair_mode, pair_type_tables
 from repro.core.grainsize import GrainsizeConfig, stripe_candidate_counts
 from repro.util.pbc import wrap_positions
 
 __all__ = [
-    "KSHARD_MAX",
-    "KSHARD_TARGET",
     "MAX_SPLIT_PARTS",
     "ForceTaskEvaluator",
     "ForceTaskProvider",
@@ -76,8 +75,7 @@ __all__ = [
     "build_row_lists",
     "build_xtask_entries",
     "count_task_pairs",
-    "eval_xtask",
-    "kspace_shards",
+    "eval_bonded_group",
     "scratch_rows_bound",
     "task_layout",
     "task_offsets",
@@ -89,13 +87,6 @@ __all__ = [
 #: descriptors do not, so the engine caps lower than GrainsizeConfig's 64
 MAX_SPLIT_PARTS = 16
 
-#: Ewald k-space sharding: target k-vectors per shard and shard-count cap.
-#: Both derive from the k-table size only — never from the worker count —
-#: so the task structure (and with it the reduction order) is identical at
-#: any pool size; that is what keeps trajectories bit-identical across
-#: worker counts.
-KSHARD_TARGET = 128
-KSHARD_MAX = 8
 
 class CostPriors(NamedTuple):
     """Cost priors of the work that is not a cutoff-mode cell task, in the
@@ -105,8 +96,10 @@ class CostPriors(NamedTuple):
     #: a pair with the Ewald real-space term (read from the table in r²)
     #: against one with the shifted point-charge term
     ewald_pair: float
-    #: one atom x k-vector term of a reciprocal shard
-    kterm_pair: float
+    #: the reciprocal task: each atom's spread and gather, and each point of
+    #: the grid (the FFT pair and the influence multiply)
+    pme_atom: float
+    pme_point: float
     #: a bonded group's kernel call, whatever its size, and each of its terms
     bonded_call: float
     bonded_term: float
@@ -122,33 +115,39 @@ class CostPriors(NamedTuple):
 #: numpy: the 36 cell tasks take 14.0-17.1 ms reading the Ewald table
 #: against 16.5-19.7 with the shifted term and its square root (21.9 when
 #: the term was ``scipy``'s ``erfc`` + ``exp``), session by session 0.85-0.9
-#: of it; a shard term ~55 ns against ~100 ns per pair unit; a bonded group
-#: is one call of a few dozen small numpy operations, 30-250 us whatever its
-#: size, plus 0.1-0.5 us per term.
+#: of it, at ~100 ns per pair unit; the reciprocal task 12.6-12.8 ms against
+#: 16.3-16.6 for the cell tasks on the row (kmax 4, a 32³ grid), ~11 us an
+#: atom (``bincount`` spread, ``einsum`` gather) and ~12 ns a grid point; a
+#: bonded group is one call of a few dozen small numpy operations, 30-250 us
+#: whatever its size, plus 0.1-0.5 us per term.
 #:
 #: c: the cell tasks' times are the batched kernel's own clock, and the pair
 #: unit is ~8.9 ns (the 36 cell tasks in cutoff mode, 1.58-1.65 ms, over
 #: their summed prior), so everything that kernel does not touch is large
 #: in it.  With the table the cell tasks take 1.80 ms under Ewald (4.32 when
-#: every pair called libm's ``erfc`` and ``exp``); a factorised shard term
-#: 5.5 ns (6.7 before the x-y phase product was kept along a run of
-#: k-vectors): the three shards' 2.07 ms are now the larger half of the
-#: row; a bonded group is one call of the C kernel, ~25 us of wrapper and
-#: ``ctypes`` before the first term and 2-30 ns a term (28-33 us for 686 or
-#: 1,458 bonds, 39-47 us for 343 or 729 angles).
+#: every pair called libm's ``erfc`` and ``exp``); the reciprocal task
+#: 1.25-1.65 ms against 1.99-2.38 for the cell tasks on the row, ~0.5 us an
+#: atom (spread and gather) and ~20 ns a grid point (the FFT pair,
+#: ``scipy``'s, the same on both backends: 0.39 ms alone, more after the
+#: cell tasks have had the caches); a bonded group is one
+#: call of the C kernel, ~25 us of wrapper and ``ctypes`` before the first
+#: term and 2-30 ns a term (28-33 us for 686 or 1,458 bonds, 39-47 us for
+#: 343 or 729 angles).
 COST_PRIORS = {
     False: CostPriors(
-        ewald_pair=0.9, kterm_pair=0.55, bonded_call=600.0, bonded_term=3.0
+        ewald_pair=0.9, pme_atom=115.0, pme_point=0.12, bonded_call=600.0,
+        bonded_term=3.0,
     ),
     True: CostPriors(
-        ewald_pair=1.15, kterm_pair=0.62, bonded_call=3000.0, bonded_term=2.0
+        ewald_pair=1.15, pme_atom=58.0, pme_point=2.2, bonded_call=3000.0,
+        bonded_term=2.0,
     ),
 }
 
 #: Terms of the largest kind a bonded group should carry: about a cell
 #: task's worth of work, so the per-call cost above stays a small part of
 #: it.  Groups span runs of consecutive cells sized to this (one run — four
-#: groups of water — below twice the target); like the k-space shards the
+#: groups of water — below twice the target); like the reciprocal task the
 #: runs derive from topology and grid only, never from the worker count.
 BONDED_GROUP_TERMS = 2048
 
@@ -158,19 +157,6 @@ def pair_reach(options: NonbondedOptions, ewald: EwaldOptions | None) -> float:
     under Ewald, the larger of it and the real-space cutoff.  Lists, task
     grid and skin test size to this, so either cutoff may be the longer."""
     return options.cutoff if ewald is None else max(options.cutoff, ewald.cutoff)
-
-
-def kspace_shards(nk: int) -> list[tuple[str, int, int]]:
-    """Worker-count-independent ``("kspace", lo, hi)`` shard descriptors."""
-    if nk <= 0:
-        return []
-    n_shards = min(KSHARD_MAX, max(1, -(-nk // KSHARD_TARGET)))
-    bounds = np.linspace(0, nk, n_shards + 1).round().astype(np.int64)
-    return [
-        ("kspace", int(bounds[s]), int(bounds[s + 1]))
-        for s in range(n_shards)
-        if bounds[s + 1] > bounds[s]
-    ]
 
 
 def bonded_cell_stride(term_data: dict[int, tuple], n_cells: int) -> int:
@@ -202,23 +188,20 @@ def xtask_rows(
       forces are independent of the binning; the block rows are the
       flattened global atom indices of the selected terms (duplicates are
       fine — the driver reduces with a segment sum).
-    * ``("kspace", lo, hi)`` — a reciprocal-vector shard; its forces touch
-      every atom, so the block is a full ``(n_atoms, 3)`` slab.
+    * ``("kspace",)`` — the reciprocal task; its forces touch every atom,
+      so the block is a full ``(n_atoms, 3)`` slab.
 
     Returns ``(sels, rows)`` aligned with ``xtasks``; ``sels[x]`` is None
-    for k-space shards.  Driver and workers both call this on the same
+    for the reciprocal task.  Driver and workers both call this on the same
     reference binning, so layouts agree without communicating.
     """
     sels: list = []
     rows: list = []
-    all_rows = None  # one full slab's rows, shared by the k-space shards
     homes: dict[int, tuple] = {}  # kind -> (home cell, all atoms in it) per term
     for xt in xtasks:
         if xt[0] == "kspace":
-            if all_rows is None:
-                all_rows = np.arange(n_atoms, dtype=np.int64)
             sels.append(None)
-            rows.append(all_rows)
+            rows.append(np.arange(n_atoms, dtype=np.int64))
             continue
         _, kind, cell, intra = xt
         idx = term_data[kind][0]
@@ -279,8 +262,8 @@ def task_layout(
     segment-sum over it) is in task order, the reduced forces are bitwise
     independent of the task→worker assignment.
 
-    ``xrows`` appends extra-task blocks (bonded term groups and k-space
-    shards, see :func:`xtask_rows`) after the cell blocks: extra task
+    ``xrows`` appends extra-task blocks (bonded term groups and the
+    reciprocal task, see :func:`xtask_rows`) after the cell blocks: extra task
     ``x`` occupies global task slot ``len(tasks) + x`` and its block rows
     are exactly ``xrows[x]``.
     """
@@ -442,8 +425,8 @@ def build_xtask_entries(xtasks, xsels, term_data, my_tasks, n_nb):
     Bonded entries pre-slice the kind's term arrays to the group's
     selection and carry local scatter indices (block row ``r`` of a group
     with terms of arity ``m`` holds atom ``idx[r // m, r % m]`` — exactly
-    the row order of :func:`xtask_rows`).  K-space entries are just the
-    shard descriptor; the tables are memoized per process.
+    the row order of :func:`xtask_rows`).  The reciprocal task's entry is
+    its descriptor; its table is memoized per process.
     """
     entries: dict[int, tuple] = {}
     for t in my_tasks:
@@ -464,30 +447,10 @@ def build_xtask_entries(xtasks, xsels, term_data, my_tasks, n_nb):
     return entries
 
 
-def eval_xtask(system, entry, ewald, block, backend, kspace_stats):
-    """One extra task into its block; returns ``(energy, n_items)``.
-
-    Bonded groups report their term count, k-space shards their k-vector
-    count — measurement context for the WorkDB, never added to the pair
-    total.  The shard prefactor uses the *current* box (the driver forces a
-    rebuild on any box change, so tables and volume always agree);
-    ``kspace_stats`` is the caller's builds/hits sink for the table lookup.
-    """
-    if entry[0] == "kspace":
-        _, lo, hi = entry
-        box = np.asarray(system.box, dtype=np.float64)
-        k_tab, _k2, ak, m_tab = _kspace_tables(
-            box, ewald.kmax, ewald.alpha_value(), kspace_stats
-        )
-        if hi <= lo or len(k_tab) == 0:
-            return 0.0, 0
-        # twice C 2π/V: the table holds one of every ±k pair
-        pref = COULOMB_CONSTANT * 4.0 * np.pi / float(np.prod(box))
-        energy = backend.ewald_recip_shard(
-            system.positions, system.charges, k_tab[lo:hi], ak[lo:hi],
-            pref, block, m_tab[lo:hi],
-        )
-        return float(energy), hi - lo
+def eval_bonded_group(system, entry, block, backend):
+    """One bonded group into its block; returns ``(energy, n_terms)`` — the
+    term count is measurement context for the WorkDB, never added to the
+    pair total."""
     _, kind, idx, kpar, p1, p2, sidx = entry
     if len(idx) == 0:
         return 0.0, 0
@@ -512,10 +475,10 @@ class ForceTaskEvaluator:
     step); :meth:`rebuild` temporarily aliases the ``"ref"`` view so
     binning and pair-list construction are independent of *when* this
     evaluator (re)built.  Bonded group energies land in the first stats
-    column, shard energies in the second; the per-executor stats row gets
-    this evaluator's own k-space table builds/hits (:attr:`kspace_stats`,
-    the sink of its shards' table lookups — exact whoever else shares the
-    process's table cache).
+    column, the reciprocal task's in the second; the per-executor stats row
+    gets this evaluator's own k-space table builds/hits
+    (:attr:`kspace_stats`, the sink of the reciprocal task's table lookups
+    — exact whoever else shares the process's table cache).
     """
 
     def __init__(self, provider: "ForceTaskProvider", worker_id, n_workers, views):
@@ -547,6 +510,8 @@ class ForceTaskEvaluator:
         self.arena: np.ndarray | None = None
         self.xentries: dict[int, tuple] = {}
         self.kspace_stats = {"builds": 0, "hits": 0}
+        #: the PME charge grid, like the arena kept for the evaluator's life
+        self.pme_grid: np.ndarray | None = None
 
     def begin_step(self, payload) -> None:
         self.system.box = np.asarray(payload, dtype=np.float64)
@@ -623,15 +588,18 @@ class ForceTaskEvaluator:
         return self.cell_tasks, self.cell_out
 
     def eval_task(self, t: int, block) -> tuple[float, float, float]:
-        p = self.provider
         if t >= self.n_nb:
-            energy, n_items = eval_xtask(
-                self.system, self.xentries[t], p.ewald, block, self.backend,
-                self.kspace_stats,
-            )
-            if self.xentries[t][0] == "kspace":
-                return 0.0, energy, n_items
-            return energy, 0.0, n_items
+            entry = self.xentries[t]
+            if entry[0] == "kspace":
+                system = self.system
+                energy, self.pme_grid = pme_reciprocal(
+                    system.positions, system.charges, system.box,
+                    self.provider.ewald, block, self.backend, self.pme_grid,
+                    self.kspace_stats,
+                )
+                return 0.0, energy, system.n_atoms
+            energy, n_terms = eval_bonded_group(self.system, entry, block, self.backend)
+            return energy, 0.0, n_terms
         # a cell task on its own: the batch kernel over a batch of one
         k = self.slot[t]  # a KeyError when there are no lists
         out = np.empty((1, 4))
@@ -649,6 +617,7 @@ class ForceTaskEvaluator:
         self.lists = None
         self.slot = {}
         self.arena = None
+        self.pme_grid = None
         self.xentries = {}
         del system.positions
         system.positions = np.zeros((0, 3))
@@ -779,7 +748,7 @@ def build_force_tasks(
     measurement" rule; skipped when ``n_workers == 1`` leaves nothing to
     partition), applies grainsize splitting from the deterministic
     prior, and appends the bonded groups (with ``bonded``) and, under
-    ``ewald``, the k-space shards.  Everything is decided here, once — the
+    ``ewald``, the reciprocal task.  Everything is decided here, once — the
     structure never depends on the worker count or on measurements.
     Construction must not mutate the caller's system: the grid build and
     cost model see a wrapped *copy*; the engines wrap before every dispatch
@@ -854,7 +823,7 @@ def build_force_tasks(
             sub_parents.append(pt)
     sub_cost_arr = np.asarray(sub_costs, dtype=np.float64)
 
-    # extra force tasks: bonded term groups and Ewald k-space shards.
+    # extra force tasks: bonded term groups and the reciprocal task.
     # Their structure is fixed here, once, from topology/grid/kmax only
     # (never from the worker count or measurements), so the scratch
     # layout — and the reduction order — is identical at any pool size.
@@ -882,11 +851,20 @@ def build_force_tasks(
         for sel in sels
     ]
     if ewald is not None:
-        nk = ((2 * ewald.kmax + 1) ** 3 - 1) // 2  # the half-space table
-        for shard in kspace_shards(nk):
-            xtasks.append(shard)
-            n_terms = system.n_atoms * (shard[2] - shard[1])
-            x_costs.append(t_pair * priors.kterm_pair * n_terms)
+        # the tables are built here, before a pool forks, so the workers
+        # inherit them — and scipy.fft, whose import costs each ~20 ms —
+        # instead of each building its own: the real-space table the
+        # driver's 1-4 pass would build anyway, ...
+        ewald_table(*ewald_pair_mode(ewald))
+    if ewald is not None and ewald.kmax > 0:
+        # ... and the influence function of the reciprocal task
+        _, shape = _pme_influence(box, ewald.kmax, ewald.alpha_value())
+        xtasks.append(("kspace",))
+        x_costs.append(
+            t_pair * (
+                priors.pme_atom * system.n_atoms + priors.pme_point * np.prod(shape)
+            )
+        )
     all_costs = (
         np.concatenate([sub_cost_arr, np.asarray(x_costs)])
         if x_costs
@@ -896,10 +874,9 @@ def build_force_tasks(
     n = system.n_atoms
     # extra-task scratch bound is topology-only too: per kind, each term
     # lands in exactly one group under any binning (idx.size rows in
-    # total), and each k-shard always writes one full (n, 3) slab
-    n_kshards = sum(1 for xt in xtasks if xt[0] == "kspace")
+    # total), and the reciprocal task always writes one full (n, 3) slab
     x_rows = sum(td[0].size for td in term_data.values())
-    x_rows += n_kshards * n
+    x_rows += sum(n for xt in xtasks if xt[0] == "kspace")
     scratch_rows = scratch_rows_bound(tasks, n_cells, n) + x_rows
 
     provider = ForceTaskProvider(

@@ -22,7 +22,8 @@ def contiguous_partition(costs: np.ndarray, n_parts: int) -> np.ndarray:
     equal cost targets, each cut placed on whichever side of the task that
     straddles its target leaves the prefix nearer to it — so a cut misses
     its target by at most half a task, which is what matters when the tasks
-    are few and large (three k-space shards beside 36 cell tasks).
+    are few and large (one reciprocal task worth a third of the row beside
+    36 cell tasks).
 
     Guarantees beyond the raw prefix cuts: whenever ``n_tasks >= n_parts``
     every part is nonempty (a single dominant task, or ``searchsorted``

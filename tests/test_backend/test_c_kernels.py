@@ -254,7 +254,7 @@ class TestReciprocalSum:
     def recip(self, backend, system, k, ak, m=None):
         forces = np.zeros_like(system.positions)
         extra = () if m is None else (m,)
-        energy = backend.ewald_recip_shard(
+        energy = backend.ewald_recip(
             system.positions, system.charges, k, ak, 1.7, forces, *extra
         )
         return energy, forces
@@ -270,17 +270,14 @@ class TestReciprocalSum:
         assert direct[0] == self.recip(NUMPY, system, k, ak)[0]
         self.assert_same(self.recip(c, system, k, ak, m), direct, 1e-12)
 
-    def test_every_shard_is_factorised(self, c):
-        """A shard's smallest component is no common divisor of its own
-        vectors; with the table's triplets no shard needs one."""
-        from repro.md.tasks import kspace_shards
-
+    def test_every_slice_of_the_table_is_factorised(self, c):
+        """A slice's smallest component is no common divisor of its own
+        vectors; with the table's triplets no slice needs one."""
         system, k, ak, m = self.tables()
-        shards = kspace_shards(len(k))
-        assert len(shards) > 1
         total = np.zeros_like(system.positions)
         energy = 0.0
-        for _, lo, hi in shards:
+        for part in np.array_split(np.arange(len(k)), 3):
+            lo, hi = part[0], part[-1] + 1
             part = self.recip(c, system, k[lo:hi], ak[lo:hi], m[lo:hi])
             self.assert_same(
                 part, self.recip(NUMPY, system, k[lo:hi], ak[lo:hi]), 1e-12
@@ -303,7 +300,7 @@ class TestReciprocalSum:
         with pytest.raises(ValueError, match="differ in length"):
             self.recip(c, system, k, ak, m[:-1])
 
-    def test_empty_shard(self, c):
+    def test_empty_table(self, c):
         system, k, ak, m = self.tables(kmax=1)
         energy, forces = self.recip(c, system, k[:0], ak[:0], m[:0])
         assert energy == 0.0 and not forces.any()

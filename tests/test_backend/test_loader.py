@@ -155,12 +155,12 @@ def test_compiler_that_hangs(cache, monkeypatch, tmp_path):
 
 def test_wrong_kernel_fails_the_self_check(cache, monkeypatch):
     def skewed(*args):
-        return ref.ewald_recip(*args) * (1.0 + 1e-6)
+        return ref.pme_gather(*args) * (1.0 + 1e-6)
 
     built = c_backend.build_backend
 
     def build_wrong():
-        return replace(built(), ewald_recip_shard=skewed)
+        return replace(built(), pme_gather=skewed)
 
     monkeypatch.setattr(c_backend, "build_backend", build_wrong)
-    assert_auto_is_silently_numpy("parity self-check failed: ewald_recip_shard")
+    assert_auto_is_silently_numpy("parity self-check failed: pme_gather")

@@ -106,15 +106,15 @@ class TestSelection:
         assert be.name == "c"
         assert be.compiled
         assert get_backend("auto") is be
-        # the pair kernels, the reciprocal sums, the bonded terms and the list
-        # build are compiled
+        # the pair kernels, the classic reciprocal sum, the bonded terms, the
+        # two halves of PME and the list build are compiled
         numpy = get_backend("numpy")
         replaced = {
             f for f in be.__dataclass_fields__ if getattr(be, f) != getattr(numpy, f)
         }
         assert replaced == {
-            "name", "compiled", "nb_pairs", "ewald_recip", "ewald_recip_shard",
-            "bonded_terms", "block_pairs", "nb_rows",
+            "name", "compiled", "nb_pairs", "ewald_recip", "bonded_terms",
+            "pme_spread", "pme_gather", "block_pairs", "nb_rows",
         }
 
     def test_backend_status_shape(self):
@@ -200,8 +200,8 @@ class TestSelfCheck:
     def test_every_kernel_is_required(self):
         good = ref.build_backend()
         fields = {f: getattr(good, f) for f in good.__dataclass_fields__}
-        del fields["ewald_recip_shard"]
-        with pytest.raises(TypeError, match="ewald_recip_shard"):
+        del fields["pme_gather"]
+        with pytest.raises(TypeError, match="pme_gather"):
             KernelBackend(**fields)
 
 

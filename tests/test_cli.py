@@ -96,6 +96,11 @@ class TestResilienceFlags:
         with pytest.raises(SystemExit, match="fault-plan"):
             main(self.MD27 + ["--workers", "2", "--fault-plan", "bogus"])
 
+    @pytest.mark.parametrize("kmax", ["-1", "17"])
+    def test_kmax_outside_the_grid_cap_is_refused(self, kmax):
+        with pytest.raises(SystemExit, match="kmax must lie in"):
+            main(self.MD27 + ["--ewald", "--kmax", kmax])
+
     def test_checkpoint_every_needs_path(self):
         with pytest.raises(SystemExit, match="checkpoint-path"):
             main(self.MD27 + ["--checkpoint-every", "2"])

@@ -1,9 +1,10 @@
-"""Bonded and Ewald k-space force tasks.
+"""Bonded and Ewald reciprocal force tasks.
 
-Bonded term groups and the shards of the Ewald reciprocal sum are force
-tasks of every engine.  Coverage here: agreement with the reference
-functions under full electrostatics at several worker counts (1e-9; see
-``oracle.py``), the sequential engine's bits on a pool, bit-identical
+Bonded term groups and the Ewald reciprocal sum (one smooth-PME task) are
+force tasks of every engine.  Coverage here: agreement with the reference
+functions under full electrostatics at several worker counts (1e-9, the
+PME part at its own bound; see ``oracle.py``), the sequential engine's bits
+on a pool, bit-identical
 repeats and worker-count invariance, bit-identical
 recovery after a mid-run worker kill (respawn and reassignment rungs), and
 bit-identical resume from a run checkpoint — plus unit tests for the task
@@ -18,14 +19,13 @@ import pytest
 from repro.builder import small_water_box
 from repro.md.bonded import BONDED_KINDS, bonded_term_arrays
 from repro.md.engine import SequentialEngine, make_engine
-from repro.md.ewald import EwaldOptions, _kspace_tables, compute_ewald
+from repro.md.ewald import EwaldOptions, _pme_influence, compute_ewald, pme_reciprocal
 from repro.md.nonbonded import NonbondedOptions
 from repro.md.parallel import HAS_SHARED_MEMORY, ParallelEngine
-from repro.md.tasks import kspace_shards as _kspace_shards
 from repro.md.tasks import xtask_rows as _xtask_rows
 from repro.pool import RecoveryPolicy
 
-from .oracle import assert_matches_reference
+from .oracle import RTOL, assert_matches_reference, assert_pme_matches_classic
 
 pytestmark = pytest.mark.skipif(
     not HAS_SHARED_MEMORY, reason="platform lacks multiprocessing.shared_memory"
@@ -48,8 +48,8 @@ def run_trajectory(engine, n_steps=3):
 
 
 class TestCrossEngineAgreement:
-    """Bonded + k-space tasks against the reference functions at 1e-9,
-    and a pool against the engine without workers."""
+    """Bonded + reciprocal tasks against the reference functions, and a
+    pool against the engine without workers."""
 
     @pytest.mark.parametrize("workers", [2, 4])
     def test_forces_and_energies_with_ewald(self, workers):
@@ -70,7 +70,7 @@ class TestCrossEngineAgreement:
 
     def test_trajectory_tracks_sequential(self):
         """The engine without workers runs the same bonded groups and
-        k-space shards through the same reduction: bits, not 1e-9."""
+        reciprocal task through the same reduction: bits, not 1e-9."""
         p_seq, r_seq = run_trajectory(
             SequentialEngine(fresh_water(), OPTS, skin=0.0, ewald=EWALD)
         )
@@ -172,49 +172,59 @@ class TestCheckpointResume:
 
 
 class TestTaskDecomposition:
-    """Unit coverage for the shard and bonded-group helpers."""
+    """Unit coverage for the reciprocal-task and bonded-group helpers."""
 
-    def test_kspace_shards_cover_exactly(self):
-        for nk in (0, 1, 127, 128, 129, 4096, 100000):
-            shards = _kspace_shards(nk)
-            if nk == 0:
-                assert shards == []
-                continue
-            assert shards[0][1] == 0 and shards[-1][2] == nk
-            for (_, lo, hi), (_, lo2, _hi2) in zip(shards, shards[1:]):
-                assert hi == lo2
-            assert all(hi > lo for _, lo, hi in shards)
-            assert len(shards) <= 8
-
-    def test_shard_sum_matches_full_reciprocal(self):
-        from repro.backend import get_backend
-        from repro.md.constants import COULOMB_CONSTANT
+    @pytest.mark.parametrize("kmax", range(9))
+    def test_reciprocal_task_covers_the_classic_kset_exactly(self, kmax):
+        """One task under Ewald (none at kmax 0), whose influence function
+        is nonzero on exactly the classic sum's k-vectors: ``|m_d| <= kmax``
+        but the origin, each ``±m`` pair once in the real FFT's half."""
+        from repro.md.tasks import build_force_tasks
 
         s = fresh_water()
-        be = get_backend("numpy")
-        alpha = EWALD.alpha_value()
-        k_tab, _k2, ak, _m = _kspace_tables(s.box, EWALD.kmax, alpha)
-        pref = COULOMB_CONSTANT * 2.0 * np.pi / float(np.prod(s.box))
+        ewald = EwaldOptions(cutoff=6.0, kmax=kmax)
+        spec = build_force_tasks(s, OPTS, skin=1.5, n_workers=2, ewald=ewald)
+        kspace = [xt for xt in spec.provider.xtasks if xt[0] == "kspace"]
+        assert len(kspace) == len(spec.kspace_ids) == (kmax > 0)
+        if kmax == 0:
+            return
+        influence, shape = _pme_influence(s.box, kmax, ewald.alpha_value())
+        assert influence.shape == (shape[0], shape[1], shape[2] // 2 + 1)
+        m = [np.fft.fftfreq(k, 1.0 / k).round().astype(int) for k in shape]
+        mz = np.arange(shape[2] // 2 + 1)
+        kept = np.argwhere(influence != 0.0)
+        triplets = np.stack([m[0][kept[:, 0]], m[1][kept[:, 1]], mz[kept[:, 2]]], 1)
+        assert np.abs(triplets).max() <= kmax
+        # the half space: mz > 0 stands for ±m, mz = 0 lists both signs
+        on_plane = triplets[:, 2] == 0
+        assert 2 * np.count_nonzero(~on_plane) + np.count_nonzero(on_plane) == (
+            (2 * kmax + 1) ** 3 - 1
+        )
+        assert np.all(influence[kept[:, 0], kept[:, 1], kept[:, 2]] > 0)
 
-        f_full = np.zeros((s.n_atoms, 3))
-        e_full = be.ewald_recip(s.positions, s.charges, k_tab, ak, pref, f_full)
+    def test_reciprocal_task_is_pme_at_the_oracle_bound(self):
+        """What the task writes is ``pme_reciprocal`` bit for bit (whoever
+        runs it), and that is the classic sum at the PME bound."""
+        from repro.backend import get_backend
 
-        e_sum, f_sum = 0.0, np.zeros((s.n_atoms, 3))
-        for _, lo, hi in _kspace_shards(len(k_tab)):
-            block = np.zeros((s.n_atoms, 3))
-            e_sum += be.ewald_recip_shard(
-                s.positions, s.charges, k_tab[lo:hi], ak[lo:hi], pref, block
-            )
-            f_sum += block
-        assert e_sum == pytest.approx(e_full, rel=1e-12)
-        assert np.allclose(f_sum, f_full, rtol=1e-12, atol=1e-12)
+        s = fresh_water()
+        with ParallelEngine(s, OPTS, workers=2, ewald=EWALD) as eng:
+            assert eng.parallel
+            eng.compute_forces()
+            energy = eng._nb.last_ewald.energy_recip
+        be = get_backend()
+        forces = np.zeros((s.n_atoms, 3))
+        e_pme, _ = pme_reciprocal(s.positions, s.charges, s.box, EWALD, forces, be)
+        assert energy == e_pme
+        assert_pme_matches_classic(s, EWALD, e_pme, forces, be)
 
     def test_static_prior_balances_an_ewald_water_box(self):
         """With the default ``rebalance_every=0`` the priors' contiguous
         partition is all the balancing a run gets: on the harness's Ewald
-        row (343 waters, kmax 4, 2 workers) it must be able to balance —
-        whichever of the cell tasks and the three shards is the larger half
-        on the backend at hand.  Deterministic — priors only, no timing."""
+        row (343 waters, kmax 4, 2 workers) both workers must own cell
+        tasks — the reciprocal task shares its worker with some — and the
+        loads must be within 20 % of each other, on the backend at hand.
+        Deterministic — priors only, no timing."""
         from repro.md.tasks import build_force_tasks
         from repro.pool import contiguous_partition
 
@@ -226,12 +236,13 @@ class TestTaskDecomposition:
         costs = spec.all_costs
         cells = float(spec.sub_cost_arr.sum())
         bonded = sum(costs[t] for ids in spec.bonded_ids.values() for t in ids)
-        shards = costs[spec.kspace_ids]
-        assert len(shards) >= 2
+        (recip,) = costs[spec.kspace_ids]
+        assert 0.2 * cells < recip < cells
         assert 0 < bonded < 0.15 * cells
         bounds = contiguous_partition(costs, 2)
+        assert 0 < bounds[1] < len(spec.sub_cost_arr)  # cells on both sides
         loads = np.add.reduceat(costs, bounds[:-1])
-        assert loads.max() / loads.mean() <= 1.25
+        assert loads.max() / loads.min() <= 1.2
 
     def test_bonded_groups_partition_every_term(self):
         """(kind, cell, intra) groups are disjoint and exhaustive under any
@@ -282,7 +293,7 @@ class TestTaskDecomposition:
     def test_kspace_rows_span_all_atoms(self):
         s = fresh_water()
         sels, rows = _xtask_rows(
-            [("kspace", 0, 10)], {}, np.zeros(s.n_atoms, np.int64), s.n_atoms
+            [("kspace",)], {}, np.zeros(s.n_atoms, np.int64), s.n_atoms
         )
         assert sels == [None]
         np.testing.assert_array_equal(rows[0], np.arange(s.n_atoms))
@@ -343,13 +354,22 @@ class TestEngineFactory:
 
 class TestMTSEwald:
     def test_slow_component_includes_full_ewald(self):
+        """Every component, the reciprocal one by PME (held to the classic
+        sum by the oracle's bound, the rest at 1e-9)."""
         from repro.md.mts import MTSEngine
 
         s = fresh_water()
-        ref = compute_ewald(s.copy(), EWALD).energy
+        ref = compute_ewald(s.copy(), EWALD, recip=False).energy
         eng = MTSEngine(s, options=OPTS, ewald=EWALD, n_inner=2)
         e_lj, e_el, _f = eng._slow()
-        assert e_el == pytest.approx(ref, rel=1e-9)
+        e_pme = eng.nonbonded.last_ewald.energy_recip
+        assert e_el - e_pme == pytest.approx(ref, rel=RTOL)
+        forces = np.zeros((s.n_atoms, 3))
+        e_task, _ = pme_reciprocal(
+            s.positions, s.charges, s.box, EWALD, forces, eng.nonbonded.backend
+        )
+        assert e_task == e_pme
+        assert_pme_matches_classic(s, EWALD, e_pme, forces, eng.nonbonded.backend)
 
     def test_external_evaluator_wins_over_ewald(self):
         from repro.md.mts import MTSEngine
@@ -379,9 +399,9 @@ class TestDriverShareInstrumentation:
         ) as eng:
             eng.run(2)
             stats = eng.kspace_cache_stats()
-            # three evaluations, one table lookup per shard each
-            n_shards = len(eng._nb._kspace_ids)
-            assert stats["builds"] + stats["hits"] == 3 * n_shards
+            # three evaluations, one table lookup each
+            assert len(eng._nb._kspace_ids) == 1
+            assert stats["builds"] + stats["hits"] == 3
             assert set(stats["workers"]) == set(range(eng.workers))
             for key in ("builds", "hits"):
                 assert stats[key] == sum(w[key] for w in stats["workers"].values())

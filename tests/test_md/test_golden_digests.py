@@ -4,12 +4,12 @@ positions are pinned by sha256.
 A change to the list format, the task loop or the executor must leave these
 alone; a change to a kernel's arithmetic or summation order moves them, and
 then the pins are re-recorded with the reason (EXPERIMENTS.md lists every
-move).  The bits depend on the host's libm (``acos`` in the angle terms,
-``sin``/``cos`` in the reciprocal sum; the pair kernel calls none since the
-Ewald real-space term is read from a table, whose nodes are ``scipy``'s
-``erfc`` and numpy's ``exp``), so the pins hold for the platform they were
-recorded on and the test skips elsewhere — and on the numpy fallback, whose
-bits are its own.
+move).  The bits depend on the host's libm (``acos`` in the angle terms;
+the pair kernel calls none since the Ewald real-space term is read from a
+table, whose nodes are ``scipy``'s ``erfc`` and numpy's ``exp``) and, under
+Ewald, on ``scipy``'s pocketfft and the ``sin``/``cos`` in PME's B-spline
+moduli, so the pins hold for the platform they were recorded on and the
+test skips elsewhere — and on the numpy fallback, whose bits are its own.
 """
 
 import hashlib
@@ -38,10 +38,16 @@ RECORDED_ON = ("x86_64", ("glibc", "2.36"))
 #: became a table lookup in both backends' pair kernels: per-step total
 #: energy within 9e-12 relative of the libm bits over 200 steps, final
 #: positions within 2e-9 A; ``cutoff`` and ``grainsize`` never read the table
-#: and passed that change unedited.
+#: and passed that change unedited.  ``ewald`` alone (was 48f84cda75c362fe)
+#: re-recorded when the reciprocal sum became one smooth-PME task in place of
+#: the classic sum's k-space shards: PME approximates that sum (the energy
+#: within 1e-5 relative, tested), so per-step total energy moved 3.6e-6
+#: relative (8.2e-6 at most over 200 steps, the same drift), final positions
+#: 5.8e-6 A; ``cutoff`` and ``grainsize`` have no reciprocal sum and passed
+#: unedited.
 PINS = {
     "cutoff": "24310ccfcea6bdefaf9c01ead82c0e356864b11341cb17b6680d3ba99ccb479e",
-    "ewald": "48f84cda75c362fe6710668b76ad02be9d93f5b71c774a6b14b22f1d6e4e1a5b",
+    "ewald": "a2634cf0f45ce4048a86d82c94d85b1d68d1b3a6cf0ed97a7470c4573498473a",
     "grainsize": "5fd72b37c98f84a4e70ddf55db69bbc7f376f6942e1da1abebb6eadacac2283b",
 }
 

@@ -2,12 +2,13 @@
 run, and the path agrees with the reference functions.
 
 Every force term is a task — cell pair blocks, bonded groups and, under
-Ewald, k-space shards — and an engine without workers (``SequentialEngine``)
+Ewald, the PME task — and an engine without workers (``SequentialEngine``)
 evaluates the workers' tasks in-process through the same per-step loop, so
 ``workers`` 1 / 2 / 3 give bit-identical trajectories, as do the degrade
 rung, an LB remap and a checkpoint resume — on each kernel backend, whose
 bits differ from one another; against the independent oracle (``oracle.py``)
-the path holds 1e-9 on every system the engines are used on.
+the path holds 1e-9 on every system the engines are used on, the PME part
+its own bound.
 """
 
 from collections import Counter
@@ -25,7 +26,7 @@ from repro.md.parallel import HAS_SHARED_MEMORY
 from repro.pool import HAS_POSIX_SIGNALS, RecoveryPolicy
 from repro.runtime.checkpoint import load_run_checkpoint, restore_run_checkpoint
 
-from .oracle import RTOL, assert_matches_reference
+from .oracle import PME_ENERGY_RTOL, RTOL, assert_matches_reference
 
 pytestmark = pytest.mark.skipif(
     not HAS_SHARED_MEMORY, reason="platform lacks multiprocessing.shared_memory"
@@ -122,9 +123,9 @@ def test_ewald_cutoff_below_and_above_the_lj_cutoff(systems, name, ratio):
 
 def test_ewald_components_on_the_assembly(systems):
     """The assembly has 1-4 pairs: the task lists leave them out, the 1-4
-    pass carries their erfc term at full strength.  Every component — the
-    k-space shards' sum included — agrees with the oracle, on fresh lists
-    and on reused ones."""
+    pass carries their erfc term at full strength.  Every component agrees
+    with the oracle — the PME task's at its bound — on fresh lists and on
+    reused ones."""
     with engine_for(systems, "assembly", True, 2) as engine:
         system = engine.system
         assert len(system.exclusions.pairs14) > 0
@@ -135,12 +136,15 @@ def test_ewald_components_on_the_assembly(systems):
             assert_matches_reference(engine, engine.compute_forces())
             oracle = compute_ewald(system, engine.ewald)
             for component in (
-                "energy_real", "energy_recip", "energy_exclusion",
-                "energy_self", "energy_background",
+                "energy_real", "energy_exclusion", "energy_self",
+                "energy_background",
             ):
                 assert getattr(engine._nb.last_ewald, component) == pytest.approx(
                     getattr(oracle, component), rel=RTOL, abs=1e-12
                 ), component
+            assert engine._nb.last_ewald.energy_recip == pytest.approx(
+                oracle.energy_recip, rel=PME_ENERGY_RTOL
+            )
         assert (engine.pairlist.n_builds, engine.pairlist.n_reuses) == (1, 1)
 
 
@@ -184,8 +188,8 @@ def test_ewald_list_reuse_step_enumerates_and_filters_nothing(systems, monkeypat
 
 #: the two kinds of task beside the cell blocks, each on the system that
 #: has them: bonds, angles, dihedrals and impropers in groups; Ewald water
-#: with its reciprocal sum in shards
-CASES = {"bonded": ("assembly", False), "sharded": ("water", True)}
+#: with its reciprocal sum in the PME task
+CASES = {"bonded": ("assembly", False), "pme": ("water", True)}
 
 
 def trajectory(systems, case, workers, steps=None, restore=None, **kwargs):
@@ -237,7 +241,7 @@ class TestEwaldBitsDoNotDependOnWhoRunsTheTasks:
     def test_worker_counts(self, systems, sequential, case):
         engine, base = sequential(case, self.backend)
         assert type(engine) is SequentialEngine and not engine.parallel
-        if case == "sharded":
+        if case == "pme":
             assert engine.pairlist.n_reuses > 0
         else:
             assert base[2][0] != 0.0 and engine.report().bonded.dihedral != 0.0
@@ -257,7 +261,7 @@ class TestEwaldBitsDoNotDependOnWhoRunsTheTasks:
             )
         assert engine.resilience.mode == "sequential"
         assert_same_bits(run, base)
-        if case == "sharded":
+        if case == "pme":
             # the lost workers' k-table lookups stay in the engine's totals
             stats = engine.kspace_cache_stats()
             assert stats["builds"] + stats["hits"] > sum(stats["workers"][0].values())
@@ -303,8 +307,8 @@ class TestBitsDoNotDependOnWhoRunsTheTasksOnTheCBackend(
 def test_backends_agree_but_not_bit_for_bit(sequential):
     """1e-9 between the backends over the Ewald water trajectory, not
     equality — which is why the matrix is held on each."""
-    _, (pos_c, _, totals_c) = sequential("sharded", "c")
-    _, (pos_n, _, totals_n) = sequential("sharded", "numpy")
+    _, (pos_c, _, totals_c) = sequential("pme", "c")
+    _, (pos_n, _, totals_n) = sequential("pme", "numpy")
     assert totals_c == pytest.approx(totals_n, rel=1e-9)
     assert np.abs(pos_c - pos_n).max() <= 1e-9 * np.abs(pos_n).max()
     assert not np.array_equal(pos_c, pos_n)

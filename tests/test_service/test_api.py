@@ -95,6 +95,8 @@ class TestEndpoints:
             ({"rebalance_every": 3}, "needs workers >= 2"),
             ({"backend": "bogus"}, "backend must be one of auto, numpy, c"),
             ({"backend": "numba"}, "backend must be one of auto, numpy, c"),
+            ({"waters": 10**9}, "waters must lie in [1, 100000]"),
+            ({"ewald": True, "kmax": 17}, "kmax must be <= 16"),
         ):
             code, body = request(server, "POST", "/jobs", {"spec": spec})
             assert code == 400 and message in body["error"], (spec, body)

@@ -65,6 +65,10 @@ class TestSimSpec:
             # used to fail inside a scheduler lane, when get_backend raised
             {"backend": "bogus"},
             {"backend": "numba"},  # retired with its module
+            # sizes a lane would allocate: the PME grid, the box
+            {"kmax": 17},
+            {"waters": 100_001},
+            {"waters": 10**12},
         ],
     )
     def test_validation(self, kwargs):
@@ -72,6 +76,16 @@ class TestSimSpec:
             SimSpec(**kwargs)
         with pytest.raises(ValueError):
             SimSpec.from_dict(kwargs)
+
+    def test_the_size_caps_are_named_constants_and_inclusive(self):
+        from repro.md.ewald import MAX_KMAX
+        from repro.md.jobs import MAX_WATERS
+
+        spec = SimSpec(waters=MAX_WATERS, kmax=MAX_KMAX, ewald=True)
+        assert SimSpec.from_dict(spec.to_dict()) == spec
+        for field, value in (("waters", MAX_WATERS + 1), ("kmax", MAX_KMAX + 1)):
+            with pytest.raises(ValueError, match=field):
+                SimSpec(**{field: value})
 
     def test_every_backend_name_is_a_legal_spec(self):
         from repro.backend import BACKEND_NAMES
