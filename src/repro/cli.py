@@ -154,7 +154,7 @@ def cmd_md(args) -> int:
     """Run MD on a water box and print the energy ledger."""
     from repro.backend import set_default_backend
     from repro.builder import skewed_water_box, small_water_box
-    from repro.md.engine import make_engine
+    from repro.md.engine import POOL_KEYWORDS, make_engine
     from repro.md.integrator import VelocityVerlet
     from repro.md.nonbonded import NonbondedOptions
 
@@ -200,11 +200,9 @@ def cmd_md(args) -> int:
     # worker-pool flags are forwarded only when set: make_engine rejects
     # them at --workers 1 (they would silently do nothing there)
     pool_flags = {
-        "rebalance_every": args.rebalance_every,
-        "lb_strategy": args.lb_strategy,
-        "grainsize_ms": args.grainsize_ms,
-        "fault_plan": fault_plan,
+        name: getattr(args, name) for name in POOL_KEYWORDS.intersection(vars(args))
     }
+    pool_flags["fault_plan"] = fault_plan
     try:
         engine = make_engine(
             system,

@@ -30,11 +30,13 @@ from repro.md.integrator import VelocityVerlet
 from repro.md.nonbonded import NonbondedOptions, compute_nonbonded  # noqa: F401
 from repro.md.system import MolecularSystem
 
-__all__ = ["SequentialEngine", "StepReport", "make_engine"]
+__all__ = ["POOL_KEYWORDS", "SequentialEngine", "StepReport", "make_engine"]
 
-#: make_engine keywords that configure the worker pool (its supervision,
-#: balancing, and the task partition handed to it)
-_POOL_KEYWORDS = frozenset(
+#: The engine settings that need worker processes (their supervision,
+#: balancing, and the task partition handed to them): ``make_engine``
+#: refuses them at ``workers == 1``, and the job spec and the CLI take
+#: their pool-only subsets from this set.
+POOL_KEYWORDS = frozenset(
     {
         "fault_plan", "timeout", "recovery", "rebalance_every",
         "lb_strategy", "grainsize_ms",
@@ -111,7 +113,10 @@ class SequentialEngine:
         the pair kernel then evaluates the real-space ``erfc`` term in
         place of the shifted point-charge one (for 1-4 pairs too, at full
         strength — the scaled 1-4 electrostatic term is dropped), and the
-        reported ``elec`` energy is the total over all Ewald components."""
+        reported ``elec`` energy is the total over all Ewald components.
+        With ``ewald.recip_every = n > 1`` the reciprocal part is an
+        impulse every ``n`` steps, and the steps between report the
+        reciprocal energy of the last step that evaluated it."""
         self._setup(
             system, options, integrator, checkpoint_every, checkpoint_path,
             backend, ewald, n_workers=1, skin=skin,
@@ -143,17 +148,19 @@ class SequentialEngine:
         self._last_nonbonded = None
         self._last_bonded: BondedEnergies | None = None
         self._nb = ParallelNonbonded(
-            system, self.options, backend=self.backend, bonded=True,
-            ewald=ewald, **nonbonded,
+            system, self.options, backend=self.backend, ewald=ewald, **nonbonded
         )
         #: the list-lifetime object (skin, builds, reuses) of the force tasks
         self.pairlist = self._nb.pairlist
 
     # ------------------------------------------------------------------ #
-    def compute_forces(self) -> np.ndarray:
-        """Evaluate the full force field at the current positions."""
+    def compute_forces(self, step: int | None = None) -> np.ndarray:
+        """Evaluate the full force field at the current positions, those of
+        step ``step`` (the current step by default).  Under multiple time
+        stepping the step index decides whether the reciprocal task runs
+        (see :class:`repro.md.ewald.EwaldOptions`)."""
         self.system.wrap()
-        self._nb.dispatch()
+        self._nb.dispatch(self._step if step is None else step)
         # bonded terms (and the k-space sum, with Ewald) arrive inside the
         # reduced task result; collect() separates their energies
         nb = self._nb.collect()
@@ -187,7 +194,7 @@ class SequentialEngine:
             # forces actually correspond to the requested positions.
             if positions is not sys.positions:
                 sys.positions[...] = positions
-            return self.compute_forces()
+            return self.compute_forces(self._step + 1)
 
         self._forces = self.integrator.step(
             sys.positions, sys.velocities, self._forces, sys.masses, force_fn
@@ -300,7 +307,7 @@ def make_engine(
     # always force tasks); accepted because benchmarks/perf/workloads.py
     # still passes it — ROADMAP item 1 deletes it with the harness's use
     if workers == 1:
-        pool_only = sorted(_POOL_KEYWORDS.intersection(kwargs))
+        pool_only = sorted(POOL_KEYWORDS.intersection(kwargs))
         if pool_only:
             raise TypeError(
                 "make_engine(workers=1) got keyword argument(s) that need "

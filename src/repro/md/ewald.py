@@ -34,6 +34,7 @@ rest.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -80,11 +81,24 @@ class EwaldOptions:
     ``alpha`` balances the two sums: larger alpha shortens the real-space
     range but requires more k-vectors.  The default pairing (alpha = 3/cutoff,
     kmax ~ alpha * L) keeps both truncation errors ~1e-5 for typical boxes.
+
+    ``recip_every = n`` is multiple time stepping, the pairing the paper's
+    §1 quote has in mind: the engines evaluate the reciprocal (PME) task
+    only on steps whose index is a multiple of ``n`` and apply its forces
+    there ``n``-fold — the Verlet-I / r-RESPA impulse, ``n·dt·F_recip``
+    over the two half kicks around the step.  Cell tasks (real space and
+    LJ) and bonded groups run every step.  1 is plain velocity Verlet.
     """
 
     cutoff: float = 9.0
     alpha: float | None = None
     kmax: int = 8
+    recip_every: int = 1
+
+    def __post_init__(self) -> None:
+        n = self.recip_every
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"recip_every must be an integer >= 1, got {n!r}")
 
     def alpha_value(self) -> float:
         """The effective real/reciprocal split parameter."""

@@ -31,6 +31,7 @@ keeps its own ``backend`` provenance).
 from __future__ import annotations
 
 import hashlib
+import math
 import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -38,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.backend import BACKEND_NAMES
+from repro.md.engine import POOL_KEYWORDS
 from repro.md.ewald import MAX_KMAX
 
 __all__ = ["MAX_WATERS", "SimSpec", "SimJob"]
@@ -57,18 +59,14 @@ _NON_NEGATIVE = (
     "rebalance_every",
 )
 
-#: spec fields that configure live worker processes
-_POOL_ONLY = ("rebalance_every", "lb_strategy", "fault_plan", "timeout")
+#: spec fields that are real numbers: each must be finite
+_REAL = ("skew", "temperature", "dt", "cutoff", "skin", "timeout")
 
 #: every spec field under the type it takes, as ``(type, label, names)``
 _FIELD_TYPES = (
     (bool, "bool", ("relax", "ewald", "distribute")),
     (numbers.Integral, "int", ("waters", "workers", *_NON_NEGATIVE)),
-    (
-        numbers.Real,
-        "float",
-        ("skew", "temperature", "dt", "cutoff", "skin", "timeout"),
-    ),
+    (numbers.Real, "float", _REAL),
     (str, "str", ("backend", "lb_strategy", "fault_plan")),
 )
 
@@ -131,8 +129,13 @@ class SimSpec:
             raise ValueError("steps must be >= 1")
         if self.workers < 0:
             raise ValueError("workers must be >= 0 (0 = one per CPU)")
-        for name in _NON_NEGATIVE:
-            if getattr(self, name) < 0:
+        for name in _REAL:
+            value = getattr(self, name)
+            if value is not None and not _finite(value):
+                raise ValueError(f"{name} must be finite")
+        for name in (*_NON_NEGATIVE, "temperature", "skew", "skin"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.workers == 1:
             for name in _POOL_ONLY:
@@ -183,6 +186,19 @@ class SimSpec:
     def worker_slots(self) -> int:
         """Worker processes this spec will spawn (0 when the tasks run in-process)."""
         return 0 if self.workers == 1 else max(self.workers, 2)
+
+
+#: spec fields that configure live worker processes
+_POOL_ONLY = tuple(sorted(POOL_KEYWORDS.intersection(SimSpec.__dataclass_fields__)))
+
+
+def _finite(value) -> bool:
+    """Whether a real spec value is a finite float (an int too large for
+    one is not)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _positions_digest(positions: np.ndarray) -> str:

@@ -119,15 +119,13 @@ class ParallelNonbonded:
         fault_plan: WorkerFaultPlan | str | None = None,
         recovery: RecoveryPolicy | None = None,
         backend=None,
-        bonded: bool = False,
         ewald: EwaldOptions | None = None,
     ) -> None:
         """``n_workers <= 0`` means "one per CPU", 1 means none (the tasks
         run in-process); ``timeout`` (seconds) bounds every wait on the
-        pool.  ``bonded=True`` adds the bonded terms as extra tasks (the
-        engines do; :class:`repro.md.mts.MTSEngine` integrates them on its
-        own faster cycle); ``ewald`` makes this evaluator own the *full*
-        electrostatics, the reciprocal sum one PME task.
+        pool.  The bonded terms are tasks too; ``ewald`` makes this
+        evaluator own the *full* electrostatics, the reciprocal sum one PME
+        task (every ``ewald.recip_every`` steps, see :meth:`dispatch`).
         ``rebalance_every=N`` runs an LB decision every N evaluations;
         ``lb_strategy`` overrides the greedy-then-refine schedule;
         ``grainsize_ms > 0`` splits expensive cell tasks into row stripes;
@@ -163,14 +161,16 @@ class ParallelNonbonded:
         self.resilience = ResilienceStats()
         self.workdb = WorkDB()
         self.workdb.set_backend(self.backend.name)
-        self.bonded_tasks = bool(bonded)
         self.ewald = ewald
         self.last_bonded: BondedEnergies | None = None
         self.last_ewald: EwaldEnergies | None = None
+        #: the reciprocal energy of the last evaluation that ran the PME
+        #: task — what the reports of the steps between two such carry
+        self.last_recip_energy = 0.0
         self._pool: SupervisedPool | None = None
         self._local: InProcessExecutor | None = None
-        #: ``(pool or None, rebuild, start time)`` of the evaluation
-        #: awaiting collect()
+        #: ``(pool or None, rebuild, step payload, start time)`` of the
+        #: evaluation awaiting collect()
         self._dispatched: tuple | None = None
         self._kspace_stat_base: np.ndarray | None = None
         #: the pool's ``(builds, hits)`` rows at its last collect, and the
@@ -254,7 +254,6 @@ class ParallelNonbonded:
             skin=skin,
             n_workers=requested,
             grainsize_ms=self.grainsize_ms,
-            bonded=self.bonded_tasks,
             ewald=self.ewald,
             backend=self.backend,
         )
@@ -353,13 +352,17 @@ class ParallelNonbonded:
         """Workers still serving tasks (``n_workers`` minus permanent dead)."""
         return self._pool.n_live if self.active else 1
 
-    def dispatch(self) -> None:
+    def dispatch(self, step: int = 0) -> None:
         """Start one evaluation at the system's current positions: refresh
         the pair-list lifetime, publish positions, start the workers.
 
-        The caller must have wrapped positions into the primary cell (the
-        engines do).  Exactly one :meth:`collect` must follow.  Without
-        workers this only stages the evaluation; :meth:`collect` runs it.
+        ``step`` is the engine's step index of these positions.  It sets
+        the reciprocal task's weight, sent to every executor in the step
+        payload: ``n = ewald.recip_every`` when ``step`` is a multiple of
+        ``n``, else 0 (the task is skipped).  The caller must have wrapped
+        positions into the primary cell (the engines do).  Exactly one
+        :meth:`collect` must follow.  Without workers this only stages the
+        evaluation; :meth:`collect` runs it.
         """
         if self._dispatched is not None:
             raise RuntimeError("dispatch() called with a collect() outstanding")
@@ -371,7 +374,11 @@ class ParallelNonbonded:
         builds = self.pairlist.n_builds
         self._offsets, self._gather = self.pairlist.pairs(pos, self.system.box)
         rebuild = self.pairlist.n_builds != builds
-        self._dispatched = (pool, rebuild, time.monotonic())
+        n = 1 if self.ewald is None else self.ewald.recip_every
+        payload = (
+            tuple(float(x) for x in self.system.box), 0 if step % n else n
+        )
+        self._dispatched = (pool, rebuild, payload, time.monotonic())
         if pool is None:
             self._pending_assignment = None
             return
@@ -385,12 +392,9 @@ class ParallelNonbonded:
                     self.remap_steps.append(pool.seq + 1)
                 assignment_payload = self._pending_assignment
                 self._pending_assignment = None
-        pool.dispatch(rebuild, self._box_payload(), assignment_payload)
+        pool.dispatch(rebuild, payload, assignment_payload)
 
-    def _box_payload(self) -> tuple:
-        return tuple(float(x) for x in self.system.box)
-
-    def _run_in_process(self, rebuild: bool) -> InProcessExecutor:
+    def _run_in_process(self, rebuild: bool, payload) -> InProcessExecutor:
         """The outstanding evaluation's tasks — all of them — run here by
         the loop the workers run.  The first run (construction without
         workers, or the moment a pool is lost, possibly mid-step) builds
@@ -406,7 +410,7 @@ class ParallelNonbonded:
         local.view("pos")[...] = self.system.positions
         if rebuild:
             local.view("ref")[...] = self.pairlist.ref_positions
-        local.run(rebuild, self._box_payload())
+        local.run(rebuild, payload)
         return local
 
     def collect(self) -> NonbondedResult:
@@ -419,7 +423,7 @@ class ParallelNonbonded:
         result is bit-identical in every case."""
         if self._dispatched is None:
             raise RuntimeError("collect() called without a dispatch()")
-        pool, rebuild, t_dispatch = self._dispatched
+        pool, rebuild, payload, t_dispatch = self._dispatched
         self._dispatched = None
         n = self.system.n_atoms
         forces = np.zeros((n, 3), dtype=np.float64)
@@ -441,7 +445,7 @@ class ParallelNonbonded:
             step_wall = pool.finish_step()
             self._pool_kspace_rows = pool.stats[self._n_total :, :2].copy()
         else:
-            executor = self._run_in_process(rebuild)
+            executor = self._run_in_process(rebuild, payload)
             step_wall = time.monotonic() - t_dispatch
 
         # task-ordered segment-sum reduction: bitwise independent of the
@@ -458,22 +462,23 @@ class ParallelNonbonded:
         e_lj = float(stats[:n_nb, STAT_E_LJ].sum())
         e_el = float(stats[:n_nb, STAT_E_EL].sum())
         n_pairs = int(round(float(stats[:n_nb, STAT_N_PAIRS].sum())))
-        if self.bonded_tasks:
-            self.last_bonded = BondedEnergies(
-                **{
-                    name: float(
-                        stats[self._bonded_ids[kind], STAT_E_LJ].sum()
-                    )
-                    if kind in self._bonded_ids
-                    else 0.0
-                    for kind, name in enumerate(BONDED_KINDS)
-                }
-            )
+        self.last_bonded = BondedEnergies(
+            **{
+                name: float(stats[self._bonded_ids[kind], STAT_E_LJ].sum())
+                if kind in self._bonded_ids
+                else 0.0
+                for kind, name in enumerate(BONDED_KINDS)
+            }
+        )
         e_el_total = e_el + e_el14
         if ew is not None:
             # the pair tasks' electrostatic column is the real-space sum
             ew.energy_real = e_el_total
-            ew.energy_recip = float(stats[self._kspace_ids, STAT_E_EL].sum())
+            if payload[1]:
+                self.last_recip_energy = float(
+                    stats[self._kspace_ids, STAT_E_EL].sum()
+                )
+            ew.energy_recip = self.last_recip_energy
             self.last_ewald = ew
             e_el_total = ew.energy
 

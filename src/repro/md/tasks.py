@@ -22,7 +22,8 @@ force-field work as a family of schedulable tasks behind the
   partition the term list exactly;
 * **the reciprocal task** ``("kspace",)`` — under Ewald, the whole
   reciprocal sum by smooth PME (:func:`repro.md.ewald.pme_reciprocal`),
-  one task whose block is every atom.
+  one task whose block is every atom, evaluated every
+  ``EwaldOptions.recip_every`` steps (the others run every step).
 
 The construction (:func:`build_force_tasks`) is deterministic: task
 structure derives from topology, grid, and the cost-model *prior* only —
@@ -474,9 +475,12 @@ class ForceTaskEvaluator:
     driver owns the contents and guarantees they are wrapped before each
     step); :meth:`rebuild` temporarily aliases the ``"ref"`` view so
     binning and pair-list construction are independent of *when* this
-    evaluator (re)built.  Bonded group energies land in the first stats
-    column, the reciprocal task's in the second; the per-executor stats row
-    gets this evaluator's own k-space table builds/hits
+    evaluator (re)built.  The step payload is ``(box, weight)``: the
+    reciprocal task skips a weight-0 step and scales its forces by any
+    other weight but 1 (multiple time stepping, see
+    :class:`repro.md.ewald.EwaldOptions`).  Bonded group energies land in
+    the first stats column, the reciprocal task's in the second; the
+    per-executor stats row gets this evaluator's own k-space table builds/hits
     (:attr:`kspace_stats`, the sink of the reciprocal task's table lookups
     — exact whoever else shares the process's table cache).
     """
@@ -514,7 +518,8 @@ class ForceTaskEvaluator:
         self.pme_grid: np.ndarray | None = None
 
     def begin_step(self, payload) -> None:
-        self.system.box = np.asarray(payload, dtype=np.float64)
+        box, self.recip_weight = payload
+        self.system.box = np.asarray(box, dtype=np.float64)
 
     def rebuild(self, my_tasks: list[int]) -> np.ndarray:
         from repro.core.decomposition import bin_atoms
@@ -591,12 +596,17 @@ class ForceTaskEvaluator:
         if t >= self.n_nb:
             entry = self.xentries[t]
             if entry[0] == "kspace":
+                weight = self.recip_weight
+                if not weight:  # an inner step: the block stays zero
+                    return 0.0, 0.0, 0
                 system = self.system
                 energy, self.pme_grid = pme_reciprocal(
                     system.positions, system.charges, system.box,
                     self.provider.ewald, block, self.backend, self.pme_grid,
                     self.kspace_stats,
                 )
+                if weight != 1:
+                    block *= weight  # the impulse of the n steps it stands for
                 return 0.0, energy, system.n_atoms
             energy, n_terms = eval_bonded_group(self.system, entry, block, self.backend)
             return energy, 0.0, n_terms
@@ -737,7 +747,6 @@ def build_force_tasks(
     skin: float,
     n_workers: int,
     grainsize_ms: float = 0.0,
-    bonded: bool = False,
     ewald: EwaldOptions | None = None,
     backend=None,
 ) -> ForceTaskSpec:
@@ -747,8 +756,8 @@ def build_force_tasks(
     per-task costs from the cost model (the paper's "before the first
     measurement" rule; skipped when ``n_workers == 1`` leaves nothing to
     partition), applies grainsize splitting from the deterministic
-    prior, and appends the bonded groups (with ``bonded``) and, under
-    ``ewald``, the reciprocal task.  Everything is decided here, once — the
+    prior, and appends the bonded groups and, under ``ewald``, the
+    reciprocal task.  Everything is decided here, once — the
     structure never depends on the worker count or on measurements.
     Construction must not mutate the caller's system: the grid build and
     cost model see a wrapped *copy*; the engines wrap before every dispatch
@@ -835,11 +844,10 @@ def build_force_tasks(
         # after the split decision: the erfc cost may move the initial
         # task→worker map only, never the task list
         sub_cost_arr *= priors.ewald_pair
-    if bonded:
-        for kind in range(len(BONDED_KINDS)):
-            arrays = bonded_term_arrays(system, kind)
-            if len(arrays[0]):
-                term_data[kind] = arrays
+    for kind in range(len(BONDED_KINDS)):
+        arrays = bonded_term_arrays(system, kind)
+        if len(arrays[0]):
+            term_data[kind] = arrays
     stride = bonded_cell_stride(term_data, n_cells)
     for kind in term_data:
         for cell in range(-(-n_cells // stride)):

@@ -308,7 +308,10 @@ class RunCheckpoint:
     force evaluation, exactly like the continuing run does), the box, the
     step counter, and the parallel pool's evaluation counter ``nb_seq``
     (which pins step-indexed LB-remap points, themselves rebuild points,
-    to the same absolute steps in the resumed run).
+    to the same absolute steps in the resumed run).  Under multiple time
+    stepping the forces already hold the last reciprocal impulse, so a
+    resume mid-cycle continues the trajectory; ``recip_energy`` keeps the
+    energy reports of the steps before the next reciprocal evaluation.
     """
 
     step: int
@@ -317,6 +320,7 @@ class RunCheckpoint:
     forces: np.ndarray | None
     box: np.ndarray
     nb_seq: int = 0
+    recip_energy: float = 0.0
 
     def to_npz_bytes(self) -> bytes:
         arrays = {
@@ -325,6 +329,7 @@ class RunCheckpoint:
             "velocities": np.asarray(self.velocities, dtype=np.float64),
             "box": np.asarray(self.box, dtype=np.float64),
             "nb_seq": np.asarray(self.nb_seq, dtype=np.int64),
+            "recip_energy": np.asarray(self.recip_energy, dtype=np.float64),
         }
         if self.forces is not None:
             arrays["forces"] = np.asarray(self.forces, dtype=np.float64)
@@ -342,6 +347,9 @@ class RunCheckpoint:
                 forces=npz["forces"].copy() if "forces" in npz else None,
                 box=npz["box"].copy(),
                 nb_seq=int(npz["nb_seq"]) if "nb_seq" in npz else 0,
+                recip_energy=(
+                    float(npz["recip_energy"]) if "recip_energy" in npz else 0.0
+                ),
             )
 
 
@@ -366,6 +374,7 @@ def save_run_checkpoint(path, engine) -> RunCheckpoint:
         ),
         box=np.asarray(engine.system.box, dtype=np.float64).copy(),
         nb_seq=engine._nb.seq,
+        recip_energy=engine._nb.last_recip_energy,
     )
     atomic_write_bytes(path, cp.to_npz_bytes())
     return cp
@@ -416,4 +425,5 @@ def restore_run_checkpoint(engine, cp: RunCheckpoint) -> None:
     # align the pool's evaluation counter so step-indexed events
     # (LB remaps force rebuilds) land on the same absolute steps
     engine._nb.seq = cp.nb_seq
+    engine._nb.last_recip_energy = cp.recip_energy
     engine.pairlist.invalidate()

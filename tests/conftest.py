@@ -7,11 +7,47 @@ same structure.
 
 from __future__ import annotations
 
+import os
+import random
+
 import numpy as np
 import pytest
 
 from repro.builder import small_water_box, tiny_peptide
 from repro.builder.benchmarks import mini_assembly
+
+#: ``REPRO_TEST_SEED=<seed>`` runs the suite in a shuffled order, the same
+#: for the same seed: to prove no test depends on another having run first
+SHUFFLE_SEED = os.environ.get("REPRO_TEST_SEED")
+
+
+def pytest_report_header(config):
+    if SHUFFLE_SEED:
+        return f"test order: shuffled with REPRO_TEST_SEED={SHUFFLE_SEED}"
+
+
+def pytest_collection_modifyitems(config, items):
+    """Shuffle modules, then the classes of each module, then the tests of
+    each class: every order is reachable that keeps a module's (or a
+    class's) tests together, so each module fixture is still built once."""
+    if not SHUFFLE_SEED:
+        return
+    rng = random.Random(SHUFFLE_SEED)
+
+    def shuffled_groups(group, key):
+        groups: dict = {}
+        for item in group:
+            groups.setdefault(key(item), []).append(item)
+        order = list(groups.values())
+        rng.shuffle(order)
+        return order
+
+    shuffled = []
+    for module in shuffled_groups(items, lambda item: item.nodeid.split("::")[0]):
+        for cls in shuffled_groups(module, lambda item: getattr(item, "cls", None)):
+            rng.shuffle(cls)
+            shuffled += cls
+    items[:] = shuffled
 
 
 @pytest.fixture(scope="session")

@@ -73,21 +73,28 @@ def assert_pme_matches_classic(system, ewald, energy, forces, backend):
     assert np.sqrt(np.mean((forces - classic) ** 2)) <= PME_FORCE_RTOL * rms
 
 
-def assert_matches_reference(engine, forces=None):
+def assert_matches_reference(engine, forces=None, weight=1):
     """The engine's evaluation at its current positions — a fresh one, or
-    ``forces`` it already computed there — against the reference functions."""
+    ``forces`` it already computed there — against the reference functions.
+
+    ``weight`` is the reciprocal task's weight in that evaluation (multiple
+    time stepping: ``recip_every`` on an outer step, 0 on an inner one):
+    ``weight ×`` the PME part is taken out of the forces, and the energy
+    report's reciprocal energy — an inner step's carried from the last
+    outer one — out of ``elec``."""
     if forces is None:
         forces = engine.compute_forces()
     report = engine.report()
     elec = report.elec
     if engine.ewald is not None:
         e_pme, f_pme = pme_part(engine.system, engine.ewald, engine.backend)
-        assert engine._nb.last_ewald.energy_recip == e_pme  # the task's bits
-        assert_pme_matches_classic(
-            engine.system, engine.ewald, e_pme, f_pme, engine.backend
-        )
-        forces = forces - f_pme
-        elec -= e_pme
+        if weight:
+            assert engine._nb.last_ewald.energy_recip == e_pme  # the task's bits
+            assert_pme_matches_classic(
+                engine.system, engine.ewald, e_pme, f_pme, engine.backend
+            )
+            forces = forces - weight * f_pme
+        elec -= engine._nb.last_ewald.energy_recip
     f_ref, lj, elec_ref, bonded, n_pairs = reference(
         engine.system, engine.options, engine.ewald
     )

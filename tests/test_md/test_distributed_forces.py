@@ -6,8 +6,10 @@ functions under full electrostatics at several worker counts (1e-9, the
 PME part at its own bound; see ``oracle.py``), the sequential engine's bits
 on a pool, bit-identical
 repeats and worker-count invariance, bit-identical
-recovery after a mid-run worker kill (respawn and reassignment rungs), and
-bit-identical resume from a run checkpoint — plus unit tests for the task
+recovery after a mid-run worker kill (respawn and reassignment rungs),
+bit-identical resume from a run checkpoint, and multiple time stepping
+(the PME task every ``recip_every`` steps: the impulse against the oracle,
+the same invariants mid-cycle, NVE drift) — plus unit tests for the task
 decomposition helpers and the ``make_engine`` keyword normalization.
 """
 
@@ -19,13 +21,14 @@ import pytest
 from repro.builder import small_water_box
 from repro.md.bonded import BONDED_KINDS, bonded_term_arrays
 from repro.md.engine import SequentialEngine, make_engine
-from repro.md.ewald import EwaldOptions, _pme_influence, compute_ewald, pme_reciprocal
+from repro.md.ewald import EwaldOptions, _pme_influence, pme_reciprocal
+from repro.md.integrator import VelocityVerlet
 from repro.md.nonbonded import NonbondedOptions
 from repro.md.parallel import HAS_SHARED_MEMORY, ParallelEngine
 from repro.md.tasks import xtask_rows as _xtask_rows
 from repro.pool import RecoveryPolicy
 
-from .oracle import RTOL, assert_matches_reference, assert_pme_matches_classic
+from .oracle import assert_matches_reference, assert_pme_matches_classic
 
 pytestmark = pytest.mark.skipif(
     not HAS_SHARED_MEMORY, reason="platform lacks multiprocessing.shared_memory"
@@ -230,8 +233,7 @@ class TestTaskDecomposition:
 
         spec = build_force_tasks(
             fresh_water(343, seed=41), NonbondedOptions(cutoff=8.0), skin=1.5,
-            n_workers=2, bonded=True,
-            ewald=EwaldOptions(cutoff=8.0, kmax=4),
+            n_workers=2, ewald=EwaldOptions(cutoff=8.0, kmax=4),
         )
         costs = spec.all_costs
         cells = float(spec.sub_cost_arr.sum())
@@ -278,7 +280,7 @@ class TestTaskDecomposition:
         s = fresh_water(500, seed=11)  # 1000 bonds over 2 x 2 x 2 cells
         specs = [
             tasks.build_force_tasks(
-                s, NonbondedOptions(cutoff=8.0), skin=1.5, n_workers=n, bonded=True
+                s, NonbondedOptions(cutoff=8.0), skin=1.5, n_workers=n
             )
             for n in (1, 3)
         ]
@@ -338,48 +340,118 @@ class TestEngineFactory:
     def test_constructor_parity_across_engines(self):
         """Every engine entry point accepts the shared configuration
         surface (options, backend, ewald) without engine-specific spelling."""
-        from repro.md.mts import MTSEngine
-
         shared = dict(options=OPTS, backend="numpy", ewald=EWALD)
         s = fresh_water()
-        seq = SequentialEngine(s.copy(), **{
-            "options" if k == "options" else k: v for k, v in shared.items()
-        })
+        seq = SequentialEngine(s.copy(), **shared)
         assert seq.ewald is EWALD
-        mts = MTSEngine(s.copy(), **shared)
-        assert mts.ewald is EWALD
         with ParallelEngine(s.copy(), workers=2, **shared) as par:
             assert par.ewald is EWALD
 
 
-class TestMTSEwald:
-    def test_slow_component_includes_full_ewald(self):
-        """Every component, the reciprocal one by PME (held to the classic
-        sum by the oracle's bound, the rest at 1e-9)."""
-        from repro.md.mts import MTSEngine
+class TestMultipleTimeStepping:
+    """``EwaldOptions.recip_every = n``: the reciprocal task on the steps
+    whose index is a multiple of ``n``, its forces ``n``-fold there (the
+    r-RESPA impulse); cell tasks and bonded groups every step."""
 
-        s = fresh_water()
-        ref = compute_ewald(s.copy(), EWALD, recip=False).energy
-        eng = MTSEngine(s, options=OPTS, ewald=EWALD, n_inner=2)
-        e_lj, e_el, _f = eng._slow()
-        e_pme = eng.nonbonded.last_ewald.energy_recip
-        assert e_el - e_pme == pytest.approx(ref, rel=RTOL)
-        forces = np.zeros((s.n_atoms, 3))
-        e_task, _ = pme_reciprocal(
-            s.positions, s.charges, s.box, EWALD, forces, eng.nonbonded.backend
-        )
-        assert e_task == e_pme
-        assert_pme_matches_classic(s, EWALD, e_pme, forces, eng.nonbonded.backend)
+    EWALD_MTS = EwaldOptions(cutoff=6.0, kmax=4, recip_every=2)
 
-    def test_external_evaluator_wins_over_ewald(self):
-        from repro.md.mts import MTSEngine
+    @pytest.mark.parametrize("bad", [0, -2, 1.5, 2.0, "2", True, None])
+    def test_recip_every_is_an_integer_of_at_least_one(self, bad):
+        with pytest.raises(ValueError, match="recip_every"):
+            EwaldOptions(recip_every=bad)
 
-        class Dummy:
-            def compute(self):  # pragma: no cover - never called here
-                raise AssertionError
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_outer_steps_carry_the_impulse_inner_steps_no_pme(self, workers):
+        """Outer forces minus ``n ×`` the PME part and inner forces as they
+        are both match the oracle at 1e-9; an inner step reports the last
+        outer step's reciprocal energy; the task looks its table up on
+        outer evaluations only (steps 0, 3 and 6 of 0-7)."""
+        n = 3
+        ewald = EwaldOptions(cutoff=6.0, kmax=4, recip_every=n)
+        e_outer = None
+        with make_engine(fresh_water(), OPTS, workers=workers, ewald=ewald) as eng:
+            assert eng.parallel == (workers > 1)
+            for _ in range(7):
+                eng.step()
+                weight = 0 if eng.current_step % n else n
+                assert_matches_reference(eng, eng._forces, weight)
+                e_recip = eng._nb.last_ewald.energy_recip
+                if weight:
+                    e_outer = e_recip
+                elif e_outer is not None:
+                    assert e_recip == e_outer
+            stats = eng.kspace_cache_stats()
+        assert stats["builds"] + stats["hits"] == 3
 
-        eng = MTSEngine(fresh_water(), nonbonded=Dummy(), ewald=EWALD)
-        assert eng.ewald is None
+    def _trajectory(self, n_steps=5, **kw):
+        eng = make_engine(fresh_water(), OPTS, ewald=self.EWALD_MTS, **kw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            pos, report = run_trajectory(eng, n_steps)
+        return pos, report, eng
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            dict(workers=2),
+            dict(workers=3, rebalance_every=2),
+            dict(workers=3, fault_plan="kill=1@2"),
+        ],
+        ids=["workers2", "remap", "respawn"],
+    )
+    def test_trajectory_bits_do_not_depend_on_the_executor(self, kw):
+        """The weight travels in the step payload every executor gets —
+        a respawned worker's re-sent one included."""
+        ref, ref_report, _ = self._trajectory(workers=1)
+        pos, report, eng = self._trajectory(**kw)
+        np.testing.assert_array_equal(pos, ref)
+        assert report.total == ref_report.total
+        if "fault_plan" in kw:
+            assert eng.resilience.respawns >= 1
+        if "rebalance_every" in kw:
+            assert eng._nb.n_rebalances >= 1
+
+    @pytest.mark.parametrize("n, every, n_steps", [(2, 3, 5), (4, 5, 7)])
+    def test_resume_mid_cycle_is_bit_identical(self, tmp_path, n, every, n_steps):
+        """A checkpoint between two reciprocal evaluations: its forces hold
+        no PME part, as the run's did, and its reciprocal energy is what
+        the resumed run's inner steps report (steps 6 and 7 at n = 4)."""
+        from repro.runtime.checkpoint import load_run_checkpoint, restore_run_checkpoint
+
+        ewald = EwaldOptions(cutoff=6.0, kmax=4, recip_every=n)
+        path = tmp_path / "mts.ckpt"
+        s_a = fresh_water()
+        with ParallelEngine(
+            s_a, OPTS, workers=2, ewald=ewald,
+            checkpoint_every=every, checkpoint_path=path,
+        ) as eng:
+            rep_a = eng.run(n_steps)
+        cp = load_run_checkpoint(path)
+        assert cp.step == every and cp.step % n
+        s_b = fresh_water()
+        with ParallelEngine(s_b, OPTS, workers=2, ewald=ewald) as eng:
+            restore_run_checkpoint(eng, cp)
+            rep_b = eng.run(n_steps - every)
+        np.testing.assert_array_equal(s_b.positions, s_a.positions)
+        np.testing.assert_array_equal(s_b.velocities, s_a.velocities)
+        assert [r.total for r in rep_b] == [r.total for r in rep_a[every:]]
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_nve_drift_bound(self, n):
+        """Bound stated before measuring: 216 waters at 300 K, cutoff 6 Å,
+        Ewald kmax 4, dt 0.5 fs, 200 steps — max |E − E0| / |E0| < 5e-3
+        over the totals of the outer steps."""
+        system = small_water_box(216, seed=3)
+        system.assign_velocities(300.0, seed=3)
+        ewald = EwaldOptions(cutoff=6.0, kmax=4, recip_every=n)
+        with SequentialEngine(
+            system, NonbondedOptions(cutoff=6.0), VelocityVerlet(dt=0.5),
+            ewald=ewald,
+        ) as eng:
+            totals = [r.total for r in eng.run(200) if r.step % n == 0]
+        drift = np.abs(np.array(totals) - totals[0]) / abs(totals[0])
+        assert len(totals) == 200 // n
+        assert drift.max() < 5e-3, f"max relative drift {drift.max():.2e}"
 
 
 class TestDriverShareInstrumentation:

@@ -212,9 +212,12 @@ class TestWorkDBHandoff:
         try:
             assert nb.active
             db = nb.workdb
-            assert len(db.tasks) == nb.n_subtasks
+            # the cell sub-tasks come first; the bonded groups follow them
+            cells = [db.tasks[t] for t in range(nb.n_subtasks)]
+            rest = [rec.kind for t, rec in db.tasks.items() if t >= nb.n_subtasks]
+            assert set(rest) == {"bonded"}
             by_parent: dict[int, list] = {}
-            for rec in db.tasks.values():
+            for rec in cells:
                 assert rec.parent >= 0
                 by_parent.setdefault(rec.parent, []).append(rec)
             assert len(by_parent) == nb.n_parent_tasks
@@ -244,7 +247,7 @@ class TestWorkDBHandoff:
             nb.compute()
             nb.compute()
             measured = [r for r in nb.workdb.tasks.values() if r.n_samples > 0]
-            assert len(measured) == nb.n_subtasks
+            assert len(measured) == len(nb.workdb.tasks) > nb.n_subtasks
             assert all(r.n_samples == 2 for r in measured)
         finally:
             nb.close()
@@ -279,8 +282,9 @@ class TestAnalysisBridge:
             for _ in range(3):
                 nb.compute()
             hist = histogram_from_workdb(nb.workdb, bin_ms=0.5)
-            assert hist.total_tasks == nb.n_subtasks
-            assert float(hist.counts.sum()) == pytest.approx(nb.n_subtasks)
+            n_tasks = len(nb.workdb.tasks)  # cell sub-tasks and bonded groups
+            assert hist.total_tasks == n_tasks
+            assert float(hist.counts.sum()) == pytest.approx(n_tasks)
             assert hist.max_grainsize_ms > 0
         finally:
             nb.close()

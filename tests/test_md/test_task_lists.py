@@ -156,7 +156,7 @@ def evaluator(backend):
     evaluator = spec.provider.make_evaluator(
         0, 2, {"pos": wrapped.copy(), "ref": wrapped.copy()}
     )
-    evaluator.begin_step(system.box)
+    evaluator.begin_step((system.box, 1))  # the step payload: (box, PME weight)
     yield evaluator
     evaluator.close()
 
@@ -298,10 +298,12 @@ def test_slowdown_window_multiplies_the_kernels_own_task_times_exactly(evaluator
 
     evaluator.eval_batch = recording
     for seq in (1, 2, 3, 4):
-        run_step(evaluator, state, scratch, stats, seq, seq == 1, evaluator.system.box)
+        payload = (evaluator.system.box, 1)
+        run_step(evaluator, state, scratch, stats, seq, seq == 1, payload)
         factor = 3.0 if 2 <= seq < 4 else 1.0
         assert np.all(own[-1] > 0)
-        assert np.array_equal(stats[: provider.n_tasks, STAT_TIME_NS], own[-1] * factor)
+        cells = stats[: evaluator.n_nb, STAT_TIME_NS]  # the bonded groups follow
+        assert np.array_equal(cells, own[-1] * factor)
 
 
 def test_close_drops_the_arena(evaluator):

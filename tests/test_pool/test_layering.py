@@ -7,6 +7,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 REPO = pathlib.Path(__file__).resolve().parents[2]
 
 
@@ -25,19 +27,45 @@ def test_pool_package_imports_no_domain_layer():
     assert mod.check() == []
 
 
-def test_checker_catches_a_driver_side_force_call(tmp_path, monkeypatch):
-    mod = load_checker()
-    engine = tmp_path / "repro" / "md" / "engine.py"
-    engine.parent.mkdir(parents=True)
-    engine.write_text(
-        "from repro.md.bonded import compute_bonded  # noqa: F401\n"
-        "def compute_forces(system):\n"
-        "    return compute_bonded(system)\n"
-    )
+def plant_step_path(mod, tmp_path, monkeypatch, module, source):
+    """A source tree whose step-path modules only import the reference
+    force functions, but for ``module``, which is ``source``."""
+    md = tmp_path / "repro" / "md"
+    md.mkdir(parents=True)
+    for name in ("engine", "parallel", "tasks", "jobs"):
+        (md / f"{name}.py").write_text(
+            "from repro.md.ewald import compute_ewald  # noqa: F401\n"
+        )
+    (md / f"{module}.py").write_text(source)
     monkeypatch.setattr(mod, "SRC", tmp_path)
     monkeypatch.setattr(mod, "FORBIDDEN", {})
+
+
+def test_checker_catches_a_driver_side_force_call(tmp_path, monkeypatch):
+    mod = load_checker()
+    plant_step_path(
+        mod, tmp_path, monkeypatch, "engine",
+        "from repro.md.bonded import compute_bonded  # noqa: F401\n"
+        "def compute_forces(system):\n"
+        "    return compute_bonded(system)\n",
+    )
     (violation,) = mod.check()
     assert "engine.py:3" in violation and "compute_bonded" in violation
+
+
+@pytest.mark.parametrize("module", ["parallel", "tasks", "jobs"])
+def test_checker_catches_a_force_call_on_the_step_path(tmp_path, monkeypatch, module):
+    """A driver-side branch below the engine — the front end, the tasks or
+    the job adapter evaluating a reference force function — is caught too."""
+    mod = load_checker()
+    plant_step_path(
+        mod, tmp_path, monkeypatch, module,
+        "import repro.md.ewald as ewald\n"
+        "def slow_forces(system):\n"
+        "    return ewald.compute_ewald(system).forces\n",
+    )
+    (violation,) = mod.check()
+    assert f"{module}.py:3" in violation and "compute_ewald" in violation
 
 
 def test_checker_catches_a_backend_reaching_into_md(tmp_path, monkeypatch):

@@ -97,6 +97,7 @@ class TestEndpoints:
             ({"backend": "numba"}, "backend must be one of auto, numpy, c"),
             ({"waters": 10**9}, "waters must lie in [1, 100000]"),
             ({"ewald": True, "kmax": 17}, "kmax must be <= 16"),
+            ({"temperature": -5}, "temperature must be >= 0"),
         ):
             code, body = request(server, "POST", "/jobs", {"spec": spec})
             assert code == 400 and message in body["error"], (spec, body)

@@ -5,10 +5,29 @@ bit-identical to a solo uninterrupted run of the same spec, whatever the
 slice boundaries and however many suspend/resume cycles happen.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.md.jobs import SimJob, SimSpec
+
+#: any value a JSON request body can hold, plus the strings a spec field
+#: takes, so the fuzz reaches the checks behind the type test
+JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.just(10**400)
+    | st.floats()
+    | st.text(max_size=8)
+    | st.sampled_from(["c", "numpy", "greedy", "refine", "kill=1@2", "hang=0@1x2"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
 
 
 def run_solo(spec: SimSpec, tmpdir, slice_steps: int = 100) -> list[dict]:
@@ -69,6 +88,17 @@ class TestSimSpec:
             {"kmax": 17},
             {"waters": 100_001},
             {"waters": 10**12},
+            # the boundary defects that ran to NaN energies (or raised only
+            # in a lane): every real field finite, these three >= 0
+            {"temperature": -5.0},
+            {"temperature": float("nan")},
+            {"temperature": 10**400},
+            {"dt": float("inf")},
+            {"cutoff": float("inf")},
+            {"skin": -1.0},
+            {"skin": float("nan")},
+            {"skew": float("nan")},
+            {"skew": -1.0},
         ],
     )
     def test_validation(self, kwargs):
@@ -76,6 +106,31 @@ class TestSimSpec:
             SimSpec(**kwargs)
         with pytest.raises(ValueError):
             SimSpec.from_dict(kwargs)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.dictionaries(st.sampled_from(sorted(SimSpec.__dataclass_fields__)), JSON))
+    def test_from_dict_returns_a_spec_or_raises_value_error(self, data):
+        """Whatever JSON a request carries under the known fields — NaN and
+        infinities (``json.loads`` admits them), huge ints, strings,
+        lists, null, booleans — a spec comes back, valid, or a
+        ``ValueError`` (HTTP 400); nothing else."""
+        from repro.md.jobs import _REAL
+
+        try:
+            spec = SimSpec.from_dict(data)
+        except ValueError:
+            return
+        for name in _REAL:
+            value = getattr(spec, name)
+            assert value is None or math.isfinite(value)
+        assert min(spec.temperature, spec.skew, spec.skin or 0.0) >= 0
+
+    def test_pool_only_fields_are_the_engines_pool_keywords(self):
+        from repro.md.engine import POOL_KEYWORDS
+        from repro.md.jobs import _POOL_ONLY
+
+        assert set(_POOL_ONLY) == POOL_KEYWORDS & set(SimSpec.__dataclass_fields__)
+        assert set(_POOL_ONLY) == {"fault_plan", "lb_strategy", "rebalance_every", "timeout"}
 
     def test_the_size_caps_are_named_constants_and_inclusive(self):
         from repro.md.ewald import MAX_KMAX

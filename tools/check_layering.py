@@ -12,10 +12,11 @@ Layering (DESIGN.md, "The real parallel engine"):
   md modules import the backends, so the reverse would be a cycle).
 * ``repro.md.tasks`` / ``repro.md.parallel`` — the MD workload and its
   orchestration; these may import ``repro.pool``, never the reverse.
-* ``repro.md.engine`` — steps with ``wrap → dispatch → collect`` only:
-  every force term is a task, so the reference force functions are never
-  *used* there (they may be imported: the perf harness binds spans to
-  those module attributes).
+* ``repro.md.engine`` and the step path under it (``repro.md.parallel``,
+  ``repro.md.tasks``, ``repro.md.jobs``) — a step is ``wrap → dispatch →
+  collect``: every force term is a task, so the reference force functions
+  are never *used* there (they may be imported: the perf harness binds
+  spans to those module attributes).
 
 The check is static (AST walk over every module in the tables below),
 so it catches lazy/function-local imports too.  Run directly or
@@ -38,10 +39,13 @@ FORBIDDEN: dict[str, tuple[str, ...]] = {
     "repro/backend": ("repro.md", "repro.pool", "repro.costmodel", "repro.service"),
 }
 
+_REFERENCE_FORCES = ("compute_bonded", "compute_nonbonded", "compute_ewald")
+
 #: module -> names it may import but must never reference: a driver-side
 #: force branch cannot quietly regrow
 UNUSED: dict[str, tuple[str, ...]] = {
-    "repro/md/engine.py": ("compute_bonded", "compute_nonbonded", "compute_ewald"),
+    f"repro/md/{name}.py": _REFERENCE_FORCES
+    for name in ("engine", "parallel", "tasks", "jobs")
 }
 
 
@@ -88,8 +92,8 @@ def main() -> int:
         return 1
     print(
         "layering OK: repro.pool imports no domain layer, repro.backend "
-        "imports no md/pool/costmodel/service, repro.md.engine calls no "
-        "force kernel"
+        "imports no md/pool/costmodel/service, the step path calls no "
+        "reference force function"
     )
     return 0
 
