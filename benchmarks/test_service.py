@@ -3,8 +3,9 @@
 The service's pitch is utilization: many small jobs multiplexed onto
 shared capacity should finish sooner wall-clock than the same jobs run
 one after another, because slices of different jobs overlap (engine
-waits release the GIL) and the cross-job balancer packs cheap jobs
-around expensive ones instead of queuing them behind it.
+waits release the GIL) and every lane takes the next waiting slice of
+any job, so cheap jobs step beside expensive ones instead of queuing
+behind them.
 
 This benchmark runs one mixed batch of jobs twice:
 

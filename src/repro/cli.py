@@ -349,10 +349,8 @@ def cmd_serve(args) -> int:
             worker_slots=args.worker_slots,
             lanes=args.lanes,
             slice_steps=args.slice_steps,
-            target_slice_s=args.target_slice_s,
             workdir=args.workdir,
             default_quota=quota,
-            lb_strategy=args.lb_strategy,
         )
     except ValueError as exc:
         raise SystemExit(str(exc))
@@ -641,18 +639,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sv.add_argument(
         "--lanes", type=int, default=2, metavar="N",
-        help="concurrency lanes: how many jobs step at the same time; "
-             "cross-job balancing packs jobs onto lanes by measured cost",
+        help="concurrency lanes: how many slices (of any jobs) run at the "
+             "same time, drawn from one queue of waiting slices",
     )
     p_sv.add_argument(
         "--slice-steps", type=int, default=5, metavar="N",
-        help="steps per scheduling slice (a job yields its lane between "
+        help="steps per scheduling slice (a job re-queues between "
              "slices; slicing never changes the trajectory)",
-    )
-    p_sv.add_argument(
-        "--target-slice-s", type=float, default=0.0, metavar="SECONDS",
-        help="scale each job's slice length so a slice costs about this "
-             "much wall time (0 = fixed --slice-steps)",
     )
     p_sv.add_argument(
         "--workdir", default=None, metavar="DIR",
@@ -670,10 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sv.add_argument(
         "--max-workers", type=int, default=8, metavar="N",
         help="per-tenant cap on summed leased worker slots",
-    )
-    p_sv.add_argument(
-        "--lb-strategy", default="greedy", metavar="NAME",
-        help="cross-job lane-packing strategy (repro.balancer.STRATEGIES)",
     )
     p_sv.add_argument(
         "--verbose", action="store_true", help="log every HTTP request"

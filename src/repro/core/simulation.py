@@ -355,22 +355,6 @@ class ParallelSimulation:
             0, "static", placement or dict(self.initial_placement), trace_full
         )
 
-    # ------------------------------------------------------------------ #
-    def _run_phase(
-        self,
-        phase_index: int,
-        strategy_applied: str | None,
-        placement: dict[int, int],
-        trace_full: bool,
-    ) -> PhaseResult:
-        if self.config.fault_plan is None and self.config.checkpoint_interval == 0:
-            return self._run_phase_simple(
-                phase_index, strategy_applied, placement, trace_full
-            )
-        return self._run_phase_resilient(
-            phase_index, strategy_applied, placement, trace_full
-        )
-
     def _make_backend(self) -> "NumericBackend | None":
         cfg = self.config
         if not cfg.numeric:
@@ -527,71 +511,10 @@ class ParallelSimulation:
             dead_procs=tuple(sorted(self._dead_procs)),
         )
 
-    def _run_phase_simple(
-        self,
-        phase_index: int,
-        strategy_applied: str | None,
-        placement: dict[int, int],
-        trace_full: bool,
-    ) -> PhaseResult:
-        cfg = self.config
-        scheduler = Scheduler(
-            cfg.n_procs,
-            cfg.machine,
-            trace_full=trace_full,
-            optimized_multicast=cfg.optimized_multicast,
-            proc_speed_factors=cfg.proc_speed_factors,
-        )
-        backend = self._make_backend()
-        n_steps = cfg.steps_per_phase
-        graph = self._build_chare_graph(scheduler, placement, backend, n_steps)
-
-        # --- drive the steps ------------------------------------------- #
-        n_patches = self.decomposition.n_patches
-        completion: list[float] = []
-        round_counts: dict[int, int] = {}
-
-        # Instrumentation covers every round: per-round work is identical
-        # (positions are fixed in timing mode), so totals divide exactly by
-        # the round count.  Gating instrumentation to a tail window instead
-        # would silently drop pipelined work that executes before the
-        # slowest patch finishes the preceding round.
-        def on_control(time: float, payload) -> None:
-            tag, _patch, rnd = payload
-            if tag != "step_done":
-                return
-            round_counts[rnd] = round_counts.get(rnd, 0) + 1
-            if round_counts[rnd] == n_patches:
-                completion.append(time)
-                scheduler.lb_db.mark_step()
-
-        scheduler.set_control_handler(on_control)
-        for p in range(n_patches):
-            scheduler.inject(
-                graph.patch_oid[p], "start", {}, size_bytes=0.0, at_time=0.0
-            )
-        scheduler.run()
-        if len(completion) != n_steps:
-            raise RuntimeError(
-                f"phase {phase_index}: {len(completion)}/{n_steps} steps completed "
-                "(protocol deadlock)"
-            )
-
-        return self._collect_phase(
-            phase_index,
-            strategy_applied,
-            placement,
-            trace_full,
-            scheduler,
-            graph,
-            completion,
-            backend,
-        )
-
     # ------------------------------------------------------------------ #
-    # resilient execution: checkpointing, failure detection, recovery
+    # the phase loop: checkpointing, failure detection, recovery
     # ------------------------------------------------------------------ #
-    def _run_phase_resilient(
+    def _run_phase(
         self,
         phase_index: int,
         strategy_applied: str | None,
@@ -606,9 +529,12 @@ class ParallelSimulation:
         buddy.  If processors die mid-segment the protocol stalls, the
         failure detector notices, and recovery rebuilds the chare graph on
         the survivors (forced refinement pass included), restores state from
-        the last surviving checkpoint, and replays.
+        the last surviving checkpoint, and replays.  Without a fault plan
+        or a checkpoint interval the phase is one segment with no cut at
+        all, and reports ``recovery=None``.
         """
         cfg = self.config
+        resilient = cfg.fault_plan is not None or cfg.checkpoint_interval != 0
         plan = (
             cfg.fault_plan.shifted(self._global_offset)
             if cfg.fault_plan is not None
@@ -626,6 +552,11 @@ class ParallelSimulation:
         placement = dict(placement)
         sched_ref: list[Scheduler] = []
 
+        # Instrumentation covers every round: per-round work is identical
+        # (positions are fixed in timing mode), so totals divide exactly by
+        # the round count.  Gating instrumentation to a tail window instead
+        # would silently drop pipelined work that executes before the
+        # slowest patch finishes the preceding round.
         def on_control(time: float, payload) -> None:
             tag, _patch, rnd = payload
             if tag != "step_done":
@@ -659,11 +590,13 @@ class ParallelSimulation:
 
         scheduler = new_scheduler(0.0)
         graph = self._build_chare_graph(scheduler, placement, backend, n_steps)
-        # baseline cut at round 0: the recovery floor for failures striking
-        # before the first periodic checkpoint
-        start_at = self._take_checkpoint(
-            scheduler, graph, backend, store, recovery, 0, 0.0
-        )
+        start_at = 0.0
+        if resilient:
+            # baseline cut at round 0: the recovery floor for failures
+            # striking before the first periodic checkpoint
+            start_at = self._take_checkpoint(
+                scheduler, graph, backend, store, recovery, 0, 0.0
+            )
         resume_round = 0
 
         while True:
@@ -720,7 +653,7 @@ class ParallelSimulation:
             graph,
             completion_times,
             backend,
-            recovery=recovery,
+            recovery=recovery if resilient else None,
         )
 
     def _take_checkpoint(

@@ -15,7 +15,7 @@ import numpy as np
 from repro.balancer.problem import ComputeItem, LBProblem
 from repro.instrument.workdb import WorkDB
 
-__all__ = ["build_job_lb_problem", "build_lb_problem", "derive_proxies"]
+__all__ = ["build_lb_problem", "derive_proxies"]
 
 
 def derive_proxies(
@@ -82,23 +82,3 @@ def build_lb_problem(
         dead_procs=frozenset(dead_procs),
     )
 
-
-def build_job_lb_problem(db: WorkDB, n_lanes: int, task_ids) -> LBProblem:
-    """Job-granularity problem: one migratable compute per live job.
-
-    The simulation service records each job as one WorkDB task
-    (``kind="job"``, load = measured seconds/step) and balances jobs
-    across concurrency *lanes* the same way the engine balances cells
-    across workers — the paper's many-objects-per-processor bet applied
-    one level up.  Jobs have no patch structure, so the patch-affinity
-    machinery collapses: no homes, no proxies, and no fixed background
-    (completed jobs are simply left out of ``task_ids``).
-    """
-    return build_lb_problem(
-        db,
-        n_lanes,
-        patch_home={},
-        existing_proxies=set(),
-        background=np.zeros(int(n_lanes), dtype=np.float64),
-        task_ids=sorted(int(t) for t in task_ids),
-    )

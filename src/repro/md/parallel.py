@@ -76,7 +76,6 @@ from repro.pool import (
     SupervisedPool,
     WorkerFaultPlan,
     contiguous_partition,
-    normalize_slowdown,
 )
 from repro.pool.protocol import (
     STAT_TIME_NS,
@@ -196,6 +195,9 @@ class ParallelNonbonded:
             pair_reach(self.options, ewald), skin, self._provider.layout
         )
         if self.n_workers > 1 and HAS_SHARED_MEMORY:
+            if fault_plan is not None:
+                # checked here: a pool that fails to start only warns
+                fault_plan.check_workers(self.n_workers)
             try:
                 self._start_pool(assignment)
             except Exception as exc:  # pragma: no cover - platform dependent
@@ -210,14 +212,6 @@ class ParallelNonbonded:
                 )
         if self._pool is None:
             self.n_workers = 1
-        elif self.fault_plan and self.fault_plan.active:
-            if self.fault_plan.max_worker() >= self.n_workers:
-                self.close()
-                raise ValueError(
-                    f"fault plan targets worker {self.fault_plan.max_worker()}"
-                    f", but the pool has {self.n_workers} workers"
-                )
-            self._pool.arm_faults(self.fault_plan)
 
     @property
     def active(self) -> bool:
@@ -335,9 +329,7 @@ class ParallelNonbonded:
             assignment,
             timeout=self.timeout,
             policy=self.policy,
-            slow_windows=normalize_slowdown(
-                self.fault_plan.slowdowns if self.fault_plan else ()
-            ),
+            fault_plan=self.fault_plan,
             reassign=self._reassign_orphans,
             on_recovery_note=self.workdb.note_recovery,
         )

@@ -115,6 +115,15 @@ class WorkerFaultPlan:
         targets += [int(w.proc) for w in self.slowdowns]
         return max(targets, default=-1)
 
+    def check_workers(self, n_workers: int) -> None:
+        """Refuse a plan that targets a worker a pool of ``n_workers``
+        does not have."""
+        if self.max_worker() >= n_workers:
+            raise ValueError(
+                f"fault plan targets worker {self.max_worker()}"
+                f", but the pool has {n_workers} workers"
+            )
+
     # ------------------------------------------------------------------ #
     @classmethod
     def parse(cls, spec: str) -> "WorkerFaultPlan":

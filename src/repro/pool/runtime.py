@@ -357,6 +357,9 @@ class SupervisedPool:
     measurement database and load balancers); without it, orphans are
     dealt round-robin to survivors.  ``on_recovery_note(label, n)``
     mirrors recovery counters into client-side accounting.
+    ``fault_plan`` is the one source of injected faults: it arms the
+    kill/hang injector and gives each worker its slowdown windows; a plan
+    that targets a worker the pool does not have is refused.
 
     Driver call order per evaluation::
 
@@ -383,7 +386,6 @@ class SupervisedPool:
         timeout: float = 120.0,
         policy: RecoveryPolicy | None = None,
         fault_plan: WorkerFaultPlan | None = None,
-        slow_windows: dict[int, list[tuple[float, float, float]]] | None = None,
         start_method: str | None = None,
         reassign: Callable | None = None,
         on_recovery_note: Callable | None = None,
@@ -392,6 +394,8 @@ class SupervisedPool:
             raise ValueError("timeout must be positive")
         if n_workers < 2:
             raise ValueError("SupervisedPool needs at least 2 workers")
+        if fault_plan is not None:
+            fault_plan.check_workers(n_workers)
         self.provider = provider
         self.n_tasks = int(provider.n_tasks)
         self.n_workers = int(n_workers)
@@ -400,7 +404,9 @@ class SupervisedPool:
         self.resilience = ResilienceStats()
         self._reassign_cb = reassign
         self._note_cb = on_recovery_note
-        self._slow_windows = dict(slow_windows or {})
+        self._slow_windows = normalize_slowdown(
+            fault_plan.slowdowns if fault_plan is not None else ()
+        )
         self._assignment = np.asarray(assignment, dtype=np.int64).copy()
         if len(self._assignment) != self.n_tasks:
             raise ValueError("assignment length must equal provider.n_tasks")
@@ -531,15 +537,6 @@ class SupervisedPool:
             self._reap_worker(w)
             return False
         return True
-
-    def arm_faults(self, fault_plan: WorkerFaultPlan | None) -> None:
-        """Install a fault-injection plan after construction.
-
-        Lets the client validate the plan against the final pool size
-        first (e.g. after task-count clamping) and only then arm it.
-        """
-        if fault_plan is not None and fault_plan.active:
-            self._injector = FaultInjector(fault_plan)
 
     def _reap_worker(self, w: int) -> None:
         proc = self._procs[w]

@@ -1,15 +1,11 @@
 """Simulation-as-a-service: many concurrent jobs on shared worker capacity.
 
-The paper's core bet is many-objects-per-processor virtualization — one
-set of processors time-shares many migratable work objects, packed around
-each other by measurement-based balancing.  This package applies that bet
-at the *job* level: an async scheduler (:class:`SimulationService`) runs
-many concurrent simulations, each an engine-as-job adapter
-(:class:`repro.md.jobs.SimJob`) stepped in slices, multiplexed onto a
-shared :class:`~repro.pool.lease.WorkerBudget` with per-tenant quotas and
-priorities.  Cross-job balancing reuses the WorkDB → LBProblem path at
-job granularity (one task per job, measured seconds/step as its load) so
-bursts of small jobs pack around a long run instead of queuing behind it.
+An async scheduler (:class:`SimulationService`) runs many concurrent
+simulations, each an engine-as-job adapter (:class:`repro.md.jobs.SimJob`)
+stepped in slices, on a shared :class:`~repro.pool.lease.WorkerBudget`
+with per-tenant quotas and priorities.  Slices of all running jobs are
+drawn from one work-conserving queue of ``lanes`` threads, so a burst of
+small jobs steps beside a long run instead of waiting behind it.
 
 Front ends: a stdlib-``http.server`` REST API (:mod:`repro.service.api`)
 with NDJSON metric/trajectory streaming, and the ``repro serve`` CLI.

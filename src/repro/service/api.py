@@ -9,9 +9,11 @@ GET    ``/stats``                     scheduler/budget/tenant counters
 GET    ``/jobs[?tenant=t]``           job summaries
 POST   ``/jobs``                      submit ``{"spec": {...}, "tenant",
                                       "priority"}`` → 201, 400 on a bad
-                                      spec, 429 over quota
+                                      spec / tenant / priority, 429 over
+                                      quota
 GET    ``/jobs/<id>``                 full job detail
-GET    ``/jobs/<id>/stream``          NDJSON records; ``?from=N`` offsets,
+GET    ``/jobs/<id>/stream``          NDJSON records; ``?from=N`` offsets
+                                      (400 unless an index >= 0),
                                       ``&follow=1`` long-polls until the
                                       job is terminal or suspended
 POST   ``/jobs/<id>/suspend``         checkpoint-and-release at the next
@@ -102,6 +104,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, str(exc))
         except (BrokenPipeError, ConnectionResetError):
             pass  # client went away mid-stream
+        except ValueError as exc:  # a bad query, refused before any body
+            self._error(400, str(exc))
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib name
         parts = [p for p in urlparse(self.path).path.split("/") if p]
@@ -139,14 +143,17 @@ class _Handler(BaseHTTPRequestHandler):
             raise ValueError('body must carry a "spec" object')
         job = self.service.submit(
             spec,
-            tenant=str(body.get("tenant", "default")),
-            priority=int(body.get("priority", 0)),
+            tenant=body.get("tenant", "default"),
+            priority=body.get("priority", 0),
         )
         self._json(201, job.summary())
 
     def _stream(self, job_id: str, query: dict) -> None:
         job = self.service.get(job_id)  # KeyError → 404 before headers
-        start = int(query.get("from", 0))
+        start = query.get("from", "0")
+        if not (start.isascii() and start.isdigit()):
+            raise ValueError(f"from must be a record index >= 0, not {start!r}")
+        start = int(start)
         follow = query.get("follow", "0") not in ("0", "", "false")
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")

@@ -2,9 +2,9 @@
 
 A :class:`Job` wraps one :class:`repro.md.jobs.SimJob` (the MD adapter
 owning the live engine) with everything the *service* cares about —
-tenant, priority, lifecycle state, control requests, the worker lease,
-and the cross-job-balancer task id.  The scheduler thread owns all state
-transitions; HTTP threads only read snapshots and post control requests.
+tenant, priority, lifecycle state, control requests and the worker
+lease.  The scheduler thread owns all state transitions; HTTP threads
+only read snapshots and post control requests.
 """
 
 from __future__ import annotations
@@ -46,12 +46,9 @@ class Job:
     sim: "SimJob"
     state: JobState = JobState.QUEUED
     submit_seq: int = 0  # FIFO tiebreak within a priority class
-    task_id: int = -1  # this job's task in the service-level WorkDB
-    lane: int = 0  # balancer-assigned concurrency lane
     lease: "WorkerLease | None" = None
     control: str | None = None  # pending "suspend" | "cancel" request
     error: str | None = None
-    step_seconds: float = 0.0  # measured EWMA seconds/step (0 = unmeasured)
     events: list[dict] = field(default_factory=list)
 
     @property
@@ -71,7 +68,6 @@ class Job:
             "steps_done": self.sim.steps_done,
             "steps_total": self.spec.steps,
             "workers": self.spec.workers,
-            "lane": self.lane,
         }
 
     def detail(self) -> dict:
@@ -80,6 +76,5 @@ class Job:
         out["error"] = self.error
         out["events"] = list(self.events)
         out["n_records"] = len(self.sim.records)
-        out["step_seconds"] = self.step_seconds
         out.update(self.sim.backend_provenance())
         return out

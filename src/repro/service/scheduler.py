@@ -10,17 +10,15 @@ onto shared machine capacity:
   small job may be admitted past a big one that doesn't fit — packing,
   not head-of-line blocking.
 * **Execution** — each running job is an asyncio coroutine stepping its
-  engine in short slices on a thread-pool *lane* (``lanes`` threads).
-  Slices of different jobs overlap in wall clock — a parallel engine's
-  driver spends most of a slice blocked in ``connection.wait`` with the
-  GIL released — while each job's own slices stay strictly serialized,
-  so trajectories are bit-identical to solo runs (slicing only moves
-  where slice boundaries fall, never what is computed).
-* **Cross-job balancing** — every job is one task in a service-level
-  :class:`~repro.instrument.workdb.WorkDB` (``kind="job"``, load =
-  measured seconds/step).  The lane plan is recomputed through the same
-  WorkDB → LBProblem → strategy path the engine uses for cells, so small
-  jobs pack onto lanes around a long heavy run.
+  engine in short slices.  Every slice goes straight to one shared,
+  work-conserving queue: a thread pool of ``lanes`` threads, so at most
+  ``lanes`` slices run at once and no thread idles while a running job
+  has a slice waiting.  Slices of different jobs overlap in wall clock —
+  a parallel engine's driver spends most of a slice blocked in
+  ``connection.wait`` with the GIL released — while each job's own
+  slices stay strictly serialized by its coroutine, so trajectories are
+  bit-identical to solo runs (slicing only moves where slice boundaries
+  fall, never what is computed).
 * **Suspend/resume** — a suspended job's engine (and worker lease) is
   released; progress rolls back to its last durable checkpoint and the
   replayed steps are suppressed from the stream (they are bit-identical).
@@ -44,7 +42,6 @@ from pathlib import Path
 
 from repro.md.jobs import SimJob, SimSpec
 from repro.pool.lease import WorkerBudget
-from repro.service.balance import plan_lanes, slice_steps_for
 from repro.service.jobs import Job, JobState
 from repro.service.quotas import QuotaError, TenantQuota
 
@@ -62,37 +59,31 @@ class SimulationService:
         worker_slots: int = 4,
         lanes: int = 2,
         slice_steps: int = 5,
-        target_slice_s: float = 0.0,
         workdir: str | Path | None = None,
         quotas: dict[str, TenantQuota] | None = None,
         default_quota: TenantQuota | None = None,
-        rebalance_every: int = 4,
-        lb_strategy: str = "greedy",
+        rebalance_every: int = 0,
     ) -> None:
         """``worker_slots`` bounds the total worker *processes* across all
-        running jobs; ``lanes`` bounds how many jobs step concurrently.
-        ``target_slice_s > 0`` scales each job's slice length to a
-        comparable wall time from its measured seconds/step (see
-        :func:`repro.service.balance.slice_steps_for`); 0 uses the fixed
-        ``slice_steps``.  ``rebalance_every`` replans lanes every N
-        completed slices (0 disables replanning)."""
+        running jobs; ``lanes`` bounds how many slices (of any jobs) run
+        at the same time; every slice is ``slice_steps`` steps.
+        ``rebalance_every`` is accepted only as 0: jobs are not placed on
+        lanes, so there is nothing to re-plan."""
         if lanes < 1:
             raise ValueError("lanes must be >= 1")
         if slice_steps < 1:
             raise ValueError("slice_steps must be >= 1")
-        if rebalance_every < 0:
-            raise ValueError("rebalance_every must be >= 0")
-        from repro.instrument.workdb import WorkDB
+        if rebalance_every != 0:
+            raise ValueError(
+                "rebalance_every must be 0: slices run from one shared "
+                "queue, there are no lane plans to rebalance"
+            )
 
         self.budget = WorkerBudget(worker_slots)
         self.lanes = int(lanes)
         self.slice_steps = int(slice_steps)
-        self.target_slice_s = float(target_slice_s)
-        self.rebalance_every = int(rebalance_every)
-        self.lb_strategy = str(lb_strategy)
         self.quotas = dict(quotas or {})
         self.default_quota = default_quota or TenantQuota()
-        self.workdb = WorkDB()
         self._own_workdir = workdir is None
         self.workdir = Path(
             tempfile.mkdtemp(prefix="repro-service-")
@@ -105,7 +96,6 @@ class SimulationService:
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
         self._submit_seq = 0
-        self._next_task_id = 0
         self._slices_done = 0
         self._stopping = False
         self._thread: threading.Thread | None = None
@@ -129,6 +119,12 @@ class SimulationService:
         """Queue one simulation; raises :class:`QuotaError` over quota."""
         if isinstance(spec, dict):
             spec = SimSpec.from_dict(spec)
+        elif not isinstance(spec, SimSpec):
+            raise ValueError("spec must be an object of SimSpec fields")
+        if not isinstance(tenant, str):
+            raise ValueError("tenant must be a string")
+        if isinstance(priority, bool) or not isinstance(priority, int):
+            raise ValueError("priority must be an integer")
         if spec.workers == 0:
             raise ValueError(
                 "service jobs need an explicit worker count "
@@ -151,20 +147,13 @@ class SimulationService:
             if job_id in self._jobs:
                 raise ValueError(f"job id {job_id!r} already exists")
             self._submit_seq += 1
-            task_id = self._next_task_id
-            self._next_task_id += 1
             job = Job(
                 id=job_id,
                 tenant=tenant,
-                priority=int(priority),
+                priority=priority,
                 spec=spec,
                 sim=SimJob(spec, self.workdir / "jobs" / job_id),
                 submit_seq=self._submit_seq,
-                task_id=task_id,
-                lane=task_id % self.lanes,
-            )
-            self.workdb.ensure_task(
-                task_id, owner=job.lane, kind="job"
             )
             self._jobs[job_id] = job
             job.note_event("submitted", tenant=tenant, priority=priority)
@@ -249,7 +238,6 @@ class SimulationService:
                 },
                 "lanes": self.lanes,
                 "slices_done": self._slices_done,
-                "job_loads": self.workdb.kind_loads().get("job", 0.0),
             }
 
     # ------------------------------------------------------------------ #
@@ -355,7 +343,6 @@ class SimulationService:
             self._loop = loop
             self._wake = asyncio.Event()
             self._executor = executor
-        self._lane_locks = [asyncio.Lock() for _ in range(self.lanes)]
         tasks: dict[str, asyncio.Task] = {}
         try:
             while True:
@@ -442,7 +429,6 @@ class SimulationService:
                     if self._stopping:
                         return
                     control, job.control = job.control, None
-                    lane = job.lane % self.lanes
                 if control == "cancel":
                     await self._finish(job, JobState.CANCELLED)
                     return
@@ -459,17 +445,15 @@ class SimulationService:
                     return
                 if not job.sim.active:
                     await loop.run_in_executor(executor, job.sim.open)
-                steps = slice_steps_for(
-                    job.step_seconds, self.slice_steps, self.target_slice_s
-                )
+                # straight onto the shared queue: the executor's threads
+                # are the only cap on how many slices run at once
                 before = job.sim.steps_done
-                async with self._lane_locks[lane]:
-                    t0 = time.perf_counter()
-                    await loop.run_in_executor(
-                        executor, job.sim.step_slice, steps
-                    )
-                    dt = time.perf_counter() - t0
-                self._note_slice(job, job.sim.steps_done - before, dt)
+                await loop.run_in_executor(
+                    executor, job.sim.step_slice, self.slice_steps
+                )
+                if job.sim.steps_done > before:
+                    with self._lock:
+                        self._slices_done += 1
                 if job.sim.done:
                     await self._finish(job, JobState.COMPLETED)
                     return
@@ -490,29 +474,3 @@ class SimulationService:
             job.note_event("finished", steps_done=job.sim.steps_done)
             self._cond.notify_all()
         self._kick()
-
-    def _note_slice(self, job: Job, steps: int, wall_s: float) -> None:
-        """Feed the cross-job WorkDB and replan lanes periodically."""
-        if steps <= 0:
-            return
-        per_step = wall_s / steps
-        with self._lock:
-            self.workdb.record(job.task_id, per_step, owner=job.lane)
-            job.step_seconds = self.workdb.tasks[job.task_id].ewma
-            self._slices_done += 1
-            if (
-                self.rebalance_every > 0
-                and self._slices_done % self.rebalance_every == 0
-            ):
-                live = {
-                    j.task_id: j
-                    for j in self._jobs.values()
-                    if j.state is JobState.RUNNING
-                }
-                plan = plan_lanes(
-                    self.workdb, live.keys(), self.lanes, self.lb_strategy
-                )
-                for tid, lane in plan.items():
-                    live[tid].lane = lane
-                    self.workdb.tasks[tid].owner = lane
-                self.workdb.mark_step()

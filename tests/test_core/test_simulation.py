@@ -59,6 +59,33 @@ class TestProtocol:
         # on one processor there is no remote messaging: only local overheads
         assert res.time_per_step == pytest.approx(res.sequential_reference_s, rel=0.05)
 
+    def test_fault_free_phases_reproduce_pinned_completion_times(
+        self, assembly, assembly_problem
+    ):
+        """Without a fault plan or a checkpoint interval a phase is one
+        segment with no round-0 cut: completion times are pinned bit for
+        bit (float.hex), and no phase carries a recovery record."""
+        cfg = SimulationConfig(
+            n_procs=4, steps_per_phase=5, measure_last=2,
+            lb_schedule=("greedy+refine", "refine"),
+        )
+        res = ParallelSimulation(assembly, cfg, problem=assembly_problem).run()
+        static = [
+            "0x1.5e1f97cd9f3edp-2", "0x1.584a6565874e5p-1",
+            "0x1.00c27f721f7eap+0", "0x1.555fcc317b5bdp+0",
+            "0x1.a8fe32ab8baf0p+0",
+        ]
+        balanced = [
+            "0x1.f9542426b226cp-3", "0x1.ed8879068bda4p-2",
+            "0x1.6edf1eb1fabbdp-1", "0x1.e6fa00e0af8a8p-1",
+            "0x1.2f0f0b7ac29a7p+0",
+        ]
+        assert [
+            [float(t).hex() for t in ph.timings.completion_times]
+            for ph in res.phases
+        ] == [static, balanced, balanced]
+        assert all(ph.recovery is None for ph in res.phases)
+
     def test_step_times_positive_and_steady(self, assembly, assembly_problem):
         cfg = SimulationConfig(n_procs=4)
         res = ParallelSimulation(assembly, cfg, problem=assembly_problem).run()

@@ -89,6 +89,32 @@ def test_checker_catches_a_backend_reaching_into_md(tmp_path, monkeypatch):
     assert "reference.py:5" in second and "repro.costmodel.model" in second
 
 
+def test_checker_catches_the_service_placing_jobs_with_a_balancer(
+    tmp_path, monkeypatch
+):
+    """The service runs slices from one queue: a scheduler that reaches
+    for the balancer, the WorkDB or the simulator again is a violation."""
+    mod = load_checker()
+    scheduler = tmp_path / "repro" / "service" / "scheduler.py"
+    scheduler.parent.mkdir(parents=True)
+    scheduler.write_text(
+        "from repro.md.jobs import SimJob  # noqa: F401\n"
+        "from repro.pool.lease import WorkerBudget  # noqa: F401\n"
+        "def plan(jobs):\n"
+        "    from repro.instrument.workdb import WorkDB  # noqa: F401\n"
+        "    import repro.balancer.strategies  # noqa: F401\n"
+        "    from repro.core import simulation  # noqa: F401\n"
+    )
+    monkeypatch.setattr(mod, "SRC", tmp_path)
+    monkeypatch.setattr(mod, "UNUSED", {})
+    found = mod.check()
+    assert len(found) == 3
+    for line, name in zip(
+        (4, 5, 6), ("repro.instrument.workdb", "repro.balancer", "repro.core")
+    ):
+        assert any(f"scheduler.py:{line}" in v and name in v for v in found), found
+
+
 def test_pool_package_imports_standalone():
     # dynamic confirmation: importing the package must not pull repro.md
     # (or the balancer/instrument layers) into sys.modules

@@ -20,6 +20,7 @@ from repro.pool import (
     InProcessExecutor,
     RecoveryPolicy,
     SupervisedPool,
+    WorkerFaultPlan,
 )
 from repro.pool import runtime as pool_runtime
 from repro.pool.protocol import STAT_TIME_NS, STAT_V0, STAT_V1, STAT_V2
@@ -110,6 +111,33 @@ class TestProtocol:
 
         with pytest.raises(ValueError, match="reserved"):
             make_pool(provider=BadProvider(N_TASKS))
+
+
+class TestFaultPlan:
+    """``fault_plan=`` is the pool's one source of injected faults."""
+
+    def test_plan_for_a_missing_worker_refused_before_spawning(self):
+        live = len(pool_runtime._LIVE_POOLS)
+        with pytest.raises(
+            ValueError, match="targets worker 2, but the pool has 2 workers"
+        ):
+            make_pool(fault_plan=WorkerFaultPlan.parse("slow=2@1-3x2"))
+        assert len(pool_runtime._LIVE_POOLS) == live
+
+    def test_plan_arms_kills_and_gives_each_worker_its_windows(self):
+        plan = WorkerFaultPlan.parse("kill=1@2,slow=0@1-3x2,slow=0@5-6x3")
+        with make_pool(fault_plan=plan) as pool:
+            assert pool._slow_windows == {0: [(1.0, 3.0, 2.0), (5.0, 6.0, 3.0)]}
+            pool.view("data")[...] = np.linspace(0.5, 6.0, N_TASKS)
+            run_step(pool, 1.0, rebuild=True)
+            expect = pool.scratch[:, 0].copy()
+            # worker 1 is killed right after step 2's dispatch; it is
+            # respawned in that collect, or at step 3's begin_step if its
+            # ack beat the signal
+            for _ in range(2):
+                run_step(pool, 1.0)
+                np.testing.assert_array_equal(pool.scratch[:, 0], expect)
+            assert pool.resilience.respawns == 1
 
 
 def kill_worker(pool, w):

@@ -6,9 +6,12 @@ the same stack a CI smoke job or a shell script with curl exercises.
 
 import json
 import urllib.error
+import urllib.parse
 import urllib.request
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.service import ServiceServer, SimulationService, TenantQuota
 
@@ -129,6 +132,102 @@ class TestEndpoints:
         code, body = request(server, "POST", f"/jobs/{jid}/cancel")
         assert code == 200
         server.service.wait(jid, ["cancelled"], timeout=60)
+
+
+def raw_request(server, method, path, data=None, timeout=30):
+    """``(status, body lines)`` of one request whose body is raw bytes."""
+    req = urllib.request.Request(server.url + path, data=data, method=method)
+    try:
+        with urllib.request.urlopen(req, timeout=timeout) as resp:
+            return resp.status, resp.read().decode().splitlines()
+    except urllib.error.HTTPError as exc:
+        return exc.code, exc.read().decode().splitlines()
+
+
+@pytest.fixture(scope="module")
+def idle_server(tmp_path_factory):
+    """A server whose scheduler admits nothing: a fuzzed spec that happens
+    to be valid is queued, never run.  Holds one cancelled job to stream."""
+    service = SimulationService(
+        worker_slots=2, workdir=tmp_path_factory.mktemp("fuzz")
+    )
+    service._admit_ready = lambda: None
+    srv = ServiceServer(service, port=0)
+    srv.start()
+    job = service.submit({"waters": 10, "steps": 1}, tenant="stream")
+    service.cancel(job.id)
+    srv.stream_id = job.id
+    yield srv
+    srv.stop()
+
+
+class TestBoundary:
+    """Malformed requests get a JSON 400; the server keeps answering."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [{"spec": 5}, {"spec": []}, b'{"spec": {}, "priority": Infinity}'],
+        ids=["spec-int", "spec-list", "priority-infinity"],
+    )
+    def test_malformed_submit_is_400(self, idle_server, body):
+        data = body if isinstance(body, bytes) else json.dumps(body).encode()
+        code, lines = raw_request(idle_server, "POST", "/jobs", data)
+        assert code == 400 and "error" in json.loads(lines[0])
+        assert request(idle_server, "GET", "/healthz") == (200, {"ok": True})
+
+    @pytest.mark.parametrize("offset", ["abc", "-2", "1.5", "%20"])
+    def test_bad_stream_offset_is_400(self, idle_server, offset):
+        path = f"/jobs/{idle_server.stream_id}/stream?from={offset}"
+        code, lines = raw_request(idle_server, "GET", path)
+        assert code == 400 and "from must be" in json.loads(lines[0])["error"]
+        assert request(idle_server, "GET", "/healthz") == (200, {"ok": True})
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        body=st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=8),
+            lambda kids: st.lists(kids, max_size=3)
+            | st.dictionaries(st.text(max_size=8), kids, max_size=3),
+            max_leaves=8,
+        )
+        | st.fixed_dictionaries(
+            {},
+            optional={
+                "spec": st.dictionaries(
+                    st.sampled_from(["waters", "steps", "workers", "seed"]),
+                    st.integers(-3, 40) | st.floats() | st.text(max_size=3),
+                    max_size=3,
+                ),
+                "tenant": st.text(max_size=8) | st.integers(),
+                "priority": st.integers() | st.floats() | st.text(max_size=3),
+            },
+        ),
+        query=st.dictionaries(
+            st.sampled_from(["from", "follow", "x"]), st.text(max_size=6),
+            max_size=2,
+        ),
+    )
+    def test_fuzzed_requests_get_json_2xx_or_4xx(self, idle_server, body, query):
+        # json.dumps writes NaN / Infinity for non-finite floats, as a
+        # careless client would
+        code, lines = raw_request(
+            idle_server, "POST", "/jobs", json.dumps(body).encode()
+        )
+        assert 200 <= code < 500, (code, lines)
+        assert isinstance(json.loads(lines[0]), dict)
+        path = f"/jobs/{idle_server.stream_id}/stream?" + urllib.parse.urlencode(
+            query
+        )
+        code, lines = raw_request(idle_server, "GET", path)
+        assert 200 <= code < 500, (code, lines)
+        for line in lines:
+            json.loads(line)
+        assert request(idle_server, "GET", "/healthz") == (200, {"ok": True})
 
 
 class TestQuotaOverRest:

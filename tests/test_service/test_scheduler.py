@@ -1,9 +1,11 @@
 """SimulationService scheduling semantics: quotas, priorities, admission,
-suspend/resume/cancel, and cross-job backend isolation (the global-state
-leak regression).
+the shared slice queue, suspend/resume/cancel, and cross-job backend
+isolation (the global-state leak regression).
 """
 
 import dataclasses
+import threading
+import time
 
 import pytest
 
@@ -32,10 +34,29 @@ class TestSubmission:
         a = svc.submit(SMALL, tenant="t")
         b = svc.submit(SMALL, tenant="t")
         assert a.id != b.id
-        assert a.task_id != b.task_id
-        assert a.task_id in svc.workdb.tasks
-        assert svc.workdb.tasks[a.task_id].kind == "job"
         assert a.state is JobState.QUEUED
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"spec": 5}, "spec must be an object"),
+            ({"spec": []}, "spec must be an object"),
+            ({"priority": float("inf")}, "priority must be an integer"),
+            ({"priority": True}, "priority must be an integer"),
+            ({"tenant": 3}, "tenant must be a string"),
+        ],
+    )
+    def test_malformed_submission_is_a_value_error(self, tmp_path, kwargs, message):
+        svc = make_service(workdir=tmp_path)
+        kwargs = {"spec": SMALL, **kwargs}
+        with pytest.raises(ValueError, match=message):
+            svc.submit(**kwargs)
+        assert svc.jobs() == []
+
+    @pytest.mark.parametrize("every", [-1, 4])
+    def test_rebalance_every_must_be_zero(self, tmp_path, every):
+        with pytest.raises(ValueError, match="rebalance_every must be 0"):
+            make_service(workdir=tmp_path, rebalance_every=every)
 
     def test_duplicate_id_rejected(self, tmp_path):
         svc = make_service(workdir=tmp_path)
@@ -110,6 +131,48 @@ class TestAdmission:
         assert a.state is JobState.RUNNING
         assert b.state is JobState.QUEUED  # tenant t is at max_workers
         assert other.state is JobState.RUNNING  # tenant u unaffected
+
+
+class TestSliceQueue:
+    """Every slice goes to one shared queue of ``lanes`` threads."""
+
+    def test_no_thread_idles_while_a_slice_waits(self, tmp_path, monkeypatch):
+        """Jobs 0 and 2 are long, job 1 is one slice.  Once job 1 is done
+        a thread is free, so slices of jobs 0 and 2 must run side by side
+        — a map of job i to lane i % lanes would serialize them."""
+        spans: dict[str, list[tuple[float, float]]] = {}
+        lock = threading.Lock()
+        step_slice = SimJob.step_slice
+
+        def timed_slice(self, n):
+            t0 = time.perf_counter()
+            out = step_slice(self, n)
+            time.sleep(0.02)  # long enough for slices to meet in time
+            with lock:
+                spans.setdefault(self.workdir.name, []).append(
+                    (t0, time.perf_counter())
+                )
+            return out
+
+        monkeypatch.setattr(SimJob, "step_slice", timed_slice)
+        long = {**SMALL, "steps": 8}
+        with make_service(
+            workdir=tmp_path, lanes=2, slice_steps=2, rebalance_every=0
+        ) as svc:
+            jobs = [
+                svc.submit(long, job_id="j0"),
+                svc.submit({**SMALL, "steps": 2}, job_id="j1"),
+                svc.submit(long, job_id="j2"),
+            ]
+            svc.run_until_idle(timeout=120)
+            assert [j.state for j in jobs] == [JobState.COMPLETED] * 3
+            assert svc.stats()["slices_done"] == 4 + 1 + 4
+        assert [len(spans[j]) for j in ("j0", "j1", "j2")] == [4, 1, 4]
+        assert any(
+            a0 < b1 and b0 < a1
+            for a0, a1 in spans["j0"]
+            for b0, b1 in spans["j2"]
+        ), spans
 
 
 class TestLifecycle:

@@ -1,6 +1,6 @@
 #!/usr/bin/env python
 """Layering check: the pool layer knows no MD, the kernel backends know no
-MD either, the engine calls no kernel.
+MD either, the service knows no balancer, the engine calls no kernel.
 
 Layering (DESIGN.md, "The real parallel engine"):
 
@@ -10,6 +10,10 @@ Layering (DESIGN.md, "The real parallel engine"):
   ``repro.pool``, ``repro.costmodel`` or ``repro.service``: exclusions and
   LJ tables cross the kernel contract as arrays, never as md types (the
   md modules import the backends, so the reverse would be a cycle).
+* ``repro.service`` — the job scheduler; imports nothing from
+  ``repro.balancer``, ``repro.instrument`` or ``repro.core``: slices run
+  from one shared queue, so jobs are never placed by a balancer (it
+  needs only ``repro.md.jobs`` and ``repro.pool.lease``).
 * ``repro.md.tasks`` / ``repro.md.parallel`` — the MD workload and its
   orchestration; these may import ``repro.pool``, never the reverse.
 * ``repro.md.engine`` and the step path under it (``repro.md.parallel``,
@@ -37,6 +41,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 FORBIDDEN: dict[str, tuple[str, ...]] = {
     "repro/pool": ("repro.md", "repro.balancer", "repro.instrument"),
     "repro/backend": ("repro.md", "repro.pool", "repro.costmodel", "repro.service"),
+    "repro/service": ("repro.balancer", "repro.instrument", "repro.core"),
 }
 
 _REFERENCE_FORCES = ("compute_bonded", "compute_nonbonded", "compute_ewald")
@@ -92,8 +97,9 @@ def main() -> int:
         return 1
     print(
         "layering OK: repro.pool imports no domain layer, repro.backend "
-        "imports no md/pool/costmodel/service, the step path calls no "
-        "reference force function"
+        "imports no md/pool/costmodel/service, repro.service imports no "
+        "balancer/instrument/core, the step path calls no reference force "
+        "function"
     )
     return 0
 
