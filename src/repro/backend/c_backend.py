@@ -6,13 +6,17 @@ flags and ``cc --version`` — a new compiler or an edited kernel is a new
 file, never a stale one.  The flags are fixed: ``-O2`` with
 ``-ffp-contract=off`` and neither ``-ffast-math`` nor ``-march=native``,
 because hosts sharing a home directory share the cache and a result must
-not depend on which of them compiled it.
+not depend on which of them compiled it.  The one target-specific code is
+in the object, not the flags: ``block_pairs``' AVX-512F clone beside its
+default body, which the loader picks between on the CPU that loads it
+(both list the same arrays; ``kernels.c`` has why).
 
 :func:`build_backend` is the numpy reference with ``nb_pairs``,
 ``ewald_recip``, ``bonded_terms``, the two PME halves, ``block_pairs`` and
 ``nb_rows`` replaced.  It raises on any failure (no compiler, compile error or timeout,
 load error); the registry turns that — and a failed parity self-check — into the numpy fallback.
-:data:`build_info` says what the last build did, for ``repro backends``.
+:data:`build_info` says what the last build did, and which ``block_pairs``
+clone the loader picked on this CPU, for ``repro backends``.
 """
 
 from __future__ import annotations
@@ -53,8 +57,9 @@ ROWS_WORK = 5
 #: atoms per term of the bonded kinds ``kernels.c`` knows
 _BONDED_WIDTH = {0: 2, 1: 3, 2: 4, 3: 4}
 
-#: compiler path, flags, cache file, "compiled" / "cache hit" and seconds of
-#: the last :func:`build_backend` in this process
+#: compiler path, flags, cache file, "compiled" / "cache hit", seconds and
+#: the resolved ``block_pairs`` clone of the last :func:`build_backend` in
+#: this process
 build_info: dict[str, object] = {}
 
 
@@ -98,6 +103,8 @@ def _load(path: Path) -> ctypes.CDLL:
     lib.pme_spread.argtypes = [ptr, ptr, i8, ptr, ptr, ctypes.c_int, ptr]
     lib.pme_gather.restype = ctypes.c_int
     lib.pme_gather.argtypes = [ptr, ptr, i8, ptr, ptr, ctypes.c_int, ptr, ptr, ptr]
+    lib.block_pairs_clone.restype = ctypes.c_char_p
+    lib.block_pairs_clone.argtypes = []
     lib.nb_rows.restype = i8
     lib.nb_rows.argtypes = [
         ptr, i8, ptr, ptr, ptr, ptr, ptr, i8, ptr, i8, ptr, ptr, i8, ptr, i8,
@@ -136,31 +143,37 @@ def _library() -> ctypes.CDLL:
         compiler=cc, flags=" ".join(FLAGS), cache_file=str(path), source="cache hit"
     )
     if not _sealed(path):
-        # build under a private name and rename: of two processes racing on
-        # an empty cache, each ends with a complete file
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        os.close(fd)
-        try:
-            subprocess.run(
-                [cc, *FLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
-                input=source, capture_output=True, check=True,
-                timeout=COMPILE_TIMEOUT_S,
-            )
-            with open(tmp, "r+b") as built:
-                digest = hashlib.sha256(built.read()).digest()
-                built.write(digest)  # trailing bytes the loader ignores
-            os.replace(tmp, path)
-        except subprocess.CalledProcessError as exc:
-            raise RuntimeError(
-                f"{cc} failed: {exc.stderr.decode(errors='replace').strip()[-500:]}"
-            ) from None
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        _compile(cc, source, path)
         build_info["source"] = "compiled"
     lib = _load(path)
     build_info["seconds"] = time.perf_counter() - started
+    build_info["block_pairs_clone"] = lib.block_pairs_clone().decode()
     return lib
+
+
+def _compile(cc: str, source: bytes, path: Path) -> None:
+    """``source`` built with :data:`FLAGS` into the sealed object ``path``."""
+    # build under a private name and rename: of two processes racing on
+    # an empty cache, each ends with a complete file
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    os.close(fd)
+    try:
+        subprocess.run(
+            [cc, *FLAGS, "-x", "c", "-", "-o", tmp, "-lm"],
+            input=source, capture_output=True, check=True,
+            timeout=COMPILE_TIMEOUT_S,
+        )
+        with open(tmp, "r+b") as built:
+            digest = hashlib.sha256(built.read()).digest()
+            built.write(digest)  # trailing bytes the loader ignores
+        os.replace(tmp, path)
+    except subprocess.CalledProcessError as exc:
+        raise RuntimeError(
+            f"{cc} failed: {exc.stderr.decode(errors='replace').strip()[-500:]}"
+        ) from None
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def _f8(a) -> np.ndarray:
@@ -228,7 +241,11 @@ def _force_rows(forces: np.ndarray, pos: np.ndarray) -> np.ndarray:
 
 def build_backend() -> KernelBackend:
     """The ``c`` backend instance; raises when the library cannot be had."""
-    lib = _library()
+    return _backend_of(_library())
+
+
+def _backend_of(lib: ctypes.CDLL) -> KernelBackend:
+    """The numpy reference with the kernels of the loaded ``lib`` in place."""
 
     def nb_pairs(pos, box, i_idx, j_idx, eps, rmin, qq, cutoff, switch,
                  forces, si, sj, alpha=None, ewald_cutoff=None):

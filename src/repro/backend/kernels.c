@@ -1113,6 +1113,35 @@ int bonded_terms(const double *pos, int64_t n_atoms, const double *box, int kind
 #define BLOCK_BAD_INDEX (-2)
 #define BLOCK_WORK 5 /* doubles of scratch per atom of cell b */
 
+/* block_pairs is the one function built for more than the baseline
+ * target: on x86-64 GCC a clone for AVX-512F beside the default body,
+ * picked once at load time by the CPU it runs on, and both at -O3 with
+ * axis_r2 inlined - the distance passes and the compaction vectorise
+ * inside each clone.  Its output is integers: each lane does the
+ * default body's IEEE operations (no contraction under -ffp-contract=off),
+ * so r2 and every comparison are the same bits and the lists the same
+ * arrays whichever clone runs.  Elsewhere (clang, other targets, a libc
+ * without ifuncs) the function is plain. */
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && defined(__GLIBC__)
+#define LIST_CLONES __attribute__((target_clones("avx512f", "default")))
+#define LIST_OPTIMIZE __attribute__((optimize("O3")))
+
+/* The clone the loader picked for block_pairs on this CPU: the ifunc
+ * resolver's own test. */
+const char *block_pairs_clone(void)
+{
+    return __builtin_cpu_supports("avx512f") ? "avx512f" : "default";
+}
+#else
+#define LIST_CLONES
+#define LIST_OPTIMIZE
+
+const char *block_pairs_clone(void)
+{
+    return "none";
+}
+#endif
+
 /* r2[c] += fold(x - xb[c])^2 for lo <= c < hi; xb lies in [bmin, bmax].
  * The bounds pick the cheapest fold that is still d - L rint(d / L):
  * none when every |d| <= L/2 (rint of at most a half is zero); otherwise,
@@ -1120,8 +1149,8 @@ int bonded_terms(const double *pos, int64_t n_atoms, const double *box, int kind
  * (the quotient then rounds to more than a half, and to less than 1.5)
  * and L times it is exact, so the fold is two selects; else the general
  * form.  Adding to a zeroed r2 leaves the sum (dx^2 + dy^2) + dz^2. */
-static void axis_r2(double *r2, const double *xb, int64_t lo, int64_t hi,
-                    double x, double length, double bmin, double bmax)
+ALWAYS_INLINE void axis_r2(double *r2, const double *xb, int64_t lo, int64_t hi,
+                           double x, double length, double bmin, double bmax)
 {
     const double half = 0.5 * length;
     const double dlo = x - bmax, dhi = x - bmin;
@@ -1152,6 +1181,7 @@ static void axis_r2(double *r2, const double *xb, int64_t lo, int64_t hi,
  * nothing at or beyond `capacity` (row_ptr is then unspecified).
  * BLOCK_BAD_INDEX at the first atom outside pos or table row outside
  * excl_idx.  work holds BLOCK_WORK * nb doubles. */
+LIST_CLONES LIST_OPTIMIZE
 int64_t block_pairs(const double *pos, int64_t n_atoms, const double *box,
                     const int64_t *atoms_a, int64_t na,
                     const int64_t *atoms_b, int64_t nb,

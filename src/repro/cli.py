@@ -117,6 +117,8 @@ def cmd_backends(_args) -> int:
         print(f"    cache file: {build['cache_file']}")
     if "seconds" in build:
         print(f"    this run:   {build['source']} in {build['seconds']:.3f} s")
+    if "block_pairs_clone" in build:
+        print(f"    block_pairs clone: {build['block_pairs_clone']} (resolved on this CPU)")
     ewald = EwaldOptions()
     alpha, cutoff = ewald.alpha_value(), ewald.cutoff
     table, error = ewald_table(alpha, cutoff), measured_error(alpha, cutoff)

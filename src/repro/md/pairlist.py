@@ -75,10 +75,14 @@ class VerletPairList:
         max_disp2 = float(np.einsum("ij,ij->i", delta, delta).max())
         return max_disp2 > (0.5 * self.skin) ** 2
 
-    def pairs(self, positions: np.ndarray, box: np.ndarray):
+    def pairs(self, positions: np.ndarray, box: np.ndarray, stale: bool | None = None):
         """The list valid at ``positions``: rebuilt when stale (and the
-        snapshot re-anchored there), otherwise the one built last."""
-        if self.needs_rebuild(positions, box):
+        snapshot re-anchored there), otherwise the one built last.
+        ``stale`` is :meth:`needs_rebuild`'s answer at these positions
+        when the caller has asked it already."""
+        if stale is None:
+            stale = self.needs_rebuild(positions, box)
+        if stale:
             self._pairs = self._build(positions, box)
             self.ref_positions = positions.copy()
             self.ref_box = np.asarray(box, dtype=np.float64).copy()

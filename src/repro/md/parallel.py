@@ -345,8 +345,9 @@ class ParallelNonbonded:
         return self._pool.n_live if self.active else 1
 
     def dispatch(self, step: int = 0) -> None:
-        """Start one evaluation at the system's current positions: refresh
-        the pair-list lifetime, publish positions, start the workers.
+        """Start one evaluation at the system's current positions: decide
+        whether the pair lists are stale, publish positions, start the
+        workers, then refresh the reduction layout while they run.
 
         ``step`` is the engine's step index of these positions.  It sets
         the reciprocal task's weight, sent to every executor in the step
@@ -361,30 +362,32 @@ class ParallelNonbonded:
         # begin_step heals or degrades: a pool it cannot heal has closed
         pool = self._pool if self.active and self._pool.begin_step() else None
         pos = self.system.positions
+        box = self.system.box
         if self._pending_assignment is not None:
             self.pairlist.invalidate()  # a new map installs at a rebuild
-        builds = self.pairlist.n_builds
-        self._offsets, self._gather = self.pairlist.pairs(pos, self.system.box)
-        rebuild = self.pairlist.n_builds != builds
+        rebuild = self.pairlist.needs_rebuild(pos, box)
+        if rebuild:  # fail before any worker starts, not mid-step
+            self._provider.check_layout(pos, box)
         n = 1 if self.ewald is None else self.ewald.recip_every
-        payload = (
-            tuple(float(x) for x in self.system.box), 0 if step % n else n
-        )
+        payload = (tuple(float(x) for x in box), 0 if step % n else n)
         self._dispatched = (pool, rebuild, payload, time.monotonic())
         if pool is None:
             self._pending_assignment = None
-            return
-        pool.view("pos")[...] = pos  # pack once; every worker maps it
-        assignment_payload = None
-        if rebuild:
-            pool.view("ref")[...] = pos  # workers bin/build from this
-            assignment_payload = pool.assignment
-            if self._pending_assignment is not None:
-                if not np.array_equal(self._pending_assignment, pool.assignment):
-                    self.remap_steps.append(pool.seq + 1)
-                assignment_payload = self._pending_assignment
-                self._pending_assignment = None
-        pool.dispatch(rebuild, payload, assignment_payload)
+        else:
+            pool.view("pos")[...] = pos  # pack once; every worker maps it
+            assignment_payload = None
+            if rebuild:
+                pool.view("ref")[...] = pos  # workers bin/build from this
+                assignment_payload = pool.assignment
+                if self._pending_assignment is not None:
+                    if not np.array_equal(self._pending_assignment, pool.assignment):
+                        self.remap_steps.append(pool.seq + 1)
+                    assignment_payload = self._pending_assignment
+                    self._pending_assignment = None
+            pool.dispatch(rebuild, payload, assignment_payload)
+        # the reduction layout, which only collect() reads: on a rebuild
+        # the driver bins while the workers build their lists
+        self._offsets, self._gather = self.pairlist.pairs(pos, box, stale=rebuild)
 
     def _run_in_process(self, rebuild: bool, payload) -> InProcessExecutor:
         """The outstanding evaluation's tasks — all of them — run here by

@@ -76,6 +76,7 @@ __all__ = [
     "build_row_lists",
     "build_xtask_entries",
     "count_task_pairs",
+    "estimate_task_pairs",
     "eval_bonded_group",
     "scratch_rows_bound",
     "task_layout",
@@ -336,6 +337,24 @@ def count_task_pairs(system, tasks, my_tasks, buckets, r_list, backend) -> int:
     )
 
 
+def estimate_task_pairs(system, tasks, my_tasks, buckets, r_list, dims) -> int:
+    """Pairs within ``r_list`` the blocks of ``my_tasks`` would hold in a
+    uniform liquid, for sizing an arena without a count: their candidate
+    pairs times the share of the cell stencil's volume — up to three cells
+    an axis, the whole box along an axis of one or two — that a sphere of
+    radius ``r_list`` fills (all of them once the sphere fills it)."""
+    box = np.asarray(system.box, dtype=np.float64)
+    dims = np.asarray(dims, dtype=np.int64)
+    stencil = float(np.prod(box * np.minimum(dims, 3) / dims))
+    share = min(1.0, 4.0 / 3.0 * np.pi * r_list**3 / stencil)
+    candidates = 0
+    for t in my_tasks:
+        a, b, part, n_parts = tasks[t]
+        nb = None if a == b else len(buckets[b])
+        candidates += int(stripe_candidate_counts(len(buckets[a]), nb, n_parts)[part])
+    return int(candidates * share)
+
+
 class RowLists(NamedTuple):
     """The pair lists of a batch of cell tasks, in the form
     ``backend.nb_rows`` evaluates (the contract in
@@ -560,13 +579,24 @@ class ForceTaskEvaluator:
     def _build_lists(self, mine: list[int], buckets) -> RowLists:
         p = self.provider
         args = (self.system, p.tasks, mine, buckets, p.r_list, self.backend)
-        lists = None if self.arena is None else build_row_lists(*args, self.arena)
+        if self.arena is None:
+            # the first build goes straight into an arena sized from the
+            # uniform-liquid estimate, not from a count: half again for the
+            # task mix of one worker (its self blocks are denser than the
+            # average; 1.42x the estimate on a 343-water box at two
+            # workers), pages it never writes cost no memory
+            n = estimate_task_pairs(
+                self.system, p.tasks, mine, buckets, p.r_list, self.dims
+            )
+            self.arena = np.empty(n + n // 2 + 64, dtype=np.int32)
+        lists = build_row_lists(*args, self.arena)
         if lists is None:
-            # none yet, or outgrown (a remap enlarged this worker's task
-            # set): sized from a count plus a few percent, so the next
-            # rebuilds of a liquid fit without counting — never by
-            # doubling-and-copy, and the old arena goes before the new one
-            # is allocated, so two list generations never coexist
+            # the estimate fell short (a dense cluster), or the lists
+            # outgrew the arena (a remap enlarged this worker's task set):
+            # sized from a count plus a few percent, so the next rebuilds
+            # of a liquid fit without counting — never by doubling-and-copy,
+            # and the old arena goes before the new one is allocated, so two
+            # list generations never coexist
             self.arena = None
             n = count_task_pairs(*args)
             self.arena = np.empty(n + n // 32 + 64, dtype=np.int32)
@@ -680,16 +710,9 @@ class ForceTaskProvider:
         return ForceTaskEvaluator(self, worker_id, n_workers, views)
 
     # ------------------------------------------------------------------ #
-    def layout(self, positions, box) -> tuple[np.ndarray, np.ndarray]:
-        """Driver-side reduction layout for the given reference positions.
-
-        Must match the evaluators' blocks: both bin the same reference
-        positions with the same grid.  The grid is fixed for the
-        provider's life, so a changed box is only admissible while its
-        cells still cover the list cutoff.
-        """
-        from repro.core.decomposition import bin_atoms
-
+    def check_layout(self, positions, box) -> None:
+        """Raise when the task grid cannot serve ``positions`` in ``box``:
+        a box shrunk below the grid's coverage, or another atom count."""
         box = np.asarray(box, dtype=np.float64)
         dims = np.asarray(self.dims, dtype=np.int64)
         edge = box / dims
@@ -704,6 +727,20 @@ class ForceTaskProvider:
                 "atom count changed under the force tasks; "
                 "recreate the engine"
             )
+
+    def layout(self, positions, box) -> tuple[np.ndarray, np.ndarray]:
+        """Driver-side reduction layout for the given reference positions.
+
+        Must match the evaluators' blocks: both bin the same reference
+        positions with the same grid.  The grid is fixed for the
+        provider's life, so a changed box is only admissible while its
+        cells still cover the list cutoff.
+        """
+        from repro.core.decomposition import bin_atoms
+
+        self.check_layout(positions, box)
+        box = np.asarray(box, dtype=np.float64)
+        dims = np.asarray(self.dims, dtype=np.int64)
         _, flat, buckets = bin_atoms(positions, box, dims)
         xrows: list = []
         if self.xtasks:

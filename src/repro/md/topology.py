@@ -276,39 +276,33 @@ class Topology:
 
         Exclusion classes are assigned by the *shortest* bond path between
         two atoms, so in rings a pair reachable in both 3 and 2 bonds is
-        excluded rather than modified (matching CHARMM semantics).
+        excluded rather than modified (matching CHARMM semantics).  The
+        pairs within ``d`` bonds are the pattern of ``(I + A)^d`` for the
+        bond graph's adjacency ``A``: within two are excluded, exactly
+        three (within three, not within two) are 1-4.
         """
-        adj = self.bonded_neighbors(n_atoms)
-        n = np.int64(n_atoms)
+        from scipy import sparse
 
-        excluded: set[int] = set()
-        pairs14: set[tuple[int, int]] = set()
-
-        for i in range(n_atoms):
-            # shortest-path distances up to 3 bonds from atom i
-            dist = {i: 0}
-            frontier = [i]
-            for d in (1, 2, 3):
-                nxt: list[int] = []
-                for u in frontier:
-                    for v in adj[u]:
-                        if v not in dist:
-                            dist[v] = d
-                            nxt.append(v)
-                frontier = nxt
-            for j, d in dist.items():
-                if j <= i:
-                    continue
-                key = int(np.int64(i) * n + np.int64(j))
-                if d in (1, 2):
-                    excluded.add(key)
-                elif d == 3:
-                    pairs14.add((i, j))
-
-        # drop 1-4 pairs that are also excluded via a shorter path (handled
-        # above because shortest distance wins), and canonicalize arrays
-        excluded_keys = np.array(sorted(excluded), dtype=np.int64)
-        p14 = np.array(sorted(pairs14), dtype=np.int64).reshape(-1, 2)
+        bonds = np.array(self._bonds, dtype=np.int64).reshape(-1, 2)
+        outside = (bonds < 0) | (bonds >= n_atoms)
+        if outside.any():
+            i, j = bonds[np.flatnonzero(outside.any(axis=1))[0]]
+            raise IndexError(
+                f"bond ({i},{j}) references atom outside 0..{n_atoms - 1}"
+            )
+        loops = np.arange(n_atoms)
+        rows = np.concatenate([bonds[:, 0], bonds[:, 1], loops])
+        cols = np.concatenate([bonds[:, 1], bonds[:, 0], loops])
+        one = sparse.csr_matrix(
+            (np.ones(len(rows), dtype=bool), (rows, cols)),
+            shape=(n_atoms, n_atoms),
+        )
+        two = one @ one
+        excluded_keys = _upper_keys(two, n_atoms)
+        keys14 = np.setdiff1d(
+            _upper_keys(two @ one, n_atoms), excluded_keys, assume_unique=True
+        )
+        p14 = np.stack(np.divmod(keys14, max(n_atoms, 1)), axis=1)
         return Exclusions(n_atoms=n_atoms, excluded_keys=excluded_keys, pairs14=p14)
 
     # ------------------------------------------------------------------ #
@@ -333,3 +327,11 @@ class Topology:
             f"Topology(bonds={self.n_bonds}, angles={self.n_angles}, "
             f"dihedrals={self.n_dihedrals}, impropers={self.n_impropers})"
         )
+
+
+def _upper_keys(reach, n_atoms: int) -> np.ndarray:
+    """Sorted keys ``i * n + j`` of the ``i < j`` entries of ``reach``'s
+    pattern."""
+    rows, cols = reach.nonzero()
+    upper = rows < cols
+    return np.sort(rows[upper].astype(np.int64) * n_atoms + cols[upper])

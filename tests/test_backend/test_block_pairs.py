@@ -6,16 +6,22 @@ replaced.  A list is a row list over the block's force rows: ``cols`` (the
 partner's block row, int32) and ``row_ptr`` (each row's range in it).
 """
 
+import shutil
 import threading
+from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.backend import available_backends, get_backend
+from repro.backend import available_backends, c_backend, get_backend
 from repro.backend.reference import expand_rows
 from repro.builder import mini_assembly, small_water_box
 from repro.core.decomposition import bin_atoms
-from repro.md.nonbonded import count_interacting_pairs
+from repro.md.nonbonded import NonbondedOptions, count_interacting_pairs
+from repro.md.tasks import build_force_tasks
 from repro.util.pbc import minimum_image
 from tests.test_md.test_ewald import rock_salt
 
@@ -381,3 +387,122 @@ def test_atom_table_is_both_directions_of_every_excluded_and_14_pair():
     for i in (0, 17, system.n_atoms - 1):
         row = partners[ptr[i] : ptr[i + 1]]
         assert np.all(np.diff(row) > 0)
+
+
+# --------------------------------------------------------------------- #
+# the default clone
+# --------------------------------------------------------------------- #
+#: what makes ``block_pairs`` a set of clones in kernels.c; a host that
+#: resolves the AVX-512F clone never runs the default body, so the parity
+#: build below takes the attribute out of the source text
+CLONES = '__attribute__((target_clones("avx512f", "default")))'
+
+
+@pytest.fixture(scope="module")
+def default_body(tmp_path_factory):
+    """``kernels.c`` built again, with ``FLAGS``, without the clones:
+    ``block_pairs`` is then the default body alone."""
+    source = resources.files("repro.backend").joinpath("kernels.c").read_text()
+    assert source.count(CLONES) == 1
+    path = tmp_path_factory.mktemp("default-clone") / "kernels.so"
+    c_backend._compile(shutil.which("cc"), source.replace(CLONES, "").encode(), path)
+    return c_backend._backend_of(c_backend._load(path))
+
+
+def assert_default_clone_agrees(default, system, blocks, r, tables=None):
+    """Counts and lists of the default body equal the loaded backend's,
+    array for array; returns the pairs listed in total."""
+    loaded = BACKENDS[-1]
+    total = 0
+    for block in blocks:
+        geometry = (system.positions, system.box, *block, r)
+        assert default.block_pairs(*geometry) == loaded.block_pairs(*geometry)
+        want = listed(loaded, system, block, r, tables)
+        got = listed(default, system, block, r, tables)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        total += len(want[0])
+    return total
+
+
+@needs_c
+class TestDefaultClone:
+    @pytest.mark.parametrize("waters", [729, 343, 216])
+    def test_the_harness_boxes(self, default_body, waters):
+        """The engine's own grid of each harness box at its list radius
+        (8 A cutoff plus the 1.5 A skin), two stripes a block."""
+        system = small_water_box(waters, seed=11, relax=False)
+        system.wrap()
+        spec = build_force_tasks(
+            system, NonbondedOptions(cutoff=8.0), skin=1.5, n_workers=1
+        )
+        r_list = spec.provider.r_list
+        buckets = binned(system, spec.provider.dims)
+        assert assert_default_clone_agrees(
+            default_body, system, blocks_of(buckets, 2), r_list
+        ) > 0
+
+    def test_rock_salt_half_box_ties(self, default_body):
+        system = rock_salt(ncell=2)
+        blocks = blocks_of(binned(system, (2, 1, 1)), 1)
+        for r in (3.0, 5.64, 5.64 + 1e-9, 6.0):
+            assert assert_default_clone_agrees(default_body, system, blocks, r) > 0
+
+    def test_one_cell_box(self, default_body):
+        system = small_water_box(64, seed=5, relax=False)
+        system.wrap()
+        blocks = [(np.arange(system.n_atoms, dtype=np.int64), None, p, 3) for p in range(3)]
+        assert assert_default_clone_agrees(default_body, system, blocks, 6.0) > 0
+
+    def test_non_cubic_box(self, default_body):
+        system = small_water_box(216, seed=3, relax=False)
+        system.box = system.box * np.array([1.0, 1.25, 1.6])
+        system.positions = system.positions * np.array([1.0, 1.25, 1.6])
+        system.wrap()
+        blocks = blocks_of(binned(system, (1, 2, 3)), 2)
+        assert assert_default_clone_agrees(default_body, system, blocks, R) > 0
+
+    def test_coordinates_outside_the_primary_cell(self, default_body, water):
+        moved = water.copy()
+        rng = np.random.default_rng(8)
+        moved.positions = water.positions + water.box * rng.integers(
+            -3, 4, size=water.positions.shape
+        )
+        blocks = blocks_of(binned(water, (2, 2, 1)), 3)
+        assert assert_default_clone_agrees(default_body, moved, blocks, R) > 0
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        edges=st.tuples(*[st.floats(6.0, 30.0)] * 3),
+        n_atoms=st.integers(0, 160),
+        r=st.floats(0.5, 20.0),
+        n_parts=st.integers(1, 4),
+        spread=st.sampled_from([1.0, 3.5]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_random_boxes_cutoffs_and_stripes(
+        self, default_body, seed, edges, n_atoms, r, n_parts, spread
+    ):
+        """Atoms anywhere within ``spread`` boxes of the origin, random
+        exclusions, self and pair blocks of every stripe."""
+        rng = np.random.default_rng(seed)
+        box = np.asarray(edges)
+        system = SimpleNamespace(
+            positions=(rng.random((n_atoms, 3)) * 2 - 1) * spread * box, box=box
+        )
+        # a symmetric exclusion table: each atom's partners ascending
+        pairs = rng.integers(0, max(n_atoms, 1), size=(2 * n_atoms, 2))
+        pairs = np.unique(np.vstack([pairs, pairs[:, ::-1]]), axis=0)
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        ptr = np.zeros(n_atoms + 1, dtype=np.int64)
+        np.cumsum(np.bincount(pairs[:, 0], minlength=n_atoms), out=ptr[1:])
+        tables = ptr, pairs[:, 1].astype(np.int64)
+        order = rng.permutation(n_atoms).astype(np.int64)
+        cut = rng.integers(0, n_atoms + 1)
+        cells = [order[:cut], order[cut:]]
+        blocks = [
+            (cells[a], None if a == b else cells[b], part, n_parts)
+            for a, b in ((0, 0), (0, 1), (1, 1))
+            for part in range(n_parts)
+        ]
+        assert_default_clone_agrees(default_body, system, blocks, r, tables)

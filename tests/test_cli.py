@@ -32,6 +32,14 @@ class TestCommands:
         error = out.split("max error:")[1].split()
         assert float(error[0]) <= 1e-9 and float(error[4]) <= 1e-11
 
+    def test_backends_names_the_block_pairs_clone_this_cpu_runs(self, capsys):
+        assert main(["backends"]) == 0
+        out = capsys.readouterr().out
+        if "c:         ok" not in out:
+            pytest.skip("no compiled backend on this host")
+        clone = out.split("block_pairs clone:")[1].split()[0]
+        assert clone in ("avx512f", "default", "none")
+
     def test_md(self, capsys):
         assert main(["md", "--waters", "27", "--steps", "3", "--cutoff", "5"]) == 0
         out = capsys.readouterr().out

@@ -145,6 +145,34 @@ class TestLifecycle:
             nb.dispatch()
         nb.collect()
 
+    def test_the_layout_is_built_after_the_workers_start(self, water600):
+        """On a rebuild step the driver publishes the reference positions
+        and starts the workers first, then bins its reduction layout (read
+        by collect() only) while they build their lists; a reuse step
+        builds no layout."""
+        nb = ParallelNonbonded(water600.copy(), OPTS, n_workers=2)
+        events = []
+        start, layout = nb._pool.dispatch, nb.pairlist._build
+
+        def dispatching(rebuild, *args):
+            events.append(("dispatch", rebuild))
+            return start(rebuild, *args)
+
+        def laying_out(*args):
+            events.append(("layout", np.array_equal(nb._pool.view("ref"), args[0])))
+            return layout(*args)
+
+        nb._pool.dispatch, nb.pairlist._build = dispatching, laying_out
+        try:
+            assert nb.active
+            first = nb.compute()
+            assert events == [("dispatch", True), ("layout", True)]
+            again = nb.compute()  # nothing moved: the lists are reused
+            assert events[2:] == [("dispatch", False)]
+            assert np.array_equal(again.forces, first.forces)
+        finally:
+            nb.close()
+
     def test_make_engine_factory(self, water600):
         seq = make_engine(water600.copy(), OPTS, workers=1)
         assert type(seq) is SequentialEngine

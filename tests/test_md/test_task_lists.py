@@ -20,7 +20,12 @@ from repro.backend.reference import expand_rows
 from repro.builder import mini_assembly, small_water_box
 from repro.core.decomposition import bin_atoms
 from repro.md.nonbonded import NonbondedOptions
-from repro.md.tasks import RowLists, build_force_tasks, build_row_lists
+from repro.md.tasks import (
+    RowLists,
+    build_force_tasks,
+    build_row_lists,
+    estimate_task_pairs,
+)
 from repro.util.pbc import wrap_positions
 
 from .oracle import candidate_task_lists
@@ -226,6 +231,71 @@ def test_remap_that_enlarges_the_task_set_regrows_from_a_count(evaluator):
     arena = evaluator.arena
     evaluator.rebuild(everything[:3])
     assert evaluator.arena is arena
+
+
+def spy(monkeypatch, name):
+    """Calls of ``repro.md.tasks.<name>`` from here on, as a list."""
+    import repro.md.tasks as tasks_module
+
+    calls = []
+    real = getattr(tasks_module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tasks_module, name, counted)
+    return calls
+
+
+def test_the_first_build_of_a_liquid_counts_nothing(evaluator, monkeypatch):
+    counts = spy(monkeypatch, "count_task_pairs")
+    mine = list(range(len(evaluator.provider.tasks)))
+    evaluator.rebuild(mine)
+    assert counts == []
+    assert_same_entries(evaluator.lists, oracle_of(evaluator, mine), evaluator.provider.tasks)
+
+
+def test_an_estimate_that_falls_short_regrows_once_from_a_count(backend, monkeypatch):
+    """A dense cluster in a box twice its size: the uniform-liquid estimate
+    is short, the first build does not fit and falls back to one count;
+    the lists are those of a counted build, and rebuilds after a little
+    motion fit the counted arena."""
+    system = small_water_box(216, seed=2, relax=False)
+    system.positions = wrap_positions(system.positions, system.box)
+    system.box = 2 * system.box
+    spec = build_force_tasks(
+        system, NonbondedOptions(cutoff=6.0), skin=1.5, n_workers=1, backend=backend
+    )
+    p = spec.provider
+    ref = system.positions.copy()
+    evaluator = p.make_evaluator(0, 1, {"pos": ref.copy(), "ref": ref})
+    evaluator.begin_step((system.box, 1))
+    mine = list(range(len(p.tasks)))
+    _, _, buckets = bin_atoms(ref, system.box, np.asarray(p.dims))
+    estimate = estimate_task_pairs(system, p.tasks, mine, buckets, p.r_list, p.dims)
+    counted = build_row_lists(system, p.tasks, mine, buckets, p.r_list, backend)
+    n_counted = len(counted.cols)  # a one-shot build's arena: the count
+    assert 1.5 * estimate + 64 < n_counted  # short even with the margin
+
+    counts = spy(monkeypatch, "count_task_pairs")
+    builds = spy(monkeypatch, "build_row_lists")
+    evaluator.rebuild(mine)
+    assert (len(counts), len(builds)) == (1, 2)  # did not fit, counted, built
+    arena = evaluator.arena
+    assert len(arena) == n_counted + n_counted // 32 + 64
+    lists = evaluator.lists
+    used = int(counted.row_ptr[-1])
+    assert np.array_equal(lists.cols[:used], counted.cols[:used])
+    for got, want in zip(lists[1:], counted[1:]):
+        assert np.array_equal(got, want)
+
+    ref += np.random.default_rng(3).normal(0.0, 0.2, size=ref.shape)
+    ref[:] = wrap_positions(ref, system.box)
+    evaluator.rebuild(mine)
+    assert (len(counts), len(builds)) == (1, 3) and evaluator.arena is arena
+    assert_same_entries(evaluator.lists, oracle_of(evaluator, mine), p.tasks)
+    evaluator.close()
 
 
 def test_a_rebuild_that_raises_leaves_no_lists(evaluator):

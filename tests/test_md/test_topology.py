@@ -14,6 +14,61 @@ from repro.md.forcefield import (
 from repro.md.topology import Topology
 
 
+def bfs_exclusions(topo: Topology, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(excluded_keys, pairs14)`` by a breadth-first walk of up to three
+    bonds from every atom: the per-atom search ``build_exclusions`` did
+    before the sparse products, kept as their oracle."""
+    adj = topo.bonded_neighbors(n_atoms)
+    excluded, pairs14 = set(), set()
+    for i in range(n_atoms):
+        dist = {i: 0}
+        frontier = [i]
+        for d in (1, 2, 3):
+            nxt = []
+            for u in frontier:
+                for v in adj[u]:
+                    if v not in dist:
+                        dist[v] = d
+                        nxt.append(v)
+            frontier = nxt
+        for j, d in dist.items():
+            if j > i and d in (1, 2):
+                excluded.add(i * n_atoms + j)
+            elif j > i and d == 3:
+                pairs14.add((i, j))
+    return (
+        np.array(sorted(excluded), dtype=np.int64),
+        np.array(sorted(pairs14), dtype=np.int64).reshape(-1, 2),
+    )
+
+
+def assert_matches_bfs(topo: Topology, n_atoms: int):
+    got = topo.build_exclusions(n_atoms)
+    keys, pairs14 = bfs_exclusions(topo, n_atoms)
+    for g, w in ((got.excluded_keys, keys), (got.pairs14, pairs14)):
+        assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+    return got
+
+
+@st.composite
+def bond_graphs(draw):
+    """``(n_atoms, bonds)``: rings of 3 to 8 atoms, branches hung off
+    them, random chords (duplicates too), atoms bonded to nothing."""
+    n_atoms = draw(st.integers(0, 40))
+    bonds = []
+    start = 0
+    for size in draw(st.lists(st.integers(3, 8), max_size=3)):
+        if start + size > n_atoms:
+            break
+        bonds += [(start + k, start + (k + 1) % size) for k in range(size)]
+        start += size
+    if n_atoms >= 2:
+        atom = st.integers(0, n_atoms - 1)
+        extra = draw(st.lists(st.tuples(atom, atom), max_size=2 * n_atoms))
+        bonds += [(i, j) for i, j in extra if i != j]
+    return n_atoms, bonds
+
+
 def linear_chain(n: int) -> Topology:
     topo = Topology()
     for i in range(n - 1):
@@ -169,6 +224,29 @@ class TestExclusions:
         e = t.build_exclusions(n)
         assert e.n_excluded == (n - 1) + (n - 2)
         assert len(e.pairs14) == n - 3
+
+    def test_water_box_matches_the_breadth_first_walk(self):
+        from repro.builder import small_water_box
+
+        system = small_water_box(216, seed=1, relax=False)
+        got = assert_matches_bfs(system.topology, system.n_atoms)
+        assert got.n_excluded == 3 * 216 and len(got.pairs14) == 0
+
+    def test_assembly_with_rings_matches_the_breadth_first_walk(self):
+        from repro.builder import mini_assembly
+
+        system = mini_assembly(seed=1)
+        got = assert_matches_bfs(system.topology, system.n_atoms)
+        assert got.n_excluded > 0 and len(got.pairs14) > 0
+
+    @given(bond_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_random_bond_graphs_match_the_breadth_first_walk(self, graph):
+        n_atoms, bonds = graph
+        topo = Topology()
+        for i, j in bonds:
+            topo.add_bond(i, j, STANDARD_BOND)
+        assert_matches_bfs(topo, n_atoms)
 
     def test_bond_out_of_range_raises(self):
         t = linear_chain(5)
