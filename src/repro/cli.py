@@ -220,9 +220,10 @@ def cmd_md(args) -> int:
     except (TypeError, ValueError) as exc:
         raise SystemExit(str(exc))
     if engine.parallel:
-        print(f"parallel engine: {engine.workers} worker processes")
+        executor = engine.driver_report()["executor"]
+        print(f"executor: {executor} ({engine.workers})")
     elif args.workers != 1:
-        print("worker pool unavailable; the force tasks run in-process")
+        print("executor: in-process (no workers for this box)")
     if args.grainsize_ms:
         rep = engine._nb.split_report()
         print(
@@ -529,8 +530,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_md.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="worker processes for the non-bonded forces (1 = sequential "
-             "engine, 0 = one worker per CPU); see README 'Running in "
+        help="worker threads for the force tasks (1 = sequential "
+             "engine, 0 = one worker per CPU; --fault-plan makes them "
+             "supervised worker processes); see README 'Running in "
              "parallel'",
     )
     p_md.add_argument(
@@ -566,7 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_md.add_argument(
         "--fault-plan", default=None, metavar="SPEC",
-        help="real-process fault injection on the worker pool, e.g. "
+        help="real-process fault injection: runs the workers as a "
+             "supervised process pool, e.g. "
              "'kill=1@3,hang=0@5x2,slow=1@2-6x8' (SIGKILL worker 1 at "
              "step 3, SIGSTOP worker 0 for 2 s at step 5, slow worker 1 "
              "8x over steps 2-6); needs --workers > 1 — the supervisor "
@@ -636,7 +639,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sv.add_argument(
         "--worker-slots", type=int, default=4, metavar="N",
-        help="total worker processes leasable across all running jobs "
+        help="total worker slots leasable across all running jobs: cores "
+             "leased by running jobs, one per worker thread (a job with a "
+             "fault plan runs worker processes), not processes "
              "(sequential jobs lease 0)",
     )
     p_sv.add_argument(

@@ -13,7 +13,7 @@ matching how home patches combine force messages.
 
 The per-term math lives in the backend layer (``backend.bonded_terms``, a
 numpy reference bit-identical to the historical inline code) so the
-parallel engine's worker processes can evaluate bonded tasks through the
+parallel engine's workers can evaluate bonded tasks through the
 same kernel registry as the pair kernel.  These wrappers
 keep the md-facing API: term arrays come from the topology, forces scatter
 at the global atom indices.

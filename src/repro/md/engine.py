@@ -4,10 +4,10 @@
 advances with velocity Verlet.  It is the single-processor baseline the
 paper's speedups are measured against ("the impressive speedups were not
 attained by using a 'bad sequential algorithm'", §4.3) — and it is that
-literally: every force term is the same task family the worker pool of
-:class:`repro.md.parallel.ParallelEngine` runs (cell tasks, bonded groups
-and, under Ewald, the PME task), evaluated in-process by the same
-per-step loop, so trajectories are bit-identical at any worker count.
+literally: every force term is the same task family the worker threads of
+:class:`repro.md.parallel.ParallelEngine` run (cell tasks, bonded groups
+and, under Ewald, the PME task), evaluated on the calling thread by the
+same per-step loop, so trajectories are bit-identical at any worker count.
 
 The independent ground truth is not an engine but the reference functions
 :func:`~repro.md.nonbonded.compute_nonbonded`,
@@ -32,10 +32,11 @@ from repro.md.system import MolecularSystem
 
 __all__ = ["POOL_KEYWORDS", "SequentialEngine", "StepReport", "make_engine"]
 
-#: The engine settings that need worker processes (their supervision,
-#: balancing, and the task partition handed to them): ``make_engine``
-#: refuses them at ``workers == 1``, and the job spec and the CLI take
-#: their pool-only subsets from this set.
+#: The engine settings that need workers (their supervision, balancing,
+#: and the task partition handed to them): ``make_engine`` refuses them at
+#: ``workers == 1``, and the job spec and the CLI take their pool-only
+#: subsets from this set.  ``fault_plan`` and ``recovery`` also select
+#: worker processes over threads.
 POOL_KEYWORDS = frozenset(
     {
         "fault_plan", "timeout", "recovery", "rebalance_every",
@@ -230,12 +231,14 @@ class SequentialEngine:
     # -- the force-task front end's accounting ------------------------- #
     @property
     def parallel(self) -> bool:
-        """True while the force tasks run on live worker processes."""
+        """True while the force tasks run on live workers: threads, or
+        worker processes under supervision."""
         return self._nb.active
 
     @property
     def workers(self) -> int:
-        """Live worker-process count (1 = the tasks run in-process)."""
+        """Live worker count, threads or processes (1 = the tasks run on
+        the calling thread)."""
         return self._nb.n_live
 
     @property
@@ -273,8 +276,8 @@ class SequentialEngine:
         self._nb.clear_kspace_cache()
 
     def close(self) -> None:
-        """Stop the worker processes, if any (idempotent).  The engine
-        stays usable: later steps run the same tasks in-process."""
+        """Stop the workers, if any (idempotent).  The engine stays
+        usable: later steps run the same tasks in-process."""
         self._nb.close()
 
     def __enter__(self) -> "SequentialEngine":
@@ -292,12 +295,13 @@ def make_engine(
     distribute=None,
     **kwargs,
 ) -> SequentialEngine:
-    """Engine factory: in-process for ``workers == 1``, pooled otherwise.
+    """Engine factory: in-process for ``workers == 1``, on worker threads
+    otherwise (worker processes under a ``fault_plan`` or ``recovery``).
 
     ``workers == 0`` requests one worker per CPU (respecting cgroup/affinity
     limits).  Every keyword is forwarded to the engine's constructor (see
     :class:`repro.md.parallel.ParallelEngine` for the full set).  Keywords
-    that configure live worker processes raise ``TypeError`` when
+    that configure live workers raise ``TypeError`` when
     ``workers == 1`` instead of being silently dropped, so a config typed
     for the pool cannot quietly change meaning on a one-worker run.
     Either engine is a context manager, so callers need no engine-specific
@@ -311,7 +315,7 @@ def make_engine(
         if pool_only:
             raise TypeError(
                 "make_engine(workers=1) got keyword argument(s) that need "
-                f"worker processes: {', '.join(pool_only)}"
+                f"workers: {', '.join(pool_only)}"
             )
         return SequentialEngine(system, options, integrator, **kwargs)
     from repro.md.parallel import ParallelEngine

@@ -78,9 +78,10 @@ _NULLABLE = ("skin", "timeout", "backend", "lb_strategy", "fault_plan")
 class SimSpec:
     """One simulation run, as a declarative JSON-friendly record.
 
-    ``workers == 1`` runs the force tasks in-process (no worker processes);
-    ``workers >= 2`` runs a :class:`~repro.md.parallel.ParallelEngine`
-    whose worker-process count the service leases from the shared
+    ``workers == 1`` runs the force tasks on the calling thread;
+    ``workers >= 2`` runs a :class:`~repro.md.parallel.ParallelEngine` on
+    that many executor threads (worker processes when ``fault_plan`` is
+    set), whose count the service leases as cores from the shared
     :class:`~repro.pool.lease.WorkerBudget`.
     """
 
@@ -184,11 +185,12 @@ class SimSpec:
 
     @property
     def worker_slots(self) -> int:
-        """Worker processes this spec will spawn (0 when the tasks run in-process)."""
+        """Cores this spec's workers lease, threads or processes (0 when
+        the tasks run on the calling thread)."""
         return 0 if self.workers == 1 else max(self.workers, 2)
 
 
-#: spec fields that configure live worker processes
+#: spec fields that configure live workers
 _POOL_ONLY = tuple(sorted(POOL_KEYWORDS.intersection(SimSpec.__dataclass_fields__)))
 
 
@@ -380,7 +382,7 @@ class SimJob:
         return dict(self._provenance)
 
     def suspend(self) -> None:
-        """Release the engine (and its worker processes / leases).
+        """Release the engine (and its workers / leases).
 
         Progress past the last durable checkpoint is discarded and
         replayed on resume — the same steps, bit-identically, because

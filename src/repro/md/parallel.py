@@ -4,11 +4,15 @@ Everything else in this repository *models* the paper's parallelism on a
 simulated machine; this module actually runs it.  The non-bonded force
 field — "eighty percent or more" of a step, paper §4.2.1 — is evaluated
 as the cell tasks of :mod:`repro.md.tasks`, by one implementation
-(:class:`repro.md.tasks.ForceTaskEvaluator`) on one of two executors of
-:mod:`repro.pool`: a persistent pool of worker *processes*
-(:class:`ParallelEngine`), or — without workers: ``workers == 1``, pool
-failed to start, pool closed, recovery ladder at its bottom rung — the
-calling process itself, through the same per-step loop the workers run.
+(:class:`repro.md.tasks.ForceTaskEvaluator`) on an executor of
+:mod:`repro.pool`: ``workers`` evaluators on as many *threads* of this
+process (:class:`ParallelEngine`; the kernels drop the GIL), a supervised
+pool of worker *processes* when the caller asks for supervision (a
+``fault_plan`` or a ``recovery`` policy — kills, hangs and their
+recovery ladder need processes), or — without workers: ``workers == 1``,
+pool failed to start, executor closed, recovery ladder at its bottom
+rung — the calling thread itself, through the same per-step loop the
+workers run.
 The engines' bonded terms are task groups of the same family, and under
 Ewald the cell tasks carry the real-space term (a mode of their pair
 kernel) and one PME task the reciprocal sum, so the driver's share of a
@@ -16,9 +20,9 @@ step is the 1-4 pass and the O(n_excluded) remainder of
 :func:`repro.md.ewald.ewald_remainder`.
 
 The implementation is layered (see DESIGN.md): :mod:`repro.pool` is the
-generic runtime (spawn/respawn, collision-free segments, the epoch'd
-dispatch/collect protocol, the respawn → reassign → degrade recovery
-ladder, the in-process executor; MD-free by contract);
+generic runtime (the thread executor; for the process pool spawn/respawn,
+collision-free segments, the epoch'd dispatch/collect protocol and the
+respawn → reassign → degrade recovery ladder; MD-free by contract);
 :mod:`repro.md.tasks` holds the MD force tasks behind the
 :class:`repro.pool.protocol.TaskProvider` interface;
 :mod:`repro.md.lb_driver` makes the measurement-driven placement
@@ -33,8 +37,9 @@ scratch layout from the same *reference* positions (the snapshot of
 :class:`repro.md.pairlist.VerletPairList`); the driver reduces with a
 task-ordered segment-sum, so who computed a block never matters.
 Trajectories are therefore bit-identical across worker counts (1
-included), remaps, and every rung of the recovery ladder — the bottom
-rung re-runs the same tasks against the same reference data in-process.
+included), threads and processes, remaps, and every rung of the recovery
+ladder — the bottom rung re-runs the same tasks against the same
+reference data in-process.
 """
 
 from __future__ import annotations
@@ -89,17 +94,17 @@ __all__ = ["ParallelEngine", "ParallelNonbonded", "HAS_SHARED_MEMORY"]
 
 
 class ParallelNonbonded:
-    """The engines' non-bonded front end: force tasks, pooled or in-process.
+    """The engines' non-bonded front end: force tasks on workers or in-process.
 
     Same quantity as the reference :func:`repro.md.nonbonded.
     compute_nonbonded`, evaluated as the force tasks of
-    :mod:`repro.md.tasks` — on ``n_workers`` processes while a pool is
-    attached (:attr:`active`), in the calling process otherwise; the bits
-    do not depend on which.  Split :meth:`dispatch`/:meth:`collect` calls
-    let the caller overlap its own work with the workers; :meth:`compute`
-    is the one-shot form.  Every evaluation feeds per-task timings into
-    :attr:`workdb`, which drives the paper's balancers when
-    ``rebalance_every > 0``.
+    :mod:`repro.md.tasks` — on ``n_workers`` threads (processes under
+    supervision) while they are attached (:attr:`active`), on the calling
+    thread otherwise; the bits do not depend on which.  Split
+    :meth:`dispatch`/:meth:`collect` calls let the caller overlap its own
+    work with the workers; :meth:`compute` is the one-shot form.  Every
+    evaluation feeds per-task timings into :attr:`workdb`, which drives
+    the paper's balancers when ``rebalance_every > 0``.
     """
 
     #: teardown latency bound, mirrored from the pool runtime
@@ -122,7 +127,7 @@ class ParallelNonbonded:
     ) -> None:
         """``n_workers <= 0`` means "one per CPU", 1 means none (the tasks
         run in-process); ``timeout`` (seconds) bounds every wait on the
-        pool.  The bonded terms are tasks too; ``ewald`` makes this
+        workers.  The bonded terms are tasks too; ``ewald`` makes this
         evaluator own the *full* electrostatics, the reciprocal sum one PME
         task (every ``ewald.recip_every`` steps, see :meth:`dispatch`).
         ``rebalance_every=N`` runs an LB decision every N evaluations;
@@ -131,7 +136,8 @@ class ParallelNonbonded:
         ``fault_plan`` schedules deterministic fault injection — kills,
         hangs and per-worker slowdown windows (string form
         ``"kill=1@3,hang=0@2x1.5,slow=0@2-8x4"``); ``recovery`` configures
-        the supervision ladder; ``backend`` names the kernel set for driver
+        the supervision ladder.  Either one selects worker processes over
+        threads; ``backend`` names the kernel set for driver
         and workers alike.  All modes keep the task-ordered reduction, so
         trajectories stay bit-identical across repeats, remaps, worker
         counts and recovery.
@@ -166,9 +172,12 @@ class ParallelNonbonded:
         #: the reciprocal energy of the last evaluation that ran the PME
         #: task — what the reports of the steps between two such carry
         self.last_recip_energy = 0.0
-        self._pool: SupervisedPool | None = None
+        #: the executor of ``n_workers`` evaluators — threads, or processes
+        #: under supervision — while one is attached
+        self._pool: InProcessExecutor | SupervisedPool | None = None
+        #: the calling thread's executor, once the tasks run without workers
         self._local: InProcessExecutor | None = None
-        #: ``(pool or None, rebuild, step payload, start time)`` of the
+        #: ``(executor or None, rebuild, step payload, start time)`` of the
         #: evaluation awaiting collect()
         self._dispatched: tuple | None = None
         self._kspace_stat_base: np.ndarray | None = None
@@ -194,7 +203,13 @@ class ParallelNonbonded:
         self.pairlist = VerletPairList(
             pair_reach(self.options, ewald), skin, self._provider.layout
         )
-        if self.n_workers > 1 and HAS_SHARED_MEMORY:
+        # the one executor selector: supervision asked for means worker
+        # processes, anything else threads
+        if self.n_workers > 1 and fault_plan is None and recovery is None:
+            self._pool = InProcessExecutor(
+                self._provider, self.n_workers, assignment, timeout=self.timeout
+            )
+        elif self.n_workers > 1:
             if fault_plan is not None:
                 # checked here: a pool that fails to start only warns
                 fault_plan.check_workers(self.n_workers)
@@ -212,11 +227,15 @@ class ParallelNonbonded:
                 )
         if self._pool is None:
             self.n_workers = 1
+        else:
+            for w in range(self.n_workers):
+                self.workdb.note_worker_backend(w, self.backend.name)
 
     @property
     def active(self) -> bool:
-        """True while worker processes are attached (pool started, not
-        degraded, not closed); otherwise the tasks run in-process."""
+        """True while workers — threads or processes — are attached
+        (started, not degraded, not closed); otherwise the tasks run on
+        the calling thread."""
         return (
             not self._closed
             and self._pool is not None
@@ -230,7 +249,7 @@ class ParallelNonbonded:
 
     @property
     def seq(self) -> int:
-        """The pool's evaluation counter (0 without workers)."""
+        """The executor's evaluation counter (0 without workers)."""
         return self._pool.seq if self.active else 0
 
     @seq.setter
@@ -336,8 +355,6 @@ class ParallelNonbonded:
         # the pool's accounting is the engine's accounting — one object,
         # surviving pool close so post-degrade reports still read it
         self.resilience = self._pool.resilience
-        for w in range(self.n_workers):
-            self.workdb.note_worker_backend(w, self.backend.name)
 
     @property
     def n_live(self) -> int:
@@ -412,10 +429,14 @@ class ParallelNonbonded:
         """Finish the outstanding evaluation: driver remainder (1-4 pass
         and the Ewald exclusion/self/background terms — overlapped with
         the workers), gather, reduce.
-        Worker death, hang, or error during the wait is *recovered*, not
-        fatal; when the whole ladder is exhausted — as when no workers
-        were attached in the first place — the tasks run in-process.  The
-        result is bit-identical in every case."""
+        On worker processes, death, hang, or error during the wait is
+        *recovered*, not fatal; when the whole ladder is exhausted — as
+        when no workers were attached in the first place — the tasks run
+        in-process.  The result is bit-identical in every case.  On
+        threads, a task's exception re-raises here once every thread is
+        done, before anything is reduced; a thread silent past
+        ``timeout`` raises :class:`TimeoutError` and leaves the tasks to
+        the calling thread from the next evaluation on."""
         if self._dispatched is None:
             raise RuntimeError("collect() called without a dispatch()")
         pool, rebuild, payload, t_dispatch = self._dispatched
@@ -525,13 +546,21 @@ class ParallelNonbonded:
         """Cumulative driver-vs-pool wall-time split: ``driver_s`` is
         driver *compute* time, ``wall_s`` the dispatch→collect wall time,
         ``driver_share`` their ratio — the serial fraction the force tasks
-        leave behind."""
+        leave behind; ``executor`` says who runs the tasks now:
+        ``"threads"``, ``"processes"`` or ``"in-process"``."""
         wall = self.pool_wall_s
+        if not self.active:
+            executor = "in-process"
+        elif isinstance(self._pool, InProcessExecutor):
+            executor = "threads"
+        else:
+            executor = "processes"
         return {
             "n_evals": self.n_evals,
             "driver_s": self.driver_compute_s,
             "wall_s": wall,
             "driver_share": self.driver_compute_s / wall if wall > 0 else 0.0,
+            "executor": executor,
         }
 
     def _kspace_counts(self, rows: np.ndarray) -> np.ndarray:
@@ -584,7 +613,7 @@ class ParallelNonbonded:
         pool = self._pool
         return _lb_driver.build_driver_problem(
             self.workdb, self.n_workers, pool.assignment, self._self_task_of,
-            frozenset(pool._dead_workers),
+            pool.dead_workers,
         )
 
     def _plan_rebalance(self) -> None:
@@ -632,10 +661,10 @@ class ParallelNonbonded:
         }
 
     def close(self) -> None:
-        """Stop the workers and release shared memory (idempotent; safe
-        under close-during-dispatch — an outstanding evaluation is
-        dropped).  The evaluator stays usable: later evaluations run the
-        same tasks in-process."""
+        """Stop and join the workers, threads or processes, and release
+        any shared memory (idempotent; safe under close-during-dispatch —
+        an outstanding evaluation is dropped).  The evaluator stays usable:
+        later evaluations run the same tasks in-process."""
         if self._closed:
             return
         self._closed = True
@@ -651,13 +680,15 @@ class ParallelNonbonded:
 
 
 class ParallelEngine(SequentialEngine):
-    """The MD engine with its force tasks on a pool of worker processes.
+    """The MD engine with its force tasks on ``workers`` threads.
 
     Everything but the constructor is :class:`~repro.md.engine.
     SequentialEngine`: the same tasks, lists and reduction, so the
-    trajectory does not depend on ``workers``.  Use as a context manager —
-    or call :meth:`close` — to stop the pool; it is also stopped at
-    interpreter exit, so stray engines never leak.
+    trajectory does not depend on ``workers``.  A ``fault_plan`` or a
+    ``recovery`` policy puts the tasks on supervised worker processes
+    instead, with the same bits.  Use as a context manager — or call
+    :meth:`close` — to stop the workers; a process pool is also stopped
+    at interpreter exit, so stray engines never leak.
     """
 
     def __init__(
@@ -678,8 +709,9 @@ class ParallelEngine(SequentialEngine):
         backend=None,
         ewald: EwaldOptions | None = None,
     ) -> None:
-        """``workers <= 0`` means one worker per CPU; the other knobs are
-        those of :class:`ParallelNonbonded` / :class:`SequentialEngine`."""
+        """``workers <= 0`` means one worker thread per CPU; the other
+        knobs are those of :class:`ParallelNonbonded` /
+        :class:`SequentialEngine`."""
         self._setup(
             system, options, integrator, checkpoint_every, checkpoint_path,
             backend, ewald,

@@ -487,9 +487,10 @@ class ForceTaskEvaluator:
     """The evaluator of the MD force tasks — the engines' one non-bonded
     implementation.
 
-    Built by :meth:`ForceTaskProvider.make_evaluator`, inside each pool
-    worker or, for an engine without workers, in the driver process by
-    :class:`repro.pool.InProcessExecutor`.  It works on a private shallow
+    Built by :meth:`ForceTaskProvider.make_evaluator`: one per worker
+    thread of :class:`repro.pool.InProcessExecutor` (one on the calling
+    thread for an engine without workers), or inside each worker process
+    of a supervised pool.  It works on a private shallow
     copy of the system whose positions alias the ``"pos"`` view (the
     driver owns the contents and guarantees they are wrapped before each
     step); :meth:`rebuild` temporarily aliases the ``"ref"`` view so
@@ -505,10 +506,10 @@ class ForceTaskEvaluator:
     """
 
     def __init__(self, provider: "ForceTaskProvider", worker_id, n_workers, views):
-        # resolve the kernel backend once per worker process; forked
-        # workers inherit the driver's loaded library, spawned ones load
-        # the cached object — either way every task of this worker runs
-        # the same kernels for its whole life
+        # resolve the kernel backend once per evaluator; threads and forked
+        # workers share the driver's loaded library, spawned ones load the
+        # cached object — either way every task of this worker runs the
+        # same kernels for its whole life
         self.backend = get_backend(provider.backend_name)
         self.provider = provider
         # a copy: in-process the provider's system is the engine's own

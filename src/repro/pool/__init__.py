@@ -1,12 +1,13 @@
-"""Generic supervised shared-memory pool runtime.
+"""Generic task executors: threads, or a supervised shared-memory pool.
 
-A reusable process-pool layer extracted from the MD parallel engine:
-worker supervision (spawn/respawn with pipes and sentinels), a
-collision-free shared-memory segment registry, an epoch'd
-dispatch/collect step protocol with per-task timing, deterministic
-fault injection, the respawn → reassign → degrade recovery ladder, and an
-in-process executor that runs the same tasks through the same per-step
-loop when no workers are attached.
+A reusable executor layer extracted from the MD parallel engine: the
+in-process executor, which runs the tasks through one per-step loop on N
+threads (or on the calling thread when no workers are attached), and the
+supervised process pool kept for what only processes give — worker
+supervision (spawn/respawn with pipes and sentinels), a collision-free
+shared-memory segment registry, an epoch'd dispatch/collect step protocol
+with per-task timing, deterministic fault injection, and the respawn →
+reassign → degrade recovery ladder.
 
 The runtime is domain-agnostic: it schedules opaque task ids described
 by a :class:`TaskProvider` (see :mod:`repro.pool.protocol`) and imports

@@ -1,14 +1,14 @@
-"""Worker-slot leasing: one process-count budget shared by many pools.
+"""Worker-slot leasing: one core budget shared by many executors.
 
 The service layer runs many concurrent simulations, each owning its own
-:class:`~repro.pool.runtime.SupervisedPool` (a pool's task structure is
-fixed per workload at construction), but the machine's capacity for worker
-*processes* is one shared resource.  :class:`WorkerBudget` is the
-thread-safe allocator for that resource: a job acquires a
-:class:`WorkerLease` for the slots its pool will spawn, holds it for the
-pool's lifetime, and releases it when the pool closes — so the total
-number of live worker processes across every job stays bounded no matter
-how many jobs are queued.
+executor — worker threads, or a :class:`~repro.pool.runtime.SupervisedPool`
+of processes under a fault plan (an executor's task structure is fixed per
+workload at construction) — but the machine's cores are one shared
+resource.  :class:`WorkerBudget` is the thread-safe allocator for that
+resource: a job acquires a :class:`WorkerLease` for the slots its workers
+will occupy, one core each, holds it for the executor's lifetime, and
+releases it when the executor closes — so the total number of live workers
+across every job stays bounded no matter how many jobs are queued.
 
 Deliberately tiny and domain-free (this module is part of ``repro.pool``
 and must not import any MD layer): the budget does not spawn anything and
@@ -60,7 +60,7 @@ class WorkerLease:
 
 
 class WorkerBudget:
-    """Thread-safe fixed budget of worker-process slots.
+    """Thread-safe fixed budget of worker slots (cores).
 
     ``try_acquire`` never blocks: the service's admission loop polls it at
     scheduling boundaries, which keeps admission policy (priorities,

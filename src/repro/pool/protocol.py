@@ -9,10 +9,10 @@ domain-specific enters through two small interfaces:
   how many tasks, how big the shared scratch must be, which extra shared
   data segments the tasks need (e.g. particle positions), and a factory
   for the worker-side evaluator.  The provider object is shipped to
-  every worker process (by fork inheritance or pickle), so it must be
-  picklable and must not hold live OS resources.
-* :class:`TaskEvaluator` — the worker-process-side object built by the
-  provider.  The runtime's generic worker loop calls it in a fixed
+  every worker process of a supervised pool (by fork inheritance or
+  pickle), so it must be picklable and must not hold live OS resources.
+* :class:`TaskEvaluator` — the worker-side object built by the provider,
+  one per executor thread or worker process.  The runtime's generic worker loop calls it in a fixed
   order: :meth:`~TaskEvaluator.begin_step` with the driver's per-step
   payload, :meth:`~TaskEvaluator.rebuild` whenever the task→worker
   assignment changed or the driver requested it (returning the scratch
@@ -82,7 +82,7 @@ STAT_COLS = 4
 
 @runtime_checkable
 class TaskEvaluator(Protocol):
-    """Worker-side task executor, built once per worker process."""
+    """Worker-side task executor, built once per worker (thread or process)."""
 
     def begin_step(self, payload: Any) -> None:
         """Receive the driver's per-step payload (e.g. the current box)."""
@@ -140,7 +140,8 @@ class TaskProvider(Protocol):
     def make_evaluator(
         self, worker_id: int, n_workers: int, views: dict[str, np.ndarray]
     ) -> TaskEvaluator:
-        """Build the worker-side evaluator (called in the worker process).
+        """Build the worker-side evaluator (called in the worker process,
+        or by the driver for each executor thread).
 
         ``views`` maps every label from :meth:`segments` plus
         ``"scratch"`` and ``"stats"`` to its mapped array.

@@ -1,4 +1,4 @@
-"""Generic supervised shared-memory worker-pool runtime.
+"""The executors of the real parallel engine: threads, or supervised processes.
 
 This module is the scheduling/supervision half of the repository's real
 parallel engine, split out of :mod:`repro.md.parallel` so that *what* is
@@ -6,7 +6,12 @@ computed (an MD force field, a synthetic test workload, a future
 multi-job service) is decoupled from *how* it is run.  The runtime knows
 nothing about molecular dynamics — it is parameterized by a
 :class:`~repro.pool.protocol.TaskProvider` and schedules opaque task
-ids.  It owns:
+ids.  Two executors run them through one per-step loop (:func:`run_step`)
+behind one driver surface: :class:`InProcessExecutor`, N evaluators on N
+threads of this process (or one on the calling thread), and
+:class:`SupervisedPool`, worker processes over shared memory for what only
+processes give — a worker that can be killed, hung and replaced.  The pool
+owns:
 
 * **Worker lifecycle** — spawn and respawn of worker processes with
   per-worker command/result pipes; a process killed mid-send can corrupt
@@ -53,6 +58,7 @@ import atexit
 import math
 import multiprocessing as mp
 import multiprocessing.connection as mp_connection
+import threading
 import time
 import traceback
 import warnings
@@ -149,7 +155,7 @@ def slowdown_factor(
 
 
 # --------------------------------------------------------------------------- #
-# the per-step task loop, shared by pool workers and the in-process executor
+# the per-step task loop, shared by pool workers and executor threads
 # --------------------------------------------------------------------------- #
 @dataclass
 class StepState:
@@ -227,43 +233,254 @@ def run_step(
     evaluator.end_step(stats[n_tasks + state.worker_id])
 
 
-class InProcessExecutor:
-    """Every task of a provider, evaluated in the calling process.
+#: the command that ends an executor thread's loop
+_STOP = ("stop",)
 
-    The worker-less twin of :class:`SupervisedPool`: the same ``scratch`` /
-    ``stats`` / :meth:`view` surface over plain arrays and the same
-    :func:`run_step`, so a client reduces either result with the same code
-    and gets the same bits.
+
+class InProcessExecutor:
+    """The tasks of a provider on ``n_workers`` evaluators in this process.
+
+    The process-less twin of :class:`SupervisedPool`: the same driver
+    surface (:meth:`dispatch` / :meth:`collect` / :meth:`finish_step`,
+    ``scratch`` / ``stats`` / :meth:`view`, ``assignment``, ``seq``) over
+    plain arrays, and the same :func:`run_step` per evaluator, so a client
+    reduces either result with the same code and gets the same bits.  With
+    one evaluator (the default) :meth:`collect` runs every task on the
+    calling thread; with ``n_workers >= 2`` evaluator ``w`` runs the tasks
+    ``assignment`` gives it on a thread of its own, which parks on its own
+    condition between steps.  The threads share every array: an evaluator
+    writes only its tasks' scratch blocks and stats rows, which the
+    task-ordered layout keeps disjoint.
+
+    What processes give and threads do not is recovery — a thread cannot be
+    killed.  An evaluator's exception re-raises from :meth:`collect`, naming
+    its thread, once every thread has finished (that evaluator rebuilds
+    before its next step); a thread silent ``timeout`` seconds after the
+    dispatch makes :meth:`collect` raise :class:`TimeoutError` and closes
+    the executor.
     """
 
-    def __init__(self, provider: TaskProvider) -> None:
+    _TEARDOWN_BUDGET_S = 5.0
+
+    def __init__(
+        self,
+        provider: TaskProvider,
+        n_workers: int = 1,
+        assignment=None,
+        *,
+        timeout: float = 120.0,
+    ) -> None:
+        if timeout <= 0:
+            raise ValueError("timeout must be positive")
         n_tasks = int(provider.n_tasks)
+        self.n_workers = n = max(int(n_workers), 1)
+        self.timeout = float(timeout)
         self.scratch = np.zeros(provider.scratch_shape(), dtype=np.float64)
-        self.stats = np.zeros((n_tasks + 1, STAT_COLS), dtype=np.float64)
+        self.stats = np.zeros((n_tasks + n, STAT_COLS), dtype=np.float64)
         self._views = {
             label: np.zeros(shape, dtype=np.dtype(dtype))
             for label, (shape, dtype) in provider.segments().items()
         }
-        self._evaluator = provider.make_evaluator(
-            0, 1, {**self._views, "scratch": self.scratch, "stats": self.stats}
-        )
-        self._state = StepState(0, np.zeros(n_tasks, dtype=np.int64))
+        if assignment is None:
+            assignment = np.zeros(n_tasks, dtype=np.int64)
+        self._assignment = np.asarray(assignment, dtype=np.int64).copy()
+        if len(self._assignment) != n_tasks:
+            raise ValueError("assignment length must equal provider.n_tasks")
+        views = {**self._views, "scratch": self.scratch, "stats": self.stats}
+        self._evaluators = [provider.make_evaluator(w, n, views) for w in range(n)]
+        self._states = [StepState(w, self._assignment) for w in range(n)]
+        self._seq = 0
+        #: the ``run_step`` arguments of the evaluation awaiting collect()
+        self._pending: tuple | None = None
+        self._t_dispatch: float | None = None
+        self._closed = False
+        n_threads = n if n > 1 else 0
+        #: per thread: the command it is to run next, and where it parks
+        self._commands: list = [None] * n_threads
+        self._wake = [threading.Condition() for _ in range(n_threads)]
+        #: guards the threads' reports: who is still running, who raised
+        self._done = threading.Condition()
+        self._running: set[int] = set()
+        self._errors: dict[int, Exception] = {}
+        self._threads = [
+            threading.Thread(
+                target=self._serve, args=(w,), name=f"repro-executor-{w}",
+                daemon=True,
+            )
+            for w in range(n_threads)
+        ]
+        for thread in self._threads:
+            thread.start()
+
+    @property
+    def active(self) -> bool:
+        """True until :meth:`close` (or a timeout) stops the executor."""
+        return not self._closed
+
+    @property
+    def seq(self) -> int:
+        """Sequence number of the most recent (or in-flight) evaluation."""
+        return self._seq
+
+    @seq.setter
+    def seq(self, value: int) -> None:
+        self._seq = int(value)
+
+    @property
+    def pending(self) -> int | None:
+        """Sequence number of the in-flight evaluation, if any."""
+        return None if self._pending is None else self._seq
 
     @property
     def assignment(self) -> np.ndarray:
-        """The task→executor map: every task on executor 0."""
-        return self._state.assignment
+        """The live task→evaluator map."""
+        return self._assignment
+
+    @property
+    def n_live(self) -> int:
+        return self.n_workers
+
+    @property
+    def dead_workers(self) -> frozenset:
+        """Always empty: a thread is never declared dead."""
+        return frozenset()
 
     def view(self, label: str) -> np.ndarray:
         """The provider data segment ``label`` (a plain array here)."""
         return self._views[label]
 
+    def begin_step(self) -> bool:
+        return not self._closed
+
+    def dispatch(self, rebuild: bool, payload, new_assignment=None) -> int:
+        """Start one evaluation; returns its sequence number.  With threads
+        it runs while the caller goes on; exactly one :meth:`collect` must
+        follow."""
+        if self._closed:
+            raise RuntimeError("executor is closed")
+        if self._pending is not None:
+            raise RuntimeError("dispatch() called with a collect() outstanding")
+        self._seq += 1
+        if new_assignment is not None:
+            self._assignment = np.asarray(new_assignment, dtype=np.int64)
+        command = (self._seq, rebuild, payload, new_assignment)
+        self._pending = command
+        self._t_dispatch = time.monotonic()
+        with self._done:
+            self._errors = {}
+            self._running = set(range(len(self._threads)))
+        for w, wake in enumerate(self._wake):
+            with wake:
+                self._commands[w] = command
+                wake.notify()
+        return self._seq
+
+    def collect(self) -> bool:
+        """Finish the outstanding evaluation: run it here (one evaluator)
+        or wait for every thread; True when done, like the pool's.  Raises
+        an evaluator's exception (the lowest worker id's, if several
+        raised) or :class:`TimeoutError`."""
+        command = self._pending
+        if command is None:
+            raise RuntimeError("collect() called without a dispatch()")
+        if not self._threads:
+            self._pending = None
+            error = self._run(0, command)
+            if error is not None:
+                raise error
+            return True
+        remaining = self._t_dispatch + self.timeout - time.monotonic()
+        with self._done:
+            self._done.wait_for(lambda: not self._running, max(remaining, 0.0))
+            silent = sorted(self._running)
+            errors = dict(self._errors)
+        if silent:
+            names = ", ".join(self._threads[w].name for w in silent)
+            self._stop()
+            raise TimeoutError(
+                f"executor thread(s) {names} silent past the "
+                f"{self.timeout:g}s timeout; the executor is closed"
+            )
+        self._pending = None
+        if errors:
+            w = min(errors)
+            error = errors[w]
+            if hasattr(error, "add_note"):  # Python >= 3.11
+                error.add_note(f"raised on executor thread {self._threads[w].name}")
+            raise error
+        return True
+
+    def finish_step(self) -> float:
+        """Close out a collected evaluation; returns its wall time."""
+        t0, self._t_dispatch = self._t_dispatch, None
+        return 0.0 if t0 is None else time.monotonic() - t0
+
     def run(self, rebuild: bool, payload) -> None:
         """Evaluate all tasks once; ``payload`` goes to ``begin_step``."""
-        run_step(
-            self._evaluator, self._state, self.scratch, self.stats,
-            0, rebuild, payload,
-        )
+        self.dispatch(rebuild, payload)
+        self.collect()
+        self.finish_step()
+
+    def _run(self, w: int, command) -> Exception | None:
+        """Evaluator ``w``'s part of ``command``; returns what it raised."""
+        try:
+            run_step(
+                self._evaluators[w], self._states[w], self.scratch, self.stats,
+                *command,
+            )
+        except Exception as exc:
+            # whatever the evaluator holds may be half-built: it rebuilds
+            # from the reference data before its next evaluation
+            self._states[w].offsets = None
+            return exc
+        return None
+
+    def _serve(self, w: int) -> None:
+        """Executor thread ``w``: park on its condition, run, report."""
+        wake = self._wake[w]
+        try:
+            while True:
+                with wake:
+                    wake.wait_for(lambda: self._commands[w] is not None)
+                    command, self._commands[w] = self._commands[w], None
+                if command is _STOP:
+                    return
+                error = self._run(w, command)
+                with self._done:
+                    if error is not None:
+                        self._errors[w] = error
+                    self._running.discard(w)
+                    self._done.notify_all()
+        finally:
+            self._evaluators[w].close()
+
+    def _stop(self) -> None:
+        """Tell every thread to exit after the step it may be in."""
+        if self._closed:
+            return
+        self._closed = True
+        self._pending = None
+        self._t_dispatch = None
+        for w, wake in enumerate(self._wake):
+            with wake:
+                self._commands[w] = _STOP
+                wake.notify()
+
+    def close(self) -> None:
+        """Stop and join the executor threads (idempotent; an outstanding
+        evaluation is dropped).  The joins share one bounded budget: a
+        thread stuck in a task is left behind as a daemon, and the next
+        :meth:`close` joins it again."""
+        self._stop()
+        deadline = time.monotonic() + self._TEARDOWN_BUDGET_S
+        for thread in self._threads:
+            thread.join(max(deadline - time.monotonic(), 0.0))
+
+    def __enter__(self) -> "InProcessExecutor":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 # --------------------------------------------------------------------------- #
@@ -614,6 +831,11 @@ class SupervisedPool:
 
     def live_workers(self) -> list[int]:
         return [w for w in range(self.n_workers) if w not in self._dead_workers]
+
+    @property
+    def dead_workers(self) -> frozenset:
+        """Workers declared permanently dead (their tasks reassigned)."""
+        return frozenset(self._dead_workers)
 
     @property
     def n_live(self) -> int:

@@ -24,7 +24,10 @@ POST   ``/shutdown``                  stop accepting work, stop the server
 ====== ============================== =======================================
 
 Streaming writes one JSON object per line and flushes per record, so a
-client following a live job sees steps as they complete.
+client following a live job sees steps as they complete.  A job's
+``workers`` are threads of the server process (worker processes only for
+a spec with a ``fault_plan``); the ``worker_slots`` in ``/stats`` and job
+details count cores leased by running jobs, not processes.
 """
 
 from __future__ import annotations

@@ -22,8 +22,9 @@ class QuotaError(Exception):
 class TenantQuota:
     """Limits for one tenant.
 
-    ``max_workers`` caps the tenant's summed *worker-process slots*
-    (sequential jobs count 0), so one tenant cannot monopolize the shared
+    ``max_workers`` caps the tenant's summed *worker slots* — cores, one
+    per worker thread or process (sequential jobs count 0) — so one
+    tenant cannot monopolize the shared
     :class:`~repro.pool.lease.WorkerBudget` even within its running limit.
     """
 

@@ -6,7 +6,9 @@ onto shared machine capacity:
 * **Admission** — submitted jobs queue per tenant (``max_queued``); the
   scheduler admits them by priority then FIFO, when the tenant's
   ``max_running``/``max_workers`` quota allows *and* the job's worker
-  processes fit the shared :class:`~repro.pool.lease.WorkerBudget`.  A
+  slots fit the shared :class:`~repro.pool.lease.WorkerBudget`.  A slot
+  is a core a running job leases for one of its workers — an executor
+  thread, or a worker process for a job with a fault plan.  A
   small job may be admitted past a big one that doesn't fit — packing,
   not head-of-line blocking.
 * **Execution** — each running job is an asyncio coroutine stepping its
@@ -14,8 +16,8 @@ onto shared machine capacity:
   work-conserving queue: a thread pool of ``lanes`` threads, so at most
   ``lanes`` slices run at once and no thread idles while a running job
   has a slice waiting.  Slices of different jobs overlap in wall clock —
-  a parallel engine's driver spends most of a slice blocked in
-  ``connection.wait`` with the GIL released — while each job's own
+  a parallel engine's driver spends most of a slice waiting on its
+  workers with the GIL released — while each job's own
   slices stay strictly serialized by its coroutine, so trajectories are
   bit-identical to solo runs (slicing only moves where slice boundaries
   fall, never what is computed).
@@ -64,8 +66,10 @@ class SimulationService:
         default_quota: TenantQuota | None = None,
         rebalance_every: int = 0,
     ) -> None:
-        """``worker_slots`` bounds the total worker *processes* across all
-        running jobs; ``lanes`` bounds how many slices (of any jobs) run
+        """``worker_slots`` bounds the total workers across all running
+        jobs: slots are cores leased by running jobs, one per worker
+        thread (or worker process, for a job with a fault plan), not
+        processes; ``lanes`` bounds how many slices (of any jobs) run
         at the same time; every slice is ``slice_steps`` steps.
         ``rebalance_every`` is accepted only as 0: jobs are not placed on
         lanes, so there is nothing to re-plan."""

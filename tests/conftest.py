@@ -7,8 +7,11 @@ same structure.
 
 from __future__ import annotations
 
+import gc
+import multiprocessing
 import os
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -48,6 +51,22 @@ def pytest_collection_modifyitems(config, items):
             rng.shuffle(cls)
             shuffled += cls
     items[:] = shuffled
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_worker_outlives_the_session():
+    """Fail the session when an engine's executor thread or worker process
+    is still alive at its end: something was neither closed nor collected."""
+    yield
+    gc.collect()  # an engine dropped without close() closes when collected
+    left = [
+        t.name for t in threading.enumerate()
+        if t.name.startswith("repro-executor-")
+    ] + [
+        p.name for p in multiprocessing.active_children()
+        if p.name.startswith("repro-pool-worker-")
+    ]
+    assert not left, f"workers outlived the test session: {left}"
 
 
 @pytest.fixture(scope="session")

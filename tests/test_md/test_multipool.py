@@ -1,20 +1,25 @@
-"""Multiple live pools in one process: no cross-talk, no leaks.
+"""Multiple live executors in one process: no cross-talk, no leaks.
 
-The segment registry gives every pool collision-free shared-memory names
-(pid + random token prefix), so two engines — or an engine plus any other
-``repro.pool`` client — can coexist and tear down independently.
+The segment registry gives every process pool collision-free shared-memory
+names (pid + random token prefix), so two engines — or an engine plus any
+other ``repro.pool`` client — can coexist and tear down independently.  A
+default parallel engine runs on threads and forks nothing; one beside a
+supervised engine, which does fork, keeps its bits.
 """
 
 from __future__ import annotations
+
+import multiprocessing
 
 import numpy as np
 import pytest
 
 from repro.builder import small_water_box
 from repro.md.engine import SequentialEngine
+from repro.md.integrator import VelocityVerlet
 from repro.md.nonbonded import NonbondedOptions
 from repro.md.parallel import HAS_SHARED_MEMORY, ParallelEngine
-from repro.pool import attach_segment
+from repro.pool import RecoveryPolicy, SegmentRegistry, attach_segment
 
 from .oracle import assert_matches_reference
 
@@ -36,8 +41,12 @@ def water400():
 
 
 def test_two_engines_coexist_without_crosstalk(water600, water400):
-    with ParallelEngine(water600.copy(), options=OPTS, workers=2) as eng_a:
-        with ParallelEngine(water400.copy(), options=OPTS, workers=2) as eng_b:
+    with ParallelEngine(
+        water600.copy(), options=OPTS, workers=2, recovery=RecoveryPolicy()
+    ) as eng_a:
+        with ParallelEngine(
+            water400.copy(), options=OPTS, workers=2, recovery=RecoveryPolicy()
+        ) as eng_b:
             assert eng_a.parallel and eng_b.parallel
             # disjoint shared-memory names
             names_a = set(eng_a._nb._pool._registry.names().values())
@@ -133,7 +142,9 @@ def test_parallel_engines_kspace_accounting_isolated(water600, water400):
 def test_segments_unlinked_after_close(water400):
     # the leak check: every shared-memory name a pool created must be gone
     # from the OS once the engine closes
-    eng = ParallelEngine(water400.copy(), options=OPTS, workers=2)
+    eng = ParallelEngine(
+        water400.copy(), options=OPTS, workers=2, recovery=RecoveryPolicy()
+    )
     assert eng.parallel
     names = list(eng._nb._pool._registry.names().values())
     assert names
@@ -142,3 +153,48 @@ def test_segments_unlinked_after_close(water400):
     for name in names:
         with pytest.raises(FileNotFoundError):
             attach_segment(name)
+
+
+def test_default_parallel_engine_forks_nothing(water400, monkeypatch):
+    """Threads: no worker process while it steps, no shared memory."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread executor created a shared-memory segment")
+
+    monkeypatch.setattr(SegmentRegistry, "create", refuse)
+    with ParallelEngine(water400.copy(), options=OPTS, workers=2) as eng:
+        assert eng.parallel
+        assert eng.driver_report()["executor"] == "threads"
+        for _ in range(2):
+            eng.compute_forces()
+            assert multiprocessing.active_children() == []
+
+
+def test_threads_and_processes_stepped_alternately(water400):
+    """A supervised engine forks its workers while a threaded engine's
+    threads are parked; stepped in turns, each keeps its solo bits."""
+
+    def engine(**kwargs):
+        system = water400.copy()
+        system.assign_velocities(300.0, seed=5)
+        return ParallelEngine(
+            system, OPTS, VelocityVerlet(dt=1.0), workers=2, **kwargs
+        )
+
+    supervised = {"recovery": RecoveryPolicy()}
+    solo = {}
+    for name, kwargs in (("threads", {}), ("processes", supervised)):
+        with engine(**kwargs) as eng:
+            eng.run(4)
+            solo[name] = eng.system.positions.copy()
+    with engine() as threaded:
+        threaded.step()  # its threads are live before the fork below
+        with engine(**supervised) as pooled:
+            assert threaded.driver_report()["executor"] == "threads"
+            assert pooled.driver_report()["executor"] == "processes"
+            for _ in range(3):
+                pooled.step()
+                threaded.step()
+            pooled.step()
+            assert np.array_equal(threaded.system.positions, solo["threads"])
+            assert np.array_equal(pooled.system.positions, solo["processes"])

@@ -4,9 +4,10 @@ run, and the path agrees with the reference functions.
 Every force term is a task — cell pair blocks, bonded groups and, under
 Ewald, the PME task — and an engine without workers (``SequentialEngine``)
 evaluates the workers' tasks in-process through the same per-step loop, so
-``workers`` 1 / 2 / 3 give bit-identical trajectories, as do the degrade
-rung, an LB remap and a checkpoint resume — on each kernel backend, whose
-bits differ from one another; against the independent oracle (``oracle.py``)
+``workers`` 1 / 2 / 3 give bit-identical trajectories, whether the workers
+are threads (the default) or supervised processes, as do the degrade rung,
+an LB remap and a checkpoint resume — on each kernel backend, whose bits
+differ from one another; against the independent oracle (``oracle.py``)
 the path holds 1e-9 on every system the engines are used on, the PME part
 its own bound.
 """
@@ -23,17 +24,18 @@ from repro.md.ewald import EwaldOptions, compute_ewald
 from repro.md.integrator import VelocityVerlet
 from repro.md.nonbonded import NonbondedOptions
 from repro.md.parallel import HAS_SHARED_MEMORY
-from repro.pool import HAS_POSIX_SIGNALS, RecoveryPolicy
+from repro.pool import HAS_POSIX_SIGNALS, InProcessExecutor, RecoveryPolicy
 from repro.runtime.checkpoint import load_run_checkpoint, restore_run_checkpoint
 
 from .oracle import PME_ENERGY_RTOL, RTOL, assert_matches_reference
 
-pytestmark = pytest.mark.skipif(
+#: worker processes need shared memory; threads do not
+needs_shm = pytest.mark.skipif(
     not HAS_SHARED_MEMORY, reason="platform lacks multiprocessing.shared_memory"
 )
 
 #: >= 10 everywhere; the water box needs a few more to reach a rebuild
-STEPS = {"water": 16, "assembly": 10}
+STEPS = {"water": 16, "assembly": 10, "skewed": 12}
 
 
 @pytest.fixture(scope="module")
@@ -54,12 +56,14 @@ def fresh(systems, name):
     return system, cutoff
 
 
-def engine_for(systems, name, ewald, workers, **kwargs):
+def engine_for(systems, name, ewald, workers, recip_every=1, **kwargs):
     """``ewald``: falsy, True (its cutoff the LJ one), or that cutoff's
     ratio to the LJ one."""
     system, cutoff = fresh(systems, name)
     if ewald:
-        kwargs["ewald"] = EwaldOptions(cutoff=cutoff * float(ewald), kmax=3)
+        kwargs["ewald"] = EwaldOptions(
+            cutoff=cutoff * float(ewald), kmax=3, recip_every=recip_every
+        )
     return make_engine(
         system, NonbondedOptions(cutoff=cutoff), VelocityVerlet(dt=1.0),
         workers=workers, **kwargs,
@@ -188,15 +192,33 @@ def test_ewald_list_reuse_step_enumerates_and_filters_nothing(systems, monkeypat
 
 #: the two kinds of task beside the cell blocks, each on the system that
 #: has them: bonds, angles, dihedrals and impropers in groups; Ewald water
-#: with its reciprocal sum in the PME task
-CASES = {"bonded": ("assembly", False), "pme": ("water", True)}
+#: with its reciprocal sum in the PME task — every step, or every fourth
+#: (multiple time stepping) on the skewed box:
+#: case -> (system, ewald, recip_every)
+CASES = {
+    "bonded": ("assembly", False, 1),
+    "pme": ("water", True, 1),
+    "mts": ("skewed", True, 4),
+}
+
+#: what selects each executor at ``workers >= 2``: supervision asked for
+#: means worker processes, anything else threads
+SUPERVISED = {"recovery": RecoveryPolicy()}
+
+
+def executor_of(engine) -> str:
+    """Who ran a (possibly closed) engine's force tasks."""
+    pool = engine._nb._pool
+    if pool is None:
+        return "sequential"
+    return "threads" if isinstance(pool, InProcessExecutor) else "processes"
 
 
 def trajectory(systems, case, workers, steps=None, restore=None, **kwargs):
     """``(engine, (positions, velocities, total energies))`` of a run of
     ``case``, optionally continuing a checkpoint."""
-    name, ewald = CASES[case]
-    engine = engine_for(systems, name, ewald, workers, **kwargs)
+    name, ewald, recip_every = CASES[case]
+    engine = engine_for(systems, name, ewald, workers, recip_every, **kwargs)
     with engine:
         if restore is not None:
             restore_run_checkpoint(engine, restore)
@@ -212,14 +234,15 @@ def assert_same_bits(run, base):
 
 @pytest.fixture(scope="module")
 def sequential(systems):
-    """(case, backend) -> ``trajectory(systems, case, 1, backend=backend)``,
-    run once per module."""
+    """(case, backend[, skin]) -> ``trajectory(systems, case, 1,
+    backend=backend[, skin=skin])``, run once per module."""
     runs = {}
 
-    def run(case, backend):
-        if (case, backend) not in runs:
-            runs[case, backend] = trajectory(systems, case, 1, backend=backend)
-        return runs[case, backend]
+    def run(case, backend, **skin):
+        key = (case, backend, *skin.values())
+        if key not in runs:
+            runs[key] = trajectory(systems, case, 1, backend=backend, **skin)
+        return runs[key]
 
     return run
 
@@ -238,18 +261,24 @@ class TestEwaldBitsDoNotDependOnWhoRunsTheTasks:
         assert engine.backend.name == self.backend
         return engine, run
 
-    def test_worker_counts(self, systems, sequential, case):
+    def test_executors(self, systems, sequential, case):
+        """Threads at 2 and 3 workers and a supervised process pool."""
         engine, base = sequential(case, self.backend)
         assert type(engine) is SequentialEngine and not engine.parallel
-        if case == "pme":
-            assert engine.pairlist.n_reuses > 0
-        else:
+        if case == "bonded":
             assert base[2][0] != 0.0 and engine.report().bonded.dihedral != 0.0
-        for workers in (2, 3):
-            engine, run = self.trajectory(systems, case, workers)
+        else:
+            assert engine.pairlist.n_reuses > 0
+        runs = [("threads", 2, {}), ("threads", 3, {})]
+        if HAS_SHARED_MEMORY:
+            runs.append(("processes", 2, SUPERVISED))
+        for executor, workers, kwargs in runs:
+            engine, run = self.trajectory(systems, case, workers, **kwargs)
+            assert executor_of(engine) == executor
             assert engine.resilience.mode == "full"
             assert_same_bits(run, base)
 
+    @needs_shm
     @pytest.mark.skipif(not HAS_POSIX_SIGNALS, reason="platform lacks SIGKILL")
     def test_degrade_rung(self, systems, sequential, case):
         """Both workers lost mid-run: the tasks finish in-process."""
@@ -261,35 +290,50 @@ class TestEwaldBitsDoNotDependOnWhoRunsTheTasks:
             )
         assert engine.resilience.mode == "sequential"
         assert_same_bits(run, base)
-        if case == "pme":
+        if case != "bonded":
             # the lost workers' k-table lookups stay in the engine's totals
             stats = engine.kspace_cache_stats()
             assert stats["builds"] + stats["hits"] > sum(stats["workers"][0].values())
 
-    def test_lb_remap(self, systems, case):
+    @pytest.mark.parametrize(
+        "executor", ["threads", pytest.param("processes", marks=needs_shm)]
+    )
+    def test_lb_remap(self, systems, sequential, case, executor):
         """Tasks change workers mid-run.  A remap pins a list rebuild, so
-        the comparison is made where every step rebuilds anyway."""
-        _, base = self.trajectory(systems, case, 1, skin=0.0)
+        the comparison is made where every step rebuilds anyway.  On
+        processes a slowed worker makes the balancer move tasks; threads
+        take no fault plan, so a placement that ignores the static map
+        moves them."""
+        _, base = sequential(case, self.backend, skin=0.0)
+        if executor == "threads":
+            kwargs = {"lb_strategy": "round_robin"}
+        else:
+            kwargs = {"fault_plan": "slow=0@0-infx3"}
         engine, run = self.trajectory(
-            systems, case, 3, skin=0.0, rebalance_every=3,
-            fault_plan="slow=0@0-infx3",
+            systems, case, 3, skin=0.0, rebalance_every=3, **kwargs
         )
+        assert executor_of(engine) == executor
         assert engine.remap_steps
         assert_same_bits(run, base)
 
     def test_checkpoint_resume(self, systems, case, tmp_path):
-        """... and a resumed run need not even have the writer's workers."""
+        """... and a resumed run need not even have the writer's workers,
+        nor its executor."""
         path = tmp_path / "run.ckpt"
         _, written = self.trajectory(
             systems, case, 2, steps=10, checkpoint_every=4, checkpoint_path=path
         )
         checkpoint = load_run_checkpoint(path)
         assert checkpoint.step == 8
-        _, resumed = self.trajectory(
-            systems, case, 1, steps=2, restore=checkpoint
-        )
-        assert_same_bits(resumed[:2], written[:2])
-        assert resumed[2] == written[2][-2:]
+        resumes = [(1, {}), (3, {})]
+        if HAS_SHARED_MEMORY:
+            resumes.append((2, SUPERVISED))
+        for workers, kwargs in resumes:
+            _, resumed = self.trajectory(
+                systems, case, workers, steps=2, restore=checkpoint, **kwargs
+            )
+            assert_same_bits(resumed[:2], written[:2])
+            assert resumed[2] == written[2][-2:]
 
 
 @pytest.mark.skipif(

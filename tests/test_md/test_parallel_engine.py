@@ -7,6 +7,7 @@ trajectories), NVE energy conservation on the pool, and pool lifecycle
 in-process, bit-identically.
 """
 
+import threading
 import time
 
 import numpy as np
@@ -23,6 +24,7 @@ from repro.md.parallel import (
     ParallelEngine,
     ParallelNonbonded,
 )
+from repro.pool import RecoveryPolicy
 from repro.pool import contiguous_partition as _contiguous_partition
 
 from .oracle import assert_matches_reference
@@ -282,11 +284,21 @@ class TestPartition:
             assert part_costs.max() <= 2.0 * ideal + 1e-6 * total
 
 
+#: what selects each executor: supervision means worker processes
+EXECUTORS = {"threads": {}, "processes": {"recovery": RecoveryPolicy()}}
+
+
 class TestPoolFailure:
+    """Worker processes (the tests kill, stop and inspect them), and the
+    close paths on threads as well."""
+
     def test_timeout_budget_starts_at_dispatch(self, water600):
         # regression: the deadline used to be computed inside collect(),
         # *after* the driver's 1-4 pass silently ate into the budget
-        nb = ParallelNonbonded(water600.copy(), OPTS, n_workers=2, timeout=30.0)
+        nb = ParallelNonbonded(
+            water600.copy(), OPTS, n_workers=2, timeout=30.0,
+            recovery=RecoveryPolicy(),
+        )
         assert nb.active
         try:
             t0 = time.monotonic()
@@ -302,7 +314,10 @@ class TestPoolFailure:
         # regression for the old one-way cliff: a dead worker used to close
         # the pool and raise; the supervisor now respawns it and the
         # evaluation completes bit-identically on the *live* pool
-        nb = ParallelNonbonded(water600.copy(), OPTS, n_workers=2, timeout=60.0)
+        nb = ParallelNonbonded(
+            water600.copy(), OPTS, n_workers=2, timeout=60.0,
+            recovery=RecoveryPolicy(),
+        )
         try:
             assert nb.active
             first = nb.compute()
@@ -322,7 +337,10 @@ class TestPoolFailure:
 
     def test_dead_worker_detected_between_steps(self, water600):
         # liveness is swept at dispatch too, not only inside collect()
-        nb = ParallelNonbonded(water600.copy(), OPTS, n_workers=2, timeout=60.0)
+        nb = ParallelNonbonded(
+            water600.copy(), OPTS, n_workers=2, timeout=60.0,
+            recovery=RecoveryPolicy(),
+        )
         try:
             assert nb.active
             nb.compute()
@@ -334,8 +352,12 @@ class TestPoolFailure:
         finally:
             nb.close()
 
-    def test_double_close_is_idempotent(self, water600):
-        nb = ParallelNonbonded(water600.copy(), OPTS, n_workers=2, timeout=60.0)
+    @pytest.mark.parametrize("executor", list(EXECUTORS))
+    def test_double_close_is_idempotent(self, water600, executor):
+        nb = ParallelNonbonded(
+            water600.copy(), OPTS, n_workers=2, timeout=60.0,
+            **EXECUTORS[executor],
+        )
         assert nb.active
         first = nb.compute()
         nb.close()
@@ -347,10 +369,14 @@ class TestPoolFailure:
         assert np.array_equal(again.forces, first.forces)
         assert again.energy_lj == first.energy_lj
 
-    def test_close_during_dispatch_is_safe(self, water600):
+    @pytest.mark.parametrize("executor", list(EXECUTORS))
+    def test_close_during_dispatch_is_safe(self, water600, executor):
         # close() with a collect() outstanding must drop the pending
         # evaluation so later compute() calls don't trip the pairing guard
-        nb = ParallelNonbonded(water600.copy(), OPTS, n_workers=2, timeout=60.0)
+        nb = ParallelNonbonded(
+            water600.copy(), OPTS, n_workers=2, timeout=60.0,
+            **EXECUTORS[executor],
+        )
         assert nb.active
         nb.dispatch()
         nb.close()
@@ -367,7 +393,10 @@ class TestPoolFailure:
 
         if not hasattr(signal, "SIGSTOP"):
             pytest.skip("platform lacks SIGSTOP")
-        nb = ParallelNonbonded(water600.copy(), OPTS, n_workers=2, timeout=60.0)
+        nb = ParallelNonbonded(
+            water600.copy(), OPTS, n_workers=2, timeout=60.0,
+            recovery=RecoveryPolicy(),
+        )
         try:
             assert nb.active
             nb.compute()
@@ -383,6 +412,110 @@ class TestPoolFailure:
             )
         finally:
             nb.close()
+
+
+class Boom(RuntimeError):
+    pass
+
+
+def live(threads) -> set:
+    """Those of ``threads`` that ``threading.enumerate()`` still lists."""
+    return set(threads) & set(threading.enumerate())
+
+
+class TestThreadFailure:
+    """Threads have no recovery ladder: a failure surfaces from the step,
+    bounded in time, and the engine stays usable with the same bits."""
+
+    def test_task_exception_surfaces_from_step_after_every_thread(self, water600):
+        s = water600.copy()
+        s.assign_velocities(300.0, seed=5)
+        with ParallelEngine(s, OPTS, VelocityVerlet(dt=1.0), workers=2) as eng:
+            assert eng.driver_report()["executor"] == "threads"
+            eng.step()
+            nb = eng._nb
+            slow, failing = nb._pool._evaluators
+            batch = slow.eval_batch
+            finished = []
+
+            def slow_batch(scratch):
+                time.sleep(0.3)
+                out = batch(scratch)
+                finished.append(True)
+                return out
+
+            def boom(scratch):
+                raise Boom("task failure")
+
+            slow.eval_batch, failing.eval_batch = slow_batch, boom
+            n_evals, steps = nb.n_evals, eng.workdb.measured_steps
+            with pytest.raises(Boom) as info:
+                eng.step()
+            assert finished  # the slow thread was done before it surfaced
+            if hasattr(info.value, "add_note"):  # Python >= 3.11
+                assert "executor thread repro-executor-1" in str(
+                    info.value.__notes__
+                )
+            # nothing of the failed evaluation was reduced or recorded
+            assert (nb.n_evals, eng.workdb.measured_steps) == (n_evals, steps)
+            assert nb._pool.pending is None and eng.parallel
+
+    def test_after_an_exception_the_evaluator_rebuilds_to_the_same_bits(
+        self, water600
+    ):
+        nb = ParallelNonbonded(water600.copy(), OPTS, n_workers=2)
+        try:
+            first = nb.compute()
+            failing = nb._pool._evaluators[1]
+            failing.eval_batch = lambda scratch: failing.lists.cols.fill(-1)
+            with pytest.raises(TypeError):  # and its lists are garbage now
+                nb.compute()
+            del failing.eval_batch
+            again = nb.compute()  # a reuse step: only the failed one rebuilds
+            assert nb.pairlist.n_builds == 1
+            assert np.array_equal(again.forces, first.forces)
+            assert again.energy_lj == first.energy_lj
+        finally:
+            nb.close()
+
+    def test_silent_thread_raises_timeout_then_runs_in_process(self, water600):
+        nb = ParallelNonbonded(water600.copy(), OPTS, n_workers=2, timeout=0.5)
+        gate = threading.Event()
+        threads = nb._pool._threads
+        try:
+            first = nb.compute()
+            silent = nb._pool._evaluators[1]
+            batch = silent.eval_batch
+
+            def stuck(scratch):
+                gate.wait(60.0)
+                return batch(scratch)
+
+            silent.eval_batch = stuck
+            t0 = time.monotonic()
+            with pytest.raises(TimeoutError, match="repro-executor-1"):
+                nb.compute()
+            assert time.monotonic() - t0 < 30.0
+            assert not nb.active
+            assert nb.driver_report()["executor"] == "in-process"
+            again = nb.compute()  # the tasks, on the calling thread
+            assert np.array_equal(again.forces, first.forces)
+        finally:
+            gate.set()
+            nb.close()
+        assert not live(threads)
+
+    def test_close_joins_every_thread_with_a_dispatch_outstanding(self, water600):
+        nb = ParallelNonbonded(water600.copy(), OPTS, n_workers=3)
+        first = nb.compute()
+        threads = nb._pool._threads
+        assert len(threads) == 3 and live(threads) == set(threads)
+        nb.dispatch()
+        nb.close()
+        nb.close()
+        assert not live(threads)
+        later = nb.compute()
+        assert np.array_equal(later.forces, first.forces)
 
 
 class NonInPlaceVerlet:

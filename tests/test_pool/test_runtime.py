@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import os
 import signal
+import sys
+import threading
 import time
 
 import numpy as np
@@ -174,6 +176,65 @@ class TestInProcessExecutor:
 
 
 
+class TestThreadExecutor:
+    """N evaluators on N threads: the pool's driver surface, no processes."""
+
+    def threads(self, n_workers, provider=None):
+        provider = provider or SyntheticProvider(N_TASKS)
+        assignment = np.arange(provider.n_tasks, dtype=np.int64) % n_workers
+        return InProcessExecutor(provider, n_workers, assignment, timeout=60.0)
+
+    def test_one_evaluator_runs_on_the_calling_thread(self):
+        executor = InProcessExecutor(SyntheticProvider(N_TASKS))
+        evaluator = executor._evaluators[0]
+        ran_on = []
+        evaluator.begin_step = lambda payload: ran_on.append(
+            threading.current_thread()
+        )
+        executor.run(True, 1.0)
+        assert executor._threads == [] and ran_on == [threading.current_thread()]
+
+    def test_more_threads_than_cores_reproduce_one_evaluator(self):
+        """Four threads, a 1 us switch interval, many short steps: a collect
+        that returned before every thread finished shows as a stale block,
+        a lost wake-up as a timeout."""
+        data = np.linspace(0.5, 6.0, N_TASKS)
+        serial = InProcessExecutor(SyntheticProvider(N_TASKS))
+        serial.view("data")[...] = data
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with self.threads(4) as threaded:
+                threads = threaded._threads
+                threaded.view("data")[...] = data
+                for k in range(200):
+                    scale, rebuild = 1.0 + k, k % 7 == 0
+                    serial.run(rebuild, scale)
+                    threaded.dispatch(rebuild, scale)
+                    assert threaded.collect()
+                    threaded.finish_step()
+                    np.testing.assert_array_equal(threaded.scratch, serial.scratch)
+                    np.testing.assert_array_equal(
+                        threaded.stats[:N_TASKS, :3], serial.stats[:N_TASKS, :3]
+                    )
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+
+    def test_an_evaluator_error_surfaces_after_every_thread(self):
+        with self.threads(3, ErroringProvider(N_TASKS)) as threaded:
+            threaded.view("data")[...] = 1.0
+            threaded.dispatch(True, 2.0)
+            with pytest.raises(RuntimeError, match="synthetic task failure") as info:
+                threaded.collect()
+            if hasattr(info.value, "add_note"):  # Python >= 3.11
+                assert "repro-executor-0" in str(info.value.__notes__)
+            # worker 0 stopped at task 0; the other threads finished theirs
+            others = np.arange(N_TASKS) % 3 != 0
+            np.testing.assert_array_equal(threaded.scratch[others, 0], 2.0)
+            assert threaded.pending is None and threaded.active
+
+
 class TestBatchedEvaluation:
     """An evaluator with ``eval_batch``: one call for the tasks it covers,
     the per-task loop for the rest — same scratch, same stats."""
@@ -205,7 +266,7 @@ class TestBatchedEvaluation:
     def test_slowdown_scales_a_batchs_own_times_and_spins_for_the_difference(self):
         executor = InProcessExecutor(BatchingProvider(N_TASKS))
         executor.view("data")[...] = 1.0
-        state, evaluator = executor._state, executor._evaluator
+        state, evaluator = executor._states[0], executor._evaluators[0]
         state.slow_windows = [(2.0, 4.0, 3.0), (3.0, 4.0, 2.0)]
         for seq, factor in ((1, 1.0), (2, 3.0), (3, 6.0), (4, 1.0)):
             t0 = time.perf_counter_ns()

@@ -117,8 +117,10 @@ from repro.service import SimulationService
 
 svc = SimulationService(worker_slots=2, lanes=2, slice_steps=2)
 svc.start()
+# a fault plan (a no-op slowdown) asks for supervised worker processes
 job = svc.submit(
-    {"waters": 120, "cutoff": 6.0, "steps": 2000, "seed": 3, "workers": 2}
+    {"waters": 120, "cutoff": 6.0, "steps": 2000, "seed": 3, "workers": 2,
+     "fault_plan": "slow=0@1-2x1"}
 )
 deadline = time.monotonic() + 60
 names = []
@@ -152,3 +154,44 @@ def test_crash_path_atexit_sweep_unlinks_segments():
     for name in names:
         with pytest.raises(FileNotFoundError):
             attach_segment(name)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_supervised_job_beside_threaded_jobs(tmp_path):
+    """The one job with a fault plan forks worker processes (and loses
+    one) while the other jobs' force tasks run on executor threads; every
+    job still streams its solo records."""
+    specs = {
+        "supervised": SPECS["killed"],
+        "threads-a": SimSpec(waters=120, cutoff=6.0, steps=8, seed=15, workers=2),
+        "threads-b": SimSpec(
+            waters=120, cutoff=6.0, steps=8, seed=16, workers=2, ewald=True
+        ),
+    }
+    baselines = {
+        name: solo_records(spec, tmp_path / "solo" / name)
+        for name, spec in specs.items()
+    }
+    svc = SimulationService(
+        worker_slots=6, lanes=3, slice_steps=2, workdir=tmp_path / "svc"
+    )
+    executors: dict[str, set] = {name: set() for name in specs}
+    with svc:
+        jobs = {
+            name: svc.submit(spec, tenant="mix", job_id=name)
+            for name, spec in specs.items()
+        }
+        deadline = time.monotonic() + 120
+        while any(not j.terminal for j in jobs.values()):
+            for name, job in jobs.items():
+                engine = job.sim.engine
+                if engine is not None and engine.parallel:
+                    executors[name].add(engine.driver_report()["executor"])
+            assert time.monotonic() < deadline, "jobs did not finish"
+            time.sleep(0.005)
+        for name, job in jobs.items():
+            assert job.state is JobState.COMPLETED, (name, job.error)
+            assert job.sim.records == baselines[name], name
+    assert executors["supervised"] <= {"processes"}
+    assert executors["threads-a"] <= {"threads"}
+    assert executors["threads-b"] <= {"threads"}
