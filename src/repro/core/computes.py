@@ -23,9 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.backend import get_backend
 from repro.core.decomposition import BondedAssignment, SpatialDecomposition
-from repro.core.grainsize import GrainsizeConfig, split_counts
-from repro.costmodel.model import CostModel
+from repro.core.grainsize import GrainsizeConfig
+from repro.costmodel.model import CostModel, block_pair_counts
 
 __all__ = [
     "ComputeDescriptor",
@@ -72,11 +73,6 @@ class ComputeDescriptor:
         return f"{self.kind}({p}){part}"
 
 
-#: retained alias — the split arithmetic lives in :mod:`repro.core.grainsize`
-#: so the real engine (:mod:`repro.md.parallel`) shares it
-_split_counts = split_counts
-
-
 def build_nonbonded_computes(
     decomposition: SpatialDecomposition,
     cost_model: CostModel,
@@ -86,50 +82,49 @@ def build_nonbonded_computes(
 
     Loads come from exact in-cutoff pair counts on the current coordinates
     (what the paper's Projections measurements would report), through the
-    calibrated cost model.
+    calibrated cost model.  Every count is the count mode of the kernel
+    that builds the engines' pair lists (``block_pairs``): a block's total
+    decides its number of grainsize slices, and each slice counts its own
+    row stripe, so the slices partition the block's pairs exactly.
     """
     grainsize = grainsize or GrainsizeConfig()
+    pos, box = decomposition.system.positions, decomposition.system.box
+    cutoff = decomposition.cutoff
+    block_pairs = get_backend().block_pairs
+    atoms = decomposition.patch_atoms
+    blocks = [("nb_self", (p,)) for p in decomposition.self_patches()]
+    blocks += [("nb_pair", pair) for pair in decomposition.neighbor_pairs()]
     descriptors: list[ComputeDescriptor] = []
 
-    for p in decomposition.self_patches():
-        rows = decomposition.pair_row_counts(p, None)
-        n_atoms = len(rows)
-        total_pairs = int(rows.sum())
-        total_cand = n_atoms * (n_atoms - 1) // 2
-        total_load = cost_model.nonbonded_cost(total_pairs, total_cand)
-        n_parts = grainsize.parts_for(total_load, grainsize.split_self)
-        for part, (pairs, nrows) in enumerate(_split_counts(rows, n_parts)):
-            cand = nrows * max(n_atoms - 1, 0) // 2 if n_parts > 1 else total_cand
+    for kind, patches in blocks:
+        atoms_a = atoms[patches[0]]
+        atoms_b = atoms[patches[1]] if kind == "nb_pair" else None
+        total_pairs, total_cand = block_pair_counts(
+            pos, box, cutoff, atoms_a, atoms_b
+        )
+        n_parts = grainsize.parts_for(
+            cost_model.nonbonded_cost(total_pairs, total_cand),
+            grainsize.split_self if atoms_b is None else grainsize.split_pairs,
+        )
+        for part in range(n_parts):
+            pairs = total_pairs if n_parts == 1 else int(
+                block_pairs(pos, box, atoms_a, atoms_b, part, n_parts, cutoff)
+            )
+            # slice ``part`` owns the rows ``part::n_parts`` of the first patch
+            n_rows = len(range(part, len(atoms_a), n_parts))
+            if atoms_b is None:
+                cand = n_rows * (len(atoms_a) - 1) // 2
+            else:
+                cand = n_rows * len(atoms_b)
             descriptors.append(
                 ComputeDescriptor(
-                    kind="nb_self",
-                    patches=(p,),
+                    kind=kind,
+                    patches=patches,
                     part=part,
                     n_parts=n_parts,
                     load=cost_model.nonbonded_cost(pairs, cand),
                     n_pairs=pairs,
                     n_candidates=cand,
-                    migratable=True,
-                )
-            )
-
-    for pa, pb in decomposition.neighbor_pairs():
-        rows = decomposition.pair_row_counts(pa, pb)
-        nb = decomposition.patch_size(pb)
-        total_pairs = int(rows.sum())
-        total_cand = len(rows) * nb
-        total_load = cost_model.nonbonded_cost(total_pairs, total_cand)
-        n_parts = grainsize.parts_for(total_load, grainsize.split_pairs)
-        for part, (pairs, nrows) in enumerate(_split_counts(rows, n_parts)):
-            descriptors.append(
-                ComputeDescriptor(
-                    kind="nb_pair",
-                    patches=(pa, pb),
-                    part=part,
-                    n_parts=n_parts,
-                    load=cost_model.nonbonded_cost(pairs, nrows * nb),
-                    n_pairs=pairs,
-                    n_candidates=nrows * nb,
                     migratable=True,
                 )
             )

@@ -259,36 +259,6 @@ class SpatialDecomposition:
             }
         return result
 
-    # ------------------------------------------------------------------ #
-    def pair_row_counts(self, patch_a: int, patch_b: int | None) -> np.ndarray:
-        """In-cutoff partner counts per atom of ``patch_a``.
-
-        For a pair compute (``patch_b`` given) entry ``r`` counts atoms of
-        ``patch_b`` within the cutoff of atom ``r`` of ``patch_a``.  For a
-        self compute (``patch_b is None``) it counts only partners with a
-        larger within-patch index, so the total is each pair once.  These row
-        counts drive both the cost model and grainsize splitting.
-        """
-        from repro.util.pbc import minimum_image
-
-        pos = self.system.positions
-        box = self.system.box
-        a = pos[self.patch_atoms[patch_a]]
-        if patch_b is None:
-            if len(a) < 2:
-                return np.zeros(len(a), dtype=np.int64)
-            delta = minimum_image(a[np.newaxis, :, :] - a[:, np.newaxis, :], box)
-            r2 = np.einsum("ijk,ijk->ij", delta, delta)
-            within = r2 < self.cutoff * self.cutoff
-            within &= np.triu(np.ones_like(within, dtype=bool), k=1)
-            return within.sum(axis=1).astype(np.int64)
-        b = pos[self.patch_atoms[patch_b]]
-        if len(a) == 0 or len(b) == 0:
-            return np.zeros(len(a), dtype=np.int64)
-        delta = minimum_image(b[np.newaxis, :, :] - a[:, np.newaxis, :], box)
-        r2 = np.einsum("ijk,ijk->ij", delta, delta)
-        return (r2 < self.cutoff * self.cutoff).sum(axis=1).astype(np.int64)
-
     def __repr__(self) -> str:  # pragma: no cover
         d = self.dims
         return (

@@ -5,9 +5,12 @@ object's execution time exceeds a target grainsize, split it into slices so
 no single object caps the achievable load balance.  The simulated layer
 (:mod:`repro.core.computes`) applies this to compute *descriptors*; the real
 engine (:mod:`repro.md.parallel`) applies the same policy to its half-shell
-cell tasks.  Both consume the helpers here so the split arithmetic — how
-many parts, which rows land in which part, what each part costs — can never
-drift between the two runtimes.
+cell tasks.  Both take the number of parts from
+:meth:`GrainsizeConfig.parts_for`, and both list or count a part's pairs
+with ``block_pairs`` on its stripe (``part, n_parts``) — the simulator's
+descriptors with the kernel's count mode, the engine's tasks with its list
+mode — so which rows land in which part, and so what each part costs,
+can never drift between the two runtimes.
 
 A split is always a *row stripe*: part ``p`` of ``n`` owns the rows
 ``p::n`` of the object's first patch/cell.  Striping (rather than chunking)
@@ -29,7 +32,6 @@ import numpy as np
 
 __all__ = [
     "GrainsizeConfig",
-    "split_counts",
     "stripe_candidate_counts",
 ]
 
@@ -55,15 +57,6 @@ class GrainsizeConfig:
         if not enabled or load <= self.target_load_s:
             return 1
         return min(int(np.ceil(load / self.target_load_s)), self.max_parts)
-
-
-def split_counts(row_counts: np.ndarray, n_parts: int) -> list[tuple[int, int]]:
-    """Per-part ``(pairs, rows)`` when rows are striped ``part::n_parts``."""
-    out = []
-    for part in range(n_parts):
-        rows = row_counts[part::n_parts]
-        out.append((int(rows.sum()), len(rows)))
-    return out
 
 
 def stripe_candidate_counts(

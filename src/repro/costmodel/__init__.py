@@ -8,7 +8,7 @@ see DESIGN.md §2 for why this anchoring preserves the published scaling
 shape.
 """
 
-from repro.costmodel.model import CostModel, WorkCounts, count_work
+from repro.costmodel.model import CostModel, WorkCounts
 from repro.costmodel.flops import FlopModel, DEFAULT_FLOPS
 
-__all__ = ["CostModel", "WorkCounts", "count_work", "FlopModel", "DEFAULT_FLOPS"]
+__all__ = ["CostModel", "WorkCounts", "FlopModel", "DEFAULT_FLOPS"]

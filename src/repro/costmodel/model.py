@@ -16,6 +16,12 @@ Integration    1.44          / atom count
 
 All costs are in *reference seconds* (one ASCI-Red CPU); the scheduler
 multiplies by each machine's ``cpu_factor``.
+
+Every in-cutoff count here is a :func:`block_pair_counts` count — the count
+mode of ``block_pairs``, the kernel that builds the engines' pair lists.
+A system's :class:`WorkCounts` are the sums over its compute descriptors
+(:attr:`repro.core.problem.DecomposedProblem.counts`): every in-cutoff pair
+lies in exactly one self or neighbour patch block.
 """
 
 from __future__ import annotations
@@ -25,13 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.backend import get_backend
-from repro.md.cells import count_pairs_within
-from repro.md.system import MolecularSystem
 
 __all__ = [
     "WorkCounts",
     "CostModel",
-    "count_work",
     "block_pair_counts",
     "estimate_block_costs",
     "PAPER_APOA1_SECONDS",
@@ -70,43 +73,6 @@ class WorkCounts:
             + _BOND_WEIGHTS["dihedral"] * self.dihedrals
             + _BOND_WEIGHTS["improper"] * self.impropers
         )
-
-
-def count_work(system: MolecularSystem, decomposition) -> WorkCounts:
-    """Measure exact work counts for ``system`` under ``decomposition``.
-
-    ``decomposition`` provides ``patch_atoms`` (list of atom-index arrays),
-    ``self_patches()`` and ``neighbor_pairs()`` (see
-    :class:`repro.core.decomposition.SpatialDecomposition`).  Candidate
-    counts are pure arithmetic over patch sizes; the in-cutoff pair count
-    uses the chunked cell-grid enumeration
-    (:func:`repro.md.cells.count_pairs_within`), which equals the sum over
-    self/neighbour patch blocks because the patch edge is at least one
-    cutoff — every in-cutoff pair lies in exactly one block.  Memory stays
-    bounded even for the 206,617-atom BC1 system, without the former
-    per-block O(n²) Python loop (see ``_count_work_blocked``).
-    """
-    n_candidates = 0
-    for p in decomposition.self_patches():
-        m = len(decomposition.patch_atoms[p])
-        n_candidates += m * (m - 1) // 2
-    for pa, pb in decomposition.neighbor_pairs():
-        n_candidates += len(decomposition.patch_atoms[pa]) * len(
-            decomposition.patch_atoms[pb]
-        )
-    n_pairs = count_pairs_within(
-        system.positions, system.box, decomposition.cutoff
-    )
-    topo = system.topology
-    return WorkCounts(
-        atoms=system.n_atoms,
-        nonbonded_pairs=int(n_pairs),
-        candidate_pairs=int(n_candidates),
-        bonds=topo.n_bonds,
-        angles=topo.n_angles,
-        dihedrals=topo.n_dihedrals,
-        impropers=topo.n_impropers,
-    )
 
 
 @dataclass(frozen=True)
@@ -185,8 +151,10 @@ def block_pair_counts(
     ``atoms_b=None`` means the self block of ``atoms_a`` (``m(m-1)/2``
     candidates), otherwise the ``a``×``b`` cross block.  Keeping this in one
     place is what guarantees :func:`estimate_block_costs` (the parallel
-    engine's WorkDB priors) and :func:`_count_work_blocked` (the audit-table
-    reference) can never disagree on what a block costs.
+    engine's WorkDB priors) and the simulator's compute descriptors
+    (:func:`repro.core.computes.build_nonbonded_computes`, whose sums are
+    :attr:`repro.core.problem.DecomposedProblem.counts`) can never disagree
+    on what a block costs.
     """
     if atoms_b is None:
         m = len(atoms_a)
@@ -235,43 +203,3 @@ def estimate_block_costs(
         )
         costs[t] = t_pair * n_pairs + t_cand * n_cand
     return costs
-
-
-def _count_work_blocked(system: MolecularSystem, decomposition) -> WorkCounts:
-    """Former per-block implementation of :func:`count_work`.
-
-    Kept as the readable specification; the equivalence test in
-    ``tests/test_costmodel/test_model.py`` asserts :func:`count_work`
-    produces identical :class:`WorkCounts`.
-    """
-    pos = system.positions
-    box = system.box
-    cutoff = decomposition.cutoff
-    n_pairs = 0
-    n_candidates = 0
-    for p in decomposition.self_patches():
-        p_pairs, p_cand = block_pair_counts(
-            pos, box, cutoff, decomposition.patch_atoms[p]
-        )
-        n_pairs += p_pairs
-        n_candidates += p_cand
-    for pa, pb in decomposition.neighbor_pairs():
-        p_pairs, p_cand = block_pair_counts(
-            pos,
-            box,
-            cutoff,
-            decomposition.patch_atoms[pa],
-            decomposition.patch_atoms[pb],
-        )
-        n_pairs += p_pairs
-        n_candidates += p_cand
-    topo = system.topology
-    return WorkCounts(
-        atoms=system.n_atoms,
-        nonbonded_pairs=int(n_pairs),
-        candidate_pairs=int(n_candidates),
-        bonds=topo.n_bonds,
-        angles=topo.n_angles,
-        dihedrals=topo.n_dihedrals,
-        impropers=topo.n_impropers,
-    )

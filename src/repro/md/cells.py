@@ -32,6 +32,11 @@ working set stays cache-resident.  The per-cell Python loop this replaced is
 kept as :func:`_candidate_pairs_reference` — the readable specification the
 exact-match tests and the hot-path benchmark
 (``benchmarks/test_kernel_hotpath.py``) compare against.
+
+Nothing here counts pairs: every in-cutoff count in the package (cost
+priors, compute descriptors, work counts) is the count mode of the kernel
+that lists the engines' pairs, ``backend.block_pairs``, on one cell or
+patch block at a time.
 """
 
 from __future__ import annotations
@@ -40,13 +45,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.util.pbc import minimum_image, wrap_positions
+from repro.util.pbc import wrap_positions
 
 __all__ = [
     "CellGrid",
     "HALF_SHELL_OFFSETS",
     "candidate_pairs",
-    "count_pairs_within",
 ]
 
 
@@ -270,52 +274,6 @@ def candidate_pairs(
         np.take(order32, j_idx, out=j_out[o0:o1])
         r0 = r1
     return i_out, j_out
-
-
-def count_pairs_within(
-    positions: np.ndarray, box: np.ndarray, cutoff: float
-) -> int:
-    """Number of atom pairs with minimum-image distance below ``cutoff``.
-
-    Grid-based equivalent of summing
-    :func:`repro.md.nonbonded.count_interacting_pairs` over all patch
-    blocks: each unordered pair is examined once via the half-shell cell
-    enumeration, and distance evaluation streams over the same bounded
-    chunks as :func:`candidate_pairs` so memory stays O(chunk) even for
-    the 206,617-atom BC1 system.
-    """
-    positions = np.asarray(positions, dtype=np.float64)
-    box = np.asarray(box, dtype=np.float64)
-    grid = CellGrid.build(positions, box, cutoff)
-    row_pos, p_start, p_count = grid._pair_rows()
-    n_rows = len(p_count)
-    if n_rows == 0:
-        return 0
-    out_off = np.concatenate([[0], np.cumsum(p_count)])
-    j_const = p_start - out_off[:-1]
-    arange_buf = np.arange(
-        max(_PAIR_CHUNK, int(p_count.max())), dtype=np.int64
-    )
-    cutoff2 = cutoff * cutoff
-    total = 0
-    r0 = 0
-    while r0 < n_rows:
-        r1 = int(
-            np.searchsorted(out_off, out_off[r0] + _PAIR_CHUNK, side="right") - 1
-        )
-        r1 = min(max(r1, r0 + 1), n_rows)
-        o0, o1 = int(out_off[r0]), int(out_off[r1])
-        span = o1 - o0
-        pc = p_count[r0:r1]
-        i_idx = grid.order[np.repeat(row_pos[r0:r1], pc)]
-        j_idx = grid.order[
-            np.repeat(j_const[r0:r1] + o0, pc) + arange_buf[:span]
-        ]
-        delta = minimum_image(positions[j_idx] - positions[i_idx], box)
-        r2 = np.einsum("ij,ij->i", delta, delta)
-        total += int(np.count_nonzero(r2 < cutoff2))
-        r0 = r1
-    return total
 
 
 def _candidate_pairs_reference(

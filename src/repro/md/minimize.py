@@ -4,6 +4,12 @@ Synthetic structures from :mod:`repro.builder` start from jittered lattices
 and random-walk chains, so a few bad contacts are inevitable.  A short
 minimization removes them before dynamics — the same preparation step every
 production MD package performs before equilibration.
+
+Every trial is evaluated on the engine's force tasks: one
+:class:`~repro.md.engine.SequentialEngine`, held for the whole descent,
+gives the forces (``compute_forces``) and the potential energy
+(``report().potential``), with its pair lists reused between trials while
+the atoms stay inside their skin.
 """
 
 from __future__ import annotations
@@ -12,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.md.bonded import compute_bonded
-from repro.md.nonbonded import NonbondedOptions, compute_nonbonded
+from repro.md.engine import SequentialEngine
+from repro.md.nonbonded import NonbondedOptions
 from repro.md.system import MolecularSystem
 
 __all__ = ["minimize", "MinimizationResult"]
@@ -31,12 +37,13 @@ class MinimizationResult:
 
 
 def _energy_forces(
-    system: MolecularSystem, options: NonbondedOptions
+    engine: SequentialEngine, positions: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    nb = compute_nonbonded(system, options)
-    be, forces = compute_bonded(system)
-    forces += nb.forces
-    return nb.energy + be.total, forces
+    # compute_forces swaps a wrapped copy into system.positions and leaves
+    # ``positions`` as it was: the descent's own, unwrapped, coordinates
+    engine.system.positions = positions
+    forces = engine.compute_forces()
+    return engine.report().potential, forces
 
 
 def minimize(
@@ -58,31 +65,35 @@ def minimize(
     Returns a :class:`MinimizationResult`; ``converged`` means the maximum
     per-atom force dropped below ``force_tolerance`` (kcal/mol/Å).
     """
-    options = options or NonbondedOptions()
-    energy, forces = _energy_forces(system, options)
-    initial_energy = energy
-    step = initial_step
-    it = 0
-    for it in range(1, max_iterations + 1):
+    positions = system.positions
+    engine = SequentialEngine(system, options)
+    try:
+        energy, forces = _energy_forces(engine, positions)
+        initial_energy = energy
+        step = initial_step
+        it = 0
+        for it in range(1, max_iterations + 1):
+            fmax = float(np.abs(forces).max()) if system.n_atoms else 0.0
+            if fmax < force_tolerance:
+                return MinimizationResult(initial_energy, energy, it - 1, True, fmax)
+            displacement = step * forces
+            norms = np.linalg.norm(displacement, axis=1)
+            big = norms > max_displacement
+            if np.any(big):
+                displacement[big] *= (max_displacement / norms[big])[:, None]
+            trial = positions + displacement
+            new_energy, new_forces = _energy_forces(engine, trial)
+            if new_energy < energy:
+                positions, energy, forces = trial, new_energy, new_forces
+                step *= 1.2
+            else:
+                step *= 0.5
+                if step < 1e-8:
+                    break
         fmax = float(np.abs(forces).max()) if system.n_atoms else 0.0
-        if fmax < force_tolerance:
-            return MinimizationResult(initial_energy, energy, it - 1, True, fmax)
-        displacement = step * forces
-        norms = np.linalg.norm(displacement, axis=1)
-        big = norms > max_displacement
-        if np.any(big):
-            displacement[big] *= (max_displacement / norms[big])[:, None]
-        trial = system.positions + displacement
-        saved = system.positions
-        system.positions = trial
-        new_energy, new_forces = _energy_forces(system, options)
-        if new_energy < energy:
-            energy, forces = new_energy, new_forces
-            step *= 1.2
-        else:
-            system.positions = saved
-            step *= 0.5
-            if step < 1e-8:
-                break
-    fmax = float(np.abs(forces).max()) if system.n_atoms else 0.0
-    return MinimizationResult(initial_energy, energy, it, fmax < force_tolerance, fmax)
+        return MinimizationResult(
+            initial_energy, energy, it, fmax < force_tolerance, fmax
+        )
+    finally:
+        engine.close()
+        system.positions = positions

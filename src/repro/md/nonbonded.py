@@ -38,7 +38,6 @@ __all__ = [
     "nonbonded_kernel",
     "nonbonded_14",
     "compute_nonbonded",
-    "count_interacting_pairs",
 ]
 
 
@@ -334,29 +333,3 @@ def compute_nonbonded(
     return NonbondedResult(
         e_lj_total + e_lj14, e_el_total + e_el14, forces, n_pairs + n14
     )
-
-
-def count_interacting_pairs(
-    pos_a: np.ndarray,
-    pos_b: np.ndarray | None,
-    box: np.ndarray,
-    cutoff: float,
-    backend: KernelBackend | str | None = None,
-) -> int:
-    """Number of atom pairs within ``cutoff`` (minimum image).
-
-    With ``pos_b is None`` counts unordered pairs within ``pos_a``; otherwise
-    counts cross pairs between the two groups.  This is the quantity the cost
-    model (:mod:`repro.costmodel`) uses to assign loads to non-bonded compute
-    objects — the grainsize structure in the paper's Figures 1–2 is exactly
-    the distribution of this count over objects.  It is the count mode of
-    ``backend.block_pairs``, the kernel that builds the engines' pair lists,
-    so the prior and the lists cannot disagree on which pairs are in range.
-    """
-    block_pairs = get_backend(backend).block_pairs
-    rows_a = np.arange(len(pos_a), dtype=np.int64)
-    if pos_b is None:
-        return block_pairs(pos_a, box, rows_a, None, 0, 1, cutoff)
-    rows_b = np.arange(len(pos_a), len(pos_a) + len(pos_b), dtype=np.int64)
-    pos = np.concatenate([pos_a, pos_b])
-    return block_pairs(pos, box, rows_a, rows_b, 0, 1, cutoff)

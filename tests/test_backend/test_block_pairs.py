@@ -20,7 +20,7 @@ from repro.backend import available_backends, c_backend, get_backend
 from repro.backend.reference import expand_rows
 from repro.builder import mini_assembly, small_water_box
 from repro.core.decomposition import bin_atoms
-from repro.md.nonbonded import NonbondedOptions, count_interacting_pairs
+from repro.md.nonbonded import NonbondedOptions
 from repro.md.tasks import build_force_tasks
 from repro.util.pbc import minimum_image
 from tests.test_md.test_ewald import rock_salt
@@ -108,7 +108,7 @@ def binned(system, dims):
 
 
 def dense_count(pos_a, pos_b, box, cutoff):
-    """``count_interacting_pairs`` as it was before the kernel: dense
+    """A block's pair count as it was before the kernel: dense
     ``(m, m, 3)`` minimum-image deltas."""
     if pos_b is None:
         m = len(pos_a)
@@ -213,17 +213,15 @@ class TestCountMode:
         buckets = binned(water, (2, 2, 2))
         for a in range(3):
             pa = pos[buckets[a]]
-            assert count_interacting_pairs(pa, None, box, R, backend) == dense_count(
-                pa, None, box, R
-            )
+            n = backend.block_pairs(pos, box, buckets[a], None, 0, 1, R)
+            assert n == dense_count(pa, None, box, R)
             for b in range(a + 1, 4):
                 pb = pos[buckets[b]]
-                assert count_interacting_pairs(pa, pb, box, R, backend) == dense_count(
-                    pa, pb, box, R
-                )
-        assert count_interacting_pairs(pos, None, box, R, backend) == dense_count(
-            pos, None, box, R
-        )
+                n = backend.block_pairs(pos, box, buckets[a], buckets[b], 0, 1, R)
+                assert n == dense_count(pa, pb, box, R)
+        every = np.arange(len(pos), dtype=np.int64)
+        n = backend.block_pairs(pos, box, every, None, 0, 1, R)
+        assert n == dense_count(pos, None, box, R)
 
     def test_writes_nothing(self, water, backend):
         """Count mode takes no arena at all; list mode leaves the entries

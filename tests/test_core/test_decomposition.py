@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core.computes import GrainsizeConfig, build_nonbonded_computes
 from repro.core.decomposition import PATCH_SIZE_FACTOR, SpatialDecomposition
+from repro.core.simulation import DEFAULT_COST_MODEL
+from repro.util.pbc import minimum_image
 
 
 class TestPatchGrid:
@@ -146,37 +149,98 @@ class TestBondedOwnership:
         assert all(v >= 0 for v in c.values())
 
 
-class TestPairRowCounts:
-    def test_self_counts_sum_to_pair_count(self, assembly):
-        from repro.md.nonbonded import count_interacting_pairs
+def dense_row_counts(system, d, patch_a, patch_b):
+    """In-cutoff partner counts per atom of ``patch_a``, from dense
+    ``(m, n, 3)`` minimum-image deltas — an independent reference for the
+    kernel's count mode.
 
-        d = SpatialDecomposition(assembly, cutoff=12.0)
-        p = int(np.argmax([len(a) for a in d.patch_atoms]))
-        rows = d.pair_row_counts(p, None)
-        expected = count_interacting_pairs(
-            assembly.positions[d.patch_atoms[p]], None, assembly.box, 12.0
+    For a pair block (``patch_b`` given) entry ``r`` counts atoms of
+    ``patch_b`` within the cutoff of atom ``r`` of ``patch_a``.  For a self
+    block (``patch_b is None``) it counts only partners with a larger
+    within-patch index, so the total is each pair once.
+    """
+    pos, box, cutoff = system.positions, system.box, d.cutoff
+    a = pos[d.patch_atoms[patch_a]]
+    b = a if patch_b is None else pos[d.patch_atoms[patch_b]]
+    if len(a) == 0 or len(b) == 0:
+        return np.zeros(len(a), dtype=np.int64)
+    delta = minimum_image(b[np.newaxis, :, :] - a[:, np.newaxis, :], box)
+    within = np.einsum("ijk,ijk->ij", delta, delta) < cutoff * cutoff
+    if patch_b is None:
+        within &= np.triu(np.ones_like(within), k=1)
+    return within.sum(axis=1).astype(np.int64)
+
+
+def reference_descriptors(system, d, cost_model, grainsize):
+    """``(kind, patches, part, n_parts, n_pairs, n_candidates, load)`` of
+    every non-bonded descriptor, from :func:`dense_row_counts`: a block's
+    row counts summed decide its slices, and slice ``part`` of ``n_parts``
+    owns the rows ``part::n_parts``."""
+    out = []
+    blocks = [("nb_self", (p,)) for p in d.self_patches()]
+    blocks += [("nb_pair", pair) for pair in d.neighbor_pairs()]
+    for kind, patches in blocks:
+        pb = patches[1] if kind == "nb_pair" else None
+        rows = dense_row_counts(system, d, patches[0], pb)
+        n = len(rows)
+        nb = None if pb is None else len(d.patch_atoms[pb])
+        total_cand = n * (n - 1) // 2 if nb is None else n * nb
+        n_parts = grainsize.parts_for(
+            cost_model.nonbonded_cost(int(rows.sum()), total_cand),
+            grainsize.split_self if nb is None else grainsize.split_pairs,
         )
-        assert rows.sum() == expected
+        for part in range(n_parts):
+            stripe = rows[part::n_parts]
+            pairs = int(stripe.sum())
+            cand = len(stripe) * (n - 1) // 2 if nb is None else len(stripe) * nb
+            load = cost_model.nonbonded_cost(pairs, cand)
+            out.append((kind, patches, part, n_parts, pairs, cand, load))
+    return out
 
-    def test_cross_counts_sum_to_pair_count(self, assembly):
-        from repro.md.nonbonded import count_interacting_pairs
 
-        d = SpatialDecomposition(assembly, cutoff=12.0)
-        pa, pb = d.neighbor_pairs()[0]
-        rows = d.pair_row_counts(pa, pb)
-        expected = count_interacting_pairs(
-            assembly.positions[d.patch_atoms[pa]],
-            assembly.positions[d.patch_atoms[pb]],
-            assembly.box,
-            12.0,
+@pytest.fixture(scope="module")
+def br():
+    from repro.builder import br_like
+
+    return br_like()
+
+
+#: small enough that both self and pair blocks of every system here split
+SPLITTING = GrainsizeConfig(target_load_s=2e-5)
+
+
+class TestDescriptorCounts:
+    """Every non-bonded descriptor's counts are the kernel's count mode on
+    its block (a split slice: on its row stripe); held to a dense per-row
+    counter."""
+
+    @pytest.mark.parametrize("grainsize", [GrainsizeConfig(), SPLITTING],
+                             ids=["default", "splitting"])
+    @pytest.mark.parametrize("name", ["water64", "assembly", "br"])
+    def test_descriptors_match_dense_row_counts(self, request, name, grainsize):
+        system = request.getfixturevalue(name)
+        d = (
+            SpatialDecomposition(system, cutoff=6.0, dims=(2, 2, 2))
+            if name == "water64"
+            else SpatialDecomposition(system, cutoff=12.0)
         )
-        assert rows.sum() == expected
-        assert len(rows) == len(d.patch_atoms[pa])
+        got = [
+            (x.kind, x.patches, x.part, x.n_parts, x.n_pairs, x.n_candidates, x.load)
+            for x in build_nonbonded_computes(d, DEFAULT_COST_MODEL, grainsize)
+        ]
+        assert got == reference_descriptors(system, d, DEFAULT_COST_MODEL, grainsize)
+        if grainsize is SPLITTING:
+            split = {kind for kind, _, _, n_parts, *_ in got if n_parts > 1}
+            assert split == {"nb_self", "nb_pair"}
 
-    def test_empty_patch(self, water64):
+    def test_empty_patches_give_zero_pair_descriptors(self, water64):
         s = water64.copy()
         s.box = np.array([108.86, 108.86, 77.76])  # water cluster in a corner
         d = SpatialDecomposition(s, cutoff=12.0)
-        empties = [p for p in range(d.n_patches) if len(d.patch_atoms[p]) == 0]
-        assert empties, "expected empty patches in oversized box"
-        assert d.pair_row_counts(empties[0], None).shape == (0,)
+        empty = {p for p in range(d.n_patches) if len(d.patch_atoms[p]) == 0}
+        assert empty, "expected empty patches in oversized box"
+        descs = build_nonbonded_computes(d, DEFAULT_COST_MODEL, SPLITTING)
+        touching = [x for x in descs if empty & set(x.patches)]
+        assert touching
+        assert all(x.n_pairs == 0 and x.n_candidates == 0 for x in touching)
+        assert all(x.n_parts == 1 for x in touching)

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.decomposition import SpatialDecomposition
-from repro.costmodel.model import PAPER_APOA1_SECONDS, CostModel, WorkCounts, count_work
+from repro.core.computes import GrainsizeConfig
+from repro.core.problem import DecomposedProblem
+from repro.core.simulation import DEFAULT_COST_MODEL
+from repro.costmodel.model import PAPER_APOA1_SECONDS, CostModel, WorkCounts
+from repro.util.pbc import minimum_image
 
 
 def make_counts(**overrides):
@@ -19,6 +22,28 @@ def make_counts(**overrides):
     )
     base.update(overrides)
     return WorkCounts(**base)
+
+
+def brute_pairs(pos, box, cutoff, a=None, b=None):
+    """Pairs within ``cutoff`` (minimum image), one dense row at a time:
+    unordered pairs of the atoms ``a`` (all atoms by default), or the
+    ``a``×``b`` cross pairs."""
+    a = np.arange(len(pos)) if a is None else a
+    n = 0
+    for k, i in enumerate(a):
+        partners = a[k + 1:] if b is None else b
+        delta = minimum_image(pos[partners] - pos[i], box)
+        n += int(np.count_nonzero(np.einsum("ij,ij->i", delta, delta) < cutoff**2))
+    return n
+
+
+def patch_candidates(d):
+    """Candidate pairs of every self and neighbour patch block: arithmetic
+    over the patch sizes."""
+    sizes = [len(x) for x in d.patch_atoms]
+    return sum(m * (m - 1) // 2 for m in sizes) + sum(
+        sizes[pa] * sizes[pb] for pa, pb in d.neighbor_pairs()
+    )
 
 
 class TestCalibration:
@@ -56,45 +81,47 @@ class TestCalibration:
         assert c.weighted_bonded == pytest.approx(10 * (1 + 2 + 4 + 3.5))
 
 
-class TestCountWork:
+class TestWorkCounts:
+    """``DecomposedProblem.build(...).counts`` — the sums over the
+    simulator's compute descriptors — is the one ``WorkCounts`` producer."""
+
     def test_counts_on_assembly(self, assembly):
-        d = SpatialDecomposition(assembly, cutoff=12.0)
-        w = count_work(assembly, d)
+        w = DecomposedProblem.build(assembly, DEFAULT_COST_MODEL).counts
         assert w.atoms == assembly.n_atoms
         assert w.bonds == assembly.topology.n_bonds
         assert w.nonbonded_pairs > 0
         assert w.candidate_pairs >= w.nonbonded_pairs
 
-    def test_counts_match_brute_force(self, water64):
-        from repro.md.nonbonded import count_interacting_pairs
-
-        d = SpatialDecomposition(water64, cutoff=6.0, dims=(2, 2, 2))
-        w = count_work(water64, d)
-        # brute force over the whole system
-        brute = count_interacting_pairs(water64.positions, None, water64.box, 6.0)
-        assert w.nonbonded_pairs == brute
-
-    def test_grid_count_identical_to_blocked_reference(self, assembly, water64):
-        """The grid-based count_work must reproduce the former per-block
-        implementation exactly (same WorkCounts, field for field)."""
-        from repro.costmodel.model import _count_work_blocked
-
-        for system, cutoff, dims in (
-            (assembly, 12.0, None),
-            (water64, 6.0, (2, 2, 2)),
-        ):
-            d = (
-                SpatialDecomposition(system, cutoff=cutoff)
-                if dims is None
-                else SpatialDecomposition(system, cutoff=cutoff, dims=dims)
-            )
-            assert count_work(system, d) == _count_work_blocked(system, d)
+    @pytest.mark.parametrize(
+        "grainsize",
+        [
+            GrainsizeConfig(split_self=False, split_pairs=False),
+            GrainsizeConfig(),
+            GrainsizeConfig(target_load_s=2e-5),
+        ],
+        ids=["unsplit", "default", "splitting"],
+    )
+    @pytest.mark.parametrize("name", ["water64", "assembly"])
+    def test_counts_match_brute_force(self, request, name, grainsize):
+        """Every in-cutoff pair lies in exactly one self or neighbour patch
+        block, and a split block's slices partition its pairs: the count
+        is the whole system's at any grainsize."""
+        system = request.getfixturevalue(name)
+        kwargs = {"cutoff": 6.0, "dims": (2, 2, 2)} if name == "water64" else {}
+        problem = DecomposedProblem.build(
+            system, DEFAULT_COST_MODEL, grainsize=grainsize, **kwargs
+        )
+        w = problem.counts
+        cutoff = problem.cutoff
+        assert w.nonbonded_pairs == brute_pairs(system.positions, system.box, cutoff)
+        assert w.nonbonded_pairs == sum(x.n_pairs for x in problem.nb_descriptors)
+        if not (grainsize.split_self or grainsize.split_pairs):
+            assert w.candidate_pairs == patch_candidates(problem.decomposition)
 
     def test_block_pair_counts_matches_direct_counting(self, water64):
-        """The shared helper must equal a direct count_interacting_pairs
-        call for both self and cross blocks, candidates included."""
+        """The shared helper must equal a brute-force count for both self
+        and cross blocks, candidates included."""
         from repro.costmodel.model import block_pair_counts
-        from repro.md.nonbonded import count_interacting_pairs
 
         pos, box = water64.positions, water64.box
         rng = np.random.default_rng(0)
@@ -103,20 +130,20 @@ class TestCountWork:
 
         n_pairs, n_cand = block_pair_counts(pos, box, 6.0, a)
         assert n_cand == len(a) * (len(a) - 1) // 2
-        assert n_pairs == count_interacting_pairs(pos[a], None, box, 6.0)
+        assert n_pairs == brute_pairs(pos, box, 6.0, a)
 
         n_pairs, n_cand = block_pair_counts(pos, box, 6.0, a, b)
         assert n_cand == len(a) * len(b)
-        assert n_pairs == count_interacting_pairs(pos[a], pos[b], box, 6.0)
+        assert n_pairs == brute_pairs(pos, box, 6.0, a, b)
 
     def test_estimate_block_costs_routes_through_shared_helper(self, water64):
-        """estimate_block_costs (WorkDB priors) and the blocked work count
-        (audit reference) must agree on every block's pair count: summed over
-        the half-shell task list they reproduce the global count."""
+        """estimate_block_costs (WorkDB priors) and block_pair_counts (the
+        simulator's descriptors) must agree on every block's pair count:
+        summed over the half-shell task list they reproduce the global
+        count."""
         from repro.core.decomposition import bin_atoms
         from repro.costmodel.model import block_pair_counts, estimate_block_costs
         from repro.md.cells import CellGrid
-        from repro.md.nonbonded import count_interacting_pairs
 
         pos, box = water64.positions, water64.box
         cutoff = 6.0
@@ -132,7 +159,7 @@ class TestCountWork:
             for a, b in tasks
         ]
         total_pairs = sum(p for p, _ in per_block)
-        assert total_pairs == count_interacting_pairs(pos, None, box, cutoff)
+        assert total_pairs == brute_pairs(pos, box, cutoff)
 
         # unit cost model: cost == n_pairs + n_cand, block for block
         costs = estimate_block_costs(
@@ -144,15 +171,3 @@ class TestCountWork:
         np.testing.assert_allclose(
             costs, [p + c for p, c in per_block], rtol=0, atol=0
         )
-
-    def test_counts_agree_with_descriptor_sums(self, assembly):
-        from repro.core.computes import GrainsizeConfig, build_nonbonded_computes
-        from repro.core.simulation import DEFAULT_COST_MODEL
-
-        d = SpatialDecomposition(assembly, cutoff=12.0)
-        w = count_work(assembly, d)
-        descs = build_nonbonded_computes(
-            d, DEFAULT_COST_MODEL, GrainsizeConfig(split_self=False, split_pairs=False)
-        )
-        assert sum(x.n_pairs for x in descs) == w.nonbonded_pairs
-        assert sum(x.n_candidates for x in descs) == w.candidate_pairs

@@ -10,7 +10,6 @@ from repro.md.cells import (
     CellGrid,
     _candidate_pairs_reference,
     candidate_pairs,
-    count_pairs_within,
 )
 from repro.util.pbc import minimum_image, wrap_positions
 
@@ -207,13 +206,20 @@ class TestVectorizedEnumeration:
         i_ref, j_ref = _candidate_pairs_reference(pos, box, 6.0)
         assert np.array_equal(pair_keys(i_vec, j_vec, 150), pair_keys(i_ref, j_ref, 150))
 
-    def test_count_pairs_within_matches_brute_force(self):
-        from repro.md.nonbonded import count_interacting_pairs
+    def test_in_range_candidates_match_the_kernel_count(self):
+        """The candidates within the cutoff are every in-range pair: as
+        many as the count mode of ``block_pairs`` finds on the same
+        arrays."""
+        from repro.backend import get_backend
 
         rng = np.random.default_rng(17)
         box = np.array([16.0, 14.0, 19.0])
         pos = rng.random((120, 3)) * box
+        every = np.arange(len(pos), dtype=np.int64)
         for cutoff in (3.0, 4.5, 7.0):
-            assert count_pairs_within(pos, box, cutoff) == count_interacting_pairs(
-                pos, None, box, cutoff
+            i, j = candidate_pairs(pos, box, cutoff)
+            d = minimum_image(pos[j] - pos[i], box)
+            in_range = int(np.count_nonzero(np.einsum("ij,ij->i", d, d) < cutoff**2))
+            assert in_range == get_backend().block_pairs(
+                pos, box, every, None, 0, 1, cutoff
             )

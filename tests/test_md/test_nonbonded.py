@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend import get_backend
 from repro.md.nonbonded import (
     NonbondedOptions,
     compute_nonbonded,
-    count_interacting_pairs,
     switching_function,
 )
 
@@ -147,12 +147,24 @@ class TestComputeNonbonded:
         assert e_full.energy != pytest.approx(e_none.energy)
 
 
-class TestCountInteractingPairs:
+def count_pairs(pos_a, pos_b, box, cutoff):
+    """The count mode of ``block_pairs`` on position groups: unordered pairs
+    within ``pos_a`` (``pos_b=None``), or the ``a``×``b`` cross pairs."""
+    block_pairs = get_backend().block_pairs
+    rows_a = np.arange(len(pos_a), dtype=np.int64)
+    if pos_b is None:
+        return block_pairs(pos_a, box, rows_a, None, 0, 1, cutoff)
+    pos = np.concatenate([pos_a, pos_b])
+    rows_b = np.arange(len(pos_a), len(pos), dtype=np.int64)
+    return block_pairs(pos, box, rows_a, rows_b, 0, 1, cutoff)
+
+
+class TestKernelPairCount:
     def test_self_count_matches_enumeration(self):
         rng = np.random.default_rng(5)
         box = np.array([10.0, 10.0, 10.0])
         pos = rng.random((20, 3)) * box
-        n = count_interacting_pairs(pos, None, box, 3.0)
+        n = count_pairs(pos, None, box, 3.0)
         from repro.util.pbc import minimum_image
 
         brute = 0
@@ -166,11 +178,9 @@ class TestCountInteractingPairs:
         box = np.array([10.0, 10.0, 10.0])
         a = rng.random((15, 3)) * box
         b = rng.random((12, 3)) * box
-        assert count_interacting_pairs(a, b, box, 4.0) == count_interacting_pairs(
-            b, a, box, 4.0
-        )
+        assert count_pairs(a, b, box, 4.0) == count_pairs(b, a, box, 4.0)
 
     def test_empty_groups(self):
         box = np.ones(3) * 10
-        assert count_interacting_pairs(np.zeros((0, 3)), None, box, 3.0) == 0
-        assert count_interacting_pairs(np.zeros((1, 3)), np.zeros((0, 3)), box, 3.0) == 0
+        assert count_pairs(np.zeros((0, 3)), None, box, 3.0) == 0
+        assert count_pairs(np.zeros((1, 3)), np.zeros((0, 3)), box, 3.0) == 0

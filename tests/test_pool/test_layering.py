@@ -28,11 +28,12 @@ def test_pool_package_imports_no_domain_layer():
 
 
 def plant_step_path(mod, tmp_path, monkeypatch, module, source):
-    """A source tree whose step-path modules only import the reference
-    force functions, but for ``module``, which is ``source``."""
+    """A source tree whose step-path modules (and the minimizer) only
+    import the reference force functions, but for ``module``, which is
+    ``source``."""
     md = tmp_path / "repro" / "md"
     md.mkdir(parents=True)
-    for name in ("engine", "parallel", "tasks", "jobs"):
+    for name in ("engine", "parallel", "tasks", "jobs", "minimize"):
         (md / f"{name}.py").write_text(
             "from repro.md.ewald import compute_ewald  # noqa: F401\n"
         )
@@ -53,10 +54,11 @@ def test_checker_catches_a_driver_side_force_call(tmp_path, monkeypatch):
     assert "engine.py:3" in violation and "compute_bonded" in violation
 
 
-@pytest.mark.parametrize("module", ["parallel", "tasks", "jobs"])
+@pytest.mark.parametrize("module", ["parallel", "tasks", "jobs", "minimize"])
 def test_checker_catches_a_force_call_on_the_step_path(tmp_path, monkeypatch, module):
     """A driver-side branch below the engine — the front end, the tasks or
-    the job adapter evaluating a reference force function — is caught too."""
+    the job adapter evaluating a reference force function — is caught too,
+    and so is a minimizer that evaluates its trials off the engine."""
     mod = load_checker()
     plant_step_path(
         mod, tmp_path, monkeypatch, module,

@@ -1,6 +1,7 @@
 #!/usr/bin/env python
 """Layering check: the pool layer knows no MD, the kernel backends know no
-MD either, the service knows no balancer, the engine calls no kernel.
+MD either, the service knows no balancer, the engine and the minimizer call
+no reference force function.
 
 Layering (DESIGN.md, "The real parallel engine"):
 
@@ -21,6 +22,9 @@ Layering (DESIGN.md, "The real parallel engine"):
   collect``: every force term is a task, so the reference force functions
   are never *used* there (they may be imported: the perf harness binds
   spans to those module attributes).
+* ``repro.md.minimize`` — relaxation evaluates every trial on a
+  ``SequentialEngine``'s force tasks; it uses no reference force function
+  either, so it cannot regrow a force path of its own.
 
 The check is static (AST walk over every module in the tables below),
 so it catches lazy/function-local imports too.  Run directly or
@@ -50,7 +54,7 @@ _REFERENCE_FORCES = ("compute_bonded", "compute_nonbonded", "compute_ewald")
 #: force branch cannot quietly regrow
 UNUSED: dict[str, tuple[str, ...]] = {
     f"repro/md/{name}.py": _REFERENCE_FORCES
-    for name in ("engine", "parallel", "tasks", "jobs")
+    for name in ("engine", "parallel", "tasks", "jobs", "minimize")
 }
 
 
@@ -98,8 +102,8 @@ def main() -> int:
     print(
         "layering OK: repro.pool imports no domain layer, repro.backend "
         "imports no md/pool/costmodel/service, repro.service imports no "
-        "balancer/instrument/core, the step path calls no reference force "
-        "function"
+        "balancer/instrument/core, the step path and the minimizer call no "
+        "reference force function"
     )
     return 0
 
