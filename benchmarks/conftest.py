@@ -2,8 +2,9 @@
 
 Building a :class:`DecomposedProblem` for ApoA-I / BC1 requires exact pair
 counting over every patch pair (tens of seconds), but is deterministic per
-seed — so it is pickled under ``.bench_cache/`` and reused across the
-benchmark session and across runs.  Delete the directory to force a rebuild.
+seed — so it is pickled under ``.bench_cache/`` (untracked) and reused
+across the benchmark session and across runs.  Delete the directory to
+force a rebuild; a file that fails to load is rebuilt and overwritten.
 """
 
 from __future__ import annotations
@@ -27,8 +28,13 @@ def _cached_problem(
     CACHE_DIR.mkdir(exist_ok=True)
     path = CACHE_DIR / f"{name}{'_' + cache_tag if cache_tag else ''}.pkl"
     if path.exists():
-        with path.open("rb") as fh:
-            return pickle.load(fh)
+        try:
+            with path.open("rb") as fh:
+                return pickle.load(fh)
+        except (pickle.UnpicklingError, EOFError, AttributeError, ImportError):
+            # a truncated or stale pickle (classes moved since it was
+            # written) is rebuilt and overwritten, never an error
+            pass
     system = build_system()
     problem = DecomposedProblem.build(system, DEFAULT_COST_MODEL, **build_kwargs)
     with path.open("wb") as fh:

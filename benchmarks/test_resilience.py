@@ -31,11 +31,8 @@ import pytest
 from repro.builder import small_water_box
 from repro.md.nonbonded import NonbondedOptions
 from repro.md.parallel import HAS_SHARED_MEMORY, ParallelEngine
-from repro.pool import (
-    HAS_POSIX_SIGNALS,
-    RecoveryPolicy,
-    WorkerFaultPlan,
-)
+from repro.pool import HAS_POSIX_SIGNALS, RecoveryPolicy
+from repro.util.faults import FaultPlan
 
 pytestmark = pytest.mark.skipif(
     not (HAS_SHARED_MEMORY and HAS_POSIX_SIGNALS),
@@ -70,7 +67,7 @@ def _fresh_system():
 
 
 def _run_scenario(spec: str) -> dict:
-    plan = WorkerFaultPlan.parse(spec) if spec else None
+    plan = FaultPlan.parse(spec) if spec else None
     with ParallelEngine(
         _fresh_system(),
         NonbondedOptions(cutoff=CUTOFF),

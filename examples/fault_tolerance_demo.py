@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.builder import mini_assembly, small_water_box
 from repro.core import ParallelSimulation, SimulationConfig
-from repro.runtime.faults import FaultPlan
+from repro.util.faults import FaultPlan
 
 
 def timing_demo() -> None:

@@ -5,7 +5,7 @@ PR 1 gave the simulated runtime deterministic fault injection and
 double-checkpoint recovery.  This demo does the same thing to live OS
 processes: it runs a water box on the supervised
 :class:`~repro.md.parallel.ParallelEngine`, SIGKILLs one worker and
-SIGSTOPs another mid-run via a :class:`~repro.pool.WorkerFaultPlan`,
+SIGSTOPs another mid-run via a :class:`~repro.util.faults.FaultPlan`,
 and shows that the supervisor detects each fault, respawns the worker, and
 finishes with a trajectory **bit-identical** to an unfaulted run — the
 payoff of task-ordered force reduction plus reference-position binning
@@ -23,7 +23,8 @@ import numpy as np
 from repro.builder import small_water_box
 from repro.md.nonbonded import NonbondedOptions
 from repro.md.parallel import ParallelEngine
-from repro.pool import RecoveryPolicy, WorkerFaultPlan
+from repro.pool import RecoveryPolicy
+from repro.util.faults import FaultPlan
 from repro.runtime.checkpoint import load_run_checkpoint, restore_run_checkpoint
 
 WATERS = 600
@@ -61,7 +62,7 @@ def main() -> None:
     clean_system, clean_energy, _ = run()
 
     print("faulted run: SIGKILL worker 1 at step 2, SIGSTOP worker 0 at step 4")
-    fault = WorkerFaultPlan.parse("kill=1@2,hang=0@4")
+    fault = FaultPlan.parse("kill=1@2,hang=0@4")
     policy = RecoveryPolicy(respawn_backoff_s=0.01, hang_timeout_s=2.0)
     faulted_system, faulted_energy, res = run(fault=fault, policy=policy)
 

@@ -48,10 +48,10 @@ from repro.runtime.checkpoint import (
     restore_chare,
     snapshot_chare,
 )
-from repro.runtime.faults import FaultPlan
 from repro.runtime.machine import ASCI_RED, MachineModel
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.trace import SummaryProfile, TraceLog
+from repro.util.faults import FaultPlan
 
 __all__ = [
     "SimulationConfig",
@@ -107,7 +107,8 @@ class SimulationConfig:
     #: loaded machine, ref [3]); None = homogeneous
     proc_speed_factors: "np.ndarray | None" = None
     #: deterministic fault schedule (processor death, transient slowdowns,
-    #: message drop/delay/duplicate); None = fault-free run
+    #: message drop/delay/duplicate), its times in simulated seconds;
+    #: None = fault-free run
     fault_plan: "FaultPlan | None" = None
     #: rounds between in-memory double checkpoints; 0 = checkpoint only at
     #: phase start (a baseline cut is always taken when resilience is on)
@@ -130,6 +131,15 @@ class SimulationConfig:
             for b in base_names:
                 if b not in STRATEGIES:
                     raise ValueError(f"unknown LB strategy {b!r}")
+        if self.fault_plan is not None:
+            # a simulated processor dies or slows down; it never freezes
+            if self.fault_plan.hangs:
+                raise ValueError(
+                    f"fault clause {self.fault_plan.hangs[0].clause!r}: the "
+                    "simulated machine honours seed, kill, slow and the "
+                    "message faults, not hang"
+                )
+            self.fault_plan.check_targets(self.n_procs, "processor", "machine")
 
 
 @dataclass

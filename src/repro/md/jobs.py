@@ -156,17 +156,12 @@ class SimSpec:
 
             check_schedule(self.lb_strategy)
         if self.fault_plan:
-            from repro.pool import WorkerFaultPlan
+            from repro.pool import pool_fault_plan
 
             try:
-                target = WorkerFaultPlan.parse(self.fault_plan).max_worker()
+                pool_fault_plan(self.fault_plan, self.workers)
             except ValueError as exc:
                 raise ValueError(f"bad fault_plan: {exc}") from None
-            if target >= self.workers > 0:
-                raise ValueError(
-                    f"fault_plan targets worker {target}, "
-                    f"but the spec has {self.workers} workers"
-                )
 
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict:

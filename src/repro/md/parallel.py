@@ -79,8 +79,8 @@ from repro.pool import (
     RecoveryPolicy,
     ResilienceStats,
     SupervisedPool,
-    WorkerFaultPlan,
     contiguous_partition,
+    pool_fault_plan,
 )
 from repro.pool.protocol import (
     STAT_TIME_NS,
@@ -89,6 +89,7 @@ from repro.pool.protocol import (
     STAT_V2 as STAT_N_PAIRS,
 )
 from repro.util.cpus import available_cpu_count
+from repro.util.faults import FaultPlan
 
 __all__ = ["ParallelEngine", "ParallelNonbonded", "HAS_SHARED_MEMORY"]
 
@@ -120,7 +121,7 @@ class ParallelNonbonded:
         rebalance_every: int = 0,
         lb_strategy: str | None = None,
         grainsize_ms: float = 0.0,
-        fault_plan: WorkerFaultPlan | str | None = None,
+        fault_plan: FaultPlan | str | None = None,
         recovery: RecoveryPolicy | None = None,
         backend=None,
         ewald: EwaldOptions | None = None,
@@ -134,8 +135,8 @@ class ParallelNonbonded:
         ``lb_strategy`` overrides the greedy-then-refine schedule;
         ``grainsize_ms > 0`` splits expensive cell tasks into row stripes;
         ``fault_plan`` schedules deterministic fault injection — kills,
-        hangs and per-worker slowdown windows (string form
-        ``"kill=1@3,hang=0@2x1.5,slow=0@2-8x4"``); ``recovery`` configures
+        hangs and per-worker slowdown windows at evaluation indices (string
+        form ``"kill=1@3,hang=0@2x1.5,slow=0@2-8x4"``); ``recovery`` configures
         the supervision ladder.  Either one selects worker processes over
         threads; ``backend`` names the kernel set for driver
         and workers alike.  All modes keep the task-ordered reduction, so
@@ -152,8 +153,8 @@ class ParallelNonbonded:
             raise ValueError("grainsize_ms must be >= 0")
         if lb_strategy is not None:
             _lb_driver.check_schedule(lb_strategy)
-        if isinstance(fault_plan, str):
-            fault_plan = WorkerFaultPlan.parse(fault_plan)
+        if fault_plan is not None:
+            fault_plan = pool_fault_plan(fault_plan)
         self.system = system
         self.options = options or NonbondedOptions()
         self.backend = get_backend(backend)
@@ -212,7 +213,7 @@ class ParallelNonbonded:
         elif self.n_workers > 1:
             if fault_plan is not None:
                 # checked here: a pool that fails to start only warns
-                fault_plan.check_workers(self.n_workers)
+                pool_fault_plan(fault_plan, self.n_workers)
             try:
                 self._start_pool(assignment)
             except Exception as exc:  # pragma: no cover - platform dependent
@@ -702,7 +703,7 @@ class ParallelEngine(SequentialEngine):
         rebalance_every: int = 0,
         lb_strategy: str | None = None,
         grainsize_ms: float = 0.0,
-        fault_plan: WorkerFaultPlan | str | None = None,
+        fault_plan: FaultPlan | str | None = None,
         recovery: RecoveryPolicy | None = None,
         checkpoint_every: int = 0,
         checkpoint_path=None,

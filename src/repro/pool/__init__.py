@@ -34,16 +34,9 @@ from repro.pool.resilience import (
     RecoveryEventLog,
     RecoveryPolicy,
     ResilienceStats,
-    WorkerFaultPlan,
-    WorkerHang,
-    WorkerKill,
+    pool_fault_plan,
 )
-from repro.pool.runtime import (
-    InProcessExecutor,
-    SupervisedPool,
-    normalize_slowdown,
-    slowdown_factor,
-)
+from repro.pool.runtime import InProcessExecutor, SupervisedPool
 from repro.pool.segments import (
     HAS_SHARED_MEMORY,
     SegmentRegistry,
@@ -68,12 +61,8 @@ __all__ = [
     "TaskEvaluator",
     "TaskProvider",
     "WorkerBudget",
-    "WorkerFaultPlan",
-    "WorkerHang",
-    "WorkerKill",
     "WorkerLease",
     "attach_segment",
     "contiguous_partition",
-    "normalize_slowdown",
-    "slowdown_factor",
+    "pool_fault_plan",
 ]

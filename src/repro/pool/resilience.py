@@ -1,26 +1,25 @@
 """Fault injection, recovery policy, and accounting for supervised pools.
 
-The *simulated* runtime has a deterministic
-:class:`~repro.runtime.faults.FaultPlan`; this module is its counterpart
-against live operating-system processes, and is the failure-handling
-half of the :mod:`repro.pool` runtime (it knows nothing about what the
-workers compute).  A :class:`WorkerFaultPlan` schedules, by evaluation
-step:
+The pool reads the one :class:`~repro.util.faults.FaultPlan` of both
+runtimes, in its own clock: a fault's ``<when>`` is the 1-based evaluation
+index (:func:`pool_fault_plan` refuses what a pool cannot honour).  Against
+live operating-system processes the plan schedules:
 
-* **SIGKILL** of a worker process (:class:`WorkerKill`) — fail-stop death,
-  the analogue of :class:`~repro.runtime.faults.ProcessorFailure`;
-* **SIGSTOP hangs** (:class:`WorkerHang`) — the worker freezes for
-  ``duration_s`` seconds (or forever), the failure mode a timeout-based
-  supervisor must distinguish from mere slowness;
-* **slowdown windows** — reusing the exact
-  :class:`~repro.runtime.faults.SlowdownWindow` semantics the pool already
+* **SIGKILL** of a worker process (a
+  :class:`~repro.util.faults.ProcessorFailure`) — fail-stop death;
+* **SIGSTOP hangs** (a :class:`~repro.util.faults.ProcessorHang`) — the
+  worker freezes for ``duration_s`` seconds (or forever), the failure mode
+  a timeout-based supervisor must distinguish from mere slowness;
+* **slowdown windows** — the plan's
+  :meth:`~repro.util.faults.FaultPlan.slowdown_factor`, which the pool
   implements as a measured busy-spin.
 
-The :class:`FaultInjector` fires the plan from the driver side (the driver
-owns the pids), once per scheduled event, and un-freezes finite hangs when
-their window expires.  Because events are step-indexed, injection is fully
-deterministic — the same property that makes the simulated FaultPlan's
-tests reproducible.
+The :class:`FaultInjector` fires the kills and hangs from the driver side
+(the driver owns the pids), once per scheduled event, and un-freezes
+finite hangs when their window expires.  Because events are step-indexed,
+injection is fully deterministic — the same property that makes the
+simulated machine's fault tests reproducible.  This half of the pool
+knows nothing about what the workers compute.
 
 :class:`RecoveryPolicy` configures the supervised pool's response ladder
 (respawn with bounded retry + exponential backoff → reassign to
@@ -31,160 +30,59 @@ timeline renders, and ``BENCH_resilience.json`` surface.
 
 from __future__ import annotations
 
-import math
 import os
 import signal
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # pragma: no cover - annotation-only; keeps the pool
-    # layer import-free of the simulated runtime (and its balancer deps)
-    from repro.runtime.faults import SlowdownWindow
+from repro.util.faults import FaultPlan
 
 __all__ = [
     "HAS_POSIX_SIGNALS",
-    "WorkerKill",
-    "WorkerHang",
-    "WorkerFaultPlan",
     "FaultInjector",
     "RecoveryPolicy",
     "RecoveryEventLog",
     "ResilienceStats",
+    "pool_fault_plan",
 ]
 
 #: SIGSTOP/SIGCONT (hang injection) and SIGKILL exist only on POSIX.
 HAS_POSIX_SIGNALS = hasattr(signal, "SIGSTOP") and hasattr(signal, "SIGKILL")
 
 
-@dataclass(frozen=True)
-class WorkerKill:
-    """SIGKILL worker ``worker`` right after step ``step`` is dispatched."""
+def pool_fault_plan(plan: FaultPlan | str, n_workers: int = 0) -> FaultPlan:
+    """``plan`` (or its clause string) as a supervised pool reads it.
 
-    worker: int
-    step: int
-
-    def __post_init__(self) -> None:
-        if self.worker < 0:
-            raise ValueError("worker must be >= 0")
-        if self.step < 1:
-            raise ValueError("step must be >= 1 (1-based evaluation index)")
-
-
-@dataclass(frozen=True)
-class WorkerHang:
-    """SIGSTOP worker ``worker`` at step ``step`` for ``duration_s`` seconds.
-
-    ``duration_s = inf`` (the default) freezes the worker until the
-    supervisor escalates — the canonical "hung, not dead" scenario.  A
-    finite duration models a transient stall (page-fault storm, cgroup
-    throttle): the injector sends SIGCONT when the window expires, and a
-    stall shorter than the hang threshold is simply *measured* as load.
+    Refuses, naming the clause, what a pool cannot honour: a ``seed`` and
+    the message faults (its workers exchange no simulated messages), a
+    kill or hang at anything but a whole 1-based evaluation index, and —
+    given ``n_workers`` — a target the pool does not have.
     """
-
-    worker: int
-    step: int
-    duration_s: float = math.inf
-
-    def __post_init__(self) -> None:
-        if self.worker < 0:
-            raise ValueError("worker must be >= 0")
-        if self.step < 1:
-            raise ValueError("step must be >= 1 (1-based evaluation index)")
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
-
-
-@dataclass(frozen=True)
-class WorkerFaultPlan:
-    """A deterministic, step-indexed schedule of real-process faults."""
-
-    kills: tuple[WorkerKill, ...] = ()
-    hangs: tuple[WorkerHang, ...] = ()
-    slowdowns: tuple[SlowdownWindow, ...] = ()
-
-    @property
-    def active(self) -> bool:
-        """True when any fault is scheduled."""
-        return bool(self.kills or self.hangs or self.slowdowns)
-
-    def max_worker(self) -> int:
-        """Highest worker index any fault targets (-1 when empty)."""
-        targets = [k.worker for k in self.kills]
-        targets += [h.worker for h in self.hangs]
-        targets += [int(w.proc) for w in self.slowdowns]
-        return max(targets, default=-1)
-
-    def check_workers(self, n_workers: int) -> None:
-        """Refuse a plan that targets a worker a pool of ``n_workers``
-        does not have."""
-        if self.max_worker() >= n_workers:
-            raise ValueError(
-                f"fault plan targets worker {self.max_worker()}"
-                f", but the pool has {n_workers} workers"
-            )
-
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def parse(cls, spec: str) -> "WorkerFaultPlan":
-        """Build a plan from a compact CLI string.
-
-        Comma-separated clauses (steps are 1-based evaluation indices)::
-
-            kill=<worker>@<step>
-            hang=<worker>@<step>          (indefinite SIGSTOP)
-            hang=<worker>@<step>x<secs>   (SIGCONT after <secs>)
-            slow=<worker>@<start>-<end>x<factor>
-
-        Example: ``"kill=1@3,hang=2@5x1.5,slow=0@2-8x4"``.
-        """
-        from repro.runtime.faults import SlowdownWindow
-
-        kills: list[WorkerKill] = []
-        hangs: list[WorkerHang] = []
-        slowdowns: list["SlowdownWindow"] = []
-        for clause in spec.split(","):
-            clause = clause.strip()
-            if not clause:
-                continue
-            if "=" not in clause:
-                raise ValueError(
-                    f"bad fault clause {clause!r} (expected key=value)"
-                )
-            key, _, value = clause.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key == "kill":
-                worker, _, step = value.partition("@")
-                kills.append(WorkerKill(int(worker), int(step)))
-            elif key == "hang":
-                worker, _, rest = value.partition("@")
-                step, _, secs = rest.partition("x")
-                hangs.append(
-                    WorkerHang(
-                        int(worker),
-                        int(step),
-                        float(secs) if secs else math.inf,
-                    )
-                )
-            elif key == "slow":
-                worker, _, rest = value.partition("@")
-                window, _, factor = rest.partition("x")
-                start, _, end = window.partition("-")
-                slowdowns.append(
-                    SlowdownWindow(
-                        int(worker), float(start), float(end), float(factor)
-                    )
-                )
-            else:
-                raise ValueError(f"unknown fault clause key {key!r}")
-        return cls(
-            kills=tuple(kills), hangs=tuple(hangs), slowdowns=tuple(slowdowns)
+    if isinstance(plan, str):
+        plan = FaultPlan.parse(plan)
+    if plan.seed is not None or plan.message_faults is not None:
+        clause = (
+            f"seed={plan.seed}"
+            if plan.seed is not None
+            else plan.message_faults.clause or "drop/delay/dup/retry"
         )
+        raise ValueError(
+            f"fault clause {clause!r}: the supervised pool honours kill, "
+            "hang and slow only"
+        )
+    for fault in (*plan.failures, *plan.hangs):
+        if not (fault.time >= 1 and float(fault.time).is_integer()):
+            raise ValueError(
+                f"fault clause {fault.clause!r}: a pool step is a 1-based "
+                "evaluation index (a whole number >= 1)"
+            )
+    if n_workers:
+        plan.check_targets(n_workers, "worker", "pool")
+    return plan
 
 
 class FaultInjector:
-    """Fires a :class:`WorkerFaultPlan` against live worker processes.
+    """Fires a fault plan's kills and hangs against live worker processes.
 
     The driver calls :meth:`inject` right after dispatching each evaluation
     (so kills land while tasks are in flight) and :meth:`poll` from its
@@ -194,14 +92,14 @@ class FaultInjector:
     must never take down the driver.
     """
 
-    def __init__(self, plan: WorkerFaultPlan) -> None:
-        if not HAS_POSIX_SIGNALS and (plan.kills or plan.hangs):
+    def __init__(self, plan: FaultPlan) -> None:
+        if not HAS_POSIX_SIGNALS and (plan.failures or plan.hangs):
             raise RuntimeError(
                 "worker fault injection needs POSIX signals "
                 "(SIGKILL/SIGSTOP); this platform has neither"
             )
         self.plan = plan
-        self._fired: set[tuple[str, int, int]] = set()
+        self._fired: set[tuple[str, int, float]] = set()
         #: (worker, pid, resume_deadline) of every process this injector
         #: froze and has not continued; the deadline of an indefinite hang
         #: is ``inf`` — :meth:`poll` never resumes it, :meth:`release_all` does
@@ -218,22 +116,22 @@ class FaultInjector:
     def inject(self, step: int, pids: dict[int, int]) -> list[str]:
         """Fire every event scheduled at ``step``; returns what fired."""
         fired: list[str] = []
-        for k in self.plan.kills:
-            key = ("kill", k.worker, k.step)
-            if k.step == step and key not in self._fired:
+        for k in self.plan.failures:
+            key = ("kill", k.proc, k.time)
+            if k.time == step and key not in self._fired:
                 self._fired.add(key)
-                pid = pids.get(k.worker)
+                pid = pids.get(k.proc)
                 if pid is not None and self._signal(pid, signal.SIGKILL):
-                    fired.append(f"SIGKILL worker {k.worker} @step {step}")
+                    fired.append(f"SIGKILL worker {k.proc} @step {step}")
         for h in self.plan.hangs:
-            key = ("hang", h.worker, h.step)
-            if h.step == step and key not in self._fired:
+            key = ("hang", h.proc, h.time)
+            if h.time == step and key not in self._fired:
                 self._fired.add(key)
-                pid = pids.get(h.worker)
+                pid = pids.get(h.proc)
                 if pid is not None and self._signal(pid, signal.SIGSTOP):
-                    fired.append(f"SIGSTOP worker {h.worker} @step {step}")
+                    fired.append(f"SIGSTOP worker {h.proc} @step {step}")
                     self._stopped.append(
-                        (h.worker, pid, time.monotonic() + h.duration_s)
+                        (h.proc, pid, time.monotonic() + h.duration_s)
                     )
         return fired
 

@@ -39,11 +39,11 @@ owns:
   client can run the tasks on an :class:`InProcessExecutor` instead of
   raising.
 * **Deterministic fault injection** — a
-  :class:`~repro.pool.resilience.WorkerFaultPlan` fired against the
-  pool's own children right after each dispatch, plus measured
-  per-worker slowdown windows (busy-spin after each task, once after a
-  batch, so injected load is visible to measurement like any real
-  background load).
+  :class:`~repro.util.faults.FaultPlan` read by evaluation index: its
+  kills and hangs fired against the pool's own children right after each
+  dispatch, its slowdown windows measured on each worker (busy-spin after
+  each task, once after a batch, so injected load is visible to
+  measurement like any real background load).
 
 The driver-side client (e.g. :class:`repro.md.parallel.
 ParallelNonbonded`) composes ``begin_step`` / ``dispatch`` / its own
@@ -63,7 +63,6 @@ import time
 import traceback
 import warnings
 import weakref
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -82,20 +81,19 @@ from repro.pool.resilience import (
     RecoveryEventLog,
     RecoveryPolicy,
     ResilienceStats,
-    WorkerFaultPlan,
+    pool_fault_plan,
 )
 from repro.pool.segments import (
     HAS_SHARED_MEMORY,
     SegmentRegistry,
     attach_segment,
 )
+from repro.util.faults import FaultPlan
 
 __all__ = [
     "HAS_SHARED_MEMORY",
     "InProcessExecutor",
     "SupervisedPool",
-    "normalize_slowdown",
-    "slowdown_factor",
 ]
 
 
@@ -127,34 +125,6 @@ def _track_pool(pool: "SupervisedPool") -> None:
 
 
 # --------------------------------------------------------------------------- #
-# slowdown injection helpers
-# --------------------------------------------------------------------------- #
-def normalize_slowdown(slowdown) -> dict[int, list[tuple[float, float, float]]]:
-    """Per-worker slowdown windows ``(start_step, end_step, factor)`` from
-    an iterable of :class:`repro.runtime.faults.SlowdownWindow` (a fault
-    plan's ``slow=`` clauses) whose ``start``/``end`` are *step* indices
-    (1-based evaluation sequence)."""
-    windows: dict[int, list[tuple[float, float, float]]] = defaultdict(list)
-    for w in slowdown:
-        windows[int(w.proc)].append(
-            (float(w.start), float(w.end), float(w.factor))
-        )
-    return dict(windows)
-
-
-def slowdown_factor(
-    windows: list[tuple[float, float, float]], step: int
-) -> float:
-    """Combined slowdown at ``step`` (mirrors ``FaultPlan.slowdown_factor``:
-    overlapping windows multiply)."""
-    factor = 1.0
-    for start, end, f in windows:
-        if start <= step < end:
-            factor *= f
-    return factor
-
-
-# --------------------------------------------------------------------------- #
 # the per-step task loop, shared by pool workers and executor threads
 # --------------------------------------------------------------------------- #
 @dataclass
@@ -163,7 +133,8 @@ class StepState:
 
     worker_id: int
     assignment: np.ndarray
-    slow_windows: list = field(default_factory=list)
+    #: the pool's fault plan, for its slowdown windows (None: no plan)
+    faults: FaultPlan | None = None
     my_tasks: list[int] = field(default_factory=list)
     offsets: np.ndarray | None = None
 
@@ -200,7 +171,11 @@ def run_step(
             evaluator.rebuild(state.my_tasks), dtype=np.int64
         )
     offsets = state.offsets
-    factor = slowdown_factor(state.slow_windows, seq)
+    factor = (
+        1.0
+        if state.faults is None
+        else state.faults.slowdown_factor(state.worker_id, seq)
+    )
     rest = state.my_tasks
     batch = getattr(evaluator, "eval_batch", None)
     if batch is not None:
@@ -497,7 +472,7 @@ def _pool_worker_main(
     n_tasks,
     provider,
     assignment,
-    slow_windows,
+    faults,
 ):
     """Worker loop: attach shared segments, then serve step/stop commands.
 
@@ -520,9 +495,7 @@ def _pool_worker_main(
             shape, dtype=np.dtype(dtype), buffer=segs[label].buf
         )
     evaluator = provider.make_evaluator(worker_id, n_workers, views)
-    state = StepState(
-        worker_id, np.asarray(assignment, dtype=np.int64), slow_windows
-    )
+    state = StepState(worker_id, np.asarray(assignment, dtype=np.int64), faults)
     try:
         while True:
             try:
@@ -574,9 +547,11 @@ class SupervisedPool:
     measurement database and load balancers); without it, orphans are
     dealt round-robin to survivors.  ``on_recovery_note(label, n)``
     mirrors recovery counters into client-side accounting.
-    ``fault_plan`` is the one source of injected faults: it arms the
-    kill/hang injector and gives each worker its slowdown windows; a plan
-    that targets a worker the pool does not have is refused.
+    ``fault_plan`` is the one source of injected faults, its times
+    evaluation indices: it arms the kill/hang injector and gives each
+    worker its slowdown windows; a plan the pool cannot honour
+    (:func:`~repro.pool.resilience.pool_fault_plan`) is refused before any
+    worker starts.
 
     Driver call order per evaluation::
 
@@ -602,7 +577,7 @@ class SupervisedPool:
         *,
         timeout: float = 120.0,
         policy: RecoveryPolicy | None = None,
-        fault_plan: WorkerFaultPlan | None = None,
+        fault_plan: FaultPlan | None = None,
         start_method: str | None = None,
         reassign: Callable | None = None,
         on_recovery_note: Callable | None = None,
@@ -612,7 +587,7 @@ class SupervisedPool:
         if n_workers < 2:
             raise ValueError("SupervisedPool needs at least 2 workers")
         if fault_plan is not None:
-            fault_plan.check_workers(n_workers)
+            pool_fault_plan(fault_plan, n_workers)
         self.provider = provider
         self.n_tasks = int(provider.n_tasks)
         self.n_workers = int(n_workers)
@@ -621,9 +596,7 @@ class SupervisedPool:
         self.resilience = ResilienceStats()
         self._reassign_cb = reassign
         self._note_cb = on_recovery_note
-        self._slow_windows = normalize_slowdown(
-            fault_plan.slowdowns if fault_plan is not None else ()
-        )
+        self.fault_plan = fault_plan
         self._assignment = np.asarray(assignment, dtype=np.int64).copy()
         if len(self._assignment) != self.n_tasks:
             raise ValueError("assignment length must equal provider.n_tasks")
@@ -652,13 +625,13 @@ class SupervisedPool:
         self._closed = False
 
         try:
-            self._start(start_method, fault_plan)
+            self._start(start_method)
         except BaseException:
             self.close()
             raise
 
     # ------------------------------------------------------------------ #
-    def _start(self, start_method, fault_plan) -> None:
+    def _start(self, start_method) -> None:
         provider = self.provider
         scratch_shape = tuple(int(d) for d in provider.scratch_shape())
         self._scratch_shape = scratch_shape
@@ -704,8 +677,8 @@ class SupervisedPool:
         self._worker_epoch = [0] * self.n_workers
         for w in range(self.n_workers):
             self._spawn_worker(w)
-        if fault_plan is not None and fault_plan.active:
-            self._injector = FaultInjector(fault_plan)
+        if self.fault_plan is not None:
+            self._injector = FaultInjector(self.fault_plan)
         _track_pool(self)
 
     def _spawn_worker(self, w: int) -> bool:
@@ -735,7 +708,7 @@ class SupervisedPool:
                 self.n_tasks,
                 self.provider,
                 self._assignment,
-                self._slow_windows.get(w, []),
+                self.fault_plan,
             ),
             daemon=True,
             name=f"repro-pool-worker-{w}",

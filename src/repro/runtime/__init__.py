@@ -27,7 +27,7 @@ object migration       :meth:`Scheduler.migrate`
 from repro.runtime.machine import MachineModel, MACHINES, ASCI_RED, T3E_900, ORIGIN_2000
 from repro.runtime.message import Message, Priority
 from repro.runtime.chare import Chare
-from repro.runtime.faults import (
+from repro.util.faults import (
     FaultPlan,
     MessageFaults,
     ProcessorFailure,

@@ -33,11 +33,11 @@ from typing import Callable
 import numpy as np
 
 from repro.runtime.chare import Chare
-from repro.runtime.faults import FaultPlan
 from repro.runtime.machine import MachineModel
 from repro.runtime.message import Message, MulticastPayload, Priority
 from repro.runtime.stats import LBDatabase, MulticastStats
 from repro.runtime.trace import TraceLog
+from repro.util.faults import FaultPlan
 
 __all__ = ["Scheduler"]
 
@@ -120,14 +120,12 @@ class Scheduler:
         self._instrument = True
         self._has_slowdowns = fault_plan is not None and fault_plan.has_slowdowns
         self._message_faults_active = (
-            fault_plan is not None and fault_plan.message_faults.active
+            fault_plan is not None and fault_plan.has_message_faults
         )
         # schedule the plan's fail-stop events; deaths scheduled before this
         # scheduler's epoch but not yet acknowledged take effect immediately
         if fault_plan is not None:
             for f in fault_plan.failures:
-                if not (0 <= f.proc < n_procs):
-                    raise ValueError(f"fault plan kills unknown processor {f.proc}")
                 if f.proc in self.dead_procs:
                     continue
                 if f.time < start_time:

@@ -104,6 +104,18 @@ class TestResilienceFlags:
         with pytest.raises(SystemExit, match="fault-plan"):
             main(self.MD27 + ["--workers", "2", "--fault-plan", "bogus"])
 
+    def test_fault_plan_refuses_what_the_pool_cannot_honour(self):
+        with pytest.raises(SystemExit, match="'drop=0.1'"):
+            main(self.MD27 + ["--workers", "2", "--fault-plan", "drop=0.1"])
+
+    @pytest.mark.parametrize(
+        "spec, named",
+        [("hang=0@1", "'hang=0@1'"), ("kill=9@0.5", "targets processor 9")],
+    )
+    def test_audit_refuses_what_the_machine_cannot_honour(self, spec, named):
+        with pytest.raises(SystemExit, match=named):
+            main(["audit", "--system", "mini", "--procs", "4", "--fault-plan", spec])
+
     @pytest.mark.parametrize("kmax", ["-1", "17"])
     def test_kmax_outside_the_grid_cap_is_refused(self, kmax):
         with pytest.raises(SystemExit, match="kmax must lie in"):

@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import ParallelSimulation, SimulationConfig
 from repro.runtime.checkpoint import UnrecoverableFailure
-from repro.runtime.faults import FaultPlan
+from repro.util.faults import FaultPlan
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 

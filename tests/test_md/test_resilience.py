@@ -24,10 +24,8 @@ from repro.pool import (
     FaultInjector,
     RecoveryPolicy,
     ResilienceStats,
-    WorkerFaultPlan,
-    WorkerHang,
-    WorkerKill,
 )
+from repro.util.faults import FaultPlan, ProcessorFailure
 
 pytestmark = pytest.mark.skipif(
     not HAS_SHARED_MEMORY, reason="platform lacks multiprocessing.shared_memory"
@@ -70,44 +68,9 @@ def run_trajectory(
 
 
 # --------------------------------------------------------------------------- #
-# plan parsing and injector basics (no processes involved)
+# the engine's reading of a plan (the grammar: tests/test_util/test_faults.py)
 # --------------------------------------------------------------------------- #
-class TestWorkerFaultPlan:
-    def test_parse_full_spec(self):
-        plan = WorkerFaultPlan.parse("kill=1@3,hang=0@5x2.5,slow=1@2-6x8")
-        assert plan.kills == (WorkerKill(worker=1, step=3),)
-        assert len(plan.hangs) == 1
-        assert plan.hangs[0].worker == 0
-        assert plan.hangs[0].step == 5
-        assert plan.hangs[0].duration_s == pytest.approx(2.5)
-        assert len(plan.slowdowns) == 1
-        w = plan.slowdowns[0]
-        assert (w.proc, w.start, w.end, w.factor) == (1, 2, 6, 8.0)
-        assert plan.active
-        assert plan.max_worker() == 1
-
-    def test_parse_infinite_hang(self):
-        plan = WorkerFaultPlan.parse("hang=2@4")
-        assert plan.hangs[0].duration_s == np.inf
-        assert plan.max_worker() == 2
-
-    def test_parse_rejects_garbage(self):
-        for bad in ["kill=x@2", "kill=1", "frob=1@2", "slow=1@3x2", "1@2"]:
-            with pytest.raises(ValueError):
-                WorkerFaultPlan.parse(bad)
-
-    def test_parse_empty_spec_is_inactive(self):
-        assert not WorkerFaultPlan.parse("").active
-
-    def test_kill_validates_fields(self):
-        with pytest.raises(ValueError):
-            WorkerKill(worker=-1, step=3)
-        with pytest.raises(ValueError):
-            WorkerKill(worker=0, step=0)
-
-    def test_empty_plan_is_inactive(self):
-        assert not WorkerFaultPlan(kills=(), hangs=(), slowdowns=()).active
-
+class TestEngineFaultPlan:
     def test_plan_beyond_pool_size_rejected_by_engine(self, water600):
         with pytest.raises(ValueError, match="worker 7"):
             ParallelNonbonded(
@@ -336,7 +299,7 @@ class TestFaultInjector:
     def test_kill_fires_once(self):
         proc = self._spawn_sleeper()
         try:
-            inj = FaultInjector(WorkerFaultPlan.parse("kill=0@2"))
+            inj = FaultInjector(FaultPlan.parse("kill=0@2"))
             assert inj.inject(1, {0: proc.pid}) == []
             fired = inj.inject(2, {0: proc.pid})
             assert len(fired) == 1
@@ -351,7 +314,7 @@ class TestFaultInjector:
     def test_finite_hang_resumes_via_poll(self):
         proc = self._spawn_sleeper()
         try:
-            inj = FaultInjector(WorkerFaultPlan.parse("hang=0@1x0.2"))
+            inj = FaultInjector(FaultPlan.parse("hang=0@1x0.2"))
             inj.inject(1, {0: proc.pid})
             deadline = time.monotonic() + 5.0
             resumed = []
@@ -386,7 +349,7 @@ class TestFaultInjector:
         ``release_all`` — an indefinite hang as much as a finite one."""
         proc = self._spawn_sleeper()
         try:
-            inj = FaultInjector(WorkerFaultPlan.parse(spec))
+            inj = FaultInjector(FaultPlan.parse(spec))
             assert len(inj.inject(1, {0: proc.pid})) == 1
             assert [(w, pid) for w, pid, _ in inj._stopped] == [(0, proc.pid)]
             assert self._wait_for_state(proc.pid, stopped=True)
@@ -402,7 +365,7 @@ class TestFaultInjector:
         proc = self._spawn_sleeper()
         proc.kill()
         proc.join(timeout=5.0)
-        inj = FaultInjector(WorkerFaultPlan.parse("kill=0@1"))
+        inj = FaultInjector(FaultPlan.parse("kill=0@1"))
         inj.inject(1, {0: proc.pid})  # must not raise
 
 
@@ -485,9 +448,7 @@ class TestParallelCheckpointResume:
         # kill goes with the first resumed evaluation, not the last: a
         # worker can ack its step before the signal lands, and then only
         # the next evaluation's liveness sweep finds it dead
-        fault = WorkerFaultPlan(
-            kills=(WorkerKill(worker=0, step=cp.nb_seq + 1),)
-        )
+        fault = FaultPlan(failures=(ProcessorFailure(0, cp.nb_seq + 1),))
 
         s_b = self._fresh(water600)
         with ParallelEngine(

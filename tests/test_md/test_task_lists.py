@@ -349,13 +349,13 @@ def test_slowdown_window_multiplies_the_kernels_own_task_times_exactly(evaluator
     """``slow=0@2-4x3``: inside the window worker 0's recorded cell-task
     times are 3 times the deltas the kernel clocked itself, to the bit;
     outside it they are those deltas."""
-    from repro.pool import WorkerFaultPlan, normalize_slowdown
     from repro.pool.protocol import STAT_COLS, STAT_TIME_NS
     from repro.pool.runtime import StepState, run_step
+    from repro.util.faults import FaultPlan
 
     provider = evaluator.provider
-    windows = normalize_slowdown(WorkerFaultPlan.parse("slow=0@2-4x3").slowdowns)[0]
-    state = StepState(0, np.zeros(provider.n_tasks, dtype=np.int64), windows)
+    plan = FaultPlan.parse("slow=0@2-4x3")
+    state = StepState(0, np.zeros(provider.n_tasks, dtype=np.int64), plan)
     scratch = np.zeros(provider.scratch_shape())
     stats = np.zeros((provider.n_tasks + 1, STAT_COLS))
     own = []

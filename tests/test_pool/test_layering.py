@@ -117,17 +117,46 @@ def test_checker_catches_the_service_placing_jobs_with_a_balancer(
         assert any(f"scheduler.py:{line}" in v and name in v for v in found), found
 
 
+def test_checker_catches_the_pool_reading_the_simulated_runtime(
+    tmp_path, monkeypatch
+):
+    """The pool reads the one fault plan from ``repro.util``: a pool module
+    that reaches into the simulated runtime or the simulation driver for
+    it again — lazily too — is a violation."""
+    mod = load_checker()
+    resilience = tmp_path / "repro" / "pool" / "resilience.py"
+    resilience.parent.mkdir(parents=True)
+    resilience.write_text(
+        "from repro.util.faults import FaultPlan  # noqa: F401\n"
+        "def parse(spec):\n"
+        "    from repro.runtime.faults import SlowdownWindow  # noqa: F401\n"
+        "    import repro.core.simulation  # noqa: F401\n"
+    )
+    monkeypatch.setattr(mod, "SRC", tmp_path)
+    monkeypatch.setattr(mod, "UNUSED", {})
+    first, second = mod.check()
+    assert "resilience.py:3" in first and "repro.runtime.faults" in first
+    assert "resilience.py:4" in second and "repro.core.simulation" in second
+
+
 def test_pool_package_imports_standalone():
-    # dynamic confirmation: importing the package must not pull repro.md
-    # (or the balancer/instrument layers) into sys.modules
+    # dynamic confirmation: importing the package, reading a plan with every
+    # clause a pool honours and running a 2-worker pool on it must pull no
+    # domain layer — and not the simulated runtime — into sys.modules
     code = (
-        "import sys, repro.pool; "
-        "bad = [m for m in sys.modules if m.startswith("
-        "('repro.md', 'repro.balancer', 'repro.instrument'))]; "
-        "assert not bad, bad"
+        "import sys\n"
+        "from repro.pool import SupervisedPool, pool_fault_plan\n"
+        "from tests.test_pool.synthetic import SyntheticProvider\n"
+        "plan = pool_fault_plan('kill=1@5,hang=0@6x0.1,slow=0@1-3x2', 2)\n"
+        "with SupervisedPool(SyntheticProvider(4), 2, [0, 0, 1, 1],"
+        " fault_plan=plan):\n"
+        "    pass\n"
+        "bad = sorted(m for m in sys.modules if m.startswith(('repro.runtime',"
+        " 'repro.core', 'repro.balancer', 'repro.instrument', 'repro.md')))\n"
+        "assert not bad, bad\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO
     )
     assert proc.returncode == 0, proc.stderr
 

@@ -22,10 +22,10 @@ from repro.pool import (
     InProcessExecutor,
     RecoveryPolicy,
     SupervisedPool,
-    WorkerFaultPlan,
 )
 from repro.pool import runtime as pool_runtime
 from repro.pool.protocol import STAT_TIME_NS, STAT_V0, STAT_V1, STAT_V2
+from repro.util.faults import FaultPlan, SlowdownWindow
 
 from tests.test_pool.synthetic import (
     BatchingProvider,
@@ -123,13 +123,15 @@ class TestFaultPlan:
         with pytest.raises(
             ValueError, match="targets worker 2, but the pool has 2 workers"
         ):
-            make_pool(fault_plan=WorkerFaultPlan.parse("slow=2@1-3x2"))
+            make_pool(fault_plan=FaultPlan.parse("slow=2@1-3x2"))
         assert len(pool_runtime._LIVE_POOLS) == live
 
     def test_plan_arms_kills_and_gives_each_worker_its_windows(self):
-        plan = WorkerFaultPlan.parse("kill=1@2,slow=0@1-3x2,slow=0@5-6x3")
+        plan = FaultPlan.parse("kill=1@2,slow=0@1-3x2,slow=0@5-6x3")
         with make_pool(fault_plan=plan) as pool:
-            assert pool._slow_windows == {0: [(1.0, 3.0, 2.0), (5.0, 6.0, 3.0)]}
+            assert pool.fault_plan.slowdowns == (
+                SlowdownWindow(0, 1.0, 3.0, 2.0), SlowdownWindow(0, 5.0, 6.0, 3.0)
+            )
             pool.view("data")[...] = np.linspace(0.5, 6.0, N_TASKS)
             run_step(pool, 1.0, rebuild=True)
             expect = pool.scratch[:, 0].copy()
@@ -267,7 +269,7 @@ class TestBatchedEvaluation:
         executor = InProcessExecutor(BatchingProvider(N_TASKS))
         executor.view("data")[...] = 1.0
         state, evaluator = executor._states[0], executor._evaluators[0]
-        state.slow_windows = [(2.0, 4.0, 3.0), (3.0, 4.0, 2.0)]
+        state.faults = FaultPlan.parse("slow=0@2-4x3,slow=0@3-4x2")
         for seq, factor in ((1, 1.0), (2, 3.0), (3, 6.0), (4, 1.0)):
             t0 = time.perf_counter_ns()
             pool_runtime.run_step(

@@ -1,19 +1,20 @@
-"""Deterministic fault injection: plans, parsing, and scheduler behavior."""
+"""Deterministic fault injection on the simulated machine: fates,
+shifting, and scheduler behavior."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime.chare import Chare
-from repro.runtime.faults import (
+from repro.runtime.machine import MachineModel
+from repro.runtime.scheduler import Scheduler
+from repro.util.faults import (
     MAX_RETRANSMITS,
     FaultPlan,
     MessageFaults,
     ProcessorFailure,
     SlowdownWindow,
 )
-from repro.runtime.machine import MachineModel
-from repro.runtime.scheduler import Scheduler
 
 MACHINE = MachineModel(
     name="t",
@@ -59,64 +60,8 @@ class Relay(Chare):
 
 
 # --------------------------------------------------------------------- #
-# plan construction and validation
+# message fates and slowdowns (the grammar: tests/test_util/test_faults.py)
 # --------------------------------------------------------------------- #
-class TestPlanValidation:
-    def test_rates_must_be_probabilities(self):
-        with pytest.raises(ValueError):
-            MessageFaults(drop_rate=1.5)
-        with pytest.raises(ValueError):
-            MessageFaults(delay_rate=-0.1)
-        with pytest.raises(ValueError):
-            MessageFaults(duplicate_rate=2.0)
-
-    def test_slowdown_window_validation(self):
-        with pytest.raises(ValueError):
-            SlowdownWindow(0, 1.0, 0.5, 2.0)  # end before start
-        with pytest.raises(ValueError):
-            SlowdownWindow(0, 0.0, 1.0, 0.0)  # factor must be positive
-
-    def test_active_flag(self):
-        assert not MessageFaults().active
-        assert MessageFaults(drop_rate=0.1).active
-        assert MessageFaults(delay_rate=0.1).active
-        assert MessageFaults(duplicate_rate=0.1).active
-
-
-class TestParse:
-    def test_full_spec(self):
-        plan = FaultPlan.parse(
-            "seed=7, kill=2@0.004, slow=1@0.1-0.2x3.0, "
-            "drop=0.01, delay=0.02@1e-4, dup=0.005, retry=2e-5"
-        )
-        assert plan.seed == 7
-        assert plan.failures == (ProcessorFailure(2, 0.004),)
-        assert plan.slowdowns == (SlowdownWindow(1, 0.1, 0.2, 3.0),)
-        mf = plan.message_faults
-        assert mf.drop_rate == 0.01
-        assert mf.delay_rate == 0.02
-        assert mf.delay_s == 1e-4
-        assert mf.duplicate_rate == 0.005
-        assert mf.retry_base_s == 2e-5
-
-    def test_empty_clauses_skipped(self):
-        plan = FaultPlan.parse("seed=3,,kill=0@1.0,")
-        assert plan.seed == 3
-        assert len(plan.failures) == 1
-
-    def test_bad_clause_rejected(self):
-        with pytest.raises(ValueError, match="bad fault clause"):
-            FaultPlan.parse("kill")
-        with pytest.raises(ValueError, match="unknown fault clause"):
-            FaultPlan.parse("explode=1")
-
-    def test_parse_roundtrips_through_behavior(self):
-        a = FaultPlan.parse("seed=5,drop=0.5")
-        b = FaultPlan(seed=5, message_faults=MessageFaults(drop_rate=0.5))
-        for seq in range(50):
-            assert a.message_fate(seq) == b.message_fate(seq)
-
-
 class TestFate:
     def test_clean_plan_never_faults(self):
         plan = FaultPlan(seed=1)

@@ -95,6 +95,7 @@ class TestEndpoints:
             ({"workers": 2, "lb_strategy": "nope"}, "unknown LB strategy"),
             ({"workers": 2, "fault_plan": "kill=zz"}, "bad fault_plan"),
             ({"workers": 2, "fault_plan": "kill=5@1"}, "targets worker 5"),
+            ({"workers": 2, "fault_plan": "slow=0@1-3xinf"}, "'slow=0@1-3xinf'"),
             ({"rebalance_every": 3}, "needs workers >= 2"),
             ({"backend": "bogus"}, "backend must be one of auto, numpy, c"),
             ({"backend": "numba"}, "backend must be one of auto, numpy, c"),

@@ -77,6 +77,12 @@ class TestSimSpec:
             {"fault_plan": "kill", "workers": 2},
             {"fault_plan": "slow=0@0-infx0", "workers": 2},
             {"fault_plan": "kill=2@1", "workers": 2},  # workers are 0 and 1
+            # numbers no runtime can honour, and clauses a pool cannot
+            {"fault_plan": "hang=0@2xnan", "workers": 2},
+            {"fault_plan": "slow=1@nan-4x2", "workers": 2},
+            {"fault_plan": "slow=0@1-3xinf", "workers": 2},
+            {"fault_plan": "drop=0.1", "workers": 2},
+            {"fault_plan": "kill=1@2.5", "workers": 2},
             # pool-only fields must not be silently dropped at workers == 1
             {"rebalance_every": 4},
             {"lb_strategy": "greedy"},

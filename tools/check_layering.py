@@ -6,7 +6,9 @@ no reference force function.
 Layering (DESIGN.md, "The real parallel engine"):
 
 * ``repro.pool``  — generic supervised pool runtime; imports nothing
-  from ``repro.md`` (or any other domain layer listed below).
+  from ``repro.md`` (or any other domain layer listed below), nor from the
+  simulated runtime (``repro.runtime``, ``repro.core``): it reads the one
+  fault plan from ``repro.util.faults``.
 * ``repro.backend`` — the kernels; imports nothing from ``repro.md``,
   ``repro.pool``, ``repro.costmodel`` or ``repro.service``: exclusions and
   LJ tables cross the kernel contract as arrays, never as md types (the
@@ -43,7 +45,10 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 #: package -> import prefixes it must never reference
 FORBIDDEN: dict[str, tuple[str, ...]] = {
-    "repro/pool": ("repro.md", "repro.balancer", "repro.instrument"),
+    "repro/pool": (
+        "repro.md", "repro.balancer", "repro.instrument", "repro.runtime",
+        "repro.core",
+    ),
     "repro/backend": ("repro.md", "repro.pool", "repro.costmodel", "repro.service"),
     "repro/service": ("repro.balancer", "repro.instrument", "repro.core"),
 }
@@ -100,7 +105,8 @@ def main() -> int:
     if violations:
         return 1
     print(
-        "layering OK: repro.pool imports no domain layer, repro.backend "
+        "layering OK: repro.pool imports no domain layer or simulated "
+        "runtime, repro.backend "
         "imports no md/pool/costmodel/service, repro.service imports no "
         "balancer/instrument/core, the step path and the minimizer call no "
         "reference force function"
