@@ -69,12 +69,15 @@ class SystemAssembler:
                 f"component arrays disagree: {n} positions, {len(q)} charges, "
                 f"{len(names)} names"
             )
-        type_idx = [self.forcefield.atom_type_index(name) for name in names]
+        # each distinct name resolved once, in order of first use
+        index = {
+            name: self.forcefield.atom_type_index(name) for name in dict.fromkeys(names)
+        }
         offset = self._n_atoms
         self.topology.merge(topology, offset)
         self._positions.append(pos)
         self._charges.append(q)
-        self._type_indices.extend(type_idx)
+        self._type_indices.extend(map(index.__getitem__, names))
         self._labels.extend([label] * n)
         self._n_atoms += n
         return offset

@@ -30,8 +30,8 @@ from repro.builder.protein import protein_chain
 from repro.builder.water import (
     WATER_DENSITY_PER_A3,
     fill_water,
+    water_block,
     water_box_positions,
-    water_molecule,
 )
 from repro.md.minimize import minimize
 from repro.md.nonbonded import NonbondedOptions
@@ -123,10 +123,17 @@ def _ion_count_for_remainder(remaining: int, min_ions: int) -> tuple[int, int]:
 # --------------------------------------------------------------------- #
 # small test fixtures
 # --------------------------------------------------------------------- #
+def _check_box_count(n_molecules: int) -> None:
+    """A water box holds at least one molecule: its edge is set by the count."""
+    if n_molecules < 1:
+        raise ValueError(f"n_molecules must be >= 1; got {n_molecules}")
+
+
 def small_water_box(
     n_molecules: int, seed: int = 0, relax: bool = True
 ) -> MolecularSystem:
     """A cubic water box at liquid density, energy-minimized by default."""
+    _check_box_count(n_molecules)
     edge = (n_molecules / WATER_DENSITY_PER_A3) ** (1.0 / 3.0)
     asm = SystemAssembler(np.full(3, edge))
     fill_water(asm, n_molecules, make_rng(seed))
@@ -151,6 +158,7 @@ def skewed_water_box(
     ``skew`` is bounded by the minimum lattice spacing; the default 2x
     keeps the dense half comfortably above it.
     """
+    _check_box_count(n_molecules)
     if skew <= 0:
         raise ValueError("skew must be positive")
     edge = (n_molecules / WATER_DENSITY_PER_A3) ** (1.0 / 3.0)
@@ -161,9 +169,7 @@ def skewed_water_box(
     sparse = water_box_positions(half, n_molecules - n_dense, rng)
     sparse[:, 0] += edge / 2.0
     asm = SystemAssembler(np.full(3, edge))
-    for site in np.concatenate([dense, sparse]):
-        pos, q, names, topo = water_molecule(site, rng)
-        asm.add_component(pos, q, names, topo, "WAT")
+    asm.add_component(*water_block(np.concatenate([dense, sparse]), rng), "WAT")
     system = asm.finalize(name=f"skewed_water{n_molecules}")
     if relax:
         cutoff = min(6.0, 0.49 * edge)

@@ -4,6 +4,8 @@ Waters are placed on a jittered lattice whose cell volume matches the
 experimental number density of liquid water (0.0334 molecules/Å³), then
 randomly oriented.  :func:`fill_water` fills the free volume of a partially
 assembled system, skipping lattice sites that clash with existing solute.
+Waters are placed by the block (:func:`water_block`): one rng draw, one
+stacked rotation and one topology block for all of them.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from repro.util.rng import make_rng
 
 __all__ = [
     "WATER_DENSITY_PER_A3",
+    "water_block",
     "water_molecule",
     "water_box_positions",
     "fill_water",
@@ -42,18 +45,42 @@ _WATER_CHARGES = np.array([-0.834, 0.417, 0.417])
 _WATER_NAMES = ["OT", "HT", "HT"]
 
 
-def _random_rotation(rng: np.random.Generator) -> np.ndarray:
-    """Uniform random rotation matrix (via a random unit quaternion)."""
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    w, x, y, z = q
-    return np.array(
+def water_block(
+    sites: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, list[str], Topology]:
+    """Randomly oriented TIP3P-like waters, one with its oxygen at each site.
+
+    ``sites`` is ``(n, 3)``; returns ``(positions (3n, 3), charges (3n,),
+    names, topology)`` with the atoms in molecule order (O, H, H) and the
+    topology holding each molecule's two O-H bonds and H-O-H angle in that
+    order.  The whole block is one array pass: the ``n`` quaternions are one
+    ``(n, 4)`` normal draw (the stream of ``n`` draws of four), each is
+    normalised by its stacked-matmul norm, and the rotations are applied by
+    one stacked matmul.  The output equals a per-molecule construction (one
+    quaternion, ``np.linalg.norm`` and 3x3 product per water) bit for bit;
+    ``tests/test_builder/oracle.py`` is that construction.
+    """
+    sites = np.asarray(sites, dtype=np.float64).reshape(-1, 3)
+    n = len(sites)
+    q = make_rng(rng).normal(size=(n, 4))
+    q /= np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0]
+    w, x, y, z = q.T
+    rot = np.stack(
         [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+            1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+        ],
+        axis=1,
+    ).reshape(n, 3, 3)
+    pos = np.matmul(_WATER_LOCAL, rot.transpose(0, 2, 1)) + sites[:, None, :]
+
+    o = np.arange(0, 3 * n, 3)  # each molecule's oxygen
+    topo = Topology()
+    bonds = np.stack([o, o + 1, o, o + 2], axis=1).reshape(-1, 2)
+    topo.add_bonds(bonds, WATER_OH_BOND)
+    topo.add_angles(np.stack([o + 1, o, o + 2], axis=1), WATER_ANGLE)
+    return pos.reshape(-1, 3), np.tile(_WATER_CHARGES, n), _WATER_NAMES * n, topo
 
 
 def water_molecule(
@@ -62,15 +89,10 @@ def water_molecule(
     """One randomly oriented TIP3P-like water with its oxygen at ``center``.
 
     Returns ``(positions (3,3), charges (3,), names, topology)`` where the
-    topology holds the two O-H bonds and the H-O-H angle.
+    topology holds the two O-H bonds and the H-O-H angle: the one-site
+    :func:`water_block`.
     """
-    rot = _random_rotation(make_rng(rng))
-    pos = _WATER_LOCAL @ rot.T + np.asarray(center, dtype=np.float64)
-    topo = Topology()
-    topo.add_bond(0, 1, WATER_OH_BOND)
-    topo.add_bond(0, 2, WATER_OH_BOND)
-    topo.add_angle(1, 0, 2, WATER_ANGLE)
-    return pos, _WATER_CHARGES.copy(), list(_WATER_NAMES), topo
+    return water_block(center, rng)
 
 
 def _lattice_dims(box: np.ndarray, n: int) -> np.ndarray:
@@ -122,10 +144,17 @@ def fill_water(
     Lattice sites closer than ``clearance`` + one O-H bond to any existing
     atom (minimum-image) are rejected; if too few sites survive, the lattice
     is densified until either enough fit or the spacing would drop below
-    ``2.6`` Å, at which point ``RuntimeError`` is raised.
+    ``2.6`` Å, at which point ``RuntimeError`` is raised.  The waters are
+    placed as one :func:`water_block` and added as one component.  Zero
+    molecules add nothing and draw nothing; a negative count is a
+    ``ValueError``.
     """
     from scipy.spatial import cKDTree
 
+    if n_molecules < 0:
+        raise ValueError(f"n_molecules must be >= 0; got {n_molecules}")
+    if n_molecules == 0:
+        return 0
     rng = make_rng(rng)
     box = asm.box
     volume = float(np.prod(box))
@@ -150,7 +179,5 @@ def fill_water(
             break
         n_sites = int(np.ceil(n_sites * 1.3)) + 1
 
-    for site in sites:
-        pos, q, names, topo = water_molecule(site, rng)
-        asm.add_component(pos, q, names, topo, "WAT")
+    asm.add_component(*water_block(sites, rng), "WAT")
     return n_molecules

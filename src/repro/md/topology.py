@@ -183,6 +183,23 @@ class Topology:
         self._impropers.append((int(i), int(j), int(k), int(l)))
         self._improper_types.append(itype)
 
+    def add_bonds(self, pairs: np.ndarray, btype: BondType) -> None:
+        """Register one bond of type ``btype`` per row of ``pairs`` ``(n, 2)``."""
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        if np.any(pairs[:, 0] == pairs[:, 1]):
+            raise ValueError("self-bond in bulk bond block")
+        self._bonds.extend(map(tuple, pairs.tolist()))
+        self._bond_types.extend([btype] * len(pairs))
+
+    def add_angles(self, triples: np.ndarray, atype: AngleType) -> None:
+        """Register one angle of type ``atype`` per row of ``triples``
+        ``(n, 3)``, each centred on its middle atom."""
+        t = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
+        if np.any((t[:, 0] == t[:, 1]) | (t[:, 1] == t[:, 2]) | (t[:, 0] == t[:, 2])):
+            raise ValueError("degenerate angle in bulk angle block")
+        self._angles.extend(map(tuple, t.tolist()))
+        self._angle_types.extend([atype] * len(t))
+
     def merge(self, other: "Topology", atom_offset: int) -> None:
         """Append ``other``'s terms with atom indices shifted by ``atom_offset``."""
         off = int(atom_offset)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.builder.assembler import SystemAssembler
-from repro.builder.water import water_molecule
+from repro.builder.water import water_block, water_molecule
 from repro.md.forcefield import STANDARD_BOND
 from repro.md.topology import Topology
 from repro.util.rng import make_rng
@@ -31,12 +31,30 @@ class TestAssembler:
                 np.zeros((2, 3)), np.zeros(3), ["OT", "HT"], Topology(), "X"
             )
 
-    def test_unknown_type_name_rejected(self):
+    @pytest.mark.parametrize("names", [["NOPE"], ["OT", "NOPE", "OT"]])
+    def test_unknown_type_name_rejected(self, names):
         asm = SystemAssembler(np.ones(3) * 20)
+        n = len(names)
         with pytest.raises(KeyError):
-            asm.add_component(
-                np.zeros((1, 3)), np.zeros(1), ["NOPE"], Topology(), "X"
-            )
+            asm.add_component(np.zeros((n, 3)), np.zeros(n), names, Topology(), "X")
+        assert asm.n_atoms == 0
+
+    def test_each_distinct_name_is_resolved_once(self, monkeypatch):
+        asm = SystemAssembler(np.ones(3) * 20)
+        resolve = asm.forcefield.atom_type_index
+        asked = []
+
+        def counting(name):
+            asked.append(name)
+            return resolve(name)
+
+        monkeypatch.setattr(asm.forcefield, "atom_type_index", counting)
+        pos, q, names, topo = water_block(np.full((4, 3), 5.0), make_rng(0))
+        asm.add_component(pos, q, names, topo, "WAT")
+        assert asked == ["OT", "HT"]
+        assert asm.finalize().type_indices.tolist() == [
+            resolve(name) for name in names
+        ]
 
     def test_empty_finalize_rejected(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from repro.builder.benchmarks import (
     _sidechain_pattern,
     br_like,
     mini_assembly,
+    skewed_water_box,
     small_water_box,
     tiny_peptide,
 )
@@ -55,6 +56,14 @@ class TestSmallSystems:
         assert s.n_atoms == 192
         density = (64) / np.prod(s.box)
         assert density == pytest.approx(0.0334, rel=1e-6)
+
+    @pytest.mark.parametrize("builder", [small_water_box, skewed_water_box])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_water_boxes_refuse_a_count_below_one(self, builder, n):
+        # the edge is set by the count: zero used to be blamed on the box,
+        # a negative count reached a complex cube root
+        with pytest.raises(ValueError, match="n_molecules"):
+            builder(n, relax=False)
 
     def test_tiny_peptide(self):
         s = tiny_peptide(5)

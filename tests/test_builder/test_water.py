@@ -73,6 +73,23 @@ class TestFillWater:
         d, _ = tree.query(np.mod(waters, asm.box), k=1)
         assert d.min() > 2.5
 
+    def test_zero_adds_nothing_and_draws_nothing(self):
+        asm = SystemAssembler(np.array([15.0, 15.0, 15.0]))
+        rng = make_rng(0)
+        before = rng.bit_generator.state
+        assert fill_water(asm, 0, rng) == 0
+        assert asm.n_atoms == 0
+        assert rng.bit_generator.state == before
+
+    def test_negative_count_is_refused_before_any_draw(self):
+        asm = SystemAssembler(np.array([15.0, 15.0, 15.0]))
+        rng = make_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="n_molecules"):
+            fill_water(asm, -3, rng)
+        assert asm.n_atoms == 0
+        assert rng.bit_generator.state == before
+
     def test_impossible_fill_raises(self):
         asm = SystemAssembler(np.array([5.0, 5.0, 5.0]))
         with pytest.raises(RuntimeError):

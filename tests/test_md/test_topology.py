@@ -93,6 +93,27 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Topology().add_improper(0, 1, 1, 3, STANDARD_IMPROPER)
 
+    def test_bulk_appends_equal_the_single_ones(self):
+        bulk, single = Topology(), Topology()
+        bulk.add_bonds(np.array([[0, 1], [1, 2], [2, 3]]), STANDARD_BOND)
+        bulk.add_angles(np.array([[0, 1, 2], [1, 2, 3]]), STANDARD_ANGLE)
+        for i in range(3):
+            single.add_bond(i, i + 1, STANDARD_BOND)
+        for i in range(2):
+            single.add_angle(i, i + 1, i + 2, STANDARD_ANGLE)
+        assert bulk._bonds == single._bonds
+        assert bulk._bond_types == single._bond_types
+        assert bulk._angles == single._angles
+        assert bulk._angle_types == single._angle_types
+        assert all(type(i) is int for term in bulk._bonds for i in term)
+
+    def test_bulk_appends_refuse_what_the_single_ones_refuse(self):
+        with pytest.raises(ValueError):
+            Topology().add_bonds(np.array([[0, 1], [2, 2]]), STANDARD_BOND)
+        for angle in ([0, 1, 0], [1, 1, 2], [0, 2, 2]):
+            with pytest.raises(ValueError):
+                Topology().add_angles(np.array([[3, 4, 5], angle]), STANDARD_ANGLE)
+
     def test_counts(self):
         t = linear_chain(5)
         t.add_angle(0, 1, 2, STANDARD_ANGLE)

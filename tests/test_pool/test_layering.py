@@ -1,4 +1,5 @@
-"""The import contract: ``repro.pool`` is a cycle-free, MD-free layer."""
+"""The import contract: ``repro.pool`` is a cycle-free, MD-free layer, and
+the other layering rules of ``tools/check_layering.py``."""
 
 from __future__ import annotations
 
@@ -137,6 +138,32 @@ def test_checker_catches_the_pool_reading_the_simulated_runtime(
     first, second = mod.check()
     assert "resilience.py:3" in first and "repro.runtime.faults" in first
     assert "resilience.py:4" in second and "repro.core.simulation" in second
+
+
+def test_checker_catches_a_builder_reaching_above_md(tmp_path, monkeypatch):
+    """A builder imports only ``repro.md`` and ``repro.util``: one that
+    reaches for the pool, the service, the simulated machine or the cost
+    model — lazily too — is a violation."""
+    mod = load_checker()
+    water = tmp_path / "repro" / "builder" / "water.py"
+    water.parent.mkdir(parents=True)
+    banned = (
+        "repro.pool.runtime", "repro.service.api", "repro.runtime.machine",
+        "repro.core.simulation", "repro.balancer.strategies",
+        "repro.instrument.workdb", "repro.costmodel.model",
+    )
+    water.write_text(
+        "from repro.md.topology import Topology  # noqa: F401\n"
+        "from repro.util.rng import make_rng  # noqa: F401\n"
+        "def fill_water(asm):\n"
+        + "".join(f"    import {name}  # noqa: F401\n" for name in banned)
+    )
+    monkeypatch.setattr(mod, "SRC", tmp_path)
+    monkeypatch.setattr(mod, "UNUSED", {})
+    found = mod.check()
+    assert len(found) == len(banned)
+    for line, (violation, name) in enumerate(zip(found, banned), start=4):
+        assert f"water.py:{line}" in violation and name in violation
 
 
 def test_pool_package_imports_standalone():

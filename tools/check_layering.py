@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Layering check: the pool layer knows no MD, the kernel backends know no
-MD either, the service knows no balancer, the engine and the minimizer call
-no reference force function.
+MD either, the service knows no balancer, the builders know nothing above
+MD, the engine and the minimizer call no reference force function.
 
 Layering (DESIGN.md, "The real parallel engine"):
 
@@ -17,6 +17,12 @@ Layering (DESIGN.md, "The real parallel engine"):
   ``repro.balancer``, ``repro.instrument`` or ``repro.core``: slices run
   from one shared queue, so jobs are never placed by a balancer (it
   needs only ``repro.md.jobs`` and ``repro.pool.lease``).
+* ``repro.builder`` — the synthetic structure builders (today they import
+  only ``repro.md`` and ``repro.util``); import nothing from ``repro.pool``,
+  ``repro.service``, the simulated machine (``repro.runtime``,
+  ``repro.core``, ``repro.balancer``, ``repro.instrument``) or
+  ``repro.costmodel``: a system is built before any of those runs, and
+  they read the built system, never the reverse.
 * ``repro.md.tasks`` / ``repro.md.parallel`` — the MD workload and its
   orchestration; these may import ``repro.pool``, never the reverse.
 * ``repro.md.engine`` and the step path under it (``repro.md.parallel``,
@@ -51,6 +57,10 @@ FORBIDDEN: dict[str, tuple[str, ...]] = {
     ),
     "repro/backend": ("repro.md", "repro.pool", "repro.costmodel", "repro.service"),
     "repro/service": ("repro.balancer", "repro.instrument", "repro.core"),
+    "repro/builder": (
+        "repro.pool", "repro.service", "repro.runtime", "repro.core",
+        "repro.balancer", "repro.instrument", "repro.costmodel",
+    ),
 }
 
 _REFERENCE_FORCES = ("compute_bonded", "compute_nonbonded", "compute_ewald")
@@ -108,7 +118,8 @@ def main() -> int:
         "layering OK: repro.pool imports no domain layer or simulated "
         "runtime, repro.backend "
         "imports no md/pool/costmodel/service, repro.service imports no "
-        "balancer/instrument/core, the step path and the minimizer call no "
+        "balancer/instrument/core, repro.builder imports no pool/service/"
+        "simulated machine/costmodel, the step path and the minimizer call no "
         "reference force function"
     )
     return 0
