@@ -3,20 +3,25 @@
 The shared object is compiled on first use and cached under
 ``${XDG_CACHE_HOME:-~/.cache}/repro/``, keyed by a hash of the source, the
 flags and ``cc --version`` — a new compiler or an edited kernel is a new
-file, never a stale one.  The flags are fixed: ``-O2`` with
+file, never a stale one.  The flags (:data:`FLAGS`) are fixed: ``-O2`` with
 ``-ffp-contract=off`` and neither ``-ffast-math`` nor ``-march=native``,
 because hosts sharing a home directory share the cache and a result must
-not depend on which of them compiled it.  The one target-specific code is
-in the object, not the flags: ``block_pairs``' AVX-512F clone beside its
-default body, which the loader picks between on the CPU that loads it
-(both list the same arrays; ``kernels.c`` has why).
+not depend on which of them compiled it.  ``-fno-math-errno`` changes no
+value: it only drops ``errno`` for ``sqrt`` of a negative number (and the
+like), so a square root is the instruction and nothing branches around
+it — which is what lets the pair kernels' loops run in vector lanes.  The
+one target-specific code is in the object, not the flags: the AVX-512F
+clones of ``nb_pairs``, ``nb_rows`` and ``block_pairs``
+(:data:`CLONED_KERNELS`) beside their default bodies, which the loader
+picks between on the CPU that loads it (both compute the same bits;
+``kernels.c`` has why).
 
 :func:`build_backend` is the numpy reference with ``nb_pairs``,
 ``ewald_recip``, ``bonded_terms``, the two PME halves, ``block_pairs`` and
 ``nb_rows`` replaced.  It raises on any failure (no compiler, compile error or timeout,
 load error); the registry turns that — and a failed parity self-check — into the numpy fallback.
-:data:`build_info` says what the last build did, and which ``block_pairs``
-clone the loader picked on this CPU, for ``repro backends``.
+:data:`build_info` says what the last build did, and which clone the
+loader picked on this CPU for the cloned kernels, for ``repro backends``.
 """
 
 from __future__ import annotations
@@ -40,9 +45,9 @@ from repro.backend import reference
 from repro.backend.base import KernelBackend
 from repro.backend.ewald_table import ewald_table
 
-__all__ = ["FLAGS", "build_backend", "build_info"]
+__all__ = ["CLONED_KERNELS", "FLAGS", "build_backend", "build_info"]
 
-FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
 COMPILE_TIMEOUT_S = 120.0
 
 #: kernels.c: BLOCK_WORK doubles of scratch per atom of cell b, and its
@@ -54,12 +59,16 @@ BLOCK_BAD_INDEX = -2
 _COUNT_MODE = (None, None, 0, None, None, 0, 0)
 #: kernels.c: doubles of gather scratch ``nb_rows`` needs per block row
 ROWS_WORK = 5
+#: the kernels ``kernels.c`` builds as clones (``KERNEL_CLONES``); one
+#: resolver test picks the same clone for all of them
+CLONED_KERNELS = ("nb_pairs", "nb_rows", "block_pairs")
+_INT32 = np.iinfo(np.int32)
 #: atoms per term of the bonded kinds ``kernels.c`` knows
 _BONDED_WIDTH = {0: 2, 1: 3, 2: 4, 3: 4}
 
-#: compiler path, flags, cache file, "compiled" / "cache hit", seconds and
-#: the resolved ``block_pairs`` clone of the last :func:`build_backend` in
-#: this process
+#: compiler path, flags, cache file, "compiled" / "cache hit", seconds, the
+#: cloned kernels and the clone resolved for them (``avx512f``, ``default``
+#: or ``none``) of the last :func:`build_backend` in this process
 build_info: dict[str, object] = {}
 
 
@@ -103,8 +112,8 @@ def _load(path: Path) -> ctypes.CDLL:
     lib.pme_spread.argtypes = [ptr, ptr, i8, ptr, ptr, ctypes.c_int, ptr]
     lib.pme_gather.restype = ctypes.c_int
     lib.pme_gather.argtypes = [ptr, ptr, i8, ptr, ptr, ctypes.c_int, ptr, ptr, ptr]
-    lib.block_pairs_clone.restype = ctypes.c_char_p
-    lib.block_pairs_clone.argtypes = []
+    lib.kernel_clone.restype = ctypes.c_char_p
+    lib.kernel_clone.argtypes = []
     lib.nb_rows.restype = i8
     lib.nb_rows.argtypes = [
         ptr, i8, ptr, ptr, ptr, ptr, ptr, i8, ptr, i8, ptr, ptr, i8, ptr, i8,
@@ -147,7 +156,8 @@ def _library() -> ctypes.CDLL:
         build_info["source"] = "compiled"
     lib = _load(path)
     build_info["seconds"] = time.perf_counter() - started
-    build_info["block_pairs_clone"] = lib.block_pairs_clone().decode()
+    build_info["cloned_kernels"] = CLONED_KERNELS
+    build_info["clone"] = lib.kernel_clone().decode()
     return lib
 
 
@@ -199,6 +209,22 @@ def _writable(a, dtype, ndim: int) -> bool:
         isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == ndim
         and a.flags.c_contiguous and a.flags.writeable
     )
+
+
+def _columns(cols, row_ptr, row_off) -> np.ndarray:
+    """``cols`` as the int32 ``nb_rows`` reads.  A column that int32 cannot
+    hold names no block row, so it is refused as the reference refuses any
+    column outside its block — an ``IndexError`` naming the task whose list
+    holds it — and never wrapped into one that does."""
+    cols = np.asarray(cols)
+    if cols.dtype != np.int32 and len(cols):
+        wide = (cols < _INT32.min) | (cols > _INT32.max)
+        if wide.any():
+            # task t's list ends at row_ptr[row_off[t + 1] + t]
+            ends = row_ptr[row_off[1:] + np.arange(len(row_off) - 1)]
+            t = np.searchsorted(ends, np.flatnonzero(wide)[0], side="right")
+            raise IndexError(reference.CORRUPT.format(min(t, len(ends) - 1)))
+    return np.ascontiguousarray(cols, dtype=np.int32)
 
 
 def _pair_mode(alpha, ewald_cutoff) -> tuple:
@@ -401,7 +427,6 @@ def _backend_of(lib: ctypes.CDLL) -> KernelBackend:
         pos, box = _f8(pos), _f8(box)
         type_idx, charges = _i8(tables[0]), _f8(tables[1])
         eps_tab, rmin_tab = _f8(tables[2]), _f8(tables[3])
-        cols = np.ascontiguousarray(lists[0], dtype=np.int32)
         row_ptr, rows, row_off = (_i8(a) for a in lists[1:])
         block_off = _i8(block_off)
         n_types = len(eps_tab)
@@ -417,6 +442,7 @@ def _backend_of(lib: ctypes.CDLL) -> KernelBackend:
             raise ValueError("scratch must be C-contiguous float64 (rows, 3)")
         if not _writable(out, np.float64, 2) or out.shape != (n_tasks, 4):
             raise ValueError("out must be C-contiguous float64 (n_tasks, 4)")
+        cols = _columns(lists[0], row_ptr, row_off)
         work_rows = int(np.diff(row_off).max())
         work = np.empty(ROWS_WORK * max(work_rows, 0))
         bad = lib.nb_rows(
@@ -432,7 +458,7 @@ def _backend_of(lib: ctypes.CDLL) -> KernelBackend:
         if bad > 0:
             raise ValueError(_SHORT_TABLE)
         if bad:
-            raise IndexError(f"row list of task {-bad - 1} of the batch is corrupt")
+            raise IndexError(reference.CORRUPT.format(-bad - 1))
 
     return dataclasses.replace(
         reference.build_backend(), name="c", compiled=True, nb_pairs=nb_pairs,

@@ -22,14 +22,18 @@
  *     drops the GIL for the call and the service steps several jobs from
  *     threads;
  *   - one reduction order, fixed in the source: a pair kernel takes a list
- *     a fixed number of pairs at a time, visits the in-range pairs in list
+ *     a fixed number of pairs at a time, sums the in-range pairs in list
  *     order and keeps one partial sum per run of equal force rows - one
  *     body (chunk_pass2) for both kernels, so the same pairs in the same
  *     order give the same bits through either; the other loops are serial
- *     in list order.  Compiled with -ffp-contract=off and no target flags -
- *     no fused multiply-adds - so a result depends on the inputs only, not
- *     on the host that built the object, the worker count or the thread
- *     that ran it;
+ *     in list order.  Compiled with -ffp-contract=off - no fused
+ *     multiply-adds - and no target flags, so a result depends on the
+ *     inputs only, not on the host that built the object, the worker count
+ *     or the thread that ran it.  Three kernels (nb_pairs, nb_rows,
+ *     block_pairs: KERNEL_CLONES below) carry an AVX-512F clone beside
+ *     their default body, and the CPU that loads the object picks one; the
+ *     clone's vector lanes do the default body's IEEE operations in its
+ *     order and no sum is taken across lanes, so both give the same bits;
  *   - arrays are C-contiguous float64; index arrays are int32 or int64 as
  *     the caller stores them (a flag says which), so no call converts;
  *   - the caller checks array lengths, the kernels check every index they
@@ -54,6 +58,40 @@
 static const double COULOMB_CONSTANT = 332.0636; /* repro.md.constants */
 static const double PI = 3.14159265358979323846;
 
+#define ALWAYS_INLINE static inline __attribute__((always_inline))
+
+/* Three kernels are built for more than the baseline target - the pair
+ * kernels nb_pairs and nb_rows, and block_pairs: on x86-64 GCC with glibc
+ * a clone for AVX-512F beside the default body, picked once at load time
+ * by the CPU the object runs on, and both at -O3 - the loops over a
+ * chunk's hits (chunk_pass2) and over a block's columns (axis_r2) run in
+ * vector lanes inside each clone.  A lane does the default body's IEEE
+ * operations in its order (no contraction under -ffp-contract=off, no
+ * errno branch under -fno-math-errno: a square root is the instruction
+ * either way), and every sum is taken in list order outside the lanes, so
+ * forces, energies and lists are the same bits whichever clone runs.
+ * Elsewhere (clang, other targets, a libc without ifuncs) the three are
+ * plain functions. */
+#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && defined(__GLIBC__)
+#define KERNEL_CLONES __attribute__((target_clones("avx512f", "default")))
+#define KERNEL_OPTIMIZE __attribute__((optimize("O3")))
+
+/* The clone the loader picked for the three on this CPU: their ifunc
+ * resolvers' own test. */
+const char *kernel_clone(void)
+{
+    return __builtin_cpu_supports("avx512f") ? "avx512f" : "default";
+}
+#else
+#define KERNEL_CLONES
+#define KERNEL_OPTIMIZE
+
+const char *kernel_clone(void)
+{
+    return "none";
+}
+#endif
+
 static inline int64_t index_at(const void *idx, int wide, int64_t k)
 {
     return wide ? ((const int64_t *)idx)[k] : (int64_t)((const int32_t *)idx)[k];
@@ -63,7 +101,7 @@ static inline int64_t index_at(const void *idx, int wide, int64_t k)
  * reference folds it; for |d| <= L/2 that is d bit for bit (rint(+-0.5) is
  * +-0).  nearbyint rounds half to even like numpy's rint: lattice pairs
  * sit at exactly half a box. */
-static inline double min_image(double d, double length, double half)
+ALWAYS_INLINE double min_image(double d, double length, double half)
 {
     if (fabs(d) > half)
         d -= length * nearbyint(d / length);
@@ -73,7 +111,7 @@ static inline double min_image(double d, double length, double half)
 /* The same fold as two selects, bit for bit while |d| < 1.49 L: rint(d / L)
  * is then the sign of d where |d| > L/2 and zero elsewhere, and L times it
  * is exact (axis_r2 below has the argument). */
-static inline double fold_near(double d, double length, double half)
+ALWAYS_INLINE double fold_near(double d, double length, double half)
 {
     const double up = d > half ? length : 0.0;
     const double down = d < -half ? length : 0.0;
@@ -82,18 +120,17 @@ static inline double fold_near(double d, double length, double half)
 
 /* Switched LJ energy of one pair inside the cutoff; its dE/dr / r goes to
  * *f.  The switch is taken at t = max(r2, s2) - S(s2) is 1 and S'(s2) is 0,
- * so below the band nothing is selected - and the maximum is read from a
- * table: written as a conditional it compiles to a branch that two fifths
- * of the in-range pairs mispredict. */
-static inline double lj_switched(double r2, double inv_r2, double eps, double rmin,
+ * so below the band nothing is selected - and the maximum is a select (a
+ * maxsd, or a blend in vector lanes): written as a branch, two fifths of the
+ * in-range pairs would mispredict it. */
+ALWAYS_INLINE double lj_switched(double r2, double inv_r2, double eps, double rmin,
                                  double c2, double s2, double inv_denom, double *f)
 {
     const double sr2 = (rmin * rmin) * inv_r2;
     const double sr6 = sr2 * sr2 * sr2;
     const double e_raw = eps * sr6 * (sr6 - 2.0);
     const double f_raw = -12.0 * eps * sr6 * (sr6 - 1.0) * inv_r2;
-    const double clamp[2] = {s2, r2};
-    const double t = clamp[r2 > s2];
+    const double t = r2 > s2 ? r2 : s2;
     const double gap = c2 - t;
     const double sw = gap * gap * (c2 + 2.0 * t - 3.0 * s2) * inv_denom;
     const double dsw_dr2 = 6.0 * gap * (s2 - t) * inv_denom;
@@ -113,7 +150,7 @@ static inline double lj_switched(double r2, double inv_r2, double eps, double rm
  * Horner order below is the reference's, so both backends get the same
  * bits from one table, and no libm function is called for a pair at or
  * beyond the first node - closer than that (1 A: no liquid reaches it) the
- * expressions themselves are evaluated.
+ * expressions themselves are evaluated (ewald_close).
  *
  * The interval number is monotonic in r^2, so a table that reaches the
  * interval of ewald_cutoff^2 - pair_setup refuses one that does not - holds
@@ -123,7 +160,7 @@ static inline double lj_switched(double r2, double inv_r2, double eps, double rm
 #define TAB_SHIFT (52 - TAB_OCTAVE_BITS)
 #define TAB_FIRST ((int64_t)0x3FF << TAB_OCTAVE_BITS) /* top bits of 1.0 */
 
-static inline int64_t tab_interval(double r2, double *node)
+ALWAYS_INLINE int64_t tab_interval(double r2, double *node)
 {
     uint64_t bits;
     memcpy(&bits, &r2, sizeof bits);
@@ -133,24 +170,24 @@ static inline int64_t tab_interval(double r2, double *node)
     return at;
 }
 
-/* erfc(a r) / r of a pair at squared distance r2; the force factor goes to
- * *g (dE/dr / r = -g). */
-static inline double ewald_pair(const double *tab, double alpha, double two_a_rtpi,
-                                double r2, double *g)
+/* erfc(a r) / r from interval `line` of the table at u = r2 - node; the
+ * force factor goes to *g (dE/dr / r = -g).  Indexed from tab itself, not
+ * from a pointer to the line: that is the form the vectoriser gathers. */
+ALWAYS_INLINE double tab_eval(const double *tab, int64_t line, double u, double *g)
 {
-    double node;
-    const int64_t at = tab_interval(r2, &node);
-    if (at < 0) { /* below the first node */
-        const double inv_r2 = 1.0 / r2;
-        const double inv_r = sqrt(inv_r2);
-        const double e = erfc(alpha * (r2 * inv_r)) * inv_r;
-        *g = (e + two_a_rtpi * exp(-(alpha * alpha) * r2)) * inv_r2;
-        return e;
-    }
-    const double *t = tab + 8 * at;
-    const double u = r2 - node;
-    *g = t[4] + u * (t[5] + u * (t[6] + u * t[7]));
-    return t[0] + u * (t[1] + u * (t[2] + u * t[3]));
+    const int64_t o = 8 * line;
+    *g = tab[o + 4] + u * (tab[o + 5] + u * (tab[o + 6] + u * tab[o + 7]));
+    return tab[o] + u * (tab[o + 1] + u * (tab[o + 2] + u * tab[o + 3]));
+}
+
+/* The same below the first node, from the expressions. */
+static double ewald_close(double alpha, double two_a_rtpi, double r2, double *g)
+{
+    const double inv_r2 = 1.0 / r2;
+    const double inv_r = sqrt(inv_r2);
+    const double e = erfc(alpha * (r2 * inv_r)) * inv_r;
+    *g = (e + two_a_rtpi * exp(-(alpha * alpha) * r2)) * inv_r2;
+    return e;
 }
 
 /* ---- the pair kernels: nb_pairs over an explicit pair array, nb_rows over
@@ -159,22 +196,36 @@ static inline double ewald_pair(const double *tab, double alpha, double two_a_rt
  * A list is built at cutoff + skin and tested at the cutoff: a third or
  * more of its pairs fail the distance test, in no learnable order.  So a
  * list is taken NB_CHUNK pairs at a time, in two passes with the scratch on
- * the stack.  Pass 1 - each kernel's own, it is where they read their list -
- * checks every index of the chunk, folds and squares each displacement and
- * appends the pair's place in the chunk to the hit list without a branch.
- * Pass 2 (chunk_pass2, one body for both kernels) visits the hits alone, in
- * list order: first dE/dr / r of each (every term is carried in that form,
- * as the reference carries it, so a pair costs one division and one square
- * root and the unit vector is never formed), the mode chosen outside the
- * loop; then the scatter, where the force on row si is summed in registers
- * for as long as si repeats - a whole row of a block - and added to the row
- * once per run.  What the registers hold is a partial sum, not a copy of
- * the row, so a list in any order, or one whose sj names the row being
- * summed (a self block's column is a row flushed later), comes out right.
- * Chunk edges fall where they fall - inside a row or on its end - and move
- * no bit: the sums and the run carry across them. */
-#define NB_CHUNK 256
-#define ALWAYS_INLINE static inline __attribute__((always_inline))
+ * the stack.  Pass 1 - each kernel's own, it is where they read their list
+ * - checks every index of the chunk, all of them before any pair of it is
+ * evaluated, folds and squares each displacement and writes it, the pair's
+ * parameters (eps, rmin, q_i q_j) and its two force rows at the front of
+ * the chunk scratch, advancing past them only for a pair within reach: the
+ * hits end up compacted, in list order, without a branch.  Pass 2 (chunk_pass2, one
+ * body for both kernels) first takes every hit in one loop without control
+ * flow - dE/dr / r and both energies of each, the mode chosen outside the
+ * loop (every term is carried in that form, as the reference carries it,
+ * so a pair costs one division and one square root and the unit vector is
+ * never formed).  Everything that loop reads lies side by side in the
+ * scratch, so it runs in vector lanes (the AVX-512F clones, above); a
+ * lane does the scalar body's IEEE operations in its order.  Then, hit by
+ * hit in list order, the energies are summed and the force on row si is
+ * summed in registers for as long as si repeats - a whole row of a block -
+ * and added to the row once per run.  What the registers hold is a partial
+ * sum, not a copy of the row, so a list in any order, or one whose sj names
+ * the row being summed (a self block's column is a row flushed later),
+ * comes out right.  Chunk edges fall where they fall - inside a row or on
+ * its end - and move no bit: the sums and the run carry across them. */
+#define NB_CHUNK 128
+
+/* One chunk's scratch, per hit: the folded displacement, the squared
+ * distance (then dE/dr / r), the parameters (eps and rmin, then the LJ and
+ * the electrostatic energy) and the force rows of the pair. */
+typedef struct {
+    double dx[NB_CHUNK], dy[NB_CHUNK], dz[NB_CHUNK], r2[NB_CHUNK];
+    double eps[NB_CHUNK], rmin[NB_CHUNK], qq[NB_CHUNK];
+    int64_t si[NB_CHUNK], sj[NB_CHUNK];
+} __attribute__((aligned(64))) chunk_scratch;
 
 typedef struct {
     double c2, s2, inv_c2, inv_denom, ec2, reach2, alpha, two_a_rtpi;
@@ -231,116 +282,97 @@ ALWAYS_INLINE void sums_close(pair_sums *acc)
     acc->f_row[2] += acc->az;
 }
 
-/* Where pass 2 finds the parameters and force rows of chunk place k: in
- * nb_pairs' arrays, or - by_rows - in nb_rows' block: the place's row and
- * column, the parameters read from the type tables by (type[row],
- * type[col]) and q[row] * q[col].  by_rows is a constant at both call
- * sites and the body is inlined into each, so neither kernel tests it. */
-typedef struct {
-    const double *eps, *rmin, *qq; /* explicit pairs: entry k of the chunk's */
-    const void *si, *sj;
-    int s_wide;
-    int64_t base;
-    const int32_t *row, *col; /* row lists: per chunk place ... */
-    const int64_t *type;      /* ... and per block row */
-    const double *q;
-    const double *eps_tab, *rmin_tab;
-    int64_t n_types;
-} pair_source;
-
-ALWAYS_INLINE int64_t place_si(const pair_source *s, const int by_rows, int64_t k)
+/* a where c holds, else b: a mask over the bits.  A conditional would be
+ * compiled to a branch with a's operands moved under it, and a loop with
+ * branches - or with loads under a mask - stays out of the vector lanes. */
+ALWAYS_INLINE double pick(int c, double a, double b)
 {
-    return by_rows ? (int64_t)s->row[k] : index_at(s->si, s->s_wide, s->base + k);
+    uint64_t ua, ub;
+    const uint64_t mask = -(uint64_t)(c != 0);
+    memcpy(&ua, &a, sizeof ua);
+    memcpy(&ub, &b, sizeof ub);
+    ua = (ua & mask) | (ub & ~mask);
+    memcpy(&a, &ua, sizeof a);
+    return a;
 }
 
-ALWAYS_INLINE int64_t place_sj(const pair_source *s, const int by_rows, int64_t k)
-{
-    return by_rows ? (int64_t)s->col[k] : index_at(s->sj, s->s_wide, s->base + k);
-}
-
-ALWAYS_INLINE void place_lj(const pair_source *s, const int by_rows, int64_t k,
-                            double *eps, double *rmin)
-{
-    if (by_rows) {
-        const int64_t at = s->type[s->row[k]] * s->n_types + s->type[s->col[k]];
-        *eps = s->eps_tab[at];
-        *rmin = s->rmin_tab[at];
-    } else {
-        *eps = s->eps[k];
-        *rmin = s->rmin[k];
-    }
-}
-
-ALWAYS_INLINE double place_qq(const pair_source *s, const int by_rows, int64_t k)
-{
-    return by_rows ? s->q[s->row[k]] * s->q[s->col[k]] : s->qq[k];
-}
-
-/* Pass 2 over one chunk: dx, dy, dz, r2 per chunk place, the n_hit places
- * within reach in hit[]; r2 is overwritten with dE/dr / r. */
-ALWAYS_INLINE void chunk_pass2(const pair_consts *c, const pair_source *s,
-                               const int by_rows, const double *dx,
-                               const double *dy, const double *dz, double *r2,
-                               const int32_t *hit, int64_t n_hit,
+/* Pass 2 over the n_hit hits at the front of a chunk's scratch. */
+ALWAYS_INLINE void chunk_pass2(const pair_consts *c, chunk_scratch *ch, int64_t n_hit,
                                double *forces, pair_sums *acc)
 {
     const double c2 = c->c2, s2 = c->s2, inv_c2 = c->inv_c2;
     const double inv_denom = c->inv_denom;
-    double e_lj_tot = acc->e_lj, e_el_tot = acc->e_el;
-    int64_t n_pairs = acc->n_pairs;
+    double *r2 = ch->r2, *eps = ch->eps, *rmin = ch->rmin;
+    double *e_lj = ch->eps, *e_el = ch->rmin; /* read, then written, hit by hit */
+    const double *qq = ch->qq;
 
-    /* dE/dr / r of every hit, stored over its squared distance */
+    /* dE/dr / r of every hit, stored over its squared distance, and its
+     * two energies over its parameters; a term out of its own reach is 0
+     * (0 - x is -x, and the sums, which start at +0, cannot be -0 for a +0
+     * to change) */
     if (c->ewald) {
-        const double ec2 = c->ec2, alpha = c->alpha, two_a_rtpi = c->two_a_rtpi;
+        const double ec2 = c->ec2;
         const double *tab = c->tab;
+        int64_t n_lj = 0;
+        int close = 0;
         for (int64_t h = 0; h < n_hit; h++) {
-            const int64_t k = hit[h];
-            const double d2 = r2[k];
-            double f = 0.0;
-            if (d2 < c2) {
-                double eps, rmin;
-                place_lj(s, by_rows, k, &eps, &rmin);
-                n_pairs++;
-                e_lj_tot += lj_switched(d2, 1.0 / d2, eps, rmin, c2, s2, inv_denom, &f);
-            }
-            if (d2 < ec2) {
-                /* e = C qq erfc(a r) / r */
-                double g;
-                const double cqq = COULOMB_CONSTANT * place_qq(s, by_rows, k);
-                e_el_tot += cqq * ewald_pair(tab, alpha, two_a_rtpi, d2, &g);
-                f -= cqq * g;
-            }
-            r2[k] = f;
+            const double d2 = r2[h];
+            const int in_lj = d2 < c2, in_el = d2 < ec2;
+            double f_lj, node, g;
+            const double e = lj_switched(d2, 1.0 / d2, eps[h], rmin[h], c2, s2,
+                                         inv_denom, &f_lj);
+            /* e = C qq erfc(a r) / r; a hit out of its reach, or below the
+             * first node, reads line 0 (ewald_close serves the latter) */
+            const int64_t at = tab_interval(d2, &node);
+            const int64_t line = at & -(int64_t)(in_el & (at >= 0));
+            const double cqq = COULOMB_CONSTANT * qq[h];
+            const double e_tab = tab_eval(tab, line, d2 - node, &g);
+            const double f = pick(in_lj, f_lj, 0.0);
+            n_lj += in_lj;
+            close |= in_el & (at < 0);
+            e_lj[h] = pick(in_lj, e, 0.0);
+            e_el[h] = pick(in_el, cqq * e_tab, 0.0);
+            r2[h] = pick(in_el & (at >= 0), f - cqq * g, f);
+        }
+        acc->n_pairs += n_lj;
+        /* within 1 A - no liquid - the expressions, hit by hit, and the
+         * force that loop left without its electrostatic part; d2 as pass
+         * 1 formed it, from the same folded components */
+        for (int64_t h = 0; close && h < n_hit; h++) {
+            const double x = ch->dx[h], y = ch->dy[h], z = ch->dz[h];
+            const double d2 = x * x + y * y + z * z;
+            double node, g;
+            if (!(d2 < ec2) || tab_interval(d2, &node) >= 0)
+                continue;
+            const double cqq = COULOMB_CONSTANT * qq[h];
+            e_el[h] = cqq * ewald_close(c->alpha, c->two_a_rtpi, d2, &g);
+            r2[h] = r2[h] - cqq * g;
         }
     } else {
-        n_pairs += n_hit;
         for (int64_t h = 0; h < n_hit; h++) {
-            const int64_t k = hit[h];
-            const double d2 = r2[k];
+            const double d2 = r2[h];
             const double inv_r2 = 1.0 / d2;
-            double f, eps, rmin;
-            place_lj(s, by_rows, k, &eps, &rmin);
-            e_lj_tot += lj_switched(d2, inv_r2, eps, rmin, c2, s2, inv_denom, &f);
+            double f;
+            e_lj[h] = lj_switched(d2, inv_r2, eps[h], rmin[h], c2, s2, inv_denom, &f);
             /* e = (C qq / r)(1 - r^2/c^2)^2 */
             const double shift = 1.0 - d2 * inv_c2;
-            const double e0 = COULOMB_CONSTANT * place_qq(s, by_rows, k)
-                              * sqrt(inv_r2) * shift;
-            f -= e0 * (shift * inv_r2 + 4.0 * inv_c2);
-            e_el_tot += e0 * shift;
-            r2[k] = f;
+            const double e0 = COULOMB_CONSTANT * qq[h] * sqrt(inv_r2) * shift;
+            r2[h] = f - e0 * (shift * inv_r2 + 4.0 * inv_c2);
+            e_el[h] = e0 * shift;
         }
+        acc->n_pairs += n_hit;
     }
-    acc->e_lj = e_lj_tot;
-    acc->e_el = e_el_tot;
-    acc->n_pairs = n_pairs;
 
-    /* force on i = (dE/dr / r) delta given delta = x_j - x_i */
+    /* the sums, and force on i = (dE/dr / r) delta given delta = x_j - x_i */
+    double e_lj_tot = acc->e_lj, e_el_tot = acc->e_el;
     double *f_row = acc->f_row;
     double ax = acc->ax, ay = acc->ay, az = acc->az;
     for (int64_t h = 0; h < n_hit; h++) {
-        const int64_t k = hit[h];
-        const double fx = r2[k] * dx[k], fy = r2[k] * dy[k], fz = r2[k] * dz[k];
-        double *f_si = forces + 3 * place_si(s, by_rows, k);
+        e_lj_tot += e_lj[h];
+        e_el_tot += e_el[h];
+        const double fx = r2[h] * ch->dx[h], fy = r2[h] * ch->dy[h];
+        const double fz = r2[h] * ch->dz[h];
+        double *f_si = forces + 3 * ch->si[h];
         if (f_si != f_row) {
             f_row[0] += ax;
             f_row[1] += ay;
@@ -351,11 +383,13 @@ ALWAYS_INLINE void chunk_pass2(const pair_consts *c, const pair_source *s,
         ax += fx;
         ay += fy;
         az += fz;
-        double *f_sj = forces + 3 * place_sj(s, by_rows, k);
+        double *f_sj = forces + 3 * ch->sj[h];
         f_sj[0] -= fx;
         f_sj[1] -= fy;
         f_sj[2] -= fz;
     }
+    acc->e_lj = e_lj_tot;
+    acc->e_el = e_el_tot;
     acc->f_row = f_row;
     acc->ax = ax;
     acc->ay = ay;
@@ -374,6 +408,7 @@ ALWAYS_INLINE void chunk_pass2(const pair_consts *c, const pair_source *s,
  * every pair - a chunk's before any of it is evaluated - and folds with the
  * select form, the general one behind a branch that wrapped input never
  * takes. */
+KERNEL_CLONES KERNEL_OPTIMIZE
 int64_t nb_pairs(const double *pos, int64_t n_atoms, const double *box,
                  const void *i_idx, const void *j_idx, int idx_wide, int64_t m,
                  const double *eps, const double *rmin, const double *qq,
@@ -391,20 +426,14 @@ int64_t nb_pairs(const double *pos, int64_t n_atoms, const double *box,
     const double bx = box[0], by = box[1], bz = box[2];
     const double hx = 0.5 * bx, hy = 0.5 * by, hz = 0.5 * bz;
     const double wx = 1.49 * bx, wy = 1.49 * by, wz = 1.49 * bz;
-    double dx[NB_CHUNK], dy[NB_CHUNK], dz[NB_CHUNK], r2[NB_CHUNK];
-    int32_t hit[NB_CHUNK];
-    pair_source src = {0};
+    chunk_scratch ch;
     pair_sums acc;
 
-    src.si = si;
-    src.sj = sj;
-    src.s_wide = s_wide;
     sums_open(&acc);
     for (int64_t base = 0; base < m; base += NB_CHUNK) {
-        const int64_t len = m - base < NB_CHUNK ? m - base : NB_CHUNK;
+        const int64_t end = m - base < NB_CHUNK ? m : base + NB_CHUNK;
         int64_t n_hit = 0;
-        for (int64_t k = 0; k < len; k++) {
-            const int64_t p = base + k;
+        for (int64_t p = base; p < end; p++) {
             const int64_t i = index_at(i_idx, idx_wide, p);
             const int64_t j = index_at(j_idx, idx_wide, p);
             const int64_t a = index_at(si, s_wide, p);
@@ -426,18 +455,18 @@ int64_t nb_pairs(const double *pos, int64_t n_atoms, const double *box,
                 z = min_image(z, bz, hz);
             }
             const double d2 = x * x + y * y + z * z;
-            dx[k] = x;
-            dy[k] = y;
-            dz[k] = z;
-            r2[k] = d2;
-            hit[n_hit] = (int32_t)k;
+            ch.dx[n_hit] = x;
+            ch.dy[n_hit] = y;
+            ch.dz[n_hit] = z;
+            ch.r2[n_hit] = d2;
+            ch.eps[n_hit] = eps[p];
+            ch.rmin[n_hit] = rmin[p];
+            ch.qq[n_hit] = qq[p];
+            ch.si[n_hit] = a;
+            ch.sj[n_hit] = b;
             n_hit += d2 < reach2;
         }
-        src.eps = eps + base;
-        src.rmin = rmin + base;
-        src.qq = qq + base;
-        src.base = base;
-        chunk_pass2(&c, &src, 0, dx, dy, dz, r2, hit, n_hit, forces, &acc);
+        chunk_pass2(&c, &ch, n_hit, forces, &acc);
     }
     sums_close(&acc);
     energies[0] = acc.e_lj;
@@ -445,28 +474,28 @@ int64_t nb_pairs(const double *pos, int64_t n_atoms, const double *box,
     return acc.n_pairs;
 }
 
-/* Pass 1 over places k0 .. k0 + take of a chunk, all of block row `row`:
- * columns cols[0 .. take) against the row atom at (xi, yi, zi).  One int32
- * load and one range check a listed pair (unsigned: a negative column is
- * out of range too), three contiguous loads, the fold - the select form
- * when the task's bounding box allows it (`near`, a constant at each call
- * site), else the general one - and the branch-free compaction.  Returns
- * the new hit count, or -1 at a column outside the block. */
-ALWAYS_INLINE int64_t row_pass1(const int near, const int32_t *cols, int64_t take,
-                                int64_t n_rows, const double *const *xb,
-                                const double *xi, const double *box,
-                                double reach2, int32_t row, int64_t k0,
-                                double *dx, double *dy, double *dz, double *r2,
-                                int32_t *crow, int32_t *hit, int64_t n_hit)
+/* Pass 1 over places k .. stop of a chunk that starts at cols, all of
+ * block row r: each column's displacement from the row atom, folded - the
+ * select form when the task's bounding box allows it (`near`, a constant
+ * at each call site), else the general one - and squared, the parameters
+ * read from the type tables by (type[r], type[col]) and q[r] * q[col],
+ * written at hit n_hit.  The columns have been checked.  Returns the new
+ * hit count. */
+ALWAYS_INLINE int64_t row_pass1(const int near, const int32_t *cols, int64_t k,
+                                int64_t stop, int64_t r, const double *xs,
+                                const double *ys, const double *zs,
+                                const double *q, const int64_t *type,
+                                const double *eps_tab, const double *rmin_tab,
+                                int64_t n_types, const double *box, double reach2,
+                                chunk_scratch *ch, int64_t n_hit)
 {
     const double bx = box[0], by = box[1], bz = box[2];
     const double hx = 0.5 * bx, hy = 0.5 * by, hz = 0.5 * bz;
-    for (int64_t t = 0; t < take; t++) {
-        const int64_t k = k0 + t;
-        const int64_t col = cols[t];
-        if ((uint64_t)col >= (uint64_t)n_rows)
-            return -1;
-        double x = xb[0][col] - xi[0], y = xb[1][col] - xi[1], z = xb[2][col] - xi[2];
+    const double xi = xs[r], yi = ys[r], zi = zs[r], qi = q[r];
+    const int64_t ti = type[r] * n_types;
+    for (; k < stop; k++) {
+        const int64_t j = cols[k];
+        double x = xs[j] - xi, y = ys[j] - yi, z = zs[j] - zi;
         if (near) {
             x = fold_near(x, bx, hx);
             y = fold_near(y, by, hy);
@@ -477,12 +506,16 @@ ALWAYS_INLINE int64_t row_pass1(const int near, const int32_t *cols, int64_t tak
             z = min_image(z, bz, hz);
         }
         const double d2 = x * x + y * y + z * z;
-        dx[k] = x;
-        dy[k] = y;
-        dz[k] = z;
-        r2[k] = d2;
-        crow[k] = row;
-        hit[n_hit] = (int32_t)k;
+        const int64_t at = ti + type[j];
+        ch->dx[n_hit] = x;
+        ch->dy[n_hit] = y;
+        ch->dz[n_hit] = z;
+        ch->r2[n_hit] = d2;
+        ch->eps[n_hit] = eps_tab[at];
+        ch->rmin[n_hit] = rmin_tab[at];
+        ch->qq[n_hit] = qi * q[j];
+        ch->si[n_hit] = r;
+        ch->sj[n_hit] = j;
         n_hit += d2 < reach2;
     }
     return n_hit;
@@ -491,23 +524,23 @@ ALWAYS_INLINE int64_t row_pass1(const int near, const int32_t *cols, int64_t tak
 /* One cell task of nb_rows: its block's coordinates, types and charges
  * gathered once into component-major scratch (every rows entry and type
  * checked there, the bounding box taken), the block zeroed, then the rows
- * walked in chunks of NB_CHUNK listed pairs that run across row ends.
- * Returns 0, or -1 at the first index it would not follow. */
-static int rows_task(const double *pos, int64_t n_atoms, const double *box,
-                     const int64_t *type_idx, const double *charges,
-                     const double *eps_tab, const double *rmin_tab, int64_t n_types,
-                     const int32_t *cols, int64_t n_cols,
-                     const int64_t *row_ptr, const int64_t *rows, int64_t n_rows,
-                     const pair_consts *c, double *forces, double *work,
-                     int64_t work_rows, pair_sums *acc)
+ * walked in chunks of NB_CHUNK listed pairs that run across row ends.  A
+ * chunk's columns are checked first, in one loop without a branch
+ * (unsigned: a negative column is out of range too).  Returns 0, or -1 at
+ * the first index it would not follow. */
+ALWAYS_INLINE int rows_task(const double *pos, int64_t n_atoms, const double *box,
+                            const int64_t *type_idx, const double *charges,
+                            const double *eps_tab, const double *rmin_tab,
+                            int64_t n_types, const int32_t *cols, int64_t n_cols,
+                            const int64_t *row_ptr, const int64_t *rows,
+                            int64_t n_rows, const pair_consts *c, double *forces,
+                            double *work, int64_t work_rows, chunk_scratch *ch,
+                            pair_sums *acc)
 {
-    double *xb[3] = {work, work + work_rows, work + 2 * work_rows};
+    double *xs = work, *ys = work + work_rows, *zs = work + 2 * work_rows;
     double *q = work + 3 * work_rows;
     int64_t *type = (int64_t *)(work + 4 * work_rows);
-    double dx[NB_CHUNK], dy[NB_CHUNK], dz[NB_CHUNK], r2[NB_CHUNK];
-    int32_t hit[NB_CHUNK], crow[NB_CHUNK];
     double bmin[3] = {0.0, 0.0, 0.0}, bmax[3] = {0.0, 0.0, 0.0};
-    pair_source src = {0};
 
     if (n_rows > work_rows || row_ptr[0] < 0 || row_ptr[n_rows] > n_cols)
         return -1;
@@ -522,7 +555,7 @@ static int rows_task(const double *pos, int64_t n_atoms, const double *box,
         q[r] = charges[i];
         for (int k = 0; k < 3; k++) {
             const double x = pos[3 * i + k];
-            xb[k][r] = x;
+            work[k * work_rows + r] = x;
             if (r == 0 || x < bmin[k])
                 bmin[k] = x;
             if (r == 0 || x > bmax[k])
@@ -537,41 +570,30 @@ static int rows_task(const double *pos, int64_t n_atoms, const double *box,
     const int near = bmax[0] - bmin[0] < 1.49 * box[0]
                      && bmax[1] - bmin[1] < 1.49 * box[1]
                      && bmax[2] - bmin[2] < 1.49 * box[2];
-    src.type = type;
-    src.q = q;
-    src.eps_tab = eps_tab;
-    src.rmin_tab = rmin_tab;
-    src.n_types = n_types;
-    src.row = crow;
-
     const int64_t end = row_ptr[n_rows];
-    int64_t p = row_ptr[0];
     int64_t r = 0;
-    while (p < end) {
-        const int64_t chunk_lo = p;
-        const int64_t chunk_hi = end - p < NB_CHUNK ? end : p + NB_CHUNK;
+    for (int64_t p = row_ptr[0]; p < end; p += NB_CHUNK) {
+        const int64_t len = end - p < NB_CHUNK ? end - p : NB_CHUNK;
+        const int32_t *col = cols + p;
+        int bad = 0;
+        for (int64_t k = 0; k < len; k++)
+            bad |= (uint64_t)(int64_t)col[k] >= (uint64_t)n_rows;
+        if (bad)
+            return -1;
         int64_t n_hit = 0;
-        while (p < chunk_hi) {
-            while (row_ptr[r + 1] <= p) /* rows that list nothing, or are done */
+        for (int64_t k = 0; k < len;) {
+            while (row_ptr[r + 1] <= p + k) /* rows that list nothing, or are done */
                 r++;
-            const int64_t stop = row_ptr[r + 1] < chunk_hi ? row_ptr[r + 1] : chunk_hi;
-            const double xi[3] = {xb[0][r], xb[1][r], xb[2][r]};
+            const int64_t stop = row_ptr[r + 1] - p < len ? row_ptr[r + 1] - p : len;
             if (near)
-                n_hit = row_pass1(1, cols + p, stop - p, n_rows,
-                                  (const double *const *)xb, xi, box, c->reach2,
-                                  (int32_t)r, p - chunk_lo, dx, dy, dz, r2, crow,
-                                  hit, n_hit);
+                n_hit = row_pass1(1, col, k, stop, r, xs, ys, zs, q, type, eps_tab,
+                                  rmin_tab, n_types, box, c->reach2, ch, n_hit);
             else
-                n_hit = row_pass1(0, cols + p, stop - p, n_rows,
-                                  (const double *const *)xb, xi, box, c->reach2,
-                                  (int32_t)r, p - chunk_lo, dx, dy, dz, r2, crow,
-                                  hit, n_hit);
-            if (n_hit < 0)
-                return -1;
-            p = stop;
+                n_hit = row_pass1(0, col, k, stop, r, xs, ys, zs, q, type, eps_tab,
+                                  rmin_tab, n_types, box, c->reach2, ch, n_hit);
+            k = stop;
         }
-        src.col = cols + chunk_lo;
-        chunk_pass2(c, &src, 1, dx, dy, dz, r2, hit, n_hit, forces, acc);
+        chunk_pass2(c, ch, n_hit, forces, acc);
     }
     return 0;
 }
@@ -593,6 +615,7 @@ static int rows_task(const double *pos, int64_t n_atoms, const double *box,
  * outside the block, a block outside scratch - nothing outside the batch's
  * blocks and out has been written; or 1 having touched nothing when the
  * table stops short of ewald_cutoff. */
+KERNEL_CLONES KERNEL_OPTIMIZE
 int64_t nb_rows(const double *pos, int64_t n_atoms, const double *box,
                 const int64_t *type_idx, const double *charges,
                 const double *eps_tab, const double *rmin_tab, int64_t n_types,
@@ -606,6 +629,7 @@ int64_t nb_rows(const double *pos, int64_t n_atoms, const double *box,
                 double *work, int64_t work_rows, double *out)
 {
     pair_consts c;
+    chunk_scratch ch;
     struct timespec t0, t1;
 
     if (pair_setup(&c, cutoff, switch_dist, alpha, ewald_cutoff, tab, n_tab))
@@ -622,7 +646,7 @@ int64_t nb_rows(const double *pos, int64_t n_atoms, const double *box,
         sums_open(&acc);
         if (rows_task(pos, n_atoms, box, type_idx, charges, eps_tab, rmin_tab,
                       n_types, cols, n_cols, row_ptr + lo + t, rows + lo, n_rows,
-                      &c, scratch + 3 * at, work, work_rows, &acc))
+                      &c, scratch + 3 * at, work, work_rows, &ch, &acc))
             return -(t + 1);
         sums_close(&acc);
         clock_gettime(CLOCK_MONOTONIC, &t1);
@@ -1113,35 +1137,6 @@ int bonded_terms(const double *pos, int64_t n_atoms, const double *box, int kind
 #define BLOCK_BAD_INDEX (-2)
 #define BLOCK_WORK 5 /* doubles of scratch per atom of cell b */
 
-/* block_pairs is the one function built for more than the baseline
- * target: on x86-64 GCC a clone for AVX-512F beside the default body,
- * picked once at load time by the CPU it runs on, and both at -O3 with
- * axis_r2 inlined - the distance passes and the compaction vectorise
- * inside each clone.  Its output is integers: each lane does the
- * default body's IEEE operations (no contraction under -ffp-contract=off),
- * so r2 and every comparison are the same bits and the lists the same
- * arrays whichever clone runs.  Elsewhere (clang, other targets, a libc
- * without ifuncs) the function is plain. */
-#if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && defined(__GLIBC__)
-#define LIST_CLONES __attribute__((target_clones("avx512f", "default")))
-#define LIST_OPTIMIZE __attribute__((optimize("O3")))
-
-/* The clone the loader picked for block_pairs on this CPU: the ifunc
- * resolver's own test. */
-const char *block_pairs_clone(void)
-{
-    return __builtin_cpu_supports("avx512f") ? "avx512f" : "default";
-}
-#else
-#define LIST_CLONES
-#define LIST_OPTIMIZE
-
-const char *block_pairs_clone(void)
-{
-    return "none";
-}
-#endif
-
 /* r2[c] += fold(x - xb[c])^2 for lo <= c < hi; xb lies in [bmin, bmax].
  * The bounds pick the cheapest fold that is still d - L rint(d / L):
  * none when every |d| <= L/2 (rint of at most a half is zero); otherwise,
@@ -1181,7 +1176,7 @@ ALWAYS_INLINE void axis_r2(double *r2, const double *xb, int64_t lo, int64_t hi,
  * nothing at or beyond `capacity` (row_ptr is then unspecified).
  * BLOCK_BAD_INDEX at the first atom outside pos or table row outside
  * excl_idx.  work holds BLOCK_WORK * nb doubles. */
-LIST_CLONES LIST_OPTIMIZE
+KERNEL_CLONES KERNEL_OPTIMIZE
 int64_t block_pairs(const double *pos, int64_t n_atoms, const double *box,
                     const int64_t *atoms_a, int64_t na,
                     const int64_t *atoms_b, int64_t nb,

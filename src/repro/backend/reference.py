@@ -688,14 +688,16 @@ def expand_rows(cols: np.ndarray, row_ptr: np.ndarray) -> tuple[np.ndarray, np.n
     return si, cols[row_ptr[0] : row_ptr[-1]].astype(np.int64)
 
 
-_CORRUPT = "row list of task {} of the batch is corrupt"
+#: the IndexError of a batch whose task {} holds an index neither backend
+#: follows
+CORRUPT = "row list of task {} of the batch is corrupt"
 
 
 def _check_indices(idx: np.ndarray, bound: int, t: int) -> None:
     """numpy's gathers wrap a negative index and the kernels' contract is an
     error: every index array of task ``t`` is range-checked before use."""
     if len(idx) and (idx.min() < 0 or idx.max() >= bound):
-        raise IndexError(_CORRUPT.format(t))
+        raise IndexError(CORRUPT.format(t))
 
 
 def nb_rows(
@@ -733,7 +735,7 @@ def nb_rows(
             or ptr[-1] > len(cols)
             or np.any(ptr[1:] < ptr[:-1])
         ):
-            raise IndexError(_CORRUPT.format(t))
+            raise IndexError(CORRUPT.format(t))
         si, sj = expand_rows(cols, ptr)
         _check_indices(atoms, len(pos), t)
         _check_indices(sj, n_rows, t)

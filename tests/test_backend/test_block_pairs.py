@@ -6,9 +6,7 @@ replaced.  A list is a row list over the block's force rows: ``cols`` (the
 partner's block row, int32) and ``row_ptr`` (each row's range in it).
 """
 
-import shutil
 import threading
-from importlib import resources
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend import available_backends, c_backend, get_backend
+from repro.backend import available_backends, get_backend
 from repro.backend.reference import expand_rows
 from repro.builder import mini_assembly, small_water_box
 from repro.core.decomposition import bin_atoms
@@ -388,23 +386,8 @@ def test_atom_table_is_both_directions_of_every_excluded_and_14_pair():
 
 
 # --------------------------------------------------------------------- #
-# the default clone
+# the default clone (the ``default_body`` fixture is in conftest.py)
 # --------------------------------------------------------------------- #
-#: what makes ``block_pairs`` a set of clones in kernels.c; a host that
-#: resolves the AVX-512F clone never runs the default body, so the parity
-#: build below takes the attribute out of the source text
-CLONES = '__attribute__((target_clones("avx512f", "default")))'
-
-
-@pytest.fixture(scope="module")
-def default_body(tmp_path_factory):
-    """``kernels.c`` built again, with ``FLAGS``, without the clones:
-    ``block_pairs`` is then the default body alone."""
-    source = resources.files("repro.backend").joinpath("kernels.c").read_text()
-    assert source.count(CLONES) == 1
-    path = tmp_path_factory.mktemp("default-clone") / "kernels.so"
-    c_backend._compile(shutil.which("cc"), source.replace(CLONES, "").encode(), path)
-    return c_backend._backend_of(c_backend._load(path))
 
 
 def assert_default_clone_agrees(default, system, blocks, r, tables=None):

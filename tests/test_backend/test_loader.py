@@ -5,6 +5,7 @@ with the reason kept for ``repro backends``.
 
 import logging
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -49,6 +50,12 @@ def assert_auto_is_silently_numpy(reason):
 
 def test_source_ships_with_the_package():
     assert (resources.files("repro.backend") / "kernels.c").is_file()
+
+
+def test_the_cloned_kernels_are_the_ones_the_source_clones():
+    source = resources.files("repro.backend").joinpath("kernels.c").read_text()
+    cloned = re.findall(r"^KERNEL_CLONES KERNEL_OPTIMIZE\n\w+ (\w+)\(", source, re.M)
+    assert tuple(cloned) == c_backend.CLONED_KERNELS
 
 
 def test_first_use_compiles_and_the_next_hits_the_cache(cache):

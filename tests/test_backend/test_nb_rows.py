@@ -138,6 +138,50 @@ def manual_lists(system, row_lengths, seed=0):
     )
 
 
+#: row lengths of a one-task list that put chunk edges inside rows and on
+#: row ends
+CHUNK_EDGES = [
+    [CHUNK - 3, 10, 0, 7],  # the chunk edge falls inside row 1
+    [CHUNK, 5, 5],  # ... exactly on a row end
+    [5, CHUNK - 5, 0, 0, CHUNK, 1],  # ... on two, empty rows between
+    [2 * CHUNK + 17, 3],  # a row longer than two chunks
+    [CHUNK - 1], [CHUNK], [CHUNK + 1],
+]
+
+
+def chunk_edge_lists(system, row_lengths):
+    n_rows = max(row_lengths) + 1
+    return manual_lists(system, row_lengths + [0] * (n_rows - len(row_lengths)))
+
+
+def non_cubic_water():
+    system = small_water_box(216, seed=3, relax=False)
+    system.box = system.box * np.array([1.0, 1.25, 1.6])
+    system.positions = system.positions * np.array([1.0, 1.25, 1.6])
+    system.wrap()
+    return system
+
+
+def moved_by_whole_boxes(system):
+    """``system`` with each coordinate moved by -3 .. 3 box lengths."""
+    moved = system.copy()
+    rng = np.random.default_rng(8)
+    moved.positions = system.positions + system.box * rng.integers(
+        -3, 4, size=system.positions.shape
+    )
+    return moved
+
+
+def close_pair(system):
+    """A one-task list whose first pair is 0.71 A apart - closer than the
+    Ewald table's first node (1 A) - and the system that puts it there."""
+    lists = manual_lists(system, [3, 2, 0, 0, 1])
+    close = system.copy()
+    i, j = lists.rows[0], lists.rows[lists.cols[0]]
+    close.positions[j] = close.positions[i] + np.array([0.5, 0.4, 0.3])
+    return close, lists
+
+
 @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
 class TestEqualsNbPairsOverTheExpansion:
     def test_water_self_and_pair_blocks(self, water, mode):
@@ -171,41 +215,97 @@ class TestEqualsNbPairsOverTheExpansion:
         assert out.shape == (1, 4)
 
     @pytest.mark.parametrize(
-        "row_lengths",
-        [
-            [CHUNK - 3, 10, 0, 7],  # the chunk edge falls inside row 1
-            [CHUNK, 5, 5],  # ... exactly on a row end
-            [5, CHUNK - 5, 0, 0, CHUNK, 1],  # ... on two, empty rows between
-            [2 * CHUNK + 17, 3],  # a row longer than two chunks
-            [CHUNK - 1], [CHUNK], [CHUNK + 1],
-        ],
-        ids=lambda lengths: "-".join(map(str, lengths)),
+        "row_lengths", CHUNK_EDGES, ids=lambda lengths: "-".join(map(str, lengths))
     )
     def test_chunk_edges_inside_a_row_and_on_a_row_end(self, water, mode, row_lengths):
-        n_rows = max(row_lengths) + 1
-        lengths = row_lengths + [0] * (n_rows - len(row_lengths))
-        assert_rows_are_pairs(water, manual_lists(water, lengths), mode)
+        assert_rows_are_pairs(water, chunk_edge_lists(water, row_lengths), mode)
+
+    def test_a_pair_below_the_first_table_node(self, water, mode):
+        """Ewald mode evaluates it from the expressions, not the table."""
+        out = assert_rows_are_pairs(*close_pair(water), mode)
+        assert out[0, 2] > 0
 
     def test_unwrapped_coordinates_take_the_general_fold(self, mode):
         """Atoms moved by whole boxes, more than 1.5 box lengths apart on a
         non-cubic box: no task's bounding box allows the select form."""
-        system = small_water_box(216, seed=3, relax=False)
-        system.box = system.box * np.array([1.0, 1.25, 1.6])
-        system.positions = system.positions * np.array([1.0, 1.25, 1.6])
-        system.wrap()
+        system = non_cubic_water()
         lists = cell_lists(system, (1, 2, 3))
         home = assert_rows_are_pairs(system, lists, mode)
-        moved = system.copy()
-        rng = np.random.default_rng(8)
-        moved.positions = system.positions + system.box * rng.integers(
-            -3, 4, size=system.positions.shape
-        )
+        moved = moved_by_whole_boxes(system)
         for k in range(len(lists.row_off) - 1):
             extent = np.ptp(moved.positions[lists.task(k).rows], axis=0)
             assert np.any(extent > 1.5 * moved.box)
         away = assert_rows_are_pairs(moved, lists, mode)
         assert np.array_equal(away[:, 2], home[:, 2])
         assert np.allclose(away[:, :2], home[:, :2], rtol=1e-9, atol=1e-9)
+
+
+def assert_default_body_agrees(default, system, lists, mode):
+    """The default bodies' ``nb_rows`` and ``nb_pairs`` equal the loaded
+    backend's, array for array."""
+    loaded = BACKENDS[-1]
+    for evaluate in (by_rows, by_pairs):
+        out, scratch = evaluate(default, system, lists, mode)
+        want, want_scratch = evaluate(loaded, system, lists, mode)
+        assert np.array_equal(out[:, :3], want[:, :3])
+        assert np.array_equal(scratch, want_scratch, equal_nan=True)
+
+
+@needs_c
+@pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
+class TestDefaultBody:
+    """The pair kernels' default bodies - what a CPU without AVX-512F runs,
+    and on a host with it nothing else does - built alone (``default_body``
+    in conftest.py) and held to the loaded object."""
+
+    def test_water_self_and_pair_blocks(self, default_body, water, mode):
+        lists = cell_lists(water, (2, 2, 2))
+        assert_default_body_agrees(default_body, water, lists, mode)
+
+    def test_grainsize_stripes(self, default_body, water, mode):
+        lists = cell_lists(water, (2, 1, 1), 3)
+        assert_default_body_agrees(default_body, water, lists, mode)
+
+    @pytest.mark.parametrize(
+        "row_lengths", CHUNK_EDGES, ids=lambda lengths: "-".join(map(str, lengths))
+    )
+    def test_chunk_edges_inside_a_row_and_on_a_row_end(
+        self, default_body, water, mode, row_lengths
+    ):
+        lists = chunk_edge_lists(water, row_lengths)
+        assert_default_body_agrees(default_body, water, lists, mode)
+
+    def test_the_general_fold(self, default_body, mode):
+        system = non_cubic_water()
+        lists = cell_lists(system, (1, 2, 3))
+        assert_default_body_agrees(
+            default_body, moved_by_whole_boxes(system), lists, mode
+        )
+
+    def test_a_pair_below_the_first_table_node(self, default_body, water, mode):
+        assert_default_body_agrees(default_body, *close_pair(water), mode)
+
+
+@pytest.mark.parametrize("task", [0, 2])
+@pytest.mark.parametrize("column", [2**32 + 1, -(2**32) + 1])
+def test_a_column_int32_cannot_hold_is_refused_not_wrapped(water, backend, task, column):
+    """As int32, 2**32 + 1 and -2**32 + 1 are both block row 1: a kernel that
+    narrowed the array would evaluate a pair the list does not name."""
+    lists = cell_lists(water, (3, 1, 1), keep=lambda task: task[0] == task[1])
+    start = lists.row_ptr[lists.row_off[task] + task]
+    cols = lists.cols.astype(np.int64)
+    cols[start + 4] = column
+    block_off, n_scratch = block_offsets(lists)
+    scratch, out = np.zeros((n_scratch, 3)), np.zeros((3, 4))
+    with pytest.raises(IndexError, match=f"task {task} "):
+        backend.nb_rows(
+            water.positions, water.box, tables_of(water), lists._replace(cols=cols),
+            CUTOFF, SWITCH, scratch, block_off, out,
+        )
+    # the same array with every column in range evaluates as its int32 copy
+    wide = lists._replace(cols=lists.cols.astype(np.int64))
+    assert np.array_equal(by_rows(backend, water, wide, ())[0][:, :3],
+                          by_rows(backend, water, lists, ())[0][:, :3])
 
 
 def corrupt(lists, tables, what, n_atoms):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.backend.c_backend import CLONED_KERNELS
 from repro.cli import build_parser, main
 
 
@@ -32,13 +33,16 @@ class TestCommands:
         error = out.split("max error:")[1].split()
         assert float(error[0]) <= 1e-9 and float(error[4]) <= 1e-11
 
-    def test_backends_names_the_block_pairs_clone_this_cpu_runs(self, capsys):
+    def test_backends_names_the_cloned_kernels_and_the_clone_this_cpu_runs(
+        self, capsys
+    ):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
         if "c:         ok" not in out:
             pytest.skip("no compiled backend on this host")
-        clone = out.split("block_pairs clone:")[1].split()[0]
-        assert clone in ("avx512f", "default", "none")
+        line = out.split("clone:")[1].splitlines()[0]
+        assert line.split()[0] in ("avx512f", "default", "none")
+        assert line.endswith(" for " + ", ".join(CLONED_KERNELS))
 
     def test_md(self, capsys):
         assert main(["md", "--waters", "27", "--steps", "3", "--cutoff", "5"]) == 0
