@@ -16,7 +16,7 @@ import pytest
 
 from repro.builder.benchmarks import apoa1_like, bc1_like, br_like
 from repro.core.problem import DecomposedProblem
-from repro.core.simulation import DEFAULT_COST_MODEL
+from repro.costmodel.model import DEFAULT_COST_MODEL
 
 CACHE_DIR = Path(__file__).parent / ".bench_cache"
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -51,7 +51,7 @@ def apoa1_problem() -> DecomposedProblem:
 @pytest.fixture(scope="session")
 def apoa1_problem_noselfsplit() -> DecomposedProblem:
     """ApoA-I with pair splitting disabled (the Figure 1 configuration)."""
-    from repro.core.computes import GrainsizeConfig
+    from repro.costmodel.grainsize import GrainsizeConfig
 
     return _cached_problem(
         "apoa1",

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.backend import available_backends, backend_status, get_backend
 from repro.builder import small_water_box
-from repro.core.decomposition import bin_atoms
+from repro.md.cells import bin_atoms
 from repro.md.cells import CellGrid, candidate_pairs
 from repro.md.engine import SequentialEngine
 from repro.md.ewald import _kspace_tables

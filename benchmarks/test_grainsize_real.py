@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.analysis import format_histogram, histogram_from_workdb
 from repro.builder import skewed_water_box
-from repro.core.decomposition import bin_atoms
+from repro.md.cells import bin_atoms
 from repro.md.cells import CellGrid
 from repro.md.integrator import VelocityVerlet
 from repro.md.nonbonded import NonbondedOptions

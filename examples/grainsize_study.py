@@ -12,9 +12,10 @@ Run:  python examples/grainsize_study.py
 
 from repro.analysis.grainsize import format_histogram, histogram_from_descriptors
 from repro.builder.benchmarks import br_like
-from repro.core.computes import GrainsizeConfig, build_nonbonded_computes
+from repro.core.computes import build_nonbonded_computes
+from repro.costmodel.grainsize import GrainsizeConfig
 from repro.core.decomposition import SpatialDecomposition
-from repro.core.simulation import DEFAULT_COST_MODEL
+from repro.costmodel.model import DEFAULT_COST_MODEL
 
 
 def main() -> None:

@@ -11,7 +11,7 @@ Run:  python examples/load_balancing_demo.py
 from repro.builder.benchmarks import br_like
 from repro.core import ParallelSimulation, SimulationConfig
 from repro.core.problem import DecomposedProblem
-from repro.core.simulation import DEFAULT_COST_MODEL
+from repro.costmodel.model import DEFAULT_COST_MODEL
 
 
 def show_three_stage_cycle(problem) -> None:

@@ -14,7 +14,7 @@ from repro.analysis.timeline import render_timeline
 from repro.builder.benchmarks import mini_assembly
 from repro.core import ParallelSimulation, SimulationConfig
 from repro.core.problem import DecomposedProblem
-from repro.core.simulation import DEFAULT_COST_MODEL
+from repro.costmodel.model import DEFAULT_COST_MODEL
 
 
 def run(problem, optimized: bool):

@@ -169,7 +169,7 @@ def performance_audit(
     counts = result.counts
     cpu = cfg.machine.cpu_factor
     # ideal: the single-processor decomposition divided by P
-    from repro.core.simulation import DEFAULT_COST_MODEL
+    from repro.costmodel.model import DEFAULT_COST_MODEL
 
     cm = DEFAULT_COST_MODEL
     nb_seq = cm.nonbonded_cost(counts.nonbonded_pairs, counts.candidate_pairs) * cpu

@@ -60,7 +60,7 @@ def _machine(name: str):
 
 def _build_problem(system):
     from repro.core.problem import DecomposedProblem
-    from repro.core.simulation import DEFAULT_COST_MODEL
+    from repro.costmodel.model import DEFAULT_COST_MODEL
 
     return DecomposedProblem.build(system, DEFAULT_COST_MODEL)
 
@@ -446,9 +446,10 @@ def cmd_audit(args) -> int:
 def cmd_grainsize(args) -> int:
     """Print grainsize histograms before/after pair splitting."""
     from repro.analysis.grainsize import format_histogram, histogram_from_descriptors
-    from repro.core.computes import GrainsizeConfig, build_nonbonded_computes
+    from repro.core.computes import build_nonbonded_computes
     from repro.core.decomposition import SpatialDecomposition
-    from repro.core.simulation import DEFAULT_COST_MODEL
+    from repro.costmodel.grainsize import GrainsizeConfig
+    from repro.costmodel.model import DEFAULT_COST_MODEL
 
     system = _load_system(args.system)
     decomposition = SpatialDecomposition(system, cutoff=12.0)

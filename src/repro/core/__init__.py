@@ -17,7 +17,6 @@ Layer map (bottom of DESIGN.md §3):
 from repro.core.decomposition import SpatialDecomposition, BondedAssignment
 from repro.core.computes import (
     ComputeDescriptor,
-    GrainsizeConfig,
     build_nonbonded_computes,
     build_bonded_computes,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "SpatialDecomposition",
     "BondedAssignment",
     "ComputeDescriptor",
-    "GrainsizeConfig",
     "build_nonbonded_computes",
     "build_bonded_computes",
     "ParallelSimulation",

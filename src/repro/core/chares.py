@@ -16,8 +16,8 @@ Per-round message flow (one MD timestep):
 2. ``ProxyPatchChare.recv_positions`` — notify the computes on its
    processor that depend on this patch.
 3. ``ComputeChare.patch_ready`` — when all of its patches are ready,
-   execute the force computation (modeled cost; real kernels in numeric
-   mode) and deposit forces with each patch's local representative.
+   charge the compute's modeled cost and deposit forces with each patch's
+   local representative.
 4. ``ProxyPatchChare.deposit`` — after the last local compute deposits,
    send one combined force message back to the home patch.
 5. ``HomePatchChare.deposit`` — after all local computes and all proxies
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.numeric import NumericBackend
 from repro.runtime.chare import Chare
 from repro.runtime.message import Priority
 
@@ -61,7 +60,6 @@ class HomePatchChare(Chare):
         atoms: np.ndarray,
         integration_cost: float,
         n_rounds: int,
-        backend: NumericBackend | None = None,
     ) -> None:
         super().__init__()
         self.patch = patch
@@ -69,7 +67,6 @@ class HomePatchChare(Chare):
         self.n_atoms = len(atoms)
         self.integration_cost = integration_cost
         self.n_rounds = n_rounds
-        self.backend = backend
         # wired by the driver after all chares exist
         self.proxy_ids: list[int] = []
         self.local_compute_ids: list[int] = []
@@ -99,8 +96,6 @@ class HomePatchChare(Chare):
 
     def advance(self) -> float:
         """Integrate this patch's atoms, then distribute new positions."""
-        if self.backend is not None:
-            self.backend.integrate(self.round, self.atoms, self.round == 0)
         cost = self.integration_cost
         self.runtime.post_control(("step_done", self.patch, self.round))
         self.round += 1
@@ -176,23 +171,19 @@ class _ComputeBase(Chare):
         self._ready = 0
         #: local representative (home or proxy object id) per needed patch
         self.deposit_ids: list[int] = []
+        self.round = 0
 
     def patch_ready(self) -> float:
         """A needed patch's positions are available on this processor."""
         self._ready += 1
-        if self._ready >= self.n_patches_needed:
-            self._ready = 0
-            return self._execute()
-        return 0.0
-
-    def _execute(self) -> float:
-        self._do_work()
+        if self._ready < self.n_patches_needed:
+            return 0.0
+        # every patch is here: charge the modeled cost and deposit forces
+        self._ready = 0
+        self.round += 1
         for dep in self.deposit_ids:
             self.send(dep, "deposit", {"source": self.object_id}, size_bytes=0.0)
         return self.load
-
-    def _do_work(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
 
 
 class NonbondedComputeChare(_ComputeBase):
@@ -211,35 +202,16 @@ class NonbondedComputeChare(_ComputeBase):
         load: float,
         part: int = 0,
         n_parts: int = 1,
-        backend: NumericBackend | None = None,
-        atoms_a: np.ndarray | None = None,
-        atoms_b: np.ndarray | None = None,
     ) -> None:
         super().__init__(load, n_patches_needed=len(patches))
         self.patches = patches
         self.part = part
         self.n_parts = n_parts
-        self.backend = backend
-        self.atoms_a = atoms_a
-        self.atoms_b = atoms_b
-        self.round = 0
 
     def label(self) -> str:
         """Display name used in traces."""
         p = "+".join(str(x) for x in self.patches)
         return f"nb({p})[{self.part}/{self.n_parts}]"
-
-    def _do_work(self) -> None:
-        if self.backend is not None:
-            self.backend.nonbonded(
-                self.round,
-                self.atoms_a,
-                self.atoms_b,
-                self.part,
-                self.n_parts,
-                cache_key=self.label(),
-            )
-        self.round += 1
 
 
 class BondedComputeChare(_ComputeBase):
@@ -253,23 +225,13 @@ class BondedComputeChare(_ComputeBase):
         patches: tuple[int, ...],
         load: float,
         migratable: bool,
-        backend: NumericBackend | None = None,
-        term_indices: dict[str, np.ndarray] | None = None,
     ) -> None:
         super().__init__(load, n_patches_needed=len(patches))
         self.patches = patches
         self.migratable = migratable
-        self.backend = backend
-        self.term_indices = term_indices or {}
-        self.round = 0
 
     def label(self) -> str:
         """Display name used in traces."""
         p = "+".join(str(x) for x in self.patches)
         kind = "intra" if self.migratable else "inter"
         return f"bonded_{kind}({p})"
-
-    def _do_work(self) -> None:
-        if self.backend is not None:
-            self.backend.bonded(self.round, self.term_indices)
-        self.round += 1

@@ -25,12 +25,11 @@ import numpy as np
 
 from repro.backend import get_backend
 from repro.core.decomposition import BondedAssignment, SpatialDecomposition
-from repro.core.grainsize import GrainsizeConfig
+from repro.costmodel.grainsize import GrainsizeConfig
 from repro.costmodel.model import CostModel, block_pair_counts
 
 __all__ = [
     "ComputeDescriptor",
-    "GrainsizeConfig",
     "build_nonbonded_computes",
     "build_bonded_computes",
 ]

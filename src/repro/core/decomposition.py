@@ -24,14 +24,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.md.cells import HALF_SHELL_OFFSETS
+from repro.md.cells import HALF_SHELL_OFFSETS, bin_atoms
 from repro.md.system import MolecularSystem
 
 __all__ = [
     "SpatialDecomposition",
     "BondedAssignment",
     "PATCH_SIZE_FACTOR",
-    "bin_atoms",
 ]
 
 #: Patch edge = cutoff * this factor (minimum); 15.5/12 reproduces ApoA-I's
@@ -49,38 +48,6 @@ UPSTREAM_OFFSETS = np.array(
     ],
     dtype=np.int64,
 )
-
-
-def bin_atoms(
-    positions: np.ndarray, box: np.ndarray, dims: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Bucket atoms into a fixed periodic patch grid.
-
-    ``positions`` must already be wrapped into the primary cell (coordinates
-    marginally outside — e.g. from floating-point wrap edge cases — are
-    clamped onto the boundary patches).  Returns ``(idx3, flat, buckets)``:
-    per-atom 3-D patch coordinates, flat patch indices, and one atom-index
-    array per patch in stable (input) order.
-
-    This is the shared binning primitive: :class:`SpatialDecomposition` uses
-    it at construction, and the real-parallel engine's workers
-    (:mod:`repro.md.parallel`) re-bucket atoms into their *fixed* task grid
-    with it on every pairlist rebuild, so driver and workers always agree on
-    patch membership.
-    """
-    dims = np.asarray(dims, dtype=np.int64)
-    box = np.asarray(box, dtype=np.float64)
-    edge = box / dims
-    idx3 = np.minimum((positions / edge).astype(np.int64), dims - 1)
-    idx3 = np.maximum(idx3, 0)
-    flat = (idx3[:, 0] * dims[1] + idx3[:, 1]) * dims[2] + idx3[:, 2]
-    n_patches = int(np.prod(dims))
-    order = np.argsort(flat, kind="stable")
-    counts = np.bincount(flat, minlength=n_patches)
-    starts = np.zeros(n_patches + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    buckets = [order[starts[p] : starts[p + 1]] for p in range(n_patches)]
-    return idx3, flat, buckets
 
 
 @dataclass

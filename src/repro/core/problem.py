@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 from repro.core.computes import (
     ComputeDescriptor,
-    GrainsizeConfig,
     build_bonded_computes,
     build_nonbonded_computes,
 )
 from repro.core.decomposition import BondedAssignment, SpatialDecomposition
+from repro.costmodel.grainsize import GrainsizeConfig
 from repro.costmodel.model import CostModel, WorkCounts
 from repro.md.system import MolecularSystem
 

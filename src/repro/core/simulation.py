@@ -32,14 +32,12 @@ from repro.core.chares import (
     NonbondedComputeChare,
     ProxyPatchChare,
 )
-from repro.core.computes import ComputeDescriptor, GrainsizeConfig
-from repro.core.numeric import NumericBackend
+from repro.core.computes import ComputeDescriptor
 from repro.costmodel.flops import DEFAULT_FLOPS, FlopModel
-from repro.costmodel.model import CostModel, WorkCounts
-from repro.md.nonbonded import NonbondedOptions
+from repro.costmodel.grainsize import GrainsizeConfig
+from repro.costmodel.model import DEFAULT_COST_MODEL, CostModel, WorkCounts
 from repro.md.system import MolecularSystem
 from repro.runtime.checkpoint import (
-    BackendState,
     ChareCheckpoint,
     Checkpoint,
     DoubleCheckpointStore,
@@ -59,20 +57,7 @@ __all__ = [
     "PhaseResult",
     "SimulationResult",
     "ParallelSimulation",
-    "DEFAULT_COST_MODEL",
 ]
-
-#: Cost model calibrated on the ApoA-I benchmark against the paper's Table 1
-#: single-processor decomposition (see ``CostModel.calibrated`` and the
-#: regression test ``tests/test_costmodel/test_calibration.py``).  Frozen
-#: here so every simulation shares one set of physical unit costs without
-#: rebuilding the 92,224-atom system.
-DEFAULT_COST_MODEL = CostModel(
-    t_pair=5.642e-07,
-    t_candidate=7.053e-08,
-    t_bonded_unit=1.579e-05,
-    t_atom_integration=1.561e-05,
-)
 
 
 @dataclass
@@ -95,9 +80,6 @@ class SimulationConfig:
     steps_per_phase: int = 6
     #: how many of each phase's final steps enter the timing average
     measure_last: int = 4
-    #: run real kernels + integration (validation mode, small systems only)
-    numeric: bool = False
-    dt: float = 1.0
     #: keep full Projections-style traces for the final phase
     trace_final_phase: bool = False
     #: balance on measured loads (True, the paper's approach) or on
@@ -185,9 +167,6 @@ class PhaseResult:
     trace: TraceLog | None
     measured_loads: dict[int, float]  # descriptor index -> per-step seconds
     background_per_step: np.ndarray
-    #: numeric-mode backend (real positions/velocities/energies); None in
-    #: timing mode
-    backend: "NumericBackend | None" = None
     #: fault-tolerance accounting; None when the phase ran without the
     #: resilience layer
     recovery: "RecoveryStats | None" = None
@@ -365,19 +344,10 @@ class ParallelSimulation:
             0, "static", placement or dict(self.initial_placement), trace_full
         )
 
-    def _make_backend(self) -> "NumericBackend | None":
-        cfg = self.config
-        if not cfg.numeric:
-            return None
-        return NumericBackend(
-            self.system, NonbondedOptions(cutoff=cfg.cutoff), dt=cfg.dt
-        )
-
     def _build_chare_graph(
         self,
         scheduler: Scheduler,
         placement: dict[int, int],
-        backend: "NumericBackend | None",
         n_rounds: int,
     ) -> "_ChareGraph":
         """Create and wire all chares on ``scheduler`` for one phase.
@@ -399,7 +369,6 @@ class ParallelSimulation:
                 atoms,
                 self.cost_model.integration_cost(len(atoms)),
                 n_rounds,
-                backend,
             )
             patch_oid[p] = scheduler.register(chare, int(patch_proc[p]))
             patch_chares[p] = chare
@@ -414,20 +383,11 @@ class ParallelSimulation:
             else:
                 proc = int(patch_proc[d.home_patch])
             compute_proc[d.index] = proc
+            chare: NonbondedComputeChare | BondedComputeChare
             if d.kind in ("nb_self", "nb_pair"):
-                atoms_a = decomp.patch_atoms[d.patches[0]]
-                atoms_b = (
-                    decomp.patch_atoms[d.patches[1]] if len(d.patches) > 1 else None
-                )
-                chare: NonbondedComputeChare | BondedComputeChare = (
-                    NonbondedComputeChare(
-                        d.patches, d.load, d.part, d.n_parts, backend, atoms_a, atoms_b
-                    )
-                )
+                chare = NonbondedComputeChare(d.patches, d.load, d.part, d.n_parts)
             else:
-                chare = BondedComputeChare(
-                    d.patches, d.load, d.migratable, backend, d.term_indices
-                )
+                chare = BondedComputeChare(d.patches, d.load, d.migratable)
             oid = scheduler.register(chare, proc)
             compute_oid[d.index] = oid
             oid_to_desc[oid] = d.index
@@ -488,7 +448,6 @@ class ParallelSimulation:
         scheduler: Scheduler,
         graph: "_ChareGraph",
         completion_times: list[float],
-        backend: "NumericBackend | None",
         recovery: "RecoveryStats | None" = None,
     ) -> PhaseResult:
         cfg = self.config
@@ -516,7 +475,6 @@ class ParallelSimulation:
             trace=scheduler.trace if trace_full else None,
             measured_loads=measured_loads,
             background_per_step=background,
-            backend=backend,
             recovery=recovery,
             dead_procs=tuple(sorted(self._dead_procs)),
         )
@@ -550,7 +508,6 @@ class ParallelSimulation:
             if cfg.fault_plan is not None
             else None
         )
-        backend = self._make_backend()
         n_steps = cfg.steps_per_phase
         interval = cfg.checkpoint_interval if cfg.checkpoint_interval > 0 else n_steps
         n_patches = self.decomposition.n_patches
@@ -563,7 +520,7 @@ class ParallelSimulation:
         sched_ref: list[Scheduler] = []
 
         # Instrumentation covers every round: per-round work is identical
-        # (positions are fixed in timing mode), so totals divide exactly by
+        # (the simulator moves no atoms), so totals divide exactly by
         # the round count.  Gating instrumentation to a tail window instead
         # would silently drop pipelined work that executes before the
         # slowest patch finishes the preceding round.
@@ -599,13 +556,13 @@ class ParallelSimulation:
             recovery.messages_lost_to_dead += fs["dead_dropped"]
 
         scheduler = new_scheduler(0.0)
-        graph = self._build_chare_graph(scheduler, placement, backend, n_steps)
+        graph = self._build_chare_graph(scheduler, placement, n_steps)
         start_at = 0.0
         if resilient:
             # baseline cut at round 0: the recovery floor for failures
             # striking before the first periodic checkpoint
             start_at = self._take_checkpoint(
-                scheduler, graph, backend, store, recovery, 0, 0.0
+                scheduler, graph, store, recovery, 0, 0.0
             )
         resume_round = 0
 
@@ -626,7 +583,6 @@ class ParallelSimulation:
                     scheduler,
                     plan,
                     placement,
-                    backend,
                     store,
                     recovery,
                     new_dead,
@@ -647,7 +603,7 @@ class ParallelSimulation:
                 harvest(scheduler)
                 break
             cost = self._take_checkpoint(
-                scheduler, graph, backend, store, recovery, target, end
+                scheduler, graph, store, recovery, target, end
             )
             resume_round = target
             start_at = end + cost
@@ -662,7 +618,6 @@ class ParallelSimulation:
             scheduler,
             graph,
             completion_times,
-            backend,
             recovery=recovery if resilient else None,
         )
 
@@ -670,7 +625,6 @@ class ParallelSimulation:
         self,
         scheduler: Scheduler,
         graph: "_ChareGraph",
-        backend: "NumericBackend | None",
         store: DoubleCheckpointStore,
         recovery: RecoveryStats,
         round_: int,
@@ -702,14 +656,7 @@ class ParallelSimulation:
                 owner,
                 DoubleCheckpointStore.buddy_of(owner, live),
             )
-        cp = Checkpoint(
-            round=round_,
-            time=time,
-            chares=chares,
-            backend_state=(
-                BackendState.capture(backend) if backend is not None else None
-            ),
-        )
+        cp = Checkpoint(round=round_, time=time, chares=chares)
         store.commit(cp)
         recovery.checkpoints_taken += 1
 
@@ -729,7 +676,6 @@ class ParallelSimulation:
         scheduler: Scheduler,
         plan: "FaultPlan | None",
         placement: dict[int, int],
-        backend: "NumericBackend | None",
         store: DoubleCheckpointStore,
         recovery: RecoveryStats,
         new_dead: set[int],
@@ -775,7 +721,7 @@ class ParallelSimulation:
         placement.update(refine_strategy(problem))
 
         # modeled cost of shipping the lost chares' buddy copies to their
-        # new processors (backend arrays are global shared state here)
+        # new processors
         m = cfg.machine
         restore_bytes = sum(
             c.size_bytes for c in cp.chares.values() if c.owner in dead
@@ -802,14 +748,12 @@ class ParallelSimulation:
         )
 
         scheduler = new_scheduler(t_restart)
-        graph = self._build_chare_graph(scheduler, placement, backend, n_steps)
+        graph = self._build_chare_graph(scheduler, placement, n_steps)
         for (kind, key), cc in cp.chares.items():
             if kind == "patch":
                 restore_chare(graph.patch_chares[key], cc.state)
             else:
                 restore_chare(scheduler.object(graph.compute_oid[key]), cc.state)
-        if backend is not None and cp.backend_state is not None:
-            cp.backend_state.restore(backend)
         return scheduler, graph, t_restart, r0
 
     # ------------------------------------------------------------------ #

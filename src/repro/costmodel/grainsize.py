@@ -10,7 +10,8 @@ cell tasks.  Both take the number of parts from
 with ``block_pairs`` on its stripe (``part, n_parts``) — the simulator's
 descriptors with the kernel's count mode, the engine's tasks with its list
 mode — so which rows land in which part, and so what each part costs,
-can never drift between the two runtimes.
+can never drift between the two runtimes.  It lives here, below both, so
+the engine never imports the simulator for it.
 
 A split is always a *row stripe*: part ``p`` of ``n`` owns the rows
 ``p::n`` of the object's first patch/cell.  Striping (rather than chunking)

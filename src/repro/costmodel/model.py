@@ -35,6 +35,7 @@ from repro.backend import get_backend
 __all__ = [
     "WorkCounts",
     "CostModel",
+    "DEFAULT_COST_MODEL",
     "block_pair_counts",
     "estimate_block_costs",
     "PAPER_APOA1_SECONDS",
@@ -135,6 +136,19 @@ class CostModel:
             )
             + self.integration_cost(counts.atoms)
         )
+
+
+#: Cost model calibrated on the ApoA-I benchmark against the paper's Table 1
+#: single-processor decomposition (see ``CostModel.calibrated`` and the
+#: regression test ``tests/test_costmodel/test_calibration.py``).  Frozen
+#: here so every simulation shares one set of physical unit costs without
+#: rebuilding the 92,224-atom system.
+DEFAULT_COST_MODEL = CostModel(
+    t_pair=5.642e-07,
+    t_candidate=7.053e-08,
+    t_bonded_unit=1.579e-05,
+    t_atom_integration=1.561e-05,
+)
 
 
 def block_pair_counts(

@@ -7,9 +7,10 @@ wide; an atom then interacts only with atoms in its own cell and the 26
 neighbours, and enumerating *half* of those neighbour offsets yields each
 pair once.
 
-This is the same geometric construction the parallel layer uses for patches
-(:mod:`repro.core.decomposition`) — there the cells are Charm++ objects; here
-they are just index buckets.
+This is the same geometric construction the simulated machine uses for
+patches (:mod:`repro.core.decomposition`, which bins with :func:`bin_atoms`
+from here) — there the cells are Charm++ objects; here they are just index
+buckets.
 
 Wrapped-positions contract
 --------------------------
@@ -50,6 +51,7 @@ from repro.util.pbc import wrap_positions
 __all__ = [
     "CellGrid",
     "HALF_SHELL_OFFSETS",
+    "bin_atoms",
     "candidate_pairs",
 ]
 
@@ -79,6 +81,51 @@ HALF_SHELL_OFFSETS: np.ndarray = _half_shell_offsets()
 #: set of one chunk (a few MB) stays cache-resident; measured fastest in the
 #: 2^17–2^19 range on commodity hardware.
 _PAIR_CHUNK = 1 << 18
+
+
+def _bin(
+    positions: np.ndarray, box: np.ndarray, dims: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-atom cell coordinates and flat indices, plus the CSR buckets
+    (``order``, ``start``) of a ``dims`` grid over wrapped ``positions``."""
+    edge = box / dims
+    # clamp: a coordinate rounding up to exactly the box edge (or marginally
+    # outside it) lands in a boundary cell
+    idx3 = np.minimum((positions / edge).astype(np.int64), dims - 1)
+    idx3 = np.maximum(idx3, 0)
+    flat = (idx3[:, 0] * dims[1] + idx3[:, 1]) * dims[2] + idx3[:, 2]
+    n_cells = int(np.prod(dims))
+    order = np.argsort(flat, kind="stable")
+    counts = np.bincount(flat, minlength=n_cells)
+    start = np.zeros(n_cells + 1, dtype=np.int64)
+    np.cumsum(counts, out=start[1:])
+    return idx3, flat, order, start
+
+
+def bin_atoms(
+    positions: np.ndarray, box: np.ndarray, dims: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Bucket atoms into a fixed periodic patch grid.
+
+    ``positions`` must already be wrapped into the primary cell (coordinates
+    marginally outside — e.g. from floating-point wrap edge cases — are
+    clamped onto the boundary patches).  Returns ``(idx3, flat, buckets)``:
+    per-atom 3-D patch coordinates, flat patch indices, and one atom-index
+    array per patch in stable (input) order.
+
+    This is the one binning routine (:meth:`CellGrid.build` bins with the
+    same arithmetic): the simulator's
+    :class:`repro.core.decomposition.SpatialDecomposition` uses it at
+    construction, and the real-parallel engine's workers
+    (:mod:`repro.md.tasks`) re-bucket atoms into their *fixed* task grid
+    with it on every pairlist rebuild, so driver and workers always agree on
+    patch membership.
+    """
+    dims = np.asarray(dims, dtype=np.int64)
+    box = np.asarray(box, dtype=np.float64)
+    idx3, flat, order, start = _bin(positions, box, dims)
+    buckets = [order[start[p] : start[p + 1]] for p in range(len(start) - 1)]
+    return idx3, flat, buckets
 
 
 @dataclass
@@ -123,16 +170,8 @@ class CellGrid:
         if cutoff <= 0:
             raise ValueError("cutoff must be positive")
         dims = np.maximum(np.floor(box / cutoff).astype(np.int64), 1)
-        cell_len = box / dims
-        frac = wrap_positions(np.asarray(positions, dtype=np.float64), box) / cell_len
-        # guard against frac rounding up to exactly dims at the box edge
-        idx3 = np.minimum(frac.astype(np.int64), dims - 1)
-        flat = (idx3[:, 0] * dims[1] + idx3[:, 1]) * dims[2] + idx3[:, 2]
-        order = np.argsort(flat, kind="stable")
-        n_cells = int(np.prod(dims))
-        counts = np.bincount(flat, minlength=n_cells)
-        start = np.zeros(n_cells + 1, dtype=np.int64)
-        np.cumsum(counts, out=start[1:])
+        wrapped = wrap_positions(np.asarray(positions, dtype=np.float64), box)
+        _, flat, order, start = _bin(wrapped, box, dims)
         return cls(dims=dims, box=box, cell_of_atom=flat, order=order, start=start)
 
     @property

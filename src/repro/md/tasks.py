@@ -59,10 +59,11 @@ from repro.backend import get_backend
 from repro.backend.ewald_table import ewald_table
 from repro.backend.reference import expand_rows
 from repro.md.bonded import BONDED_KINDS, bonded_term_arrays
-from repro.md.cells import CellGrid
+from repro.md.cells import CellGrid, bin_atoms
 from repro.md.ewald import EwaldOptions, _pme_influence, pme_reciprocal
 from repro.md.nonbonded import NonbondedOptions, ewald_pair_mode, pair_type_tables
-from repro.core.grainsize import GrainsizeConfig, stripe_candidate_counts
+from repro.costmodel.grainsize import GrainsizeConfig, stripe_candidate_counts
+from repro.costmodel.model import DEFAULT_COST_MODEL, estimate_block_costs
 from repro.util.pbc import wrap_positions
 
 __all__ = [
@@ -542,8 +543,6 @@ class ForceTaskEvaluator:
         self.system.box = np.asarray(box, dtype=np.float64)
 
     def rebuild(self, my_tasks: list[int]) -> np.ndarray:
-        from repro.core.decomposition import bin_atoms
-
         p = self.provider
         # the arena is overwritten in place (an evaluator never evaluates
         # during its own rebuild): hold no list into it meanwhile, so a
@@ -737,8 +736,6 @@ class ForceTaskProvider:
         provider's life, so a changed box is only admissible while its
         cells still cover the list cutoff.
         """
-        from repro.core.decomposition import bin_atoms
-
         self.check_layout(positions, box)
         box = np.asarray(box, dtype=np.float64)
         dims = np.asarray(self.dims, dtype=np.int64)
@@ -801,9 +798,6 @@ def build_force_tasks(
     cost model see a wrapped *copy*; the engines wrap before every dispatch
     as usual.
     """
-    from repro.core.decomposition import bin_atoms
-    from repro.costmodel.model import estimate_block_costs
-
     backend = get_backend(backend)
     priors = COST_PRIORS[backend.compiled]
     # built once, before workers copy the system
@@ -822,8 +816,6 @@ def build_force_tasks(
     if grainsize_ms > 0:
         # grainsize_ms is a physical target: need real (reference-
         # machine) seconds, not the unitless pair-count default
-        from repro.core.simulation import DEFAULT_COST_MODEL
-
         model = DEFAULT_COST_MODEL
     if grainsize_ms > 0 or n_workers > 1:
         costs = estimate_block_costs(

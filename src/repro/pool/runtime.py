@@ -618,6 +618,9 @@ class SupervisedPool:
         self._deadline: float | None = None
         self._t_eval_start: float | None = None
         self._step_wall_ewma = 0.0
+        #: dispatch-to-first-ack latency of the pending evaluation (0 until
+        #: a worker acks): calibrates hang detection before any clean step
+        self._first_ack_s = 0.0
         self._recovery_rounds = 0
         self._last_reassign_moved = 0
         self._unsent_reassignment = False
@@ -852,6 +855,7 @@ class SupervisedPool:
         self._pending = self._seq
         self._payload = payload
         self._acked = set()
+        self._first_ack_s = 0.0
         # the timeout budget starts when the workers do — the client may
         # run arbitrary overlapped work before it first waits
         self._t_dispatch = time.monotonic()
@@ -941,7 +945,12 @@ class SupervisedPool:
                 ):
                     return False
                 continue
-            hang_t = policy.hang_threshold(self._step_wall_ewma, self.timeout)
+            # before the first clean step, a peer's ack to this very
+            # evaluation is the only timing there is; with no ack at all
+            # only the hard timeout applies
+            hang_t = policy.hang_threshold(
+                self._step_wall_ewma or self._first_ack_s, self.timeout
+            )
             if (
                 self._t_dispatch is not None
                 and now - self._t_dispatch > hang_t
@@ -1011,6 +1020,8 @@ class SupervisedPool:
             return self._recover_worker(
                 wid, "error", f"worker raised:\n{msg[4]}"
             )
+        if not self._first_ack_s and self._t_dispatch is not None:
+            self._first_ack_s = time.monotonic() - self._t_dispatch
         self._acked.add(wid)
         return True
 

@@ -11,8 +11,8 @@ processors and replays from the checkpointed step.
 The chare snapshot is generic: a deep copy of ``__dict__`` minus the
 runtime-wiring attributes (:data:`SKIP_ATTRS`) that the driver rebuilds
 when it re-creates the chare graph on the degraded machine.  That keeps
-the protocol counters, round numbers, and any numeric slices — everything
-needed to resume — while staying agnostic to the concrete chare class.
+the protocol counters and round numbers — everything needed to resume —
+while staying agnostic to the concrete chare class.
 
 **Disk run checkpoints** (:class:`RunCheckpoint`) serve the real engines:
 an atomic ``.npz`` snapshot of the dynamical state (positions, velocities,
@@ -44,7 +44,6 @@ __all__ = [
     "restore_chare",
     "state_bytes",
     "ChareCheckpoint",
-    "BackendState",
     "Checkpoint",
     "DoubleCheckpointStore",
     "UnrecoverableFailure",
@@ -62,7 +61,6 @@ __all__ = [
 SKIP_ATTRS = frozenset(
     {
         "runtime",
-        "backend",
         "object_id",
         "proxy_ids",
         "local_compute_ids",
@@ -122,45 +120,12 @@ class ChareCheckpoint:
 
 
 @dataclass
-class BackendState:
-    """Numeric-mode global state captured at a checkpoint cut."""
-
-    positions: np.ndarray
-    velocities: np.ndarray
-    forces: np.ndarray
-    energy_by_step: dict[int, dict[str, float]]
-
-    @classmethod
-    def capture(cls, backend) -> "BackendState":
-        return cls(
-            positions=backend.positions.copy(),
-            velocities=backend.velocities.copy(),
-            forces=backend.forces.copy(),
-            energy_by_step=copy.deepcopy(backend.energy_by_step),
-        )
-
-    def restore(self, backend) -> None:
-        """Overwrite the backend arrays wholesale (partial rounds included:
-        restoring must erase force contributions deposited after the cut)."""
-        backend.positions[:] = self.positions
-        backend.velocities[:] = self.velocities
-        backend.forces[:] = self.forces
-        backend.energy_by_step.clear()
-        backend.energy_by_step.update(copy.deepcopy(self.energy_by_step))
-        # positions jumped back to the cut: any Verlet-style candidate cache
-        # keyed to post-cut reference positions is now meaningless
-        if hasattr(backend, "invalidate_pair_caches"):
-            backend.invalidate_pair_caches()
-
-
-@dataclass
 class Checkpoint:
     """A consistent global cut: all chares quiescent at round ``round``."""
 
     round: int
     time: float
     chares: dict[tuple, ChareCheckpoint]
-    backend_state: BackendState | None = None
 
     def survives(self, dead: set[int]) -> bool:
         """True if every chare has a live copy."""

@@ -4,8 +4,8 @@ import pytest
 
 from repro.analysis.audit import performance_audit
 from repro.core.problem import DecomposedProblem
+from repro.costmodel.model import DEFAULT_COST_MODEL
 from repro.core.simulation import (
-    DEFAULT_COST_MODEL,
     ParallelSimulation,
     SimulationConfig,
 )

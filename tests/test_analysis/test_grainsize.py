@@ -8,9 +8,10 @@ from repro.analysis.grainsize import (
     grainsize_histogram,
     histogram_from_descriptors,
 )
-from repro.core.computes import GrainsizeConfig, build_nonbonded_computes
+from repro.core.computes import build_nonbonded_computes
+from repro.costmodel.grainsize import GrainsizeConfig
 from repro.core.decomposition import SpatialDecomposition
-from repro.core.simulation import DEFAULT_COST_MODEL
+from repro.costmodel.model import DEFAULT_COST_MODEL
 from repro.runtime.trace import TraceLog
 
 

@@ -4,7 +4,8 @@ import pytest
 
 from repro.analysis.speedup import format_scaling_table, scaling_sweep
 from repro.core.problem import DecomposedProblem
-from repro.core.simulation import DEFAULT_COST_MODEL, SimulationConfig
+from repro.core.simulation import SimulationConfig
+from repro.costmodel.model import DEFAULT_COST_MODEL
 
 
 @pytest.fixture(scope="module")

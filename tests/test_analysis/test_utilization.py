@@ -58,8 +58,8 @@ class TestEndToEnd:
     def test_lb_raises_utilization(self, assembly):
         """The whole point: after balancing, fewer idle processors."""
         from repro.core.problem import DecomposedProblem
+        from repro.costmodel.model import DEFAULT_COST_MODEL
         from repro.core.simulation import (
-            DEFAULT_COST_MODEL,
             ParallelSimulation,
             SimulationConfig,
         )

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.backend import available_backends, get_backend
 from repro.backend.reference import expand_rows
 from repro.builder import mini_assembly, small_water_box
-from repro.core.decomposition import bin_atoms
+from repro.md.cells import bin_atoms
 from repro.md.nonbonded import NonbondedOptions
 from repro.md.tasks import build_force_tasks
 from repro.util.pbc import minimum_image

@@ -17,7 +17,7 @@ import pytest
 from repro.backend import available_backends, get_backend
 from repro.backend.ewald_table import ewald_table
 from repro.builder import small_water_box
-from repro.core.decomposition import bin_atoms
+from repro.md.cells import bin_atoms
 from repro.md.nonbonded import _combined_params, pair_type_tables
 from repro.md.tasks import RowLists, build_row_lists
 from tests.test_backend.test_c_kernels import CHUNK

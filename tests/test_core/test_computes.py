@@ -3,13 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.computes import (
-    GrainsizeConfig,
-    build_bonded_computes,
-    build_nonbonded_computes,
-)
+from repro.core.computes import build_bonded_computes, build_nonbonded_computes
 from repro.core.decomposition import SpatialDecomposition
-from repro.core.simulation import DEFAULT_COST_MODEL
+from repro.costmodel.grainsize import GrainsizeConfig
+from repro.costmodel.model import DEFAULT_COST_MODEL
 
 
 @pytest.fixture(scope="module")

@@ -95,8 +95,8 @@ def test_grainsize_parts_partition_rows(n_parts, seed):
 def test_scheduler_is_deterministic(assembly):
     """Two identical runs produce bit-identical step completion times."""
     from repro.core.problem import DecomposedProblem
+    from repro.costmodel.model import DEFAULT_COST_MODEL
     from repro.core.simulation import (
-        DEFAULT_COST_MODEL,
         ParallelSimulation,
         SimulationConfig,
     )

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.computes import GrainsizeConfig, build_nonbonded_computes
+from repro.core.computes import build_nonbonded_computes
+from repro.costmodel.grainsize import GrainsizeConfig
 from repro.core.decomposition import PATCH_SIZE_FACTOR, SpatialDecomposition
-from repro.core.simulation import DEFAULT_COST_MODEL
+from repro.costmodel.model import DEFAULT_COST_MODEL
 from repro.util.pbc import minimum_image
 
 

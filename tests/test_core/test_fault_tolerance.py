@@ -1,12 +1,12 @@
-"""End-to-end fault tolerance: kill a processor, recover, same physics.
+"""End-to-end fault tolerance on the simulated machine: kill a processor,
+recover from the in-memory double checkpoint, finish every step.
 
-The headline invariant: a run with an injected mid-run processor failure
-recovers from the in-memory double checkpoint and produces final per-atom
-positions, velocities, and energies identical (within 1e-12) to the
-fault-free run.
+The simulator models time, not positions, so what is checked here is the
+accounting (failures, detection, replayed rounds) and the degraded
+placement.  That recovered *physics* is bit-identical to the unfaulted run
+is checked on the real engine (``tests/test_md/test_resilience.py``).
 """
 
-import numpy as np
 import pytest
 
 from repro.core import ParallelSimulation, SimulationConfig
@@ -70,6 +70,44 @@ class TestTimingModeRecovery:
             if 2 in phase.dead_procs:
                 assert all(p != 2 for p in phase.placement.values())
 
+    #: a 100-water box on 4 processors, one phase of 6 rounds
+    WATER = dict(
+        n_procs=4, cutoff=6.0, lb_schedule=(), steps_per_phase=6, measure_last=1
+    )
+
+    @pytest.fixture(scope="class")
+    def water_clean(self, request):
+        system = request.getfixturevalue("water100")
+        return ParallelSimulation(
+            system, SimulationConfig(**self.WATER)
+        ).run_phase_only()
+
+    def test_kill_before_round_three_replays(self, water100, water_clean):
+        """A kill just before round 3 completes is one failure, and the
+        rounds done since the last cut are replayed."""
+        t_kill = float(water_clean.timings.completion_times[2]) * 0.9
+        plan = FaultPlan.parse(f"seed=5,kill=1@{t_kill!r}")
+        cfg = SimulationConfig(
+            **self.WATER, fault_plan=plan, checkpoint_interval=2
+        )
+        faulted = ParallelSimulation(water100, cfg).run_phase_only()
+        assert faulted.recovery.n_failures == 1
+        assert faulted.recovery.steps_replayed > 0
+        assert len(faulted.timings.completion_times) == cfg.steps_per_phase
+
+    def test_checkpoint_interval_one_replays_at_most_one_round(
+        self, water100, water_clean
+    ):
+        t_kill = float(water_clean.timings.completion_times[4]) * 0.99
+        plan = FaultPlan.parse(f"seed=8,kill=3@{t_kill!r}")
+        cfg = SimulationConfig(
+            **self.WATER, fault_plan=plan, checkpoint_interval=1
+        )
+        faulted = ParallelSimulation(water100, cfg).run_phase_only()
+        assert faulted.recovery.n_failures == 1
+        # at interval 1 at most one completed round is ever replayed
+        assert faulted.recovery.steps_replayed <= 1
+
     def test_unrecoverable_double_failure_raises(self, assembly):
         # both kills land inside the first checkpoint interval: with 4
         # procs, buddies are adjacent, so killing a chare's owner AND its
@@ -83,67 +121,6 @@ class TestTimingModeRecovery:
         )
         with pytest.raises(UnrecoverableFailure):
             ParallelSimulation(assembly, cfg).run()
-
-
-# --------------------------------------------------------------------- #
-# numeric mode: the recovery-equivalence invariant
-# --------------------------------------------------------------------- #
-class TestNumericInvariant:
-    BASE = dict(
-        n_procs=4,
-        numeric=True,
-        dt=1.0,
-        cutoff=6.0,
-        lb_schedule=(),
-        steps_per_phase=6,
-        measure_last=1,
-    )
-
-    @pytest.fixture(scope="class")
-    def reference(self, request):
-        system = request.getfixturevalue("water100")
-        system.assign_velocities(300.0, seed=9)
-        ref = ParallelSimulation(
-            system, SimulationConfig(**self.BASE)
-        ).run_phase_only()
-        return system, ref
-
-    def test_recovered_run_matches_fault_free(self, reference):
-        system, ref = reference
-        t_kill = float(ref.timings.completion_times[2]) * 0.9
-        plan = FaultPlan.parse(f"seed=5,kill=1@{t_kill!r}")
-        cfg = SimulationConfig(
-            **self.BASE, fault_plan=plan, checkpoint_interval=2
-        )
-        faulted = ParallelSimulation(system, cfg).run_phase_only()
-
-        assert faulted.recovery.n_failures == 1
-        assert faulted.recovery.steps_replayed > 0
-        b0, b1 = ref.backend, faulted.backend
-        assert np.allclose(b1.positions, b0.positions, rtol=1e-12, atol=1e-12)
-        assert np.allclose(b1.velocities, b0.velocities, rtol=1e-12, atol=1e-12)
-        assert np.allclose(b1.forces, b0.forces, rtol=1e-12, atol=1e-12)
-        for step, energies in b0.energy_by_step.items():
-            for key, val in energies.items():
-                assert b1.energy_by_step[step][key] == pytest.approx(
-                    val, rel=1e-12, abs=1e-12
-                )
-
-    def test_checkpoint_interval_one_also_matches(self, reference):
-        system, ref = reference
-        t_kill = float(ref.timings.completion_times[4]) * 0.99
-        plan = FaultPlan.parse(f"seed=8,kill=3@{t_kill!r}")
-        cfg = SimulationConfig(
-            **self.BASE, fault_plan=plan, checkpoint_interval=1
-        )
-        faulted = ParallelSimulation(system, cfg).run_phase_only()
-        assert faulted.recovery.n_failures == 1
-        # at interval 1 at most one completed round is ever replayed
-        assert faulted.recovery.steps_replayed <= 1
-        assert np.allclose(
-            faulted.backend.positions, ref.backend.positions,
-            rtol=1e-12, atol=1e-12,
-        )
 
 
 # --------------------------------------------------------------------- #

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core.computes import GrainsizeConfig
+from repro.costmodel.grainsize import GrainsizeConfig
 from repro.core.problem import DecomposedProblem
+from repro.costmodel.model import DEFAULT_COST_MODEL
 from repro.core.simulation import (
-    DEFAULT_COST_MODEL,
     ParallelSimulation,
     SimulationConfig,
 )

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from repro.core.problem import DecomposedProblem
+from repro.costmodel.model import DEFAULT_COST_MODEL
 from repro.core.simulation import (
-    DEFAULT_COST_MODEL,
     ParallelSimulation,
     SimulationConfig,
 )
@@ -34,6 +34,13 @@ class TestConfigValidation:
 
     def test_combo_strategy_accepted(self):
         SimulationConfig(n_procs=1, lb_schedule=("greedy+refine",))
+
+    @pytest.mark.parametrize("field", ["numeric", "dt"])
+    def test_models_time_not_positions(self, field):
+        # the simulator carries loads; it has no position-advancing mode
+        # to switch on, so neither a numeric flag nor a timestep is settable
+        with pytest.raises(TypeError, match=field):
+            SimulationConfig(n_procs=1, **{field: 1.0})
 
 
 class TestProtocol:

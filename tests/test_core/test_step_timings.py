@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.problem import DecomposedProblem
+from repro.costmodel.model import DEFAULT_COST_MODEL
 from repro.core.simulation import (
-    DEFAULT_COST_MODEL,
     ParallelSimulation,
     SimulationConfig,
     StepTimings,

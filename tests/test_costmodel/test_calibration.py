@@ -1,6 +1,6 @@
 """Regression: the frozen DEFAULT_COST_MODEL matches calibration.
 
-``DEFAULT_COST_MODEL`` in :mod:`repro.core.simulation` hardcodes the unit
+``DEFAULT_COST_MODEL`` in :mod:`repro.costmodel.model` hardcodes the unit
 costs obtained by calibrating against the ApoA-I system (seed 2000) and the
 paper's Table 1 single-processor decomposition.  The builder is
 deterministic, so the exact work counts below are stable; if either the
@@ -14,7 +14,7 @@ processor anchor.)
 
 import pytest
 
-from repro.core.simulation import DEFAULT_COST_MODEL
+from repro.costmodel.model import DEFAULT_COST_MODEL
 from repro.costmodel.model import PAPER_APOA1_SECONDS, CostModel, WorkCounts
 
 #: Work counts of apoa1_like(seed=2000) under the default decomposition,

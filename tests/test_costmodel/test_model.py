@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.computes import GrainsizeConfig
+from repro.costmodel.grainsize import GrainsizeConfig
 from repro.core.problem import DecomposedProblem
-from repro.core.simulation import DEFAULT_COST_MODEL
+from repro.costmodel.model import DEFAULT_COST_MODEL
 from repro.costmodel.model import PAPER_APOA1_SECONDS, CostModel, WorkCounts
 from repro.util.pbc import minimum_image
 
@@ -141,7 +141,7 @@ class TestWorkCounts:
         simulator's descriptors) must agree on every block's pair count:
         summed over the half-shell task list they reproduce the global
         count."""
-        from repro.core.decomposition import bin_atoms
+        from repro.md.cells import bin_atoms
         from repro.costmodel.model import block_pair_counts, estimate_block_costs
         from repro.md.cells import CellGrid
 

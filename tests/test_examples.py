@@ -17,6 +17,7 @@ FAST_EXAMPLES = [
     ("grainsize_study.py", "Amdahl corollary"),
     ("decomposition_comparison.py", "Communication / computation ratio"),
     ("ewald_electrostatics.py", "Madelung constant"),
+    ("fault_tolerance_demo.py", "All fault-tolerance invariants hold."),
 ]
 
 

@@ -9,6 +9,7 @@ from repro.md.cells import (
     HALF_SHELL_OFFSETS,
     CellGrid,
     _candidate_pairs_reference,
+    bin_atoms,
     candidate_pairs,
 )
 from repro.util.pbc import minimum_image, wrap_positions
@@ -146,6 +147,62 @@ class TestUnwrappedPositions:
         box = np.array([20.0, 20.0, 20.0])
         grid = CellGrid.build(np.array([[-4.5, 1.0, 1.0]]), box, 4.0)
         assert grid.cell_coords(int(grid.cell_of_atom[0]))[0] == 3
+
+
+class TestBinAtoms:
+    """``bin_atoms`` is the one binning routine: the simulator's patches,
+    the engine's task grid and ``CellGrid`` all bucket atoms with it."""
+
+    @pytest.mark.parametrize(
+        "n, side, cutoff", [(40, 12.0, 4.0), (300, 21.0, 5.0), (1, 9.0, 3.0)]
+    )
+    def test_agrees_with_cell_grid(self, n, side, cutoff):
+        rng = np.random.default_rng(n)
+        box = np.array([side, side * 1.25, side * 0.8])
+        pos = wrap_positions(rng.random((n, 3)) * box, box)
+        grid = CellGrid.build(pos, box, cutoff)
+        idx3, flat, buckets = bin_atoms(pos, box, grid.dims)
+        assert np.array_equal(flat, grid.cell_of_atom)
+        assert len(buckets) == grid.n_cells
+        for c, bucket in enumerate(buckets):
+            assert np.array_equal(bucket, grid.atoms_in_cell(c))
+            if len(bucket):
+                assert tuple(idx3[bucket[0]]) == grid.cell_coords(c)
+
+    def test_buckets_partition_atoms_in_input_order(self):
+        rng = np.random.default_rng(3)
+        box = np.array([15.0, 15.0, 15.0])
+        pos = rng.random((200, 3)) * box
+        _, flat, buckets = bin_atoms(pos, box, np.array([3, 3, 3]))
+        assert np.array_equal(np.sort(np.concatenate(buckets)), np.arange(200))
+        for c, bucket in enumerate(buckets):
+            assert np.all(np.diff(bucket) > 0)  # stable: input order kept
+            assert np.all(flat[bucket] == c)
+
+    def test_flat_index_is_row_major_in_idx3(self):
+        rng = np.random.default_rng(4)
+        box = np.array([10.0, 14.0, 18.0])
+        dims = np.array([2, 3, 4])
+        pos = rng.random((100, 3)) * box
+        idx3, flat, _ = bin_atoms(pos, box, dims)
+        assert np.all((idx3 >= 0) & (idx3 < dims))
+        assert np.array_equal(flat, np.ravel_multi_index(idx3.T, tuple(dims)))
+
+    def test_edge_coordinates_clamp_onto_boundary_patches(self):
+        # a wrap that rounds up to exactly the box edge, or lands a hair
+        # outside the primary cell, still goes to a boundary patch
+        box = np.array([12.0, 12.0, 12.0])
+        dims = np.array([3, 3, 3])
+        pos = np.array([[12.0, 0.0, 6.0], [-1e-12, 12.0 + 1e-12, 11.999]])
+        idx3, _, _ = bin_atoms(pos, box, dims)
+        assert idx3.tolist() == [[2, 0, 1], [0, 2, 2]]
+
+    def test_no_atoms_gives_empty_buckets(self):
+        idx3, flat, buckets = bin_atoms(
+            np.empty((0, 3)), np.array([8.0, 8.0, 8.0]), np.array([2, 2, 2])
+        )
+        assert idx3.shape == (0, 3) and flat.shape == (0,)
+        assert len(buckets) == 8 and all(len(b) == 0 for b in buckets)
 
 
 class TestVectorizedEnumeration:

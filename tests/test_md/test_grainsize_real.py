@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.builder import small_water_box
-from repro.core.decomposition import bin_atoms
+from repro.md.cells import bin_atoms
 from repro.instrument import WorkDB
 from repro.md.cells import CellGrid
 from repro.md.nonbonded import NonbondedOptions

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.builder import small_water_box
@@ -41,6 +41,18 @@ OPTS = NonbondedOptions(cutoff=8.0)
 @pytest.fixture(scope="module")
 def water600():
     return small_water_box(600, seed=7, relax=False)
+
+
+@pytest.fixture(scope="module")
+def sequential5(water600):
+    """Positions after 5 worker-less steps from :func:`run_trajectory`'s
+    start: the reference every single-fault run must reproduce."""
+    seq = water600.copy()
+    seq.assign_velocities(300.0, seed=5)
+    with SequentialEngine(seq, OPTS) as eng:
+        for _ in range(5):
+            eng.step()
+    return seq.positions.copy()
 
 
 def run_trajectory(
@@ -181,6 +193,24 @@ class TestHangRecovery:
         assert np.array_equal(p, p_ref)
         assert e == e_ref
 
+    def test_first_evaluation_hang_uses_adaptive_threshold(self, water600):
+        """A worker frozen in the very first evaluation is detected on its
+        peer's ack latency, scaled by the policy's grace factor — not at
+        the hard 30 s timeout, since no clean step has calibrated
+        detection yet."""
+        p_ref, _, e_ref, _ = run_trajectory(water600, steps=2)
+        p, _, e, facts = run_trajectory(
+            water600, steps=2, fault="hang=0@1", timeout=30.0
+        )
+        res = facts["resilience"]
+        assert res.hangs_detected == 1
+        (event,) = res.events
+        assert (event.step, event.worker, event.kind) == (1, 0, "hung")
+        assert event.detail.startswith("silent for"), event.detail
+        assert "threshold" in event.detail and "timeout" not in event.detail
+        assert np.array_equal(p, p_ref)
+        assert e == e_ref
+
     def test_repeat_faulted_runs_bit_identical(self, water600):
         a = run_trajectory(water600, fault="kill=1@2")
         b = run_trajectory(water600, fault="kill=1@2")
@@ -259,26 +289,22 @@ class TestRecoveryProperty:
         worker=st.integers(min_value=0, max_value=1),
         step=st.integers(min_value=1, max_value=4),
     )
+    # the first-evaluation hang and a last-step kill always run, whatever
+    # the draw
+    @example(kind="hang", worker=0, step=1)
+    @example(kind="kill", worker=1, step=4)
     @settings(max_examples=5, deadline=None)
     def test_single_fault_matches_sequential_and_repeats(
-        self, kind, worker, step
+        self, water600, sequential5, kind, worker, step
     ):
-        base = small_water_box(600, seed=7, relax=False)
         spec = f"{kind}={worker}@{step}"
-
-        seq = base.copy()
-        seq.assign_velocities(300.0, seed=5)
-        with SequentialEngine(seq, OPTS) as eng:
-            for _ in range(5):
-                eng.step()
-
-        p1, v1, e1, facts = run_trajectory(base, steps=5, fault=spec)
+        p1, v1, e1, facts = run_trajectory(water600, steps=5, fault=spec)
         assert facts["parallel_at_end"]
         assert facts["resilience"].n_failures == 1
         # recovered forces integrate to the worker-less trajectory, bitwise
-        assert np.array_equal(p1, seq.positions)
+        assert np.array_equal(p1, sequential5)
         # and the faulted run is exactly repeatable
-        p2, v2, e2, _ = run_trajectory(base, steps=5, fault=spec)
+        p2, v2, e2, _ = run_trajectory(water600, steps=5, fault=spec)
         assert np.array_equal(p1, p2)
         assert np.array_equal(v1, v2)
         assert e1 == e2

@@ -18,7 +18,7 @@ import pytest
 from repro.backend import available_backends
 from repro.backend.reference import expand_rows
 from repro.builder import mini_assembly, small_water_box
-from repro.core.decomposition import bin_atoms
+from repro.md.cells import bin_atoms
 from repro.md.nonbonded import NonbondedOptions
 from repro.md.tasks import (
     RowLists,

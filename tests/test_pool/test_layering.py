@@ -188,6 +188,27 @@ def test_pool_package_imports_standalone():
     assert proc.returncode == 0, proc.stderr
 
 
+@pytest.mark.parametrize(
+    "module",
+    ["repro.md.system", "repro.md.engine", "repro.md.lb_driver", "repro.costmodel"],
+)
+def test_engine_loads_no_simulator(module):
+    # dynamic confirmation of "repro/md imports no repro.core": the engine,
+    # its balancing driver and the cost model both runtimes share load the
+    # simulated machine's driver neither directly nor through a package
+    # __init__
+    code = (
+        "import sys\n"
+        f"import {module}\n"
+        "bad = sorted(m for m in sys.modules if m.startswith('repro.core'))\n"
+        "assert not bad, bad\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, cwd=REPO
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_checker_script_runs_clean():
     proc = subprocess.run(
         [sys.executable, str(REPO / "tools" / "check_layering.py")],
@@ -195,3 +216,27 @@ def test_checker_script_runs_clean():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_checker_catches_the_engine_importing_the_simulator(
+    tmp_path, monkeypatch
+):
+    """The engine shares only what lives below both runtimes (binning in
+    ``repro.md.cells``, grainsize and costs in ``repro.costmodel``): an md
+    module that reaches into ``repro.core`` for them again — lazily too —
+    is a violation."""
+    mod = load_checker()
+    tasks = tmp_path / "repro" / "md" / "tasks.py"
+    tasks.parent.mkdir(parents=True)
+    tasks.write_text(
+        "from repro.md.cells import bin_atoms  # noqa: F401\n"
+        "from repro.costmodel.grainsize import GrainsizeConfig  # noqa: F401\n"
+        "from repro.core.grainsize import stripe_candidate_counts  # noqa: F401\n"
+        "def build(system):\n"
+        "    from repro.core.simulation import DEFAULT_COST_MODEL  # noqa: F401\n"
+    )
+    monkeypatch.setattr(mod, "SRC", tmp_path)
+    monkeypatch.setattr(mod, "UNUSED", {})
+    first, second = mod.check()
+    assert "tasks.py:3" in first and "repro.core.grainsize" in first
+    assert "tasks.py:5" in second and "repro.core.simulation" in second

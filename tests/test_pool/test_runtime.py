@@ -311,6 +311,43 @@ class TestRecovery:
             assert pool.resilience.respawns == 1
             assert pool.n_live == pool.n_workers
 
+    def test_first_evaluation_hang_detected_on_a_peers_ack(self):
+        # no clean step has calibrated hang detection yet: the peer's ack to
+        # this very evaluation does, so the frozen worker is caught by the
+        # adaptive threshold, not at the 30 s hard timeout
+        plan = FaultPlan.parse("hang=0@1")
+        with make_pool(
+            provider=SleepyProvider(N_TASKS), fault_plan=plan, timeout=30.0
+        ) as pool:
+            pool.view("data")[...] = np.linspace(0.5, 6.0, N_TASKS)
+            run_step(pool, 2.0, rebuild=True)
+            np.testing.assert_array_equal(
+                pool.scratch[:, 0], 2.0 * np.linspace(0.5, 6.0, N_TASKS)
+            )
+            (event,) = pool.resilience.events
+            assert (event.step, event.worker, event.kind) == (1, 0, "hung")
+            assert event.detail.startswith("silent for"), event.detail
+            threshold = float(event.detail.split("threshold ")[1].rstrip("s)"))
+            assert threshold < 30.0
+            assert pool.resilience.hangs_detected == 1
+
+    def test_every_worker_silent_falls_back_to_the_hard_timeout(self):
+        # with no ack at all there is nothing to calibrate on: only the
+        # hard timeout detects the first frozen worker
+        plan = FaultPlan.parse("hang=0@1,hang=1@1")
+        with make_pool(
+            provider=SleepyProvider(N_TASKS), fault_plan=plan, timeout=2.0
+        ) as pool:
+            pool.view("data")[...] = np.linspace(0.5, 6.0, N_TASKS)
+            run_step(pool, 2.0, rebuild=True)
+            np.testing.assert_array_equal(
+                pool.scratch[:, 0], 2.0 * np.linspace(0.5, 6.0, N_TASKS)
+            )
+            first = pool.resilience.events[0]
+            assert (first.step, first.kind) == (1, "hung")
+            assert first.detail == "no ack within the 2s timeout", first.detail
+            assert pool.resilience.hangs_detected == 2
+
     def test_respawn_budget_exhausted_reassigns(self):
         policy = RecoveryPolicy(max_respawns=0)
         with make_pool(n_workers=3, policy=policy) as pool:

@@ -1,5 +1,7 @@
 """In-memory double checkpointing: snapshots, buddy placement, fallback."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from repro.core.chares import (
 )
 from repro.runtime.checkpoint import (
     SKIP_ATTRS,
-    BackendState,
     ChareCheckpoint,
     Checkpoint,
     DoubleCheckpointStore,
@@ -91,8 +92,6 @@ class TestSnapshotRoundTrip:
                 load=3e-3,
                 part=1,
                 n_parts=4,
-                atoms_a=np.arange(5, dtype=np.int64),
-                atoms_b=np.arange(3, dtype=np.int64),
             )
             c.round = 6
             c._ready = 1
@@ -109,7 +108,6 @@ class TestSnapshotRoundTrip:
                 patches=(0,),
                 load=1e-3,
                 migratable=True,
-                term_indices={"bonds": np.array([0, 4, 5])},
             )
             c.round = 2
             return c
@@ -127,10 +125,10 @@ class TestSnapshotRoundTrip:
         assert not (set(state) & SKIP_ATTRS)
 
     def test_snapshot_is_deep(self):
-        c = NonbondedComputeChare((0, 1), 1e-3, atoms_a=np.zeros(4))
+        c = HomePatchChare(0, np.zeros(4, dtype=np.int64), 1e-4, 5)
         state = snapshot_chare(c)
-        c.atoms_a[:] = 99.0
-        assert state["atoms_a"].max() == 0.0
+        c.atoms[:] = 99
+        assert state["atoms"].max() == 0
 
 
 class TestStateBytes:
@@ -142,6 +140,39 @@ class TestStateBytes:
     def test_containers_counted(self):
         assert state_bytes({"l": [1, 2, 3]}) == 128.0 + 24.0
         assert state_bytes({"d": {"a": 1}}) == 128.0 + 16.0
+
+
+class TestSnapshotSize:
+    """Chares carry loads, not positions: only a home patch's snapshot holds
+    an atom array, so only it grows with the atoms it owns."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: NonbondedComputeChare(patches=(1, 2), load=3e-3, n_parts=2),
+            lambda: BondedComputeChare(patches=(0, 5), load=1e-3, migratable=False),
+        ],
+        ids=["nonbonded", "bonded"],
+    )
+    def test_compute_snapshot_is_counters_only(self, make):
+        state = snapshot_chare(make())
+        assert not any(isinstance(v, np.ndarray) for v in state.values())
+        # envelope + one word per scalar and per patch index
+        assert state_bytes(state) < 256.0
+
+    def test_home_patch_snapshot_scales_with_its_atoms(self):
+        small = HomePatchChare(0, np.arange(10, dtype=np.int64), 1e-4, 5)
+        big = HomePatchChare(0, np.arange(1000, dtype=np.int64), 1e-4, 5)
+        grown = state_bytes(snapshot_chare(big)) - state_bytes(snapshot_chare(small))
+        assert grown == 990 * 8.0
+
+    @pytest.mark.parametrize(
+        "cls", [HomePatchChare, NonbondedComputeChare, BondedComputeChare]
+    )
+    def test_chares_take_no_numeric_backend(self, cls):
+        params = inspect.signature(cls).parameters
+        assert "backend" not in params
+        assert not {"atoms_a", "atoms_b", "term_indices"} & set(params)
 
 
 class TestBuddy:
@@ -210,32 +241,6 @@ class TestStore:
         )
         assert cp.bytes_sent_from(0) == 128.0  # only ("a",)
         assert cp.bytes_sent_from(1) == 128.0  # only ("c",)
-
-
-class _FakeBackend:
-    def __init__(self, n):
-        self.positions = np.random.default_rng(0).random((n, 3))
-        self.velocities = np.zeros((n, 3))
-        self.forces = np.ones((n, 3))
-        self.energy_by_step = {0: {"kinetic": 1.0}}
-
-
-class TestBackendState:
-    def test_capture_restore_roundtrip(self):
-        backend = _FakeBackend(8)
-        snap = BackendState.capture(backend)
-        pos0 = backend.positions.copy()
-        backend.positions += 5.0
-        backend.energy_by_step[1] = {"kinetic": 2.0}
-        snap.restore(backend)
-        np.testing.assert_array_equal(backend.positions, pos0)
-        assert backend.energy_by_step == {0: {"kinetic": 1.0}}
-
-    def test_capture_is_independent_copy(self):
-        backend = _FakeBackend(4)
-        snap = BackendState.capture(backend)
-        backend.forces[:] = -1.0
-        assert snap.forces.min() == 1.0
 
 
 class TestRecoveryAccounting:

@@ -55,8 +55,8 @@ class TestRoundTrip:
 
     def test_end_to_end_simulation_trace(self, assembly, tmp_path):
         from repro.core.problem import DecomposedProblem
+        from repro.costmodel.model import DEFAULT_COST_MODEL
         from repro.core.simulation import (
-            DEFAULT_COST_MODEL,
             ParallelSimulation,
             SimulationConfig,
         )

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Layering check: the pool layer knows no MD, the kernel backends know no
 MD either, the service knows no balancer, the builders know nothing above
-MD, the engine and the minimizer call no reference force function.
+MD, the engine knows nothing of the simulator, the engine and the minimizer
+call no reference force function.
 
 Layering (DESIGN.md, "The real parallel engine"):
 
@@ -25,6 +26,11 @@ Layering (DESIGN.md, "The real parallel engine"):
   they read the built system, never the reverse.
 * ``repro.md.tasks`` / ``repro.md.parallel`` — the MD workload and its
   orchestration; these may import ``repro.pool``, never the reverse.
+* ``repro.md`` — the real engine; imports nothing from the simulated
+  machine's driver ``repro.core`` (which imports ``repro.md``: a system is
+  what it decomposes).  What both runtimes share lives below them: the
+  binning routine in ``repro.md.cells``, grainsize control and the cost
+  model in ``repro.costmodel``.
 * ``repro.md.engine`` and the step path under it (``repro.md.parallel``,
   ``repro.md.tasks``, ``repro.md.jobs``) — a step is ``wrap → dispatch →
   collect``: every force term is a task, so the reference force functions
@@ -61,6 +67,7 @@ FORBIDDEN: dict[str, tuple[str, ...]] = {
         "repro.pool", "repro.service", "repro.runtime", "repro.core",
         "repro.balancer", "repro.instrument", "repro.costmodel",
     ),
+    "repro/md": ("repro.core",),
 }
 
 _REFERENCE_FORCES = ("compute_bonded", "compute_nonbonded", "compute_ewald")
@@ -119,8 +126,8 @@ def main() -> int:
         "runtime, repro.backend "
         "imports no md/pool/costmodel/service, repro.service imports no "
         "balancer/instrument/core, repro.builder imports no pool/service/"
-        "simulated machine/costmodel, the step path and the minimizer call no "
-        "reference force function"
+        "simulated machine/costmodel, repro.md imports no core, the step path "
+        "and the minimizer call no reference force function"
     )
     return 0
 
