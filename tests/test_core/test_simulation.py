@@ -1,6 +1,8 @@
 """The full parallel simulation: protocol completion, LB improvement,
 scaling behaviour, configuration validation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.core.simulation import (
     SimulationConfig,
 )
 from repro.runtime.machine import ASCI_RED, T3E_900
+from repro.util.faults import FaultPlan
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +95,56 @@ class TestProtocol:
             for ph in res.phases
         ] == [static, balanced, balanced]
         assert all(ph.recovery is None for ph in res.phases)
+
+    def test_recovered_lb_phases_reproduce_pinned_measurements(
+        self, assembly, assembly_problem
+    ):
+        """A kill mid-round-1 of the static phase forces recovery (a refine
+        pass on the survivors) before the two LB decisions: each phase's
+        completion times and background load are pinned bit for bit
+        (float.hex); its measured loads (in dict order, which fixes the
+        summation order downstream) and placement by a digest of the same
+        hex strings."""
+        cfg = SimulationConfig(
+            n_procs=4, steps_per_phase=5, measure_last=2,
+            lb_schedule=("greedy+refine", "refine"),
+            fault_plan=FaultPlan.parse("seed=7,kill=2@0.5"),
+            checkpoint_interval=2,
+        )
+        res = ParallelSimulation(assembly, cfg, problem=assembly_problem).run()
+
+        def digest(items) -> str:
+            return hashlib.sha256(repr(items).encode()).hexdigest()[:16]
+
+        recovered = (
+            ["0x1.ff7d211ed29f5p-1", "0x1.4f2f9e41ad2aep+0",
+             "0x1.a3b8ce3a06a4ap+0", "0x1.f329dbec4a7fep+0",
+             "0x1.231fb074187cbp+1"],
+            ["0x1.7f34e2fa7a75fp-6", "0x1.685e825b28606p-6", "0x0.0p+0",
+             "0x1.05536820bf801p-5"],
+            "6909cdc385573edd",
+            "8e63bd395592024a",
+        )
+        balanced = (
+            ["0x1.570d4a58452e5p-2", "0x1.4a6162734a5e3p-1",
+             "0x1.f5e8079f6cf52p-1", "0x1.4a6162734a632p+0",
+             "0x1.9eb41e945f402p+0"],
+            ["0x1.7f1fea44f1928p-6", "0x1.685e825b28606p-6", "0x0.0p+0",
+             "0x1.0318c367c0a40p-5"],
+            "4dc8542f7cef3c0f",
+            "7a071fc83d8ec3fa",
+        )
+        assert [
+            (
+                [float(t).hex() for t in ph.timings.completion_times],
+                [float(b).hex() for b in ph.background_per_step],
+                digest([(k, float(v).hex()) for k, v in ph.measured_loads.items()]),
+                digest(sorted(ph.placement.items())),
+            )
+            for ph in res.phases
+        ] == [recovered, balanced, balanced]
+        assert [len(ph.recovery.events) for ph in res.phases] == [1, 0, 0]
+        assert all(ph.dead_procs == (2,) for ph in res.phases)
 
     def test_step_times_positive_and_steady(self, assembly, assembly_problem):
         cfg = SimulationConfig(n_procs=4)
