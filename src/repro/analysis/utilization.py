@@ -69,11 +69,10 @@ def workdb_utilization(db, n_workers: int) -> UtilizationProfile:
     The same chart the simulated runtime derives from its trace, but for the
     real parallel engine's measurement database (live, or reloaded from a
     ``--workdb-dump`` file with :meth:`WorkDB.load_file`): each worker's
-    busy time is the predicted per-step load of its tasks plus its
-    background load, and the makespan is the slowest worker — the barrier
-    every other worker waits on.
+    busy time is the predicted per-step load of its tasks, and the makespan
+    is the slowest worker — the barrier every other worker waits on.
     """
-    loads = db.owner_loads(n_workers) + db.background_array(n_workers)
+    loads = db.owner_loads(n_workers)
     makespan = float(loads.max()) if len(loads) else 0.0
     if makespan <= 0.0:
         return UtilizationProfile(

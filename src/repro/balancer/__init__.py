@@ -1,10 +1,11 @@
 """Measurement-based load balancing framework and strategies (paper §2.2, §3.2).
 
-The framework/strategy split mirrors Charm++: the runtime accumulates object
-loads and the communication graph into a database
-(:class:`repro.runtime.stats.LBDatabase`); a *strategy* is a pure function
-from a problem description to a new object→processor map, pluggable without
-touching the runtime.
+The framework/strategy split mirrors Charm++: the runtime measures object
+loads — the simulated :class:`~repro.runtime.scheduler.Scheduler` sums
+them, the real engine records them in a :class:`repro.instrument.WorkDB` —
+and hands them over as one :class:`~repro.balancer.problem.LBProblem`; a
+*strategy* is a pure function from that problem to a new object→processor
+map, pluggable without touching the runtime.
 
 Strategies provided:
 

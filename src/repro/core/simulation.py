@@ -7,9 +7,9 @@ Orchestrates one NAMD-style run on the simulated machine:
    (§4.2.1–2);
 3. *static placement*: patches by recursive coordinate bisection, computes
    on the processor of their anchor patch (§3.2, stage 1);
-4. run a measurement phase; collect the LB database; apply the greedy +
-   refinement strategies; rebuild the object graph at the new placement;
-   repeat per the LB schedule (§3.2, stages 2–3);
+4. run a measurement phase; collect the scheduler's measured loads; apply
+   the greedy + refinement strategies; rebuild the object graph at the new
+   placement; repeat per the LB schedule (§3.2, stages 2–3);
 5. report steady-state per-step time from the final phase.
 
 Between phases the chare graph is rebuilt rather than migrated in place;
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.balancer.problem import LBProblem, placement_stats
+from repro.balancer.problem import ComputeItem, LBProblem, placement_stats
 from repro.balancer.rcb import recursive_coordinate_bisection
 from repro.balancer.refine import refine_strategy
 from repro.balancer.strategies import STRATEGIES, solve
@@ -448,19 +448,19 @@ class ParallelSimulation:
         scheduler: Scheduler,
         graph: "_ChareGraph",
         completion_times: list[float],
+        measured_steps: int,
         recovery: "RecoveryStats | None" = None,
     ) -> PhaseResult:
+        """``measured_steps`` is the number of rounds ``scheduler`` ran,
+        which its load sums divide into per-step loads."""
         cfg = self.config
-        snapshot = scheduler.lb_db.snapshot()
-        measured_steps = max(snapshot.measured_steps, 1)
+        steps = max(measured_steps, 1)
         measured_loads = {
-            graph.oid_to_desc[oid]: stats.load / measured_steps
-            for oid, stats in snapshot.objects.items()
+            graph.oid_to_desc[oid]: load / steps
+            for oid, load in scheduler.object_load.items()
             if oid in graph.oid_to_desc
         }
-        background = np.zeros(cfg.n_procs)
-        for proc, load in snapshot.background_load.items():
-            background[proc] = load / measured_steps
+        background = scheduler.background_load / steps
 
         problem = self._build_problem(placement, measured_loads, background)
         stats = placement_stats(problem, placement)
@@ -517,7 +517,9 @@ class ParallelSimulation:
         completion: dict[int, float] = {}
         round_counts: dict[int, int] = {}
         placement = dict(placement)
-        sched_ref: list[Scheduler] = []
+        #: rounds completed on the current scheduler (a recovery starts a
+        #: new one, whose load sums cover only the rounds it replays)
+        measured_steps = [0]
 
         # Instrumentation covers every round: per-round work is identical
         # (the simulator moves no atoms), so totals divide exactly by
@@ -531,7 +533,7 @@ class ParallelSimulation:
             round_counts[rnd] = round_counts.get(rnd, 0) + 1
             if round_counts[rnd] == n_patches:
                 completion[rnd] = time
-                sched_ref[0].lb_db.mark_step()
+                measured_steps[0] += 1
 
         def new_scheduler(start_time: float) -> Scheduler:
             s = Scheduler(
@@ -545,7 +547,7 @@ class ParallelSimulation:
                 start_time=start_time,
             )
             s.set_control_handler(on_control)
-            sched_ref[:] = [s]
+            measured_steps[0] = 0
             return s
 
         def harvest(s: Scheduler) -> None:
@@ -618,6 +620,7 @@ class ParallelSimulation:
             scheduler,
             graph,
             completion_times,
+            measured_steps[0],
             recovery=recovery if resilient else None,
         )
 
@@ -763,51 +766,47 @@ class ParallelSimulation:
         measured_loads: dict[int, float],
         background: np.ndarray,
     ) -> LBProblem:
-        """The strategy-facing problem, routed through the shared
-        measurement layer: descriptor cost-model loads become WorkDB
-        *priors*, the phase's measured per-step loads become samples, and
-        :func:`repro.instrument.build_lb_problem` assembles the
-        :class:`LBProblem` exactly as it does for the real engine.
-        ``prior_blend_samples=1`` preserves the historical semantics — one
-        measured phase fully replaces the cost model."""
-        from repro.instrument import WorkDB, build_lb_problem
-
+        """The strategy-facing problem: one compute per migratable
+        descriptor, loaded with its measured per-step seconds where the
+        phase measured it (and the config balances on measurements), else
+        with its cost-model load on this machine — one measured phase fully
+        replaces the cost model.  Non-migratable computes pin proxies of
+        their remote patches, which strategies may reuse for free."""
         cfg = self.config
         patch_proc = self._patch_proc_now
-        use_measured = cfg.use_measured_loads and measured_loads
-        db = WorkDB(prior_blend_samples=1, calibrate_prior=False)
-        task_ids = []
-        for d in self.descriptors:
-            if not d.migratable:
-                continue
-            task_ids.append(d.index)
-            proc = int(placement.get(d.index, patch_proc[d.home_patch]))
-            db.ensure_task(
-                d.index,
-                patches=d.patches,
-                prior=d.load * cfg.machine.cpu_factor,
-                owner=proc,
-            )
-            if use_measured and d.index in measured_loads:
-                db.record(d.index, measured_loads[d.index])
+        if not cfg.use_measured_loads:
+            measured_loads = {}
+        computes = []
         existing = set()
         for d in self.descriptors:
-            if d.migratable:
-                continue
             proc = int(patch_proc[d.home_patch])
-            for q in d.patches:
-                if int(patch_proc[q]) != proc:
-                    existing.add((q, proc))
-        return build_lb_problem(
-            db,
-            cfg.n_procs,
+            if d.migratable:
+                measured = measured_loads.get(d.index)
+                computes.append(
+                    ComputeItem(
+                        index=d.index,
+                        load=float(
+                            d.load * cfg.machine.cpu_factor
+                            if measured is None
+                            else measured
+                        ),
+                        patches=tuple(int(q) for q in d.patches),
+                        proc=int(placement.get(d.index, proc)),
+                    )
+                )
+            else:
+                existing.update(
+                    (q, proc) for q in d.patches if int(patch_proc[q]) != proc
+                )
+        return LBProblem(
+            n_procs=cfg.n_procs,
+            computes=computes,
+            background=background,
             patch_home={
                 p: int(patch_proc[p]) for p in range(self.decomposition.n_patches)
             },
             existing_proxies=existing,
-            background=background,
             dead_procs=frozenset(self._dead_procs),
-            task_ids=task_ids,
         )
 
     def _apply_strategy(self, name: str, phase: PhaseResult) -> dict[int, int]:

@@ -1,11 +1,9 @@
-"""The one WorkDB → :class:`LBProblem` adapter.
+"""The WorkDB → :class:`LBProblem` adapter of the real engine.
 
-Whatever runtime fed the database — the simulated scheduler or the real
-``ParallelEngine`` — a strategy sees the same problem description: per-task
+A strategy sees the ``ParallelEngine``'s measurements as the same problem
+description the simulated runtime builds from its own load sums: per-task
 predictive loads, patch affinity, current ownership, home processors,
-existing proxies, and background load.  Centralizing the conversion here is
-what keeps the cost-model prior and the measured loads from drifting apart
-between the two runtimes.
+existing proxies, and background load.
 """
 
 from __future__ import annotations
@@ -42,18 +40,17 @@ def build_lb_problem(
     db: WorkDB,
     n_procs: int,
     patch_home: dict[int, int],
-    existing_proxies: set[tuple[int, int]] | None = None,
-    background: np.ndarray | None = None,
+    background: np.ndarray,
     dead_procs=frozenset(),
     task_ids=None,
 ) -> LBProblem:
     """Build the strategy-facing problem from the measurement database.
 
-    ``existing_proxies=None`` derives them from current task ownership via
-    :func:`derive_proxies`; pass a set explicitly when the runtime tracks
-    proxies itself (the simulated runtime's non-migratable computes).
-    ``task_ids`` restricts/orders the migratable computes (default: every
-    migratable task in the database, sorted by id).
+    ``background`` is the per-worker load strategies pack migratable work
+    around; existing proxies are derived from current task ownership via
+    :func:`derive_proxies`.  ``task_ids`` restricts/orders the migratable
+    computes (default: every migratable task in the database, sorted by
+    id).
     """
     if task_ids is None:
         task_ids = sorted(
@@ -69,16 +66,12 @@ def build_lb_problem(
         )
         for tid in task_ids
     ]
-    if existing_proxies is None:
-        existing_proxies = derive_proxies(db, patch_home)
-    if background is None:
-        background = db.background_array(n_procs)
     return LBProblem(
         n_procs=int(n_procs),
         computes=computes,
         background=np.asarray(background, dtype=np.float64),
         patch_home=dict(patch_home),
-        existing_proxies=set(existing_proxies),
+        existing_proxies=derive_proxies(db, patch_home),
         dead_procs=frozenset(dead_procs),
     )
 

@@ -1,22 +1,20 @@
-"""The measurement database shared by the simulated and real runtimes.
+"""The real engine's measurement database.
 
-One :class:`TaskRecord` per schedulable object (a compute descriptor in the
-simulated runtime, a half-shell cell task in the real engine) holding:
+One :class:`TaskRecord` per schedulable task of the parallel engine (a
+half-shell cell task, a bonded term group or the k-space task) holding:
 
 * the **cost-model prior** — the load estimate used "before the first
   measurement" (paper §2.2),
 * an **EWMA** of measured per-execution times plus the raw **last-K
   window** (the window is what serialization preserves, so a dump can be
   re-analyzed without losing the recent history),
-* the accumulated **total** and invocation count (what the simulated
-  runtime's :class:`~repro.runtime.stats.LBSnapshot` reports),
+* the accumulated **total** and invocation count,
 * the task's **patch affinity** and current **owner**.
 
 :meth:`WorkDB.load` is the predictive load estimate strategies consume: the
 prior while unmeasured, then a sample-count-weighted blend that lets
-measurements dominate after ``prior_blend_samples`` executions.  When
-``calibrate_prior`` is on, priors of still-unmeasured tasks are rescaled by
-the measured/prior ratio of the measured ones, so cost-model units
+measurements dominate after :data:`WINDOW` executions.  Priors are rescaled
+by the measured/prior ratio of the measured tasks, so cost-model units
 (arbitrary) and wall-clock seconds can mix in one problem.
 """
 
@@ -31,11 +29,11 @@ import numpy as np
 
 __all__ = ["TaskRecord", "WorkDB"]
 
-#: default EWMA smoothing weight of the newest sample
-DEFAULT_ALPHA = 0.3
-#: default last-K window length (also the default measurement count after
-#: which the prior's weight reaches zero)
-DEFAULT_WINDOW = 8
+#: EWMA smoothing weight of the newest sample
+EWMA_ALPHA = 0.3
+#: last-K window length, and the measurement count after which the prior's
+#: weight reaches zero
+WINDOW = 8
 
 
 @dataclass
@@ -57,7 +55,7 @@ class TaskRecord:
     ewma: float = 0.0
     n_samples: int = 0
     total: float = 0.0
-    window: deque = field(default_factory=lambda: deque(maxlen=DEFAULT_WINDOW))
+    window: deque = field(default_factory=lambda: deque(maxlen=WINDOW))
     parent: int = -1
     part: int = 0
     n_parts: int = 1
@@ -77,45 +75,24 @@ class TaskRecord:
 
 
 class WorkDB:
-    """Per-task wall-clock samples, priors, affinity, and background load.
+    """Per-task wall-clock samples, priors, affinity and ownership.
 
-    ``prior_blend_samples`` controls the prior-to-measurement handoff: the
-    measured EWMA's weight grows linearly with the sample count and reaches
-    1 after that many samples (``1`` reproduces the paper's simulated
-    runtime, where one measured phase fully replaces the cost model).
+    The prior-to-measurement handoff: the measured EWMA's weight grows
+    linearly with the sample count and reaches 1 after :data:`WINDOW`
+    samples.
     """
 
-    def __init__(
-        self,
-        ewma_alpha: float = DEFAULT_ALPHA,
-        window: int = DEFAULT_WINDOW,
-        prior_blend_samples: int | None = None,
-        calibrate_prior: bool = True,
-    ) -> None:
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.ewma_alpha = float(ewma_alpha)
-        self.window = int(window)
-        self.prior_blend_samples = int(
-            prior_blend_samples if prior_blend_samples is not None else window
-        )
-        if self.prior_blend_samples < 1:
-            raise ValueError("prior_blend_samples must be >= 1")
-        self.calibrate_prior = bool(calibrate_prior)
+    def __init__(self) -> None:
+        #: last-K window length of every task (the perf harness reads it)
+        self.window = WINDOW
         self.tasks: dict[int, TaskRecord] = {}
-        self._background_total: dict[int, float] = {}
-        self._background_ewma: dict[int, float] = {}
-        self._background_samples: dict[int, int] = {}
         self.measured_steps = 0
         #: recovery accounting fed by the real engine's supervisor — event
         #: counters keyed by kind ("kills", "hangs", "errors", "respawns",
         #: "reassigned", "degraded", ...); empty on a fault-free run
         self.recovery: dict[str, int] = {}
         #: kernel backend the samples were measured under (``None`` until
-        #: declared); a compiled kernel's sample is not comparable to a numpy one, so
-        #: switching backends resets the measurement state
+        #: declared)
         self.backend: str | None = None
         #: backend resolved by each worker at spawn, keyed by worker id
         self.worker_backends: dict[int, str] = {}
@@ -149,7 +126,6 @@ class WorkDB:
                 int(owner),
                 float(prior),
                 migratable,
-                window=deque(maxlen=self.window),
                 parent=int(parent),
                 part=int(part),
                 n_parts=int(n_parts),
@@ -193,11 +169,7 @@ class WorkDB:
         return out
 
     def record(
-        self,
-        task_id: int,
-        seconds: float,
-        owner: int | None = None,
-        migratable: bool | None = None,
+        self, task_id: int, seconds: float, owner: int | None = None
     ) -> None:
         """Add one execution-time sample for ``task_id``."""
         rec = self.tasks.get(task_id)
@@ -209,16 +181,10 @@ class WorkDB:
         if rec.n_samples == 0:
             rec.ewma = s
         else:
-            rec.ewma += self.ewma_alpha * (s - rec.ewma)
+            rec.ewma += EWMA_ALPHA * (s - rec.ewma)
         rec.n_samples += 1
         if owner is not None:
             rec.owner = int(owner)
-        if migratable is not None:
-            rec.migratable = bool(migratable)
-        if not rec.migratable and rec.owner >= 0:
-            self._background_total[rec.owner] = (
-                self._background_total.get(rec.owner, 0.0) + s
-            )
 
     def record_many(
         self, task_ids, seconds, owners=None
@@ -231,22 +197,6 @@ class WorkDB:
             for tid, s, w in zip(task_ids, seconds, owners):
                 self.record(int(tid), float(s), owner=int(w))
 
-    def record_background(self, worker: int, seconds: float) -> None:
-        """Add one per-step background (non-migratable) load sample."""
-        worker = int(worker)
-        s = float(seconds)
-        self._background_total[worker] = (
-            self._background_total.get(worker, 0.0) + s
-        )
-        n = self._background_samples.get(worker, 0)
-        if n == 0:
-            self._background_ewma[worker] = s
-        else:
-            self._background_ewma[worker] += self.ewma_alpha * (
-                s - self._background_ewma[worker]
-            )
-        self._background_samples[worker] = n + 1
-
     def mark_step(self) -> None:
         """Note that one simulation step's worth of data was recorded."""
         self.measured_steps += 1
@@ -255,56 +205,15 @@ class WorkDB:
         """Count ``n`` recovery events of ``kind`` (kills, respawns, ...)."""
         self.recovery[str(kind)] = self.recovery.get(str(kind), 0) + int(n)
 
-    def set_backend(self, name: str) -> None:
-        """Declare the kernel backend the coming samples run under.
-
-        Timings taken under different backends are not comparable (a compiled
-        kernel can be an order of magnitude faster than the numpy
-        reference), so if measurements already exist for a *different*
-        backend the per-task measurement state (EWMA, windows, totals,
-        background) is dropped — priors, affinity, and ownership survive,
-        exactly the "before the first measurement" state of a fresh run.
-        """
-        name = str(name)
-        if self.backend is not None and self.backend != name and any(
-            rec.n_samples > 0 for rec in self.tasks.values()
-        ):
-            for rec in self.tasks.values():
-                rec.ewma = 0.0
-                rec.n_samples = 0
-                rec.total = 0.0
-                rec.window.clear()
-            self._background_total.clear()
-            self._background_ewma.clear()
-            self._background_samples.clear()
-            self.measured_steps = 0
-        self.backend = name
-        self.worker_backends = {
-            w: b for w, b in self.worker_backends.items() if b == name
-        }
-
     def note_worker_backend(self, worker: int, name: str) -> None:
         """Record the backend worker ``worker`` resolved at (re)spawn."""
         self.worker_backends[int(worker)] = str(name)
-
-    def reset(self) -> None:
-        """Drop all measurements, priors, and background state."""
-        self.tasks.clear()
-        self._background_total.clear()
-        self._background_ewma.clear()
-        self._background_samples.clear()
-        self.measured_steps = 0
-        self.recovery.clear()
-        self.backend = None
-        self.worker_backends.clear()
 
     # ------------------------------------------------------------------ #
     # predictive loads
     # ------------------------------------------------------------------ #
     def _prior_scale(self) -> float:
         """Measured-seconds per prior-unit over measured tasks (>= 1 sample)."""
-        if not self.calibrate_prior:
-            return 1.0
         ewma_sum = prior_sum = 0.0
         for rec in self.tasks.values():
             if rec.n_samples > 0 and rec.prior > 0.0:
@@ -322,7 +231,7 @@ class WorkDB:
         if rec.prior <= 0.0:
             # no prior knowledge to blend against: trust the measurement
             return rec.ewma
-        w = min(rec.n_samples / self.prior_blend_samples, 1.0)
+        w = min(rec.n_samples / WINDOW, 1.0)
         return w * rec.ewma + (1.0 - w) * rec.prior * prior_scale
 
     def loads(self, task_ids=None) -> np.ndarray:
@@ -341,43 +250,17 @@ class WorkDB:
                 out[rec.owner] += self.load(tid, scale)
         return out
 
-    def background_array(self, n_workers: int, per_step: bool = True) -> np.ndarray:
-        """Per-worker background load (EWMA of per-step samples)."""
-        out = np.zeros(int(n_workers), dtype=np.float64)
-        source = self._background_ewma if per_step else self._background_total
-        for worker, value in source.items():
-            if 0 <= worker < len(out):
-                out[worker] = value
-        return out
-
-    def background_totals(self) -> dict[int, float]:
-        """Accumulated background seconds per worker (simulated-runtime view)."""
-        return dict(self._background_total)
-
     # ------------------------------------------------------------------ #
     # serialization
     # ------------------------------------------------------------------ #
     def to_dict(self) -> dict:
         """JSON-serializable dump of the full database."""
         return {
-            "ewma_alpha": self.ewma_alpha,
-            "window": self.window,
-            "prior_blend_samples": self.prior_blend_samples,
-            "calibrate_prior": self.calibrate_prior,
             "measured_steps": self.measured_steps,
             "recovery": dict(self.recovery),
             "backend": self.backend,
             "worker_backends": {
                 str(k): v for k, v in self.worker_backends.items()
-            },
-            "background_total": {
-                str(k): v for k, v in self._background_total.items()
-            },
-            "background_ewma": {
-                str(k): v for k, v in self._background_ewma.items()
-            },
-            "background_samples": {
-                str(k): v for k, v in self._background_samples.items()
             },
             "tasks": [
                 {
@@ -401,13 +284,13 @@ class WorkDB:
 
     @classmethod
     def from_dict(cls, data: dict) -> "WorkDB":
-        """Rebuild a database from :meth:`to_dict` output."""
-        db = cls(
-            ewma_alpha=data["ewma_alpha"],
-            window=data["window"],
-            prior_blend_samples=data["prior_blend_samples"],
-            calibrate_prior=data["calibrate_prior"],
-        )
+        """Rebuild a database from :meth:`to_dict` output.
+
+        Older dumps also carry ``ewma_alpha``, ``window``,
+        ``prior_blend_samples``, ``calibrate_prior`` and ``background_*``
+        fields; they load, and those fields are ignored.
+        """
+        db = cls()
         db.measured_steps = int(data["measured_steps"])
         # dumps from before the resilience layer carry no recovery block
         db.recovery = {
@@ -419,15 +302,6 @@ class WorkDB:
         db.worker_backends = {
             int(k): str(v) for k, v in data.get("worker_backends", {}).items()
         }
-        db._background_total = {
-            int(k): float(v) for k, v in data["background_total"].items()
-        }
-        db._background_ewma = {
-            int(k): float(v) for k, v in data["background_ewma"].items()
-        }
-        db._background_samples = {
-            int(k): int(v) for k, v in data["background_samples"].items()
-        }
         for t in data["tasks"]:
             rec = TaskRecord(
                 int(t["task_id"]),
@@ -438,9 +312,7 @@ class WorkDB:
                 float(t["ewma"]),
                 int(t["n_samples"]),
                 float(t["total"]),
-                deque(
-                    (float(x) for x in t["window"]), maxlen=db.window
-                ),
+                deque((float(x) for x in t["window"]), maxlen=WINDOW),
                 parent=int(t.get("parent", -1)),
                 part=int(t.get("part", 0)),
                 n_parts=int(t.get("n_parts", 1)),

@@ -166,7 +166,7 @@ class ParallelNonbonded:
         self.policy = recovery or RecoveryPolicy()
         self.resilience = ResilienceStats()
         self.workdb = WorkDB()
-        self.workdb.set_backend(self.backend.name)
+        self.workdb.backend = self.backend.name
         self.ewald = ewald
         self.last_bonded: BondedEnergies | None = None
         self.last_ewald: EwaldEnergies | None = None

@@ -18,7 +18,8 @@ entry method           a method invoked via :meth:`Chare.send`
 prioritized scheduler  :class:`repro.runtime.scheduler.Scheduler`
 Converse machine layer :class:`repro.runtime.machine.MachineModel`
 Projections traces     :class:`repro.runtime.trace.TraceLog`
-LB database            :class:`repro.runtime.stats.LBDatabase`
+LB database            :attr:`Scheduler.object_load` and
+                       :attr:`Scheduler.background_load`
 multicast utility      :meth:`Chare.multicast` (§4.2.3)
 object migration       :meth:`Scheduler.migrate`
 =====================  ==========================================
@@ -44,7 +45,6 @@ from repro.runtime.checkpoint import (
 )
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.trace import TraceLog, ExecutionRecord
-from repro.runtime.stats import LBDatabase, ObjectStats
 
 __all__ = [
     "MachineModel",
@@ -69,6 +69,4 @@ __all__ = [
     "Scheduler",
     "TraceLog",
     "ExecutionRecord",
-    "LBDatabase",
-    "ObjectStats",
 ]

@@ -36,7 +36,8 @@ class Message:
     data: dict = field(default_factory=dict)
     size_bytes: float = 64.0  # wire size; headers make even empty msgs cost
     priority: int = Priority.NORMAL
-    #: source object id (for the LB communication graph); -1 = runtime
+    #: source object id; -1 = runtime (an empty runtime-injected message
+    #: pays no receive overhead)
     src_object: int = -1
     #: set by the scheduler when the message is injected / delivered
     send_time: float = 0.0

@@ -21,13 +21,15 @@ Key behaviours reproduced from the paper:
   whatever is ready while messages for other objects are in flight,
 * the optimized multicast (§4.2.3): pack once vs. pack per destination,
 * object migration (§3.2) with location-transparent addressing,
-* always-on load instrumentation feeding the LB database, and optional full
-  traces feeding Projections-style analysis (§4.1).
+* always-on load instrumentation: per-object busy time and per-processor
+  background load, summed for the load balancer, and optional full traces
+  feeding Projections-style analysis (§4.1).
 """
 
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -35,16 +37,36 @@ import numpy as np
 from repro.runtime.chare import Chare
 from repro.runtime.machine import MachineModel
 from repro.runtime.message import Message, MulticastPayload, Priority
-from repro.runtime.stats import LBDatabase, MulticastStats
 from repro.runtime.trace import TraceLog
 from repro.util.faults import FaultPlan
 
-__all__ = ["Scheduler"]
+__all__ = ["Scheduler", "MulticastStats"]
 
 _ARRIVE = 0
 _COMPLETE = 1
 _CONTROL = 2
 _FAULT = 3
+
+
+@dataclass
+class MulticastStats:
+    """Packing accounting for :meth:`Scheduler.post_multicast` (paper §4.2.3).
+
+    ``packs`` counts payload serializations actually performed; with the
+    optimized multicast that is exactly one per multicast that reaches at
+    least one remote destination, with the naive scheme it is one per remote
+    destination.  ``envelopes`` counts per-destination deliveries fanned out
+    (local and remote alike).
+    """
+
+    multicasts: int = 0
+    packs: int = 0
+    envelopes: int = 0
+
+    def reset(self) -> None:
+        self.multicasts = 0
+        self.packs = 0
+        self.envelopes = 0
 
 
 class Scheduler:
@@ -103,7 +125,11 @@ class Scheduler:
             if self._speed.shape != (n_procs,) or np.any(self._speed <= 0):
                 raise ValueError("proc_speed_factors must be positive, one per proc")
         self.trace = TraceLog(n_procs, full=trace_full)
-        self.lb_db = LBDatabase()
+        #: the load balancer's measurements (paper §2.2), summed in execution
+        #: order: busy seconds per object id, and per processor the seconds
+        #: spent in non-migratable objects (the "background load")
+        self.object_load: dict[int, float] = {}
+        self.background_load = np.zeros(n_procs)
         self.multicast_stats = MulticastStats()
 
         self._objects: dict[int, Chare] = {}
@@ -117,7 +143,6 @@ class Scheduler:
         ]
         self._busy = np.zeros(n_procs, dtype=bool)
         self._clock = start_time  # time of the event being processed
-        self._instrument = True
         self._has_slowdowns = fault_plan is not None and fault_plan.has_slowdowns
         self._message_faults_active = (
             fault_plan is not None and fault_plan.has_message_faults
@@ -181,21 +206,13 @@ class Scheduler:
             raise ValueError(f"object {object_id} is not migratable")
         self._location[object_id] = new_proc
 
-    def objects_on(self, proc: int) -> list[int]:
-        """Ids of all objects currently living on ``proc``."""
-        return [oid for oid, p in self._location.items() if p == proc]
-
     # ------------------------------------------------------------------ #
-    # time and instrumentation
+    # time and control
     # ------------------------------------------------------------------ #
     @property
     def now(self) -> float:
         """Current simulated time (of the event being processed)."""
         return self._clock
-
-    def set_instrumentation(self, enabled: bool) -> None:
-        """Gate LB-database and trace accumulation (e.g. during warmup)."""
-        self._instrument = enabled
 
     def set_control_handler(self, handler: Callable[[float, object], None]) -> None:
         """Install the driver callback for control notifications."""
@@ -434,30 +451,27 @@ class Scheduler:
             out_msg.send_time = completion
             delay = m.transit_time(out_msg.size_bytes) if remote else 0.0
             self._schedule_arrival(out_msg, dest_proc, completion + delay)
-            if self._instrument:
-                self.trace.record_send(out_msg.size_bytes)
-                self.lb_db.record_send(
-                    out_msg.src_object, out_msg.dest_object, out_msg.size_bytes
-                )
+            self.trace.record_send(out_msg.size_bytes)
 
         for payload in self._current_controls:
             self._push(completion, _CONTROL, payload)
 
-        if self._instrument:
-            self.trace.record_execution(
-                proc,
-                chare.object_id,
-                chare.label(),
-                chare.category,
-                time,
-                duration,
-                work=work,
-                send_overhead=send_cpu,
-                recv_overhead=recv_ovh,
-            )
-            self.lb_db.record_execution(
-                chare.object_id, chare.migratable, proc, duration
-            )
+        self.trace.record_execution(
+            proc,
+            chare.object_id,
+            chare.label(),
+            chare.category,
+            time,
+            duration,
+            work=work,
+            send_overhead=send_cpu,
+            recv_overhead=recv_ovh,
+        )
+        seconds = float(duration)
+        oid = chare.object_id
+        self.object_load[oid] = self.object_load.get(oid, 0.0) + seconds
+        if not chare.migratable:
+            self.background_load[proc] += seconds
 
         self._busy[proc] = True
         self._push(completion, _COMPLETE, proc)

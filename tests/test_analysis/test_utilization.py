@@ -6,7 +6,9 @@ import pytest
 from repro.analysis.utilization import (
     format_utilization,
     utilization_profile,
+    workdb_utilization,
 )
+from repro.instrument import WorkDB
 from repro.runtime.trace import TraceLog
 
 
@@ -35,6 +37,30 @@ class TestProfile:
     def test_rejects_bad_makespan(self):
         with pytest.raises(ValueError):
             utilization_profile(make_summary([1.0]), makespan=0.0)
+
+
+class TestWorkDBProfile:
+    def test_busy_is_each_owners_predicted_load(self):
+        """A worker is busy for its tasks' predicted loads, pinned ones
+        included, once each; the slowest worker sets the makespan."""
+        db = WorkDB()
+        db.ensure_task(0, prior=0.0, owner=0)
+        db.ensure_task(1, prior=0.0, owner=1)
+        db.ensure_task(2, prior=0.0, owner=1, migratable=False)
+        db.record(0, 0.5)
+        db.record(1, 1.0)
+        db.record(2, 1.0)
+        prof = workdb_utilization(db, 3)
+        assert prof.makespan == 2.0
+        np.testing.assert_array_equal(prof.utilization, [0.25, 1.0, 0.0])
+        np.testing.assert_array_equal(
+            prof.utilization * prof.makespan, db.owner_loads(3)
+        )
+
+    def test_unmeasured_database_is_idle(self):
+        prof = workdb_utilization(WorkDB(), 2)
+        assert prof.makespan == 0.0
+        np.testing.assert_array_equal(prof.utilization, [0.0, 0.0])
 
 
 class TestFormatting:

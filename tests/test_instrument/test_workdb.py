@@ -7,6 +7,7 @@ import pytest
 
 from repro.balancer.problem import LBProblem
 from repro.instrument import WorkDB, build_lb_problem, derive_proxies
+from repro.instrument.workdb import WINDOW
 
 
 class TestRecording:
@@ -22,12 +23,12 @@ class TestRecording:
         far closer than single samples scatter."""
         rng = np.random.default_rng(42)
         true_mean, noise = 2.0e-3, 0.5e-3
-        db = WorkDB(ewma_alpha=0.3)
+        db = WorkDB()
         samples = rng.normal(true_mean, noise, size=400)
         for s in samples:
             db.record(7, float(s))
-        # steady-state EWMA std is noise * sqrt(a / (2 - a)) ~= 0.42 * noise;
-        # 3 sigma of that is well inside 40% of the mean
+        # at a = 0.3 the steady-state EWMA std is noise * sqrt(a / (2 - a))
+        # ~= 0.42 * noise; 3 sigma of that is well inside 40% of the mean
         assert db.tasks[7].ewma == pytest.approx(true_mean, rel=0.4)
         assert db.tasks[7].window_mean() == pytest.approx(
             np.mean(samples[-8:]), rel=1e-12
@@ -35,7 +36,7 @@ class TestRecording:
         assert db.tasks[7].total == pytest.approx(samples.sum())
 
     def test_ewma_tracks_a_load_shift(self):
-        db = WorkDB(ewma_alpha=0.3)
+        db = WorkDB()
         for _ in range(20):
             db.record(0, 1.0)
         for _ in range(20):
@@ -44,10 +45,10 @@ class TestRecording:
         assert db.tasks[0].ewma == pytest.approx(3.0, rel=1e-2)
 
     def test_window_keeps_last_k_only(self):
-        db = WorkDB(window=4)
-        for s in range(10):
+        db = WorkDB()
+        for s in range(WINDOW + 2):
             db.record(0, float(s))
-        assert list(db.tasks[0].window) == [6.0, 7.0, 8.0, 9.0]
+        assert list(db.tasks[0].window) == [float(s) for s in range(2, WINDOW + 2)]
 
     def test_record_many_with_owners(self):
         db = WorkDB()
@@ -58,40 +59,27 @@ class TestRecording:
         assert loads[0] == pytest.approx(0.3)
         assert loads[1] == pytest.approx(0.1 + 0.2)
 
-    def test_background_ewma_and_totals(self):
-        db = WorkDB(ewma_alpha=0.5)
-        db.record_background(1, 2.0)
-        db.record_background(1, 4.0)
-        assert db.background_array(2)[1] == pytest.approx(3.0)  # 2 + 0.5*(4-2)
-        assert db.background_totals() == {1: pytest.approx(6.0)}
-        assert db.background_array(2, per_step=False)[1] == pytest.approx(6.0)
-
 
 class TestPriorHandoff:
     def test_prior_used_before_first_measurement(self):
-        db = WorkDB(calibrate_prior=False)
+        db = WorkDB()
         db.ensure_task(0, prior=5.0)
         assert db.load(0) == 5.0
 
     def test_blend_weight_grows_linearly_to_one(self):
-        """The cost-model prior hands off to measurement over K samples."""
-        db = WorkDB(window=8, prior_blend_samples=8, calibrate_prior=False)
+        """The cost-model prior hands off to measurement over K samples
+        (the prior taken at face value: ``prior_scale=1``)."""
+        db = WorkDB()
         db.ensure_task(0, prior=5.0)
         db.record(0, 1.0)
-        # one of eight samples: 1/8 measurement + 7/8 prior
-        assert db.load(0) == pytest.approx(1.0 / 8 + 5.0 * 7 / 8)
-        for _ in range(7):
+        # one of K samples: 1/K measurement + (K-1)/K prior
+        assert db.load(0, 1.0) == pytest.approx(
+            1.0 / WINDOW + 5.0 * (WINDOW - 1) / WINDOW
+        )
+        for _ in range(WINDOW - 1):
             db.record(0, 1.0)
         # after K samples the prior's weight is exactly zero
-        assert db.load(0) == pytest.approx(1.0)
-
-    def test_blend_samples_one_replaces_prior_immediately(self):
-        """The simulated runtime's semantics: one measured phase fully
-        replaces the cost model."""
-        db = WorkDB(prior_blend_samples=1, calibrate_prior=False)
-        db.ensure_task(0, prior=5.0)
-        db.record(0, 1.25)
-        assert db.load(0) == 1.25
+        assert db.load(0, 1.0) == 1.0
 
     def test_prior_calibration_rescales_unmeasured_tasks(self):
         """Cost-model units mix with seconds: unmeasured priors are rescaled
@@ -99,43 +87,47 @@ class TestPriorHandoff:
         db = WorkDB()
         db.ensure_task(0, prior=1.0)
         db.ensure_task(1, prior=3.0)
-        for _ in range(db.prior_blend_samples):
+        for _ in range(WINDOW):
             db.record(0, 0.5)  # measured at half its prior
         assert db.load(0) == pytest.approx(0.5)
         assert db.load(1) == pytest.approx(3.0 * 0.5)
 
     def test_measurements_dominate_priors_in_loads_array(self):
-        db = WorkDB(window=4, prior_blend_samples=4, calibrate_prior=False)
+        db = WorkDB()
         db.ensure_task(0, prior=10.0)
         db.ensure_task(1, prior=10.0)
-        for _ in range(4):
+        db.ensure_task(2, prior=20.0)
+        for _ in range(WINDOW):
             db.record(0, 1.0)
-        loads = db.loads()
-        assert loads[0] == pytest.approx(1.0)
-        assert loads[1] == pytest.approx(10.0)
+            db.record(1, 3.0)
+        # measured tasks read their measurement; the unmeasured one its
+        # prior at the measured/prior scale, (1 + 3) / (10 + 10)
+        np.testing.assert_allclose(db.loads(), [1.0, 3.0, 20.0 * 0.2])
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WorkDB(ewma_alpha=0.0)
-        with pytest.raises(ValueError):
-            WorkDB(window=0)
-        with pytest.raises(ValueError):
-            WorkDB(prior_blend_samples=0)
+    def test_knobs_are_constants(self):
+        """Smoothing, window and blend length are module constants: the
+        database takes no settings."""
+        db = WorkDB()
+        assert db.window == WINDOW
+        for knob in ("ewma_alpha", "window", "prior_blend_samples",
+                     "calibrate_prior"):
+            with pytest.raises(TypeError):
+                WorkDB(**{knob: 1})
 
 
 class TestSerialization:
     def _populated(self):
-        db = WorkDB(ewma_alpha=0.25, window=5, prior_blend_samples=3)
+        db = WorkDB()
         rng = np.random.default_rng(1)
         for tid in range(6):
             db.ensure_task(
-                tid, patches=(tid, (tid + 1) % 6), prior=0.5 + tid, owner=tid % 2
+                tid, patches=(tid, (tid + 1) % 6), prior=0.5 + tid, owner=tid % 2,
+                migratable=tid != 5,
             )
-        for _ in range(9):
+        for _ in range(WINDOW + 1):
             db.record_many(
                 range(6), rng.uniform(1e-4, 5e-4, size=6), owners=[0, 0, 1, 1, 0, 1]
             )
-            db.record_background(0, float(rng.uniform(1e-5, 2e-5)))
             db.mark_step()
         db.ensure_task(99, prior=2.0, migratable=False)
         return db
@@ -143,9 +135,7 @@ class TestSerialization:
     def test_round_trip_preserves_everything(self):
         db = self._populated()
         clone = WorkDB.from_dict(json.loads(json.dumps(db.to_dict())))
-        assert clone.ewma_alpha == db.ewma_alpha
         assert clone.window == db.window
-        assert clone.prior_blend_samples == db.prior_blend_samples
         assert clone.measured_steps == db.measured_steps
         assert set(clone.tasks) == set(db.tasks)
         for tid, rec in db.tasks.items():
@@ -161,7 +151,7 @@ class TestSerialization:
         np.testing.assert_array_equal(clone.loads(), db.loads())
         np.testing.assert_array_equal(clone.owner_loads(2), db.owner_loads(2))
         np.testing.assert_array_equal(
-            clone.background_array(2), db.background_array(2)
+            clone.fixed_owner_loads(2), db.fixed_owner_loads(2)
         )
 
     def test_dump_and_load_file(self, tmp_path):
@@ -172,6 +162,24 @@ class TestSerialization:
         np.testing.assert_array_equal(clone.loads(), db.loads())
         assert clone.measured_steps == db.measured_steps
 
+    def test_longer_window_dump_keeps_newest_samples(self):
+        """The window length is a constant, not a dump field: a dump whose
+        windows are longer reloads with the newest :data:`WINDOW` samples."""
+        samples = [float(s) for s in range(WINDOW + 4)]
+        data = {
+            "window": WINDOW + 4, "measured_steps": len(samples),
+            "tasks": [
+                {"task_id": 0, "patches": [0], "owner": 0, "prior": 1.0,
+                 "migratable": True, "ewma": 5.0, "n_samples": len(samples),
+                 "total": sum(samples), "window": samples},
+            ],
+        }
+        db = WorkDB.from_dict(data)
+        assert list(db.tasks[0].window) == samples[-WINDOW:]
+        assert db.tasks[0].window_mean() == pytest.approx(
+            np.mean(samples[-WINDOW:])
+        )
+
     def test_reloaded_window_respects_maxlen(self, tmp_path):
         db = self._populated()
         path = tmp_path / "workdb.json"
@@ -180,17 +188,63 @@ class TestSerialization:
         clone.record(0, 1.0)
         assert len(clone.tasks[0].window) == clone.window
 
-    def test_reset_clears_state(self):
-        db = self._populated()
-        db.reset()
-        assert not db.tasks
-        assert db.measured_steps == 0
-        assert db.background_totals() == {}
+    #: a ``--workdb-dump`` as the database wrote it while it still had
+    #: constructor knobs and a background-load block
+    LEGACY_DUMP = {
+        "ewma_alpha": 0.3, "window": 8, "prior_blend_samples": 8,
+        "calibrate_prior": True, "measured_steps": 2,
+        "recovery": {"kills": 1}, "backend": "c",
+        "worker_backends": {"0": "c", "1": "c"},
+        "background_total": {"1": 0.75}, "background_ewma": {},
+        "background_samples": {},
+        "tasks": [
+            {"task_id": 0, "patches": [0], "owner": 0, "prior": 2.0,
+             "migratable": True, "ewma": 0.425, "n_samples": 2,
+             "total": 0.75, "window": [0.5, 0.25], "parent": -1,
+             "part": 0, "n_parts": 1, "kind": "cell"},
+            {"task_id": 1, "patches": [0, 1], "owner": 1, "prior": 3.0,
+             "migratable": True, "ewma": 0.75, "n_samples": 2,
+             "total": 1.5, "window": [0.75, 0.75], "parent": 0,
+             "part": 1, "n_parts": 2, "kind": "cell"},
+            {"task_id": 2, "patches": [1], "owner": 1, "prior": 1.5,
+             "migratable": False, "ewma": 0.325, "n_samples": 2,
+             "total": 0.75, "window": [0.25, 0.5], "parent": -1,
+             "part": 0, "n_parts": 1, "kind": "bonded"},
+        ],
+    }
+
+    def test_legacy_dump_loads_and_round_trips(self, tmp_path):
+        """An older dump loads with the same predicted loads it was
+        written with; dumping it again drops the retired fields and
+        round-trips."""
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps(self.LEGACY_DUMP))
+        db = WorkDB.load_file(path)
+        assert (db.measured_steps, db.backend, db.recovery) == (2, "c", {"kills": 1})
+        assert db.worker_backends == {0: "c", 1: "c"}
+        assert db.tasks[1].parent == 0 and db.tasks[2].kind == "bonded"
+        # the loads the writing database predicted for this dump
+        np.testing.assert_array_equal(
+            db.loads(),
+            [0.45240384615384616, 0.7067307692307693, 0.3408653846153846],
+        )
+        np.testing.assert_array_equal(
+            db.fixed_owner_loads(2), [0.0, 0.3408653846153846]
+        )
+        db.dump(path)
+        data = json.loads(path.read_text())
+        retired = {"ewma_alpha", "window", "prior_blend_samples",
+                   "calibrate_prior", "background_total", "background_ewma",
+                   "background_samples"}
+        assert retired.isdisjoint(data)
+        clone = WorkDB.load_file(path)
+        assert clone.to_dict() == db.to_dict()
+        np.testing.assert_array_equal(clone.loads(), db.loads())
 
 
 class TestAdapter:
     def _db(self):
-        db = WorkDB(calibrate_prior=False)
+        db = WorkDB()
         db.ensure_task(0, patches=(0,), prior=1.0, owner=0)
         db.ensure_task(1, patches=(0, 1), prior=2.0, owner=1)
         db.ensure_task(2, patches=(1,), prior=3.0, owner=1)
@@ -206,7 +260,7 @@ class TestAdapter:
     def test_build_problem_fields(self):
         db = self._db()
         patch_home = {0: 0, 1: 1, 2: 0}
-        problem = build_lb_problem(db, 2, patch_home)
+        problem = build_lb_problem(db, 2, patch_home, background=np.zeros(2))
         assert isinstance(problem, LBProblem)
         assert problem.n_procs == 2
         # non-migratable task 3 is not a strategy-visible compute
@@ -218,23 +272,24 @@ class TestAdapter:
 
     def test_build_problem_uses_measured_loads(self):
         db = self._db()
-        for _ in range(db.prior_blend_samples):
+        for _ in range(WINDOW):
             db.record(0, 0.25)
-        problem = build_lb_problem(db, 2, {0: 0, 1: 1, 2: 0})
+        problem = build_lb_problem(
+            db, 2, {0: 0, 1: 1, 2: 0}, background=np.zeros(2)
+        )
         assert problem.computes[0].load == pytest.approx(0.25)
 
-    def test_explicit_proxies_and_background_pass_through(self):
+    def test_background_passes_through(self):
         db = self._db()
         bg = np.array([0.5, 0.25])
-        problem = build_lb_problem(
-            db, 2, {0: 0, 1: 1}, existing_proxies={(5, 1)}, background=bg
-        )
-        assert problem.existing_proxies == {(5, 1)}
+        problem = build_lb_problem(db, 2, {0: 0, 1: 1}, background=bg)
         np.testing.assert_array_equal(problem.background, bg)
 
     def test_task_ids_restrict_and_order(self):
         db = self._db()
-        problem = build_lb_problem(db, 2, {0: 0, 1: 1}, task_ids=[2, 0])
+        problem = build_lb_problem(
+            db, 2, {0: 0, 1: 1}, background=np.zeros(2), task_ids=[2, 0]
+        )
         assert [c.index for c in problem.computes] == [2, 0]
 
 
@@ -303,63 +358,20 @@ class TestRobustPersistence:
         clone = WorkDB.from_dict(json.loads(json.dumps(payload)))
         assert clone.recovery == {}
 
-    def test_reset_clears_recovery(self):
-        db = self._populated()
-        db.note_recovery("hangs")
-        db.reset()
-        assert db.recovery == {}
-
 
 class TestBackendField:
-    """Kernel-backend provenance: samples from different backends never blend."""
+    """Kernel-backend provenance survives a dump."""
 
     def _measured(self) -> WorkDB:
         db = WorkDB()
         db.ensure_task(0, patches=(0,), prior=2.0, owner=0)
         db.ensure_task(1, patches=(1,), prior=3.0, owner=1)
-        db.set_backend("numpy")
+        db.backend = "numpy"
         db.note_worker_backend(0, "numpy")
         db.record(0, 0.5)
         db.record(1, 0.7)
         db.mark_step()
         return db
-
-    def test_set_backend_records_name(self):
-        db = WorkDB()
-        assert db.backend is None
-        db.set_backend("numpy")
-        assert db.backend == "numpy"
-
-    def test_same_backend_keeps_measurements(self):
-        db = self._measured()
-        db.set_backend("numpy")
-        assert db.tasks[0].n_samples == 1
-        assert db.measured_steps == 1
-
-    def test_backend_switch_resets_measurements_keeps_priors(self):
-        db = self._measured()
-        db.set_backend("other")
-        assert db.backend == "other"
-        # measurement state gone (another backend's sample is not a numpy sample)
-        assert db.tasks[0].n_samples == 0
-        assert db.tasks[0].ewma == 0.0
-        assert db.tasks[0].total == 0.0
-        assert len(db.tasks[0].window) == 0
-        assert db.measured_steps == 0
-        # structural state survives: priors, affinity, ownership
-        assert db.tasks[0].prior == 2.0
-        assert db.tasks[0].patches == (0,)
-        assert db.tasks[1].owner == 1
-        # stale worker annotations from the other backend are dropped
-        assert db.worker_backends == {}
-
-    def test_switch_without_measurements_is_free(self):
-        db = WorkDB()
-        db.ensure_task(0, prior=1.0)
-        db.set_backend("numpy")
-        db.set_backend("other")  # nothing measured: nothing to drop
-        assert db.backend == "other"
-        assert db.tasks[0].prior == 1.0
 
     def test_roundtrip_through_dict(self):
         db = self._measured()
@@ -375,12 +387,6 @@ class TestBackendField:
         clone = WorkDB.from_dict(json.loads(json.dumps(payload)))
         assert clone.backend is None
         assert clone.worker_backends == {}
-
-    def test_reset_clears_backend(self):
-        db = self._measured()
-        db.reset()
-        assert db.backend is None
-        assert db.worker_backends == {}
 
 
 class TestTaskKinds:

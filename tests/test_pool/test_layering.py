@@ -240,3 +240,42 @@ def test_checker_catches_the_engine_importing_the_simulator(
     first, second = mod.check()
     assert "tasks.py:3" in first and "repro.core.grainsize" in first
     assert "tasks.py:5" in second and "repro.core.simulation" in second
+
+
+def test_checker_catches_the_simulator_and_the_workdb_reaching_across(
+    tmp_path, monkeypatch
+):
+    """The simulator sums its own loads and the WorkDB serves the real
+    engine alone: a simulator module that reads the WorkDB again, or a
+    measurement module that reaches into the simulator, the engine, the
+    pool or the service — lazily too — is a violation."""
+    mod = load_checker()
+    planted = {
+        "runtime/scheduler.py": ("repro.instrument.workdb",),
+        "core/simulation.py": ("repro.instrument",),
+        "instrument/workdb.py": (
+            "repro.runtime.scheduler", "repro.core.simulation",
+            "repro.md.parallel", "repro.pool.runtime", "repro.service.api",
+        ),
+    }
+    for module, banned in planted.items():
+        path = tmp_path / "repro" / module
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(
+            "from repro.balancer.problem import LBProblem  # noqa: F401\n"
+            "def measure():\n"
+            + "".join(f"    import {name}  # noqa: F401\n" for name in banned)
+        )
+    monkeypatch.setattr(mod, "SRC", tmp_path)
+    monkeypatch.setattr(mod, "UNUSED", {})
+    found = mod.check()
+    expected = [
+        (module, line, name)
+        for module, banned in planted.items()
+        for line, name in enumerate(banned, start=3)
+    ]
+    assert len(found) == len(expected), found
+    for module, line, name in expected:
+        assert any(
+            f"{module}:{line}" in v and name in v for v in found
+        ), (module, name, found)

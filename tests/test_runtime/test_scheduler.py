@@ -255,7 +255,7 @@ class TestInstrumentation:
         sched.run()
         assert sched.trace.summary().busy_time_per_proc[0] == pytest.approx(0.7)
 
-    def test_lb_database_records_loads(self):
+    def test_object_load_sums_busy_time(self):
         sched = Scheduler(1, IDEAL)
         c = Recorder(cost=0.3)
         c.migratable = True
@@ -263,26 +263,87 @@ class TestInstrumentation:
         sched.inject(oid, "ping", {})
         sched.inject(oid, "ping", {})
         sched.run()
-        snap = sched.lb_db.snapshot()
-        assert snap.objects[oid].load == pytest.approx(0.6)
-        assert snap.objects[oid].invocations == 2
-        assert snap.objects[oid].migratable
+        assert sched.object_load == {oid: pytest.approx(0.6)}
+        # a migratable object's time is not background load
+        assert sched.background_load.tolist() == [0.0]
 
     def test_nonmigratable_counts_as_background(self):
-        sched = Scheduler(1, IDEAL)
-        oid = sched.register(Recorder(cost=0.4), 0)
-        sched.inject(oid, "ping", {})
+        """Background load is summed per processor, from non-migratable
+        objects only; every object's time still lands in ``object_load``."""
+        sched = Scheduler(2, IDEAL)
+        moving = Recorder(cost=1.0)
+        moving.migratable = True
+        oid_m = sched.register(moving, 0)
+        oid_a = sched.register(Recorder(cost=0.25), 0)
+        oid_b = sched.register(Recorder(cost=0.4), 1)
+        for oid in (oid_m, oid_a, oid_b, oid_a):
+            sched.inject(oid, "ping", {})
         sched.run()
-        snap = sched.lb_db.snapshot()
-        assert snap.background_load[0] == pytest.approx(0.4)
+        assert sched.background_load.tolist() == [0.5, 0.4]
+        assert sched.object_load == {oid_m: 1.0, oid_a: 0.5, oid_b: 0.4}
 
-    def test_instrumentation_gate(self):
+    def test_fresh_scheduler_starts_with_empty_sums(self):
+        """A recovery starts a new scheduler: its sums cover only what it
+        runs itself."""
+        sched = Scheduler(3, IDEAL)
+        sched.register(Recorder(cost=0.4), 0)
+        assert sched.object_load == {}
+        assert sched.background_load.tolist() == [0.0, 0.0, 0.0]
+
+    def test_sums_span_every_run_of_one_scheduler(self):
+        """A checkpointed phase runs one scheduler in segments; the sums
+        keep accumulating across its ``run`` calls."""
         sched = Scheduler(1, IDEAL)
-        oid = sched.register(Recorder(cost=0.4), 0)
-        sched.set_instrumentation(False)
+        oid = sched.register(Recorder(cost=0.25), 0)
+        for _segment in range(3):
+            sched.inject(oid, "ping", {})
+            sched.run()
+        assert sched.object_load == {oid: 0.75}
+        assert sched.background_load.tolist() == [0.75]
+
+    def test_object_load_follows_a_migrated_object(self):
+        sched = Scheduler(2, IDEAL)
+        c = Recorder(cost=0.5)
+        c.migratable = True
+        oid = sched.register(c, 0)
         sched.inject(oid, "ping", {})
         sched.run()
-        assert sched.trace.summary().busy_time_per_proc[0] == 0.0
+        sched.migrate(oid, 1)
+        sched.inject(oid, "ping", {})
+        sched.run()
+        assert sched.object_load == {oid: 1.0}
+        assert sched.background_load.tolist() == [0.0, 0.0]
+
+    def test_slow_processor_shows_in_measured_load(self):
+        """The sums hold measured time, so a slow processor's factor shows
+        in them — what the cost model cannot know."""
+        sched = Scheduler(2, IDEAL, proc_speed_factors=[1.0, 3.0])
+        fast = Recorder(cost=0.5)
+        fast.migratable = True
+        slow = Recorder(cost=0.5)
+        slow.migratable = True
+        oid_f = sched.register(fast, 0)
+        oid_s = sched.register(slow, 1)
+        sched.inject(oid_f, "ping", {})
+        sched.inject(oid_s, "ping", {})
+        sched.run()
+        assert sched.object_load == {
+            oid_f: pytest.approx(0.5), oid_s: pytest.approx(1.5)
+        }
+
+    def test_every_send_is_traced(self):
+        """Instrumentation is always on: each message an execution sends is
+        counted, with its bytes."""
+        sched = Scheduler(2, IDEAL)
+        target = sched.register(Recorder(), 1)
+        sender = sched.register(Recorder(), 0)
+        sched.inject(sender, "ping_and_forward", {"dest": target})
+        sched.inject(sender, "ping_and_forward", {"dest": target})
+        sched.run()
+        summary = sched.trace.summary()
+        assert summary.messages_sent == 2
+        assert summary.bytes_sent == 2 * 64.0
+        assert set(sched.object_load) == {sender, target}
 
 
 class TestControl:

@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Layering check: the pool layer knows no MD, the kernel backends know no
 MD either, the service knows no balancer, the builders know nothing above
-MD, the engine knows nothing of the simulator, the engine and the minimizer
-call no reference force function.
+MD, the engine knows nothing of the simulator, the simulator and the real
+engine's measurement layer know nothing of each other, the engine and the
+minimizer call no reference force function.
 
 Layering (DESIGN.md, "The real parallel engine"):
 
@@ -24,6 +25,14 @@ Layering (DESIGN.md, "The real parallel engine"):
   ``repro.core``, ``repro.balancer``, ``repro.instrument``) or
   ``repro.costmodel``: a system is built before any of those runs, and
   they read the built system, never the reverse.
+* ``repro.runtime`` / ``repro.core`` — the simulated machine and its
+  driver; import nothing from ``repro.instrument``: the scheduler sums its
+  own modeled loads and the driver builds the ``LBProblem`` from them.
+* ``repro.instrument`` — the real engine's ``WorkDB`` and its
+  ``LBProblem`` adapter; imports nothing from the simulated machine
+  (``repro.runtime``, ``repro.core``) nor from the engine, the pool or the
+  service that feed or read it (``repro.md``, ``repro.pool``,
+  ``repro.service``): it sits below them, next to ``repro.balancer``.
 * ``repro.md.tasks`` / ``repro.md.parallel`` — the MD workload and its
   orchestration; these may import ``repro.pool``, never the reverse.
 * ``repro.md`` — the real engine; imports nothing from the simulated
@@ -68,6 +77,12 @@ FORBIDDEN: dict[str, tuple[str, ...]] = {
         "repro.balancer", "repro.instrument", "repro.costmodel",
     ),
     "repro/md": ("repro.core",),
+    "repro/runtime": ("repro.instrument",),
+    "repro/core": ("repro.instrument",),
+    "repro/instrument": (
+        "repro.runtime", "repro.core", "repro.md", "repro.pool",
+        "repro.service",
+    ),
 }
 
 _REFERENCE_FORCES = ("compute_bonded", "compute_nonbonded", "compute_ewald")
@@ -126,8 +141,10 @@ def main() -> int:
         "runtime, repro.backend "
         "imports no md/pool/costmodel/service, repro.service imports no "
         "balancer/instrument/core, repro.builder imports no pool/service/"
-        "simulated machine/costmodel, repro.md imports no core, the step path "
-        "and the minimizer call no reference force function"
+        "simulated machine/costmodel, repro.md imports no core, "
+        "repro.runtime/core import no instrument, repro.instrument imports "
+        "no runtime/core/md/pool/service, the step path and the minimizer "
+        "call no reference force function"
     )
     return 0
 
