@@ -10,18 +10,21 @@ not depend on which of them compiled it.  ``-fno-math-errno`` changes no
 value: it only drops ``errno`` for ``sqrt`` of a negative number (and the
 like), so a square root is the instruction and nothing branches around
 it — which is what lets the pair kernels' loops run in vector lanes.  The
-one target-specific code is in the object, not the flags: the AVX-512F
-clones of ``nb_pairs``, ``nb_rows`` and ``block_pairs``
-(:data:`CLONED_KERNELS`) beside their default bodies, which the loader
-picks between on the CPU that loads it (both compute the same bits;
-``kernels.c`` has why).
+one target-specific code is in the object, not the flags: ``nb_pairs``,
+``nb_rows`` and ``block_pairs`` (:data:`DISPATCHED_KERNELS`) are each one
+body built twice, portable and for AVX-512F, and the loader resolves each
+to one build once, on the CPU that loads it (x86-64 GCC with glibc; the
+portable body alone elsewhere).  The AVX-512F builds of ``nb_rows`` and
+``block_pairs`` (:data:`LANE_COMPACTION`) also compact their hits in vector
+lanes.  Every build computes the same bits; ``kernels.c`` has why.
 
 :func:`build_backend` is the numpy reference with ``nb_pairs``,
 ``ewald_recip``, ``bonded_terms``, the two PME halves, ``block_pairs`` and
 ``nb_rows`` replaced.  It raises on any failure (no compiler, compile error or timeout,
 load error); the registry turns that — and a failed parity self-check — into the numpy fallback.
-:data:`build_info` says what the last build did, and which clone the
-loader picked on this CPU for the cloned kernels, for ``repro backends``.
+:data:`build_info` says what the last build did, which build the loader
+resolved each dispatched kernel to on this CPU and whether its compaction
+runs in lanes, for ``repro backends``.
 """
 
 from __future__ import annotations
@@ -45,7 +48,9 @@ from repro.backend import reference
 from repro.backend.base import KernelBackend
 from repro.backend.ewald_table import ewald_table
 
-__all__ = ["CLONED_KERNELS", "FLAGS", "build_backend", "build_info"]
+__all__ = [
+    "DISPATCHED_KERNELS", "FLAGS", "LANE_COMPACTION", "build_backend", "build_info",
+]
 
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
 COMPILE_TIMEOUT_S = 120.0
@@ -59,16 +64,21 @@ BLOCK_BAD_INDEX = -2
 _COUNT_MODE = (None, None, 0, None, None, 0, 0)
 #: kernels.c: doubles of gather scratch ``nb_rows`` needs per block row
 ROWS_WORK = 5
-#: the kernels ``kernels.c`` builds as clones (``KERNEL_CLONES``); one
-#: resolver test picks the same clone for all of them
-CLONED_KERNELS = ("nb_pairs", "nb_rows", "block_pairs")
+#: the kernels ``kernels.c`` builds twice (``KERNEL_BUILDS``); one resolver
+#: test picks the same build for all of them
+DISPATCHED_KERNELS = ("nb_pairs", "nb_rows", "block_pairs")
+#: those whose AVX-512F build compacts its hits in vector lanes (the body
+#: passes ``lanes`` on); ``nb_pairs`` compacts pair by pair in both builds
+LANE_COMPACTION = ("nb_rows", "block_pairs")
 _INT32 = np.iinfo(np.int32)
 #: atoms per term of the bonded kinds ``kernels.c`` knows
 _BONDED_WIDTH = {0: 2, 1: 3, 2: 4, 3: 4}
 
 #: compiler path, flags, cache file, "compiled" / "cache hit", seconds, the
-#: cloned kernels and the clone resolved for them (``avx512f``, ``default``
-#: or ``none``) of the last :func:`build_backend` in this process
+#: dispatch (``avx512f`` or ``portable`` as resolved on this CPU, ``none``
+#: for an object with the portable bodies alone) and, per dispatched kernel,
+#: its build and whether it compacts in lanes, of the last
+#: :func:`build_backend` in this process
 build_info: dict[str, object] = {}
 
 
@@ -112,8 +122,8 @@ def _load(path: Path) -> ctypes.CDLL:
     lib.pme_spread.argtypes = [ptr, ptr, i8, ptr, ptr, ctypes.c_int, ptr]
     lib.pme_gather.restype = ctypes.c_int
     lib.pme_gather.argtypes = [ptr, ptr, i8, ptr, ptr, ctypes.c_int, ptr, ptr, ptr]
-    lib.kernel_clone.restype = ctypes.c_char_p
-    lib.kernel_clone.argtypes = []
+    lib.kernel_build.restype = ctypes.c_char_p
+    lib.kernel_build.argtypes = []
     lib.nb_rows.restype = i8
     lib.nb_rows.argtypes = [
         ptr, i8, ptr, ptr, ptr, ptr, ptr, i8, ptr, i8, ptr, ptr, i8, ptr, i8,
@@ -156,9 +166,20 @@ def _library() -> ctypes.CDLL:
         build_info["source"] = "compiled"
     lib = _load(path)
     build_info["seconds"] = time.perf_counter() - started
-    build_info["cloned_kernels"] = CLONED_KERNELS
-    build_info["clone"] = lib.kernel_clone().decode()
+    build_info.update(_dispatch_of(lib))
     return lib
+
+
+def _dispatch_of(lib: ctypes.CDLL) -> dict[str, object]:
+    """The build the loaded ``lib`` resolved its dispatched kernels to on
+    this CPU, and each kernel's build and compaction."""
+    dispatch = lib.kernel_build().decode()
+    build = "portable" if dispatch == "none" else dispatch
+    kernels = {
+        name: {"build": build, "lanes": build == "avx512f" and name in LANE_COMPACTION}
+        for name in DISPATCHED_KERNELS
+    }
+    return {"dispatch": dispatch, "kernels": kernels}
 
 
 def _compile(cc: str, source: bytes, path: Path) -> None:

@@ -30,10 +30,11 @@
  *     multiply-adds - and no target flags, so a result depends on the
  *     inputs only, not on the host that built the object, the worker count
  *     or the thread that ran it.  Three kernels (nb_pairs, nb_rows,
- *     block_pairs: KERNEL_CLONES below) carry an AVX-512F clone beside
- *     their default body, and the CPU that loads the object picks one; the
- *     clone's vector lanes do the default body's IEEE operations in its
- *     order and no sum is taken across lanes, so both give the same bits;
+ *     block_pairs: KERNEL_BUILDS below) are each one body built twice, a
+ *     portable build and an AVX-512F one, and the CPU that loads the object
+ *     picks one; the AVX-512F build's vector lanes do the portable build's
+ *     IEEE operations in its order, its compactions keep the hits in list
+ *     order, and no sum is taken across lanes, so both give the same bits;
  *   - arrays are C-contiguous float64; index arrays are int32 or int64 as
  *     the caller stores them (a flag says which), so no call converts;
  *   - the caller checks array lengths, the kernels check every index they
@@ -62,31 +63,124 @@ static const double PI = 3.14159265358979323846;
 
 /* Three kernels are built for more than the baseline target - the pair
  * kernels nb_pairs and nb_rows, and block_pairs: on x86-64 GCC with glibc
- * a clone for AVX-512F beside the default body, picked once at load time
- * by the CPU the object runs on, and both at -O3 - the loops over a
- * chunk's hits (chunk_pass2) and over a block's columns (axis_r2) run in
- * vector lanes inside each clone.  A lane does the default body's IEEE
- * operations in its order (no contraction under -ffp-contract=off, no
- * errno branch under -fno-math-errno: a square root is the instruction
- * either way), and every sum is taken in list order outside the lanes, so
- * forces, energies and lists are the same bits whichever clone runs.
- * Elsewhere (clang, other targets, a libc without ifuncs) the three are
- * plain functions. */
+ * each one body (name_body, its first argument `lanes` a constant) is built
+ * twice, both at -O3 - a portable build and an AVX-512F one - and the
+ * exported name is an ifunc that the loader resolves once, by the CPU the
+ * object runs on, to one of them (KERNEL_BUILDS).  In both builds the loops
+ * over a chunk's hits (chunk_pass2) and over a block's columns (axis_r2)
+ * run in vector lanes where the target has them; the AVX-512F build of
+ * nb_rows and of block_pairs also compacts its hits in lanes (row_pass1,
+ * row_hits: a compare gives the mask of the hits, vcompress packs them to
+ * the front in list order), which the vectoriser cannot do for a store at
+ * a data-dependent index.  A lane does the portable body's IEEE operations
+ * in its order (no contraction under -ffp-contract=off, no errno branch
+ * under -fno-math-errno: a square root is the instruction either way), and
+ * every sum is taken in list order outside the lanes, so forces, energies
+ * and lists are the same bits whichever build runs.  Elsewhere (clang,
+ * other targets, a libc without ifuncs) the three are their portable
+ * bodies alone, plain functions at the compiler's -O2. */
 #if defined(__GNUC__) && !defined(__clang__) && defined(__x86_64__) && defined(__GLIBC__)
-#define KERNEL_CLONES __attribute__((target_clones("avx512f", "default")))
 #define KERNEL_OPTIMIZE __attribute__((optimize("O3")))
+#define KERNEL_AVX512F 1 /* the AVX-512F builds, and the dispatch */
+#else
+#define KERNEL_AVX512F 0
+#define KERNEL_OPTIMIZE
+#endif
+#define UNPAREN(...) __VA_ARGS__
 
-/* The clone the loader picked for the three on this CPU: their ifunc
- * resolvers' own test. */
-const char *kernel_clone(void)
+#if KERNEL_AVX512F
+#include <immintrin.h>
+
+/* The AVX-512F build's target; `flatten` inlines the lane helpers below
+ * into it, which always_inline cannot (the body they are called from is
+ * built for the baseline too). */
+#define LANES __attribute__((target("avx512f")))
+
+/* The resolvers' one test, also run after load (kernel_build): they run
+ * before the object's constructors, so they initialise the CPU model
+ * first. */
+static int avx512f_cpu(void)
 {
-    return __builtin_cpu_supports("avx512f") ? "avx512f" : "default";
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f");
+}
+
+/* Kernel `name`: name##_body built portable and for AVX-512F, both static,
+ * and `name` itself an ifunc resolved to one of them at load.  params is
+ * the kernel's parenthesised parameter list, args their names. */
+#define KERNEL_BUILDS(name, params, args)                                    \
+    static KERNEL_OPTIMIZE int64_t name##_portable params                    \
+    {                                                                        \
+        return name##_body(0, UNPAREN args);                                 \
+    }                                                                        \
+    static KERNEL_OPTIMIZE LANES __attribute__((flatten))                    \
+    int64_t name##_avx512f params                                            \
+    {                                                                        \
+        return name##_body(1, UNPAREN args);                                 \
+    }                                                                        \
+    static __typeof__(&name##_portable) name##_resolve(void)                 \
+    {                                                                        \
+        return avx512f_cpu() ? name##_avx512f : name##_portable;             \
+    }                                                                        \
+    __typeof__(name##_portable) name __attribute__((ifunc(#name "_resolve")));
+
+/* The build the loader resolved the three to on this CPU. */
+const char *kernel_build(void)
+{
+    return avx512f_cpu() ? "avx512f" : "portable";
+}
+
+/* The first n of eight lanes. */
+static inline LANES __mmask8 lanes_first(int64_t n)
+{
+    return (__mmask8)(n >= 8 ? 0xff : (1u << n) - 1);
+}
+
+/* The lanes of v that hit selects, packed in lane order (vcompress) and
+ * stored from at: as many values as hits, nothing beyond. */
+static inline LANES void pack_pd(double *at, __mmask8 hit, __m512d v)
+{
+    const __mmask8 front = lanes_first(__builtin_popcount(hit));
+    _mm512_mask_storeu_pd(at, front, _mm512_maskz_compress_pd(hit, v));
+}
+
+static inline LANES void pack_epi64(int64_t *at, __mmask8 hit, __m512i v)
+{
+    const __mmask8 front = lanes_first(__builtin_popcount(hit));
+    _mm512_mask_storeu_epi64(at, front, _mm512_maskz_compress_epi64(hit, v));
+}
+
+/* fold_near and min_image (below) in lanes, operation for operation: the
+ * selects are blends; nearbyint is a roundscale in the current rounding
+ * mode with the inexact exception suppressed. */
+static inline LANES __m512d fold_near_lanes(__m512d d, double length, double half)
+{
+    const __m512d zero = _mm512_setzero_pd(), len = _mm512_set1_pd(length);
+    const __mmask8 above = _mm512_cmp_pd_mask(d, _mm512_set1_pd(half), _CMP_GT_OQ);
+    const __mmask8 below = _mm512_cmp_pd_mask(d, _mm512_set1_pd(-half), _CMP_LT_OQ);
+    const __m512d up = _mm512_mask_blend_pd(above, zero, len);
+    const __m512d down = _mm512_mask_blend_pd(below, zero, len);
+    return _mm512_sub_pd(d, _mm512_sub_pd(up, down));
+}
+
+static inline LANES __m512d min_image_lanes(__m512d d, double length, double half)
+{
+    const __m512d len = _mm512_set1_pd(length);
+    const __mmask8 far = _mm512_cmp_pd_mask(_mm512_abs_pd(d), _mm512_set1_pd(half),
+                                            _CMP_GT_OQ);
+    const int rint = _MM_FROUND_CUR_DIRECTION | _MM_FROUND_NO_EXC;
+    const __m512d n = _mm512_roundscale_pd(_mm512_div_pd(d, len), rint);
+    return _mm512_mask_sub_pd(d, far, d, _mm512_mul_pd(len, n));
 }
 #else
-#define KERNEL_CLONES
-#define KERNEL_OPTIMIZE
+#define KERNEL_BUILDS(name, params, args)                                    \
+    KERNEL_OPTIMIZE int64_t name params                                      \
+    {                                                                        \
+        return name##_body(0, UNPAREN args);                                 \
+    }
 
-const char *kernel_clone(void)
+/* No dispatch: the portable bodies alone. */
+const char *kernel_build(void)
 {
     return "none";
 }
@@ -201,21 +295,25 @@ static double ewald_close(double alpha, double two_a_rtpi, double r2, double *g)
  * evaluated, folds and squares each displacement and writes it, the pair's
  * parameters (eps, rmin, q_i q_j) and its two force rows at the front of
  * the chunk scratch, advancing past them only for a pair within reach: the
- * hits end up compacted, in list order, without a branch.  Pass 2 (chunk_pass2, one
- * body for both kernels) first takes every hit in one loop without control
- * flow - dE/dr / r and both energies of each, the mode chosen outside the
- * loop (every term is carried in that form, as the reference carries it,
- * so a pair costs one division and one square root and the unit vector is
- * never formed).  Everything that loop reads lies side by side in the
- * scratch, so it runs in vector lanes (the AVX-512F clones, above); a
- * lane does the scalar body's IEEE operations in its order.  Then, hit by
- * hit in list order, the energies are summed and the force on row si is
- * summed in registers for as long as si repeats - a whole row of a block -
- * and added to the row once per run.  What the registers hold is a partial
- * sum, not a copy of the row, so a list in any order, or one whose sj names
- * the row being summed (a self block's column is a row flushed later),
- * comes out right.  Chunk edges fall where they fall - inside a row or on
- * its end - and move no bit: the sums and the run carry across them. */
+ * hits end up compacted, in list order, without a branch.  nb_rows' AVX-512F
+ * build takes its pass 1 eight listed pairs at a time instead (row_pass1):
+ * it masks the hits, reads their parameters only and packs them to the
+ * front with vcompress - the same hits, in the same order, with the same
+ * bits.  Pass 2 (chunk_pass2, one body for both kernels) first takes every
+ * hit in one loop without control flow - dE/dr / r and both energies of
+ * each, the mode chosen outside the loop (every term is carried in that
+ * form, as the reference carries it, so a pair costs one division and one
+ * square root and the unit vector is never formed).  Everything that loop
+ * reads lies side by side in the scratch, so it runs in vector lanes (the
+ * AVX-512F builds, above); a lane does the scalar body's IEEE operations in
+ * its order.  Then, hit by hit in list order, the energies are summed and
+ * the force on row si is summed in registers for as long as si repeats - a
+ * whole row of a block - and added to the row once per run.  What the
+ * registers hold is a partial sum, not a copy of the row, so a list in any
+ * order, or one whose sj names the row being summed (a self block's column
+ * is a row flushed later), comes out right.  Chunk edges fall where they
+ * fall - inside a row or on its end - and move no bit: the sums and the run
+ * carry across them. */
 #define NB_CHUNK 128
 
 /* One chunk's scratch, per hit: the folded displacement, the squared
@@ -408,17 +506,18 @@ ALWAYS_INLINE void chunk_pass2(const pair_consts *c, chunk_scratch *ch, int64_t 
  * every pair - a chunk's before any of it is evaluated - and folds with the
  * select form, the general one behind a branch that wrapped input never
  * takes. */
-KERNEL_CLONES KERNEL_OPTIMIZE
-int64_t nb_pairs(const double *pos, int64_t n_atoms, const double *box,
-                 const void *i_idx, const void *j_idx, int idx_wide, int64_t m,
-                 const double *eps, const double *rmin, const double *qq,
-                 double cutoff, double switch_dist,
-                 double alpha, double ewald_cutoff,
-                 const double *tab, int64_t n_tab,
-                 double *forces, int64_t n_rows,
-                 const void *si, const void *sj, int s_wide,
-                 double *energies)
+ALWAYS_INLINE int64_t nb_pairs_body(const int lanes, const double *pos, int64_t n_atoms,
+                                    const double *box, const void *i_idx,
+                                    const void *j_idx, int idx_wide, int64_t m,
+                                    const double *eps, const double *rmin,
+                                    const double *qq, double cutoff, double switch_dist,
+                                    double alpha, double ewald_cutoff,
+                                    const double *tab, int64_t n_tab,
+                                    double *forces, int64_t n_rows,
+                                    const void *si, const void *sj, int s_wide,
+                                    double *energies)
 {
+    (void)lanes; /* its pass 1 compacts pair by pair in either build */
     pair_consts c;
     if (pair_setup(&c, cutoff, switch_dist, alpha, ewald_cutoff, tab, n_tab))
         return -2;
@@ -474,21 +573,99 @@ int64_t nb_pairs(const double *pos, int64_t n_atoms, const double *box,
     return acc.n_pairs;
 }
 
+KERNEL_BUILDS(nb_pairs,
+              (const double *pos, int64_t n_atoms, const double *box,
+               const void *i_idx, const void *j_idx, int idx_wide, int64_t m,
+               const double *eps, const double *rmin, const double *qq,
+               double cutoff, double switch_dist, double alpha, double ewald_cutoff,
+               const double *tab, int64_t n_tab, double *forces, int64_t n_rows,
+               const void *si, const void *sj, int s_wide, double *energies),
+              (pos, n_atoms, box, i_idx, j_idx, idx_wide, m, eps, rmin, qq, cutoff,
+               switch_dist, alpha, ewald_cutoff, tab, n_tab, forces, n_rows, si, sj,
+               s_wide, energies))
+
 /* Pass 1 over places k .. stop of a chunk that starts at cols, all of
  * block row r: each column's displacement from the row atom, folded - the
  * select form when the task's bounding box allows it (`near`, a constant
  * at each call site), else the general one - and squared, the parameters
  * read from the type tables by (type[r], type[col]) and q[r] * q[col],
  * written at hit n_hit.  The columns have been checked.  Returns the new
- * hit count. */
-ALWAYS_INLINE int64_t row_pass1(const int near, const int32_t *cols, int64_t k,
-                                int64_t stop, int64_t r, const double *xs,
+ * hit count.  The portable body writes every column at n_hit and advances
+ * past the hits only; the AVX-512F build takes eight columns at a time,
+ * reads the parameters of its hits only and compresses the hits to n_hit
+ * in list order (row_pass1_lanes). */
+#if KERNEL_AVX512F
+static inline LANES int64_t row_pass1_lanes(const int near, const int32_t *cols,
+                                            int64_t k, int64_t stop, int64_t r,
+                                            const double *xs, const double *ys,
+                                            const double *zs, const double *q,
+                                            const int64_t *type, const double *eps_tab,
+                                            const double *rmin_tab, int64_t n_types,
+                                            const double *box, double reach2,
+                                            chunk_scratch *ch, int64_t n_hit)
+{
+    const double bx = box[0], by = box[1], bz = box[2];
+    const double hx = 0.5 * bx, hy = 0.5 * by, hz = 0.5 * bz;
+    const __m512d xi = _mm512_set1_pd(xs[r]), yi = _mm512_set1_pd(ys[r]);
+    const __m512d zi = _mm512_set1_pd(zs[r]), qi = _mm512_set1_pd(q[r]);
+    const __m512d reach = _mm512_set1_pd(reach2), none = _mm512_setzero_pd();
+    const __m512i ti = _mm512_set1_epi64(type[r] * n_types), si = _mm512_set1_epi64(r);
+    for (; k < stop; k += 8) {
+        const __mmask8 live = lanes_first(stop - k);
+        const __m256i j =
+            _mm512_castsi512_si256(_mm512_maskz_loadu_epi32(live, cols + k));
+        __m512d x = _mm512_sub_pd(_mm512_mask_i32gather_pd(none, live, j, xs, 8), xi);
+        __m512d y = _mm512_sub_pd(_mm512_mask_i32gather_pd(none, live, j, ys, 8), yi);
+        __m512d z = _mm512_sub_pd(_mm512_mask_i32gather_pd(none, live, j, zs, 8), zi);
+        if (near) {
+            x = fold_near_lanes(x, bx, hx);
+            y = fold_near_lanes(y, by, hy);
+            z = fold_near_lanes(z, bz, hz);
+        } else {
+            x = min_image_lanes(x, bx, hx);
+            y = min_image_lanes(y, by, hy);
+            z = min_image_lanes(z, bz, hz);
+        }
+        const __m512d d2 = _mm512_add_pd(_mm512_add_pd(_mm512_mul_pd(x, x),
+                                                       _mm512_mul_pd(y, y)),
+                                         _mm512_mul_pd(z, z));
+        const __mmask8 hit = _mm512_mask_cmp_pd_mask(live, d2, reach, _CMP_LT_OQ);
+        const __m512i at = _mm512_add_epi64(
+            ti, _mm512_mask_i32gather_epi64(_mm512_setzero_si512(), hit, j, type, 8));
+        const __m512d eps = _mm512_mask_i64gather_pd(none, hit, at, eps_tab, 8);
+        const __m512d rmin = _mm512_mask_i64gather_pd(none, hit, at, rmin_tab, 8);
+        const __m512d qj = _mm512_mask_i32gather_pd(none, hit, j, q, 8);
+        const __m512d qq = _mm512_mul_pd(qi, qj);
+        pack_pd(ch->dx + n_hit, hit, x);
+        pack_pd(ch->dy + n_hit, hit, y);
+        pack_pd(ch->dz + n_hit, hit, z);
+        pack_pd(ch->r2 + n_hit, hit, d2);
+        pack_pd(ch->eps + n_hit, hit, eps);
+        pack_pd(ch->rmin + n_hit, hit, rmin);
+        pack_pd(ch->qq + n_hit, hit, qq);
+        pack_epi64(ch->si + n_hit, hit, si);
+        pack_epi64(ch->sj + n_hit, hit, _mm512_cvtepi32_epi64(j));
+        n_hit += __builtin_popcount(hit);
+    }
+    return n_hit;
+}
+#endif
+
+ALWAYS_INLINE int64_t row_pass1(const int lanes, const int near, const int32_t *cols,
+                                int64_t k, int64_t stop, int64_t r, const double *xs,
                                 const double *ys, const double *zs,
                                 const double *q, const int64_t *type,
                                 const double *eps_tab, const double *rmin_tab,
                                 int64_t n_types, const double *box, double reach2,
                                 chunk_scratch *ch, int64_t n_hit)
 {
+#if KERNEL_AVX512F
+    if (lanes)
+        return row_pass1_lanes(near, cols, k, stop, r, xs, ys, zs, q, type, eps_tab,
+                               rmin_tab, n_types, box, reach2, ch, n_hit);
+#else
+    (void)lanes;
+#endif
     const double bx = box[0], by = box[1], bz = box[2];
     const double hx = 0.5 * bx, hy = 0.5 * by, hz = 0.5 * bz;
     const double xi = xs[r], yi = ys[r], zi = zs[r], qi = q[r];
@@ -528,7 +705,8 @@ ALWAYS_INLINE int64_t row_pass1(const int near, const int32_t *cols, int64_t k,
  * chunk's columns are checked first, in one loop without a branch
  * (unsigned: a negative column is out of range too).  Returns 0, or -1 at
  * the first index it would not follow. */
-ALWAYS_INLINE int rows_task(const double *pos, int64_t n_atoms, const double *box,
+ALWAYS_INLINE int rows_task(const int lanes, const double *pos, int64_t n_atoms,
+                            const double *box,
                             const int64_t *type_idx, const double *charges,
                             const double *eps_tab, const double *rmin_tab,
                             int64_t n_types, const int32_t *cols, int64_t n_cols,
@@ -586,11 +764,13 @@ ALWAYS_INLINE int rows_task(const double *pos, int64_t n_atoms, const double *bo
                 r++;
             const int64_t stop = row_ptr[r + 1] - p < len ? row_ptr[r + 1] - p : len;
             if (near)
-                n_hit = row_pass1(1, col, k, stop, r, xs, ys, zs, q, type, eps_tab,
-                                  rmin_tab, n_types, box, c->reach2, ch, n_hit);
+                n_hit = row_pass1(lanes, 1, col, k, stop, r, xs, ys, zs, q, type,
+                                  eps_tab, rmin_tab, n_types, box, c->reach2, ch,
+                                  n_hit);
             else
-                n_hit = row_pass1(0, col, k, stop, r, xs, ys, zs, q, type, eps_tab,
-                                  rmin_tab, n_types, box, c->reach2, ch, n_hit);
+                n_hit = row_pass1(lanes, 0, col, k, stop, r, xs, ys, zs, q, type,
+                                  eps_tab, rmin_tab, n_types, box, c->reach2, ch,
+                                  n_hit);
             k = stop;
         }
         chunk_pass2(c, ch, n_hit, forces, acc);
@@ -615,18 +795,18 @@ ALWAYS_INLINE int rows_task(const double *pos, int64_t n_atoms, const double *bo
  * outside the block, a block outside scratch - nothing outside the batch's
  * blocks and out has been written; or 1 having touched nothing when the
  * table stops short of ewald_cutoff. */
-KERNEL_CLONES KERNEL_OPTIMIZE
-int64_t nb_rows(const double *pos, int64_t n_atoms, const double *box,
-                const int64_t *type_idx, const double *charges,
-                const double *eps_tab, const double *rmin_tab, int64_t n_types,
-                const int32_t *cols, int64_t n_cols, const int64_t *row_ptr,
-                const int64_t *rows, int64_t n_list_rows,
-                const int64_t *row_off, int64_t n_tasks,
-                double cutoff, double switch_dist,
-                double alpha, double ewald_cutoff,
-                const double *tab, int64_t n_tab,
-                double *scratch, int64_t scratch_rows, const int64_t *block_off,
-                double *work, int64_t work_rows, double *out)
+ALWAYS_INLINE int64_t nb_rows_body(const int lanes, const double *pos, int64_t n_atoms,
+                                   const double *box, const int64_t *type_idx,
+                                   const double *charges, const double *eps_tab,
+                                   const double *rmin_tab, int64_t n_types,
+                                   const int32_t *cols, int64_t n_cols,
+                                   const int64_t *row_ptr, const int64_t *rows,
+                                   int64_t n_list_rows, const int64_t *row_off,
+                                   int64_t n_tasks, double cutoff, double switch_dist,
+                                   double alpha, double ewald_cutoff,
+                                   const double *tab, int64_t n_tab, double *scratch,
+                                   int64_t scratch_rows, const int64_t *block_off,
+                                   double *work, int64_t work_rows, double *out)
 {
     pair_consts c;
     chunk_scratch ch;
@@ -644,7 +824,7 @@ int64_t nb_rows(const double *pos, int64_t n_atoms, const double *box,
             || at < 0 || at + n_rows > scratch_rows)
             return -(t + 1);
         sums_open(&acc);
-        if (rows_task(pos, n_atoms, box, type_idx, charges, eps_tab, rmin_tab,
+        if (rows_task(lanes, pos, n_atoms, box, type_idx, charges, eps_tab, rmin_tab,
                       n_types, cols, n_cols, row_ptr + lo + t, rows + lo, n_rows,
                       &c, scratch + 3 * at, work, work_rows, &ch, &acc))
             return -(t + 1);
@@ -658,6 +838,20 @@ int64_t nb_rows(const double *pos, int64_t n_atoms, const double *box,
     }
     return 0;
 }
+
+KERNEL_BUILDS(nb_rows,
+              (const double *pos, int64_t n_atoms, const double *box,
+               const int64_t *type_idx, const double *charges, const double *eps_tab,
+               const double *rmin_tab, int64_t n_types, const int32_t *cols,
+               int64_t n_cols, const int64_t *row_ptr, const int64_t *rows,
+               int64_t n_list_rows, const int64_t *row_off, int64_t n_tasks,
+               double cutoff, double switch_dist, double alpha, double ewald_cutoff,
+               const double *tab, int64_t n_tab, double *scratch, int64_t scratch_rows,
+               const int64_t *block_off, double *work, int64_t work_rows, double *out),
+              (pos, n_atoms, box, type_idx, charges, eps_tab, rmin_tab, n_types, cols,
+               n_cols, row_ptr, rows, n_list_rows, row_off, n_tasks, cutoff,
+               switch_dist, alpha, ewald_cutoff, tab, n_tab, scratch, scratch_rows,
+               block_off, work, work_rows, out))
 
 /* ---- Ewald reciprocal sum with factorised phase factors ----------------
  *
@@ -1167,6 +1361,45 @@ ALWAYS_INLINE void axis_r2(double *r2, const double *xb, int64_t lo, int64_t hi,
     }
 }
 
+/* The columns lo <= c < hi with r2[c] < r2_max, ascending, to hit;
+ * returns how many.  The portable body writes every column at the count
+ * and advances past the hits only; the AVX-512F build compares eight at a
+ * time and compresses the hits' columns to the count in order. */
+#if KERNEL_AVX512F
+static inline LANES int64_t row_hits_lanes(const double *r2, int64_t lo, int64_t hi,
+                                           double r2_max, int64_t *hit)
+{
+    const __m512d reach = _mm512_set1_pd(r2_max);
+    const __m512i lane = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+    int64_t n_hit = 0;
+    for (int64_t c = lo; c < hi; c += 8) {
+        const __mmask8 live = lanes_first(hi - c);
+        const __m512d d2 = _mm512_maskz_loadu_pd(live, r2 + c);
+        const __mmask8 in = _mm512_mask_cmp_pd_mask(live, d2, reach, _CMP_LT_OQ);
+        pack_epi64(hit + n_hit, in, _mm512_add_epi64(_mm512_set1_epi64(c), lane));
+        n_hit += __builtin_popcount(in);
+    }
+    return n_hit;
+}
+#endif
+
+ALWAYS_INLINE int64_t row_hits(const int lanes, const double *r2, int64_t lo,
+                               int64_t hi, double r2_max, int64_t *hit)
+{
+#if KERNEL_AVX512F
+    if (lanes)
+        return row_hits_lanes(r2, lo, hi, r2_max, hit);
+#else
+    (void)lanes;
+#endif
+    int64_t n_hit = 0;
+    for (int64_t c = lo; c < hi; c++) {
+        hit[n_hit] = c;
+        n_hit += r2[c] < r2_max;
+    }
+    return n_hit;
+}
+
 /* Count mode (excl_ptr NULL): returns the pairs of the block within r and
  * writes nothing.  List mode: pairs within r and not in the per-atom
  * exclusion table (excl_idx[excl_ptr[i] .. excl_ptr[i+1]) ascending,
@@ -1176,14 +1409,14 @@ ALWAYS_INLINE void axis_r2(double *r2, const double *xb, int64_t lo, int64_t hi,
  * nothing at or beyond `capacity` (row_ptr is then unspecified).
  * BLOCK_BAD_INDEX at the first atom outside pos or table row outside
  * excl_idx.  work holds BLOCK_WORK * nb doubles. */
-KERNEL_CLONES KERNEL_OPTIMIZE
-int64_t block_pairs(const double *pos, int64_t n_atoms, const double *box,
-                    const int64_t *atoms_a, int64_t na,
-                    const int64_t *atoms_b, int64_t nb,
-                    int64_t part, int64_t n_parts, double r,
-                    const int64_t *excl_ptr, const int64_t *excl_idx, int64_t n_excl,
-                    int32_t *cols, int64_t *row_ptr,
-                    int64_t offset, int64_t capacity, double *work)
+ALWAYS_INLINE int64_t block_pairs_body(const int lanes, const double *pos,
+                                       int64_t n_atoms, const double *box,
+                                       const int64_t *atoms_a, int64_t na,
+                                       const int64_t *atoms_b, int64_t nb,
+                                       int64_t part, int64_t n_parts, double r,
+                                       const int64_t *excl_ptr, const int64_t *excl_idx,
+                                       int64_t n_excl, int32_t *cols, int64_t *row_ptr,
+                                       int64_t offset, int64_t capacity, double *work)
 {
     const int self = atoms_b == NULL;
     const int listing = excl_ptr != NULL;
@@ -1227,11 +1460,7 @@ int64_t block_pairs(const double *pos, int64_t n_atoms, const double *box,
             r2[c] = 0.0;
         for (int k = 0; k < 3; k++)
             axis_r2(r2, xb[k], lo, nb, pos[3 * i + k], box[k], bmin[k], bmax[k]);
-        int64_t n_hit = 0;
-        for (int64_t c = lo; c < nb; c++) {
-            hit[n_hit] = c;
-            n_hit += r2[c] < r2_max;
-        }
+        const int64_t n_hit = row_hits(lanes, r2, lo, nb, r2_max, hit);
         if (!listing) {
             n += n_hit;
             continue;
@@ -1260,3 +1489,12 @@ int64_t block_pairs(const double *pos, int64_t n_atoms, const double *box,
             row_ptr[next] = offset + n;
     return n;
 }
+
+KERNEL_BUILDS(block_pairs,
+              (const double *pos, int64_t n_atoms, const double *box,
+               const int64_t *atoms_a, int64_t na, const int64_t *atoms_b, int64_t nb,
+               int64_t part, int64_t n_parts, double r, const int64_t *excl_ptr,
+               const int64_t *excl_idx, int64_t n_excl, int32_t *cols, int64_t *row_ptr,
+               int64_t offset, int64_t capacity, double *work),
+              (pos, n_atoms, box, atoms_a, na, atoms_b, nb, part, n_parts, r, excl_ptr,
+               excl_idx, n_excl, cols, row_ptr, offset, capacity, work))

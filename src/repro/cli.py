@@ -117,11 +117,13 @@ def cmd_backends(_args) -> int:
         print(f"    cache file: {build['cache_file']}")
     if "seconds" in build:
         print(f"    this run:   {build['source']} in {build['seconds']:.3f} s")
-    if "clone" in build:
-        print(
-            f"    clone:      {build['clone']} (resolved on this CPU) for "
-            + ", ".join(build["cloned_kernels"])
-        )
+    if "dispatch" in build:
+        dispatch = build["dispatch"]
+        where = "no AVX-512F build here" if dispatch == "none" else "resolved on this CPU"
+        print(f"    dispatch:   {dispatch} ({where})")
+        for name, kernel in build["kernels"].items():
+            compaction = "in lanes" if kernel["lanes"] else "scalar"
+            print(f"      {name + ':':13s}{kernel['build']} build, compaction {compaction}")
     ewald = EwaldOptions()
     alpha, cutoff = ewald.alpha_value(), ewald.cutoff
     table, error = ewald_table(alpha, cutoff), measured_error(alpha, cutoff)

@@ -138,6 +138,10 @@ class Scheduler:
 
         self._heap: list[tuple[float, int, int, object]] = []
         self._seq = 0
+        #: events on the heap that are not fail-stop faults: run() returns
+        #: when none is left, so a fault timed after the last of them stays
+        #: queued for whoever runs that time
+        self._work_events = 0
         self._pending: list[list[tuple[tuple[int, int], Message]]] = [
             [] for _ in range(n_procs)
         ]
@@ -303,6 +307,7 @@ class Scheduler:
     def _push(self, time: float, kind: int, payload: object) -> None:
         heapq.heappush(self._heap, (time, self._seq, kind, payload))
         self._seq += 1
+        self._work_events += kind != _FAULT
 
     def _schedule_arrival(self, msg: Message, dest_proc: int, at: float) -> None:
         msg.seq = self._seq
@@ -348,12 +353,16 @@ class Scheduler:
         return at
 
     def run(self, until: float | None = None) -> float:
-        """Process events to quiescence (or ``until``); returns final time."""
-        while self._heap:
+        """Process events until no arrival, completion or control event is
+        left (or up to ``until``); returns the time of the last one.  A
+        fail-stop fault timed after the last of them stays queued: it falls
+        in a later run, or a later scheduler takes it from the plan."""
+        while self._work_events:
             time, _seq, kind, payload = self._heap[0]
             if until is not None and time > until:
                 break
             heapq.heappop(self._heap)
+            self._work_events -= kind != _FAULT
             self._clock = time
             if kind == _ARRIVE:
                 msg, proc = payload
@@ -522,5 +531,6 @@ class Scheduler:
 
     # ------------------------------------------------------------------ #
     def quiescent(self) -> bool:
-        """True when no events or pending messages remain."""
-        return not self._heap and all(len(q) == 0 for q in self._pending)
+        """True when no events (queued faults aside) or pending messages
+        remain."""
+        return not self._work_events and all(len(q) == 0 for q in self._pending)

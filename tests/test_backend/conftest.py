@@ -8,22 +8,26 @@ import pytest
 
 from repro.backend import c_backend
 
-#: the definition that makes every cloned kernel of ``kernels.c`` a set of
-#: clones; a host that resolves the AVX-512F clone never runs the default
-#: bodies, so the parity build below defines it empty instead
-CLONES = re.compile(r"^#define KERNEL_CLONES __attribute__\(\(target_clones\(.*$", re.M)
+#: the definition that gives ``kernels.c`` its AVX-512F builds and the
+#: dispatch between them and the portable bodies; a host that resolves the
+#: AVX-512F builds never runs the portable ones, so the parity build below
+#: defines it 0 instead
+AVX512F = re.compile(r"^#define KERNEL_AVX512F 1\b.*$", re.M)
 
 
 @pytest.fixture(scope="session")
 def default_body(tmp_path_factory):
-    """``kernels.c`` built again, with ``FLAGS``, without the clones: each
-    cloned kernel is then its default body alone."""
+    """``kernels.c`` built again, with ``FLAGS``, with no AVX-512F path at
+    all: each dispatched kernel is then its portable body alone - what a CPU
+    without AVX-512F runs - and exported under its own name."""
     cc = shutil.which("cc")
     if cc is None:
         pytest.skip("no C compiler on this host")
     source = resources.files("repro.backend").joinpath("kernels.c").read_text()
-    plain, n = CLONES.subn("#define KERNEL_CLONES", source)
+    portable, n = AVX512F.subn("#define KERNEL_AVX512F 0", source)
     assert n == 1
-    path = tmp_path_factory.mktemp("default-clone") / "kernels.so"
-    c_backend._compile(cc, plain.encode(), path)
-    return c_backend._backend_of(c_backend._load(path))
+    path = tmp_path_factory.mktemp("portable-body") / "kernels.so"
+    c_backend._compile(cc, portable.encode(), path)
+    lib = c_backend._load(path)
+    assert lib.kernel_build() == b"none"
+    return c_backend._backend_of(lib)

@@ -386,13 +386,14 @@ def test_atom_table_is_both_directions_of_every_excluded_and_14_pair():
 
 
 # --------------------------------------------------------------------- #
-# the default clone (the ``default_body`` fixture is in conftest.py)
+# the portable bodies (the ``default_body`` fixture is in conftest.py)
 # --------------------------------------------------------------------- #
 
 
 def assert_default_clone_agrees(default, system, blocks, r, tables=None):
-    """Counts and lists of the default body equal the loaded backend's,
-    array for array; returns the pairs listed in total."""
+    """Counts and lists of the portable body equal the loaded backend's,
+    array for array - on an AVX-512F host, the scalar compaction of a row's
+    hits to the one in lanes; returns the pairs listed in total."""
     loaded = BACKENDS[-1]
     total = 0
     for block in blocks:
@@ -451,6 +452,22 @@ class TestDefaultClone:
         )
         blocks = blocks_of(binned(water, (2, 2, 1)), 3)
         assert assert_default_clone_agrees(default_body, moved, blocks, R) > 0
+
+    def test_every_lane_tail(self, default_body):
+        """A self block of 18 atoms - row k tests 17 - k columns - and pair
+        blocks of 1 .. 17 columns, in a box they fill: every tail of one to
+        seven lanes, hits and misses in each."""
+        rng = np.random.default_rng(4)
+        box = np.full(3, 9.0)
+        system = SimpleNamespace(
+            positions=rng.random((35, 3)) * box, box=box, n_atoms=35
+        )
+        atoms = np.arange(35, dtype=np.int64)
+        blocks = [(atoms[:18], None, 0, 1)] + [
+            (atoms[:2], atoms[18 : 18 + nb], 0, 1) for nb in range(1, 18)
+        ]
+        tables = no_exclusions(system)
+        assert assert_default_clone_agrees(default_body, system, blocks, 5.0, tables) > 0
 
     @given(
         seed=st.integers(0, 2**32 - 1),

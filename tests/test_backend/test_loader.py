@@ -37,6 +37,15 @@ def cache(tmp_path, monkeypatch):
     B._reset_for_testing()
 
 
+@pytest.fixture(scope="session")
+def sealed_object():
+    """A whole object of this source, flags and compiler - the one the
+    process's own cache holds, built there at most once a session - for the
+    tests whose subject is not the compiling."""
+    c_backend._library()
+    return Path(c_backend.build_info["cache_file"])
+
+
 def assert_auto_is_silently_numpy(reason):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -52,10 +61,21 @@ def test_source_ships_with_the_package():
     assert (resources.files("repro.backend") / "kernels.c").is_file()
 
 
-def test_the_cloned_kernels_are_the_ones_the_source_clones():
+def test_the_dispatched_kernels_are_the_ones_the_source_builds():
+    """``KERNEL_BUILDS`` names the kernels built twice; the bodies that pass
+    ``lanes`` on to a helper are the ones that compact in lanes."""
     source = resources.files("repro.backend").joinpath("kernels.c").read_text()
-    cloned = re.findall(r"^KERNEL_CLONES KERNEL_OPTIMIZE\n\w+ (\w+)\(", source, re.M)
-    assert tuple(cloned) == c_backend.CLONED_KERNELS
+    built = re.findall(r"^KERNEL_BUILDS\((\w+),", source, re.M)
+    assert tuple(built) == c_backend.DISPATCHED_KERNELS
+
+    def passes_lanes_on(name):
+        body = re.search(
+            rf"^ALWAYS_INLINE int64_t {name}_body\(.*?^}}", source, re.M | re.S
+        ).group()
+        return re.search(r"\w+\(lanes,", body) is not None
+
+    lanes = tuple(name for name in built if passes_lanes_on(name))
+    assert lanes == c_backend.LANE_COMPACTION
 
 
 def test_first_use_compiles_and_the_next_hits_the_cache(cache):
@@ -72,7 +92,11 @@ def test_first_use_compiles_and_the_next_hits_the_cache(cache):
     assert B.backend_status()["c_build"]["source"] == "cache hit"
 
 
-def test_one_log_line_per_resolution(cache, caplog):
+def test_one_log_line_per_resolution(cache, caplog, monkeypatch, sealed_object):
+    # the build is a copy of the session's object: the line is the subject
+    monkeypatch.setattr(
+        c_backend, "_compile", lambda cc, source, path: shutil.copy(sealed_object, path)
+    )
     with caplog.at_level(logging.INFO, logger="repro.backend"):
         get_backend("auto")
         get_backend("c")
@@ -81,7 +105,9 @@ def test_one_log_line_per_resolution(cache, caplog):
     assert "compiled" in record.getMessage()
 
 
-def test_truncated_cached_file_is_rebuilt_not_loaded(cache, monkeypatch):
+def test_truncated_cached_file_is_rebuilt_not_loaded(cache, monkeypatch, sealed_object):
+    cache.mkdir(mode=0o700, parents=True)
+    shutil.copy(sealed_object, cache / sealed_object.name)
     get_backend("c")
     built = Path(B.backend_status()["c_build"]["cache_file"])
     # the same name in a second cache: a path this process has not mapped

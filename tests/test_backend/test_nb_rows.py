@@ -241,7 +241,7 @@ class TestEqualsNbPairsOverTheExpansion:
 
 
 def assert_default_body_agrees(default, system, lists, mode):
-    """The default bodies' ``nb_rows`` and ``nb_pairs`` equal the loaded
+    """The portable bodies' ``nb_rows`` and ``nb_pairs`` equal the loaded
     backend's, array for array."""
     loaded = BACKENDS[-1]
     for evaluate in (by_rows, by_pairs):
@@ -254,9 +254,10 @@ def assert_default_body_agrees(default, system, lists, mode):
 @needs_c
 @pytest.mark.parametrize("mode", MODES, ids=MODE_IDS)
 class TestDefaultBody:
-    """The pair kernels' default bodies - what a CPU without AVX-512F runs,
+    """The pair kernels' portable bodies - what a CPU without AVX-512F runs,
     and on a host with it nothing else does - built alone (``default_body``
-    in conftest.py) and held to the loaded object."""
+    in conftest.py) and held to the loaded object: on an AVX-512F host, the
+    scalar compaction of pass 1 to the one in lanes."""
 
     def test_water_self_and_pair_blocks(self, default_body, water, mode):
         lists = cell_lists(water, (2, 2, 2))
@@ -284,6 +285,20 @@ class TestDefaultBody:
 
     def test_a_pair_below_the_first_table_node(self, default_body, water, mode):
         assert_default_body_agrees(default_body, *close_pair(water), mode)
+
+    def test_rows_that_list_nothing_and_empty_tasks(self, default_body, water, mode):
+        order = np.arange(water.n_atoms, dtype=np.int64)
+        buckets = [order[:0], order[:1], order[1:200], order[200:]]
+        tasks = [(0, 0, 0, 1), (1, 1, 0, 1), (0, 2, 0, 1), (2, 3, 0, 1), (1, 3, 0, 1)]
+        lists = build_row_lists(water, tasks, range(5), buckets, R_LIST, NUMPY)
+        assert_default_body_agrees(default_body, water, lists, mode)
+
+    def test_every_lane_tail(self, default_body, water, mode):
+        """Rows of 0 .. 17 listed pairs: every tail of one to seven lanes,
+        whole groups of eight, and a chunk edge inside a row."""
+        lists = chunk_edge_lists(water, list(range(18)))
+        assert len(lists.cols) > CHUNK
+        assert_default_body_agrees(default_body, water, lists, mode)
 
 
 @pytest.mark.parametrize("task", [0, 2])

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.backend.c_backend import CLONED_KERNELS
+from repro.backend.c_backend import DISPATCHED_KERNELS, LANE_COMPACTION
 from repro.cli import build_parser, main
 
 
@@ -33,16 +33,22 @@ class TestCommands:
         error = out.split("max error:")[1].split()
         assert float(error[0]) <= 1e-9 and float(error[4]) <= 1e-11
 
-    def test_backends_names_the_cloned_kernels_and_the_clone_this_cpu_runs(
-        self, capsys
-    ):
+    def test_backends_names_each_kernels_build_and_compaction(self, capsys):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
         if "c:         ok" not in out:
             pytest.skip("no compiled backend on this host")
-        line = out.split("clone:")[1].splitlines()[0]
-        assert line.split()[0] in ("avx512f", "default", "none")
-        assert line.endswith(" for " + ", ".join(CLONED_KERNELS))
+        lines = out.split("dispatch:")[1].splitlines()
+        dispatch = lines[0].split()[0]
+        assert dispatch in ("avx512f", "portable", "none")
+        build = "portable" if dispatch == "none" else dispatch
+        rows = lines[1 : 1 + len(DISPATCHED_KERNELS)]
+        for name, line in zip(DISPATCHED_KERNELS, rows, strict=True):
+            lanes = build == "avx512f" and name in LANE_COMPACTION
+            compaction = "in lanes" if lanes else "scalar"
+            assert line.split() == [
+                f"{name}:", build, "build,", "compaction", *compaction.split()
+            ]
 
     def test_md(self, capsys):
         assert main(["md", "--waters", "27", "--steps", "3", "--cutoff", "5"]) == 0

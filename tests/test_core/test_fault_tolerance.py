@@ -7,6 +7,7 @@ placement.  That recovered *physics* is bit-identical to the unfaulted run
 is checked on the real engine (``tests/test_md/test_resilience.py``).
 """
 
+import numpy as np
 import pytest
 
 from repro.core import ParallelSimulation, SimulationConfig
@@ -121,6 +122,26 @@ class TestTimingModeRecovery:
         )
         with pytest.raises(UnrecoverableFailure):
             ParallelSimulation(assembly, cfg).run()
+
+    def test_a_kill_after_the_phase_strikes_the_phase_it_falls_in(self, assembly):
+        """Phase 0 ends near 1.7 s: a kill at 3.0 s leaves it and phase 1
+        as they run fault-free and strikes phase 2, not phase 0 with two
+        rounds done and no periodic checkpoint taken."""
+        base = dict(n_procs=4, steps_per_phase=5, checkpoint_interval=2)
+        clean = ParallelSimulation(assembly, SimulationConfig(**base)).run()
+        cfg = SimulationConfig(**base, fault_plan=FaultPlan.parse("kill=2@3.0"))
+        res = ParallelSimulation(assembly, cfg).run()
+        ends = [phase.timings.completion_times[-1] for phase in clean.phases]
+        assert ends[0] < 3.0 < ends[0] + ends[1] + ends[2]
+        for p in (0, 1):
+            assert res.phases[p].recovery.events == []
+            assert np.array_equal(
+                res.phases[p].timings.completion_times,
+                clean.phases[p].timings.completion_times,
+            )
+        (event,) = res.phases[2].recovery.events
+        assert event.procs == (2,) and res.dead_procs == (2,)
+        assert 0.0 < event.failure_time < 3.0 - ends[0]
 
 
 # --------------------------------------------------------------------- #

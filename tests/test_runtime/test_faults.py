@@ -172,6 +172,22 @@ class TestSchedulerFailures:
         assert 1 in sched.dead_procs
         assert sched.failure_times[1] == 1.0
 
+    def test_kill_after_the_last_event_waits_for_the_run_it_falls_in(self):
+        """run() stops at its last arrival, completion or control event: a
+        kill timed after it stays queued, and strikes in the run whose
+        events reach its time."""
+        plan = FaultPlan(failures=(ProcessorFailure(1, 1.0),))
+        sched = Scheduler(2, MACHINE.with_overrides(recv_overhead_s=0.0), fault_plan=plan)
+        c = Counter(cost=1e-3)
+        oid = sched.register(c, 1)
+        sched.inject(oid, "ping", {}, size_bytes=0.0)
+        assert sched.run() == pytest.approx(1e-3)
+        assert sched.dead_procs == set() and sched.quiescent()
+        sched.inject(oid, "ping", {}, size_bytes=0.0, at_time=2.0)
+        assert sched.run() == 2.0
+        assert sched.dead_procs == {1} and sched.failure_times[1] == 1.0
+        assert c.hits == 1 and sched.fault_stats["dead_dropped"] == 1
+
     def test_slowdown_window_stretches_execution(self):
         plan = FaultPlan(slowdowns=(SlowdownWindow(0, 0.0, 10.0, 4.0),))
         for p, expected in ((None, 1e-3), (plan, 4e-3)):
