@@ -16,7 +16,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.builder import small_water_box, tiny_peptide
+from repro.builder import skewed_water_box, small_water_box, tiny_peptide
 from repro.builder.benchmarks import mini_assembly
 
 #: ``REPRO_TEST_SEED=<seed>`` runs the suite in a shuffled order, the same
@@ -91,6 +91,38 @@ def peptide():
 def assembly():
     """The 3,100-atom protein+lipid+water mini assembly (2x2x2 patches)."""
     return mini_assembly()
+
+
+@pytest.fixture(scope="session")
+def water150():
+    """A relaxed 150-molecule water box (450 atoms)."""
+    return small_water_box(150, seed=3)
+
+
+@pytest.fixture(scope="session")
+def water216():
+    """An unrelaxed 216-molecule water box (648 atoms, 18.6 Å): 2x2x2 task
+    cells at any list radius from 6.3 to 9.3 Å."""
+    return small_water_box(216, seed=3, relax=False)
+
+
+@pytest.fixture(scope="session")
+def skewed300():
+    """300 unrelaxed waters, three times denser in one half of the box."""
+    return skewed_water_box(300, seed=3, skew=3.0, relax=False)
+
+
+@pytest.fixture(scope="session")
+def water400():
+    """An unrelaxed 400-molecule water box (1,200 atoms)."""
+    return small_water_box(400, seed=11, relax=False)
+
+
+@pytest.fixture(scope="session")
+def water600():
+    """An unrelaxed 600-molecule water box (1,800 atoms): 2x2x2 task cells
+    at 8 + 1.5 Å."""
+    return small_water_box(600, seed=7, relax=False)
 
 
 @pytest.fixture()

@@ -4,7 +4,7 @@ recover from the in-memory double checkpoint, finish every step.
 The simulator models time, not positions, so what is checked here is the
 accounting (failures, detection, replayed rounds) and the degraded
 placement.  That recovered *physics* is bit-identical to the unfaulted run
-is checked on the real engine (``tests/test_md/test_resilience.py``).
+is checked on the real engine (``tests/test_md/test_conformance.py``).
 """
 
 import numpy as np

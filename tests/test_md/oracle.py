@@ -1,9 +1,13 @@
-"""The engines' independent oracle: the reference force-field functions.
+"""The engines' independent oracle: the reference force-field functions,
+which ``test_conformance.py`` holds the engines' reference runs to (every
+other run is held to those bit for bit).
 
 ``compute_nonbonded`` (direct per-call cell enumeration, nothing carried
 between calls), ``compute_bonded`` and ``compute_ewald`` share no list,
 task or reduction code with the engines' force-task path, so agreement to
-1e-9 (summation order differs) checks that path end to end.
+1e-9 (summation order differs) checks that path end to end.  The scaled
+1-4 pass, ``nonbonded_14``, is the one function both sides call: a fault
+in it moves the oracle with the engines.
 
 Under Ewald one part is held to a different bound, here and nowhere else:
 the engines compute the reciprocal sum by smooth PME, which approximates

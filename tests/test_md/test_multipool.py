@@ -1,10 +1,10 @@
-"""Multiple live executors in one process: no cross-talk, no leaks.
+"""Multiple live executors in one process: no shared names, no leaks.
 
 The segment registry gives every process pool collision-free shared-memory
 names (pid + random token prefix), so two engines — or an engine plus any
 other ``repro.pool`` client — can coexist and tear down independently.  A
-default parallel engine runs on threads and forks nothing; one beside a
-supervised engine, which does fork, keeps its bits.
+default parallel engine runs on threads and forks nothing.  That engines
+stepped in turns keep their bits is held in ``test_conformance.py``.
 """
 
 from __future__ import annotations
@@ -16,12 +16,9 @@ import pytest
 
 from repro.builder import small_water_box
 from repro.md.engine import SequentialEngine
-from repro.md.integrator import VelocityVerlet
 from repro.md.nonbonded import NonbondedOptions
 from repro.md.parallel import HAS_SHARED_MEMORY, ParallelEngine
 from repro.pool import RecoveryPolicy, SegmentRegistry, attach_segment
-
-from .oracle import assert_matches_reference
 
 pytestmark = pytest.mark.skipif(
     not HAS_SHARED_MEMORY, reason="platform lacks multiprocessing.shared_memory"
@@ -30,17 +27,7 @@ pytestmark = pytest.mark.skipif(
 OPTS = NonbondedOptions(cutoff=8.0)
 
 
-@pytest.fixture(scope="module")
-def water600():
-    return small_water_box(600, seed=7, relax=False)
-
-
-@pytest.fixture(scope="module")
-def water400():
-    return small_water_box(400, seed=11, relax=False)
-
-
-def test_two_engines_coexist_without_crosstalk(water600, water400):
+def test_two_engines_have_disjoint_segment_names(water600, water400):
     with ParallelEngine(
         water600.copy(), options=OPTS, workers=2, recovery=RecoveryPolicy()
     ) as eng_a:
@@ -48,14 +35,9 @@ def test_two_engines_coexist_without_crosstalk(water600, water400):
             water400.copy(), options=OPTS, workers=2, recovery=RecoveryPolicy()
         ) as eng_b:
             assert eng_a.parallel and eng_b.parallel
-            # disjoint shared-memory names
             names_a = set(eng_a._nb._pool._registry.names().values())
             names_b = set(eng_b._nb._pool._registry.names().values())
             assert not (names_a & names_b)
-            # interleave evaluations; each pool must see only its system
-            for _ in range(2):
-                assert_matches_reference(eng_a)
-                assert_matches_reference(eng_b)
 
 
 def test_closing_one_engine_leaves_the_other_live(water600, water400):
@@ -168,33 +150,3 @@ def test_default_parallel_engine_forks_nothing(water400, monkeypatch):
         for _ in range(2):
             eng.compute_forces()
             assert multiprocessing.active_children() == []
-
-
-def test_threads_and_processes_stepped_alternately(water400):
-    """A supervised engine forks its workers while a threaded engine's
-    threads are parked; stepped in turns, each keeps its solo bits."""
-
-    def engine(**kwargs):
-        system = water400.copy()
-        system.assign_velocities(300.0, seed=5)
-        return ParallelEngine(
-            system, OPTS, VelocityVerlet(dt=1.0), workers=2, **kwargs
-        )
-
-    supervised = {"recovery": RecoveryPolicy()}
-    solo = {}
-    for name, kwargs in (("threads", {}), ("processes", supervised)):
-        with engine(**kwargs) as eng:
-            eng.run(4)
-            solo[name] = eng.system.positions.copy()
-    with engine() as threaded:
-        threaded.step()  # its threads are live before the fork below
-        with engine(**supervised) as pooled:
-            assert threaded.driver_report()["executor"] == "threads"
-            assert pooled.driver_report()["executor"] == "processes"
-            for _ in range(3):
-                pooled.step()
-                threaded.step()
-            pooled.step()
-            assert np.array_equal(threaded.system.positions, solo["threads"])
-            assert np.array_equal(pooled.system.positions, solo["processes"])

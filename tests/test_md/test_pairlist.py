@@ -1,6 +1,7 @@
 """Verlet list lifetime: staleness, rebuilds, correctness-preserving reuse."""
 
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from repro.builder import small_water_box
 from repro.md.bonded import compute_bonded
 from repro.md.engine import SequentialEngine
+from repro.md.ewald import EwaldOptions
 from repro.md.integrator import VelocityVerlet
 from repro.md.nonbonded import NonbondedOptions, compute_nonbonded
 from repro.md.pairlist import VerletPairList
@@ -124,3 +126,47 @@ class TestCorrectness:
         for _ in range(5):
             pl.pairs(pos, water64.box)
         assert pl.reuse_fraction == pytest.approx(0.8)
+
+    def test_ewald_reuse_step_enumerates_and_filters_nothing(
+        self, water216, monkeypatch
+    ):
+        """No per-step candidate sweep or exclusion test is left on an Ewald
+        engine's path: both happen at list rebuilds only."""
+        import repro.md.cells
+        import repro.md.nonbonded
+        from repro.md.topology import Exclusions
+
+        calls = Counter()
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        system = water216.copy()
+        system.assign_velocities(300.0, seed=5)
+        # without workers the tasks run in this process, where the patches are
+        engine = SequentialEngine(
+            system, NonbondedOptions(cutoff=6.0), VelocityVerlet(dt=1.0),
+            ewald=EwaldOptions(cutoff=6.0, kmax=3),
+        )
+        engine.step()
+        for module in (repro.md.cells, repro.md.nonbonded):
+            monkeypatch.setattr(
+                module, "candidate_pairs",
+                counted("candidate_pairs", module.candidate_pairs),
+            )
+        # the lists' exclusion test reads the per-atom table, once a rebuild
+        for name in ("is_excluded", "atom_table"):
+            monkeypatch.setattr(
+                Exclusions, name, counted(name, getattr(Exclusions, name))
+            )
+        builds = engine.pairlist.n_builds
+        engine.step()
+        assert engine.pairlist.n_builds == builds  # a reuse step
+        assert not calls
+        engine.pairlist.invalidate()
+        engine.step()
+        assert calls["atom_table"] > 0 and not calls["candidate_pairs"]

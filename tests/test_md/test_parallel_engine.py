@@ -1,10 +1,9 @@
-"""The real shared-memory parallel engine.
+"""The parallel engine's lifecycle: no pool, close, the context manager,
+the evaluator's dispatch/collect pairing, a lost or failing worker
+process or thread, and the contiguous partition of the initial task map.
 
-Agreement with the reference functions (1e-9 at every worker count; see
-``oracle.py``), determinism (same worker count -> bit-identical
-trajectories), NVE energy conservation on the pool, and pool lifecycle
-(no pool, close, context manager): without workers the same tasks run
-in-process, bit-identically.
+Its trajectories — bit-identical to the sequential engine's, and 1e-9 from
+the oracle — are held in ``test_conformance.py``.
 """
 
 import threading
@@ -27,80 +26,11 @@ from repro.md.parallel import (
 from repro.pool import RecoveryPolicy
 from repro.pool import contiguous_partition as _contiguous_partition
 
-from .oracle import assert_matches_reference
-
 pytestmark = pytest.mark.skipif(
     not HAS_SHARED_MEMORY, reason="platform lacks multiprocessing.shared_memory"
 )
 
 OPTS = NonbondedOptions(cutoff=8.0)
-
-
-@pytest.fixture(scope="module")
-def water600():
-    """A 600-molecule water box (1800 atoms) — 2x2x2 task cells at 9.5 Å."""
-    return small_water_box(600, seed=7, relax=False)
-
-
-class TestCrossEngineAgreement:
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_water_box_forces_and_energies(self, water600, workers):
-        with ParallelEngine(water600.copy(), options=OPTS, workers=workers) as eng:
-            assert eng.parallel == (workers > 1) and eng.workers == workers
-            assert_matches_reference(eng)
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_protein_ion_assembly(self, assembly, workers):
-        with ParallelEngine(assembly.copy(), options=OPTS, workers=workers) as eng:
-            assert eng.parallel
-            assert_matches_reference(eng)
-
-    def test_agreement_holds_across_steps(self, water600):
-        """Pairlist reuse and rebuilds stay in agreement with per-call
-        enumeration."""
-        s = water600.copy()
-        s.assign_velocities(300.0, seed=5)
-        with ParallelEngine(s, OPTS, VelocityVerlet(dt=1.0), workers=2) as par:
-            assert par.parallel
-            for _ in range(5):
-                par.step()
-                assert_matches_reference(par, par._forces)
-            assert par.pairlist.n_reuses > 0  # the Verlet lists actually amortize
-
-
-class TestDeterminism:
-    def test_same_worker_count_bit_identical(self, water600):
-        trajectories = []
-        for _run in range(2):
-            s = water600.copy()
-            s.assign_velocities(300.0, seed=13)
-            with ParallelEngine(s, options=OPTS, workers=3) as eng:
-                assert eng.parallel
-                reports = eng.run(5)
-            trajectories.append(
-                (s.positions.copy(), s.velocities.copy(), reports[-1].total)
-            )
-        (p0, v0, e0), (p1, v1, e1) = trajectories
-        assert np.array_equal(p0, p1)
-        assert np.array_equal(v0, v1)
-        assert e0 == e1
-
-
-class TestEnergyConservation:
-    def test_nve_drift_bound_200_steps_parallel(self):
-        """Secular drift on the parallel path matches the sequential bound."""
-        system = small_water_box(100, seed=4)
-        system.assign_velocities(300.0, seed=11)
-        opts = NonbondedOptions(cutoff=5.0, switch_dist=4.0)
-        with ParallelEngine(
-            system, opts, VelocityVerlet(dt=0.5), workers=2, skin=1.0
-        ) as engine:
-            assert engine.parallel
-            e0 = engine.step().total
-            totals = [rep.total for rep in engine.run(200)]
-        rel_dev = np.abs(np.array(totals) - e0) / abs(e0)
-        assert rel_dev.max() < 5e-3, f"max relative drift {rel_dev.max():.2e}"
-        assert abs(totals[-1] - e0) / abs(e0) < 5e-3
 
 
 class TestLifecycle:
@@ -114,8 +44,8 @@ class TestLifecycle:
         # one task cell only -> nothing to distribute -> no pool
         s = small_water_box(50, seed=1, relax=False)
         with ParallelEngine(s, options=OPTS, workers=4) as eng:
-            assert not eng.parallel
-            assert_matches_reference(eng)
+            assert not eng.parallel and eng.workers == 1
+            assert np.isfinite(eng.compute_forces()).all()
 
     def test_close_is_idempotent_and_degrades_gracefully(self, water600):
         eng = ParallelEngine(water600.copy(), options=OPTS, workers=2)
@@ -187,7 +117,6 @@ class TestLifecycle:
         with ParallelEngine(water600.copy(), options=OPTS, workers=64) as eng:
             assert eng.parallel
             assert 1 < eng.workers <= 64
-            assert_matches_reference(eng)
 
 
 class TestPartition:
@@ -518,31 +447,11 @@ class TestThreadFailure:
         assert np.array_equal(later.forces, first.forces)
 
 
-class NonInPlaceVerlet:
-    """Velocity Verlet that hands ``force_fn`` a *fresh* positions array
-    instead of mutating the one it was given — the integrator contract's
-    other allowed shape (md/engine.py ``force_fn``).  Same arithmetic as
-    :class:`repro.md.integrator.VelocityVerlet`."""
-
-    def __init__(self, dt: float = 1.0) -> None:
-        self.dt = dt
-
-    def step(self, positions, velocities, forces, masses, force_fn):
-        from repro.md.constants import ACC_CONVERSION
-
-        kick = 0.5 * self.dt * ACC_CONVERSION
-        v_half = velocities + kick * forces / masses[:, None]
-        new_pos = positions + self.dt * v_half
-        new_forces = force_fn(new_pos)
-        velocities[...] = v_half + kick * new_forces / masses[:, None]
-        return new_forces
-
-
 class TestWrapSemantics:
-    def test_construction_does_not_touch_positions(self):
+    def test_construction_does_not_touch_positions(self, water600):
         # parallel-engine construction used to wrap (and rebind) the
         # caller's positions; the sequential engine never did
-        s = small_water_box(600, seed=7, relax=False)
+        s = water600.copy()
         shifted = s.positions + np.asarray(s.box) * np.array([1.0, 0.0, 0.0])
         s.positions = shifted
         snapshot = shifted.copy()
@@ -550,18 +459,3 @@ class TestWrapSemantics:
             assert eng.parallel
             assert s.positions is shifted
             assert np.array_equal(s.positions, snapshot)
-
-    def test_non_in_place_integrator_matches_sequential(self, water600):
-        def run(workers):
-            s = water600.copy()
-            s.assign_velocities(300.0, seed=5)
-            with make_engine(
-                s, OPTS, NonInPlaceVerlet(dt=1.0), workers=workers
-            ) as eng:
-                reports = eng.run(5)
-            return s.positions.copy(), reports[-1].total
-
-        p_seq, e_seq = run(1)
-        p_par, e_par = run(3)
-        assert np.array_equal(p_par, p_seq)
-        assert e_par == e_seq

@@ -1,18 +1,17 @@
-"""Measurement-based rebalancing of the real parallel engine.
+"""Measurement-based rebalancing of the real parallel engine: the
+decisions, their schedule, the load they shed, the WorkDB that feeds them.
 
-The determinism contract under test: remap points are step-indexed and the
-force reduction is assignment-independent, so runs stay bit-identical and
-sequential-equivalent even though the task->worker map is rebuilt from
-noisy wall-clock measurements mid-run.
+That a remap leaves a run's bits alone is ``test_conformance.py``'s; at
+which steps maps change follows measured times, so it is asserted only
+through recorded samples (:class:`TestScheduleDeterminism`).
 """
 
 import numpy as np
 import pytest
 
-from repro.builder import skewed_water_box, small_water_box
+from repro.builder import skewed_water_box
 from repro.instrument import WorkDB
 from repro.md import lb_driver
-from repro.md.engine import SequentialEngine
 from repro.md.nonbonded import NonbondedOptions
 from repro.md.parallel import HAS_SHARED_MEMORY, ParallelEngine, ParallelNonbonded
 
@@ -24,39 +23,22 @@ OPTS = NonbondedOptions(cutoff=6.0)
 
 
 @pytest.fixture(scope="module")
-def water150():
-    return small_water_box(150, seed=3)
-
-
-@pytest.fixture(scope="module")
 def skewed150():
     return skewed_water_box(150, seed=3, skew=2.0, relax=False)
 
 
 def run_parallel(system, n_steps, **kwargs):
-    """Run a fresh engine on a copy; return (positions, engine diagnostics)."""
-    eng = ParallelEngine(system.copy(), options=OPTS, workers=2, skin=1.0, **kwargs)
-    try:
-        reports = eng.run(n_steps)
-        return (
-            eng.system.positions.copy(),
-            reports,
-            list(eng.remap_steps),
-            [dict(r) for r in eng.rebalance_log],
-        )
-    finally:
-        eng.close()
+    """Run a fresh engine on a copy; return its remap steps and LB log."""
+    with ParallelEngine(
+        system.copy(), options=OPTS, workers=2, skin=1.0, **kwargs
+    ) as eng:
+        eng.run(n_steps)
+        return list(eng.remap_steps), [dict(r) for r in eng.rebalance_log]
 
 
-def run_sequential(system, n_steps):
-    eng = SequentialEngine(system.copy(), options=OPTS)
-    reports = eng.run(n_steps)
-    return eng.system.positions.copy(), reports
-
-
-class TestRemapDeterminism:
+class TestRemaps:
     def test_rebalancing_run_remaps_at_least_twice(self, water150):
-        _, _, remaps, log = run_parallel(
+        remaps, log = run_parallel(
             water150, 12, rebalance_every=4, fault_plan="slow=0@0-infx3"
         )
         assert len(log) >= 2, "two LB decisions expected in 12 steps"
@@ -65,36 +47,8 @@ class TestRemapDeterminism:
         # decision, strictly increasing
         assert remaps == sorted(set(remaps))
 
-    def test_repeated_runs_bit_identical(self, water150):
-        """Timing samples differ between runs — and with them, possibly, the
-        steps at which a map changed; trajectories must not."""
-        pos_a, rep_a, remaps_a, _ = run_parallel(
-            water150, 12, rebalance_every=4, fault_plan="slow=0@0-infx3"
-        )
-        pos_b, rep_b, remaps_b, _ = run_parallel(
-            water150, 12, rebalance_every=4, fault_plan="slow=0@0-infx3"
-        )
-        assert remaps_a and remaps_b, "each run must cross a remap"
-        assert np.array_equal(pos_a, pos_b)
-        for a, b in zip(rep_a, rep_b):
-            assert a.potential == b.potential
-            assert a.kinetic == b.kinetic
-
-    def test_agrees_with_sequential_across_remaps(self, water150):
-        """Forces (and hence the trajectory) stay within 1e-9 of the
-        sequential engine across >= 2 remap events."""
-        pos_par, rep_par, remaps, _ = run_parallel(
-            water150, 12, rebalance_every=4, fault_plan="slow=0@0-infx3"
-        )
-        assert len(remaps) >= 2
-        pos_seq, rep_seq = run_sequential(water150, 12)
-        for p, s in zip(rep_par, rep_seq):
-            assert p.potential == pytest.approx(s.potential, rel=1e-9)
-            assert p.kinetic == pytest.approx(s.kinetic, rel=1e-9)
-        np.testing.assert_allclose(pos_par, pos_seq, rtol=1e-9, atol=1e-9)
-
     def test_static_run_never_remaps(self, water150):
-        _, _, remaps, log = run_parallel(water150, 5, rebalance_every=0)
+        remaps, log = run_parallel(water150, 5, rebalance_every=0)
         assert remaps == []
         assert log == []
 
@@ -150,7 +104,7 @@ class TestLoadShrink:
         first decision sees pure measurements (the cost-model prior's blend
         weight has reached zero) and the full injected imbalance.  The 5x
         factor keeps the signal far above host scheduling jitter."""
-        _, _, _, log = run_parallel(
+        _, log = run_parallel(
             skewed150,
             9,
             rebalance_every=8,
@@ -193,7 +147,7 @@ class TestLoadShrink:
         assert inside > 2.0 * before
 
     def test_greedy_then_refine_default_schedule(self, water150):
-        _, _, _, log = run_parallel(
+        _, log = run_parallel(
             water150, 10, rebalance_every=4, fault_plan="slow=0@0-infx2"
         )
         assert [r["strategy"] for r in log[:2]] == ["greedy", "refine"]

@@ -1,22 +1,18 @@
-"""Fault injection and supervised recovery on the real parallel engine.
+"""Fault injection and supervised recovery on the real parallel engine:
+the engine's reading of a fault plan, the recovery policy, how fast and
+how a fault is detected, what the WorkDB records of it, and the injector
+itself against throwaway processes.
 
-The contract under test: a worker SIGKILL'd, SIGSTOP'd, erroring, or
-slowed mid-run is detected by the supervisor and healed — respawn first,
-reassignment to survivors when respawns are exhausted, sequential fallback
-only when nobody is left — and the recovered trajectory is **bit-identical**
-to an unfaulted run at the same worker count.
+That the healed trajectory — respawn, reassignment to survivors, the
+in-process fallback, a resume — is bit-identical to the sequential one is
+held in ``test_conformance.py``.
 """
 
 import os
 import time
 
-import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from repro.builder import small_water_box
-from repro.md.engine import SequentialEngine
 from repro.md.nonbonded import NonbondedOptions
 from repro.md.parallel import HAS_SHARED_MEMORY, ParallelEngine, ParallelNonbonded
 from repro.pool import (
@@ -25,7 +21,7 @@ from repro.pool import (
     RecoveryPolicy,
     ResilienceStats,
 )
-from repro.util.faults import FaultPlan, ProcessorFailure
+from repro.util.faults import FaultPlan
 
 pytestmark = pytest.mark.skipif(
     not HAS_SHARED_MEMORY, reason="platform lacks multiprocessing.shared_memory"
@@ -38,45 +34,17 @@ needs_signals = pytest.mark.skipif(
 OPTS = NonbondedOptions(cutoff=8.0)
 
 
-@pytest.fixture(scope="module")
-def water600():
-    return small_water_box(600, seed=7, relax=False)
-
-
-@pytest.fixture(scope="module")
-def sequential5(water600):
-    """Positions after 5 worker-less steps from :func:`run_trajectory`'s
-    start: the reference every single-fault run must reproduce."""
-    seq = water600.copy()
-    seq.assign_velocities(300.0, seed=5)
-    with SequentialEngine(seq, OPTS) as eng:
-        for _ in range(5):
-            eng.step()
-    return seq.positions.copy()
-
-
-def run_trajectory(
-    base, steps=6, workers=2, fault=None, policy=None, timeout=30.0
-):
-    """Run ``steps`` MD steps; returns (positions, velocities, E, engine facts)."""
+def run_trajectory(base, fault, steps=6, timeout=30.0):
+    """The resilience record of a ``steps``-step run of two worker
+    processes under ``fault``."""
     s = base.copy()
     s.assign_velocities(300.0, seed=5)
     with ParallelEngine(
-        s,
-        options=OPTS,
-        workers=workers,
-        timeout=timeout,
-        fault_plan=fault,
-        recovery=policy,
+        s, options=OPTS, workers=2, timeout=timeout, fault_plan=fault
     ) as eng:
         assert eng.parallel
-        reports = [eng.step() for _ in range(steps)]
-        facts = {
-            "resilience": eng.resilience,
-            "parallel_at_end": eng.parallel,
-            "live_workers": eng.workers,
-        }
-    return s.positions.copy(), s.velocities.copy(), reports[-1].total, facts
+        eng.run(steps)
+    return eng.resilience
 
 
 # --------------------------------------------------------------------------- #
@@ -116,118 +84,24 @@ class TestRecoveryPolicy:
 # live-process fault injection and recovery
 # --------------------------------------------------------------------------- #
 @needs_signals
-class TestKillRecovery:
-    def test_sigkill_recovered_bit_identical(self, water600):
-        p_ref, v_ref, e_ref, _ = run_trajectory(water600)
-        p, v, e, facts = run_trajectory(water600, fault="kill=1@3")
-        res = facts["resilience"]
-        assert res.kills_detected == 1
-        assert res.respawns == 1
-        assert res.mode == "full"
-        assert facts["parallel_at_end"]
-        assert np.array_equal(p, p_ref)
-        assert np.array_equal(v, v_ref)
-        assert e == e_ref
-
+class TestDetection:
     def test_detection_under_two_seconds(self, water600):
-        _, _, _, facts = run_trajectory(water600, fault="kill=0@2")
-        events = facts["resilience"].events
+        events = run_trajectory(water600, "kill=0@2").events
         assert len(events) == 1
         assert events[0].kind == "died"
         assert events[0].detection_s < 2.0
-
-    def test_both_workers_killed_same_run(self, water600):
-        p_ref, _, e_ref, _ = run_trajectory(water600)
-        p, _, e, facts = run_trajectory(water600, fault="kill=0@2,kill=1@4")
-        res = facts["resilience"]
-        assert res.kills_detected == 2
-        assert res.respawns == 2
-        assert np.array_equal(p, p_ref)
-        assert e == e_ref
-
-    def test_exhausted_respawns_reassign_to_survivors(self, water600):
-        p_ref, _, e_ref, _ = run_trajectory(water600)
-        pol = RecoveryPolicy(max_respawns=0)
-        p, _, e, facts = run_trajectory(water600, fault="kill=1@3", policy=pol)
-        res = facts["resilience"]
-        assert res.respawns == 0
-        assert res.tasks_reassigned > 0
-        assert res.mode == "degraded"
-        assert res.degraded_steps > 0
-        # the pool kept running, one worker short — not the sequential path
-        assert facts["parallel_at_end"]
-        assert facts["live_workers"] == 1
-        assert np.array_equal(p, p_ref)
-        assert e == e_ref
-
-    def test_all_workers_lost_degrades_to_sequential(self, water600):
-        p_ref, _, _, _ = run_trajectory(water600)
-        pol = RecoveryPolicy(max_respawns=0)
-        with pytest.warns(RuntimeWarning, match="pool degraded"):
-            p, _, _, facts = run_trajectory(
-                water600, fault="kill=0@2,kill=1@4", policy=pol
-            )
-        res = facts["resilience"]
-        assert res.mode == "sequential"
-        assert not facts["parallel_at_end"]
-        # the bottom rung runs the lost workers' tasks in-process: same bits
-        assert np.array_equal(p, p_ref)
-
-
-@needs_signals
-class TestHangRecovery:
-    def test_finite_hang_rides_through(self, water600):
-        # a short SIGSTOP resumes before the adaptive hang threshold fires:
-        # the step is just slow, no recovery action is taken
-        p_ref, _, e_ref, _ = run_trajectory(water600)
-        p, _, e, facts = run_trajectory(water600, fault="hang=0@2x0.3")
-        assert np.array_equal(p, p_ref)
-        assert e == e_ref
-
-    def test_infinite_hang_detected_and_respawned(self, water600):
-        p_ref, _, e_ref, _ = run_trajectory(water600)
-        p, _, e, facts = run_trajectory(water600, fault="hang=1@3")
-        res = facts["resilience"]
-        assert res.hangs_detected == 1
-        assert res.respawns == 1
-        assert np.array_equal(p, p_ref)
-        assert e == e_ref
 
     def test_first_evaluation_hang_uses_adaptive_threshold(self, water600):
         """A worker frozen in the very first evaluation is detected on its
         peer's ack latency, scaled by the policy's grace factor — not at
         the hard 30 s timeout, since no clean step has calibrated
         detection yet."""
-        p_ref, _, e_ref, _ = run_trajectory(water600, steps=2)
-        p, _, e, facts = run_trajectory(
-            water600, steps=2, fault="hang=0@1", timeout=30.0
-        )
-        res = facts["resilience"]
+        res = run_trajectory(water600, "hang=0@1", steps=2, timeout=30.0)
         assert res.hangs_detected == 1
         (event,) = res.events
         assert (event.step, event.worker, event.kind) == (1, 0, "hung")
         assert event.detail.startswith("silent for"), event.detail
         assert "threshold" in event.detail and "timeout" not in event.detail
-        assert np.array_equal(p, p_ref)
-        assert e == e_ref
-
-    def test_repeat_faulted_runs_bit_identical(self, water600):
-        a = run_trajectory(water600, fault="kill=1@2")
-        b = run_trajectory(water600, fault="kill=1@2")
-        assert np.array_equal(a[0], b[0])
-        assert np.array_equal(a[1], b[1])
-        assert a[2] == b[2]
-
-
-class TestSlowdownInjection:
-    def test_slowdown_does_not_change_physics(self, water600):
-        p_ref, _, e_ref, _ = run_trajectory(water600, steps=4)
-        p, _, e, facts = run_trajectory(
-            water600, steps=4, fault="slow=0@1-3x5"
-        )
-        assert facts["resilience"].n_failures == 0
-        assert np.array_equal(p, p_ref)
-        assert e == e_ref
 
 
 @needs_signals
@@ -277,37 +151,6 @@ class TestRecoveryAccounting:
             "recovery_time_s",
         ):
             assert key in d
-
-
-# --------------------------------------------------------------------------- #
-# property: any single-worker fault schedule recovers to the reference
-# --------------------------------------------------------------------------- #
-@needs_signals
-class TestRecoveryProperty:
-    @given(
-        kind=st.sampled_from(["kill", "hang"]),
-        worker=st.integers(min_value=0, max_value=1),
-        step=st.integers(min_value=1, max_value=4),
-    )
-    # the first-evaluation hang and a last-step kill always run, whatever
-    # the draw
-    @example(kind="hang", worker=0, step=1)
-    @example(kind="kill", worker=1, step=4)
-    @settings(max_examples=5, deadline=None)
-    def test_single_fault_matches_sequential_and_repeats(
-        self, water600, sequential5, kind, worker, step
-    ):
-        spec = f"{kind}={worker}@{step}"
-        p1, v1, e1, facts = run_trajectory(water600, steps=5, fault=spec)
-        assert facts["parallel_at_end"]
-        assert facts["resilience"].n_failures == 1
-        # recovered forces integrate to the worker-less trajectory, bitwise
-        assert np.array_equal(p1, sequential5)
-        # and the faulted run is exactly repeatable
-        p2, v2, e2, _ = run_trajectory(water600, steps=5, fault=spec)
-        assert np.array_equal(p1, p2)
-        assert np.array_equal(v1, v2)
-        assert e1 == e2
 
 
 # --------------------------------------------------------------------------- #
@@ -394,97 +237,3 @@ class TestFaultInjector:
         inj = FaultInjector(FaultPlan.parse("kill=0@1"))
         inj.inject(1, {0: proc.pid})  # must not raise
 
-
-# --------------------------------------------------------------------------- #
-# disk checkpoint/resume on the parallel engine
-# --------------------------------------------------------------------------- #
-class TestParallelCheckpointResume:
-    """Resume must reproduce the checkpointed run bit-for-bit.
-
-    (An *unfaulted, uncheckpointed* run can differ at the last ulp because
-    writing a checkpoint pins a pairlist rebuild at the next evaluation —
-    the rebuild schedule, not the physics, shifts.  The contract is that
-    the resumed run continues the checkpointed run exactly.)
-    """
-
-    def _fresh(self, base):
-        s = base.copy()
-        s.assign_velocities(300.0, seed=5)
-        return s
-
-    def test_resume_is_bit_identical(self, water600, tmp_path):
-        from repro.runtime.checkpoint import (
-            load_run_checkpoint,
-            restore_run_checkpoint,
-        )
-
-        path = tmp_path / "run.ckpt"
-        # checkpointed run: 5 steps, one checkpoint written at step 3
-        s_a = self._fresh(water600)
-        with ParallelEngine(
-            s_a,
-            options=OPTS,
-            workers=2,
-            timeout=30.0,
-            checkpoint_every=3,
-            checkpoint_path=path,
-        ) as eng:
-            assert eng.parallel
-            for _ in range(5):
-                rep_a = eng.step()
-            assert eng.n_checkpoints == 1
-
-        cp = load_run_checkpoint(path)
-        assert cp.step == 3
-
-        s_b = self._fresh(water600)
-        with ParallelEngine(s_b, options=OPTS, workers=2, timeout=30.0) as eng:
-            restore_run_checkpoint(eng, cp)
-            for _ in range(2):
-                rep_b = eng.step()
-
-        np.testing.assert_array_equal(s_b.positions, s_a.positions)
-        np.testing.assert_array_equal(s_b.velocities, s_a.velocities)
-        assert rep_b.total == rep_a.total
-
-    @needs_signals
-    def test_resume_after_fault_matches_clean_run(self, water600, tmp_path):
-        """Worker SIGKILL'd after resume: the recovered, resumed trajectory
-        still matches the checkpointed run continued without faults."""
-        from repro.runtime.checkpoint import (
-            load_run_checkpoint,
-            restore_run_checkpoint,
-        )
-
-        path = tmp_path / "run.ckpt"
-        s_a = self._fresh(water600)
-        with ParallelEngine(
-            s_a,
-            options=OPTS,
-            workers=2,
-            timeout=30.0,
-            checkpoint_every=3,
-            checkpoint_path=path,
-        ) as eng:
-            for _ in range(5):
-                eng.step()
-
-        cp = load_run_checkpoint(path)
-        # evaluation indices keep counting from the restored nb_seq.  The
-        # kill goes with the first resumed evaluation, not the last: a
-        # worker can ack its step before the signal lands, and then only
-        # the next evaluation's liveness sweep finds it dead
-        fault = FaultPlan(failures=(ProcessorFailure(0, cp.nb_seq + 1),))
-
-        s_b = self._fresh(water600)
-        with ParallelEngine(
-            s_b, options=OPTS, workers=2, timeout=30.0, fault_plan=fault
-        ) as eng:
-            restore_run_checkpoint(eng, cp)
-            for _ in range(2):
-                eng.step()
-            assert eng.resilience.kills_detected == 1
-            assert eng.resilience.mode == "full"
-
-        np.testing.assert_array_equal(s_b.positions, s_a.positions)
-        np.testing.assert_array_equal(s_b.velocities, s_a.velocities)
