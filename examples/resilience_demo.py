@@ -1,9 +1,8 @@
 #!/usr/bin/env python
-"""Fault tolerance on the *real* parallel engine (PR 6).
+"""Fault tolerance on the real parallel engine.
 
-PR 1 gave the simulated runtime deterministic fault injection and
-double-checkpoint recovery.  This demo does the same thing to live OS
-processes: it runs a water box on the supervised
+The supervised worker pool is the one runtime with failures, injected
+into live OS processes: the demo runs a water box on the supervised
 :class:`~repro.md.parallel.ParallelEngine`, SIGKILLs one worker and
 SIGSTOPs another mid-run via a :class:`~repro.util.faults.FaultPlan`,
 and shows that the supervisor detects each fault, respawns the worker, and

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.simulation import PhaseResult, SimulationResult
-from repro.runtime.checkpoint import RecoveryStats
 
 __all__ = ["PerformanceAudit", "performance_audit"]
 
@@ -65,10 +64,6 @@ class PerformanceAudit:
     n_procs: int
     ideal: AuditRow
     actual: AuditRow
-    #: fault-tolerance accounting; None when the run had no resilience layer
-    recovery: "RecoveryStats | None" = None
-    #: processors lost by the end of the run
-    dead_procs: tuple[int, ...] = ()
 
     def format(self) -> str:
         """Text rendering in the layout of the paper's Table 1."""
@@ -97,40 +92,7 @@ class PerformanceAudit:
         for name, row in (("Ideal", self.ideal), ("Actual", self.actual)):
             ms = row.as_ms()
             lines.append(f"{name:8}" + "".join(f"{ms[k]:12.2f}" for k in keys))
-        if self.recovery is not None:
-            lines.append("")
-            lines.extend(self._format_recovery())
         return "\n".join(lines)
-
-    def _format_recovery(self) -> list[str]:
-        rec = self.recovery
-        lines = ["Recovery overhead"]
-        lines.append(
-            f"  checkpoints taken      {rec.checkpoints_taken:6d}"
-            f"   ({rec.checkpoint_time_s * 1e3:10.3f} ms modeled)"
-        )
-        lines.append(
-            f"  processor failures     {rec.n_failures:6d}"
-            + (f"   (procs {list(self.dead_procs)})" if self.dead_procs else "")
-        )
-        if rec.n_failures:
-            lines.append(
-                f"  detection latency      {rec.detection_latency_s * 1e3:10.3f} ms"
-            )
-            lines.append(f"  steps replayed         {rec.steps_replayed:6d}")
-            lines.append(
-                f"  recovery wall-clock    {rec.recovery_time_s * 1e3:10.3f} ms"
-            )
-            lines.append(
-                f"  messages lost to dead  {rec.messages_lost_to_dead:6d}"
-            )
-        if rec.messages_dropped or rec.messages_delayed or rec.messages_duplicated:
-            lines.append(
-                f"  messages dropped/delayed/duplicated  "
-                f"{rec.messages_dropped}/{rec.messages_delayed}"
-                f"/{rec.messages_duplicated}"
-            )
-        return lines
 
 
 def performance_audit(
@@ -187,15 +149,4 @@ def performance_audit(
         idle=0.0,
         receives=0.0,
     )
-    recovery = (
-        result.recovery
-        if any(ph.recovery is not None for ph in result.phases)
-        else None
-    )
-    return PerformanceAudit(
-        n_procs=P,
-        ideal=ideal,
-        actual=actual,
-        recovery=recovery,
-        dead_procs=result.dead_procs,
-    )
+    return PerformanceAudit(n_procs=P, ideal=ideal, actual=actual)

@@ -418,29 +418,14 @@ def cmd_audit(args) -> int:
     """Run one configuration and print the Table-1-style audit."""
     from repro.analysis.audit import performance_audit
     from repro.core.simulation import ParallelSimulation, SimulationConfig
-    from repro.util.faults import FaultPlan
 
     system = _load_system(args.system)
     problem = _build_problem(system)
     try:
-        plan = FaultPlan.parse(args.fault_plan) if args.fault_plan else None
-    except ValueError as exc:
-        raise SystemExit(f"bad --fault-plan: {exc}")
-    try:
-        cfg = SimulationConfig(
-            n_procs=args.procs,
-            machine=_machine(args.machine),
-            fault_plan=plan,
-            checkpoint_interval=args.checkpoint_interval,
-        )
+        cfg = SimulationConfig(n_procs=args.procs, machine=_machine(args.machine))
     except ValueError as exc:
         raise SystemExit(str(exc))
-    from repro.runtime.checkpoint import UnrecoverableFailure
-
-    try:
-        result = ParallelSimulation(system, cfg, problem=problem).run()
-    except UnrecoverableFailure as exc:
-        raise SystemExit(f"unrecoverable: {exc}")
+    result = ParallelSimulation(system, cfg, problem=problem).run()
     print(performance_audit(result).format())
     return 0
 
@@ -612,17 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_au.add_argument("--system", choices=_SYSTEMS, default="br")
     p_au.add_argument("--machine", default="ASCI-Red")
     p_au.add_argument("--procs", type=int, default=32)
-    p_au.add_argument(
-        "--fault-plan", default=None, metavar="SPEC",
-        help="simulated fault injection, which honours seed, kill and "
-             "slow at simulated seconds and the message faults drop, "
-             "delay, dup and retry, e.g. 'seed=7,kill=2@0.5,drop=0.01' "
-             "(see repro.util.faults.FaultPlan.parse)",
-    )
-    p_au.add_argument(
-        "--checkpoint-interval", type=int, default=0, metavar="STEPS",
-        help="double-checkpoint every N steps (0 = baseline cut only)",
-    )
 
     p_gs = sub.add_parser("grainsize", help="Figure-1/2-style histograms")
     p_gs.add_argument("--system", choices=_SYSTEMS, default="br")

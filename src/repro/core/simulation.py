@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.balancer.problem import ComputeItem, LBProblem, placement_stats
 from repro.balancer.rcb import recursive_coordinate_bisection
-from repro.balancer.refine import refine_strategy
 from repro.balancer.strategies import STRATEGIES, solve
 from repro.core.chares import (
     BondedComputeChare,
@@ -37,19 +36,9 @@ from repro.costmodel.flops import DEFAULT_FLOPS, FlopModel
 from repro.costmodel.grainsize import GrainsizeConfig
 from repro.costmodel.model import DEFAULT_COST_MODEL, CostModel, WorkCounts
 from repro.md.system import MolecularSystem
-from repro.runtime.checkpoint import (
-    ChareCheckpoint,
-    Checkpoint,
-    DoubleCheckpointStore,
-    RecoveryEvent,
-    RecoveryStats,
-    restore_chare,
-    snapshot_chare,
-)
 from repro.runtime.machine import ASCI_RED, MachineModel
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.trace import SummaryProfile, TraceLog
-from repro.util.faults import FaultPlan
 
 __all__ = [
     "SimulationConfig",
@@ -88,40 +77,17 @@ class SimulationConfig:
     #: per-processor CPU slowdown factors (heterogeneous / externally
     #: loaded machine, ref [3]); None = homogeneous
     proc_speed_factors: "np.ndarray | None" = None
-    #: deterministic fault schedule (processor death, transient slowdowns,
-    #: message drop/delay/duplicate), its times in simulated seconds;
-    #: None = fault-free run
-    fault_plan: "FaultPlan | None" = None
-    #: rounds between in-memory double checkpoints; 0 = checkpoint only at
-    #: phase start (a baseline cut is always taken when resilience is on)
-    checkpoint_interval: int = 0
-    #: simulated seconds from a processor death to its detection (the
-    #: keep-alive timeout of the failure detector)
-    failure_detection_timeout: float = 5e-4
 
     def __post_init__(self) -> None:
         if self.n_procs < 1:
             raise ValueError("n_procs must be >= 1")
         if not (0 < self.measure_last <= self.steps_per_phase):
             raise ValueError("measure_last must be in 1..steps_per_phase")
-        if self.checkpoint_interval < 0:
-            raise ValueError("checkpoint_interval must be >= 0")
-        if self.failure_detection_timeout <= 0:
-            raise ValueError("failure_detection_timeout must be positive")
         for name in self.lb_schedule:
             base_names = name.split("+")
             for b in base_names:
                 if b not in STRATEGIES:
                     raise ValueError(f"unknown LB strategy {b!r}")
-        if self.fault_plan is not None:
-            # a simulated processor dies or slows down; it never freezes
-            if self.fault_plan.hangs:
-                raise ValueError(
-                    f"fault clause {self.fault_plan.hangs[0].clause!r}: the "
-                    "simulated machine honours seed, kill, slow and the "
-                    "message faults, not hang"
-                )
-            self.fault_plan.check_targets(self.n_procs, "processor", "machine")
 
 
 @dataclass
@@ -167,11 +133,6 @@ class PhaseResult:
     trace: TraceLog | None
     measured_loads: dict[int, float]  # descriptor index -> per-step seconds
     background_per_step: np.ndarray
-    #: fault-tolerance accounting; None when the phase ran without the
-    #: resilience layer
-    recovery: "RecoveryStats | None" = None
-    #: processors lost (cumulatively) by the end of this phase
-    dead_procs: tuple[int, ...] = ()
 
 
 @dataclass
@@ -204,31 +165,13 @@ class SimulationResult:
         """Modeled flop rate at the final step time."""
         return self.flops_per_step / self.time_per_step / 1e9
 
-    @property
-    def recovery(self) -> RecoveryStats:
-        """Aggregate fault-tolerance accounting across all phases."""
-        total = RecoveryStats()
-        for ph in self.phases:
-            if ph.recovery is not None:
-                total = total.merge(ph.recovery)
-        return total
-
-    @property
-    def dead_procs(self) -> tuple[int, ...]:
-        """Processors lost by the end of the run."""
-        return self.phases[-1].dead_procs if self.phases else ()
-
 
 @dataclass
 class _ChareGraph:
-    """All chares of one phase, as wired onto a scheduler."""
+    """The object ids of one phase's chares on its scheduler."""
 
     patch_oid: dict[int, int]
-    patch_chares: dict[int, HomePatchChare]
-    compute_oid: dict[int, int]  # descriptor index -> object id
-    compute_proc: dict[int, int]  # descriptor index -> processor
-    oid_to_desc: dict[int, int]
-    proxy_chares: dict[tuple[int, int], ProxyPatchChare]
+    oid_to_desc: dict[int, int]  # compute object id -> descriptor index
 
 
 class ParallelSimulation:
@@ -287,16 +230,6 @@ class ParallelSimulation:
         self.initial_placement = {
             d.index: int(self.patch_proc[d.home_patch]) for d in self.descriptors
         }
-        self._reset_fault_state()
-
-    def _reset_fault_state(self) -> None:
-        """Per-run resilience state: which processors have died so far and
-        where each patch is homed on the (possibly degraded) machine."""
-        self._dead_procs: set[int] = set()
-        self._patch_proc_now = np.array(self.patch_proc, dtype=np.int64).copy()
-        #: sum of completed phases' end times: converts the global fault-plan
-        #: clock into each phase's local clock
-        self._global_offset = 0.0
 
     # ------------------------------------------------------------------ #
     @property
@@ -315,7 +248,6 @@ class ParallelSimulation:
     # ------------------------------------------------------------------ #
     def run(self) -> SimulationResult:
         """Execute all phases of the LB schedule; returns all measurements."""
-        self._reset_fault_state()
         placement = dict(self.initial_placement)
         schedule: list[str | None] = list(self.config.lb_schedule) + [None]
         phases: list[PhaseResult] = []
@@ -339,7 +271,6 @@ class ParallelSimulation:
         self, placement: dict[int, int] | None = None, trace_full: bool = False
     ) -> PhaseResult:
         """Run a single phase at a given placement (analysis/benchmarks)."""
-        self._reset_fault_state()
         return self._run_phase(
             0, "static", placement or dict(self.initial_placement), trace_full
         )
@@ -352,12 +283,12 @@ class ParallelSimulation:
     ) -> "_ChareGraph":
         """Create and wire all chares on ``scheduler`` for one phase.
 
-        Homes come from ``self._patch_proc_now`` (equal to the static RCB map
-        until a failure re-homes patches onto survivors); migratable computes
-        from ``placement``; non-migratables follow their anchor patch.
+        Homes come from the static RCB map ``self.patch_proc``; migratable
+        computes from ``placement``; non-migratables follow their anchor
+        patch.
         """
         decomp = self.decomposition
-        patch_proc = self._patch_proc_now
+        patch_proc = self.patch_proc
 
         # --- create home patches -------------------------------------- #
         patch_oid: dict[int, int] = {}
@@ -430,14 +361,7 @@ class ParallelSimulation:
         for proxy in proxy_chares.values():
             proxy.expected_deposits = len(proxy.local_compute_ids)
 
-        return _ChareGraph(
-            patch_oid=patch_oid,
-            patch_chares=patch_chares,
-            compute_oid=compute_oid,
-            compute_proc=compute_proc,
-            oid_to_desc=oid_to_desc,
-            proxy_chares=proxy_chares,
-        )
+        return _ChareGraph(patch_oid=patch_oid, oid_to_desc=oid_to_desc)
 
     def _collect_phase(
         self,
@@ -448,13 +372,11 @@ class ParallelSimulation:
         scheduler: Scheduler,
         graph: "_ChareGraph",
         completion_times: list[float],
-        measured_steps: int,
-        recovery: "RecoveryStats | None" = None,
     ) -> PhaseResult:
-        """``measured_steps`` is the number of rounds ``scheduler`` ran,
-        which its load sums divide into per-step loads."""
+        """The scheduler's load sums, divided by the rounds it ran, become
+        per-step loads."""
         cfg = self.config
-        steps = max(measured_steps, 1)
+        steps = cfg.steps_per_phase
         measured_loads = {
             graph.oid_to_desc[oid]: load / steps
             for oid, load in scheduler.object_load.items()
@@ -475,13 +397,8 @@ class ParallelSimulation:
             trace=scheduler.trace if trace_full else None,
             measured_loads=measured_loads,
             background_per_step=background,
-            recovery=recovery,
-            dead_procs=tuple(sorted(self._dead_procs)),
         )
 
-    # ------------------------------------------------------------------ #
-    # the phase loop: checkpointing, failure detection, recovery
-    # ------------------------------------------------------------------ #
     def _run_phase(
         self,
         phase_index: int,
@@ -489,37 +406,12 @@ class ParallelSimulation:
         placement: dict[int, int],
         trace_full: bool,
     ) -> PhaseResult:
-        """Segmented phase execution with double checkpointing.
-
-        The phase's rounds are executed in segments of ``checkpoint_interval``
-        rounds.  Each segment ends at quiescence — a consistent global cut —
-        where every chare's state is checkpointed to its processor and a
-        buddy.  If processors die mid-segment the protocol stalls, the
-        failure detector notices, and recovery rebuilds the chare graph on
-        the survivors (forced refinement pass included), restores state from
-        the last surviving checkpoint, and replays.  Without a fault plan
-        or a checkpoint interval the phase is one segment with no cut at
-        all, and reports ``recovery=None``.
-        """
+        """One scheduler run of ``steps_per_phase`` rounds at ``placement``."""
         cfg = self.config
-        resilient = cfg.fault_plan is not None or cfg.checkpoint_interval != 0
-        plan = (
-            cfg.fault_plan.shifted(self._global_offset)
-            if cfg.fault_plan is not None
-            else None
-        )
         n_steps = cfg.steps_per_phase
-        interval = cfg.checkpoint_interval if cfg.checkpoint_interval > 0 else n_steps
         n_patches = self.decomposition.n_patches
-
-        store = DoubleCheckpointStore(cfg.n_procs)
-        recovery = RecoveryStats()
         completion: dict[int, float] = {}
         round_counts: dict[int, int] = {}
-        placement = dict(placement)
-        #: rounds completed on the current scheduler (a recovery starts a
-        #: new one, whose load sums cover only the rounds it replays)
-        measured_steps = [0]
 
         # Instrumentation covers every round: per-round work is identical
         # (the simulator moves no atoms), so totals divide exactly by
@@ -533,84 +425,27 @@ class ParallelSimulation:
             round_counts[rnd] = round_counts.get(rnd, 0) + 1
             if round_counts[rnd] == n_patches:
                 completion[rnd] = time
-                measured_steps[0] += 1
 
-        def new_scheduler(start_time: float) -> Scheduler:
-            s = Scheduler(
-                cfg.n_procs,
-                cfg.machine,
-                trace_full=trace_full,
-                optimized_multicast=cfg.optimized_multicast,
-                proc_speed_factors=cfg.proc_speed_factors,
-                fault_plan=plan,
-                initially_dead=set(self._dead_procs),
-                start_time=start_time,
-            )
-            s.set_control_handler(on_control)
-            measured_steps[0] = 0
-            return s
-
-        def harvest(s: Scheduler) -> None:
-            fs = s.fault_stats
-            recovery.messages_dropped += fs["drops"]
-            recovery.messages_delayed += fs["delays"]
-            recovery.messages_duplicated += fs["duplicates"]
-            recovery.messages_lost_to_dead += fs["dead_dropped"]
-
-        scheduler = new_scheduler(0.0)
+        scheduler = Scheduler(
+            cfg.n_procs,
+            cfg.machine,
+            trace_full=trace_full,
+            optimized_multicast=cfg.optimized_multicast,
+            proc_speed_factors=cfg.proc_speed_factors,
+        )
+        scheduler.set_control_handler(on_control)
         graph = self._build_chare_graph(scheduler, placement, n_steps)
-        start_at = 0.0
-        if resilient:
-            # baseline cut at round 0: the recovery floor for failures
-            # striking before the first periodic checkpoint
-            start_at = self._take_checkpoint(
-                scheduler, graph, store, recovery, 0, 0.0
+        for p in range(n_patches):
+            scheduler.inject(
+                graph.patch_oid[p], "start", {}, size_bytes=0.0, at_time=0.0
             )
-        resume_round = 0
+        scheduler.run()
 
-        while True:
-            target = min(resume_round + interval, n_steps)
-            for chare in graph.patch_chares.values():
-                chare.n_rounds = target
-            for p in range(n_patches):
-                scheduler.inject(
-                    graph.patch_oid[p], "start", {}, size_bytes=0.0, at_time=start_at
-                )
-            end = scheduler.run()
-
-            new_dead = scheduler.dead_procs - self._dead_procs
-            if new_dead:
-                harvest(scheduler)
-                scheduler, graph, start_at, resume_round = self._recover(
-                    scheduler,
-                    plan,
-                    placement,
-                    store,
-                    recovery,
-                    new_dead,
-                    completion,
-                    round_counts,
-                    n_steps,
-                    new_scheduler,
-                )
-                continue
-
-            done = max(completion) + 1 if completion else 0
-            if done != target:
-                raise RuntimeError(
-                    f"phase {phase_index}: {done}/{target} rounds completed "
-                    "(protocol deadlock)"
-                )
-            if target >= n_steps:
-                harvest(scheduler)
-                break
-            cost = self._take_checkpoint(
-                scheduler, graph, store, recovery, target, end
+        if len(completion) != n_steps:
+            raise RuntimeError(
+                f"phase {phase_index}: {len(completion)}/{n_steps} rounds "
+                "completed (protocol deadlock)"
             )
-            resume_round = target
-            start_at = end + cost
-
-        self._global_offset += scheduler.now
         completion_times = [completion[r] for r in range(n_steps)]
         return self._collect_phase(
             phase_index,
@@ -620,144 +455,7 @@ class ParallelSimulation:
             scheduler,
             graph,
             completion_times,
-            measured_steps[0],
-            recovery=recovery if resilient else None,
         )
-
-    def _take_checkpoint(
-        self,
-        scheduler: Scheduler,
-        graph: "_ChareGraph",
-        store: DoubleCheckpointStore,
-        recovery: RecoveryStats,
-        round_: int,
-        time: float,
-    ) -> float:
-        """Checkpoint every chare to its owner + buddy; returns modeled cost.
-
-        The cost is the slowest processor's pack + send + transit of its
-        buddy-copy traffic — checkpointing is a barrier, so the max governs.
-        Proxies are not checkpointed: at a quiescent cut they hold no state
-        (deposit counters are zero) and recovery rebuilds them anyway.
-        """
-        cfg = self.config
-        live = [p for p in range(cfg.n_procs) if p not in scheduler.dead_procs]
-        chares: dict[tuple, ChareCheckpoint] = {}
-        for p, chare in graph.patch_chares.items():
-            owner = int(self._patch_proc_now[p])
-            chares[("patch", p)] = ChareCheckpoint(
-                ("patch", p),
-                snapshot_chare(chare),
-                owner,
-                DoubleCheckpointStore.buddy_of(owner, live),
-            )
-        for idx, oid in graph.compute_oid.items():
-            owner = graph.compute_proc[idx]
-            chares[("compute", idx)] = ChareCheckpoint(
-                ("compute", idx),
-                snapshot_chare(scheduler.object(oid)),
-                owner,
-                DoubleCheckpointStore.buddy_of(owner, live),
-            )
-        cp = Checkpoint(round=round_, time=time, chares=chares)
-        store.commit(cp)
-        recovery.checkpoints_taken += 1
-
-        m = cfg.machine
-        cost = 0.0
-        for p in live:
-            b = cp.bytes_sent_from(p)
-            if b:
-                cost = max(
-                    cost, m.pack_time(b) + m.send_overhead_s + m.transit_time(b)
-                )
-        recovery.checkpoint_time_s += cost
-        return cost
-
-    def _recover(
-        self,
-        scheduler: Scheduler,
-        plan: "FaultPlan | None",
-        placement: dict[int, int],
-        store: DoubleCheckpointStore,
-        recovery: RecoveryStats,
-        new_dead: set[int],
-        completion: dict[int, float],
-        round_counts: dict[int, int],
-        n_steps: int,
-        new_scheduler,
-    ) -> tuple[Scheduler, "_ChareGraph", float, int]:
-        """Rebuild the run on the surviving processors from the last cut."""
-        cfg = self.config
-        self._dead_procs |= new_dead
-        dead = self._dead_procs
-
-        failure_time = min(scheduler.failure_times[p] for p in new_dead)
-        detected = failure_time + cfg.failure_detection_timeout
-        t0 = max(scheduler.now, detected)
-        rounds_done = max(completion) + 1 if completion else 0
-
-        cp = store.recovery_checkpoint(set(dead))
-        r0 = cp.round
-        for r in [r for r in completion if r >= r0]:
-            del completion[r]
-        for r in [r for r in round_counts if r >= r0]:
-            del round_counts[r]
-
-        # re-home patches that lived on dead processors: the buddy holding
-        # their checkpoint copy becomes the new home
-        live = sorted(set(range(cfg.n_procs)) - dead)
-        for p in range(self.decomposition.n_patches):
-            if int(self._patch_proc_now[p]) in dead:
-                buddy = cp.chares[("patch", p)].buddy
-                self._patch_proc_now[p] = buddy if buddy not in dead else live[0]
-
-        # pull computes off dead processors (non-migratables simply follow
-        # their re-homed anchor patch), then force a refinement pass against
-        # the degraded machine
-        for d in self.descriptors:
-            if not d.migratable:
-                placement[d.index] = int(self._patch_proc_now[d.home_patch])
-            elif placement.get(d.index, -1) in dead:
-                placement[d.index] = int(self._patch_proc_now[d.home_patch])
-        problem = self._build_problem(placement, {}, np.zeros(cfg.n_procs))
-        placement.update(refine_strategy(problem))
-
-        # modeled cost of shipping the lost chares' buddy copies to their
-        # new processors
-        m = cfg.machine
-        restore_bytes = sum(
-            c.size_bytes for c in cp.chares.values() if c.owner in dead
-        )
-        restore_cost = (
-            m.pack_time(restore_bytes)
-            + m.send_overhead_s
-            + m.transit_time(restore_bytes)
-            if restore_bytes
-            else 0.0
-        )
-        t_restart = t0 + restore_cost
-
-        recovery.events.append(
-            RecoveryEvent(
-                procs=tuple(sorted(new_dead)),
-                failure_time=failure_time,
-                detected_time=detected,
-                checkpoint_round=r0,
-                rounds_done_at_failure=rounds_done,
-                restore_cost_s=restore_cost,
-                restart_time=t_restart,
-            )
-        )
-
-        scheduler = new_scheduler(t_restart)
-        graph = self._build_chare_graph(scheduler, placement, n_steps)
-        for (kind, key), cc in cp.chares.items():
-            if kind == "patch":
-                restore_chare(graph.patch_chares[key], cc.state)
-            else:
-                restore_chare(scheduler.object(graph.compute_oid[key]), cc.state)
-        return scheduler, graph, t_restart, r0
 
     # ------------------------------------------------------------------ #
     def _build_problem(
@@ -773,7 +471,7 @@ class ParallelSimulation:
         replaces the cost model.  Non-migratable computes pin proxies of
         their remote patches, which strategies may reuse for free."""
         cfg = self.config
-        patch_proc = self._patch_proc_now
+        patch_proc = self.patch_proc
         if not cfg.use_measured_loads:
             measured_loads = {}
         computes = []
@@ -806,7 +504,6 @@ class ParallelSimulation:
                 p: int(patch_proc[p]) for p in range(self.decomposition.n_patches)
             },
             existing_proxies=existing,
-            dead_procs=frozenset(self._dead_procs),
         )
 
     def _apply_strategy(self, name: str, phase: PhaseResult) -> dict[int, int]:

@@ -1,9 +1,9 @@
 """Fault injection, recovery policy, and accounting for supervised pools.
 
-The pool reads the one :class:`~repro.util.faults.FaultPlan` of both
-runtimes, in its own clock: a fault's ``<when>`` is the 1-based evaluation
-index (:func:`pool_fault_plan` refuses what a pool cannot honour).  Against
-live operating-system processes the plan schedules:
+The pool reads a :class:`~repro.util.faults.FaultPlan` in its own clock:
+a fault's ``<when>`` is the 1-based evaluation index
+(:func:`pool_fault_plan` also refuses a worker the pool does not have).
+Against live operating-system processes the plan schedules:
 
 * **SIGKILL** of a worker process (a
   :class:`~repro.util.faults.ProcessorFailure`) — fail-stop death;
@@ -17,9 +17,9 @@ live operating-system processes the plan schedules:
 The :class:`FaultInjector` fires the kills and hangs from the driver side
 (the driver owns the pids), once per scheduled event, and un-freezes
 finite hangs when their window expires.  Because events are step-indexed,
-injection is fully deterministic — the same property that makes the
-simulated machine's fault tests reproducible.  This half of the pool
-knows nothing about what the workers compute.
+injection is fully deterministic, which makes the fault tests
+reproducible.  This half of the pool knows nothing about what the workers
+compute.
 
 :class:`RecoveryPolicy` configures the supervised pool's response ladder
 (respawn with bounded retry + exponential backoff → reassign to
@@ -51,33 +51,15 @@ HAS_POSIX_SIGNALS = hasattr(signal, "SIGSTOP") and hasattr(signal, "SIGKILL")
 
 
 def pool_fault_plan(plan: FaultPlan | str, n_workers: int = 0) -> FaultPlan:
-    """``plan`` (or its clause string) as a supervised pool reads it.
-
-    Refuses, naming the clause, what a pool cannot honour: a ``seed`` and
-    the message faults (its workers exchange no simulated messages), a
-    kill or hang at anything but a whole 1-based evaluation index, and —
-    given ``n_workers`` — a target the pool does not have.
+    """``plan`` (or its clause string, parsed) as a supervised pool reads
+    it: given ``n_workers``, a fault aimed at a worker the pool does not
+    have is refused, naming the clause.  Everything else a pool cannot
+    honour the plan's own types and parser refuse.
     """
     if isinstance(plan, str):
         plan = FaultPlan.parse(plan)
-    if plan.seed is not None or plan.message_faults is not None:
-        clause = (
-            f"seed={plan.seed}"
-            if plan.seed is not None
-            else plan.message_faults.clause or "drop/delay/dup/retry"
-        )
-        raise ValueError(
-            f"fault clause {clause!r}: the supervised pool honours kill, "
-            "hang and slow only"
-        )
-    for fault in (*plan.failures, *plan.hangs):
-        if not (fault.time >= 1 and float(fault.time).is_integer()):
-            raise ValueError(
-                f"fault clause {fault.clause!r}: a pool step is a 1-based "
-                "evaluation index (a whole number >= 1)"
-            )
     if n_workers:
-        plan.check_targets(n_workers, "worker", "pool")
+        plan.check_targets(n_workers)
     return plan
 
 
@@ -273,11 +255,9 @@ class RecoveryEventLog:
 class ResilienceStats:
     """Aggregate fault-tolerance accounting for one supervised pool.
 
-    The real-engine sibling of the simulated runtime's
-    :class:`~repro.runtime.checkpoint.RecoveryStats`: kills and hangs
-    detected, respawns attempted and succeeded, tasks re-executed after
-    reassignment, time spent recovering, and how long the pool has been
-    running below full strength ("degraded").
+    Kills and hangs detected, respawns attempted and succeeded, tasks
+    re-executed after reassignment, time spent recovering, and how long
+    the pool has been running below full strength ("degraded").
     """
 
     events: list[RecoveryEventLog] = field(default_factory=list)

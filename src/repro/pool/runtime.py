@@ -549,9 +549,9 @@ class SupervisedPool:
     mirrors recovery counters into client-side accounting.
     ``fault_plan`` is the one source of injected faults, its times
     evaluation indices: it arms the kill/hang injector and gives each
-    worker its slowdown windows; a plan the pool cannot honour
-    (:func:`~repro.pool.resilience.pool_fault_plan`) is refused before any
-    worker starts.
+    worker its slowdown windows; a plan aimed at a worker the pool does not
+    have (:func:`~repro.pool.resilience.pool_fault_plan`) is refused before
+    any worker starts.
 
     Driver call order per evaluation::
 

@@ -28,21 +28,6 @@ object migration       :meth:`Scheduler.migrate`
 from repro.runtime.machine import MachineModel, MACHINES, ASCI_RED, T3E_900, ORIGIN_2000
 from repro.runtime.message import Message, Priority
 from repro.runtime.chare import Chare
-from repro.util.faults import (
-    FaultPlan,
-    MessageFaults,
-    ProcessorFailure,
-    SlowdownWindow,
-)
-from repro.runtime.checkpoint import (
-    Checkpoint,
-    DoubleCheckpointStore,
-    RecoveryEvent,
-    RecoveryStats,
-    UnrecoverableFailure,
-    restore_chare,
-    snapshot_chare,
-)
 from repro.runtime.scheduler import Scheduler
 from repro.runtime.trace import TraceLog, ExecutionRecord
 
@@ -55,17 +40,6 @@ __all__ = [
     "Message",
     "Priority",
     "Chare",
-    "FaultPlan",
-    "MessageFaults",
-    "ProcessorFailure",
-    "SlowdownWindow",
-    "Checkpoint",
-    "DoubleCheckpointStore",
-    "RecoveryEvent",
-    "RecoveryStats",
-    "UnrecoverableFailure",
-    "snapshot_chare",
-    "restore_chare",
     "Scheduler",
     "TraceLog",
     "ExecutionRecord",

@@ -39,13 +39,8 @@ class Message:
     #: source object id; -1 = runtime (an empty runtime-injected message
     #: pays no receive overhead)
     src_object: int = -1
-    #: set by the scheduler when the message is injected / delivered
-    send_time: float = 0.0
-    arrival_time: float = 0.0
+    #: set by the scheduler when the message is scheduled (FIFO tie-break)
     seq: int = -1
-    #: fault-injected duplicate delivery; the receiver suppresses the second
-    #: copy (at-most-once semantics) but still pays receive overhead
-    is_duplicate: bool = False
 
     def sort_key(self) -> tuple[int, int]:
         """Queue ordering: priority first, then FIFO by sequence number."""

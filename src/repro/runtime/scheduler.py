@@ -38,14 +38,12 @@ from repro.runtime.chare import Chare
 from repro.runtime.machine import MachineModel
 from repro.runtime.message import Message, MulticastPayload, Priority
 from repro.runtime.trace import TraceLog
-from repro.util.faults import FaultPlan
 
 __all__ = ["Scheduler", "MulticastStats"]
 
 _ARRIVE = 0
 _COMPLETE = 1
 _CONTROL = 2
-_FAULT = 3
 
 
 @dataclass
@@ -79,45 +77,18 @@ class Scheduler:
         trace_full: bool = False,
         optimized_multicast: bool = True,
         proc_speed_factors: "np.ndarray | None" = None,
-        fault_plan: "FaultPlan | None" = None,
-        initially_dead: "set[int] | None" = None,
-        start_time: float = 0.0,
-        record_events: bool = False,
     ) -> None:
         """``proc_speed_factors`` models a heterogeneous or externally
         loaded machine (paper §2.1 / ref [3] "Adapting to load on
         workstation clusters"): all CPU time on processor ``p`` is
         multiplied by ``proc_speed_factors[p]`` (>1 = slower).  The cost
         model cannot know these factors — only runtime *measurement* can,
-        which is the paper's case for measurement-based balancing.
-
-        ``fault_plan`` injects deterministic faults (processor death,
-        slowdown windows, message drop/delay/duplicate).  ``initially_dead``
-        marks processors already lost before this scheduler started (a
-        recovery continuation on a degraded machine); ``start_time`` offsets
-        the clock so recovery timelines stay contiguous.  ``record_events``
-        keeps an execution trace for determinism checks."""
+        which is the paper's case for measurement-based balancing."""
         if n_procs < 1:
             raise ValueError("need at least one processor")
         self.n_procs = n_procs
         self.machine = machine
         self.optimized_multicast = optimized_multicast
-        self.fault_plan = fault_plan
-        self.dead_procs: set[int] = set(initially_dead or ())
-        if any(not (0 <= p < n_procs) for p in self.dead_procs):
-            raise ValueError("initially_dead processor out of range")
-        if len(self.dead_procs) >= n_procs:
-            raise ValueError("at least one processor must survive")
-        self.start_time = start_time
-        self.failure_times: dict[int, float] = {}
-        self.fault_stats = {
-            "drops": 0,
-            "delays": 0,
-            "duplicates": 0,
-            "dead_dropped": 0,
-            "suppressed_duplicates": 0,
-        }
-        self.event_log: list[tuple] | None = [] if record_events else None
         if proc_speed_factors is None:
             self._speed = np.ones(n_procs)
         else:
@@ -138,30 +109,11 @@ class Scheduler:
 
         self._heap: list[tuple[float, int, int, object]] = []
         self._seq = 0
-        #: events on the heap that are not fail-stop faults: run() returns
-        #: when none is left, so a fault timed after the last of them stays
-        #: queued for whoever runs that time
-        self._work_events = 0
         self._pending: list[list[tuple[tuple[int, int], Message]]] = [
             [] for _ in range(n_procs)
         ]
         self._busy = np.zeros(n_procs, dtype=bool)
-        self._clock = start_time  # time of the event being processed
-        self._has_slowdowns = fault_plan is not None and fault_plan.has_slowdowns
-        self._message_faults_active = (
-            fault_plan is not None and fault_plan.has_message_faults
-        )
-        # schedule the plan's fail-stop events; deaths scheduled before this
-        # scheduler's epoch but not yet acknowledged take effect immediately
-        if fault_plan is not None:
-            for f in fault_plan.failures:
-                if f.proc in self.dead_procs:
-                    continue
-                if f.time < start_time:
-                    self.dead_procs.add(f.proc)
-                    self.failure_times[f.proc] = start_time
-                else:
-                    self._push(f.time, _FAULT, f.proc)
+        self._clock = 0.0  # time of the event being processed
 
         # set during an entry-method execution
         self._current: Chare | None = None
@@ -179,8 +131,6 @@ class Scheduler:
         """Place a chare on ``proc``; returns its object id."""
         if not (0 <= proc < self.n_procs):
             raise ValueError(f"processor {proc} out of range 0..{self.n_procs - 1}")
-        if proc in self.dead_procs:
-            raise ValueError(f"cannot place object on dead processor {proc}")
         oid = self._next_object_id
         self._next_object_id += 1
         chare.object_id = oid
@@ -202,10 +152,6 @@ class Scheduler:
         because the paper's steady-state step times exclude LB pauses)."""
         if not (0 <= new_proc < self.n_procs):
             raise ValueError(f"processor {new_proc} out of range")
-        if new_proc in self.dead_procs:
-            raise ValueError(
-                f"cannot migrate object {object_id} onto dead processor {new_proc}"
-            )
         if not self._objects[object_id].migratable:
             raise ValueError(f"object {object_id} is not migratable")
         self._location[object_id] = new_proc
@@ -307,101 +253,31 @@ class Scheduler:
     def _push(self, time: float, kind: int, payload: object) -> None:
         heapq.heappush(self._heap, (time, self._seq, kind, payload))
         self._seq += 1
-        self._work_events += kind != _FAULT
 
     def _schedule_arrival(self, msg: Message, dest_proc: int, at: float) -> None:
         msg.seq = self._seq
-        if self._message_faults_active and not msg.is_duplicate:
-            at = self._apply_message_faults(msg, dest_proc, at)
-        msg.arrival_time = at
         self._push(at, _ARRIVE, (msg, dest_proc))
 
-    def _apply_message_faults(self, msg: Message, dest_proc: int, at: float) -> float:
-        """Perturb one delivery per the fault plan; returns the arrival time.
-
-        Drops are modeled as delivered-after-retransmit: the sender retries
-        with exponential backoff until a copy gets through (bounded by
-        ``MAX_RETRANSMITS``), so the protocol stays live and the fault shows
-        up purely as latency.  Duplicates enqueue a second, flagged copy
-        that the receive path suppresses (at-most-once delivery).
-        """
-        plan = self.fault_plan
-        fate = plan.message_fate(msg.seq)
-        if fate.drops:
-            self.fault_stats["drops"] += fate.drops
-            at += plan.retransmit_delay(fate.drops)
-        if fate.extra_delay:
-            self.fault_stats["delays"] += 1
-            at += fate.extra_delay
-        if fate.duplicated:
-            self.fault_stats["duplicates"] += 1
-            dup = Message(
-                dest_object=msg.dest_object,
-                method=msg.method,
-                data=msg.data,
-                size_bytes=msg.size_bytes,
-                priority=msg.priority,
-                src_object=msg.src_object,
-                send_time=msg.send_time,
-                is_duplicate=True,
-            )
-            # distinct seq so the pending-queue sort key never ties with the
-            # original (ties would compare unorderable Message objects)
-            dup.seq = self._seq + 1
-            dup.arrival_time = at + self.machine.latency_s
-            self._push(dup.arrival_time, _ARRIVE, (dup, dest_proc))
-        return at
-
-    def run(self, until: float | None = None) -> float:
-        """Process events until no arrival, completion or control event is
-        left (or up to ``until``); returns the time of the last one.  A
-        fail-stop fault timed after the last of them stays queued: it falls
-        in a later run, or a later scheduler takes it from the plan."""
-        while self._work_events:
-            time, _seq, kind, payload = self._heap[0]
-            if until is not None and time > until:
-                break
-            heapq.heappop(self._heap)
-            self._work_events -= kind != _FAULT
+    def run(self) -> float:
+        """Process events until none is left; returns the time of the last
+        one."""
+        while self._heap:
+            time, _seq, kind, payload = heapq.heappop(self._heap)
             self._clock = time
             if kind == _ARRIVE:
                 msg, proc = payload
-                if proc in self.dead_procs:
-                    self.fault_stats["dead_dropped"] += 1
-                    continue
                 heapq.heappush(self._pending[proc], (msg.sort_key(), msg))
                 if not self._busy[proc]:
                     self._start_next(proc, time)
             elif kind == _COMPLETE:
                 proc = payload
-                if proc in self.dead_procs:
-                    continue
                 self._busy[proc] = False
                 if self._pending[proc]:
                     self._start_next(proc, time)
-            elif kind == _FAULT:
-                self._kill_processor(payload, time)
             else:  # _CONTROL
                 if self._control_handler is not None:
                     self._control_handler(time, payload)
         return self._clock
-
-    def _kill_processor(self, proc: int, time: float) -> None:
-        """Fail-stop death: queued work vanishes, nothing further runs.
-
-        Entry-method executions are atomic in this simulation, so a death
-        takes effect at entry-method boundaries: an execution that already
-        started still delivers its sends (its completion event is simply
-        ignored).  Recovery restores from the last checkpoint regardless, so
-        the coarser crash granularity does not leak into recovered state.
-        """
-        if proc in self.dead_procs:
-            return
-        self.dead_procs.add(proc)
-        self.failure_times[proc] = time
-        self._busy[proc] = False
-        self.fault_stats["dead_dropped"] += len(self._pending[proc])
-        self._pending[proc].clear()
 
     def _start_next(self, proc: int, time: float) -> None:
         _key, msg = heapq.heappop(self._pending[proc])
@@ -419,21 +295,6 @@ class Scheduler:
 
         m = self.machine
         slow = self._speed[proc]
-        if self._has_slowdowns:
-            slow *= self.fault_plan.slowdown_factor(proc, time)
-
-        if msg.is_duplicate:
-            # at-most-once delivery: the runtime detects the redundant copy
-            # and discards it, paying only the receive overhead
-            self.fault_stats["suppressed_duplicates"] += 1
-            self._busy[proc] = True
-            self._push(time + m.recv_overhead_s * slow, _COMPLETE, proc)
-            return
-
-        if self.event_log is not None:
-            self.event_log.append(
-                (round(time, 15), proc, msg.dest_object, msg.method, msg.seq)
-            )
 
         self._current = chare
         self._current_sends = []
@@ -457,7 +318,6 @@ class Scheduler:
 
         # inject outgoing messages at completion
         for out_msg, dest_proc, remote in outgoing:
-            out_msg.send_time = completion
             delay = m.transit_time(out_msg.size_bytes) if remote else 0.0
             self._schedule_arrival(out_msg, dest_proc, completion + delay)
             self.trace.record_send(out_msg.size_bytes)
@@ -531,6 +391,5 @@ class Scheduler:
 
     # ------------------------------------------------------------------ #
     def quiescent(self) -> bool:
-        """True when no events (queued faults aside) or pending messages
-        remain."""
-        return not self._work_events and all(len(q) == 0 for q in self._pending)
+        """True when no events or pending messages remain."""
+        return not self._heap and all(len(q) == 0 for q in self._pending)

@@ -12,6 +12,7 @@ from repro.balancer.strategies import (
     keep_strategy,
     random_strategy,
     round_robin_strategy,
+    solve,
 )
 
 
@@ -99,3 +100,60 @@ class TestProblemValidation:
         assert p.patch_available(0, 1)  # home
         assert p.patch_available(0, 0)  # proxy
         assert not p.patch_available(1, 0)
+
+
+class TestDeadProcessors:
+    """The supervised pool's reassign rung hands a dead worker's tasks to
+    the balancer with that worker in ``dead_procs``: the paper's strategies
+    evacuate whatever is still placed on a dead processor and never choose
+    one as a destination, even an idle one — nor an object heavier than any
+    live processor can take within the overload limit."""
+
+    @pytest.mark.parametrize("schedule", ["greedy", "refine", "greedy+refine"])
+    def test_nothing_stays_on_or_moves_to_a_dead_processor(self, schedule):
+        items = [
+            ComputeItem(c.index, c.load, c.patches, proc=1)
+            for c in problem(n=24, procs=4, seed=7).computes
+        ] + [ComputeItem(24, 100.0, (0,), proc=1)]
+        p = LBProblem(
+            n_procs=4, computes=items, background=np.zeros(4),
+            patch_home={i: 1 for i in range(6)}, dead_procs=frozenset({1, 3}),
+        )
+        placement = solve(p, schedule)
+        assert set(placement) == {c.index for c in items}
+        assert set(placement.values()) <= {0, 2}
+
+    @pytest.mark.parametrize("dead", [{0}, {3}, {0, 2}, {0, 1, 2}],
+                             ids=["first", "last", "alternate", "all-but-one"])
+    @pytest.mark.parametrize("schedule", ["greedy", "refine", "greedy+refine"])
+    def test_the_survivors_take_every_orphan(self, schedule, dead):
+        """Whichever processors die — the first, the last, every other one,
+        all but one — each object ends on a live one, and the load is
+        spread: no one survivor is left with everything while another
+        lives."""
+        p = problem(n=24, procs=4, seed=11)
+        p = LBProblem(
+            n_procs=4, computes=p.computes, background=np.zeros(4),
+            patch_home=p.patch_home, dead_procs=frozenset(dead),
+        )
+        placement = solve(p, schedule)
+        live = set(range(4)) - dead
+        assert set(placement) == {c.index for c in p.computes}
+        assert set(placement.values()) <= live
+        if len(live) > 1:
+            assert len(set(placement.values())) > 1
+
+    def test_average_load_counts_live_processors_only(self):
+        p = LBProblem(
+            n_procs=4, computes=[ComputeItem(0, 6.0, (0,), proc=0)],
+            background=np.array([1.0, 1.0, 0.0, 0.0]), patch_home={0: 0},
+            dead_procs=frozenset({3}),
+        )
+        assert (p.n_live, p.average_load()) == (3, 8.0 / 3)
+
+    def test_no_live_processor_is_refused(self):
+        with pytest.raises(ValueError, match="at least one processor"):
+            LBProblem(
+                n_procs=2, computes=[], background=np.zeros(2), patch_home={},
+                dead_procs=frozenset({0, 1}),
+            )

@@ -5,10 +5,13 @@ proxy -> compute -> deposit -> force message -> integrate) without the
 simulation driver, so protocol bugs localize here.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
 from repro.core.chares import (
+    BondedComputeChare,
     HomePatchChare,
     NonbondedComputeChare,
     ProxyPatchChare,
@@ -141,3 +144,14 @@ class TestProtocol:
         assert "patch(0)" == chares[0].label()
         assert "proxy(0)" == chares[5].label()
         assert "nb(0+1)" in chares[4].label()
+
+
+@pytest.mark.parametrize(
+    "cls", [HomePatchChare, NonbondedComputeChare, BondedComputeChare]
+)
+def test_chares_take_no_numeric_backend(cls):
+    """Chares carry loads, not positions: none takes a kernel backend or
+    the atom and term arrays a force evaluation would need."""
+    params = inspect.signature(cls).parameters
+    assert "backend" not in params
+    assert not {"atoms_a", "atoms_b", "term_indices"} & set(params)

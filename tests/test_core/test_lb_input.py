@@ -8,7 +8,6 @@ import pytest
 from repro.core.problem import DecomposedProblem
 from repro.core.simulation import ParallelSimulation, SimulationConfig
 from repro.costmodel.model import DEFAULT_COST_MODEL
-from repro.util.faults import FaultPlan
 
 
 @pytest.fixture(scope="module")
@@ -58,26 +57,6 @@ class TestCollectPhase:
         assert split_busy_time(sim, phase) == pytest.approx(busy / 4, rel=1e-12)
         assert np.all(phase.background_per_step > 0.0)
         assert set(phase.measured_loads) == {d.index for d in sim.descriptors}
-
-    def test_recovered_phase_divides_by_replayed_rounds(
-        self, assembly, assembly_problem
-    ):
-        """A recovery starts a new scheduler: the phase's loads are its sums
-        over the rounds it replayed, not over the rounds the dead one ran
-        as well."""
-        sim = simulation(
-            assembly, assembly_problem, steps_per_phase=5,
-            fault_plan=FaultPlan.parse("seed=7,kill=2@0.5"),
-            checkpoint_interval=2,
-        )
-        phase = sim.run().final
-        (event,) = phase.recovery.events
-        assert event.rounds_done_at_failure > 0
-        replayed = 5 - event.checkpoint_round
-        busy = float(phase.summary.busy_time_per_proc.sum())
-        assert split_busy_time(sim, phase) == pytest.approx(
-            busy / replayed, rel=1e-12
-        )
 
 
 class TestBuildProblem:
@@ -137,13 +116,12 @@ class TestBuildProblem:
         assert problem.existing_proxies == expected
         assert expected
 
-    def test_placement_background_and_dead_procs_pass_through(self, sim):
+    def test_placement_and_background_pass_through(self, sim):
         computes = [d for d in sim.descriptors if d.migratable]
         moved = computes[0]
         target = (int(sim.patch_proc[moved.home_patch]) + 1) % 4
         placement = {moved.index: target}
         background = np.array([0.5, 0.25, 0.0, 0.125])
-        sim._dead_procs = {2}
         problem = sim._build_problem(placement, {}, background)
         procs = {c.index: c.proc for c in problem.computes}
         assert procs[moved.index] == target
@@ -151,7 +129,6 @@ class TestBuildProblem:
         other = computes[1]
         assert procs[other.index] == int(sim.patch_proc[other.home_patch])
         np.testing.assert_array_equal(problem.background, background)
-        assert problem.dead_procs == frozenset({2})
         assert problem.patch_home == {
             p: int(sim.patch_proc[p]) for p in range(len(sim.patch_proc))
         }

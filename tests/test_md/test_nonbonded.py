@@ -1,5 +1,7 @@
 """Non-bonded kernel: switching function, forces, exclusions, pair counts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from repro.backend import get_backend
 from repro.md.nonbonded import (
     NonbondedOptions,
     compute_nonbonded,
+    nonbonded_14,
     switching_function,
 )
 
@@ -134,17 +137,44 @@ class TestComputeNonbonded:
         assert res.energy == 0.0 and res.n_pairs == 0
 
     def test_scale14_zero_drops_14_interactions(self, peptide):
+        # a copy shares its force field: give it its own, so the session's
+        # peptide keeps its factors whatever happens here
         s1 = peptide.copy()
-        s1.forcefield.scale14_lj = 1.0
-        s1.forcefield.scale14_elec = 1.0
+        s1.forcefield = replace(s1.forcefield, scale14_lj=1.0, scale14_elec=1.0)
         e_full = compute_nonbonded(s1, NonbondedOptions(cutoff=10.0))
-        s1.forcefield.scale14_lj = 0.0
-        s1.forcefield.scale14_elec = 0.0
+        s1.forcefield = replace(s1.forcefield, scale14_lj=0.0, scale14_elec=0.0)
         e_none = compute_nonbonded(s1, NonbondedOptions(cutoff=10.0))
-        s1.forcefield.scale14_lj = 1.0
-        s1.forcefield.scale14_elec = 1.0
         assert e_full.n_pairs > e_none.n_pairs
         assert e_full.energy != pytest.approx(e_none.energy)
+
+    def test_scale14_factors_scale_each_term_of_the_14_pass(self, peptide):
+        """With cutoff electrostatics the 1-4 pass is linear in each factor:
+        at ``(0.5, 1/1.2)`` its LJ energy, electrostatic energy and forces
+        are 0.5 x the LJ-only pass ``(1, 0)`` plus 1/1.2 x the
+        electrostatics-only pass ``(0, 1)``."""
+        options = NonbondedOptions(cutoff=10.0)
+
+        def pass14(lj, elec):
+            s = peptide.copy()
+            s.forcefield = replace(
+                s.forcefield, scale14_lj=lj, scale14_elec=elec
+            )
+            forces = np.zeros((s.n_atoms, 3))
+            e_lj, e_elec, n14 = nonbonded_14(s, options, forces)
+            assert n14 > 0
+            return e_lj, e_elec, forces
+
+        lj_lj, lj_elec, lj_forces = pass14(1.0, 0.0)
+        elec_lj, elec_elec, elec_forces = pass14(0.0, 1.0)
+        e_lj, e_elec, forces = pass14(0.5, 1 / 1.2)
+        assert (lj_elec, elec_lj) == (0.0, 0.0)
+        assert lj_lj != 0.0 and elec_elec != 0.0
+        assert e_lj == pytest.approx(0.5 * lj_lj, rel=1e-12, abs=0.0)
+        assert e_elec == pytest.approx(elec_elec / 1.2, rel=1e-12, abs=0.0)
+        expected = 0.5 * lj_forces + elec_forces / 1.2
+        np.testing.assert_allclose(
+            forces, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max()
+        )
 
 
 def count_pairs(pos_a, pos_b, box, cutoff):

@@ -79,6 +79,32 @@ class TestRecoveryPolicy:
         pol = RecoveryPolicy(hang_timeout_s=2.0)
         assert pol.hang_threshold(10.0, 30.0) == pytest.approx(2.0)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("max_respawns", -1, "max_respawns must be >= 0"),
+            ("respawn_backoff_s", -0.01, "respawn_backoff_s must be >= 0"),
+            ("max_recovery_rounds", 0, "max_recovery_rounds must be >= 1"),
+            ("hang_timeout_s", 0.0, "hang_timeout_s must be positive"),
+            ("poll_interval_s", 0.0, "poll_interval_s must be positive"),
+            ("recovery_budget_s", -1.0, "recovery_budget_s must be positive"),
+            ("recovery_budget_factor", 0.99, "recovery_budget_factor must be >= 1"),
+        ],
+    )
+    def test_a_policy_no_pool_can_follow_is_refused(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            RecoveryPolicy(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_respawns", 0), ("respawn_backoff_s", 0.0),
+         ("max_recovery_rounds", 1), ("recovery_budget_factor", 1.0)],
+    )
+    def test_the_least_policy_is_accepted(self, field, value):
+        """Each bound is inclusive: no respawn, no backoff, one recovery
+        round and a budget of one timeout are all policies a pool runs."""
+        assert getattr(RecoveryPolicy(**{field: value}), field) == value
+
 
 # --------------------------------------------------------------------------- #
 # live-process fault injection and recovery
@@ -229,6 +255,36 @@ class TestFaultInjector:
         finally:
             proc.kill()
             proc.join()
+
+    def test_a_plan_of_slowdowns_only_signals_nothing(self):
+        """The pool's workers read a slowdown window themselves; the
+        injector fires only kills and hangs."""
+        proc = self._spawn_sleeper()
+        try:
+            inj = FaultInjector(FaultPlan.parse("slow=0@1-infx3"))
+            fired = [inj.inject(step, {0: proc.pid}) for step in (1, 2)]
+            assert fired == [[], []] and inj.poll() == []
+            assert proc.is_alive() and inj._stopped == []
+        finally:
+            proc.kill()
+            proc.join(timeout=5.0)
+
+    def test_a_fault_on_a_worker_without_a_pid_is_spent(self):
+        """A worker absent from ``pids`` at its step (being respawned, say)
+        loses that fault, and another worker is not struck in its place:
+        each fault fires at most once, so it does not strike the worker's
+        next incarnation either."""
+        other, proc = self._spawn_sleeper(), self._spawn_sleeper()
+        try:
+            inj = FaultInjector(FaultPlan.parse("kill=1@2,hang=1@2"))
+            assert inj.inject(2, {0: other.pid}) == []
+            assert inj.inject(2, {0: other.pid, 1: proc.pid}) == []
+            assert other.is_alive() and proc.is_alive()
+            assert inj._stopped == []
+        finally:
+            for p in (other, proc):
+                p.kill()
+                p.join(timeout=5.0)
 
     def test_dead_pid_is_swallowed(self):
         proc = self._spawn_sleeper()

@@ -279,3 +279,61 @@ def test_checker_catches_the_simulator_and_the_workdb_reaching_across(
         assert any(
             f"{module}:{line}" in v and name in v for v in found
         ), (module, name, found)
+
+
+def test_checker_catches_a_simulated_fault_path_and_upward_imports(
+    tmp_path, monkeypatch
+):
+    """The fault plan is the supervised pool's alone: a simulator, driver or
+    analysis module that reads it again is a violation, and so are a
+    utility that imports any other ``repro`` package and a cost model that
+    reaches above itself — lazily too."""
+    mod = load_checker()
+    planted = {
+        "runtime/scheduler.py": ("repro.util.faults",),
+        "core/simulation.py": ("repro.util.faults",),
+        "analysis/audit.py": ("repro.util.faults",),
+        "util/faults.py": (
+            "repro.analysis", "repro.backend.base", "repro.balancer",
+            "repro.baselines", "repro.builder", "repro.cli", "repro.core",
+            "repro.costmodel.model", "repro.instrument", "repro.md.system",
+            "repro.pool.resilience", "repro.runtime", "repro.service",
+        ),
+        "costmodel/model.py": (
+            "repro.md.cells", "repro.pool", "repro.service.jobs",
+            "repro.core.problem", "repro.runtime.machine",
+            "repro.instrument.workdb", "repro.balancer.problem",
+        ),
+    }
+    for module, banned in planted.items():
+        path = tmp_path / "repro" / module
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(
+            "import math  # noqa: F401\n"
+            "def helper():\n"
+            + "".join(f"    import {name}  # noqa: F401\n" for name in banned)
+        )
+    # what stays allowed: the pool reads the plan, a utility its siblings,
+    # the cost model the kernels
+    allowed = {
+        "pool/resilience.py": "repro.util.faults",
+        "util/__init__.py": "repro.util.pbc",
+        "costmodel/grainsize.py": "repro.backend",
+    }
+    for module, name in allowed.items():
+        path = tmp_path / "repro" / module
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(f"import {name}  # noqa: F401\n")
+    monkeypatch.setattr(mod, "SRC", tmp_path)
+    monkeypatch.setattr(mod, "UNUSED", {})
+    found = mod.check()
+    expected = [
+        (module, line, name)
+        for module, banned in planted.items()
+        for line, name in enumerate(banned, start=3)
+    ]
+    assert len(found) == len(expected), found
+    for module, line, name in expected:
+        assert any(
+            f"{module}:{line}" in v and name in v for v in found
+        ), (module, name, found)

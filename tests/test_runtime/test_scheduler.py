@@ -52,6 +52,47 @@ class TestBasics:
         with pytest.raises(ValueError):
             sched.register(Recorder(), 5)
 
+    @pytest.mark.parametrize("proc", [-1, 2])
+    def test_register_just_outside_the_machine_refused(self, proc):
+        sched = Scheduler(2, IDEAL)
+        with pytest.raises(ValueError, match=f"processor {proc} out of range 0..1"):
+            sched.register(Recorder(), proc)
+
+    def test_no_processor_refused(self):
+        with pytest.raises(ValueError, match="at least one processor"):
+            Scheduler(0, IDEAL)
+
+    @pytest.mark.parametrize(
+        "factors",
+        [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]], [1.0, 0.0], [1.0, -2.0]],
+        ids=["too-few", "too-many", "2-d", "zero", "negative"],
+    )
+    def test_speed_factors_must_be_positive_one_per_proc(self, factors):
+        with pytest.raises(ValueError, match="one per proc"):
+            Scheduler(2, IDEAL, proc_speed_factors=factors)
+
+    def test_run_returns_the_time_of_the_last_event(self):
+        sched = Scheduler(2, IDEAL)
+        a, b = Recorder(cost=1.0), Recorder(cost=3.0)
+        sched.inject(sched.register(a, 0), "ping", {})
+        sched.inject(sched.register(b, 1), "ping", {})
+        assert sched.run() == pytest.approx(3.0)
+        assert sched.run() == pytest.approx(3.0)  # nothing left: the clock stays
+
+    def test_a_later_injection_runs_at_its_time(self):
+        """A run stops at its last event; a message injected for a later
+        time waits for the run that reaches it, and the clock resumes from
+        there."""
+        sched = Scheduler(1, IDEAL)
+        c = Recorder(cost=1e-3)
+        oid = sched.register(c, 0)
+        sched.inject(oid, "ping", {"tag": 1})
+        assert sched.run() == pytest.approx(1e-3)
+        assert sched.quiescent()
+        sched.inject(oid, "ping", {"tag": 2}, at_time=2.0)
+        assert sched.run() == pytest.approx(2.0 + 1e-3)
+        assert c.log == [(1, 0.0), (2, 2.0)]
+
     def test_inject_and_run(self):
         sched = Scheduler(1, IDEAL)
         c = Recorder()
@@ -219,6 +260,16 @@ class TestMigration:
         sched.migrate(oid, 1)
         assert sched.location_of(oid) == 1
 
+    @pytest.mark.parametrize("proc", [-1, 2])
+    def test_migrate_outside_the_machine_refused(self, proc):
+        sched = Scheduler(2, IDEAL)
+        c = Recorder()
+        c.migratable = True
+        oid = sched.register(c, 0)
+        with pytest.raises(ValueError, match=f"processor {proc} out of range"):
+            sched.migrate(oid, proc)
+        assert sched.location_of(oid) == 0
+
     def test_migrate_nonmigratable_rejected(self):
         sched = Scheduler(2, IDEAL)
         oid = sched.register(Recorder(), 0)
@@ -330,6 +381,25 @@ class TestInstrumentation:
         assert sched.object_load == {
             oid_f: pytest.approx(0.5), oid_s: pytest.approx(1.5)
         }
+
+    @pytest.mark.parametrize("factor", [0.5, 1.0, 4.0])
+    def test_speed_factor_stretches_cpu_time_not_the_wire(self, factor):
+        """A processor's speed factor multiplies everything it computes —
+        the handler, its send overhead and packing — but neither the
+        network's transit time nor the receiving processor's time."""
+        machine = IDEAL.with_overrides(
+            send_overhead_s=1e-4, pack_per_byte_s=1e-6, latency_s=5e-4,
+            bandwidth_Bps=1e6,
+        )
+        sched = Scheduler(2, machine, proc_speed_factors=[factor, 1.0])
+        sender, target = Recorder(cost=1e-3), Recorder(cost=2e-3)
+        ot = sched.register(target, 1)
+        sched.inject(sched.register(sender, 0), "ping_and_forward", {"dest": ot})
+        end = sched.run()
+        cpu = 1e-3 + 1e-4 + 64 * 1e-6
+        arrival = factor * cpu + machine.transit_time(64.0)
+        assert target.log == [("forwarded", pytest.approx(arrival))]
+        assert end == pytest.approx(arrival + 2e-3)
 
     def test_every_send_is_traced(self):
         """Instrumentation is always on: each message an execution sends is

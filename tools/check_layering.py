@@ -2,8 +2,9 @@
 """Layering check: the pool layer knows no MD, the kernel backends know no
 MD either, the service knows no balancer, the builders know nothing above
 MD, the engine knows nothing of the simulator, the simulator and the real
-engine's measurement layer know nothing of each other, the engine and the
-minimizer call no reference force function.
+engine's measurement layer know nothing of each other, the simulator reads
+no fault plan, the utilities and the cost model import nothing above them,
+the engine and the minimizer call no reference force function.
 
 Layering (DESIGN.md, "The real parallel engine"):
 
@@ -28,6 +29,17 @@ Layering (DESIGN.md, "The real parallel engine"):
 * ``repro.runtime`` / ``repro.core`` — the simulated machine and its
   driver; import nothing from ``repro.instrument``: the scheduler sums its
   own modeled loads and the driver builds the ``LBProblem`` from them.
+  They and ``repro.analysis`` import nothing from ``repro.util.faults``
+  either: the simulated machine models a loaded machine
+  (``proc_speed_factors``), not failures — the fault plan is the
+  supervised pool's alone, so a simulated fault path cannot regrow.
+* ``repro.util`` — leaf helpers (the fault plan, periodic boundaries,
+  random streams, atomic writes); imports no other ``repro`` package.
+* ``repro.costmodel`` — the cost and flop models and grainsize control
+  both runtimes share; imports nothing from ``repro.md``, ``repro.pool``,
+  ``repro.service``, ``repro.core``, ``repro.runtime``,
+  ``repro.instrument`` or ``repro.balancer`` (only ``repro.backend``,
+  whose kernels count its pairs).
 * ``repro.instrument`` — the real engine's ``WorkDB`` and its
   ``LBProblem`` adapter; imports nothing from the simulated machine
   (``repro.runtime``, ``repro.core``) nor from the engine, the pool or the
@@ -77,8 +89,19 @@ FORBIDDEN: dict[str, tuple[str, ...]] = {
         "repro.balancer", "repro.instrument", "repro.costmodel",
     ),
     "repro/md": ("repro.core",),
-    "repro/runtime": ("repro.instrument",),
-    "repro/core": ("repro.instrument",),
+    "repro/runtime": ("repro.instrument", "repro.util.faults"),
+    "repro/core": ("repro.instrument", "repro.util.faults"),
+    "repro/analysis": ("repro.util.faults",),
+    "repro/util": (
+        "repro.analysis", "repro.backend", "repro.balancer",
+        "repro.baselines", "repro.builder", "repro.cli", "repro.core",
+        "repro.costmodel", "repro.instrument", "repro.md", "repro.pool",
+        "repro.runtime", "repro.service",
+    ),
+    "repro/costmodel": (
+        "repro.md", "repro.pool", "repro.service", "repro.core",
+        "repro.runtime", "repro.instrument", "repro.balancer",
+    ),
     "repro/instrument": (
         "repro.runtime", "repro.core", "repro.md", "repro.pool",
         "repro.service",
@@ -143,8 +166,11 @@ def main() -> int:
         "balancer/instrument/core, repro.builder imports no pool/service/"
         "simulated machine/costmodel, repro.md imports no core, "
         "repro.runtime/core import no instrument, repro.instrument imports "
-        "no runtime/core/md/pool/service, the step path and the minimizer "
-        "call no reference force function"
+        "no runtime/core/md/pool/service, repro.runtime/core/analysis "
+        "import no fault plan, repro.util imports no other repro package, "
+        "repro.costmodel imports no md/pool/service/core/runtime/instrument/"
+        "balancer, the step path and the minimizer call no reference force "
+        "function"
     )
     return 0
 
