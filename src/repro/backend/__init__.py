@@ -24,8 +24,9 @@ Selection:
   a name from :data:`BACKEND_NAMES`, or an existing :class:`KernelBackend`
   (passed through).
 * The session default resolves once from the ``REPRO_BACKEND`` environment
-  variable (``auto`` when unset) and can be overridden with
-  :func:`set_default_backend` (the CLI ``--backend`` flag does this).
+  variable (``auto`` when unset).  Nothing overrides it process-wide: an
+  engine (and the CLI's ``--backend`` flag, and a service job's spec)
+  names its own backend, which leaves the default as it was.
 
 Determinism: each backend is individually deterministic (serial compiled
 loops, fixed numpy reduction order), so repeat runs on one backend are
@@ -55,7 +56,6 @@ __all__ = [
     "default_backend",
     "get_backend",
     "parity_selfcheck",
-    "set_default_backend",
     "synthetic_problem",
 ]
 
@@ -142,16 +142,6 @@ def default_backend() -> KernelBackend:
     global _default
     if _default is None:
         _default = get_backend(os.environ.get(ENV_VAR) or "auto")
-    return _default
-
-
-def set_default_backend(spec: KernelBackend | str | None) -> KernelBackend:
-    """Override the session default (``None`` re-resolves from the env)."""
-    global _default
-    if spec is None:
-        _default = None
-        return default_backend()
-    _default = get_backend(spec)
     return _default
 
 

@@ -159,7 +159,6 @@ def cmd_backends(_args) -> int:
 
 def cmd_md(args) -> int:
     """Run MD on a water box and print the energy ledger."""
-    from repro.backend import set_default_backend
     from repro.builder import skewed_water_box, small_water_box
     from repro.md.engine import POOL_KEYWORDS, make_engine
     from repro.md.integrator import VelocityVerlet
@@ -187,7 +186,6 @@ def cmd_md(args) -> int:
             fault_plan = pool_fault_plan(args.fault_plan)
         except ValueError as exc:
             raise SystemExit(f"bad --fault-plan: {exc}")
-    print(f"kernel backend: {set_default_backend(args.backend).name}")
     ewald = None
     from repro.md.ewald import MAX_KMAX, EwaldOptions
 
@@ -195,10 +193,6 @@ def cmd_md(args) -> int:
         raise SystemExit(f"--kmax must lie in [0, {MAX_KMAX}]")
     if args.ewald:
         ewald = EwaldOptions(cutoff=args.cutoff, kmax=args.kmax)
-        print(
-            f"electrostatics: Ewald (alpha {ewald.alpha_value():.4f}, "
-            f"kmax {ewald.kmax})"
-        )
     if args.skew > 0:
         system = skewed_water_box(args.waters, seed=args.seed, skew=args.skew)
     else:
@@ -216,6 +210,7 @@ def cmd_md(args) -> int:
             NonbondedOptions(cutoff=args.cutoff),
             VelocityVerlet(dt=args.dt),
             workers=args.workers,
+            backend=args.backend,  # this engine's only: the default stays
             skin=args.pairlist_skin,
             checkpoint_every=args.checkpoint_every,
             checkpoint_path=args.checkpoint_path,
@@ -224,6 +219,12 @@ def cmd_md(args) -> int:
         )
     except (TypeError, ValueError) as exc:
         raise SystemExit(str(exc))
+    print(f"kernel backend: {engine.backend.name}")
+    if ewald is not None:
+        print(
+            f"electrostatics: Ewald (alpha {ewald.alpha_value():.4f}, "
+            f"kmax {ewald.kmax})"
+        )
     if engine.parallel:
         executor = engine.driver_report()["executor"]
         print(f"executor: {executor} ({engine.workers})")
@@ -505,12 +506,13 @@ def build_parser() -> argparse.ArgumentParser:
              "candidate pairs from the cell grid every step",
     )
     p_md.add_argument(
-        "--backend", choices=BACKEND_NAMES, default="auto",
+        "--backend", choices=BACKEND_NAMES, default=None,
         help="kernel backend for the hot loops: 'numpy' is the always-"
              "available reference, 'c' the pair kernel and reciprocal sum "
              "compiled with the host's cc on first use (falls back to "
              "numpy with a warning when unavailable), 'auto' prefers c "
-             "silently; see `repro backends`",
+             "silently; default: the session default ($REPRO_BACKEND, "
+             "else auto); see `repro backends`",
     )
     p_md.add_argument(
         "--workers", type=int, default=1, metavar="N",

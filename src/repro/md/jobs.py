@@ -22,10 +22,10 @@ uninterrupted run passes through.  A spec with ``checkpoint_every=0`` is
 still suspendable; it simply replays from step 0.
 
 Backend isolation: the spec's ``backend`` is resolved per engine and
-passed to :func:`repro.md.engine.make_engine` — never through
-:func:`repro.backend.set_default_backend` — so one job requesting the C
-backend cannot flip another job's kernels mid-run (each engine's WorkDB
-keeps its own ``backend`` provenance).
+passed to :func:`repro.md.engine.make_engine` — never through the
+process-wide default — so one job requesting the C backend cannot flip
+another job's kernels mid-run (each engine's WorkDB keeps its own
+``backend`` provenance).
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ class SimSpec:
     ``workers == 1`` runs the force tasks on the calling thread;
     ``workers >= 2`` runs a :class:`~repro.md.parallel.ParallelEngine` on
     that many executor threads (worker processes when ``fault_plan`` is
-    set), whose count the service leases as cores from the shared
-    :class:`~repro.pool.lease.WorkerBudget`.
+    set), whose count the service holds as cores of its shared worker
+    slots while the job runs.
     """
 
     waters: int = 40

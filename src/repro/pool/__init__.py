@@ -17,7 +17,6 @@ provider in ``tests/test_pool``, future multi-job services) can do the
 same.
 """
 
-from repro.pool.lease import WorkerBudget, WorkerLease
 from repro.pool.partition import contiguous_partition
 from repro.pool.protocol import (
     STAT_COLS,
@@ -60,8 +59,6 @@ __all__ = [
     "SupervisedPool",
     "TaskEvaluator",
     "TaskProvider",
-    "WorkerBudget",
-    "WorkerLease",
     "attach_segment",
     "contiguous_partition",
     "pool_fault_plan",

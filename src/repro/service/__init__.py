@@ -1,11 +1,11 @@
 """Simulation-as-a-service: many concurrent jobs on shared worker capacity.
 
-An async scheduler (:class:`SimulationService`) runs many concurrent
+A scheduler (:class:`SimulationService`) runs many concurrent
 simulations, each an engine-as-job adapter (:class:`repro.md.jobs.SimJob`)
-stepped in slices, on a shared :class:`~repro.pool.lease.WorkerBudget`
-with per-tenant quotas and priorities.  Slices of all running jobs are
-drawn from one work-conserving queue of ``lanes`` threads, so a burst of
-small jobs steps beside a long run instead of waiting behind it.
+stepped in slices, on one shared count of worker slots with per-tenant
+quotas and priorities.  Its ``lanes`` threads take the running jobs from
+one FIFO ready queue, one slice at a time, so a burst of small jobs steps
+beside a long run instead of waiting behind it.
 
 Front ends: a stdlib-``http.server`` REST API (:mod:`repro.service.api`)
 with NDJSON metric/trajectory streaming, and the ``repro serve`` CLI.

@@ -47,6 +47,10 @@ __all__ = ["ServiceServer", "serve"]
 #: follow-mode poll interval — bounds stream latency, not correctness
 _STREAM_POLL_S = 0.05
 
+#: how often the listener checks for a stop request, which bounds
+#: ``stop()``: the stdlib default of 0.5 s would make every stop wait that long
+_SHUTDOWN_POLL_S = 0.05
+
 
 class _Handler(BaseHTTPRequestHandler):
     """One request; ``server.service`` is the shared scheduler."""
@@ -230,6 +234,7 @@ class ServiceServer:
         self.service.start()
         self._thread = threading.Thread(
             target=self._httpd.serve_forever,
+            args=(_SHUTDOWN_POLL_S,),
             name="repro-http",
             daemon=True,
         )

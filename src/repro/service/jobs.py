@@ -3,8 +3,8 @@
 A :class:`Job` wraps one :class:`repro.md.jobs.SimJob` (the MD adapter
 owning the live engine) with everything the *service* cares about —
 tenant, priority, lifecycle state, control requests and the worker
-lease.  The scheduler thread owns all state transitions; HTTP threads
-only read snapshots and post control requests.
+slots it holds.  The service's lanes make every state transition under
+its lock; HTTP threads only read snapshots and post control requests.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only
     from repro.md.jobs import SimJob, SimSpec
-    from repro.pool.lease import WorkerLease
 
 __all__ = ["Job", "JobState", "TERMINAL_STATES"]
 
@@ -46,7 +45,7 @@ class Job:
     sim: "SimJob"
     state: JobState = JobState.QUEUED
     submit_seq: int = 0  # FIFO tiebreak within a priority class
-    lease: "WorkerLease | None" = None
+    lease: int = 0  # worker slots held while running
     control: str | None = None  # pending "suspend" | "cancel" request
     error: str | None = None
     events: list[dict] = field(default_factory=list)

@@ -24,8 +24,8 @@ class TenantQuota:
 
     ``max_workers`` caps the tenant's summed *worker slots* — cores, one
     per worker thread or process (sequential jobs count 0) — so one
-    tenant cannot monopolize the shared
-    :class:`~repro.pool.lease.WorkerBudget` even within its running limit.
+    tenant cannot monopolize the service's shared worker slots even
+    within its running limit.
     """
 
     max_running: int = 4

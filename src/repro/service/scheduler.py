@@ -1,4 +1,4 @@
-"""The async multi-job scheduler behind ``repro serve``.
+"""The multi-job scheduler behind ``repro serve``.
 
 One :class:`SimulationService` multiplexes many concurrent simulations
 onto shared machine capacity:
@@ -6,51 +6,57 @@ onto shared machine capacity:
 * **Admission** — submitted jobs queue per tenant (``max_queued``); the
   scheduler admits them by priority then FIFO, when the tenant's
   ``max_running``/``max_workers`` quota allows *and* the job's worker
-  slots fit the shared :class:`~repro.pool.lease.WorkerBudget`.  A slot
-  is a core a running job leases for one of its workers — an executor
-  thread, or a worker process for a job with a fault plan.  A
-  small job may be admitted past a big one that doesn't fit — packing,
-  not head-of-line blocking.
-* **Execution** — each running job is an asyncio coroutine stepping its
-  engine in short slices.  Every slice goes straight to one shared,
-  work-conserving queue: a thread pool of ``lanes`` threads, so at most
-  ``lanes`` slices run at once and no thread idles while a running job
-  has a slice waiting.  Slices of different jobs overlap in wall clock —
-  a parallel engine's driver spends most of a slice waiting on its
-  workers with the GIL released — while each job's own
-  slices stay strictly serialized by its coroutine, so trajectories are
-  bit-identical to solo runs (slicing only moves where slice boundaries
-  fall, never what is computed).
-* **Suspend/resume** — a suspended job's engine (and worker lease) is
-  released; progress rolls back to its last durable checkpoint and the
-  replayed steps are suppressed from the stream (they are bit-identical).
+  slots fit the service's :class:`SlotBudget`.  A slot is a core a
+  running job holds for one of its workers — an executor thread, or a
+  worker process for a job with a fault plan.  A small job may be
+  admitted past a big one that doesn't fit — packing, not head-of-line
+  blocking.
+* **Execution** — ``lanes`` threads each run one loop: admit, take the
+  first job of one FIFO ready queue, run one unit of it outside the lock
+  (open its engine, step one slice of ``slice_steps`` steps, suspend, or
+  cancel), and put it back at the tail.  So at most ``lanes`` units run
+  at once, and no lane idles while a running job waits.  Units of
+  different jobs overlap in wall clock — a parallel engine's driver
+  spends most of a slice waiting on its workers with the GIL released —
+  while a job is held by at most one lane, so its own slices stay
+  strictly serial and trajectories are bit-identical to solo runs
+  (slicing only moves where slice boundaries fall, never what is
+  computed).
+* **Suspend/resume** — a suspended job's engine and slots are released;
+  progress rolls back to its last durable checkpoint and the replayed
+  steps are suppressed from the stream (they are bit-identical).
 
 Thread model: public methods are thread-safe (REST handler threads call
-them); all job state transitions happen on the scheduler thread's event
-loop.  The service is also usable without the background thread in tests
-via :meth:`run_until_idle`.
+them); every job state transition happens under the service's one
+condition, which also wakes idle lanes and waiters — there is no poll.
 """
 
 from __future__ import annotations
 
-import asyncio
+import collections
+import itertools
 import shutil
 import tempfile
 import threading
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.md.jobs import SimJob, SimSpec
-from repro.pool.lease import WorkerBudget
 from repro.service.jobs import Job, JobState
 from repro.service.quotas import QuotaError, TenantQuota
 
 __all__ = ["SimulationService"]
 
-#: scheduler idle poll; wake events cut the latency, this only bounds it
-_POLL_S = 0.05
+
+@dataclass
+class SlotBudget:
+    """The service's worker slots: ``total``, and how many the running
+    jobs hold (``leased``); changed only under the service's lock."""
+
+    total: int
+    leased: int = 0
 
 
 class SimulationService:
@@ -67,12 +73,14 @@ class SimulationService:
         rebalance_every: int = 0,
     ) -> None:
         """``worker_slots`` bounds the total workers across all running
-        jobs: slots are cores leased by running jobs, one per worker
+        jobs: slots are cores held by running jobs, one per worker
         thread (or worker process, for a job with a fault plan), not
-        processes; ``lanes`` bounds how many slices (of any jobs) run
+        processes; ``lanes`` bounds how many units (of any jobs) run
         at the same time; every slice is ``slice_steps`` steps.
         ``rebalance_every`` is accepted only as 0: jobs are not placed on
         lanes, so there is nothing to re-plan."""
+        if worker_slots < 0:
+            raise ValueError("worker_slots must be >= 0")
         if lanes < 1:
             raise ValueError("lanes must be >= 1")
         if slice_steps < 1:
@@ -83,7 +91,7 @@ class SimulationService:
                 "queue, there are no lane plans to rebalance"
             )
 
-        self.budget = WorkerBudget(worker_slots)
+        self.budget = SlotBudget(int(worker_slots))
         self.lanes = int(lanes)
         self.slice_steps = int(slice_steps)
         self.quotas = dict(quotas or {})
@@ -99,13 +107,12 @@ class SimulationService:
         self._jobs: dict[str, Job] = {}
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
+        #: running jobs waiting for a lane, oldest first
+        self._ready: collections.deque[Job] = collections.deque()
         self._submit_seq = 0
         self._slices_done = 0
         self._stopping = False
-        self._thread: threading.Thread | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._wake: asyncio.Event | None = None
-        self._executor: ThreadPoolExecutor | None = None
+        self._threads: list[threading.Thread] = []
 
     # ------------------------------------------------------------------ #
     # submission and control (any thread)
@@ -139,7 +146,7 @@ class SimulationService:
                 f"job needs {spec.worker_slots} worker slots but the "
                 f"service budget is {self.budget.total}"
             )
-        with self._lock:
+        with self._cond:
             n_queued = sum(
                 1
                 for j in self._jobs.values()
@@ -147,7 +154,12 @@ class SimulationService:
             )
             self._quota(tenant).check_submit(tenant, n_queued)
             if job_id is None:
-                job_id = f"job-{len(self._jobs):04d}"
+                # the first free number: an explicit id may hold any other
+                job_id = next(
+                    name
+                    for n in itertools.count(len(self._jobs))
+                    if (name := f"job-{n:04d}") not in self._jobs
+                )
             if job_id in self._jobs:
                 raise ValueError(f"job id {job_id!r} already exists")
             self._submit_seq += 1
@@ -161,7 +173,7 @@ class SimulationService:
             )
             self._jobs[job_id] = job
             job.note_event("submitted", tenant=tenant, priority=priority)
-        self._kick()
+            self._cond.notify_all()
         return job
 
     def get(self, job_id: str) -> Job:
@@ -184,7 +196,7 @@ class SimulationService:
         return sim.records[int(start):]
 
     def suspend(self, job_id: str) -> None:
-        with self._lock:
+        with self._cond:
             job = self.get(job_id)
             if job.terminal:
                 raise ValueError(f"job {job_id!r} is {job.state.value}")
@@ -194,10 +206,9 @@ class SimulationService:
                 self._cond.notify_all()
             elif job.state is JobState.RUNNING:
                 job.control = "suspend"
-        self._kick()
 
     def resume(self, job_id: str) -> None:
-        with self._lock:
+        with self._cond:
             job = self.get(job_id)
             if job.state is not JobState.SUSPENDED:
                 raise ValueError(
@@ -205,10 +216,10 @@ class SimulationService:
                 )
             job.state = JobState.QUEUED
             job.note_event("resumed")
-        self._kick()
+            self._cond.notify_all()
 
     def cancel(self, job_id: str) -> None:
-        with self._lock:
+        with self._cond:
             job = self.get(job_id)
             if job.terminal:
                 return
@@ -218,7 +229,6 @@ class SimulationService:
                 job.state = JobState.CANCELLED
                 job.note_event("cancelled")
                 self._cond.notify_all()
-        self._kick()
 
     def stats(self) -> dict:
         with self._lock:
@@ -262,7 +272,7 @@ class SimulationService:
                         f"job {job_id!r} still {job.state.value} "
                         f"after {timeout:.0f}s"
                     )
-                self._cond.wait(min(remaining, _POLL_S * 4))
+                self._cond.wait(remaining)
 
     def run_until_idle(self, timeout: float = 300.0) -> None:
         """Start if needed, then block until no job is queued or running."""
@@ -274,40 +284,41 @@ class SimulationService:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     raise TimeoutError(f"service still busy after {timeout:.0f}s")
-                self._cond.wait(min(remaining, _POLL_S * 4))
+                self._cond.wait(remaining)
 
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
     def start(self) -> None:
         with self._lock:
-            if self._thread is not None:
+            if self._threads:
                 return
             self._stopping = False
-            self._thread = threading.Thread(
-                target=self._thread_main, name="repro-service", daemon=True
-            )
-            self._thread.start()
-
-    def _thread_main(self) -> None:
-        asyncio.run(self._main())
+            self._threads = [
+                threading.Thread(
+                    target=self._lane, name=f"repro-lane-{i}", daemon=True
+                )
+                for i in range(self.lanes)
+            ]
+            for thread in self._threads:
+                thread.start()
 
     def shutdown(self, timeout: float = 30.0) -> None:
-        """Stop the scheduler and release every engine, lease, and segment."""
-        with self._lock:
+        """Stop the lanes and release every engine, slot, and segment."""
+        with self._cond:
             self._stopping = True
-            thread = self._thread
-            self._thread = None
-        self._kick()
-        if thread is not None:
-            thread.join(timeout=timeout)
-        # belt-and-braces: close anything the scheduler didn't get to
+            threads, self._threads = self._threads, []
+            self._cond.notify_all()
+        # a lane stops after the unit it is running
+        deadline = time.monotonic() + timeout
+        for thread in threads:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
         with self._lock:
             jobs = list(self._jobs.values())
         for job in jobs:
             job.sim.close()
-            self._release_lease(job)
-        self.budget.release_all()
+            with self._lock:
+                self._release_lease(job)
         if self._own_workdir:
             shutil.rmtree(self.workdir, ignore_errors=True)
         with self._cond:
@@ -321,76 +332,11 @@ class SimulationService:
         self.shutdown()
 
     # ------------------------------------------------------------------ #
-    # scheduler internals (event-loop thread only)
+    # scheduler internals (lane threads)
     # ------------------------------------------------------------------ #
-    def _kick(self) -> None:
-        with self._lock:
-            loop, wake = self._loop, self._wake
-            self._cond.notify_all()
-        if loop is not None and wake is not None:
-            try:
-                loop.call_soon_threadsafe(wake.set)
-            except RuntimeError:  # loop already closed
-                pass
-
     def _release_lease(self, job: Job) -> None:
-        if job.lease is not None:
-            job.lease.release()
-            job.lease = None
-
-    async def _main(self) -> None:
-        loop = asyncio.get_running_loop()
-        executor = ThreadPoolExecutor(
-            max_workers=self.lanes, thread_name_prefix="repro-lane"
-        )
-        with self._lock:
-            self._loop = loop
-            self._wake = asyncio.Event()
-            self._executor = executor
-        tasks: dict[str, asyncio.Task] = {}
-        try:
-            while True:
-                with self._lock:
-                    if self._stopping:
-                        break
-                self._admit_ready()
-                with self._lock:
-                    runnable = [
-                        j
-                        for j in self._jobs.values()
-                        if j.state is JobState.RUNNING and j.id not in tasks
-                    ]
-                for job in runnable:
-                    tasks[job.id] = loop.create_task(self._run_job(job))
-                for jid in [j for j, t in tasks.items() if t.done()]:
-                    tasks.pop(jid)
-                wake = self._wake
-                wake.clear()
-                try:
-                    await asyncio.wait_for(wake.wait(), timeout=_POLL_S)
-                except asyncio.TimeoutError:
-                    pass
-        finally:
-            for t in tasks.values():
-                t.cancel()
-            if tasks:
-                await asyncio.gather(*tasks.values(), return_exceptions=True)
-            with self._lock:
-                jobs = [
-                    j for j in self._jobs.values() if j.sim.active
-                ]
-            for job in jobs:
-                # in-flight slices already drained (gather above); close
-                # engines off-loop so pool teardown can't wedge the loop
-                await loop.run_in_executor(executor, job.sim.close)
-                with self._lock:
-                    self._release_lease(job)
-            executor.shutdown(wait=True)
-            with self._lock:
-                self._loop = None
-                self._wake = None
-                self._executor = None
-                self._cond.notify_all()
+        self.budget.leased -= job.lease
+        job.lease = 0
 
     def _admit_ready(self) -> None:
         with self._lock:
@@ -416,65 +362,69 @@ class SimulationService:
                     slots,
                 ):
                     continue  # tenant-full; other tenants may still admit
-                lease = self.budget.try_acquire(slots, label=job.id)
-                if lease is None:
+                if self.budget.leased + slots > self.budget.total:
                     continue  # doesn't fit now; a smaller job might
-                job.lease = lease
+                self.budget.leased += slots
+                job.lease = slots
                 job.state = JobState.RUNNING
                 job.note_event("admitted", worker_slots=slots)
+                self._ready.append(job)
                 self._cond.notify_all()
 
-    async def _run_job(self, job: Job) -> None:
-        loop = asyncio.get_running_loop()
-        executor = self._executor
-        try:
-            while True:
-                with self._lock:
+    def _lane(self) -> None:
+        """One lane: admit, take the oldest ready job, run one unit of it,
+        put it back at the tail — until the service stops."""
+        while True:
+            with self._cond:
+                while True:
                     if self._stopping:
                         return
-                    control, job.control = job.control, None
-                if control == "cancel":
-                    await self._finish(job, JobState.CANCELLED)
-                    return
-                if control == "suspend":
-                    await loop.run_in_executor(executor, job.sim.suspend)
-                    with self._lock:
-                        self._release_lease(job)
-                        job.state = JobState.SUSPENDED
-                        job.note_event(
-                            "suspended", checkpoint_step=job.sim.steps_done
-                        )
-                        self._cond.notify_all()
-                    self._kick()
-                    return
-                if not job.sim.active:
-                    await loop.run_in_executor(executor, job.sim.open)
-                # straight onto the shared queue: the executor's threads
-                # are the only cap on how many slices run at once
-                before = job.sim.steps_done
-                await loop.run_in_executor(
-                    executor, job.sim.step_slice, self.slice_steps
-                )
-                if job.sim.steps_done > before:
-                    with self._lock:
-                        self._slices_done += 1
-                if job.sim.done:
-                    await self._finish(job, JobState.COMPLETED)
-                    return
-                await asyncio.sleep(0)
-        except asyncio.CancelledError:
-            raise
-        except Exception:
-            with self._lock:
-                job.error = traceback.format_exc()
-            await self._finish(job, JobState.FAILED)
+                    self._admit_ready()
+                    if self._ready:
+                        break
+                    self._cond.wait()
+                job = self._ready.popleft()
+                control, job.control = job.control, None
+            try:
+                state = self._run_unit(job, control)
+            except Exception:
+                job.sim.close()  # a no-op when the failure left no engine
+                with self._lock:
+                    job.error = traceback.format_exc()
+                state = JobState.FAILED
+            with self._cond:
+                if state is None:
+                    self._ready.append(job)
+                    continue
+                self._release_lease(job)
+                job.state = state
+                if state is JobState.SUSPENDED:
+                    job.note_event(
+                        "suspended", checkpoint_step=job.sim.steps_done
+                    )
+                else:
+                    job.note_event("finished", steps_done=job.sim.steps_done)
+                self._cond.notify_all()
 
-    async def _finish(self, job: Job, state: JobState) -> None:
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(self._executor, job.sim.close)
-        with self._lock:
-            self._release_lease(job)
-            job.state = state
-            job.note_event("finished", steps_done=job.sim.steps_done)
-            self._cond.notify_all()
-        self._kick()
+    def _run_unit(self, job: Job, control: str | None) -> JobState | None:
+        """Run one unit of ``job`` outside the lock; returns the state it
+        leaves the job in, or None while it is still running."""
+        sim = job.sim
+        if control == "cancel":
+            sim.close()
+            return JobState.CANCELLED
+        if control == "suspend":
+            sim.suspend()
+            return JobState.SUSPENDED
+        if not sim.active:
+            sim.open()
+            return None
+        before = sim.steps_done
+        sim.step_slice(self.slice_steps)
+        if sim.steps_done > before:
+            with self._lock:
+                self._slices_done += 1
+        if sim.done:
+            sim.close()
+            return JobState.COMPLETED
+        return None

@@ -22,7 +22,6 @@ from repro.backend import (
     default_backend,
     get_backend,
     parity_selfcheck,
-    set_default_backend,
 )
 from repro.backend import reference as ref
 
@@ -75,15 +74,6 @@ class TestSelection:
         monkeypatch.setenv(ENV_VAR, "numpy")
         B._reset_for_testing()
         assert default_backend().name == "numpy"
-
-    def test_set_default_backend_overrides_and_resets(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "auto")
-        be = set_default_backend("numpy")
-        assert be.name == "numpy"
-        assert default_backend() is be
-        # None re-resolves from the environment
-        again = set_default_backend(None)
-        assert again is default_backend()
 
     def test_auto_never_raises(self):
         # whether or not the host has a compiler, auto must resolve

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.backend as B
 from repro.backend.c_backend import DISPATCHED_KERNELS, LANE_COMPACTION
 from repro.cli import build_parser, main
 
@@ -58,6 +59,26 @@ class TestCommands:
         assert len(out.strip().splitlines()) == 6
         assert out.startswith("kernel backend: ")
         assert "pairlist:" in out
+
+    def test_md_defaults_to_the_environment_backend(self, capsys, monkeypatch):
+        """Without ``--backend`` the session default applies, which
+        ``REPRO_BACKEND`` names."""
+        monkeypatch.setenv(B.ENV_VAR, "numpy")
+        # re-resolve from the environment; the old default comes back after
+        monkeypatch.setattr(B, "_default", None)
+        assert main(["md", "--waters", "27", "--steps", "1", "--cutoff", "5"]) == 0
+        assert capsys.readouterr().out.startswith("kernel backend: numpy\n")
+
+    def test_md_backend_flag_leaves_the_default(self, capsys):
+        """``--backend`` picks this run's engine's kernels only: the
+        process default every later engine resolves stays as it was."""
+        before = B.default_backend()
+        assert main(
+            ["md", "--waters", "27", "--steps", "1", "--cutoff", "5",
+             "--backend", "numpy"]
+        ) == 0
+        assert capsys.readouterr().out.startswith("kernel backend: numpy\n")
+        assert B.default_backend() is before
 
     def test_md_pairlist_disabled(self, capsys):
         assert main(

@@ -2,12 +2,15 @@
 which ``test_conformance.py`` holds the engines' reference runs to (every
 other run is held to those bit for bit).
 
-``compute_nonbonded`` (direct per-call cell enumeration, nothing carried
-between calls), ``compute_bonded`` and ``compute_ewald`` share no list,
-task or reduction code with the engines' force-task path, so agreement to
-1e-9 (summation order differs) checks that path end to end.  The scaled
-1-4 pass, ``nonbonded_14``, is the one function both sides call: a fault
-in it moves the oracle with the engines.
+The non-bonded main loop (``candidate_pairs`` enumerated afresh per call,
+filtered and evaluated by ``nonbonded_kernel``), ``compute_bonded`` and
+``compute_ewald`` share no list, task or reduction code with the engines'
+force-task path, so agreement to 1e-9 (summation order differs) checks
+that path end to end.  The scaled 1-4 pass is written out here
+(:func:`scaled_14`) from the force field's public tables and the pair
+arithmetic, so it calls nothing of the engines' own 1-4 pass,
+``nonbonded_14``: a fault there fails the oracle tests instead of moving
+the oracle with the engines.
 
 Under Ewald one part is held to a different bound, here and nowhere else:
 the engines compute the reciprocal sum by smooth PME, which approximates
@@ -28,8 +31,14 @@ import numpy as np
 import pytest
 
 from repro.md.bonded import BONDED_KINDS, compute_bonded
+from repro.md.cells import candidate_pairs
 from repro.md.ewald import _reciprocal_space, compute_ewald, pme_reciprocal
-from repro.md.nonbonded import compute_nonbonded, filter_candidates
+from repro.md.nonbonded import (
+    filter_candidates,
+    nonbonded_kernel,
+    pair_interactions,
+)
+from repro.util.pbc import minimum_image
 
 RTOL = 1e-9
 #: PME against the classic reciprocal sum: the energy, relative, and the
@@ -39,18 +48,52 @@ PME_ENERGY_RTOL = 1e-5
 PME_FORCE_RTOL = 1e-4
 
 
+def scaled_14(system, options, forces, coulomb=True):
+    """The scaled 1-4 pass over ``system.exclusions.pairs14``: each pair
+    within the cutoff, at minimum image, with its Lorentz-Berthelot
+    parameters scaled by ``scale14_lj`` / ``scale14_elec`` (no
+    electrostatics without ``coulomb``).  Scatters into ``forces``;
+    returns ``(lj, elec, n_pairs)``."""
+    pairs = system.exclusions.pairs14
+    if not len(pairs):
+        return 0.0, 0.0, 0
+    ff = system.forcefield
+    i, j = pairs[:, 0], pairs[:, 1]
+    _, eps_t, rmin_t = ff.lj_tables()
+    ti, tj = system.type_indices[i], system.type_indices[j]
+    eps = np.sqrt(eps_t[ti] * eps_t[tj]) * ff.scale14_lj
+    rmin = rmin_t[ti] + rmin_t[tj]
+    qq = system.charges[i] * system.charges[j]
+    qq = qq * ff.scale14_elec if coulomb else np.zeros_like(qq)
+    delta = minimum_image(system.positions[j] - system.positions[i], system.box)
+    r2 = np.einsum("pk,pk->p", delta, delta)
+    inside = np.flatnonzero(r2 < options.cutoff**2)
+    lj, elec, fvec = pair_interactions(
+        delta[inside], r2[inside], eps[inside], rmin[inside], qq[inside], options
+    )
+    np.add.at(forces, i[inside], fvec)
+    np.subtract.at(forces, j[inside], fvec)
+    return float(lj.sum()), float(elec.sum()), len(inside)
+
+
 def reference(system, options, ewald=None):
     """``(forces, lj, elec, bonded, n_pairs)`` at ``system``'s positions —
-    under Ewald without the reciprocal sum."""
-    nb = compute_nonbonded(system, options, coulomb=ewald is None)
+    under Ewald without the reciprocal sum, and with the scaled 1-4 pass
+    LJ only (``compute_ewald`` carries those pairs' electrostatics)."""
     bonded, forces = compute_bonded(system)
-    forces += nb.forces
-    elec = nb.energy_elec
+    coulomb = ewald is None
+    i_cand, j_cand = candidate_pairs(system.positions, system.box, options.cutoff)
+    lj, elec, n_pairs = nonbonded_kernel(
+        system, i_cand, j_cand, options, forces, coulomb=coulomb
+    )
+    lj14, elec14, n14 = scaled_14(system, options, forces, coulomb=coulomb)
+    lj += lj14
+    elec += elec14
     if ewald is not None:
         ew = compute_ewald(system, ewald, recip=False)
         forces += ew.forces
         elec += ew.energy
-    return forces, nb.energy_lj, elec, bonded, nb.n_pairs
+    return forces, lj, elec, bonded, n_pairs + n14
 
 
 def pme_part(system, ewald, backend):

@@ -95,8 +95,10 @@ def test_checker_catches_a_backend_reaching_into_md(tmp_path, monkeypatch):
 def test_checker_catches_the_service_placing_jobs_with_a_balancer(
     tmp_path, monkeypatch
 ):
-    """The service runs slices from one queue: a scheduler that reaches
-    for the balancer, the WorkDB or the simulator again is a violation."""
+    """The service runs slices from one queue on its own lane threads: a
+    scheduler that reaches for the balancer, the WorkDB, the simulator or
+    the pool again — or regrows an event loop or an executor — is a
+    violation; the engine adapter stays allowed."""
     mod = load_checker()
     scheduler = tmp_path / "repro" / "service" / "scheduler.py"
     scheduler.parent.mkdir(parents=True)
@@ -107,14 +109,24 @@ def test_checker_catches_the_service_placing_jobs_with_a_balancer(
         "    from repro.instrument.workdb import WorkDB  # noqa: F401\n"
         "    import repro.balancer.strategies  # noqa: F401\n"
         "    from repro.core import simulation  # noqa: F401\n"
+        "import asyncio  # noqa: F401\n"
+        "from concurrent.futures import ThreadPoolExecutor  # noqa: F401\n"
+        "import repro.pool  # noqa: F401\n"
     )
     monkeypatch.setattr(mod, "SRC", tmp_path)
     monkeypatch.setattr(mod, "UNUSED", {})
     found = mod.check()
-    assert len(found) == 3
-    for line, name in zip(
-        (4, 5, 6), ("repro.instrument.workdb", "repro.balancer", "repro.core")
-    ):
+    expected = {
+        2: "repro.pool.lease",
+        4: "repro.instrument.workdb",
+        5: "repro.balancer",
+        6: "repro.core",
+        7: "asyncio",
+        8: "concurrent.futures",
+        9: "repro.pool",
+    }
+    assert len(found) == len(expected), found
+    for line, name in expected.items():
         assert any(f"scheduler.py:{line}" in v and name in v for v in found), found
 
 

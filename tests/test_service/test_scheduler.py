@@ -58,6 +58,17 @@ class TestSubmission:
         with pytest.raises(ValueError, match="rebalance_every must be 0"):
             make_service(workdir=tmp_path, rebalance_every=every)
 
+    def test_negative_worker_slots_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="worker_slots must be >= 0"):
+            make_service(workdir=tmp_path, worker_slots=-1)
+
+    def test_auto_id_skips_an_explicit_one(self, tmp_path):
+        """A caller that names no id never collides with one that did."""
+        svc = make_service(workdir=tmp_path)
+        svc.submit(SMALL, job_id="job-0001")
+        ids = [svc.submit(SMALL).id for _ in range(2)]
+        assert ids == ["job-0002", "job-0003"]
+
     def test_duplicate_id_rejected(self, tmp_path):
         svc = make_service(workdir=tmp_path)
         svc.submit(SMALL, job_id="x")
@@ -108,12 +119,15 @@ class TestAdmission:
         blocked = svc.submit({**SMALL, "workers": 2}, priority=5)
         seq = svc.submit(SMALL, priority=0)  # 0 slots: always fits
         svc._admit_ready()
-        assert big.state is JobState.RUNNING and big.lease.slots == 3
+        assert big.state is JobState.RUNNING and big.lease == 3
         assert blocked.state is JobState.QUEUED  # no head-of-line block:
         assert seq.state is JobState.RUNNING  # the 0-slot job slips past
         assert svc.budget.leased == 3
-        # releasing the big job lets the blocked one in
+        # releasing the big job lets the blocked one in; a second release
+        # (shutdown releases every job) gives nothing back twice
         svc._release_lease(big)
+        svc._release_lease(big)
+        assert big.lease == 0 and svc.budget.leased == 0
         big.state = JobState.COMPLETED
         svc._admit_ready()
         assert blocked.state is JobState.RUNNING
@@ -175,6 +189,91 @@ class TestSliceQueue:
         ), spans
 
 
+class TestLanes:
+    """What the lane loop alone guarantees: no poll hides a lost wake-up,
+    a job is held by one lane at a time, and lanes take jobs in turn."""
+
+    def test_a_job_submitted_to_idle_lanes_completes(self, tmp_path):
+        """Every lane waits on the condition once the first job is done;
+        only the submission's notify can wake one for the second."""
+        with make_service(workdir=tmp_path, lanes=2) as svc:
+            first = svc.submit(SMALL)
+            svc.wait(first.id, [JobState.COMPLETED], timeout=120)
+            time.sleep(0.2)  # both lanes back in their wait
+            late = svc.submit(SMALL)
+            svc.wait(late.id, [JobState.COMPLETED], timeout=30)
+
+    def test_a_jobs_slices_never_overlap(self, tmp_path, monkeypatch):
+        """Three lanes, two jobs: a spare lane is always free, yet no job's
+        slice starts while another of its slices runs."""
+        guards: dict[str, threading.Lock] = {}
+        overlapped: list[str] = []
+        step_slice = SimJob.step_slice
+
+        def guarded_slice(self, n):
+            guard = guards.setdefault(self.workdir.name, threading.Lock())
+            if not guard.acquire(blocking=False):  # non-reentrant
+                overlapped.append(self.workdir.name)
+                return step_slice(self, n)
+            try:
+                time.sleep(0.005)  # a window a second lane would hit
+                return step_slice(self, n)
+            finally:
+                guard.release()
+
+        monkeypatch.setattr(SimJob, "step_slice", guarded_slice)
+        with make_service(workdir=tmp_path, lanes=3, slice_steps=1) as svc:
+            jobs = [
+                svc.submit({**SMALL, "steps": 8, "seed": seed})
+                for seed in (1, 2)
+            ]
+            svc.run_until_idle(timeout=120)
+            assert [j.state for j in jobs] == [JobState.COMPLETED] * 2
+        assert overlapped == []
+
+    def test_one_lane_runs_the_slices_round_robin(self, tmp_path, monkeypatch):
+        """Three jobs admitted together on one lane: each goes back to the
+        tail after every unit, so their slices take turns."""
+        order: list[str] = []
+        step_slice = SimJob.step_slice
+
+        def recorded_slice(self, n):
+            order.append(self.workdir.name)
+            return step_slice(self, n)
+
+        monkeypatch.setattr(SimJob, "step_slice", recorded_slice)
+        svc = make_service(workdir=tmp_path, lanes=1, slice_steps=2)
+        for name in ("j0", "j1", "j2"):  # queued before any lane runs
+            svc.submit({**SMALL, "steps": 6}, job_id=name)
+        try:
+            svc.run_until_idle(timeout=120)
+        finally:
+            svc.shutdown()
+        assert order == ["j0", "j1", "j2"] * 3
+        assert svc.budget.leased == 0
+
+    def test_shutdown_mid_run_releases_engines_and_slots(self, tmp_path):
+        svc = make_service(workdir=tmp_path, worker_slots=4)
+        job = svc.submit({**SMALL, "steps": 100_000, "workers": 2})
+        svc.start()
+        svc.wait(job.id, [JobState.RUNNING], timeout=60)
+        while not job.sim.active:
+            time.sleep(0.01)
+        assert svc.budget.leased == 2
+        svc.shutdown(timeout=30)
+        assert not job.sim.active
+        assert job.lease == 0 and svc.budget.leased == 0
+
+    def test_cancel_mid_run_releases_the_slots(self, tmp_path):
+        with make_service(workdir=tmp_path, worker_slots=4) as svc:
+            job = svc.submit({**SMALL, "steps": 100_000, "workers": 2})
+            svc.wait(job.id, [JobState.RUNNING], timeout=60)
+            svc.cancel(job.id)
+            svc.wait(job.id, [JobState.CANCELLED], timeout=60)
+            assert not job.sim.active
+            assert job.lease == 0 and svc.budget.leased == 0
+
+
 class TestLifecycle:
     def test_jobs_complete_and_match_solo(self, tmp_path):
         spec = SimSpec(waters=20, steps=8, seed=3, traj_every=4)
@@ -204,7 +303,7 @@ class TestLifecycle:
             svc.suspend(job.id)
             svc.wait(job.id, [JobState.SUSPENDED], timeout=60)
             assert not job.sim.active  # engine released
-            assert job.lease is None
+            assert job.lease == 0
             svc.resume(job.id)
             svc.wait(job.id, [JobState.COMPLETED], timeout=300)
             steps = [r["step"] for r in job.sim.records if r["type"] == "step"]
@@ -286,7 +385,7 @@ class TestBackendIsolation:
             svc.wait(b.id, [JobState.COMPLETED], timeout=300)
             prov_a = a.detail()
             prov_b = b.detail()
-        # pre-fix code routed the request through set_default_backend, so
+        # pre-fix code routed the request through the process default, so
         # whichever job opened last stamped *both* engines and both WorkDBs
         assert prov_a["backend"] == "numpy"
         assert prov_b["backend"] == second

@@ -87,7 +87,7 @@ def test_soak_concurrent_jobs_bit_identical_and_leak_free(tmp_path):
             time.sleep(0.01)
         svc.suspend("suspended")
         svc.wait("suspended", [JobState.SUSPENDED], timeout=60)
-        assert jobs["suspended"].lease is None
+        assert jobs["suspended"].lease == 0
         svc.resume("suspended")
 
         while any(not j.terminal for j in jobs.values()):

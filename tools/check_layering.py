@@ -1,6 +1,7 @@
 #!/usr/bin/env python
 """Layering check: the pool layer knows no MD, the kernel backends know no
-MD either, the service knows no balancer, the builders know nothing above
+MD either, the service knows no balancer, no pool and no second
+concurrency model, the builders know nothing above
 MD, the engine knows nothing of the simulator, the simulator and the real
 engine's measurement layer know nothing of each other, the simulator reads
 no fault plan, the utilities and the cost model import nothing above them,
@@ -18,8 +19,10 @@ Layering (DESIGN.md, "The real parallel engine"):
   md modules import the backends, so the reverse would be a cycle).
 * ``repro.service`` — the job scheduler; imports nothing from
   ``repro.balancer``, ``repro.instrument`` or ``repro.core``: slices run
-  from one shared queue, so jobs are never placed by a balancer (it
-  needs only ``repro.md.jobs`` and ``repro.pool.lease``).
+  from one shared queue, so jobs are never placed by a balancer.  Nor
+  from ``repro.pool``: it reaches engines only through ``repro.md.jobs``
+  and counts its worker slots itself.  Nor ``asyncio`` or
+  ``concurrent.futures``: its lane threads are its one concurrency model.
 * ``repro.builder`` — the synthetic structure builders (today they import
   only ``repro.md`` and ``repro.util``); import nothing from ``repro.pool``,
   ``repro.service``, the simulated machine (``repro.runtime``,
@@ -83,7 +86,10 @@ FORBIDDEN: dict[str, tuple[str, ...]] = {
         "repro.core",
     ),
     "repro/backend": ("repro.md", "repro.pool", "repro.costmodel", "repro.service"),
-    "repro/service": ("repro.balancer", "repro.instrument", "repro.core"),
+    "repro/service": (
+        "repro.balancer", "repro.instrument", "repro.core", "repro.pool",
+        "asyncio", "concurrent.futures",
+    ),
     "repro/builder": (
         "repro.pool", "repro.service", "repro.runtime", "repro.core",
         "repro.balancer", "repro.instrument", "repro.costmodel",
@@ -163,7 +169,8 @@ def main() -> int:
         "layering OK: repro.pool imports no domain layer or simulated "
         "runtime, repro.backend "
         "imports no md/pool/costmodel/service, repro.service imports no "
-        "balancer/instrument/core, repro.builder imports no pool/service/"
+        "balancer/instrument/core/pool/asyncio/concurrent.futures, "
+        "repro.builder imports no pool/service/"
         "simulated machine/costmodel, repro.md imports no core, "
         "repro.runtime/core import no instrument, repro.instrument imports "
         "no runtime/core/md/pool/service, repro.runtime/core/analysis "
