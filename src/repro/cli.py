@@ -158,182 +158,130 @@ def cmd_backends(_args) -> int:
 
 
 def cmd_md(args) -> int:
-    """Run MD on a water box and print the energy ledger."""
-    from repro.builder import skewed_water_box, small_water_box
-    from repro.md.engine import POOL_KEYWORDS, make_engine
-    from repro.md.integrator import VelocityVerlet
-    from repro.md.nonbonded import NonbondedOptions
+    """Run MD on a water box and print the energy ledger.
 
-    if args.pairlist_skin < 0:
-        raise SystemExit("--pairlist-skin must be >= 0")
-    if args.workers < 0:
-        raise SystemExit("--workers must be >= 0 (0 = one per CPU)")
-    if args.rebalance_every < 0:
-        raise SystemExit("--rebalance-every must be >= 0 (0 = static)")
-    if args.grainsize_ms < 0:
-        raise SystemExit("--grainsize-ms must be >= 0 (0 = no splitting)")
-    if args.checkpoint_every < 0:
-        raise SystemExit("--checkpoint-every must be >= 0 (0 = off)")
-    if args.checkpoint_every > 0 and not args.checkpoint_path:
-        raise SystemExit("--checkpoint-every needs --checkpoint-path")
-    if args.resume and not args.checkpoint_path:
-        raise SystemExit("--resume needs --checkpoint-path")
-    fault_plan = None
-    if args.fault_plan:
-        from repro.pool import pool_fault_plan
+    The flags are one :class:`~repro.md.jobs.SimSpec` (refused as the
+    service refuses it) driven one step at a time by a
+    :class:`~repro.md.jobs.SimJob`; ``--workdir`` holds its checkpoint,
+    and a run resumes from one found there to ``--steps`` in total.
+    """
+    import tempfile
 
-        try:
-            fault_plan = pool_fault_plan(args.fault_plan)
-        except ValueError as exc:
-            raise SystemExit(f"bad --fault-plan: {exc}")
-    ewald = None
-    from repro.md.ewald import MAX_KMAX, EwaldOptions
+    from repro.md.jobs import SimJob, SimSpec
 
-    if not 0 <= args.kmax <= MAX_KMAX:
-        raise SystemExit(f"--kmax must lie in [0, {MAX_KMAX}]")
-    if args.ewald:
-        ewald = EwaldOptions(cutoff=args.cutoff, kmax=args.kmax)
-    if args.skew > 0:
-        system = skewed_water_box(args.waters, seed=args.seed, skew=args.skew)
-    else:
-        system = small_water_box(args.waters, seed=args.seed)
-    system.assign_velocities(args.temperature, seed=args.seed)
-    # worker-pool flags are forwarded only when set: make_engine rejects
-    # them at --workers 1 (they would silently do nothing there)
-    pool_flags = {
-        name: getattr(args, name) for name in POOL_KEYWORDS.intersection(vars(args))
-    }
-    pool_flags["fault_plan"] = fault_plan
+    fields = SimSpec.__dataclass_fields__
     try:
-        engine = make_engine(
-            system,
-            NonbondedOptions(cutoff=args.cutoff),
-            VelocityVerlet(dt=args.dt),
-            workers=args.workers,
-            backend=args.backend,  # this engine's only: the default stays
-            skin=args.pairlist_skin,
-            checkpoint_every=args.checkpoint_every,
-            checkpoint_path=args.checkpoint_path,
-            ewald=ewald,
-            **{flag: value for flag, value in pool_flags.items() if value},
+        # each md flag but --workdir / --workdb-dump is the field of its dest
+        spec = SimSpec(
+            relax=True, **{k: v for k, v in vars(args).items() if k in fields}
         )
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise SystemExit(str(exc))
+    if spec.checkpoint_every and args.workdir is None:
+        raise SystemExit("--checkpoint-every needs --workdir")
+    with tempfile.TemporaryDirectory(prefix="repro-md-") as scratch:
+        job = SimJob(spec, args.workdir or scratch)
+        try:
+            job.open()  # resumes from the workdir's checkpoint
+        except ValueError as exc:
+            raise SystemExit(str(exc))
+        try:
+            _print_md_run(job, args)
+        finally:
+            job.close()
+    return 0
+
+
+def _print_md_run(job, args) -> None:
+    """Step an open job to its total, printing each step's row, then the
+    engine's diagnostics."""
+    engine = job.engine
     print(f"kernel backend: {engine.backend.name}")
-    if ewald is not None:
+    if engine.ewald is not None:
         print(
-            f"electrostatics: Ewald (alpha {ewald.alpha_value():.4f}, "
-            f"kmax {ewald.kmax})"
+            f"electrostatics: Ewald (alpha {engine.ewald.alpha_value():.4f}, "
+            f"kmax {engine.ewald.kmax})"
         )
     if engine.parallel:
         executor = engine.driver_report()["executor"]
         print(f"executor: {executor} ({engine.workers})")
-    elif args.workers != 1:
+    elif job.spec.workers != 1:
         print("executor: in-process (no workers for this box)")
-    if args.grainsize_ms:
-        rep = engine._nb.split_report()
-        print(
-            f"grainsize {args.grainsize_ms:g} ms: "
-            f"{rep['n_parent_tasks']} cell tasks -> "
-            f"{rep['n_subtasks']} sub-tasks "
-            f"({rep['n_split_parents']} split, "
-            f"largest {rep['max_parts']} parts)"
-        )
-    with engine:
-        if args.resume:
-            from repro.runtime.checkpoint import (
-                load_run_checkpoint,
-                restore_run_checkpoint,
+    if job.steps_done:
+        print(f"resumed from checkpoint at step {job.steps_done}")
+    print(f"{'step':>5} {'kinetic':>10} {'potential':>12} {'total':>12} {'T':>7}")
+    while not job.done:
+        for rec in job.step_slice(1):
+            if rec["type"] == "step":
+                print(
+                    f"{rec['step']:>5} {rec['kinetic']:>10.2f} "
+                    f"{rec['potential']:>12.2f} {rec['total']:>12.4f} "
+                    f"{engine.system.temperature():>7.1f}"
+                )
+    pairlist = engine.pairlist
+    print(
+        f"pairlist: {pairlist.n_builds} builds, "
+        f"reuse fraction {pairlist.reuse_fraction:.2f} "
+        f"(skin {pairlist.skin:.1f} A)"
+    )
+    if engine.parallel:
+        for rec in engine.rebalance_log:
+            print(
+                f"rebalance @step {rec['step']} ({rec['strategy']}): "
+                f"moved {rec['moved']} tasks, predicted max load "
+                f"{rec['max_load_before'] * 1e3:.2f} -> "
+                f"{rec['max_load_after'] * 1e3:.2f} ms/step"
             )
+        if job.spec.rebalance_every:
+            from repro.analysis.timeline import render_workdb_timeline
 
-            try:
-                cp = load_run_checkpoint(args.checkpoint_path)
-            except FileNotFoundError:
-                raise SystemExit(
-                    f"--resume: no checkpoint at {args.checkpoint_path}"
-                )
-            except ValueError as exc:
-                raise SystemExit(f"--resume: {exc}")
-            restore_run_checkpoint(engine, cp)
-            print(f"resumed from checkpoint at step {cp.step}")
+            print(render_workdb_timeline(engine.workdb, engine.workers, width=72))
+        drep = engine.driver_report()
+        if drep["n_evals"]:
+            print(
+                f"driver share: {drep['driver_share'] * 100:.1f}% "
+                f"({drep['driver_s'] * 1e3:.1f} ms driver compute of "
+                f"{drep['wall_s'] * 1e3:.1f} ms force wall; "
+                "one-core hosts time-slice, so only multi-core "
+                "numbers are meaningful)"
+            )
+        if engine.ewald is not None:
+            ks = engine.kspace_cache_stats()
+            print(
+                f"k-space cache: {ks['builds']} builds/{ks['hits']} hits "
+                f"on {len(ks['workers'])} workers"
+            )
+    res = engine.resilience
+    if res.events or res.mode != "full":
         print(
-            f"{'step':>5} {'kinetic':>10} {'potential':>12} {'total':>12} {'T':>7}"
+            f"resilience: mode {res.mode}; "
+            f"{res.kills_detected} killed, {res.hangs_detected} hung, "
+            f"{res.errors_detected} errored; {res.respawns} respawned, "
+            f"{res.tasks_reassigned} tasks reassigned, "
+            f"{res.degraded_steps} degraded steps, "
+            f"{res.recovery_time_s * 1e3:.1f} ms recovering"
         )
-        for rep in engine.run(args.steps):
-            print(
-                f"{rep.step:>5} {rep.kinetic:>10.2f} {rep.potential:>12.2f} "
-                f"{rep.total:>12.4f} {system.temperature():>7.1f}"
+        if res.reassigned_by_kind:
+            kinds = ", ".join(
+                f"{k} {v}" for k, v in sorted(res.reassigned_by_kind.items())
             )
-        pairlist = engine.pairlist
+            print(f"  reassigned by kind: {kinds}")
+        for ev in res.events:
+            who = f"worker {ev.worker}" if ev.worker >= 0 else "pool"
+            print(
+                f"  step {ev.step}: {who} {ev.kind} -> {ev.action} "
+                f"(detected in {ev.detection_s * 1e3:.0f} ms"
+                + (f", {ev.tasks_moved} tasks moved" if ev.tasks_moved else "")
+                + ")"
+            )
+    if job.spec.checkpoint_every:
         print(
-            f"pairlist: {pairlist.n_builds} builds, "
-            f"reuse fraction {pairlist.reuse_fraction:.2f} "
-            f"(skin {pairlist.skin:.1f} A)"
+            f"checkpoints: {engine.n_checkpoints} written to "
+            f"{job.checkpoint_path} (every {job.spec.checkpoint_every} steps)"
         )
-        if engine.parallel:
-            for rec in engine.rebalance_log:
-                print(
-                    f"rebalance @step {rec['step']} ({rec['strategy']}): "
-                    f"moved {rec['moved']} tasks, predicted max load "
-                    f"{rec['max_load_before'] * 1e3:.2f} -> "
-                    f"{rec['max_load_after'] * 1e3:.2f} ms/step"
-                )
-            if args.rebalance_every:
-                from repro.analysis.timeline import render_workdb_timeline
-
-                print(
-                    render_workdb_timeline(
-                        engine.workdb, engine.workers, width=72
-                    )
-                )
-            drep = engine.driver_report()
-            if drep["n_evals"]:
-                print(
-                    f"driver share: {drep['driver_share'] * 100:.1f}% "
-                    f"({drep['driver_s'] * 1e3:.1f} ms driver compute of "
-                    f"{drep['wall_s'] * 1e3:.1f} ms force wall; "
-                    "one-core hosts time-slice, so only multi-core "
-                    "numbers are meaningful)"
-                )
-            if ewald is not None:
-                ks = engine.kspace_cache_stats()
-                print(
-                    f"k-space cache: {ks['builds']} builds/{ks['hits']} hits "
-                    f"on {len(ks['workers'])} workers"
-                )
-        res = engine.resilience
-        if res.events or res.mode != "full":
-            print(
-                f"resilience: mode {res.mode}; "
-                f"{res.kills_detected} killed, {res.hangs_detected} hung, "
-                f"{res.errors_detected} errored; {res.respawns} respawned, "
-                f"{res.tasks_reassigned} tasks reassigned, "
-                f"{res.degraded_steps} degraded steps, "
-                f"{res.recovery_time_s * 1e3:.1f} ms recovering"
-            )
-            if res.reassigned_by_kind:
-                kinds = ", ".join(
-                    f"{k} {v}"
-                    for k, v in sorted(res.reassigned_by_kind.items())
-                )
-                print(f"  reassigned by kind: {kinds}")
-            for ev in res.events:
-                who = f"worker {ev.worker}" if ev.worker >= 0 else "pool"
-                print(
-                    f"  step {ev.step}: {who} {ev.kind} -> {ev.action} "
-                    f"(detected in {ev.detection_s * 1e3:.0f} ms"
-                    + (f", {ev.tasks_moved} tasks moved" if ev.tasks_moved else "")
-                    + ")"
-                )
-        if args.checkpoint_every:
-            print(
-                f"checkpoints: {engine.n_checkpoints} written to "
-                f"{args.checkpoint_path} (every {args.checkpoint_every} steps)"
-            )
-        if args.workdb_dump:
-            engine.workdb.dump(args.workdb_dump)
-            print(f"WorkDB written to {args.workdb_dump}")
-    return 0
+    if args.workdb_dump:
+        engine.workdb.dump(args.workdb_dump)
+        print(f"WorkDB written to {args.workdb_dump}")
 
 
 def cmd_serve(args) -> int:
@@ -342,12 +290,6 @@ def cmd_serve(args) -> int:
 
     from repro.service import ServiceServer, SimulationService, TenantQuota
 
-    if args.worker_slots < 0:
-        raise SystemExit("--worker-slots must be >= 0")
-    if args.lanes < 1:
-        raise SystemExit("--lanes must be >= 1")
-    if args.slice_steps < 1:
-        raise SystemExit("--slice-steps must be >= 1")
     try:
         quota = TenantQuota(
             max_running=args.max_running,
@@ -501,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_md.add_argument("--temperature", type=float, default=300.0)
     p_md.add_argument("--seed", type=int, default=7)
     p_md.add_argument(
-        "--pairlist-skin", type=float, default=1.5, metavar="ANGSTROM",
+        "--pairlist-skin", dest="skin", type=float, default=1.5,
+        metavar="ANGSTROM",
         help="Verlet pairlist skin; 0 disables list reuse and re-enumerates "
              "candidate pairs from the cell grid every step",
     )
@@ -540,13 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
              "rebalance decision",
     )
     p_md.add_argument(
-        "--grainsize-ms", type=float, default=0.0, metavar="MS",
-        help="grainsize target for the worker pool in cost-model "
-             "milliseconds: cell tasks whose prior time exceeds MS are "
-             "split into row-stripe sub-tasks before load balancing "
-             "(0 = whole-cell tasks; the paper suggests ~5 ms)",
-    )
-    p_md.add_argument(
         "--workdb-dump", default=None, metavar="PATH",
         help="write the engine's measurement database (per-task timings, "
              "affinity, owners) as JSON on exit; reload with "
@@ -565,17 +501,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_md.add_argument(
         "--checkpoint-every", type=int, default=0, metavar="STEPS",
         help="write an atomic run checkpoint every N completed steps "
-             "(0 = off); needs --checkpoint-path",
+             "(0 = off); needs --workdir",
     )
     p_md.add_argument(
-        "--checkpoint-path", default=None, metavar="PATH",
-        help="checkpoint file (.npz) for --checkpoint-every / --resume",
-    )
-    p_md.add_argument(
-        "--resume", action="store_true",
-        help="restore --checkpoint-path before stepping; the resumed "
-             "trajectory is bit-identical to the original run's "
-             "continuation",
+        "--workdir", default=None, metavar="DIR",
+        help="directory holding the run's checkpoint (DIR/checkpoint.npz); "
+             "a run finding one there resumes from it, bit-identically, "
+             "to --steps in total (default: a temp dir removed at exit)",
     )
     p_md.add_argument(
         "--ewald", action="store_true",

@@ -23,7 +23,7 @@ import numpy as np
 
 # compute_bonded and compute_nonbonded are not called here: the perf harness
 # (benchmarks/perf/spans.py) binds spans to these module attributes by name.
-# ROADMAP item 1 rebinds the spans and deletes both with the other
+# ROADMAP item 2(d) rebinds the spans and deletes both with the other
 # kept-for-binding names.
 from repro.md.bonded import BondedEnergies, compute_bonded  # noqa: F401
 from repro.md.integrator import VelocityVerlet
@@ -309,7 +309,7 @@ def make_engine(
     """
     # ``distribute`` has no effect (bonded groups and the PME task are
     # always force tasks); accepted because benchmarks/perf/workloads.py
-    # still passes it — ROADMAP item 1 deletes it with the harness's use
+    # still passes it — ROADMAP item 2(d) deletes it with the harness's use
     if workers == 1:
         pool_only = sorted(POOL_KEYWORDS.intersection(kwargs))
         if pool_only:

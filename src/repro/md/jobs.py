@@ -100,7 +100,7 @@ class SimSpec:
     kmax: int = 4
     # no effect (bonded groups and the PME task are always force tasks);
     # accepted because benchmarks/perf/workloads.py still sets it — ROADMAP
-    # item 1 deletes it with the harness's use
+    # item 2(d) deletes it with the harness's use
     distribute: bool = False
     rebalance_every: int = 0
     lb_strategy: str | None = None
@@ -297,8 +297,12 @@ class SimJob:
                 restore_run_checkpoint,
             )
 
-            cp = load_run_checkpoint(self.checkpoint_path)
-            restore_run_checkpoint(engine, cp)
+            try:
+                cp = load_run_checkpoint(self.checkpoint_path)
+                restore_run_checkpoint(engine, cp)
+            except BaseException:
+                engine.close()  # a refused checkpoint leaves no workers
+                raise
             self.steps_done = int(cp.step)
         self.engine = engine
         self.backend_provenance()  # snapshot while the engine is live

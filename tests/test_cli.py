@@ -1,5 +1,7 @@
 """CLI smoke tests (direct invocation, captured stdout)."""
 
+import re
+
 import pytest
 
 import repro.backend as B
@@ -123,7 +125,7 @@ class TestCommands:
 
 
 class TestResilienceFlags:
-    """--fault-plan / --checkpoint-every / --checkpoint-path / --resume."""
+    """--fault-plan / --checkpoint-every / --workdir."""
 
     MD27 = ["md", "--waters", "27", "--steps", "3", "--cutoff", "5"]
 
@@ -132,7 +134,7 @@ class TestResilienceFlags:
             main(self.MD27 + ["--fault-plan", "kill=0@1"])
 
     def test_fault_plan_rejects_garbage(self):
-        with pytest.raises(SystemExit, match="fault-plan"):
+        with pytest.raises(SystemExit, match="bad fault_plan"):
             main(self.MD27 + ["--workers", "2", "--fault-plan", "bogus"])
 
     def test_fault_plan_refuses_what_the_pool_cannot_honour(self):
@@ -150,48 +152,114 @@ class TestResilienceFlags:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("kmax", ["-1", "17"])
-    def test_kmax_outside_the_grid_cap_is_refused(self, kmax):
-        with pytest.raises(SystemExit, match="kmax must lie in"):
+    @pytest.mark.parametrize(
+        "kmax, message", [("-1", "kmax must be >= 0"), ("17", "kmax must be <= 16")]
+    )
+    def test_kmax_outside_the_grid_cap_is_refused(self, kmax, message):
+        with pytest.raises(SystemExit, match=message):
             main(self.MD27 + ["--ewald", "--kmax", kmax])
 
-    def test_checkpoint_every_needs_path(self):
-        with pytest.raises(SystemExit, match="checkpoint-path"):
+    def test_checkpoint_every_needs_workdir(self):
+        with pytest.raises(SystemExit, match="--checkpoint-every needs --workdir"):
             main(self.MD27 + ["--checkpoint-every", "2"])
 
-    def test_checkpoint_every_rejects_negative(self):
-        with pytest.raises(SystemExit, match="checkpoint-every"):
-            main(self.MD27 + ["--checkpoint-every", "-1"])
-
-    def test_resume_needs_path(self):
-        with pytest.raises(SystemExit, match="checkpoint-path"):
-            main(self.MD27 + ["--resume"])
-
-    def test_resume_missing_file_errors(self, tmp_path):
-        with pytest.raises(SystemExit, match="no checkpoint"):
+    def test_checkpoint_every_rejects_negative(self, tmp_path):
+        with pytest.raises(SystemExit, match="checkpoint_every must be >= 0"):
             main(
                 self.MD27
-                + ["--resume", "--checkpoint-path", str(tmp_path / "nope.npz")]
+                + ["--checkpoint-every", "-1", "--workdir", str(tmp_path)]
             )
 
-    def test_checkpoint_write_then_resume(self, tmp_path, capsys):
-        path = str(tmp_path / "run.npz")
-        assert main(
-            self.MD27 + ["--checkpoint-every", "2", "--checkpoint-path", path]
-        ) == 0
+    @pytest.mark.parametrize("flag", ["--resume", "--checkpoint-path", "--grainsize-ms"])
+    def test_retired_flags_are_unknown(self, flag, capsys):
+        """A run resumes from its ``--workdir``; the grainsize target is the
+        engine's keyword alone."""
+        with pytest.raises(SystemExit) as exc:
+            main(self.MD27 + [flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_resume_runs_to_the_total(self, tmp_path, capsys):
+        """``--steps`` is the run's total: a run finding a step-2
+        checkpoint in its workdir prints steps 3-5 only, and its last row
+        is a fresh 5-step run's, byte for byte."""
+        run = ["md", "--waters", "27", "--cutoff", "5", "--checkpoint-every", "2"]
+        workdir = str(tmp_path / "run")
+        assert main(run + ["--steps", "3", "--workdir", workdir]) == 0
         out = capsys.readouterr().out
         assert "checkpoints: 1 written" in out
-        assert main(
-            self.MD27 + ["--resume", "--checkpoint-path", path]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "resumed from checkpoint at step 2" in out
+        assert main(run + ["--steps", "5", "--workdir", workdir]) == 0
+        resumed = capsys.readouterr().out
+        assert "resumed from checkpoint at step 2" in resumed
+        fresh_dir = str(tmp_path / "fresh")
+        assert main(run + ["--steps", "5", "--workdir", fresh_dir]) == 0
+        fresh = capsys.readouterr().out
+        assert [row.split()[0] for row in _rows(resumed)] == ["3", "4", "5"]
+        assert _rows(resumed)[-1] == _rows(fresh)[-1]
 
     def test_resume_corrupt_file_errors(self, tmp_path):
-        path = tmp_path / "run.npz"
-        path.write_bytes(b"garbage")
-        with pytest.raises(SystemExit, match="resume"):
-            main(self.MD27 + ["--resume", "--checkpoint-path", str(path)])
+        (tmp_path / "checkpoint.npz").write_bytes(b"garbage")
+        with pytest.raises(SystemExit, match="corrupt run checkpoint"):
+            main(self.MD27 + ["--workdir", str(tmp_path)])
+
+    def test_refused_checkpoint_leaves_no_worker_processes(self, tmp_path):
+        """The job closes the engine it built when its checkpoint is
+        refused: the supervised workers a fault plan started are gone."""
+        import multiprocessing
+
+        (tmp_path / "checkpoint.npz").write_bytes(b"garbage")
+        with pytest.raises(SystemExit, match="corrupt run checkpoint"):
+            main(
+                ["md", "--waters", "120", "--steps", "3", "--cutoff", "6",
+                 "--workers", "2", "--fault-plan", "kill=1@5",
+                 "--workdir", str(tmp_path)]
+            )
+        assert multiprocessing.active_children() == []
+
+
+def _rows(out: str) -> list[str]:
+    """The step rows of an ``md`` run's output."""
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.split()[:1] == ["step"])
+    end = next(i for i, line in enumerate(lines) if line.startswith("pairlist:"))
+    return lines[start + 1 : end]
+
+
+class TestMdRun:
+    """``md`` is one ``SimSpec`` stepped by a ``SimJob``."""
+
+    def test_each_rows_temperature_is_its_own(self, capsys):
+        """Every row's T is ``2 KE / (3 N k_B)`` of that row's kinetic
+        energy (27 waters: 81 atoms), within the printed rounding."""
+        from repro.md.constants import BOLTZMANN_KCAL
+
+        assert main(["md", "--waters", "27", "--steps", "3", "--cutoff", "5"]) == 0
+        rows = _rows(capsys.readouterr().out)
+        assert len(rows) == 3
+        for row in rows:
+            kinetic, temperature = float(row.split()[1]), float(row.split()[4])
+            expected = 2 * kinetic / (3 * 81 * BOLTZMANN_KCAL)
+            # kinetic printed to 0.005 kcal/mol (0.021 K), T to 0.05 K
+            assert temperature == pytest.approx(expected, abs=0.08), row
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--temperature", "-10"], "temperature must be >= 0"),
+            (["--temperature", "nan"], "temperature must be finite"),
+            (["--waters", "0"], r"waters must lie in \[1, 100000\]"),
+            (["--skew", "-1"], "skew must be >= 0"),
+            (["--steps", "0"], "steps must be >= 1"),
+        ],
+    )
+    def test_spec_refusals_exit_cleanly(self, flags, message, capsys):
+        """What ``SimSpec`` refuses, ``md`` refuses with the same message,
+        before building anything and without a traceback."""
+        with pytest.raises(SystemExit) as exc:
+            main(["md", "--steps", "3", "--cutoff", "5", *flags])
+        assert isinstance(exc.value.code, str)
+        assert re.fullmatch(message, exc.value.code)
+        assert capsys.readouterr().out == ""
 
 
 class TestServe:
@@ -215,3 +283,25 @@ class TestServe:
         assert "service stopped" in capsys.readouterr().out
         assert all(h not in before for h in while_serving)  # were installed
         assert [signal.getsignal(s) for s in signums] == before
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--worker-slots", "-1", "worker_slots must be >= 0"),
+            ("--lanes", "0", "lanes must be >= 1"),
+            ("--slice-steps", "0", "slice_steps must be >= 1"),
+        ],
+    )
+    def test_serve_refuses_what_the_service_refuses(
+        self, flag, value, message, monkeypatch, tmp_path
+    ):
+        """The service's own check answers, before any port is bound."""
+        from repro.service import ServiceServer
+
+        def bind(*args, **kwargs):
+            raise AssertionError("bound a port for a refused service")
+
+        monkeypatch.setattr(ServiceServer, "__init__", bind)
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--port", "0", "--workdir", str(tmp_path), flag, value])
+        assert exc.value.code == message

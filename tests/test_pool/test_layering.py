@@ -349,3 +349,29 @@ def test_checker_catches_a_simulated_fault_path_and_upward_imports(
         assert any(
             f"{module}:{line}" in v and name in v for v in found
         ), (module, name, found)
+
+
+def test_checker_catches_the_cli_building_a_run_itself(tmp_path, monkeypatch):
+    """``repro md`` builds its run through ``repro.md.jobs`` alone: a CLI
+    that constructs an engine, an integrator or nonbonded options, restores
+    a run checkpoint or parses a fault plan with the pool again — lazily
+    too — is a violation; the job adapter and the rest stay allowed."""
+    mod = load_checker()
+    cli = tmp_path / "repro" / "cli.py"
+    cli.parent.mkdir(parents=True)
+    banned = (
+        "repro.md.engine", "repro.md.integrator", "repro.md.nonbonded",
+        "repro.runtime.checkpoint", "repro.pool",
+    )
+    cli.write_text(
+        "from repro.md.jobs import SimJob, SimSpec  # noqa: F401\n"
+        "from repro.runtime.machine import MACHINES  # noqa: F401\n"
+        "def cmd_md(args):\n"
+        + "".join(f"    import {name}  # noqa: F401\n" for name in banned)
+    )
+    monkeypatch.setattr(mod, "SRC", tmp_path)
+    monkeypatch.setattr(mod, "UNUSED", {})
+    found = mod.check()
+    assert len(found) == len(banned), found
+    for line, (violation, name) in enumerate(zip(found, banned), start=4):
+        assert f"cli.py:{line}" in violation and name in violation

@@ -5,7 +5,8 @@ concurrency model, the builders know nothing above
 MD, the engine knows nothing of the simulator, the simulator and the real
 engine's measurement layer know nothing of each other, the simulator reads
 no fault plan, the utilities and the cost model import nothing above them,
-the engine and the minimizer call no reference force function.
+the engine and the minimizer call no reference force function, and the
+CLI builds a run only through the job adapter.
 
 Layering (DESIGN.md, "The real parallel engine"):
 
@@ -60,6 +61,10 @@ Layering (DESIGN.md, "The real parallel engine"):
   collect``: every force term is a task, so the reference force functions
   are never *used* there (they may be imported: the perf harness binds
   spans to those module attributes).
+* ``repro/cli.py`` — ``repro md`` is one ``SimSpec`` driven by a
+  ``SimJob``: the CLI imports nothing of the engine, the integrator, the
+  nonbonded options, the run checkpoint or the pool, so a second copy of
+  run validation, engine construction or resume cannot regrow there.
 * ``repro.md.minimize`` — relaxation evaluates every trial on a
   ``SequentialEngine``'s force tasks; it uses no reference force function
   either, so it cannot regrow a force path of its own.
@@ -79,7 +84,7 @@ import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
-#: package -> import prefixes it must never reference
+#: package or module -> import prefixes it must never reference
 FORBIDDEN: dict[str, tuple[str, ...]] = {
     "repro/pool": (
         "repro.md", "repro.balancer", "repro.instrument", "repro.runtime",
@@ -112,6 +117,10 @@ FORBIDDEN: dict[str, tuple[str, ...]] = {
         "repro.runtime", "repro.core", "repro.md", "repro.pool",
         "repro.service",
     ),
+    "repro/cli.py": (
+        "repro.md.engine", "repro.md.integrator", "repro.md.nonbonded",
+        "repro.runtime.checkpoint", "repro.pool",
+    ),
 }
 
 _REFERENCE_FORCES = ("compute_bonded", "compute_nonbonded", "compute_ewald")
@@ -136,7 +145,8 @@ def imported_names(tree: ast.AST):
 def check() -> list[str]:
     violations = []
     for package, banned in FORBIDDEN.items():
-        for path in sorted((SRC / package).rglob("*.py")):
+        root = SRC / package
+        for path in [root] if root.is_file() else sorted(root.rglob("*.py")):
             tree = ast.parse(path.read_text(), filename=str(path))
             for lineno, name in imported_names(tree):
                 if any(
@@ -177,7 +187,8 @@ def main() -> int:
         "import no fault plan, repro.util imports no other repro package, "
         "repro.costmodel imports no md/pool/service/core/runtime/instrument/"
         "balancer, the step path and the minimizer call no reference force "
-        "function"
+        "function, repro/cli.py imports no engine/integrator/nonbonded/"
+        "run checkpoint/pool"
     )
     return 0
 
