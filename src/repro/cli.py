@@ -245,12 +245,6 @@ def _print_md_run(job, args) -> None:
                 "one-core hosts time-slice, so only multi-core "
                 "numbers are meaningful)"
             )
-        if engine.ewald is not None:
-            ks = engine.kspace_cache_stats()
-            print(
-                f"k-space cache: {ks['builds']} builds/{ks['hits']} hits "
-                f"on {len(ks['workers'])} workers"
-            )
     res = engine.resilience
     if res.events or res.mode != "full":
         print(

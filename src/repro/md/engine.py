@@ -266,14 +266,9 @@ class SequentialEngine:
         return self._nb.driver_report()
 
     def kspace_cache_stats(self) -> dict:
-        """Ewald k-space table cache counters caused by *this* engine; see
+        """This engine's PME influence-table builds and hits; see
         :meth:`repro.md.parallel.ParallelNonbonded.kspace_cache_stats`."""
         return self._nb.kspace_cache_stats()
-
-    def clear_kspace_cache(self) -> None:
-        """Drop the memoized k-space tables and reset this engine's
-        counters (other engines' accounting is unaffected)."""
-        self._nb.clear_kspace_cache()
 
     def close(self) -> None:
         """Stop the workers, if any (idempotent).  The engine stays

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +53,6 @@ __all__ = [
     "EwaldResult",
     "compute_ewald",
     "ewald_remainder",
-    "clear_kspace_cache",
-    "kspace_cache_stats",
     "pme_error",
     "pme_grid_shape",
     "pme_reciprocal",
@@ -161,76 +158,8 @@ def _real_space(
     return backend.ewald_real(pos, box, i_c, j_c, qq, alpha, cutoff, forces)
 
 
-# k-space tables — the classic sum's k-vectors and PME's influence function
-# — depend only on (box, kmax, alpha): between box changes every step
-# rebuilds identical arrays, so memoize them.  Bounded LRU; entries are
-# marked read-only because callers share the cached arrays.
-# The table cache is deliberately process-global (concurrent engines — the
-# multi-job service case — share identical tables).  The module-level
-# counters are monotonic raw totals read against a baseline; a caller that
-# wants its own accounting (every force-task evaluator does) passes a
-# ``{"builds", "hits"}`` sink, which nobody else's clear can zero or negate.
-_KSPACE_CACHE: OrderedDict[tuple, tuple[np.ndarray, ...]] = OrderedDict()
-_KSPACE_CACHE_MAX = 8
-_KSPACE_RAW = {"builds": 0, "hits": 0}
-_KSPACE_BASE = {"builds": 0, "hits": 0}
-
-
-def clear_kspace_cache() -> None:
-    """Drop all memoized k-space tables and reset the hit/build counters.
-
-    Only the *module-level* counter view resets; per-caller sinks keep
-    counting (their next evaluation simply rebuilds the dropped tables).
-    """
-    _KSPACE_CACHE.clear()
-    _KSPACE_BASE.update(_KSPACE_RAW)
-
-
-def kspace_cache_stats() -> dict[str, int]:
-    """Copy of the k-space cache counters (``builds``, ``hits``).
-
-    Counts activity since the last module-level :func:`clear_kspace_cache`,
-    clamped at zero, across every caller in the process.
-    """
-    return {
-        key: max(_KSPACE_RAW[key] - _KSPACE_BASE[key], 0)
-        for key in ("builds", "hits")
-    }
-
-
-def _memoised(kind: str, box, kmax: int, alpha: float, stats, build) -> tuple:
-    """``build(box, kmax, alpha)`` through the table cache, counted.
-
-    The key and the tables are both derived from one private snapshot of
-    the box taken on entry.  Callers routinely mutate the box ndarray in
-    place (NPT-style rescale); keying on anything that aliases the live
-    array would let a later mutation disagree with the tables the key maps
-    to, silently serving stale tables.
-    """
-    box_snap = np.array(np.asarray(box, dtype=np.float64).reshape(3), copy=True)
-    key = (kind, *(float(x) for x in box_snap), int(kmax), float(alpha))
-    cached = _KSPACE_CACHE.get(key)
-    counter = "hits" if cached is not None else "builds"
-    _KSPACE_RAW[counter] += 1
-    if stats is not None:
-        stats[counter] += 1
-    if cached is not None:
-        _KSPACE_CACHE.move_to_end(key)
-        return cached
-    tables = build(box_snap, int(kmax), float(alpha))
-    for arr in tables:
-        arr.setflags(write=False)
-    _KSPACE_CACHE[key] = tables
-    while len(_KSPACE_CACHE) > _KSPACE_CACHE_MAX:
-        _KSPACE_CACHE.popitem(last=False)
-    return tables
-
-
 def _kspace_tables(
-    box: np.ndarray,
-    kmax: int,
-    alpha: float,
-    stats: dict[str, int] | None = None,
+    box: np.ndarray, kmax: int, alpha: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The ``(k, k2, ak, m)`` reciprocal-space tables for one (box, kmax, alpha).
 
@@ -238,14 +167,9 @@ def _kspace_tables(
     half space — one of every ``±k`` pair, ``((2 kmax + 1)³ - 1) / 2`` of
     them; a sum over the table is half the sum over all nonzero vectors —
     ``k2`` their squared norms, ``ak`` the ``exp(-k2/4a^2)/k2`` prefactors,
-    ``m`` the int32 triplets ``k`` was built from.  Cached: a box change (or
-    different kmax/alpha) misses and rebuilds, identical parameters hit and
-    share the same read-only arrays.
+    ``m`` the int32 triplets ``k`` was built from.
     """
-    return _memoised("classic", box, kmax, alpha, stats, _build_kspace_tables)
-
-
-def _build_kspace_tables(box, kmax, alpha):
+    box = np.asarray(box, dtype=np.float64).reshape(3)
     mx, my, mz = np.meshgrid(
         np.arange(-kmax, kmax + 1),
         np.arange(-kmax, kmax + 1),
@@ -270,9 +194,12 @@ def pme_grid_shape(box: np.ndarray, kmax: int) -> tuple[int, int, int]:
     up to a length ``scipy.fft`` factors fast.  Each of the three terms is
     what holds the error to the bound DESIGN states on some system: the
     first on dense boxes at large kmax, the floor on small boxes at small
-    kmax, the spacing on a dilute solute in a large box."""
+    kmax, the spacing on a dilute solute in a large box.  A ``kmax``
+    outside ``1 .. MAX_KMAX`` is refused."""
     from scipy.fft import next_fast_len
 
+    if not 1 <= kmax <= MAX_KMAX:
+        raise ValueError(f"PME needs 1 <= kmax <= {MAX_KMAX}, got {kmax}")
     return tuple(
         next_fast_len(
             max(8 * int(kmax), PME_MIN_POINTS, math.ceil(edge / PME_MAX_SPACING))
@@ -282,15 +209,11 @@ def pme_grid_shape(box: np.ndarray, kmax: int) -> tuple[int, int, int]:
 
 
 def _pme_influence(
-    box: np.ndarray,
-    kmax: int,
-    alpha: float,
-    stats: dict[str, int] | None = None,
+    box: np.ndarray, kmax: int, alpha: float
 ) -> tuple[np.ndarray, tuple[int, int, int]]:
-    """PME's influence function for one (box, kmax, alpha), memoised with the
-    classic tables, and the grid shape ``K`` it is for
-    (:func:`pme_grid_shape`); the table is ``(K0, K1, K2 // 2 + 1)``, the
-    layout of ``rfftn`` of the grid.
+    """PME's influence function for one (box, kmax, alpha) and the grid
+    shape ``K`` it is for (:func:`pme_grid_shape`); the table is
+    ``(K0, K1, K2 // 2 + 1)``, the layout of ``rfftn`` of the grid.
 
     On the classic sum's k-set — every nonzero ``m`` with ``|m_d| <= kmax``
     — it is ``K0 K1 K2 · C 4π/V · exp(-k²/4α²)/k² · B(m)``, ``B`` the
@@ -300,15 +223,7 @@ def _pme_influence(
     so the inverse transform of the charges' spectrum times this table is
     the potential on the grid.
     """
-    if not 1 <= kmax <= MAX_KMAX:
-        raise ValueError(f"PME needs 1 <= kmax <= {MAX_KMAX}, got {kmax}")
-    influence, shape = _memoised(
-        "pme", box, kmax, alpha, stats, _build_pme_influence
-    )
-    return influence, tuple(int(k) for k in shape)
-
-
-def _build_pme_influence(box, kmax, alpha):
+    box = np.asarray(box, dtype=np.float64).reshape(3)
     shape = pme_grid_shape(box, kmax)
     # M_n at the integers 0 .. n (M_2 is 1 at 1), for the moduli
     spline = np.zeros(PME_ORDER + 1)
@@ -331,39 +246,37 @@ def _build_pme_influence(box, kmax, alpha):
     k2[0, 0, 0] = 1.0  # the origin is masked; no division by zero
     pref = math.prod(shape) * COULOMB_CONSTANT * 4.0 * np.pi / float(np.prod(box))
     factor = fx[:, None, None] * fy[None, :, None] * fz[None, None, :]
-    influence = np.where(kept, pref * factor / k2, 0.0)
-    return influence, np.array(shape)
+    return np.where(kept, pref * factor / k2, 0.0), shape
 
 
 def pme_reciprocal(
     positions: np.ndarray,
     charges: np.ndarray,
     box: np.ndarray,
-    options: EwaldOptions,
+    influence: tuple[np.ndarray, tuple[int, int, int]],
     forces: np.ndarray,
     backend: KernelBackend,
     grid: np.ndarray | None = None,
-    stats: dict[str, int] | None = None,
 ) -> tuple[float, np.ndarray]:
     """The reciprocal-space energy by smooth PME, and the charge grid it
     used; forces accumulate into ``forces``.
 
-    ``backend.pme_spread`` puts the charges on the grid, one ``rfftn`` →
-    multiply by the influence function → ``irfftn`` (``scipy.fft`` on one
-    thread) turns them into the potential, and ``backend.pme_gather``
-    interpolates it back.  ``grid`` is the buffer the last call returned, to
-    be reused (a new one is allocated when it is None or the box changed
-    the grid's shape); ``stats`` the caller's builds/hits sink for the table
-    lookup.
+    ``influence`` is :func:`_pme_influence` of ``box`` — the caller builds
+    it and keeps it for as long as the box holds.  ``backend.pme_spread``
+    puts the charges on the grid, one ``rfftn`` → multiply by the influence
+    function → ``irfftn`` (``scipy.fft`` on one thread) turns them into the
+    potential, and ``backend.pme_gather`` interpolates it back.  ``grid`` is
+    the buffer the last call returned, to be reused (a new one is allocated
+    when it is None or of another shape than the table's grid).
     """
     from scipy import fft
 
-    influence, shape = _pme_influence(box, options.kmax, options.alpha_value(), stats)
+    table, shape = influence
     if grid is None or grid.shape != shape:
         grid = np.empty(shape)
     backend.pme_spread(positions, charges, box, grid, PME_ORDER)
     spectrum = fft.rfftn(grid)
-    spectrum *= influence
+    spectrum *= table
     potential = fft.irfftn(spectrum, s=shape)
     energy = backend.pme_gather(positions, charges, box, potential, PME_ORDER, forces)
     return energy, grid
@@ -378,13 +291,13 @@ def pme_error(
     ``energy`` is the relative energy error, ``force`` the RMS force error
     relative to the classic forces' RMS."""
     be = get_backend(backend)
+    alpha = options.alpha_value()
     classic = np.zeros((system.n_atoms, 3))
-    e_classic = _reciprocal_space(
-        system, options.alpha_value(), options.kmax, classic, be
-    )
+    e_classic = _reciprocal_space(system, alpha, options.kmax, classic, be)
     pme = np.zeros_like(classic)
+    influence = _pme_influence(system.box, options.kmax, alpha)
     e_pme, _ = pme_reciprocal(
-        system.positions, system.charges, system.box, options, pme, be
+        system.positions, system.charges, system.box, influence, pme, be
     )
     return {
         "energy": abs(e_pme - e_classic) / abs(e_classic),

@@ -31,6 +31,7 @@ another job's kernels mid-run (each engine's WorkDB keeps its own
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field
@@ -232,6 +233,11 @@ class SimJob:
         return self.workdir / "checkpoint.npz"
 
     @property
+    def spec_path(self) -> Path:
+        """The spec of the run whose checkpoints the workdir holds."""
+        return self.workdir / "spec.json"
+
+    @property
     def done(self) -> bool:
         return self.steps_done >= self.spec.steps
 
@@ -287,18 +293,28 @@ class SimJob:
 
     def open(self) -> None:
         """Build (or rebuild) the engine, resuming from the durable
-        checkpoint when one exists."""
+        checkpoint when one exists.
+
+        A fresh run that checkpoints writes its spec next to the
+        checkpoint; a resume refuses (``ValueError``) a checkpoint written
+        under a spec that differs in anything but ``steps``, or one past
+        this spec's ``steps``.  A checkpoint without a spec beside it
+        resumes unchecked."""
         if self.engine is not None:
             return
-        engine = self._build_engine(self._build_system())
+        cp = None
         if self.checkpoint_path.exists():
-            from repro.runtime.checkpoint import (
-                load_run_checkpoint,
-                restore_run_checkpoint,
-            )
+            from repro.runtime.checkpoint import load_run_checkpoint
+
+            cp = load_run_checkpoint(self.checkpoint_path)
+            self._check_resume(int(cp.step))
+        elif self.spec.checkpoint_every > 0:
+            self.spec_path.write_text(json.dumps(self.spec.to_dict()))
+        engine = self._build_engine(self._build_system())
+        if cp is not None:
+            from repro.runtime.checkpoint import restore_run_checkpoint
 
             try:
-                cp = load_run_checkpoint(self.checkpoint_path)
                 restore_run_checkpoint(engine, cp)
             except BaseException:
                 engine.close()  # a refused checkpoint leaves no workers
@@ -306,6 +322,23 @@ class SimJob:
             self.steps_done = int(cp.step)
         self.engine = engine
         self.backend_provenance()  # snapshot while the engine is live
+
+    def _check_resume(self, step: int) -> None:
+        """Refuse a checkpoint at ``step`` that this spec cannot continue."""
+        if step > self.spec.steps:
+            raise ValueError(
+                f"checkpoint in {self.workdir} is at step {step}, "
+                f"past this run's {self.spec.steps} steps"
+            )
+        if not self.spec_path.exists():
+            return
+        written = json.loads(self.spec_path.read_text())
+        for name, value in self.spec.to_dict().items():
+            if name != "steps" and written.get(name) != value:
+                raise ValueError(
+                    f"checkpoint in {self.workdir} was written with "
+                    f"{name}={written.get(name)!r}, not {value!r}"
+                )
 
     # ------------------------------------------------------------------ #
     def step_slice(self, n: int) -> list[dict]:

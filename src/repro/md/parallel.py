@@ -60,7 +60,6 @@ from repro.md.engine import SequentialEngine
 # compute_ewald is the oracle, not called here: the perf harness binds its
 # ``ewald.eval`` span to this module attribute by name, as above
 from repro.md.ewald import (  # noqa: F401
-    _KSPACE_CACHE,
     EwaldEnergies,
     EwaldOptions,
     compute_ewald,
@@ -85,6 +84,7 @@ from repro.pool import (
 from repro.pool.protocol import (
     STAT_TIME_NS,
     STAT_V0 as STAT_E_LJ,
+    STAT_V0 as STAT_TABLE_BUILT,
     STAT_V1 as STAT_E_EL,
     STAT_V2 as STAT_N_PAIRS,
 )
@@ -126,11 +126,12 @@ class ParallelNonbonded:
         backend=None,
         ewald: EwaldOptions | None = None,
     ) -> None:
-        """``n_workers <= 0`` means "one per CPU", 1 means none (the tasks
-        run in-process); ``timeout`` (seconds) bounds every wait on the
-        workers.  The bonded terms are tasks too; ``ewald`` makes this
-        evaluator own the *full* electrostatics, the reciprocal sum one PME
-        task (every ``ewald.recip_every`` steps, see :meth:`dispatch`).
+        """``n_workers == 0`` means "one per CPU", 1 means none (the tasks
+        run in-process), and a negative count is refused; ``timeout``
+        (seconds) bounds every wait on the workers.  The bonded terms are
+        tasks too; ``ewald`` makes this evaluator own the *full*
+        electrostatics, the reciprocal sum one PME task (every
+        ``ewald.recip_every`` steps, see :meth:`dispatch`).
         ``rebalance_every=N`` runs an LB decision every N evaluations;
         ``lb_strategy`` overrides the greedy-then-refine schedule;
         ``grainsize_ms > 0`` splits expensive cell tasks into row stripes;
@@ -147,6 +148,8 @@ class ParallelNonbonded:
 
         if timeout <= 0:
             raise ValueError("timeout must be positive")
+        if n_workers < 0:
+            raise ValueError("n_workers must be >= 0 (0 = one per CPU)")
         if rebalance_every < 0:
             raise ValueError("rebalance_every must be >= 0")
         if grainsize_ms < 0:
@@ -181,10 +184,9 @@ class ParallelNonbonded:
         #: ``(executor or None, rebuild, step payload, start time)`` of the
         #: evaluation awaiting collect()
         self._dispatched: tuple | None = None
-        self._kspace_stat_base: np.ndarray | None = None
-        #: the pool's ``(builds, hits)`` rows at its last collect, and the
-        #: counts of a pool since lost
-        self._pool_kspace_rows = self._kspace_lost = np.zeros((1, 2))
+        #: the reciprocal task's evaluations that built its influence table
+        #: and those that reused it, whichever executor ran them
+        self._kspace = {"builds": 0, "hits": 0}
         self.driver_compute_s = self.pool_wall_s = 0.0
         self.n_evals = 0
         self.n_rebalances = 0
@@ -415,9 +417,6 @@ class ParallelNonbonded:
         lost workers built theirs from."""
         if self._local is None:
             self._local = InProcessExecutor(self._provider)
-            # a lost pool's k-table counts stay in the totals
-            self._kspace_lost = self._kspace_counts(self._pool_kspace_rows)
-            self._kspace_stat_base = None
             rebuild = True
         local = self._local
         local.view("pos")[...] = self.system.positions
@@ -460,7 +459,6 @@ class ParallelNonbonded:
         if pool is not None and pool.collect():
             executor = pool
             step_wall = pool.finish_step()
-            self._pool_kspace_rows = pool.stats[self._n_total :, :2].copy()
         else:
             executor = self._run_in_process(rebuild, payload)
             step_wall = time.monotonic() - t_dispatch
@@ -495,6 +493,9 @@ class ParallelNonbonded:
                 self.last_recip_energy = float(
                     stats[self._kspace_ids, STAT_E_EL].sum()
                 )
+                built = int(stats[self._kspace_ids, STAT_TABLE_BUILT].sum())
+                self._kspace["builds"] += built
+                self._kspace["hits"] += len(self._kspace_ids) - built
             ew.energy_recip = self.last_recip_energy
             self.last_ewald = ew
             e_el_total = ew.energy
@@ -542,7 +543,7 @@ class ParallelNonbonded:
         self.dispatch()
         return self.collect()
 
-    # -- driver-share and k-space cache instrumentation -- #
+    # -- driver-share and k-space table instrumentation -- #
     def driver_report(self) -> dict:
         """Cumulative driver-vs-pool wall-time split: ``driver_s`` is
         driver *compute* time, ``wall_s`` the dispatch→collect wall time,
@@ -564,48 +565,11 @@ class ParallelNonbonded:
             "executor": executor,
         }
 
-    def _kspace_counts(self, rows: np.ndarray) -> np.ndarray:
-        """Per-evaluator ``(builds, hits)`` rows since the last clear."""
-        if self._kspace_stat_base is not None:
-            rows = np.maximum(rows - self._kspace_stat_base, 0.0)
-        return rows
-
-    def _kspace_stat_rows(self) -> np.ndarray:
-        """The current executor's per-evaluator ``(builds, hits)`` rows —
-        each evaluator publishes its own counts after its step."""
-        if self._local is None:
-            return self._pool_kspace_rows
-        return self._local.stats[self._n_total :, :2]
-
     def kspace_cache_stats(self) -> dict:
-        """K-space table ``builds``/``hits`` caused by this engine's
-        evaluators since construction or :meth:`clear_kspace_cache`: the
-        totals (a degraded pool's included), and under ``"workers"`` the
-        split by current evaluator (worker id; 0 alone when the tasks run
-        in-process).  Each evaluator counts its own lookups, so engines
-        sharing a process — and its table cache — cannot perturb each
-        other's numbers."""
-        rows = self._kspace_counts(self._kspace_stat_rows())
-        builds, hits = rows.sum(axis=0) + self._kspace_lost.sum(axis=0)
-        return {
-            "builds": int(builds),
-            "hits": int(hits),
-            "workers": {
-                w: {"builds": int(b), "hits": int(h)}
-                for w, (b, h) in enumerate(rows)
-            },
-        }
-
-    def clear_kspace_cache(self) -> None:
-        """Reset the cache counters as seen by this engine: drop this
-        process's memoized tables (what in-process evaluators look up;
-        worker caches are per-process LRUs, rebuilt on demand and dropped
-        on respawn) and take the evaluators' counts as the new baseline.
-        Another engine's accounting, and the module-level counters of
-        :func:`repro.md.ewald.kspace_cache_stats`, are untouched."""
-        _KSPACE_CACHE.clear()
-        self._kspace_stat_base = self._kspace_stat_rows().copy()
-        self._kspace_lost = np.zeros((1, 2))
+        """The reciprocal task's influence-table ``builds`` and ``hits``
+        (evaluations that reused the table) since construction, on every
+        executor that ran it — a lost pool's included."""
+        return dict(self._kspace)
 
     # -- measurement-based load balancing -- #
     def build_lb_problem(self):
@@ -710,7 +674,7 @@ class ParallelEngine(SequentialEngine):
         backend=None,
         ewald: EwaldOptions | None = None,
     ) -> None:
-        """``workers <= 0`` means one worker thread per CPU; the other
+        """``workers == 0`` means one worker thread per CPU; the other
         knobs are those of :class:`ParallelNonbonded` /
         :class:`SequentialEngine`."""
         self._setup(

@@ -60,7 +60,12 @@ from repro.backend.ewald_table import ewald_table
 from repro.backend.reference import expand_rows
 from repro.md.bonded import BONDED_KINDS, bonded_term_arrays
 from repro.md.cells import CellGrid, bin_atoms
-from repro.md.ewald import EwaldOptions, _pme_influence, pme_reciprocal
+from repro.md.ewald import (
+    EwaldOptions,
+    _pme_influence,
+    pme_grid_shape,
+    pme_reciprocal,
+)
 from repro.md.nonbonded import NonbondedOptions, ewald_pair_mode, pair_type_tables
 from repro.costmodel.grainsize import GrainsizeConfig, stripe_candidate_counts
 from repro.costmodel.model import DEFAULT_COST_MODEL, estimate_block_costs
@@ -500,10 +505,11 @@ class ForceTaskEvaluator:
     reciprocal task skips a weight-0 step and scales its forces by any
     other weight but 1 (multiple time stepping, see
     :class:`repro.md.ewald.EwaldOptions`).  Bonded group energies land in
-    the first stats column, the reciprocal task's in the second; the
-    per-executor stats row gets this evaluator's own k-space table builds/hits
-    (:attr:`kspace_stats`, the sink of the reciprocal task's table lookups
-    — exact whoever else shares the process's table cache).
+    the first stats column, the reciprocal task's in the second.  The
+    evaluator that runs the reciprocal task owns its influence table
+    (:attr:`influence`), built on its first evaluation and again whenever
+    the step's box differs from the one it was built for; the task's
+    first stats column is 1.0 on an evaluation that built it.
     """
 
     def __init__(self, provider: "ForceTaskProvider", worker_id, n_workers, views):
@@ -534,7 +540,9 @@ class ForceTaskEvaluator:
         #: (regrown only when a rebuild outgrows it)
         self.arena: np.ndarray | None = None
         self.xentries: dict[int, tuple] = {}
-        self.kspace_stats = {"builds": 0, "hits": 0}
+        #: ``(box, table)``: the reciprocal task's box and its
+        #: :func:`repro.md.ewald._pme_influence`
+        self.influence: tuple | None = None
         #: the PME charge grid, like the arena kept for the evaluator's life
         self.pme_grid: np.ndarray | None = None
 
@@ -629,15 +637,21 @@ class ForceTaskEvaluator:
                 weight = self.recip_weight
                 if not weight:  # an inner step: the block stays zero
                     return 0.0, 0.0, 0
-                system = self.system
+                system, ewald = self.system, self.provider.ewald
+                built = self.influence is None or not np.array_equal(
+                    self.influence[0], system.box
+                )
+                if built:
+                    self.influence = (system.box.copy(), _pme_influence(
+                        system.box, ewald.kmax, ewald.alpha_value()
+                    ))
                 energy, self.pme_grid = pme_reciprocal(
                     system.positions, system.charges, system.box,
-                    self.provider.ewald, block, self.backend, self.pme_grid,
-                    self.kspace_stats,
+                    self.influence[1], block, self.backend, self.pme_grid,
                 )
                 if weight != 1:
                     block *= weight  # the impulse of the n steps it stands for
-                return 0.0, energy, system.n_atoms
+                return float(built), energy, system.n_atoms
             energy, n_terms = eval_bonded_group(self.system, entry, block, self.backend)
             return energy, 0.0, n_terms
         # a cell task on its own: the batch kernel over a batch of one
@@ -645,10 +659,6 @@ class ForceTaskEvaluator:
         out = np.empty((1, 4))
         self._nb_rows(self.lists.task(k), block, np.zeros(1, dtype=np.int64), out)
         return float(out[0, 0]), float(out[0, 1]), int(out[0, 2])
-
-    def end_step(self, out_row) -> None:
-        out_row[0] = self.kspace_stats["builds"]
-        out_row[1] = self.kspace_stats["hits"]
 
     def close(self) -> None:
         system = self.system
@@ -658,6 +668,7 @@ class ForceTaskEvaluator:
         self.slot = {}
         self.arena = None
         self.pme_grid = None
+        self.influence = None
         self.xentries = {}
         del system.positions
         system.positions = np.zeros((0, 3))
@@ -889,14 +900,15 @@ def build_force_tasks(
         for sel in sels
     ]
     if ewald is not None:
-        # the tables are built here, before a pool forks, so the workers
-        # inherit them — and scipy.fft, whose import costs each ~20 ms —
-        # instead of each building its own: the real-space table the
-        # driver's 1-4 pass would build anyway, ...
+        # built here, before a pool forks, so the workers inherit it instead
+        # of each building its own: the real-space table the driver's 1-4
+        # pass would build anyway
         ewald_table(*ewald_pair_mode(ewald))
     if ewald is not None and ewald.kmax > 0:
-        # ... and the influence function of the reciprocal task
-        _, shape = _pme_influence(box, ewald.kmax, ewald.alpha_value())
+        # the grid sizes the reciprocal task's prior; it also imports
+        # scipy.fft (~20 ms) before a pool forks.  The influence table is
+        # built by the evaluator that runs the task
+        shape = pme_grid_shape(box, ewald.kmax)
         xtasks.append(("kspace",))
         x_costs.append(
             t_pair * (

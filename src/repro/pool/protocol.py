@@ -19,8 +19,7 @@ domain-specific enters through two small interfaces:
   block *offsets* that define the reduction layout), then — if the
   evaluator has one — ``eval_batch`` once, then
   :meth:`~TaskEvaluator.eval_task` once per owned task the batch did not
-  cover, and finally :meth:`~TaskEvaluator.end_step` with the worker's
-  private stats row.
+  cover.
 
 Both are :class:`typing.Protocol` classes — structural, no inheritance
 required — so providers (e.g. :mod:`repro.md.tasks`) depend only on this
@@ -48,15 +47,16 @@ per task by the evaluator itself, so the balancers keep a time for every
 task on every step.  The runtime copies the rows into the stats array and
 calls ``eval_task`` for the executor's remaining tasks only.
 
-Per-task statistics travel through a shared ``(n_tasks + n_workers, 4)``
-float64 array: columns :data:`STAT_V0`, :data:`STAT_V1`, :data:`STAT_V2`
-carry the three values returned by ``eval_task`` (the provider assigns
+Per-task statistics travel through a shared ``(n_tasks, STAT_COLS)``
+float64 array, one row a task: columns :data:`STAT_V0`, :data:`STAT_V1`,
+:data:`STAT_V2` carry the three values returned by ``eval_task`` (the provider assigns
 their meaning), and :data:`STAT_TIME_NS` the measured wall time of the
 task in nanoseconds (slowdown-injection inclusive: a single task is timed
 by the runtime around ``eval_task`` and spun out to ``factor`` times its
 time; after a batch the runtime spins once for ``(factor - 1)`` times the
 sum of the batch's own task times and records each scaled by ``factor``).
-Rows past ``n_tasks`` are per-worker rows handed to ``end_step``.
+There are no per-worker rows: what an evaluator has to report, it reports
+in the rows of its tasks.
 """
 
 from __future__ import annotations
@@ -104,9 +104,6 @@ class TaskEvaluator(Protocol):
         Returns three floats recorded in the task's stats row
         (:data:`STAT_V0`..:data:`STAT_V2`).
         """
-
-    def end_step(self, out_row: np.ndarray) -> None:
-        """Publish per-worker stats into this worker's private row."""
 
     def close(self) -> None:
         """Drop buffer views so the worker can unmap shared segments."""

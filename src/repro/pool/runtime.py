@@ -147,15 +147,13 @@ def run_step(
     The calling order of :mod:`repro.pool.protocol` — ``begin_step``,
     ``rebuild`` when asked for or when the assignment changed, ``eval_batch``
     when the evaluator has one, ``eval_task`` per owned task the batch did
-    not cover with its wall time, ``end_step`` with the executor's private
-    stats row.  Recorded times include slowdown injection: a batch's own
-    per-task times are scaled by the factor and one spin after it burns the
-    difference; a single task is spun out to the factor right after it.  A
-    pool worker runs this on shared-memory views,
-    :class:`InProcessExecutor` on plain arrays; nothing else differs between
-    the two.
+    not cover with its wall time.  Recorded times include slowdown
+    injection: a batch's own per-task times are scaled by the factor and
+    one spin after it burns the difference; a single task is spun out to
+    the factor right after it.  A pool worker runs this on shared-memory
+    views, :class:`InProcessExecutor` on plain arrays; nothing else differs
+    between the two.
     """
-    n_tasks = len(state.assignment)
     perf = time.perf_counter_ns
     evaluator.begin_step(payload)
     changed = False
@@ -205,7 +203,6 @@ def run_step(
         stats[t, STAT_V1] = v1
         stats[t, STAT_V2] = v2
         stats[t, STAT_TIME_NS] = elapsed
-    evaluator.end_step(stats[n_tasks + state.worker_id])
 
 
 #: the command that ends an executor thread's loop
@@ -251,7 +248,7 @@ class InProcessExecutor:
         self.n_workers = n = max(int(n_workers), 1)
         self.timeout = float(timeout)
         self.scratch = np.zeros(provider.scratch_shape(), dtype=np.float64)
-        self.stats = np.zeros((n_tasks + n, STAT_COLS), dtype=np.float64)
+        self.stats = np.zeros((n_tasks, STAT_COLS), dtype=np.float64)
         self._views = {
             label: np.zeros(shape, dtype=np.dtype(dtype))
             for label, (shape, dtype) in provider.segments().items()
@@ -485,7 +482,7 @@ def _pool_worker_main(
         scratch_shape, dtype=np.float64, buffer=segs["scratch"].buf
     )
     stats = np.ndarray(
-        (n_tasks + n_workers, STAT_COLS),
+        (n_tasks, STAT_COLS),
         dtype=np.float64,
         buffer=segs["stats"].buf,
     )
@@ -654,16 +651,15 @@ class SupervisedPool:
 
         registry = SegmentRegistry()
         self._registry = registry
-        n_stat_rows = self.n_tasks + self.n_workers
         registry.create(
             "scratch", max(int(np.prod(scratch_shape)), 1) * 8
         )
-        registry.create("stats", n_stat_rows * STAT_COLS * 8)
+        registry.create("stats", max(self.n_tasks, 1) * STAT_COLS * 8)
         self._views["scratch"] = np.ndarray(
             scratch_shape, dtype=np.float64, buffer=registry.get("scratch").buf
         )
         self._views["stats"] = np.ndarray(
-            (n_stat_rows, STAT_COLS),
+            (self.n_tasks, STAT_COLS),
             dtype=np.float64,
             buffer=registry.get("stats").buf,
         )
@@ -868,7 +864,7 @@ class SupervisedPool:
             # all original commands must be out before any re-issue, or a
             # replacement could interleave a stale command after its re-sent
             # one.  collect()'s liveness sweep picks it up immediately.
-            self._send_step(w, rebuild, new_assignment)
+            self._command_step(w, rebuild, new_assignment)
         if self._injector is not None:
             pids = {
                 w: self._procs[w].pid
@@ -878,7 +874,7 @@ class SupervisedPool:
             self._injector.inject(self._seq, pids)
         return self._seq
 
-    def _send_step(self, w: int, rebuild: bool, assignment_payload) -> bool:
+    def _command_step(self, w: int, rebuild: bool, assignment_payload) -> bool:
         cmd = (
             "step",
             self._pending,
@@ -1106,7 +1102,7 @@ class SupervisedPool:
                     # the dead worker would have written
                     self._worker_epoch[w] += 1
                     self.resilience.steps_redone += 1
-                    if not self._send_step(w, True, self._assignment):
+                    if not self._command_step(w, True, self._assignment):
                         # died again before the re-issue landed; next loop
                         # iteration recovers it (bounded by recovery rounds)
                         pass
@@ -1197,7 +1193,7 @@ class SupervisedPool:
                 self._worker_epoch[s] += 1
                 self._acked.discard(s)
                 self.resilience.steps_redone += 1
-                self._send_step(s, True, self._assignment)
+                self._command_step(s, True, self._assignment)
             # survivors that did not gain tasks still need the new map for
             # their *next* rebuild; it rides along at the next rebuild via
             # the normal assignment payload (their current blocks are valid)

@@ -9,7 +9,9 @@ GET    ``/stats``                     scheduler/budget/tenant counters
 GET    ``/jobs[?tenant=t]``           job summaries
 POST   ``/jobs``                      submit ``{"spec": {...}, "tenant",
                                       "priority"}`` → 201, 400 on a bad
-                                      spec / tenant / priority, 429 over
+                                      spec / tenant / priority or
+                                      ``Content-Length``, 413 over
+                                      :data:`MAX_BODY_BYTES`, 429 over
                                       quota
 GET    ``/jobs/<id>``                 full job detail
 GET    ``/jobs/<id>/stream``          NDJSON records; ``?from=N`` offsets
@@ -51,6 +53,14 @@ _STREAM_POLL_S = 0.05
 #: ``stop()``: the stdlib default of 0.5 s would make every stop wait that long
 _SHUTDOWN_POLL_S = 0.05
 
+#: the largest request body read: a submission is a few hundred bytes, and
+#: a handler buffers all that ``Content-Length`` announces before parsing
+MAX_BODY_BYTES = 64 * 1024
+
+
+class _BodyTooLarge(ValueError):
+    """A ``Content-Length`` over :data:`MAX_BODY_BYTES` (HTTP 413)."""
+
 
 class _Handler(BaseHTTPRequestHandler):
     """One request; ``server.service`` is the shared scheduler."""
@@ -79,7 +89,20 @@ class _Handler(BaseHTTPRequestHandler):
         self._json(status, {"error": message})
 
     def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        # the length is judged before a byte of the body is read; a refused
+        # body stays unread, and would be taken for the next request, so
+        # the connection goes with it
+        text = self.headers.get("Content-Length") or "0"
+        if not (text.isascii() and text.isdigit()):
+            self.close_connection = True
+            raise ValueError(f"Content-Length must be a byte count, not {text!r}")
+        length = int(text)
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise _BodyTooLarge(
+                f"request body of {length} bytes is over the "
+                f"{MAX_BODY_BYTES}-byte cap"
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -139,6 +162,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, str(exc))
         except QuotaError as exc:
             self._error(429, str(exc))
+        except _BodyTooLarge as exc:
+            self._error(413, str(exc))
         except (ValueError, TypeError) as exc:
             self._error(400, str(exc))
 

@@ -12,7 +12,7 @@ import pytest
 
 from repro.backend import available_backends, get_backend
 from repro.builder import mini_assembly, skewed_water_box, small_water_box
-from repro.md.ewald import EwaldOptions, clear_kspace_cache, compute_ewald
+from repro.md.ewald import EwaldOptions, compute_ewald
 from repro.md.nonbonded import NonbondedOptions, compute_nonbonded
 
 BACKENDS = available_backends()
@@ -65,7 +65,6 @@ class TestNonbondedParity:
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestEwaldParity:
     def _eval(self, system, backend, kmax=4):
-        clear_kspace_cache()
         opts = EwaldOptions(alpha=0.35, kmax=kmax, cutoff=7.0)
         return compute_ewald(system, opts, backend=get_backend(backend))
 

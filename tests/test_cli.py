@@ -197,6 +197,22 @@ class TestResilienceFlags:
         assert [row.split()[0] for row in _rows(resumed)] == ["3", "4", "5"]
         assert _rows(resumed)[-1] == _rows(fresh)[-1]
 
+    def test_resume_refuses_another_spec(self, tmp_path):
+        """A workdir's checkpoint continues the run that wrote it: only
+        ``--steps`` may change, whatever else a later run asks for."""
+        workdir = str(tmp_path / "run")
+        run = ["md", "--waters", "27", "--cutoff", "5", "--workdir", workdir]
+        assert main(run + ["--steps", "3", "--checkpoint-every", "2"]) == 0
+        with pytest.raises(SystemExit, match="written with temperature=300.0, not 50.0"):
+            main(run + ["--steps", "4", "--dt", "0.5", "--temperature", "50"])
+
+    def test_resume_refuses_a_checkpoint_past_the_total(self, tmp_path):
+        run = ["md", "--waters", "27", "--cutoff", "5", "--checkpoint-every", "2",
+               "--workdir", str(tmp_path / "run")]
+        assert main(run + ["--steps", "3"]) == 0
+        with pytest.raises(SystemExit, match="at step 2, past this run's 1 steps"):
+            main(run + ["--steps", "1"])
+
     def test_resume_corrupt_file_errors(self, tmp_path):
         (tmp_path / "checkpoint.npz").write_bytes(b"garbage")
         with pytest.raises(SystemExit, match="corrupt run checkpoint"):

@@ -32,7 +32,12 @@ import pytest
 
 from repro.md.bonded import BONDED_KINDS, compute_bonded
 from repro.md.cells import candidate_pairs
-from repro.md.ewald import _reciprocal_space, compute_ewald, pme_reciprocal
+from repro.md.ewald import (
+    _pme_influence,
+    _reciprocal_space,
+    compute_ewald,
+    pme_reciprocal,
+)
 from repro.md.nonbonded import (
     filter_candidates,
     nonbonded_kernel,
@@ -102,8 +107,9 @@ def pme_part(system, ewald, backend):
     forces = np.zeros((system.n_atoms, 3))
     if ewald.kmax == 0:
         return 0.0, forces
+    influence = _pme_influence(system.box, ewald.kmax, ewald.alpha_value())
     energy, _ = pme_reciprocal(
-        system.positions, system.charges, system.box, ewald, forces, backend
+        system.positions, system.charges, system.box, influence, forces, backend
     )
     return energy, forces
 

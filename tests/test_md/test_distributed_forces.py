@@ -19,6 +19,8 @@ from repro.md.integrator import VelocityVerlet
 from repro.md.nonbonded import NonbondedOptions
 from repro.md.parallel import HAS_SHARED_MEMORY, ParallelEngine
 from repro.md.tasks import xtask_rows as _xtask_rows
+from repro.pool import RecoveryPolicy
+from tests.test_md.oracle import assert_matches_reference
 
 pytestmark = pytest.mark.skipif(
     not HAS_SHARED_MEMORY, reason="platform lacks multiprocessing.shared_memory"
@@ -160,6 +162,11 @@ class TestEngineFactory:
         )
         assert eng.checkpoint_every == 2 and eng.checkpoint_path == path
 
+    def test_negative_workers_are_refused(self):
+        """Only 0 means one worker per CPU."""
+        with pytest.raises(ValueError, match="n_workers must be >= 0"):
+            make_engine(fresh_water(), OPTS, workers=-2)
+
     def test_sequential_rejects_parallel_only_kwargs(self):
         s = fresh_water()
         with pytest.raises(TypeError, match="timeout"):
@@ -228,19 +235,33 @@ class TestDriverShareInstrumentation:
         assert 0.0 <= rep["driver_share"] <= 1.0
         assert rep["wall_s"] > 0.0
 
-    def test_kspace_cache_stats_aggregate_workers(self):
+
+class TestInfluenceTable:
+    """The evaluator that runs the PME task owns its influence table: built
+    on its first evaluation, reused while the box holds, rebuilt when the
+    step's box is another."""
+
+    def test_built_once_while_the_box_holds(self):
         with ParallelEngine(
             fresh_water(), OPTS, workers=2, ewald=EWALD
         ) as eng:
-            eng.run(2)
-            stats = eng.kspace_cache_stats()
-            # three evaluations, one table lookup each
-            assert len(eng._nb._kspace_ids) == 1
-            assert stats["builds"] + stats["hits"] == 3
-            assert set(stats["workers"]) == set(range(eng.workers))
-            for key in ("builds", "hits"):
-                assert stats[key] == sum(w[key] for w in stats["workers"].values())
-            eng.clear_kspace_cache()
-            cleared = eng.kspace_cache_stats()
-            assert cleared["builds"] == 0
-            assert cleared["hits"] == 0
+            eng.run(2)  # three evaluations
+            assert eng.parallel and len(eng._nb._kspace_ids) == 1
+            assert eng.kspace_cache_stats() == {"builds": 1, "hits": 2}
+
+    @pytest.mark.parametrize("change", ["in-place", "assigned"])
+    @pytest.mark.parametrize("executor", ["threads", "processes"])
+    def test_a_new_box_gets_a_new_table(self, executor, change):
+        """The reciprocal task's energy is PME's at the new box, to the bit,
+        and the forces the oracle's there."""
+        system = fresh_water()
+        kwargs = {"recovery": RecoveryPolicy()} if executor == "processes" else {}
+        with ParallelEngine(system, OPTS, workers=2, ewald=EWALD, **kwargs) as eng:
+            assert eng.parallel
+            assert_matches_reference(eng)
+            if change == "in-place":
+                system.box *= 1.05
+            else:
+                system.box = system.box * 1.05
+            assert_matches_reference(eng)
+            assert eng.kspace_cache_stats() == {"builds": 2, "hits": 0}

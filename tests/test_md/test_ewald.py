@@ -6,12 +6,7 @@ import pytest
 
 from repro.builder.ions import ensure_ion_types
 from repro.md.constants import COULOMB_CONSTANT
-from repro.md.ewald import (
-    EwaldOptions,
-    clear_kspace_cache,
-    compute_ewald,
-    kspace_cache_stats,
-)
+from repro.md.ewald import EwaldOptions, compute_ewald
 from repro.md.forcefield import default_forcefield
 from repro.md.system import MolecularSystem
 from repro.md.topology import Topology
@@ -197,76 +192,6 @@ class TestChargedSystems:
         s = random_charges(neutral=True, seed=9)
         res = compute_ewald(s)
         assert res.energy_background == pytest.approx(0.0, abs=1e-9)
-
-
-class TestKspaceCache:
-    """The (box, kmax, alpha) k-vector tables are built once and reused."""
-
-    def setup_method(self):
-        clear_kspace_cache()
-
-    def test_identical_energies_on_cached_path(self):
-        s = random_charges(seed=3)
-        opts = EwaldOptions(cutoff=6.0, kmax=6)
-        first = compute_ewald(s, opts)
-        second = compute_ewald(s, opts)  # served from cache
-        stats = kspace_cache_stats()
-        assert stats["builds"] == 1
-        assert stats["hits"] == 1
-        assert second.energy == first.energy  # bit-identical, same tables
-        assert np.array_equal(second.forces, first.forces)
-
-    def test_repeated_calls_build_once(self):
-        s = random_charges(seed=4)
-        opts = EwaldOptions(cutoff=6.0, kmax=5)
-        for _ in range(5):
-            compute_ewald(s, opts)
-        stats = kspace_cache_stats()
-        assert stats["builds"] == 1
-        assert stats["hits"] == 4
-
-    def test_box_change_invalidates(self):
-        s = random_charges(seed=5)
-        opts = EwaldOptions(cutoff=6.0, kmax=5)
-        compute_ewald(s, opts)
-        s.box = s.box * 1.1  # volume change -> different k-vectors
-        compute_ewald(s, opts)
-        stats = kspace_cache_stats()
-        assert stats["builds"] == 2
-
-    def test_parameter_change_invalidates(self):
-        s = random_charges(seed=6)
-        compute_ewald(s, EwaldOptions(cutoff=6.0, kmax=5))
-        compute_ewald(s, EwaldOptions(cutoff=6.0, kmax=6))
-        compute_ewald(s, EwaldOptions(cutoff=6.0, kmax=5, alpha=0.4))
-        assert kspace_cache_stats()["builds"] == 3
-
-    def test_cached_result_matches_fresh_build(self):
-        s = random_charges(seed=7)
-        opts = EwaldOptions(cutoff=6.0, kmax=6)
-        compute_ewald(s, opts)  # populate
-        cached = compute_ewald(s, opts)  # hit
-        clear_kspace_cache()
-        fresh = compute_ewald(s, opts)  # rebuild from scratch
-        assert cached.energy == pytest.approx(fresh.energy, rel=0, abs=0)
-        assert np.array_equal(cached.forces, fresh.forces)
-
-    def test_inplace_box_rescale_invalidates(self):
-        # NPT-style barostat move: the box array is rescaled *in place*, so
-        # the same ndarray object now holds different lengths.  The cache
-        # key must be a value snapshot, not anything tied to the object —
-        # a stale hit here would evaluate the new box with the old
-        # k-vectors and silently corrupt the pressure coupling.
-        s = random_charges(seed=8)
-        opts = EwaldOptions(cutoff=6.0, kmax=5)
-        compute_ewald(s, opts)  # populate at the original volume
-        s.box *= 1.05  # in-place mutation, object identity unchanged
-        mutated = compute_ewald(s, opts)
-        assert kspace_cache_stats()["builds"] == 2, "stale k-space cache hit"
-        clear_kspace_cache()
-        fresh = compute_ewald(s, opts)
-        assert mutated.energy == pytest.approx(fresh.energy, rel=0, abs=0)
-        assert np.array_equal(mutated.forces, fresh.forces)
 
 
 class TestExclusionPairCache:

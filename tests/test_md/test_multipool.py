@@ -14,8 +14,8 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from repro.builder import small_water_box
-from repro.md.engine import SequentialEngine
+from repro.md.engine import make_engine
+from repro.md.ewald import EwaldOptions
 from repro.md.nonbonded import NonbondedOptions
 from repro.md.parallel import HAS_SHARED_MEMORY, ParallelEngine
 from repro.pool import RecoveryPolicy, SegmentRegistry, attach_segment
@@ -55,70 +55,20 @@ def test_closing_one_engine_leaves_the_other_live(water600, water400):
         eng_b.close()
 
 
-def counts(engine) -> dict:
-    stats = engine.kspace_cache_stats()
-    return {"builds": stats["builds"], "hits": stats["hits"]}
-
-
-def test_sequential_engines_kspace_accounting_isolated():
-    # regression: the k-space LRU counters were process-global, so one
-    # engine's clear_kspace_cache() yanked another engine's stats backwards
-    # (the exact multi-job service hazard).  Each engine's evaluators count
-    # their own lookups: monotone, non-negative, and exactly attributed.
-    from repro.md.ewald import EwaldOptions, kspace_cache_stats
-
-    ew = EwaldOptions(cutoff=6.0, kmax=4)
-    opts = NonbondedOptions(cutoff=6.0)
-    eng_a = SequentialEngine(
-        small_water_box(40, seed=3, relax=False), opts, skin=0.0, ewald=ew
-    )
-    eng_b = SequentialEngine(
-        small_water_box(30, seed=5, relax=False), opts, skin=0.0, ewald=ew
-    )
-    assert len(eng_a._nb._kspace_ids) == 1  # one table lookup an evaluation
-    eng_a.clear_kspace_cache()  # whatever earlier tests left in the LRU
-    eng_a.compute_forces()
-    eng_a.compute_forces()  # same box: the later lookup hits the cache
-    before = counts(eng_a)
-    assert before == {"builds": 1, "hits": 1}
-    eng_b.compute_forces()
-    module_view = kspace_cache_stats()
-    eng_b.clear_kspace_cache()  # job B resets *its* accounting
-    assert counts(eng_a) == before  # B's clear is invisible to A
-    assert kspace_cache_stats() == module_view  # ... and to the module's view
-    # the shared tables really were dropped: A's next evaluation rebuilds,
-    # and the build lands in A's accounting only
-    eng_a.compute_forces()
-    assert counts(eng_a)["builds"] == before["builds"] + 1
-    assert counts(eng_b) == {"builds": 0, "hits": 0}
-
-
-def test_parallel_engines_kspace_accounting_isolated(water600, water400):
-    # same hazard with the lookups in worker processes: each engine reads
-    # its own workers' published counts
-    from repro.md.ewald import EwaldOptions
-
+@pytest.mark.parametrize("workers", [1, 2])
+def test_engines_with_different_boxes_each_build_one_table(water600, water400, workers):
+    """The PME task's table belongs to the evaluator that runs it: two live
+    engines in one process, stepped in turns, each build their own once."""
     ew = EwaldOptions(cutoff=8.0, kmax=4)
-    with ParallelEngine(
-        water600.copy(), options=OPTS, workers=2, ewald=ew
-    ) as eng_a:
-        with ParallelEngine(
-            water400.copy(), options=OPTS, workers=2, ewald=ew
-        ) as eng_b:
-            assert len(eng_a._nb._kspace_ids) == 1
-            eng_a.compute_forces()
-            eng_a.compute_forces()
-            before = eng_a.kspace_cache_stats()
-            assert before["builds"] + before["hits"] == 2
-            assert before["hits"] >= 1
-            eng_b.compute_forces()
-            eng_b.clear_kspace_cache()
-            assert eng_a.kspace_cache_stats() == before
-            eng_a.compute_forces()
-            final = eng_a.kspace_cache_stats()
-            assert final["builds"] + final["hits"] == 3
-            assert counts(eng_b) == {"builds": 0, "hits": 0}
-            assert set(final["workers"]) == {0, 1}
+    with make_engine(water600.copy(), OPTS, workers=workers, ewald=ew) as eng_a:
+        with make_engine(water400.copy(), OPTS, workers=workers, ewald=ew) as eng_b:
+            assert eng_a.parallel == eng_b.parallel == (workers > 1)
+            assert not np.array_equal(eng_a.system.box, eng_b.system.box)
+            for _ in range(2):
+                eng_a.compute_forces()
+                eng_b.compute_forces()
+            for engine in (eng_a, eng_b):
+                assert engine.kspace_cache_stats() == {"builds": 1, "hits": 1}
 
 
 def test_segments_unlinked_after_close(water400):

@@ -357,7 +357,7 @@ def test_slowdown_window_multiplies_the_kernels_own_task_times_exactly(evaluator
     plan = FaultPlan.parse("slow=0@2-4x3")
     state = StepState(0, np.zeros(provider.n_tasks, dtype=np.int64), plan)
     scratch = np.zeros(provider.scratch_shape())
-    stats = np.zeros((provider.n_tasks + 1, STAT_COLS))
+    stats = np.zeros((provider.n_tasks, STAT_COLS))
     own = []
     batch = evaluator.eval_batch
 

@@ -3,7 +3,8 @@
 Task ``t`` computes ``data[t] * scale`` (``scale`` arrives as the step
 payload) and writes it into its one scratch row — enough to verify the
 dispatch/collect protocol, the shared-memory plumbing, per-task stats,
-and that recovery reproduces the exact same numbers.  No MD imports.
+and that recovery reproduces the exact same numbers.  Each task's third
+value is how often its evaluator has rebuilt.  No MD imports.
 """
 
 from __future__ import annotations
@@ -31,10 +32,7 @@ class SyntheticEvaluator:
     def eval_task(self, t: int, block: np.ndarray):
         val = float(self.data[t]) * self.scale
         block[...] = val
-        return (val, 2.0 * val, 1.0)
-
-    def end_step(self, out_row: np.ndarray) -> None:
-        out_row[0] = float(self.rebuilds)
+        return (val, 2.0 * val, float(self.rebuilds))
 
     def close(self) -> None:
         self.data = None

@@ -76,14 +76,6 @@ class TestProtocol:
                 run_step(pool, scale, rebuild=(scale == 1.0))
                 np.testing.assert_array_equal(pool.scratch[:, 0], scale)
 
-    def test_worker_rows_after_tasks(self):
-        # end_step publishes into stats[n_tasks + worker_id]
-        with make_pool() as pool:
-            pool.view("data")[...] = 1.0
-            run_step(pool, 1.0, rebuild=True)
-            worker_rows = pool.stats[N_TASKS : N_TASKS + pool.n_workers]
-            assert (worker_rows[:, 0] >= 1.0).all()
-
     def test_double_dispatch_raises(self):
         with make_pool() as pool:
             pool.begin_step()
@@ -170,10 +162,10 @@ class TestInProcessExecutor:
                     local.stats[:N_TASKS, values], pool.stats[:N_TASKS, values]
                 )
                 assert (local.stats[:N_TASKS, STAT_TIME_NS] > 0).all()
-            # one executor rebuilt as often as each worker did (end_step
-            # publishes the count into the private row after the tasks)
-            assert local.stats[N_TASKS, 0] == 2.0
-            np.testing.assert_array_equal(pool.stats[N_TASKS:, 0], 2.0)
+            # one executor rebuilt as often as each worker did: every
+            # task reports its evaluator's count
+            np.testing.assert_array_equal(local.stats[:, STAT_V2], 2.0)
+            np.testing.assert_array_equal(pool.stats[:, STAT_V2], 2.0)
         assert (local.assignment == 0).all()
 
 

@@ -4,6 +4,7 @@ Everything runs against an ephemeral-port server with stdlib urllib —
 the same stack a CI smoke job or a shell script with curl exercises.
 """
 
+import http.client
 import json
 import urllib.error
 import urllib.parse
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.service import ServiceServer, SimulationService, TenantQuota
+from repro.service.api import MAX_BODY_BYTES
 
 
 @pytest.fixture
@@ -162,8 +164,47 @@ def idle_server(tmp_path_factory):
     srv.stop()
 
 
+def post_announcing(server, length, body, timeout=10):
+    """``(status, error)`` of a ``POST /jobs`` whose ``Content-Length`` says
+    ``length`` and whose body is ``body``."""
+    url = urllib.parse.urlsplit(server.url)
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=timeout)
+    try:
+        conn.putrequest("POST", "/jobs")
+        conn.putheader("Content-Length", length)
+        conn.endheaders(body)
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read()).get("error", "")
+    finally:
+        conn.close()
+
+
 class TestBoundary:
-    """Malformed requests get a JSON 400; the server keeps answering."""
+    """Malformed requests get a JSON 4xx; the server keeps answering."""
+
+    @pytest.mark.parametrize(
+        "length, body",
+        [("100000000", b"ab"), (str(MAX_BODY_BYTES + 1), b" " * (MAX_BODY_BYTES + 1))],
+        ids=["announced", "sent"],
+    )
+    def test_a_body_over_the_cap_is_413_unread(self, idle_server, length, body):
+        """Refused on its ``Content-Length``: nothing waits for 100 MB."""
+        code, error = post_announcing(idle_server, length, body)
+        assert code == 413 and f"{MAX_BODY_BYTES}-byte cap" in error
+        assert request(idle_server, "GET", "/healthz") == (200, {"ok": True})
+
+    @pytest.mark.parametrize("length", ["-1", "abc", "1.5"])
+    def test_a_bad_content_length_is_400(self, idle_server, length):
+        code, error = post_announcing(idle_server, length, b"{}")
+        assert code == 400 and "Content-Length must be a byte count" in error
+        assert request(idle_server, "GET", "/healthz") == (200, {"ok": True})
+
+    def test_a_body_at_the_cap_is_read(self, idle_server):
+        body = {"spec": {"waters": 10, "steps": 1}, "tenant": "cap", "pad": ""}
+        body["pad"] = " " * (MAX_BODY_BYTES - len(json.dumps(body)))
+        data = json.dumps(body).encode()
+        assert len(data) == MAX_BODY_BYTES
+        assert post_announcing(idle_server, str(len(data)), data)[0] == 201
 
     @pytest.mark.parametrize(
         "body",

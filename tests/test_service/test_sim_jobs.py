@@ -240,6 +240,21 @@ class TestSuspendResume:
         job.close()
         assert job.records == solo
 
+    def test_a_checkpoint_without_its_spec_still_resumes(self, tmp_path):
+        """The spec a checking run writes beside its checkpoint is checked
+        when present; a bare checkpoint copied into a workdir resumes."""
+        spec = SimSpec(waters=15, steps=5, seed=3, checkpoint_every=2)
+        first = SimJob(spec, tmp_path / "first")
+        first.open()
+        first.step_slice(3)
+        first.close()
+        assert first.spec_path.exists()
+        job = SimJob(spec, tmp_path / "copy")
+        job.checkpoint_path.write_bytes(first.checkpoint_path.read_bytes())
+        job.open()
+        job.close()
+        assert job.steps_done == 2 and not job.spec_path.exists()
+
     def test_suspend_without_checkpoint_replays_from_zero(self, tmp_path):
         spec = SimSpec(waters=15, steps=6, seed=3)  # checkpoint_every=0
         solo = run_solo(spec, tmp_path / "solo")
