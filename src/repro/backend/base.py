@@ -1,6 +1,6 @@
 """Kernel-backend contract and the parity self-check.
 
-A :class:`KernelBackend` bundles the ten kernels every backend must
+A :class:`KernelBackend` bundles the twelve kernels every backend must
 provide.  The contract is deliberately scalar/array-only (no dataclass
 options, no ``repro.md`` types: exclusions and LJ tables cross it as
 arrays) so this package never imports from ``repro.md`` — the md modules
@@ -40,9 +40,28 @@ si, sj, alpha=None, ewald_cutoff=None) -> (e_lj, e_elec, n_pairs)``
 ``pair_mask(pos, box, i_idx, j_idx, cutoff) -> bool[m]``
     Minimum-image distance test only.
 
-``segment_add(out, idx, contrib) -> None``
-    Raw segment-sum scatter (duplicates summed); index validation happens
-    once in :func:`repro.md.scatter.segment_add`, not here.
+``segment_add(out, idx, contrib, subtract=False) -> None``
+    Segment-sum scatter, ``out[idx[p]] += contrib[p]`` (``-=`` with
+    ``subtract``), duplicates summed, in one of two orders fixed by the fill
+    ``len(idx) / len(out)``: from ``_BINCOUNT_MIN_FILL`` on, each row's
+    contributions are summed from zero in index order and the sum then added
+    to the row (``np.bincount``); below it, contribution by contribution into
+    ``out`` (``np.add.at``).  Every backend gives the reference's bits — the
+    engines' task-ordered reduction is this kernel.  An index outside ``[0,
+    n)`` is an ``IndexError`` with nothing written; the public entry
+    :func:`repro.md.scatter.segment_add` answers it with a ``ValueError``
+    naming the range first.
+
+``wrap_positions(pos, box) -> None``
+    Fold the ``(n, 3)`` float64 ``pos`` into the primary cell ``[0, L)`` in
+    place, with ``np.mod``'s bits (``-0.0`` becomes ``+0.0``, NaN stays NaN)
+    and a coordinate that rounded up to ``L`` folded onto 0.
+
+``max_displacement2(pos, ref, box) -> float``
+    The largest squared minimum-image displacement between two ``(n, 3)``
+    arrays: per component ``d - L rint(d / L)``, summed ``(x² + z²) + y²``,
+    NaN when any sum is NaN (numpy's ``max``).  The pair list's staleness
+    test; bit for bit the reference's.
 
 ``ewald_real(pos, box, i_idx, j_idx, qq, alpha, cutoff, forces) -> energy``
     Ewald real-space sum on its own, from ``scipy.special.erfc`` pair by
@@ -194,6 +213,8 @@ class KernelBackend:
     pme_gather: Callable[..., float]
     block_pairs: Callable[..., int]
     nb_rows: Callable[..., None]
+    wrap_positions: Callable[..., None]
+    max_displacement2: Callable[..., float]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = "compiled" if self.compiled else "interpreted"
@@ -440,13 +461,32 @@ def parity_selfcheck(
         if not np.array_equal(np.asarray(mask_c, bool), np.asarray(mask_r, bool)):
             return False, "pair_mask: masks disagree"
 
-        # segment_add
-        s_c = np.zeros((p["n"], 3))
-        s_r = np.zeros((p["n"], 3))
-        candidate.segment_add(s_c, p["scatter_idx"], p["contrib"])
-        reference.segment_add(s_r, p["scatter_idx"], p["contrib"])
-        if not _close(s_c, s_r, tol):
-            return False, "segment_add: sums disagree"
+        # the driver's passes: the reference's bits, not a tolerance — the
+        # engines reduce, wrap and test staleness through them.  segment_add
+        # in both orders (the first five contributions fill under
+        # _BINCOUNT_MIN_FILL), adding and subtracting
+        for m, subtract in ((None, False), (None, True), (5, False), (5, True)):
+            sums = []
+            for backend in (candidate, reference):
+                out = np.ones((p["n"], 3))
+                backend.segment_add(
+                    out, p["scatter_idx"][:m], p["contrib"][:m], subtract
+                )
+                sums.append(out)
+            if not np.array_equal(*sums):
+                return False, "segment_add: sums differ"
+        shifted = p["pos"] + p["contrib"][: p["n"]] * p["box"]  # outside the box
+        wrapped = [shifted.copy(), shifted.copy()]
+        candidate.wrap_positions(wrapped[0], p["box"])
+        reference.wrap_positions(wrapped[1], p["box"])
+        if not np.array_equal(*wrapped):
+            return False, "wrap_positions: positions differ"
+        d2 = [
+            backend.max_displacement2(shifted, p["pos"], p["box"])
+            for backend in (candidate, reference)
+        ]
+        if d2[0] != d2[1]:
+            return False, f"max_displacement2: {d2[0]!r} != {d2[1]!r}"
 
         # ewald_real (qq including the Coulomb factor, per contract)
         qq_c = 332.0636 * p["qq"]

@@ -19,12 +19,30 @@ portable body alone elsewhere).  The AVX-512F builds of ``nb_rows`` and
 lanes.  Every build computes the same bits; ``kernels.c`` has why.
 
 :func:`build_backend` is the numpy reference with ``nb_pairs``,
-``ewald_recip``, ``bonded_terms``, the two PME halves, ``block_pairs`` and
-``nb_rows`` replaced.  It raises on any failure (no compiler, compile error or timeout,
+``ewald_recip``, ``bonded_terms``, the two PME halves, ``block_pairs``,
+``nb_rows`` and the driver's three passes of a step — ``segment_add`` (the
+task-ordered reduction), ``wrap_positions`` and ``max_displacement2`` (the
+pair list's staleness test) — replaced.  It raises on any failure (no compiler, compile error or timeout,
 load error); the registry turns that — and a failed parity self-check — into the numpy fallback.
 :data:`build_info` says what the last build did, which build the loader
-resolved each dispatched kernel to on this CPU and whether its compaction
-runs in lanes, for ``repro backends``.
+resolved each dispatched kernel to on this CPU, whether its compaction
+runs in lanes and whether its call keeps the GIL, for ``repro backends``.
+
+The GIL.  A ``CDLL`` function drops the GIL for its call, and the kernels of
+a task (:data:`GIL_RELEASED`: the pair kernels, the list build, the bonded
+terms, the PME halves, the classic reciprocal sum) are called that way: they
+run for a millisecond or so, and the executor threads and the service's
+lanes run them side by side.  The driver's three passes
+(:data:`GIL_HELD`) are called through a ``PyDLL`` handle on the same object,
+which keeps the GIL: they run once a step for tens of microseconds, less
+than dropping the GIL and taking it back from a busy thread can cost.  On the service row, where
+six jobs step on lane threads, a prototype of these three that released
+the GIL lost ``steps_per_s`` (``service-mix6``: 383.7 → 357.6, 1 of 4 pairs
+won) where the same prototype holding it did not (390.0 → 404.2, 3 of 6);
+both moved ``water2k-cutoff-seq`` alike (+8.1–8.4 %, 12 of 12 pairs).  All
+kernels are re-entrant whichever way they are called: their scratch is the
+caller's, allocated per call (``segment_add``'s sums included), never
+shared between threads.
 """
 
 from __future__ import annotations
@@ -49,7 +67,8 @@ from repro.backend.base import KernelBackend
 from repro.backend.ewald_table import ewald_table
 
 __all__ = [
-    "DISPATCHED_KERNELS", "FLAGS", "LANE_COMPACTION", "build_backend", "build_info",
+    "DISPATCHED_KERNELS", "FLAGS", "GIL_HELD", "GIL_RELEASED", "LANE_COMPACTION",
+    "build_backend", "build_info",
 ]
 
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-math-errno")
@@ -70,6 +89,13 @@ DISPATCHED_KERNELS = ("nb_pairs", "nb_rows", "block_pairs")
 #: those whose AVX-512F build compacts its hits in vector lanes (the body
 #: passes ``lanes`` on); ``nb_pairs`` compacts pair by pair in both builds
 LANE_COMPACTION = ("nb_rows", "block_pairs")
+#: the kernels called with the GIL released, and those called holding it:
+#: the driver's passes of a step, over in microseconds
+GIL_RELEASED = (
+    "nb_pairs", "nb_rows", "block_pairs", "ewald_recip", "bonded_terms",
+    "pme_spread", "pme_gather",
+)
+GIL_HELD = ("segment_add", "wrap_positions", "max_displacement2")
 _INT32 = np.iinfo(np.int32)
 #: atoms per term of the bonded kinds ``kernels.c`` knows
 _BONDED_WIDTH = {0: 2, 1: 3, 2: 4, 3: 4}
@@ -129,6 +155,17 @@ def _load(path: Path) -> ctypes.CDLL:
         ptr, i8, ptr, ptr, ptr, ptr, ptr, i8, ptr, i8, ptr, ptr, i8, ptr, i8,
         f8, f8, f8, f8, ptr, i8, ptr, i8, ptr, ptr, i8, ptr,
     ]
+    # the driver's passes keep the GIL: functions of a PyDLL handle on the
+    # same object, in place of the CDLL's (see the module docstring)
+    held = ctypes.PyDLL(str(path), handle=lib._handle)
+    held.segment_add.restype = ctypes.c_int
+    held.segment_add.argtypes = [ptr, i8, i8, ptr, i8, ptr, ctypes.c_int, ctypes.c_int, ptr]
+    held.wrap_positions.restype = None
+    held.wrap_positions.argtypes = [ptr, i8, ptr]
+    held.max_displacement2.restype = f8
+    held.max_displacement2.argtypes = [ptr, ptr, i8, ptr]
+    for name in GIL_HELD:
+        setattr(lib, name, getattr(held, name))
     return lib
 
 
@@ -172,12 +209,16 @@ def _library() -> ctypes.CDLL:
 
 def _dispatch_of(lib: ctypes.CDLL) -> dict[str, object]:
     """The build the loaded ``lib`` resolved its dispatched kernels to on
-    this CPU, and each kernel's build and compaction."""
+    this CPU, and each kernel's build, compaction and GIL policy."""
     dispatch = lib.kernel_build().decode()
     build = "portable" if dispatch == "none" else dispatch
     kernels = {
-        name: {"build": build, "lanes": build == "avx512f" and name in LANE_COMPACTION}
-        for name in DISPATCHED_KERNELS
+        name: {
+            "build": build if name in DISPATCHED_KERNELS else "portable",
+            "lanes": build == "avx512f" and name in LANE_COMPACTION,
+            "gil": "held" if name in GIL_HELD else "released",
+        }
+        for name in (*GIL_RELEASED, *GIL_HELD)
     }
     return {"dispatch": dispatch, "kernels": kernels}
 
@@ -481,9 +522,42 @@ def _backend_of(lib: ctypes.CDLL) -> KernelBackend:
         if bad:
             raise IndexError(reference.CORRUPT.format(-bad - 1))
 
+    def segment_add(out, idx, contrib, subtract=False):
+        m = len(idx)
+        if m == 0:
+            return
+        if not _writable(out, np.float64, 2):  # the reference writes any array
+            return reference.segment_add(out, idx, contrib, subtract)
+        n, k = out.shape
+        idx, contrib = _i8(idx), _f8(contrib)
+        if idx.shape != (m,) or contrib.shape != (m, k):
+            raise ValueError("segment_add needs indices (m,) and contributions (m, k)")
+        in_order = m < reference._BINCOUNT_MIN_FILL * n
+        # the zero-started sums: this call's own, never shared between calls
+        sums = np.empty(0 if in_order else n * k)
+        if lib.segment_add(
+            out.ctypes.data, n, k, idx.ctypes.data, m, contrib.ctypes.data,
+            bool(subtract), in_order, sums.ctypes.data,
+        ):
+            raise IndexError(reference.SCATTER_RANGE.format(n))
+
+    def wrap_positions(pos, box):
+        box = _f8(box)
+        if not (_writable(pos, np.float64, 2) and pos.shape[1] == 3 and box.shape == (3,)):
+            return reference.wrap_positions(pos, box)
+        lib.wrap_positions(pos.ctypes.data, len(pos), box.ctypes.data)
+
+    def max_displacement2(pos, ref, box):
+        pos, ref, box = _f8(pos), _f8(ref), _f8(box)
+        n = len(pos)
+        if not (pos.shape == ref.shape == (n, 3) and n and box.shape == (3,)):
+            return reference.max_displacement2(pos, ref, box)  # its errors
+        return lib.max_displacement2(pos.ctypes.data, ref.ctypes.data, n, box.ctypes.data)
+
     return dataclasses.replace(
         reference.build_backend(), name="c", compiled=True, nb_pairs=nb_pairs,
-        ewald_recip=ewald_recip, bonded_terms=bonded_terms,
+        segment_add=segment_add, ewald_recip=ewald_recip, bonded_terms=bonded_terms,
         pme_spread=pme_spread, pme_gather=pme_gather,
         block_pairs=block_pairs, nb_rows=nb_rows,
+        wrap_positions=wrap_positions, max_displacement2=max_displacement2,
     )

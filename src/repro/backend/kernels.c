@@ -1,12 +1,14 @@
 /* Compiled kernels of the "c" backend: the two pair kernels (nb_pairs over
  * an explicit pair array, nb_rows over the row lists of a batch of cell
  * tasks), the classic Ewald reciprocal sum, the two halves of smooth PME
- * (pme_spread, pme_gather), the bonded terms and the cell-block kernel that
- * counts pairs and lists them as rows.  Built on first use and
+ * (pme_spread, pme_gather), the bonded terms, the cell-block kernel that
+ * counts pairs and lists them as rows, and the driver's three passes of a
+ * step (segment_add, wrap_positions, max_displacement2).  Built on first use and
  * loaded through ctypes by repro/backend/c_backend.py; the contracts are
  * those of repro/backend/base.py and the registry's parity self-check holds
  * the arithmetic to the numpy reference at 1e-9 - the lists, whose order is
- * the pair kernels' accumulation order, to array identity.
+ * the pair kernels' accumulation order, and the driver's three passes, to
+ * identity.
  *
  * The lists: a cell task's pairs are a row list over its force block -
  * cols, one int32 a listed pair naming the partner's block row, and
@@ -19,8 +21,9 @@
  *   - re-entrant: no mutable static or global state, no allocation (scratch
  *     comes from the caller or, fixed-size and under 16 KB a frame, from the
  *     stack; the Ewald table and the PME grid are the caller's), because ctypes
- *     drops the GIL for the call and the service steps several jobs from
- *     threads;
+ *     drops the GIL for the call of most kernels and the service steps several
+ *     jobs from threads - the three that keep the GIL (the driver's passes at
+ *     the end of this file) are re-entrant all the same;
  *   - one reduction order, fixed in the source: a pair kernel takes a list
  *     a fixed number of pairs at a time, sums the in-range pairs in list
  *     order and keeps one partial sum per run of equal force rows - one
@@ -1498,3 +1501,118 @@ KERNEL_BUILDS(block_pairs,
                int64_t offset, int64_t capacity, double *work),
               (pos, n_atoms, box, atoms_a, na, atoms_b, nb, part, n_parts, r, excl_ptr,
                excl_idx, n_excl, cols, row_ptr, offset, capacity, work))
+
+/* ---- the driver's passes of a step: the reduction, the wrap, the list's
+ * staleness test --------------------------------------------------------------
+ * Three serial loops the driver runs once a step on the whole system.  Each
+ * repeats one numpy expression of the reference bit for bit (its operations,
+ * its rounding, its order), and each is over in microseconds - which is why
+ * c_backend.py calls these three with the GIL held, not released. */
+
+/* out[idx[p]] += contrib[p] (-= with subtract), p = 0 .. m-1, rows of k
+ * doubles, in one of the reference's two orders.  in_order: element by
+ * element into out, p ascending (np.add.at / np.subtract.at).  Otherwise
+ * every row's contributions are summed from zero, p ascending, into sums
+ * (n * k doubles of the caller's), and each sum is then added to - or taken
+ * from - its row of out (np.bincount, then out +=).  Returns 0, or 1 having
+ * written nothing to out when an index lies outside [0, n). */
+int segment_add(double *out, int64_t n, int64_t k, const int64_t *idx, int64_t m,
+                const double *contrib, int subtract, int in_order, double *sums)
+{
+    if (in_order) {
+        for (int64_t p = 0; p < m; p++)
+            if ((uint64_t)idx[p] >= (uint64_t)n)
+                return 1;
+        for (int64_t p = 0; p < m; p++) {
+            double *row = out + idx[p] * k;
+            const double *c = contrib + p * k;
+            for (int64_t j = 0; j < k; j++) {
+                if (subtract)
+                    row[j] -= c[j];
+                else
+                    row[j] += c[j];
+            }
+        }
+        return 0;
+    }
+    memset(sums, 0, (size_t)(n * k) * sizeof(double));
+    for (int64_t p = 0; p < m; p++) {
+        const int64_t i = idx[p];
+        if ((uint64_t)i >= (uint64_t)n)
+            return 1;
+        double *row = sums + i * k;
+        const double *c = contrib + p * k;
+        for (int64_t j = 0; j < k; j++)
+            row[j] += c[j];
+    }
+    if (subtract)
+        for (int64_t e = 0; e < n * k; e++)
+            out[e] -= sums[e];
+    else
+        for (int64_t e = 0; e < n * k; e++)
+            out[e] += sums[e];
+    return 0;
+}
+
+/* np.mod(x, L) of the reference, for one coordinate: fmod, plus L where that
+ * has the other sign than L, +0 for L's sign where it is zero - so -0.0
+ * becomes +0.0 and NaN stays NaN. */
+static double remainder_of(double x, double length)
+{
+    double mod = fmod(x, length); /* NaN for L = 0, x or L NaN, x infinite */
+    if (mod != 0.0) {
+        if ((length < 0.0) != (mod < 0.0))
+            mod += length;
+    } else {
+        mod = copysign(0.0, length);
+    }
+    return mod;
+}
+
+/* Every coordinate of pos (n x 3) folded into [0, L) in place, as the
+ * reference folds it: np.mod, then a result that rounded up to L (x a hair
+ * below a multiple of L) onto 0.  A coordinate already inside (0, L) is its
+ * own remainder, bit for bit, and skips fmod. */
+void wrap_positions(double *pos, int64_t n, const double *box)
+{
+    for (int64_t a = 0; a < n; a++) {
+        for (int k = 0; k < 3; k++) {
+            const double x = pos[3 * a + k], length = box[k];
+            if (x > 0.0 && x < length)
+                continue;
+            const double r = remainder_of(x, length);
+            pos[3 * a + k] = r >= length ? 0.0 : r;
+        }
+    }
+}
+
+/* The largest squared minimum-image displacement between pos and ref (both
+ * n x 3, n > 0): per component d - L rint(d / L), summed (x^2 + z^2) + y^2
+ * (the reference's order, numpy einsum's), NaN as soon as one sum is NaN (as
+ * numpy's max).  Inside |d| <= L/2 the
+ * fold is d up to the sign of a zero, which the square drops, so it is
+ * skipped there - for a finite positive L; any other edge takes the fold
+ * always. */
+double max_displacement2(const double *pos, const double *ref, int64_t n,
+                         const double *box)
+{
+    double half[3];
+    for (int k = 0; k < 3; k++)
+        half[k] = box[k] > 0.0 && isfinite(box[k]) ? 0.5 * box[k] : -1.0;
+    double worst = 0.0;
+    for (int64_t a = 0; a < n; a++) {
+        double d2[3];
+        for (int k = 0; k < 3; k++) {
+            double d = pos[3 * a + k] - ref[3 * a + k];
+            if (!(fabs(d) <= half[k]))
+                d = d - box[k] * nearbyint(d / box[k]);
+            d2[k] = d * d;
+        }
+        const double r2 = (d2[0] + d2[2]) + d2[1];
+        if (isnan(r2))
+            return r2;
+        if (r2 > worst)
+            worst = r2;
+    }
+    return worst;
+}

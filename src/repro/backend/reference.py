@@ -37,6 +37,7 @@ import numpy as np
 from repro.backend.base import KernelBackend
 from repro.backend.ewald_table import ewald_table, ewald_terms
 from repro.util.pbc import minimum_image
+from repro.util.pbc import wrap_positions as pbc_wrap_positions
 
 __all__ = ["build_backend", "expand_rows"]
 
@@ -51,6 +52,10 @@ COULOMB_CONSTANT = 332.0636
 _BINCOUNT_MIN_FILL = 0.25
 
 
+#: the ``IndexError`` of a scatter index outside ``out`` (every backend's)
+SCATTER_RANGE = "segment_add: scatter index outside [0, {})"
+
+
 def segment_add(
     out: np.ndarray, idx: np.ndarray, contrib: np.ndarray, subtract: bool = False
 ) -> None:
@@ -61,12 +66,15 @@ def segment_add(
     ``np.add.at`` when the contribution count is small relative to ``n``
     (bincount would be dominated by its O(n) output pass).  ``subtract``
     accumulates ``-contrib`` without materialising it (the same bits:
-    negation commutes with every rounding on the way).  Raw kernel:
-    indices must already be validated (see ``repro.md.scatter``).
+    negation commutes with every rounding on the way).  An index outside
+    ``[0, n)`` is an ``IndexError`` with nothing written, on both paths
+    (``np.add.at`` alone would wrap a negative one).
     """
     if len(idx) == 0:
         return
     n = out.shape[0]
+    if idx.min() < 0 or idx.max() >= n:
+        raise IndexError(SCATTER_RANGE.format(n))
     if len(idx) < _BINCOUNT_MIN_FILL * n:
         (np.subtract if subtract else np.add).at(out, idx, contrib)
         return
@@ -76,6 +84,23 @@ def segment_add(
             out[:, k] -= col
         else:
             out[:, k] += col
+
+
+def wrap_positions(pos: np.ndarray, box: np.ndarray) -> None:
+    """Fold ``pos`` into the primary cell ``[0, L)`` in place, as
+    :func:`repro.util.pbc.wrap_positions` folds it (``np.mod``, then a
+    coordinate that rounded up to ``L`` onto 0)."""
+    pos[...] = pbc_wrap_positions(pos, box)
+
+
+def max_displacement2(pos: np.ndarray, ref: np.ndarray, box: np.ndarray) -> float:
+    """The largest squared minimum-image displacement of ``pos`` from ``ref``
+    (NaN when any is NaN) — a pair list's staleness test.  A row is summed
+    ``(x² + z²) + y²``: the order numpy's ``einsum("ij,ij->i")`` takes (two
+    accumulators over a row, the even components and the odd), which this
+    test was written with, spelt out so that no numpy build can change it."""
+    sq = np.square(minimum_image(pos - ref, box))
+    return float(((sq[:, 0] + sq[:, 2]) + sq[:, 1]).max())
 
 
 def pair_mask(
@@ -768,4 +793,6 @@ def build_backend() -> KernelBackend:
         pme_gather=pme_gather,
         block_pairs=block_pairs,
         nb_rows=nb_rows,
+        wrap_positions=wrap_positions,
+        max_displacement2=max_displacement2,
     )

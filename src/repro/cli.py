@@ -93,6 +93,7 @@ def cmd_backends(_args) -> int:
     import numpy as np
 
     from repro.backend import ENV_VAR, backend_status
+    from repro.backend.c_backend import DISPATCHED_KERNELS
     from repro.backend.ewald_table import (
         INTERVALS_PER_OCTAVE, R2_FIRST, ewald_table, measured_error,
     )
@@ -122,8 +123,10 @@ def cmd_backends(_args) -> int:
         where = "no AVX-512F build here" if dispatch == "none" else "resolved on this CPU"
         print(f"    dispatch:   {dispatch} ({where})")
         for name, kernel in build["kernels"].items():
-            compaction = "in lanes" if kernel["lanes"] else "scalar"
-            print(f"      {name + ':':13s}{kernel['build']} build, compaction {compaction}")
+            what = f"{kernel['build']} build"
+            if name in DISPATCHED_KERNELS:
+                what += ", compaction " + ("in lanes" if kernel["lanes"] else "scalar")
+            print(f"      {name + ':':19s}{what}, GIL {kernel['gil']}")
     ewald = EwaldOptions()
     alpha, cutoff = ewald.alpha_value(), ewald.cutoff
     table, error = ewald_table(alpha, cutoff), measured_error(alpha, cutoff)

@@ -160,7 +160,7 @@ class SequentialEngine:
         step ``step`` (the current step by default).  Under multiple time
         stepping the step index decides whether the reciprocal task runs
         (see :class:`repro.md.ewald.EwaldOptions`)."""
-        self.system.wrap()
+        self.system.wrap(self.backend)
         self._nb.dispatch(self._step if step is None else step)
         # bonded terms (and the k-space sum, with Ewald) arrive inside the
         # reduced task result; collect() separates their energies

@@ -412,7 +412,7 @@ def compute_ewald(
     be = get_backend(backend)
     alpha = options.alpha_value()
     forces = np.zeros((system.n_atoms, 3))
-    system.wrap()
+    system.wrap(be)
     e_real = _real_space(system, alpha, options.cutoff, forces, be)
     e_recip = (
         _reciprocal_space(system, alpha, options.kmax, forces, be)

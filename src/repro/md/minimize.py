@@ -39,9 +39,9 @@ class MinimizationResult:
 def _energy_forces(
     engine: SequentialEngine, positions: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    # compute_forces swaps a wrapped copy into system.positions and leaves
-    # ``positions`` as it was: the descent's own, unwrapped, coordinates
-    engine.system.positions = positions
+    # compute_forces wraps system.positions in place: it gets a copy, and
+    # ``positions`` stays the descent's own, unwrapped, coordinates
+    engine.system.positions = positions.copy()
     forces = engine.compute_forces()
     return engine.report().potential, forces
 

@@ -21,10 +21,11 @@ from typing import Callable
 
 import numpy as np
 
+from repro.backend import get_backend
+
 # not used here: the perf harness (benchmarks/perf/spans.py) binds its
 # ``cells.enumerate`` span to this module attribute by name
 from repro.md.cells import candidate_pairs  # noqa: F401
-from repro.util.pbc import minimum_image
 
 __all__ = ["VerletPairList"]
 
@@ -43,14 +44,20 @@ class VerletPairList:
         ``build(positions, box)`` makes the list; called by :meth:`pairs`
         on a stale list only, with the positions that become the new
         reference snapshot.
+    backend:
+        The kernel backend whose ``max_displacement2`` tests staleness
+        (``None``: the session default; every backend decides alike).
     """
 
-    def __init__(self, cutoff: float, skin: float, build: Callable) -> None:
+    def __init__(
+        self, cutoff: float, skin: float, build: Callable, backend=None
+    ) -> None:
         if cutoff <= 0 or skin < 0:
             raise ValueError("cutoff must be positive and skin non-negative")
         self.cutoff = float(cutoff)
         self.skin = float(skin)
         self._build = build
+        self._backend = get_backend(backend)
         self._pairs = None
         self.ref_positions: np.ndarray | None = None
         self.ref_box: np.ndarray | None = None
@@ -71,8 +78,7 @@ class VerletPairList:
             return True
         if len(positions) != len(self.ref_positions):
             return True
-        delta = minimum_image(positions - self.ref_positions, box)
-        max_disp2 = float(np.einsum("ij,ij->i", delta, delta).max())
+        max_disp2 = self._backend.max_displacement2(positions, self.ref_positions, box)
         return max_disp2 > (0.5 * self.skin) ** 2
 
     def pairs(self, positions: np.ndarray, box: np.ndarray, stale: bool | None = None):

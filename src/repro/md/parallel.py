@@ -204,7 +204,8 @@ class ParallelNonbonded:
         #: executor bins and builds from, its ``pairs`` the task-ordered
         #: reduction layout ``(offsets, gather)`` at that snapshot
         self.pairlist = VerletPairList(
-            pair_reach(self.options, ewald), skin, self._provider.layout
+            pair_reach(self.options, ewald), skin, self._provider.layout,
+            backend=self.backend,
         )
         # the one executor selector: supervision asked for means worker
         # processes, anything else threads
@@ -467,11 +468,7 @@ class ParallelNonbonded:
         # task→worker assignment (see module docstring)
         t_r0 = time.monotonic()
         used = int(self._offsets[-1])
-        scratch = executor.scratch[:used]
-        for k in range(3):
-            forces[:, k] += np.bincount(
-                self._gather, weights=scratch[:, k], minlength=n
-            )
+        self.backend.segment_add(forces, self._gather, executor.scratch[:used])
         stats = executor.stats[: self._n_total]
         n_nb = self._n_nb
         e_lj = float(stats[:n_nb, STAT_E_LJ].sum())

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.backend import get_backend
 from repro.md.constants import BOLTZMANN_KCAL, KCAL_PER_AMU_A2_FS2
 from repro.md.forcefield import ForceField
 from repro.md.topology import Exclusions, Topology
-from repro.util.pbc import wrap_positions
 from repro.util.rng import make_rng
 
 __all__ = ["MolecularSystem"]
@@ -109,9 +109,21 @@ class MolecularSystem:
         self._exclusions = None
 
     # ------------------------------------------------------------------ #
-    def wrap(self) -> None:
-        """Fold all positions into the primary periodic cell, in place."""
-        self.positions = wrap_positions(self.positions, self.box)
+    def wrap(self, backend=None) -> None:
+        """Fold all positions into the primary periodic cell, in place:
+        ``positions`` stays the same array.  Positions that are not a
+        writable C-contiguous float64 array are replaced by a contiguous
+        copy first.  ``backend`` folds them (a
+        :class:`repro.backend.KernelBackend` or spec; ``None``, the session
+        default) — with :func:`repro.util.pbc.wrap_positions`' bits on every
+        backend."""
+        pos = self.positions
+        if not (
+            isinstance(pos, np.ndarray) and pos.dtype == np.float64
+            and pos.flags.c_contiguous and pos.flags.writeable
+        ):
+            self.positions = pos = np.array(pos, dtype=np.float64, order="C")
+        get_backend(backend).wrap_positions(pos, self.box)
 
     def kinetic_energy(self) -> float:
         """Total kinetic energy in kcal/mol."""

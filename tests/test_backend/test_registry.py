@@ -97,7 +97,8 @@ class TestSelection:
         assert be.compiled
         assert get_backend("auto") is be
         # the pair kernels, the classic reciprocal sum, the bonded terms, the
-        # two halves of PME and the list build are compiled
+        # two halves of PME, the list build and the driver's three passes of
+        # a step are compiled
         numpy = get_backend("numpy")
         replaced = {
             f for f in be.__dataclass_fields__ if getattr(be, f) != getattr(numpy, f)
@@ -105,6 +106,7 @@ class TestSelection:
         assert replaced == {
             "name", "compiled", "nb_pairs", "ewald_recip", "bonded_terms",
             "pme_spread", "pme_gather", "block_pairs", "nb_rows",
+            "segment_add", "wrap_positions", "max_displacement2",
         }
 
     def test_backend_status_shape(self):
@@ -175,6 +177,32 @@ class TestSelfCheck:
         broken = replace(good, name="broken", compiled=True, nb_pairs=bad_nb)
         ok, _ = parity_selfcheck(broken, good)
         assert not ok
+
+    @pytest.mark.parametrize("kernel", ["segment_add", "wrap_positions"])
+    def test_driver_pass_one_ulp_off_detected(self, kernel):
+        """The driver's passes are held to the reference's bits: one ulp in
+        one element, far inside 1e-9, fails the check."""
+        good = ref.build_backend()
+
+        def skewed(out, *args):
+            getattr(ref, kernel)(out, *args)
+            out[0, 0] = np.nextafter(out[0, 0], np.inf)
+
+        broken = replace(good, name="broken", compiled=True, **{kernel: skewed})
+        ok, detail = parity_selfcheck(broken, good)
+        assert not ok
+        assert kernel in detail
+
+    def test_staleness_one_ulp_off_detected(self):
+        good = ref.build_backend()
+
+        def skewed(pos, ref_pos, box):
+            return np.nextafter(ref.max_displacement2(pos, ref_pos, box), np.inf)
+
+        broken = replace(good, name="broken", compiled=True, max_displacement2=skewed)
+        ok, detail = parity_selfcheck(broken, good)
+        assert not ok
+        assert "max_displacement2" in detail
 
     def test_raising_kernel_is_caught_not_propagated(self):
         good = ref.build_backend()

@@ -5,7 +5,9 @@ import re
 import pytest
 
 import repro.backend as B
-from repro.backend.c_backend import DISPATCHED_KERNELS, LANE_COMPACTION
+from repro.backend.c_backend import (
+    DISPATCHED_KERNELS, GIL_HELD, GIL_RELEASED, LANE_COMPACTION,
+)
 from repro.cli import build_parser, main
 
 
@@ -45,12 +47,16 @@ class TestCommands:
         dispatch = lines[0].split()[0]
         assert dispatch in ("avx512f", "portable", "none")
         build = "portable" if dispatch == "none" else dispatch
-        rows = lines[1 : 1 + len(DISPATCHED_KERNELS)]
-        for name, line in zip(DISPATCHED_KERNELS, rows, strict=True):
+        rows = lines[1 : 1 + len(GIL_RELEASED) + len(GIL_HELD)]
+        for name, line in zip((*GIL_RELEASED, *GIL_HELD), rows, strict=True):
+            gil = ["GIL", "held" if name in GIL_HELD else "released"]
+            if name not in DISPATCHED_KERNELS:
+                assert line.split() == [f"{name}:", "portable", "build,", *gil]
+                continue
             lanes = build == "avx512f" and name in LANE_COMPACTION
-            compaction = "in lanes" if lanes else "scalar"
+            compaction = "in lanes," if lanes else "scalar,"
             assert line.split() == [
-                f"{name}:", build, "build,", "compaction", *compaction.split()
+                f"{name}:", build, "build,", "compaction", *compaction.split(), *gil
             ]
 
     def test_md(self, capsys):

@@ -9,12 +9,15 @@ stepped in turns keep their bits is held in ``test_conformance.py``.
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from repro.md.engine import make_engine
+from repro.md.engine import SequentialEngine, make_engine
 from repro.md.ewald import EwaldOptions
 from repro.md.nonbonded import NonbondedOptions
 from repro.md.parallel import HAS_SHARED_MEMORY, ParallelEngine
@@ -100,3 +103,42 @@ def test_default_parallel_engine_forks_nothing(water400, monkeypatch):
         for _ in range(2):
             eng.compute_forces()
             assert multiprocessing.active_children() == []
+
+
+def test_sequential_engines_stepped_on_two_threads_keep_their_solo_bits(water216):
+    """Two engines of one atom count — as two service lanes step two jobs of
+    one size — stepped at once on two threads, the interpreter switching
+    between them as often as it can: each ends on the digest of its run
+    alone.  Any scratch the driver's passes shared between calls would show
+    here."""
+
+    def system(seed):
+        s = water216.copy()
+        s.assign_velocities(300.0, seed=seed)
+        return s
+
+    def run(seed, steps=12, start=None):
+        with SequentialEngine(system(seed), OPTS) as engine:
+            if start is not None:
+                start.wait()
+            engine.run(steps)
+            return hashlib.sha256(engine.system.positions.tobytes()).hexdigest()
+
+    solo = [run(seed) for seed in (1, 2)]
+    assert solo[0] != solo[1]
+    start = threading.Barrier(2)
+    found: dict[int, str] = {}
+    threads = [
+        threading.Thread(target=lambda k=k: found.update({k: run(k + 1, start=start)}))
+        for k in range(2)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert [found.get(0), found.get(1)] == solo

@@ -127,6 +127,38 @@ class TestCopyAndWrap:
         assert np.all(s.positions >= 0.0)
         assert np.all(s.positions < s.box)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("backend", ["numpy", "c"])
+    def test_wrap_is_in_place_with_np_mods_bits(self, backend):
+        """The array stays the same object; every coordinate ends on
+        ``np.mod`` and the fold of a result that rounded up to ``L``."""
+        s = make_system(8)
+        L = s.box[0]
+        edges = [-0.0, 0.0, L, np.nextafter(L, 0.0), -1e-300, 2.5 * L, -3.2 * L, np.nan]
+        s.positions[:, 0] = edges
+        expected = np.mod(s.positions, s.box)
+        expected[expected >= s.box] = 0.0
+        held = s.positions
+        s.wrap(backend)
+        assert s.positions is held
+        assert held.tobytes() == expected.tobytes()
+        assert held[:2, 0].tolist() == [0.0, 0.0] and not np.signbit(held[:2, 0]).any()
+        assert held[2, 0] == 0.0 and held[4, 0] == 0.0  # folded from L
+        assert np.isnan(held[7, 0])
+
+    def test_wrap_copies_positions_it_cannot_write(self):
+        s = make_system(4)
+        s.positions[0] = [25.0, -3.0, 41.0]
+        expected = np.mod(s.positions, s.box)
+        frozen = np.asfortranarray(s.positions)
+        frozen.flags.writeable = False
+        s.positions = frozen
+        s.wrap()
+        assert s.positions is not frozen
+        assert s.positions.flags.c_contiguous and s.positions.flags.writeable
+        np.testing.assert_array_equal(s.positions, expected)
+        assert frozen[0, 0] == 25.0
+
     def test_exclusions_cached(self):
         s = make_system(4)
         assert s.exclusions is s.exclusions
